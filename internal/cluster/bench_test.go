@@ -7,6 +7,7 @@ import (
 	"rshuffle/internal/dag"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
+	"rshuffle/internal/verbs"
 )
 
 // Macro benchmarks: whole shuffle queries on a small FDR cluster, one
@@ -17,8 +18,25 @@ import (
 // and allocations are under test here. The package is cluster_test so the
 // DAG benchmark can import internal/dag without a cycle.
 
+// reportPool starts counting the registered-buffer pool's fresh chunk
+// allocations; the returned function reports them per query, with the bytes
+// the pool has parked at the end. A warmed-up series should show zero
+// misses: every ring chunk a query touches is one an earlier query parked.
+func reportPool(b *testing.B) func() {
+	start := cluster.PoolMisses()
+	return func() {
+		var retained int64
+		for _, c := range verbs.PoolStats() {
+			retained += c.RetainedBytes
+		}
+		b.ReportMetric(float64(cluster.PoolMisses()-start)/float64(b.N), "pool-misses/op")
+		b.ReportMetric(float64(retained)/(1<<20), "pool-retained-MiB")
+	}
+}
+
 func benchShuffle(b *testing.B, cfg shuffle.Config) {
 	b.ReportAllocs()
+	defer reportPool(b)()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(fabric.FDR(), 4, 2, 42)
@@ -58,6 +76,7 @@ func BenchmarkShuffleMESQSR(b *testing.B) {
 // serial window execution and the variants converge.
 func benchShuffleLPs(b *testing.B, lps int) {
 	b.ReportAllocs()
+	defer reportPool(b)()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		c := cluster.NewWithOptions(fabric.FDR(), 64, 2, 42,
@@ -93,6 +112,7 @@ func BenchmarkDAGMultiStage(b *testing.B) {
 	fact, dim := dag.DemoTables(4, 2000, 250, 7)
 	factory := cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2})
 	b.ReportAllocs()
+	defer reportPool(b)()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(prof, 4, 2, 42)

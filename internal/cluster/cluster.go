@@ -192,7 +192,7 @@ func SyntheticTable(seed int64, rows int) *engine.Table {
 // others, the skew scenario the flow-join line of work targets (paper §6).
 func SyntheticTableZipf(seed int64, rows int, domain uint64, exponent float64) *engine.Table {
 	sch := engine.NewSchema(engine.TInt64, engine.TInt64)
-	t := engine.NewTable(sch)
+	t := engine.NewTable(sch).Grow(rows)
 	w := engine.NewWriter(t)
 	r := rand.New(rand.NewSource(seed))
 	z := rand.NewZipf(r, 1+exponent, 1, domain-1)
@@ -215,7 +215,7 @@ func SyntheticTableWide(seed int64, rows, width int) *engine.Table {
 	for i := range cols {
 		cols[i] = engine.TInt64
 	}
-	t := engine.NewTable(engine.NewSchema(cols...))
+	t := engine.NewTable(engine.NewSchema(cols...)).Grow(rows)
 	w := engine.NewWriter(t)
 	rng := newSplitMix(uint64(seed))
 	for i := 0; i < rows; i++ {

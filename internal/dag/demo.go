@@ -14,7 +14,7 @@ func DemoTables(n, factRows, dimRows int, seed int64) (fact, dim []*engine.Table
 	fact = make([]*engine.Table, n)
 	dim = make([]*engine.Table, n)
 	for a := 0; a < n; a++ {
-		f := engine.NewTable(engine.NewSchema(engine.TInt64, engine.TInt64))
+		f := engine.NewTable(engine.NewSchema(engine.TInt64, engine.TInt64)).Grow(factRows)
 		fw := engine.NewWriter(f)
 		x := uint64(seed) + uint64(a+1)*0x9E3779B97F4A7C15
 		for i := 0; i < factRows; i++ {
@@ -27,7 +27,7 @@ func DemoTables(n, factRows, dimRows int, seed int64) (fact, dim []*engine.Table
 		}
 		fact[a] = f
 
-		d := engine.NewTable(engine.NewSchema(engine.TInt64, engine.TInt64))
+		d := engine.NewTable(engine.NewSchema(engine.TInt64, engine.TInt64)).Grow(dimRows)
 		dw := engine.NewWriter(d)
 		for i := 0; i < dimRows; i++ {
 			k := int64(a*dimRows + i)

@@ -446,3 +446,28 @@ func TestFilterCarryOverflow(t *testing.T) {
 		t.Fatalf("rows = %d, want 50000", sink.Rows)
 	}
 }
+
+// TestTableGrow: a presized table holds the same rows as one grown by
+// Append's doubling, and filling it to the reserved size reallocates nothing.
+func TestTableGrow(t *testing.T) {
+	sch := NewSchema(TInt64, TInt64)
+	plain, sized := NewTable(sch), NewTable(sch).Grow(1000)
+	base := &sized.Data[:1][0]
+	for _, tab := range []*Table{plain, sized} {
+		w := NewWriter(tab)
+		for i := 0; i < 1000; i++ {
+			w.SetInt64(0, int64(i*7))
+			w.SetInt64(1, int64(i))
+			w.Done()
+		}
+	}
+	if sized.N != plain.N || string(sized.Data) != string(plain.Data) {
+		t.Fatal("presized table differs from an appended one")
+	}
+	if &sized.Data[0] != base || cap(sized.Data) != 1000*sch.Width() {
+		t.Fatalf("presized table reallocated: cap %d, want %d", cap(sized.Data), 1000*sch.Width())
+	}
+	if sized.Grow(10); cap(sized.Data) < 1010*sch.Width() || sized.N != 1000 || string(sized.Data) != string(plain.Data) {
+		t.Fatal("Grow on a full table lost rows or reserved too little")
+	}
+}

@@ -227,9 +227,9 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config) *World {
 		ctlSlots := n * (cfg.EagerSlots + 4*cfg.RdvSlots + 16)
 		rdvSlots := n * cfg.RdvSlots
 		l.cq = dev.CreateCQ(4*(ctlSlots+rdvSlots) + 256)
-		l.eagerRecvMR = dev.AllocMRNoCost(ctlSlots * l.eagerSlot)
-		l.stagingMR = dev.AllocMRNoCost(rdvSlots * (hdrSize + cfg.BufSize))
-		l.rdvRecvMR = dev.AllocMRNoCost(rdvSlots * (hdrSize + cfg.BufSize))
+		l.eagerRecvMR = dev.AllocRingNoCost(ctlSlots, l.eagerSlot)
+		l.stagingMR = dev.AllocRingNoCost(rdvSlots, hdrSize+cfg.BufSize)
+		l.rdvRecvMR = dev.AllocRingNoCost(rdvSlots, hdrSize+cfg.BufSize)
 		for i := 0; i < rdvSlots; i++ {
 			l.stagFree = append(l.stagFree, i*(hdrSize+cfg.BufSize))
 			l.rdvFree = append(l.rdvFree, i*(hdrSize+cfg.BufSize))
@@ -317,20 +317,20 @@ func (l *lib) handleRecv(p *sim.Proc, c verbs.CQE) {
 	// offset by 1<<32.
 	if c.WRID >= 1<<32 {
 		off := int(c.WRID - 1<<32)
-		h := getHdr(l.rdvRecvMR.Buf[off:])
-		l.finishIncoming(p, h, l.rdvRecvMR.Buf[off+hdrSize:off+hdrSize+int(h.payload)], off)
+		h := getHdr(l.rdvRecvMR.Bytes(off, hdrSize))
+		l.finishIncoming(p, h, l.rdvRecvMR.Bytes(off+hdrSize, int(h.payload)), off)
 		return
 	}
 	slot := int(c.WRID)
 	off := slot * l.eagerSlot
-	h := getHdr(l.eagerRecvMR.Buf[off:])
+	h := getHdr(l.eagerRecvMR.Bytes(off, hdrSize))
 	src := int(h.src)
 	switch h.kind {
 	case kindEager:
 		// Copy out to an application buffer (the extra eager copy).
 		buf := l.takeAppBuf()
 		p.Sleep(sim.Duration(float64(h.payload) * l.prof().MemCopyPerByte))
-		copy(buf, l.eagerRecvMR.Buf[off+hdrSize:off+hdrSize+int(h.payload)])
+		copy(buf, l.eagerRecvMR.Bytes(off+hdrSize, int(h.payload)))
 		l.repostCtl(p, slot, src)
 		l.eagerSeen[src]++
 		if l.eagerSeen[src]-l.eagerAcked[src] >= uint64(l.cfg.EagerSlots/2) {
@@ -417,10 +417,10 @@ func (l *lib) ctlSend(p *sim.Proc, dest int, h msgHeader, payload []byte) {
 		}
 	}
 	h.payload = uint32(len(payload))
-	putHdr(l.stagingMR.Buf[off:], h)
+	putHdr(l.stagingMR.Bytes(off, hdrSize), h)
 	if len(payload) > 0 {
 		p.Sleep(sim.Duration(float64(len(payload)) * l.prof().MemCopyPerByte))
-		copy(l.stagingMR.Buf[off+hdrSize:], payload)
+		copy(l.stagingMR.Bytes(off+hdrSize, len(payload)), payload)
 	}
 	for {
 		err := l.ctlQP[dest].PostSend(p, verbs.SendWR{
@@ -558,12 +558,12 @@ func (l *lib) sendOne(p *sim.Proc, dest int, payload []byte, flags byte, value u
 	}
 	h := msgHeader{kind: kindData, flags: flags, src: uint16(l.node),
 		msgID: id, payload: uint32(len(payload)), value: value}
-	putHdr(l.stagingMR.Buf[off:], h)
+	putHdr(l.stagingMR.Bytes(off, hdrSize), h)
 	// The library copies the payload into registered staging under the
 	// lock (this MVAPICH generation does not hit its registration cache
 	// for the shuffle's cycling buffer pool).
 	p.Sleep(sim.Duration(float64(len(payload)) * l.prof().MemCopyPerByte))
-	copy(l.stagingMR.Buf[off+hdrSize:], payload)
+	copy(l.stagingMR.Bytes(off+hdrSize, len(payload)), payload)
 	for {
 		err := l.dataQP[dest].PostSend(p, verbs.SendWR{
 			ID: uint64(off) + 1, Op: verbs.OpSend,

@@ -91,7 +91,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				// The initial grant travels with the out-of-band connection
 				// exchange: preset each sender's credit words.
 				for b := 0; b < n; b++ {
-					verbs.PutUint64(ss[b].creditMR.Buf[8*a:], rr[a].creditIssued[b])
+					verbs.PutUint64(ss[b].creditMR.Bytes(8*a, 8), rr[a].creditIssued[b])
 				}
 				c.Nodes[a].Send[k] = ss[a]
 				c.Nodes[a].Recv[k] = rr[a]
@@ -152,7 +152,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 					for i := 0; i < perSrc; i++ {
 						slot := (a*perSrc + i) * cfg.BufSize
 						idx := b*ss[a].queueCap + i
-						verbs.PutUint64(ss[a].slotArrMR.Buf[8*idx:], packSlot(slot, 0, false))
+						verbs.PutUint64(ss[a].slotArrMR.Bytes(8*idx, 8), packSlot(slot, 0, false))
 					}
 					rr[b].prod[a] = perSrc
 				}
@@ -262,13 +262,13 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 	for k := 0; k < e; k++ {
 		switch s := c.Nodes[0].Send[k].(type) {
 		case *srRCSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.creditMR.Buf))
+			c.SendMemoryPerNode += int64(s.mr.Len() + s.creditMR.Len())
 		case *srUDSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.creditMR.Buf))
+			c.SendMemoryPerNode += int64(s.mr.Len() + s.creditMR.Len())
 		case *rdRCSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.freeArrMR.Buf) + len(s.stageMR.Buf))
+			c.SendMemoryPerNode += int64(s.mr.Len() + s.freeArrMR.Len() + s.stageMR.Len())
 		case *wrRCSend:
-			c.SendMemoryPerNode += int64(len(s.mr.Buf) + len(s.slotArrMR.Buf) + len(s.stageMR.Buf))
+			c.SendMemoryPerNode += int64(s.mr.Len() + s.slotArrMR.Len() + s.stageMR.Len())
 		}
 	}
 	return c

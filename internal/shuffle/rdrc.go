@@ -67,7 +67,7 @@ type rdRCSend struct {
 }
 
 func (e *rdRCSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Buf[off+HeaderSize : off+e.cfg.BufSize], off: off}
+	return &Buf{Data: e.mr.Bytes(off+HeaderSize, e.cfg.BufSize-HeaderSize), off: off}
 }
 
 // DrainPeer and ClosePeer implement PeerDrainer: a dead receiver never
@@ -105,11 +105,11 @@ func (e *rdRCSend) harvest() {
 	for src := 0; src < e.n; src++ {
 		for {
 			idx := src*e.queueCap + e.cons[src]%e.queueCap
-			v := verbs.ReadUint64(e.freeArrMR.Buf[8*idx:])
+			v := verbs.ReadUint64(e.freeArrMR.Bytes(8*idx, 8))
 			if v&slotValid == 0 {
 				break
 			}
-			verbs.PutUint64(e.freeArrMR.Buf[8*idx:], 0)
+			verbs.PutUint64(e.freeArrMR.Bytes(8*idx, 8), 0)
 			e.cons[src]++
 			off, _, _ := unpackSlot(v)
 			e.pending[off]--
@@ -179,7 +179,7 @@ func (e *rdRCSend) writeSlot(p *sim.Proc, dest int, word uint64) error {
 	// the same destination each stage in their own word, because PostSend
 	// yields before snapshotting the payload.
 	stage := 8 * (dest*e.queueCap + idx%e.queueCap)
-	verbs.PutUint64(e.stageMR.Buf[stage:], word)
+	verbs.PutUint64(e.stageMR.Bytes(stage, 8), word)
 	for {
 		err := e.gate.post(p, e.qps[dest], verbs.SendWR{
 			Op: verbs.OpWrite, MR: e.stageMR, Offset: stage, Len: 8, Inline: true,
@@ -203,7 +203,7 @@ func (e *rdRCSend) writeSlot(p *sim.Proc, dest int, word uint64) error {
 }
 
 func (e *rdRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
-	putHeader(e.mr.Buf[b.off:], header{payload: b.Len, src: uint16(e.dev.Node())})
+	putHeader(e.mr.Bytes(b.off, HeaderSize), header{payload: b.Len, src: uint16(e.dev.Node())})
 	e.pending[b.off] = len(dest)
 	word := packSlot(b.off, HeaderSize+b.Len, depleted)
 	for _, d := range dest {
@@ -355,11 +355,11 @@ func (e *rdRCRecv) issueReads(p *sim.Proc) error {
 		}
 		for len(e.localArr[src]) > 0 {
 			idx := src*e.queueCap + e.cons[src]%e.queueCap
-			v := verbs.ReadUint64(e.validArrMR.Buf[8*idx:])
+			v := verbs.ReadUint64(e.validArrMR.Bytes(8*idx, 8))
 			if v&slotValid == 0 {
 				break
 			}
-			verbs.PutUint64(e.validArrMR.Buf[8*idx:], 0)
+			verbs.PutUint64(e.validArrMR.Bytes(8*idx, 8), 0)
 			e.cons[src]++
 			off, length, dep := unpackSlot(v)
 			last := len(e.localArr[src]) - 1
@@ -430,7 +430,7 @@ func (e *rdRCRecv) handle(es []verbs.CQE) error {
 		}
 		delete(e.readCtx, c.WRID)
 		e.outstanding--
-		h := getHeader(e.localMR.Buf[ctx.localOff:])
+		h := getHeader(e.localMR.Bytes(ctx.localOff, HeaderSize))
 		if ctx.depleted {
 			e.depleted++
 			e.depletedBy[ctx.src] = true
@@ -447,7 +447,7 @@ func (e *rdRCRecv) handle(es []verbs.CQE) error {
 		off := ctx.localOff
 		e.ready.push(&Data{
 			Src:     int(h.src),
-			Payload: e.localMR.Buf[off+HeaderSize : off+HeaderSize+h.payload],
+			Payload: e.localMR.Bytes(off+HeaderSize, h.payload),
 			Remote:  uint64(ctx.remoteOff),
 			slot:    off,
 		})
@@ -490,7 +490,7 @@ func (e *rdRCRecv) writeFree(p *sim.Proc, src, remoteOff int) error {
 	idx := e.prod[src]
 	e.prod[src]++
 	stage := 8 * (src*e.queueCap + idx%e.queueCap)
-	verbs.PutUint64(e.stageMR.Buf[stage:], packSlot(remoteOff, 0, false))
+	verbs.PutUint64(e.stageMR.Bytes(stage, 8), packSlot(remoteOff, 0, false))
 	for {
 		err := e.gate.post(p, e.qps[src], verbs.SendWR{
 			Op: verbs.OpWrite, MR: e.stageMR, Offset: stage, Len: 8, Inline: true,
@@ -582,7 +582,7 @@ func newRDRCSend(dev *verbs.Device, cfg Config, n, tpe int) *rdRCSend {
 		qpDest:   make(map[uint32]int),
 	}
 	e.wcq = dev.CreateCQ(4*pool*n + 64)
-	e.mr = dev.AllocMRNoCost(pool * cfg.BufSize)
+	e.mr = dev.AllocRingNoCost(pool, cfg.BufSize)
 	e.freeArrMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
 	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
 	for i := 0; i < pool; i++ {
@@ -617,7 +617,7 @@ func newRDRCRecv(dev *verbs.Device, cfg Config, n, tpe, senderPool int) *rdRCRec
 	}
 	e.ocq = dev.CreateCQ(4*n*perSrc + 64)
 	e.validArrMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
-	e.localMR = dev.AllocMRNoCost(n * perSrc * cfg.BufSize)
+	e.localMR = dev.AllocRingNoCost(n*perSrc, cfg.BufSize)
 	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
 	for src := 0; src < n; src++ {
 		for i := 0; i < perSrc; i++ {

@@ -132,7 +132,7 @@ func (e *srRCSend) sendErr(dest int, err error) error {
 }
 
 func (e *srRCSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Buf[off+HeaderSize : off+e.cfg.BufSize], off: off}
+	return &Buf{Data: e.mr.Bytes(off+HeaderSize, e.cfg.BufSize-HeaderSize), off: off}
 }
 
 // GetFree implements SendEndpoint: it polls the send CQ until a buffer has
@@ -202,7 +202,7 @@ func (e *srRCSend) waitCredit(p *sim.Proc, dest int) error {
 			// fail fast instead of running down the stall timeout.
 			return fmt.Errorf("%w: connection to node %d is in the error state", ErrTransport, dest)
 		}
-		credit := verbs.ReadUint64(e.creditMR.Buf[8*dest:])
+		credit := verbs.ReadUint64(e.creditMR.Bytes(8*dest, 8))
 		if e.sent[dest] < credit {
 			e.sent[dest]++
 			return nil
@@ -239,7 +239,7 @@ func (e *srRCSend) post(p *sim.Proc, dest, off, length int) error {
 }
 
 func (e *srRCSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16) error {
-	putHeader(e.mr.Buf[b.off:], header{payload: b.Len, flags: flags, src: uint16(e.dev.Node())})
+	putHeader(e.mr.Bytes(b.off, HeaderSize), header{payload: b.Len, flags: flags, src: uint16(e.dev.Node())})
 	e.pending[b.off] = len(dest)
 	for _, d := range dest {
 		if err := e.waitCredit(p, d); err != nil {
@@ -415,7 +415,7 @@ func (e *srRCRecv) writeCredit(p *sim.Proc, src int) error {
 		return nil
 	}
 	e.lastWritten[src] = e.creditIssued[src]
-	verbs.PutUint64(e.stageMR.Buf[8*src:], e.creditIssued[src])
+	verbs.PutUint64(e.stageMR.Bytes(8*src, 8), e.creditIssued[src])
 	err := e.gate.post(p, e.qps[src], verbs.SendWR{
 		Op: verbs.OpWrite, MR: e.stageMR, Offset: 8 * src, Len: 8, Inline: true,
 		RemoteKey: e.creditWin[src].rkey, RemoteOffset: e.creditWin[src].base,
@@ -452,7 +452,7 @@ func (e *srRCRecv) GetData(p *sim.Proc) (*Data, error) {
 			}
 			slot := int(es[0].WRID)
 			off := e.slotOff(slot)
-			h := getHeader(e.bufMR.Buf[off:])
+			h := getHeader(e.bufMR.Bytes(off, HeaderSize))
 			if h.flags&flagDepleted != 0 {
 				e.depleted++
 				e.depletedBy[int(h.src)] = true
@@ -468,7 +468,7 @@ func (e *srRCRecv) GetData(p *sim.Proc) (*Data, error) {
 			}
 			return &Data{
 				Src:     int(h.src),
-				Payload: e.bufMR.Buf[off+HeaderSize : off+HeaderSize+h.payload],
+				Payload: e.bufMR.Bytes(off+HeaderSize, h.payload),
 				slot:    slot,
 			}, nil
 		}
@@ -507,7 +507,7 @@ func newSRRCSend(dev *verbs.Device, cfg Config, n, tpe int) *srRCSend {
 		qpDest:   make(map[uint32]int),
 	}
 	e.cq = dev.CreateCQ(2*pool*n + 64)
-	e.mr = dev.AllocMRNoCost(pool * cfg.BufSize)
+	e.mr = dev.AllocRingNoCost(pool, cfg.BufSize)
 	e.creditMR = dev.RegisterMRNoCost(make([]byte, 8*n))
 	for i := 0; i < pool; i++ {
 		e.free.Put(i * cfg.BufSize)
@@ -541,7 +541,7 @@ func newSRRCRecv(dev *verbs.Device, cfg Config, n, tpe int) *srRCRecv {
 	// transmit FIFO, so size this CQ to the worst case of one write per
 	// posted receive.
 	e.wcq = dev.CreateCQ(slots + 64)
-	e.bufMR = dev.AllocMRNoCost(slots * cfg.BufSize)
+	e.bufMR = dev.AllocRingNoCost(slots, cfg.BufSize)
 	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n))
 	e.qps = make([]*verbs.QP, n)
 	for s := 0; s < n; s++ {

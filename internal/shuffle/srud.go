@@ -72,7 +72,7 @@ func (e *srUDSend) ReopenPeer(peer int) {
 }
 
 func (e *srUDSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Buf[off+HeaderSize : off+e.mtu], off: off}
+	return &Buf{Data: e.mr.Bytes(off+HeaderSize, e.mtu-HeaderSize), off: off}
 }
 
 // drainCredit consumes pending credit datagrams; absolute credit makes the
@@ -87,7 +87,7 @@ func (e *srUDSend) drainCredit(p *sim.Proc) error {
 			}
 			slot := int(c.WRID)
 			off := slot * e.creditSlot
-			h := getHeader(e.creditMR.Buf[off+verbs.GRHSize:])
+			h := getHeader(e.creditMR.Bytes(off+verbs.GRHSize, HeaderSize))
 			if h.flags&flagCredit != 0 {
 				if h.value > e.credit[h.src] {
 					e.credit[h.src] = h.value
@@ -198,7 +198,7 @@ func (e *srUDSend) post(p *sim.Proc, dest, off, length int) error {
 }
 
 func (e *srUDSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16, value uint64) error {
-	putHeader(e.mr.Buf[b.off:], header{
+	putHeader(e.mr.Bytes(b.off, HeaderSize), header{
 		payload: b.Len, flags: flags, src: uint16(e.dev.Node()), value: value,
 	})
 	if e.hwmc && flags == 0 && len(dest) == e.n {
@@ -407,7 +407,7 @@ func (e *srUDRecv) sendCredit(p *sim.Proc, src int) error {
 	}
 	e.lastWritten[src] = e.creditIssued[src]
 	off := src * HeaderSize
-	putHeader(e.stageMR.Buf[off:], header{
+	putHeader(e.stageMR.Bytes(off, HeaderSize), header{
 		flags: flagCredit, src: uint16(e.dev.Node()), value: e.creditIssued[src],
 	})
 	err := e.gate.post(p, e.qp, verbs.SendWR{
@@ -440,7 +440,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 			}
 			slot := int(es[0].WRID)
 			off := slot*e.slotSize + verbs.GRHSize
-			h := getHeader(e.bufMR.Buf[off:])
+			h := getHeader(e.bufMR.Bytes(off, HeaderSize))
 			src := int(h.src)
 			if h.flags&flagTotal != 0 {
 				if !e.totalKnown[src] {
@@ -462,7 +462,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 			}
 			return &Data{
 				Src:     src,
-				Payload: e.bufMR.Buf[off+HeaderSize : off+HeaderSize+h.payload],
+				Payload: e.bufMR.Bytes(off+HeaderSize, h.payload),
 				slot:    slot,
 			}, nil
 		}
@@ -527,7 +527,7 @@ func newSRUDSend(dev *verbs.Device, cfg Config, n, tpe int) *srUDSend {
 	e.scq = dev.CreateCQ(pool*n + 64)
 	creditSlots := 4 * n
 	e.ccq = dev.CreateCQ(creditSlots + 16)
-	e.mr = dev.AllocMRNoCost(pool * mtu)
+	e.mr = dev.AllocRingNoCost(pool, mtu)
 	e.creditMR = dev.RegisterMRNoCost(make([]byte, creditSlots*e.creditSlot))
 	for i := 0; i < pool; i++ {
 		e.free.Put(i * mtu)
@@ -568,7 +568,7 @@ func newSRUDRecv(dev *verbs.Device, cfg Config, n, tpe int) *srUDRecv {
 	e.rcq = dev.CreateCQ(slots + 64)
 	// Credit-datagram completions queue behind bulk data on the wire.
 	e.scq = dev.CreateCQ(slots + 64)
-	e.bufMR = dev.AllocMRNoCost(slots * e.slotSize)
+	e.bufMR = dev.AllocRingNoCost(slots, e.slotSize)
 	e.stageMR = dev.RegisterMRNoCost(make([]byte, n*HeaderSize))
 	e.qp = dev.CreateQP(verbs.QPConfig{
 		Type: fabric.UD, SendCQ: e.scq, RecvCQ: e.rcq,

@@ -60,7 +60,7 @@ type wrRCSend struct {
 }
 
 func (e *wrRCSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Buf[off+HeaderSize : off+e.cfg.BufSize], off: off}
+	return &Buf{Data: e.mr.Bytes(off+HeaderSize, e.cfg.BufSize-HeaderSize), off: off}
 }
 
 // DrainPeer and ClosePeer implement PeerDrainer: a dead receiver never
@@ -107,9 +107,9 @@ func (e *wrRCSend) popSlot(p *sim.Proc, dest int) (int, error) {
 			return 0, fmt.Errorf("%w: connection to node %d is in the error state", ErrTransport, dest)
 		}
 		idx := dest*e.queueCap + e.cons[dest]%e.queueCap
-		v := verbs.ReadUint64(e.slotArrMR.Buf[8*idx:])
+		v := verbs.ReadUint64(e.slotArrMR.Bytes(8*idx, 8))
 		if v&slotValid != 0 {
-			verbs.PutUint64(e.slotArrMR.Buf[8*idx:], 0)
+			verbs.PutUint64(e.slotArrMR.Bytes(8*idx, 8), 0)
 			e.cons[dest]++
 			off, _, _ := unpackSlot(v)
 			return off, nil
@@ -204,7 +204,7 @@ func (e *wrRCSend) postWrite(p *sim.Proc, dest int, wr verbs.SendWR) error {
 }
 
 func (e *wrRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
-	putHeader(e.mr.Buf[b.off:], header{payload: b.Len, src: uint16(e.dev.Node())})
+	putHeader(e.mr.Bytes(b.off, HeaderSize), header{payload: b.Len, src: uint16(e.dev.Node())})
 	e.pending[b.off] = len(dest)
 	length := HeaderSize + b.Len
 	for _, d := range dest {
@@ -224,7 +224,7 @@ func (e *wrRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
 		idx := e.prod[d]
 		e.prod[d]++
 		stage := 8 * (d*e.queueCap + idx%e.queueCap)
-		verbs.PutUint64(e.stageMR.Buf[stage:], packSlot(slot, length, depleted))
+		verbs.PutUint64(e.stageMR.Bytes(stage, 8), packSlot(slot, length, depleted))
 		if err := e.postWrite(p, d, verbs.SendWR{
 			ID: 0, Op: verbs.OpWrite,
 			MR: e.stageMR, Offset: stage, Len: 8, Inline: true,
@@ -355,7 +355,7 @@ func (e *wrRCRecv) grant(p *sim.Proc, src, slot int) error {
 	idx := e.prod[src]
 	e.prod[src]++
 	stage := 8 * (src*e.queueCap + idx%e.queueCap)
-	verbs.PutUint64(e.stageMR.Buf[stage:], packSlot(slot, 0, false))
+	verbs.PutUint64(e.stageMR.Bytes(stage, 8), packSlot(slot, 0, false))
 	for {
 		err := e.gate.post(p, e.qps[src], verbs.SendWR{
 			Op: verbs.OpWrite, MR: e.stageMR, Offset: stage, Len: 8, Inline: true,
@@ -405,14 +405,14 @@ func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 	for {
 		for src := 0; src < e.n; src++ {
 			idx := src*e.queueCap + e.cons[src]%e.queueCap
-			v := verbs.ReadUint64(e.validArrMR.Buf[8*idx:])
+			v := verbs.ReadUint64(e.validArrMR.Bytes(8*idx, 8))
 			if v&slotValid == 0 {
 				continue
 			}
-			verbs.PutUint64(e.validArrMR.Buf[8*idx:], 0)
+			verbs.PutUint64(e.validArrMR.Bytes(8*idx, 8), 0)
 			e.cons[src]++
 			slot, _, dep := unpackSlot(v)
-			h := getHeader(e.slotMR.Buf[slot:])
+			h := getHeader(e.slotMR.Bytes(slot, HeaderSize))
 			if dep {
 				e.depleted++
 				e.depletedBy[src] = true
@@ -429,7 +429,7 @@ func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 			}
 			return &Data{
 				Src:     int(h.src),
-				Payload: e.slotMR.Buf[slot+HeaderSize : slot+HeaderSize+h.payload],
+				Payload: e.slotMR.Bytes(slot+HeaderSize, h.payload),
 				slot:    slot,
 			}, nil
 		}
@@ -475,7 +475,7 @@ func newWRRCSend(dev *verbs.Device, cfg Config, n, tpe, grantCap int) *wrRCSend 
 		qpDest:   make(map[uint32]int),
 	}
 	e.wcq = dev.CreateCQ(4*pool*n + 64)
-	e.mr = dev.AllocMRNoCost(pool * cfg.BufSize)
+	e.mr = dev.AllocRingNoCost(pool, cfg.BufSize)
 	e.slotArrMR = dev.RegisterMRNoCost(make([]byte, 8*n*grantCap))
 	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n*grantCap))
 	for i := 0; i < pool; i++ {
@@ -506,7 +506,7 @@ func newWRRCRecv(dev *verbs.Device, cfg Config, n, tpe int) *wrRCRecv {
 		qpSrc:      make(map[uint32]int),
 	}
 	e.gcq = dev.CreateCQ(4*n*perSrc + 64)
-	e.slotMR = dev.AllocMRNoCost(n * perSrc * cfg.BufSize)
+	e.slotMR = dev.AllocRingNoCost(n*perSrc, cfg.BufSize)
 	e.validArrMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
 	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
 	e.qps = make([]*verbs.QP, n)

@@ -151,11 +151,6 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 	db.Customer = make([]*engine.Table, nodes)
 	db.Orders = make([]*engine.Table, nodes)
 	db.Lineitem = make([]*engine.Table, nodes)
-	for i := 0; i < nodes; i++ {
-		db.Customer[i] = engine.NewTable(CustomerSchema)
-		db.Orders[i] = engine.NewTable(OrdersSchema)
-		db.Lineitem[i] = engine.NewTable(LineitemSchema)
-	}
 	r := &rng{x: uint64(seed)*2654435761 + 1}
 
 	nCust := int(150_000 * sf)
@@ -163,6 +158,18 @@ func Generate(sf float64, nodes int, layout Layout, seed int64) *DB {
 		nCust = 10
 	}
 	nOrders := 10 * nCust
+
+	// Rows land on nodes at random, so a fragment's size is known only in
+	// expectation: reserve an even share plus an eighth, which the spread
+	// stays inside at any scale worth generating; a fragment that outgrows
+	// it falls back to Append's doubling. Orders carry four lineitems on
+	// average.
+	share := func(total int) int { per := total / nodes; return per + per/8 + 64 }
+	for i := 0; i < nodes; i++ {
+		db.Customer[i] = engine.NewTable(CustomerSchema).Grow(share(nCust))
+		db.Orders[i] = engine.NewTable(OrdersSchema).Grow(share(nOrders))
+		db.Lineitem[i] = engine.NewTable(LineitemSchema).Grow(share(4 * nOrders))
+	}
 
 	// CUSTOMER.
 	for ck := 1; ck <= nCust; ck++ {

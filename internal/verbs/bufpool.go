@@ -4,47 +4,67 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"rshuffle/internal/sim"
 )
 
-// Registered-buffer pooling. Profiling whole-query runs shows the dominant
-// host cost is not event dispatch but endpoint construction: every shuffle
-// operator registers multi-megabyte data rings (send pools, receive rings),
-// and Go zeroes each fresh allocation, so back-to-back runs spend most of
-// their CPU in memclr plus the GC cycles the garbage rings trigger. Real
-// RDMA applications hit the same wall — memory registration is so expensive
-// that every serious runtime keeps a registered-buffer cache and reuses
-// pinned regions across operators. This file is the simulator-host analogue:
-// a process-wide, size-classed free list of ring buffers that AllocMRNoCost
-// draws from and Cluster teardown returns to.
+// Registered rings and the chunk pool behind them.
 //
-// Pooled buffers come back with UNSPECIFIED CONTENTS (whatever the previous
-// tenant wrote). That is safe for data rings because every consumer in the
-// transport designs reads only length-bounded regions it has seen written
-// (WC byte counts, staged lengths, valid markers) — the same discipline a
-// real ibv buffer imposes, since pinned memory is never zeroed by the NIC.
-// Buffers whose initial all-zero state is load-bearing (credit words, stage
-// arrays, valid/slot markers) must NOT come from the pool; keep allocating
-// those fresh.
+// What is registered and what is backed are two different quantities here.
+// The paper's designs register a send pool and a 16-deep receive window per
+// peer per thread (§4.4), O(N²·window) bytes across a cluster, and the
+// simulated cost of that — RegisteredBytes, the peak gauge, Comm.RegTime,
+// SendMemoryPerNode — is charged in full when a ring is registered. Host
+// memory is another matter: registration is a virtual cost, and only bytes
+// that are actually read or written need a page. A ring (AllocRingNoCost) is
+// therefore a table of slot-aligned chunks, none of them backed at
+// registration; MR.Bytes backs a chunk the first time anything touches it —
+// GETFREE handing out a send buffer, the NIC's delivery copy landing a
+// message in a posted receive slot, an RDMA Read or Write reaching the
+// region — and always on the owning device's partition, so the pool's own
+// mutex is the only lock involved. A 32-node MEMQ/SR query registers
+// 2.3 GiB of rings and touches about a sixth of them; backing all of it
+// would mean allocating and zeroing, on every query, whatever exceeds the
+// pool's budget — most of such a query's CPU.
+//
+// Chunks hold as many whole slots as fit in ringChunkTarget (one slot when
+// the slot is larger), so no slot-sized access straddles two chunks and the
+// pool sees a handful of chunk sizes — 64 KiB for every 4 KiB–64 KiB slot
+// size in the tree — rather than one size per ring shape. What one cluster
+// parks, any differently shaped cluster can reuse, so a pool filled by one
+// ring shape is not a cliff for the next: with a class per shape, a full
+// budget of the wrong shapes would leave a query nothing to take and nowhere
+// to park what it allocated.
+//
+// Chunks come back from the pool with UNSPECIFIED CONTENTS (whatever the
+// previous tenant wrote). That is safe for data rings because every consumer
+// in the transport designs reads only length-bounded regions it has seen
+// written (WC byte counts, staged lengths, valid markers) — the same
+// discipline a real ibv buffer imposes, since pinned memory is never zeroed
+// by the NIC. Regions whose initial all-zero state is load-bearing (credit
+// words, stage arrays, valid/slot markers) must NOT come from the pool;
+// register a fresh make([]byte, n) for those.
 //
 // The pool is an explicitly budgeted LIFO free list per power-of-two size
 // class, not a sync.Pool: sync.Pool's GC-epoch retention let long sweeps
 // (hundreds of clusters between collections) accumulate gigabytes of dead
 // rings, which in turn stretched the GC pacing goal and slowed every later
-// simulation in the process. Here Put drops buffers beyond a fixed
+// simulation in the process. Here putBuf drops chunks beyond a fixed
 // process-wide byte budget, so retention is bounded by bufPoolBudget no
 // matter how many clusters a sweep builds, and the GC never interacts with
-// the pool at all. The budget comfortably holds one cluster generation's
-// rings — which is all reuse needs, since experiment cells build and retire
-// clusters serially. Pool hits are non-deterministic under parallel cells
-// (classes are shared process-wide), but only buffer identity varies —
-// never simulated behaviour, because contents are invisible (above) and
-// virtual time is independent of host memory.
+// the pool at all. Pool hits are non-deterministic under parallel cells
+// (classes are shared process-wide), but only chunk identity varies — never
+// simulated behaviour, because contents are invisible (above) and virtual
+// time is independent of host memory. For the same reason hit counts stay
+// out of the cluster metrics registry: PoolStats is for benchmarks only.
 
 const (
 	bufClassMinBits = 12 // 4 KiB: below this, pooling saves less than it costs
-	bufClassMaxBits = 28 // 256 MiB: largest ring any experiment builds
+	bufClassMaxBits = 28 // 256 MiB: largest single-slot region any experiment builds
+
+	// ringChunkTarget is the chunk size rings aim for: the slot size the
+	// RC designs use by default, so one 64 KiB message backs one chunk, and
+	// large enough that small-slot (UD) rings touch the pool once per ~15
+	// slots rather than once per datagram.
+	ringChunkTarget = 64 << 10
 
 	// bufPoolBudget caps the total bytes retained across all classes.
 	// Beyond it, putBuf drops buffers for the GC to reclaim.
@@ -57,11 +77,12 @@ var (
 )
 
 // bufClassList is one size class's free list: a mutex-guarded LIFO stack,
-// so the most recently retired ring (hottest in cache, already faulted in)
+// so the most recently parked chunk (hottest in cache, already faulted in)
 // is reused first.
 type bufClassList struct {
-	mu   sync.Mutex
-	bufs [][]byte
+	mu           sync.Mutex
+	bufs         [][]byte
+	hits, misses int64
 }
 
 // bufClass returns the index of the smallest class holding n bytes, or -1
@@ -91,10 +112,12 @@ func getBuf(n int) []byte {
 		b := cl.bufs[last]
 		cl.bufs[last] = nil
 		cl.bufs = cl.bufs[:last]
+		cl.hits++
 		cl.mu.Unlock()
 		bufRetained.Add(-int64(cap(b)))
 		return b[:n]
 	}
+	cl.misses++
 	cl.mu.Unlock()
 	return make([]byte, n, 1<<(c+bufClassMinBits))
 }
@@ -117,38 +140,75 @@ func putBuf(b []byte) {
 	cl.mu.Unlock()
 }
 
-// AllocMRNoCost registers an n-byte region drawn from the process-wide
-// registered-buffer pool. Contents are UNSPECIFIED — callers must treat the
-// region like real pinned memory and only read bytes they have seen
-// written. Use it for data rings; regions whose initial zero state is
-// semantic must go through RegisterMRNoCost(make([]byte, n)) instead. The
-// region returns to the pool on Deregister or Device.RecycleMRs.
-func (d *Device) AllocMRNoCost(n int) *MR {
-	mr := d.RegisterMRNoCost(getBuf(n))
+// PoolClassStats describes one size class of the registered-buffer pool.
+type PoolClassStats struct {
+	ClassBytes    int   // capacity of every chunk in the class
+	Hits, Misses  int64 // requests served from the free list / by a fresh allocation
+	RetainedBytes int64 // bytes parked on the free list right now
+}
+
+// PoolStats returns the classes of the process-wide registered-buffer pool
+// that have seen a request, smallest first. The pool is shared by every
+// simulation in the process, so the numbers depend on what else ran: use
+// them in benchmarks, never in a result that must be reproducible.
+func PoolStats() []PoolClassStats {
+	var out []PoolClassStats
+	for i := range bufClasses {
+		cl := &bufClasses[i]
+		cl.mu.Lock()
+		st := PoolClassStats{
+			ClassBytes: 1 << (i + bufClassMinBits), Hits: cl.hits, Misses: cl.misses,
+			RetainedBytes: int64(len(cl.bufs)) << (i + bufClassMinBits),
+		}
+		cl.mu.Unlock()
+		if st.Hits+st.Misses > 0 {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// AllocRingNoCost registers a ring of slots slots of slotSize bytes each
+// whose host memory is materialised chunk by chunk on first touch (see the
+// file comment): the full slots×slotSize is charged to the registered-bytes
+// accounting now, while a slot nothing ever lands in costs no host memory.
+// Contents are UNSPECIFIED — callers must treat the region like real pinned
+// memory and only read bytes they have seen written — and every access must
+// stay within one slot. The chunks return to the pool on Deregister or
+// Device.RecycleMRs.
+func (d *Device) AllocRingNoCost(slots, slotSize int) *MR {
+	chunk := slotSize
+	if slotSize > 0 && slotSize < ringChunkTarget {
+		chunk = ringChunkTarget / slotSize * slotSize
+	}
+	mr := d.register(slots*slotSize, chunk)
 	mr.pooled = true
 	return mr
 }
 
-// AllocMR is AllocMRNoCost charging p the registration cost, mirroring
-// RegisterMR.
-func (d *Device) AllocMR(p *sim.Proc, n int) *MR {
-	p.Sleep(d.prof().MemRegBase + sim.Duration(float64(n)*d.prof().MemRegPerByte))
-	return d.AllocMRNoCost(n)
+// AllocMRNoCost is AllocRingNoCost for a region accessed as one n-byte slot.
+func (d *Device) AllocMRNoCost(n int) *MR { return d.AllocRingNoCost(1, n) }
+
+// materialize backs chunk i of a ring with pooled memory.
+func (m *MR) materialize(i int) []byte {
+	n := m.chunk
+	if rest := m.size - i*m.chunk; rest < n {
+		n = rest
+	}
+	c := getBuf(n)
+	m.chunks[i] = c
+	m.dev.addMaterialized(int64(n))
+	return c
 }
 
 // RecycleMRs deregisters every remaining pooled region on the device and
-// returns the buffers to the pool. Call it only when the owning simulation
-// is finished: no Proc may touch a recycled ring again. Non-pooled regions
-// are untouched, and calling it twice is a no-op.
+// returns their materialised chunks to the pool. Call it only when the
+// owning simulation is finished: no Proc may touch a recycled ring again.
+// Non-pooled regions are untouched, and calling it twice is a no-op.
 func (d *Device) RecycleMRs() {
-	for key, mr := range d.mrs {
-		if !mr.pooled {
-			continue
+	for _, mr := range d.mrs {
+		if mr.pooled {
+			mr.release()
 		}
-		mr.pooled = false
-		delete(d.mrs, key)
-		d.registered -= int64(len(mr.Buf))
-		putBuf(mr.Buf)
-		mr.Buf = nil
 	}
 }

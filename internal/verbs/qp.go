@@ -245,8 +245,8 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	if len(qp.recvQ) >= qp.cfg.MaxRecv {
 		return ErrRQFull
 	}
-	if wr.Offset < 0 || wr.Offset+wr.Len > len(wr.MR.Buf) {
-		return ErrOutOfRange
+	if err := wr.MR.check(wr.Offset, wr.Len); err != nil {
+		return err
 	}
 	if qp.cfg.Type == fabric.UD && wr.Len <= GRHSize {
 		return ErrTooLong
@@ -277,9 +277,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr SendWR) error {
 		qp.mu.Unlock(p)
 		return ErrSQFull
 	}
-	if wr.Offset < 0 || wr.Offset+wr.Len > len(wr.MR.Buf) {
+	if err := wr.MR.check(wr.Offset, wr.Len); err != nil {
 		qp.mu.Unlock(p)
-		return ErrOutOfRange
+		return err
 	}
 	var err error
 	switch wr.Op {
@@ -431,7 +431,7 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 	// correct application may reuse the buffer after the send completion,
 	// which for UD fires before delivery.
 	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Buf[wr.Offset:wr.Offset+wr.Len])
+	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
 
 	msg := &fabric.Message{
 		From: qp.dev.node, To: toNode,
@@ -467,7 +467,7 @@ func (qp *QP) postMulticast(p *sim.Proc, wr SendWR) error {
 		p.Sleep(sim.Duration(float64(wr.Len) * qp.dev.prof().MemCopyPerByte))
 	}
 	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Buf[wr.Offset:wr.Offset+wr.Len])
+	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
 
 	net := qp.dev.net
 	// The switch knows the membership; collect member nodes and their
@@ -565,7 +565,7 @@ func (rqp *QP) match(m stalledRC) {
 		panic(fmt.Sprintf("verbs: RC recv buffer too small (%d < %d) on node %d",
 			rwr.Len, len(m.payload), rqp.dev.node))
 	}
-	copy(rwr.MR.Buf[rwr.Offset:], m.payload)
+	copy(rwr.MR.Bytes(rwr.Offset, len(m.payload)), m.payload)
 	rqp.dev.stats.RecvsCompleted++
 	rqp.cfg.RecvCQ.push(CQE{
 		QPN: rqp.qpn, WRID: rwr.ID, Op: OpRecv, Bytes: len(m.payload),
@@ -673,7 +673,7 @@ func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQP
 		return
 	}
 	rqp.recvQ = rqp.recvQ[1:]
-	copy(rwr.MR.Buf[rwr.Offset+GRHSize:], payload)
+	copy(rwr.MR.Bytes(rwr.Offset+GRHSize, len(payload)), payload)
 	dst.stats.RecvsCompleted++
 	rqp.cfg.RecvCQ.push(CQE{
 		QPN: rqp.qpn, WRID: rwr.ID, Op: OpRecv, Bytes: GRHSize + len(payload),
@@ -707,19 +707,19 @@ func (qp *QP) postRead(wr SendWR) error {
 		}
 		// The responder NIC DMA-reads the region now — no remote CPU.
 		rmr := remote.mrs[wr.RemoteKey]
-		if rmr == nil || wr.RemoteOffset < 0 || wr.RemoteOffset+wr.Len > len(rmr.Buf) {
+		if rmr == nil || rmr.check(wr.RemoteOffset, wr.Len) != nil {
 			panic(fmt.Sprintf("verbs: RDMA Read outside remote MR (rkey %d, off %d, len %d)",
 				wr.RemoteKey, wr.RemoteOffset, wr.Len))
 		}
 		data := make([]byte, wr.Len)
-		copy(data, rmr.Buf[wr.RemoteOffset:wr.RemoteOffset+wr.Len])
+		copy(data, rmr.Bytes(wr.RemoteOffset, wr.Len))
 		resp := &fabric.Message{
 			From: qp.peerNode, To: qp.dev.node,
 			FromQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN), ToQP: qp.cacheKey(),
 			Payload: wr.Len, Service: fabric.RC,
 		}
 		resp.Deliver = func(at sim.Time) {
-			copy(wr.MR.Buf[wr.Offset:], data)
+			copy(wr.MR.Bytes(wr.Offset, len(data)), data)
 			qp.dev.stats.ReadsCompleted++
 			qp.complete(qp.cfg.SendCQ, CQE{QPN: qp.qpn, WRID: wr.ID, Op: OpRead, Bytes: wr.Len})
 		}
@@ -756,7 +756,7 @@ func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 		p.Sleep(sim.Duration(float64(wr.Len) * prof.MemCopyPerByte))
 	}
 	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Buf[wr.Offset:wr.Offset+wr.Len])
+	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
 	net := qp.dev.net
 	remote := deviceAt(net, qp.peerNode)
 	msg := &fabric.Message{
@@ -769,11 +769,11 @@ func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 			return
 		}
 		rmr := remote.mrs[wr.RemoteKey]
-		if rmr == nil || wr.RemoteOffset < 0 || wr.RemoteOffset+wr.Len > len(rmr.Buf) {
+		if rmr == nil || rmr.check(wr.RemoteOffset, wr.Len) != nil {
 			panic(fmt.Sprintf("verbs: RDMA Write outside remote MR (rkey %d, off %d, len %d)",
 				wr.RemoteKey, wr.RemoteOffset, wr.Len))
 		}
-		copy(rmr.Buf[wr.RemoteOffset:], payload)
+		copy(rmr.Bytes(wr.RemoteOffset, len(payload)), payload)
 		remote.stats.RemoteWrites++
 		remote.memWake.Broadcast()
 		ack := func() {

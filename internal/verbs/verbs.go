@@ -115,6 +115,10 @@ type Device struct {
 
 	registered     int64
 	peakRegistered int64
+	// materialized counts the registered bytes that have host memory behind
+	// them (see MR); it follows what a run touches, not what it registers.
+	materialized     int64
+	peakMaterialized int64
 
 	// memWake is broadcast whenever a one-sided Write (or Read-side buffer
 	// fill) lands in this node's memory, so applications that poll plain
@@ -237,6 +241,7 @@ func (d *Device) PublishMetrics(reg *telemetry.Registry) {
 	}
 	reg.Gauge(fmt.Sprintf("verbs.registered_bytes.node%d", d.node)).Set(float64(d.registered))
 	reg.Gauge(fmt.Sprintf("verbs.peak_registered_bytes.node%d", d.node)).Set(float64(d.peakRegistered))
+	reg.Gauge(fmt.Sprintf("verbs.materialized_bytes.node%d", d.node)).Set(float64(d.peakMaterialized))
 }
 
 func (d *Device) prof() *fabric.Profile { return &d.net.Prof }
@@ -246,16 +251,76 @@ func (d *Device) prof() *fabric.Profile { return &d.net.Prof }
 // (tracing disabled) is safe to emit on, so callers never branch.
 func (d *Device) tr() *telemetry.Tracer { return d.net.TracerAt(d.node) }
 
-// MR is a registered memory region. Buf is the pinned memory itself; remote
-// peers address it by (RKey, offset).
+// MR is a registered memory region; remote peers address it by (RKey,
+// offset). Its registered length is fixed at registration, but the host
+// memory behind it is a table of equally sized chunks, each holding a whole
+// number of slots: a region registered over caller memory is the one-chunk
+// case, while a ring from AllocRingNoCost starts with no chunk backed and
+// draws each from the registered-buffer pool the first time Bytes touches it
+// (see bufpool.go). All access goes through Bytes.
 type MR struct {
 	dev  *Device
-	Buf  []byte
 	LKey uint32
 	RKey uint32
-	// pooled marks regions drawn from the registered-buffer pool
-	// (AllocMRNoCost); Deregister and RecycleMRs return them to it.
+
+	size   int      // registered bytes
+	chunk  int      // bytes per chunk; the last chunk may be shorter
+	chunks [][]byte // backing by chunk index; nil until materialised
+	// pooled marks regions whose chunks come from the registered-buffer
+	// pool; Deregister and RecycleMRs return them to it.
 	pooled bool
+}
+
+// Len returns the registered length of the region in bytes.
+func (m *MR) Len() int { return m.size }
+
+// locate resolves an n-byte access at off to a chunk index and the offset
+// within that chunk. It returns ErrOutOfRange (bare) when the access leaves
+// the region, and an error wrapping ErrOutOfRange that names the region and
+// offsets when it straddles two chunks — slots never do, so that is a caller
+// bug which a contiguous region would have hidden behind a short copy.
+func (m *MR) locate(off, n int) (i, lo int, err error) {
+	if off < 0 || n < 0 || off+n > m.size {
+		return 0, 0, ErrOutOfRange
+	}
+	if n == 0 {
+		return 0, 0, nil
+	}
+	i = off / m.chunk
+	lo = off - i*m.chunk
+	if lo+n > m.chunk {
+		return 0, 0, fmt.Errorf("%w: MR %d access [%d, %d) straddles the slot chunk boundary at %d",
+			ErrOutOfRange, m.RKey, off, off+n, (i+1)*m.chunk)
+	}
+	return i, lo, nil
+}
+
+// check reports whether a work request may address [off, off+n).
+func (m *MR) check(off, n int) error {
+	_, _, err := m.locate(off, n)
+	return err
+}
+
+// Bytes returns the n bytes of the region starting at off, backing them
+// with host memory if nothing has touched their chunk yet. Like real pinned
+// memory, bytes nobody has written have unspecified contents. It panics,
+// naming the region and the offsets, on an access outside the region or
+// across a chunk boundary. Call it only from the partition that owns the
+// region's device.
+func (m *MR) Bytes(off, n int) []byte {
+	i, lo, err := m.locate(off, n)
+	if err != nil {
+		panic(fmt.Sprintf("verbs: MR %d on node %d (%d bytes), access [%d, %d): %v",
+			m.RKey, m.dev.node, m.size, off, off+n, err))
+	}
+	if n == 0 {
+		return nil
+	}
+	c := m.chunks[i]
+	if c == nil {
+		c = m.materialize(i)
+	}
+	return c[lo : lo+n : lo+n]
 }
 
 // RegisterMR pins and registers buf, charging p the registration cost.
@@ -267,26 +332,63 @@ func (d *Device) RegisterMR(p *sim.Proc, buf []byte) *MR {
 // RegisterMRNoCost registers buf without charging virtual time; it is meant
 // for tests and for setup phases whose cost is accounted elsewhere.
 func (d *Device) RegisterMRNoCost(buf []byte) *MR {
+	mr := d.register(len(buf), len(buf))
+	if len(buf) > 0 {
+		mr.chunks[0] = buf
+		d.addMaterialized(int64(len(buf)))
+	}
+	return mr
+}
+
+// register creates a size-byte region split into chunk-byte chunks, none of
+// them backed yet, and charges it to the registered-bytes accounting.
+func (d *Device) register(size, chunk int) *MR {
 	d.nextKey++
-	mr := &MR{dev: d, Buf: buf, LKey: d.nextKey, RKey: d.nextKey}
+	mr := &MR{dev: d, LKey: d.nextKey, RKey: d.nextKey, size: size, chunk: chunk}
+	if size > 0 {
+		mr.chunks = make([][]byte, (size+chunk-1)/chunk)
+	}
 	d.mrs[mr.RKey] = mr
-	d.registered += int64(len(buf))
+	d.registered += int64(size)
 	if d.registered > d.peakRegistered {
 		d.peakRegistered = d.registered
 	}
 	return mr
 }
 
-// Deregister unpins the region, charging p the deregistration cost.
+func (d *Device) addMaterialized(n int64) {
+	d.materialized += n
+	if d.materialized > d.peakMaterialized {
+		d.peakMaterialized = d.materialized
+	}
+}
+
+// Deregister unpins the region, charging p the deregistration cost. The
+// region must not be accessed afterwards; deregistering twice is a no-op.
 func (m *MR) Deregister(p *sim.Proc) {
 	p.Sleep(m.dev.prof().MemDeregBase)
-	delete(m.dev.mrs, m.RKey)
-	m.dev.registered -= int64(len(m.Buf))
-	if m.pooled {
-		m.pooled = false
-		putBuf(m.Buf)
-		m.Buf = nil
+	m.release()
+}
+
+// release drops the region from the device's tables and accounting and, for
+// a pooled region, parks the chunks that were materialised. Idempotent.
+func (m *MR) release() {
+	d := m.dev
+	if d.mrs[m.RKey] != m {
+		return
 	}
+	delete(d.mrs, m.RKey)
+	d.registered -= int64(m.size)
+	for _, c := range m.chunks {
+		if c == nil {
+			continue
+		}
+		d.materialized -= int64(len(c))
+		if m.pooled {
+			putBuf(c)
+		}
+	}
+	m.size, m.chunks = 0, nil
 }
 
 // RegisteredBytes returns the bytes currently registered on this device.
@@ -294,6 +396,11 @@ func (d *Device) RegisteredBytes() int64 { return d.registered }
 
 // PeakRegisteredBytes returns the high-water mark of registered bytes.
 func (d *Device) PeakRegisteredBytes() int64 { return d.peakRegistered }
+
+// PeakMaterializedBytes returns the high-water mark of registered bytes that
+// were backed by host memory: all of a region registered over caller memory,
+// and the touched chunks of a ring.
+func (d *Device) PeakMaterializedBytes() int64 { return d.peakMaterialized }
 
 // AttachMulticast joins qp (which must be UD) to the multicast group mgid,
 // like ibv_attach_mcast. Datagrams sent to the group consume posted

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-gate profile
+.PHONY: build test test-full vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-check bench-gate results-check profile
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,23 @@ bench-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson && \
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x $(BENCH_PKGS) | $$tmp/benchjson -o BENCH_sim.json
+
+# The repository benchmark (BENCHMARK.json) lives in bench/, a module of its
+# own that `go build ./...` at the root never sees; vet and test it so a
+# rename in internal/ cannot break the benchmark command unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Golden-file check: regenerate the fast-mode report — every exhibit table,
+# virtual time only — and compare it byte for byte with results_fast.txt.
+# Experiments run one at a time (-workers 1) to bound memory; expect tens of
+# minutes.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/shufflebench ./cmd/shufflebench && \
+	$$tmp/shufflebench -exp all -workers 1 > $$tmp/results_fast.txt && \
+	cmp results_fast.txt $$tmp/results_fast.txt && \
+	echo "results_fast.txt regenerates byte-identical"
 
 # Bench regression gate: benchmark the smoke set at the working tree AND at
 # GATE_BASE (default origin/main) on the same machine, then fail on a >15%

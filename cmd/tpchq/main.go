@@ -1,8 +1,7 @@
 // Command tpchq runs TPC-H Q3, Q4, or Q10 on a simulated cluster with a
 // chosen shuffle transport, printing the response time, per-edge shuffle
 // statistics, and the result rows. Queries execute through the DAG
-// planner (internal/dag) by default; -handwired selects the original
-// hand-wired drivers, which produce byte-identical results.
+// planner (internal/dag).
 //
 // Usage:
 //
@@ -17,7 +16,6 @@ import (
 	"os"
 
 	"rshuffle/internal/cluster"
-	"rshuffle/internal/dag"
 	"rshuffle/internal/engine"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/tpch"
@@ -31,7 +29,6 @@ func main() {
 		transport = flag.String("transport", "mesq", "mesq, memq, semq, sesq, memq-rd, semq-rd, memq-wr, semq-wr, mpi, ipoib")
 		profile   = flag.String("profile", "edr", "cluster profile: fdr or edr")
 		local     = flag.Bool("local", false, "co-partitioned 'local data' plan (Q4 only)")
-		handwired = flag.Bool("handwired", false, "use the hand-wired drivers instead of the DAG planner")
 		seed      = flag.Int64("seed", 42, "simulation seed")
 	)
 	flag.Parse()
@@ -65,37 +62,19 @@ func main() {
 		db.NCustomer, db.NOrders, db.NLineitem, float64(db.Bytes())/(1<<20))
 
 	c := cluster.New(prof, *nodes, 0, *seed)
-	var res *tpch.QueryResult
-	var dr *dag.Result
-	if *handwired {
-		switch *q {
-		case 3:
-			res = tpch.RunQ3(c, db, factory)
-		case 4:
-			res = tpch.RunQ4(c, db, factory, *local)
-		case 10:
-			res = tpch.RunQ10(c, db, factory)
-		default:
-			fatal("query must be 3, 4 or 10")
-		}
-	} else {
-		var err error
-		res, dr, err = tpch.Run(c, db, *q, factory, *local)
-		if err != nil {
-			fatal("%v", err)
-		}
+	res, dr, err := tpch.Run(c, db, *q, factory, *local)
+	if err != nil {
+		fatal("%v", err)
 	}
 	if res.Err != nil {
 		fatal("query failed: %v", res.Err)
 	}
 	fmt.Printf("Q%d on %d %s nodes over %s: %v (%d result rows)\n",
 		*q, *nodes, prof.Name, *transport, res.Elapsed, res.Rows)
-	if dr != nil {
-		fmt.Println("shuffle edges:")
-		for _, e := range dr.Edges {
-			fmt.Printf("  %-20s %-10s %9d rows %12d bytes %9d wqes\n",
-				e.Edge, e.Type, e.Rows, e.Bytes, e.WRs)
-		}
+	fmt.Println("shuffle edges:")
+	for _, e := range dr.Edges {
+		fmt.Printf("  %-20s %-10s %9d rows %12d bytes %9d wqes\n",
+			e.Edge, e.Type, e.Rows, e.Bytes, e.WRs)
 	}
 	printRows(res.Result)
 }

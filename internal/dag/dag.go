@@ -14,8 +14,8 @@
 // other edge type becomes a SHUFFLE/RECEIVE operator pair over its own
 // endpoint provider, with transmission groups derived from the downstream
 // stage's parallelism. A stage with parallelism 1 therefore gathers, one
-// with full parallelism repartitions or broadcasts — the hand-wired
-// exchange patterns of the TPC-H drivers fall out as special cases.
+// with full parallelism repartitions or broadcasts — the exchange patterns
+// of the TPC-H plans fall out as special cases.
 package dag
 
 import (
@@ -370,8 +370,8 @@ func (e *Edge) groups(n int) shuffle.Groups {
 }
 
 // keyFunc returns the partitioning function for one sending task. Hash
-// uses the library's mixing hash so DAG plans partition identically to the
-// hand-wired drivers; Range maps keys to the task whose bound covers them;
+// uses the library's mixing hash (shuffle.KeyInt64Col), so a DAG plan
+// partitions like a bare SHUFFLE operator; Range maps keys to the task whose bound covers them;
 // Rebalance round-robins with a per-sender cursor (deterministic under the
 // cooperative scheduler); Broadcast has a single group, so the constant
 // zero suffices.

@@ -108,8 +108,8 @@ type edgeRun struct {
 // per node, every non-Forward edge gets its own communication provider
 // (the default factory, unless the edge carries a SetConfig override), and
 // all fragments stream concurrently — stages are pipelined, not phased.
-// Run owns the cluster's simulation and recycles it; like the hand-wired
-// drivers, use a fresh cluster per run.
+// Run owns the cluster's simulation and recycles it: use a fresh cluster
+// per run.
 //
 // Structural problems (no terminal stage, schema divergence across nodes)
 // panic; runtime transport failures surface in Result.Err.

@@ -26,6 +26,16 @@ func mesqFactory(threads int) cluster.ProviderFactory {
 	return cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: threads})
 }
 
+// runTPCH runs TPC-H query q through its DAG plan, folding the first
+// transport error into the returned error.
+func runTPCH(c *cluster.Cluster, db *tpch.DB, q int, f cluster.ProviderFactory, local bool) (*tpch.QueryResult, error) {
+	r, _, err := tpch.Run(c, db, q, f, local)
+	if err == nil {
+		err = r.Err
+	}
+	return r, err
+}
+
 // Fig14a reproduces Figure 14(a): TPC-H Q4 response time on 8 nodes when
 // upgrading from FDR to EDR, for MPI, MESQ/SR and the co-partitioned
 // "local data" plan.
@@ -61,9 +71,9 @@ func Fig14a(o Options) (*Table, error) {
 				if pl.name == "MPI" {
 					f = cluster.MPIProvider(mpi.Config{})
 				}
-				r := tpch.RunQ4(cluster.New(quiet(prof), 8, 0, o.Seed), db, f, pl.local)
-				if r.Err != nil {
-					return fmt.Errorf("Q4 %s on %s: %w", pl.name, prof.Name, r.Err)
+				r, err := runTPCH(cluster.New(quiet(prof), 8, 0, o.Seed), db, 4, f, pl.local)
+				if err != nil {
+					return fmt.Errorf("Q4 %s on %s: %w", pl.name, prof.Name, err)
 				}
 				rows[pl.name].Vals[pi] = r.Elapsed.Seconds() * 1e3
 				return nil
@@ -89,16 +99,13 @@ func Fig14bcd(o Options) ([]*Table, error) {
 	nodes := []int{2, 4, 8, 16}
 	type qdef struct {
 		id, name string
-		run      func(c *cluster.Cluster, db *tpch.DB, f cluster.ProviderFactory) *tpch.QueryResult
-		local    bool
+		q        int
+		local    bool // also plot the co-partitioned plan
 	}
 	defs := []qdef{
-		{"Figure 14(b)", "TPC-H Q4",
-			func(c *cluster.Cluster, db *tpch.DB, f cluster.ProviderFactory) *tpch.QueryResult {
-				return tpch.RunQ4(c, db, f, false)
-			}, true},
-		{"Figure 14(c)", "TPC-H Q3", tpch.RunQ3, false},
-		{"Figure 14(d)", "TPC-H Q10", tpch.RunQ10, false},
+		{"Figure 14(b)", "TPC-H Q4", 4, true},
+		{"Figure 14(c)", "TPC-H Q3", 3, false},
+		{"Figure 14(d)", "TPC-H Q10", 10, false},
 	}
 	var out []*Table
 	cs := cells{o: o}
@@ -118,12 +125,12 @@ func Fig14bcd(o Options) ([]*Table, error) {
 			cs.add(func() error {
 				sf := o.sfPerNode() * float64(n)
 				db := tpch.Generate(sf, n, tpch.Random, o.Seed)
-				m := q.run(cluster.New(quiet(prof), n, 0, o.Seed), db,
-					cluster.MPIProvider(mpi.Config{}))
-				r := q.run(cluster.New(quiet(prof), n, 0, o.Seed), db,
-					mesqFactory(prof.Threads))
-				if m.Err != nil || r.Err != nil {
-					return fmt.Errorf("%s at %dn: mpi=%v rdma=%v", q.name, n, m.Err, r.Err)
+				m, merr := runTPCH(cluster.New(quiet(prof), n, 0, o.Seed), db, q.q,
+					cluster.MPIProvider(mpi.Config{}), false)
+				r, rerr := runTPCH(cluster.New(quiet(prof), n, 0, o.Seed), db, q.q,
+					mesqFactory(prof.Threads), false)
+				if merr != nil || rerr != nil {
+					return fmt.Errorf("%s at %dn: mpi=%v rdma=%v", q.name, n, merr, rerr)
 				}
 				mpiRow.Vals[i] = m.Elapsed.Seconds() * 1e3
 				rdmaRow.Vals[i] = r.Elapsed.Seconds() * 1e3
@@ -132,10 +139,10 @@ func Fig14bcd(o Options) ([]*Table, error) {
 					return nil
 				}
 				dbl := tpch.Generate(sf, n, tpch.CoPartitioned, o.Seed)
-				l := tpch.RunQ4(cluster.New(quiet(prof), n, 0, o.Seed), dbl,
+				l, err := runTPCH(cluster.New(quiet(prof), n, 0, o.Seed), dbl, q.q,
 					mesqFactory(prof.Threads), true)
-				if l.Err != nil {
-					return fmt.Errorf("%s local at %dn: %v", q.name, n, l.Err)
+				if err != nil {
+					return fmt.Errorf("%s local at %dn: %v", q.name, n, err)
 				}
 				localRow.Vals[i] = l.Elapsed.Seconds() * 1e3
 				return nil

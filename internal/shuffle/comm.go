@@ -71,6 +71,8 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 	prof := &devs[0].Network().Prof
 
 	for k := 0; k < e; k++ {
+		// sc and rc collect the RC designs' endpoint cores for connectRC.
+		sc, rc := make([]*endpoint, n), make([]*endpoint, n)
 		switch cfg.Impl {
 		case MQSR:
 			ss := make([]*srRCSend, n)
@@ -78,24 +80,21 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 			for a := 0; a < n; a++ {
 				ss[a] = newSRRCSend(devs[a], cfg, n, tpe)
 				rr[a] = newSRRCRecv(devs[a], cfg, n, tpe)
+				sc[a], rc[a] = &ss[a].endpoint, &rr[a].endpoint
 			}
-			for a := 0; a < n; a++ {
-				for b := 0; b < n; b++ {
-					must(ss[a].qps[b].Connect(b, rr[b].qps[a].QPN()))
-					must(rr[b].qps[a].Connect(a, ss[a].qps[b].QPN()))
-					rr[b].creditWin[a] = remoteWin{rkey: ss[a].creditMR.RKey, base: 8 * b}
-				}
-			}
+			connectRC(sc, rc)
 			for a := 0; a < n; a++ {
 				must(rr[a].prime(p))
 				// The initial grant travels with the out-of-band connection
 				// exchange: preset each sender's credit words.
 				for b := 0; b < n; b++ {
+					rr[a].creditWin[b] = remoteWin{rkey: ss[b].creditMR.RKey, base: 8 * a}
 					verbs.PutUint64(ss[b].creditMR.Bytes(8*a, 8), rr[a].creditIssued[b])
 				}
 				c.Nodes[a].Send[k] = ss[a]
 				c.Nodes[a].Recv[k] = rr[a]
 			}
+			c.SendMemoryPerNode += ss[0].sendMemory()
 		case SQSR:
 			ss := make([]*srUDSend, n)
 			rr := make([]*srUDRecv, n)
@@ -126,22 +125,24 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				c.Nodes[a].Send[k] = ss[a]
 				c.Nodes[a].Recv[k] = rr[a]
 			}
+			c.SendMemoryPerNode += ss[0].sendMemory()
 		case MQWR:
 			ss := make([]*wrRCSend, n)
 			rr := make([]*wrRCRecv, n)
 			for a := 0; a < n; a++ {
 				rr[a] = newWRRCRecv(devs[a], cfg, n, tpe)
+				rc[a] = &rr[a].endpoint
 			}
 			for a := 0; a < n; a++ {
-				ss[a] = newWRRCSend(devs[a], cfg, n, tpe, rr[0].queueCap)
+				ss[a] = newWRRCSend(devs[a], cfg, n, tpe, rr[0].slotOut.cap)
+				sc[a] = &ss[a].endpoint
 			}
+			connectRC(sc, rc)
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
-					must(ss[a].qps[b].Connect(b, rr[b].qps[a].QPN()))
-					must(rr[b].qps[a].Connect(a, ss[a].qps[b].QPN()))
 					ss[a].slotWin[b] = remoteWin{rkey: rr[b].slotMR.RKey}
-					ss[a].validWin[b] = remoteWin{rkey: rr[b].validArrMR.RKey, base: 8 * a * rr[b].queueCap}
-					rr[b].grantWin[a] = remoteWin{rkey: ss[a].slotArrMR.RKey, base: 8 * b * ss[a].queueCap}
+					ss[a].validOut.win[b] = rr[b].validArr.window(a)
+					rr[b].slotOut.win[a] = ss[a].slotArr.window(b)
 				}
 			}
 			// Initial grants travel with the out-of-band setup: receiver b
@@ -151,38 +152,37 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				for a := 0; a < n; a++ {
 					for i := 0; i < perSrc; i++ {
 						slot := (a*perSrc + i) * cfg.BufSize
-						idx := b*ss[a].queueCap + i
-						verbs.PutUint64(ss[a].slotArrMR.Bytes(8*idx, 8), packSlot(slot, 0, false))
+						rr[b].slotOut.preset(a, &ss[a].slotArr, b, packSlot(slot, 0, false))
 					}
-					rr[b].prod[a] = perSrc
 				}
 			}
 			for a := 0; a < n; a++ {
 				c.Nodes[a].Send[k] = ss[a]
 				c.Nodes[a].Recv[k] = rr[a]
 			}
+			c.SendMemoryPerNode += ss[0].sendMemory()
 		case MQRD:
 			ss := make([]*rdRCSend, n)
 			rr := make([]*rdRCRecv, n)
 			for a := 0; a < n; a++ {
 				ss[a] = newRDRCSend(devs[a], cfg, n, tpe)
+				sc[a] = &ss[a].endpoint
 			}
 			for a := 0; a < n; a++ {
-				rr[a] = newRDRCRecv(devs[a], cfg, n, tpe, ss[a].poolBufs)
+				rr[a] = newRDRCRecv(devs[a], cfg, n, tpe, ss[a].freeArr.cap)
+				rc[a] = &rr[a].endpoint
 			}
+			connectRC(sc, rc)
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
-					must(ss[a].qps[b].Connect(b, rr[b].qps[a].QPN()))
-					must(rr[b].qps[a].Connect(a, ss[a].qps[b].QPN()))
-					ss[a].validWin[b] = remoteWin{rkey: rr[b].validArrMR.RKey, base: 8 * a * rr[b].queueCap}
-					rr[b].freeWin[a] = remoteWin{rkey: ss[a].freeArrMR.RKey, base: 8 * b * ss[a].queueCap}
+					ss[a].validOut.win[b] = rr[b].validArr.window(a)
+					rr[b].freeOut.win[a] = ss[a].freeArr.window(b)
 					rr[b].dataWin[a] = remoteWin{rkey: ss[a].mr.RKey}
 				}
-			}
-			for a := 0; a < n; a++ {
 				c.Nodes[a].Send[k] = ss[a]
 				c.Nodes[a].Recv[k] = rr[a]
 			}
+			c.SendMemoryPerNode += ss[0].sendMemory()
 		}
 	}
 
@@ -257,20 +257,6 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 	c.RegTime = prof.MemRegBase + sim.Duration(float64(regBytes)*prof.MemRegPerByte)
 	p.Sleep(c.SetupTime + c.RegTime)
 
-	// Send-operator registered memory (Fig. 9b): data buffers plus control
-	// structures of the send endpoints of one node.
-	for k := 0; k < e; k++ {
-		switch s := c.Nodes[0].Send[k].(type) {
-		case *srRCSend:
-			c.SendMemoryPerNode += int64(s.mr.Len() + s.creditMR.Len())
-		case *srUDSend:
-			c.SendMemoryPerNode += int64(s.mr.Len() + s.creditMR.Len())
-		case *rdRCSend:
-			c.SendMemoryPerNode += int64(s.mr.Len() + s.freeArrMR.Len() + s.stageMR.Len())
-		case *wrRCSend:
-			c.SendMemoryPerNode += int64(s.mr.Len() + s.slotArrMR.Len() + s.stageMR.Len())
-		}
-	}
 	return c
 }
 

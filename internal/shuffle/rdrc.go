@@ -3,32 +3,9 @@ package shuffle
 import (
 	"fmt"
 
-	"rshuffle/internal/fabric"
 	"rshuffle/internal/sim"
 	"rshuffle/internal/verbs"
 )
-
-// Slot encoding for the FreeArr/ValidArr circular queues (Alg. 3). One
-// 8-byte word per slot: | offset:32 | length:24 | flags:7 | valid:1 |.
-// A zero word is an empty slot; the receiver (of the notification) zeroes a
-// slot after consuming it, and queue capacity >= the sender's buffer pool
-// guarantees a producer never overruns unconsumed entries.
-const (
-	slotValid    = 1 << 0
-	slotDepleted = 1 << 1
-)
-
-func packSlot(off, length int, depleted bool) uint64 {
-	v := uint64(off)<<32 | uint64(length)<<8 | slotValid
-	if depleted {
-		v |= slotDepleted
-	}
-	return v
-}
-
-func unpackSlot(v uint64) (off, length int, depleted bool) {
-	return int(v >> 32), int(v>>8) & 0xFFFFFF, v&slotDepleted != 0
-}
 
 // rdRCSend implements the SEND endpoint with one-sided RDMA Read over the
 // Reliable Connection service (§4.4.3, Fig. 7a). The sender stays passive
@@ -37,104 +14,42 @@ func unpackSlot(v uint64) (off, length int, depleted bool) {
 // harvests buffer addresses that receivers returned through the local
 // FreeArr. The data itself moves when receivers issue RDMA Reads.
 type rdRCSend struct {
-	dev *verbs.Device
-	cfg Config
-	n   int
+	endpoint // scq: completions of outgoing ValidArr writes
+	sendPool // receivers read from it directly
 
-	qps []*verbs.QP
-	wcq *verbs.CQ // completions of outgoing ValidArr writes
-
-	gate epGate
-
-	mr       *verbs.MR // data buffer pool; receivers read from it directly
-	poolBufs int
-	queueCap int
-
-	freeArrMR *verbs.MR // n circular queues written by receivers
-	cons      []int
-
-	stageMR  *verbs.MR   // per destination 8-byte staging for slot writes
-	validWin []remoteWin // per destination: my ValidArr queue at that node
-	prod     []int
-
-	free    *sim.Queue[int]
-	pending map[int]int
-
-	// failed marks destinations declared dead by the connection manager;
-	// qpDest attributes completions to their connection.
-	failed []bool
-	qpDest map[uint32]int
+	freeArr  wordRing // buffer addresses returned by receivers
+	validOut wordRing // my queue in each receiver's ValidArr
 }
 
-func (e *rdRCSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Bytes(off+HeaderSize, e.cfg.BufSize-HeaderSize), off: off}
+func (e *rdRCSend) sendMemory() int64 {
+	return int64(e.mr.Len() + e.freeArr.mr.Len() + e.validOut.mr.Len())
 }
 
-// DrainPeer and ClosePeer implement PeerDrainer: a dead receiver never
-// returns buffers through FreeArr, so blocked GETFREE/FINISH calls wake and
-// fail with ErrPeerFailed.
-func (e *rdRCSend) DrainPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = true
-	}
-}
-
-func (e *rdRCSend) ClosePeer(peer int) {
-	e.wcq.Kick()
-	e.dev.KickMemWaiters()
-}
-
-// ReopenPeer implements PeerResumer.
-func (e *rdRCSend) ReopenPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = false
-	}
-}
-
-func (e *rdRCSend) anyFailed() (int, bool) {
-	for d, f := range e.failed {
-		if f {
-			return d, true
-		}
-	}
-	return 0, false
-}
-
-// harvest scans every FreeArr queue for buffers returned by receivers.
-func (e *rdRCSend) harvest() {
+// reclaim harvests every FreeArr queue for buffers returned by receivers,
+// then reaps completed ValidArr writes.
+func (e *rdRCSend) reclaim(p *sim.Proc) error {
 	for src := 0; src < e.n; src++ {
 		for {
-			idx := src*e.queueCap + e.cons[src]%e.queueCap
-			v := verbs.ReadUint64(e.freeArrMR.Bytes(8*idx, 8))
-			if v&slotValid == 0 {
+			v, ok := e.freeArr.take(src)
+			if !ok {
 				break
 			}
-			verbs.PutUint64(e.freeArrMR.Bytes(8*idx, 8), 0)
-			e.cons[src]++
 			off, _, _ := unpackSlot(v)
-			e.pending[off]--
-			if e.pending[off] == 0 {
-				delete(e.pending, off)
-				e.free.Put(off)
+			if err := e.complete(off); err != nil {
+				return err
 			}
 		}
 	}
+	return e.drain(p, nil)
 }
 
-func (e *rdRCSend) reapWrites(p *sim.Proc) error {
-	var es [16]verbs.CQE
-	for e.wcq.Len() > 0 {
-		n := e.gate.poll(p, e.wcq, es[:])
-		for _, c := range es[:n] {
-			if c.Status != verbs.WCSuccess {
-				if d, ok := e.qpDest[c.QPN]; ok && (c.Status == verbs.WCPeerDown || e.failed[d]) {
-					return peerFailedErr(d)
-				}
-				return wcErr(c)
-			}
-		}
+// awaitFrees blocks up to q for a receiver to write into FreeArr. A dead
+// receiver never returns buffers, so the wait fails instead.
+func (e *rdRCSend) awaitFrees(p *sim.Proc, q sim.Duration) (bool, error) {
+	if d, ok := e.anyFailed(); ok {
+		return false, peerFailedErr(d)
 	}
-	return nil
+	return e.dev.WaitMemChange(p, q), nil
 }
 
 // GetFree implements SendEndpoint (Alg. 3, GETFREE): it returns a buffer
@@ -142,76 +57,39 @@ func (e *rdRCSend) reapWrites(p *sim.Proc) error {
 func (e *rdRCSend) GetFree(p *sim.Proc) (*Buf, error) {
 	w := newWaiter(e.cfg.StallTimeout)
 	for {
-		if off, ok := e.free.TryGet(); ok {
-			return e.buf(off), nil
+		if b, ok := e.tryGet(); ok {
+			return b, nil
 		}
-		e.harvest()
-		if err := e.reapWrites(p); err != nil {
+		if err := e.reclaim(p); err != nil {
 			return nil, err
 		}
-		if off, ok := e.free.TryGet(); ok {
-			return e.buf(off), nil
+		if b, ok := e.tryGet(); ok {
+			return b, nil
 		}
-		if d, ok := e.anyFailed(); ok {
-			return nil, peerFailedErr(d)
+		woke, err := e.awaitFrees(p, w.step())
+		if err != nil {
+			return nil, err
 		}
-		if !e.dev.WaitMemChange(p, w.step()) {
-			if !w.idle() {
-				return nil, fmt.Errorf("%w: RD GetFree on node %d (%d buffers outstanding)",
-					ErrStalled, e.dev.Node(), len(e.pending))
-			}
-			continue
-		}
-		w.progress()
-	}
-}
-
-// writeSlot announces (off, length) to dest's ValidArr via RDMA Write. The
-// queue index is reserved before posting: PostSend can yield to another
-// thread sharing this endpoint, and two writers must never target one slot.
-func (e *rdRCSend) writeSlot(p *sim.Proc, dest int, word uint64) error {
-	if e.failed[dest] {
-		return peerFailedErr(dest)
-	}
-	idx := e.prod[dest]
-	e.prod[dest]++
-	// The staging slot mirrors the remote slot index: concurrent writers to
-	// the same destination each stage in their own word, because PostSend
-	// yields before snapshotting the payload.
-	stage := 8 * (dest*e.queueCap + idx%e.queueCap)
-	verbs.PutUint64(e.stageMR.Bytes(stage, 8), word)
-	for {
-		err := e.gate.post(p, e.qps[dest], verbs.SendWR{
-			Op: verbs.OpWrite, MR: e.stageMR, Offset: stage, Len: 8, Inline: true,
-			RemoteKey:    e.validWin[dest].rkey,
-			RemoteOffset: e.validWin[dest].base + 8*(idx%e.queueCap),
-		})
-		if err == nil {
-			return nil
-		}
-		if err == verbs.ErrPeerDown {
-			return peerFailedErr(dest)
-		}
-		if err != verbs.ErrSQFull {
-			return err
-		}
-		e.wcq.WaitNonEmpty(p, 0)
-		if err := e.reapWrites(p); err != nil {
-			return err
+		if !w.after(woke) {
+			return nil, fmt.Errorf("%w: RD GetFree on node %d (%d buffers outstanding)",
+				ErrStalled, e.dev.Node(), len(e.pending))
 		}
 	}
 }
 
 func (e *rdRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
-	putHeader(e.mr.Bytes(b.off, HeaderSize), header{payload: b.Len, src: uint16(e.dev.Node())})
-	e.pending[b.off] = len(dest)
+	e.commit(b, header{payload: b.Len, src: uint16(e.dev.Node())}, len(dest))
 	word := packSlot(b.off, HeaderSize+b.Len, depleted)
 	for _, d := range dest {
-		if err := e.writeSlot(p, d, word); err != nil {
-			return err
+		// Announce (off, length) in d's ValidArr.
+		if e.failed[d] {
+			return peerFailedErr(d)
+		}
+		if err := e.putWord(p, &e.validOut, d, word, nil); err != nil {
+			return postErr(d, err)
 		}
 	}
-	return e.reapWrites(p)
+	return e.drain(p, nil)
 }
 
 // Send implements SendEndpoint.
@@ -228,35 +106,11 @@ func (e *rdRCSend) Finish(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	all := make([]int, e.n)
-	for i := range all {
-		all[i] = i
-	}
 	b.Len = 0
-	if err := e.send(p, b, all, true); err != nil {
+	if err := e.send(p, b, allNodes(e.n), true); err != nil {
 		return err
 	}
-	w := newWaiter(e.cfg.StallTimeout)
-	for len(e.pending) > 0 {
-		e.harvest()
-		if err := e.reapWrites(p); err != nil {
-			return err
-		}
-		if len(e.pending) == 0 {
-			break
-		}
-		if d, ok := e.anyFailed(); ok {
-			return peerFailedErr(d)
-		}
-		if !e.dev.WaitMemChange(p, w.step()) {
-			if !w.idle() {
-				return fmt.Errorf("%w: RD Finish flush (%d outstanding)", ErrStalled, len(e.pending))
-			}
-			continue
-		}
-		w.progress()
-	}
-	return nil
+	return e.flush(p, &e.sendPool, e.reclaim, e.awaitFrees)
 }
 
 // rdRCRecv implements the RECEIVE endpoint over one-sided RDMA Read
@@ -265,40 +119,20 @@ func (e *rdRCSend) Finish(p *sim.Proc) error {
 // for read completions. RELEASE returns the remote buffer's address through
 // the sender's FreeArr and recycles the local buffer onto LocalArr.
 type rdRCRecv struct {
-	dev *verbs.Device
-	cfg Config
-	n   int
+	endpoint // scq: read + FreeArr-write completions
 
-	qps []*verbs.QP
-	ocq *verbs.CQ // read + FreeArr-write completions
+	validArr wordRing // announcements written by senders
+	freeOut  wordRing // my queue in each sender's FreeArr
 
-	gate epGate
-
-	validArrMR *verbs.MR // n circular queues written by senders
-	queueCap   int
-	cons       []int
-
-	localMR  *verbs.MR // local destination buffers for incoming reads
-	localArr [][]int   // per source: stack of free local buffer offsets
-
-	stageMR *verbs.MR   // per source 8-byte staging for FreeArr writes
-	freeWin []remoteWin // per source: that sender's FreeArr queue
-	prod    []int
-
-	dataWin []remoteWin // per source: that sender's data pool MR
+	localMR  *verbs.MR   // local destination buffers for incoming reads
+	localArr [][]int     // per source: stack of free local buffer offsets
+	dataWin  []remoteWin // per source: that sender's data pool MR
 
 	nextWRID     uint64
 	readCtx      map[uint64]rdReadCtx
 	outstanding  int
 	ready        dataQueue
 	pendingFrees []pendingFree
-	depleted     int
-	depletedBy   []bool
-
-	// failed marks sources declared dead by the connection manager; qpSrc
-	// attributes completions to their connection.
-	failed []bool
-	qpSrc  map[uint32]int
 }
 
 type rdReadCtx struct {
@@ -308,40 +142,18 @@ type rdReadCtx struct {
 	depleted  bool
 }
 
-// DrainPeer and ClosePeer implement PeerDrainer: GETDATA stops issuing
-// reads against the dead sender's pool and fails once its stream is known
-// to be incomplete instead of waiting for ValidArr entries forever.
-func (e *rdRCRecv) DrainPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = true
-	}
-}
-
-func (e *rdRCRecv) ClosePeer(peer int) {
-	e.ocq.Kick()
-	e.dev.KickMemWaiters()
-}
-
-// ReopenPeer implements PeerResumer.
-func (e *rdRCRecv) ReopenPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = false
-	}
-}
-
-// Depleted implements ProgressReporter.
-func (e *rdRCRecv) Depleted(src int) bool {
-	return src >= 0 && src < e.n && e.depletedBy[src]
-}
-
-// missingFailed returns a failed source whose stream is still incomplete.
-func (e *rdRCRecv) missingFailed() (int, bool) {
-	for s, f := range e.failed {
-		if f && !e.depletedBy[s] {
-			return s, true
+// postDrain posts wr toward src; while the send queue is full it waits for
+// completions and handles them, since a finished read frees a queue slot.
+func (e *rdRCRecv) postDrain(p *sim.Proc, src int, wr verbs.SendWR) error {
+	for {
+		err := e.gate.post(p, e.qps[src], wr)
+		if err != verbs.ErrSQFull {
+			return err
+		}
+		if err := e.handleReady(p, true); err != nil {
+			return err
 		}
 	}
-	return 0, false
 }
 
 // issueReads converts consumable ValidArr entries into RDMA Read requests
@@ -354,13 +166,10 @@ func (e *rdRCRecv) issueReads(p *sim.Proc) error {
 			continue
 		}
 		for len(e.localArr[src]) > 0 {
-			idx := src*e.queueCap + e.cons[src]%e.queueCap
-			v := verbs.ReadUint64(e.validArrMR.Bytes(8*idx, 8))
-			if v&slotValid == 0 {
+			v, ok := e.validArr.take(src)
+			if !ok {
 				break
 			}
-			verbs.PutUint64(e.validArrMR.Bytes(8*idx, 8), 0)
-			e.cons[src]++
 			off, length, dep := unpackSlot(v)
 			last := len(e.localArr[src]) - 1
 			local := e.localArr[src][last]
@@ -368,24 +177,13 @@ func (e *rdRCRecv) issueReads(p *sim.Proc) error {
 			e.nextWRID++
 			wrid := e.nextWRID
 			e.readCtx[wrid] = rdReadCtx{src: src, remoteOff: off, localOff: local, depleted: dep}
-			for {
-				err := e.gate.post(p, e.qps[src], verbs.SendWR{
-					ID: wrid, Op: verbs.OpRead,
-					MR: e.localMR, Offset: local, Len: length,
-					RemoteKey: e.dataWin[src].rkey, RemoteOffset: e.dataWin[src].base + off,
-				})
-				if err == nil {
-					break
-				}
-				if err == verbs.ErrPeerDown {
-					return peerFailedErr(src)
-				}
-				if err != verbs.ErrSQFull {
-					return err
-				}
-				if err := e.drain(p, true); err != nil {
-					return err
-				}
+			err := e.postDrain(p, src, verbs.SendWR{
+				ID: wrid, Op: verbs.OpRead,
+				MR: e.localMR, Offset: local, Len: length,
+				RemoteKey: e.dataWin[src].rkey, RemoteOffset: e.dataWin[src].base + off,
+			})
+			if err != nil {
+				return postErr(src, err)
 			}
 			e.outstanding++
 		}
@@ -393,19 +191,19 @@ func (e *rdRCRecv) issueReads(p *sim.Proc) error {
 	return nil
 }
 
-// drain processes completions, queueing finished reads as ready Data. With
-// block set it waits for at least one completion first (used only when
+// handleReady processes completions, queueing finished reads as ready Data.
+// With block set it waits for at least one completion first (used only when
 // operations are known to be outstanding, so the wait always terminates).
-func (e *rdRCRecv) drain(p *sim.Proc, block bool) error {
+func (e *rdRCRecv) handleReady(p *sim.Proc, block bool) error {
 	var es [16]verbs.CQE
 	for {
-		if e.ocq.Len() == 0 {
+		if e.scq.Len() == 0 {
 			if !block {
 				return nil
 			}
-			e.ocq.WaitNonEmpty(p, 0)
+			e.scq.WaitNonEmpty(p, 0)
 		}
-		n := e.gate.poll(p, e.ocq, es[:])
+		n := e.gate.poll(p, e.scq, es[:])
 		if err := e.handle(es[:n]); err != nil {
 			return err
 		}
@@ -416,10 +214,7 @@ func (e *rdRCRecv) drain(p *sim.Proc, block bool) error {
 func (e *rdRCRecv) handle(es []verbs.CQE) error {
 	for _, c := range es {
 		if c.Status != verbs.WCSuccess {
-			if s, ok := e.qpSrc[c.QPN]; ok && (c.Status == verbs.WCPeerDown || e.failed[s]) {
-				return peerFailedErr(s)
-			}
-			return wcErr(c)
+			return e.cqeErr(c)
 		}
 		if c.Op != verbs.OpRead {
 			continue // FreeArr write completion
@@ -431,13 +226,9 @@ func (e *rdRCRecv) handle(es []verbs.CQE) error {
 		delete(e.readCtx, c.WRID)
 		e.outstanding--
 		h := getHeader(e.localMR.Bytes(ctx.localOff, HeaderSize))
-		if ctx.depleted {
-			e.depleted++
-			e.depletedBy[ctx.src] = true
-			if e.depleted >= e.n {
-				e.ocq.Kick()
-				e.dev.KickMemWaiters()
-			}
+		if ctx.depleted && e.markDone(ctx.src) {
+			e.scq.Kick()
+			e.dev.KickMemWaiters()
 		}
 		if h.payload == 0 {
 			// Marker buffer: release it right away.
@@ -469,48 +260,25 @@ type pendingFree struct {
 	remoteOff int
 }
 
-// flushFrees writes queued FreeArr notifications.
+// flushFrees writes queued FreeArr notifications. A dead sender will never
+// reuse its buffer, so frees toward it are dropped.
 func (e *rdRCRecv) flushFrees(p *sim.Proc) error {
 	for len(e.pendingFrees) > 0 {
 		f := e.pendingFrees[0]
 		e.pendingFrees = e.pendingFrees[1:]
-		if err := e.writeFree(p, f.src, f.remoteOff); err != nil {
+		if e.failed[f.src] {
+			continue
+		}
+		err := e.postDrain(p, f.src, e.freeOut.stage(f.src, packSlot(f.remoteOff, 0, false)))
+		if err == verbs.ErrPeerDown {
+			continue
+		}
+		if err != nil {
 			return err
 		}
+		traceCredit(e.dev, f.src, int64(f.remoteOff))
 	}
 	return nil
-}
-
-func (e *rdRCRecv) writeFree(p *sim.Proc, src, remoteOff int) error {
-	if e.failed[src] {
-		return nil // the dead sender will never reuse the buffer anyway
-	}
-	// Reserve the slot index and its staging mirror before posting; see
-	// rdRCSend.writeSlot for why.
-	idx := e.prod[src]
-	e.prod[src]++
-	stage := 8 * (src*e.queueCap + idx%e.queueCap)
-	verbs.PutUint64(e.stageMR.Bytes(stage, 8), packSlot(remoteOff, 0, false))
-	for {
-		err := e.gate.post(p, e.qps[src], verbs.SendWR{
-			Op: verbs.OpWrite, MR: e.stageMR, Offset: stage, Len: 8, Inline: true,
-			RemoteKey:    e.freeWin[src].rkey,
-			RemoteOffset: e.freeWin[src].base + 8*(idx%e.queueCap),
-		})
-		if err == nil {
-			traceCredit(e.dev, src, int64(remoteOff))
-			return nil
-		}
-		if err == verbs.ErrPeerDown {
-			return nil
-		}
-		if err != verbs.ErrSQFull {
-			return err
-		}
-		if err := e.drain(p, true); err != nil {
-			return err
-		}
-	}
 }
 
 // GetData implements RecvEndpoint (Alg. 3, GETDATA).
@@ -526,10 +294,10 @@ func (e *rdRCRecv) GetData(p *sim.Proc) (*Data, error) {
 		if err := e.issueReads(p); err != nil {
 			return nil, err
 		}
-		if err := e.drain(p, false); err != nil {
+		if err := e.handleReady(p, false); err != nil {
 			return nil, err
 		}
-		// Drain may have queued FreeArr notifications (marker buffers);
+		// Handling may have queued FreeArr notifications (marker buffers);
 		// flush them before blocking or returning so senders never starve.
 		if err := e.flushFrees(p); err != nil {
 			return nil, err
@@ -537,25 +305,21 @@ func (e *rdRCRecv) GetData(p *sim.Proc) (*Data, error) {
 		if !e.ready.empty() {
 			continue
 		}
-		if e.depleted >= e.n && e.outstanding == 0 {
+		if e.allDone() && e.outstanding == 0 {
 			return nil, nil
 		}
 		if s, ok := e.missingFailed(); ok {
 			return nil, peerFailedErr(s)
 		}
-		ok := false
+		var woke bool
 		if e.outstanding > 0 {
-			ok = e.ocq.WaitNonEmpty(p, w.step())
+			woke = e.scq.WaitNonEmpty(p, w.step())
 		} else {
-			ok = e.dev.WaitMemChange(p, w.step())
+			woke = e.dev.WaitMemChange(p, w.step())
 		}
-		if !ok {
-			if !w.idle() {
-				return nil, fmt.Errorf("%w: RD GetData on node %d (%d/%d depleted, %d reads out)",
-					ErrStalled, e.dev.Node(), e.depleted, e.n, e.outstanding)
-			}
-		} else {
-			w.progress()
+		if !w.after(woke) {
+			return nil, fmt.Errorf("%w: RD GetData on node %d (%d/%d depleted, %d reads out)",
+				ErrStalled, e.dev.Node(), e.nDone, e.n, e.outstanding)
 		}
 	}
 }
@@ -569,68 +333,35 @@ func (e *rdRCRecv) Release(p *sim.Proc, d *Data) error {
 func newRDRCSend(dev *verbs.Device, cfg Config, n, tpe int) *rdRCSend {
 	pool := tpe * n * cfg.BuffersPerPeer
 	e := &rdRCSend{
-		dev: dev, cfg: cfg, n: n,
-		gate:     newEPGate(dev.Sim(), fmt.Sprintf("rd-send@%d", dev.Node())),
-		poolBufs: pool,
-		queueCap: pool + 1,
-		cons:     make([]int, n),
-		prod:     make([]int, n),
-		validWin: make([]remoteWin, n),
-		free:     sim.NewQueue[int](dev.Sim(), fmt.Sprintf("rd-free@%d", dev.Node())),
-		pending:  make(map[int]int),
-		failed:   make([]bool, n),
-		qpDest:   make(map[uint32]int),
+		endpoint: newEndpoint(dev, cfg, n, "rd-send", 4*pool*n+64, 16),
+		sendPool: newSendPool(dev, "rd-free", pool, cfg.BufSize, 0),
+		freeArr:  newWordRing(dev, n, pool+1),
+		validOut: newWordRing(dev, n, pool+1),
 	}
-	e.wcq = dev.CreateCQ(4*pool*n + 64)
-	e.mr = dev.AllocRingNoCost(pool, cfg.BufSize)
-	e.freeArrMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
-	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
-	for i := 0; i < pool; i++ {
-		e.free.Put(i * cfg.BufSize)
-	}
-	e.qps = make([]*verbs.QP, n)
-	for d := 0; d < n; d++ {
-		e.qps[d] = dev.CreateQP(verbs.QPConfig{
-			Type: fabric.RC, SendCQ: e.wcq, RecvCQ: e.wcq,
-			MaxSend: 2*pool + 16, MaxRecv: 4,
-		})
-		e.qpDest[e.qps[d].QPN()] = d
-	}
+	e.wake, e.wakeMem = []*verbs.CQ{e.scq}, dev
+	e.createRCQPs(e.scq, 2*pool+16, 4)
 	return e
 }
 
-func newRDRCRecv(dev *verbs.Device, cfg Config, n, tpe, senderPool int) *rdRCRecv {
+// newRDRCRecv sizes its rings like the senders' (ringCap), so neither side's
+// producer can overrun unconsumed entries.
+func newRDRCRecv(dev *verbs.Device, cfg Config, n, tpe, ringCap int) *rdRCRecv {
 	perSrc := tpe * cfg.RecvBuffersPerPeer
 	e := &rdRCRecv{
-		dev: dev, cfg: cfg, n: n,
-		gate:       newEPGate(dev.Sim(), fmt.Sprintf("rd-recv@%d", dev.Node())),
-		queueCap:   senderPool + 1,
-		cons:       make([]int, n),
-		prod:       make([]int, n),
-		freeWin:    make([]remoteWin, n),
-		dataWin:    make([]remoteWin, n),
-		localArr:   make([][]int, n),
-		readCtx:    make(map[uint64]rdReadCtx),
-		depletedBy: make([]bool, n),
-		failed:     make([]bool, n),
-		qpSrc:      make(map[uint32]int),
+		endpoint: newEndpoint(dev, cfg, n, "rd-recv", 4*n*perSrc+64, 16),
+		validArr: newWordRing(dev, n, ringCap),
+		localMR:  dev.AllocRingNoCost(n*perSrc, cfg.BufSize),
+		freeOut:  newWordRing(dev, n, ringCap),
+		dataWin:  make([]remoteWin, n),
+		localArr: make([][]int, n),
+		readCtx:  make(map[uint64]rdReadCtx),
 	}
-	e.ocq = dev.CreateCQ(4*n*perSrc + 64)
-	e.validArrMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
-	e.localMR = dev.AllocRingNoCost(n*perSrc, cfg.BufSize)
-	e.stageMR = dev.RegisterMRNoCost(make([]byte, 8*n*e.queueCap))
+	e.wake, e.wakeMem = []*verbs.CQ{e.scq}, dev
 	for src := 0; src < n; src++ {
 		for i := 0; i < perSrc; i++ {
 			e.localArr[src] = append(e.localArr[src], (src*perSrc+i)*cfg.BufSize)
 		}
 	}
-	e.qps = make([]*verbs.QP, n)
-	for s := 0; s < n; s++ {
-		e.qps[s] = dev.CreateQP(verbs.QPConfig{
-			Type: fabric.RC, SendCQ: e.ocq, RecvCQ: e.ocq,
-			MaxSend: 2*perSrc + 16, MaxRecv: 4,
-		})
-		e.qpSrc[e.qps[s].QPN()] = s
-	}
+	e.createRCQPs(e.scq, 2*perSrc+16, 4)
 	return e
 }

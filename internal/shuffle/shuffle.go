@@ -181,13 +181,7 @@ func Repartition(n int) Groups {
 }
 
 // Broadcast returns a single group containing every node.
-func Broadcast(n int) Groups {
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	return Groups{all}
-}
+func Broadcast(n int) Groups { return Groups{allNodes(n)} }
 
 // Errors surfaced by endpoints.
 var (

@@ -15,22 +15,16 @@ import (
 // on this endpoint's own QP (UD supports no RDMA Write). The sender counts
 // every data message per destination and transmits the totals at the end so
 // the receiver can detect missing or in-flight packets.
+//
+// UD sends to a failed destination still complete locally (the datagram
+// vanishes on the wire), so buffers keep cycling; only the credit wait
+// observes the failed mark.
 type srUDSend struct {
-	dev *verbs.Device
-	cfg Config
-	n   int
-	mtu int
+	endpoint // scq: send completions (fire at wire time)
+	sendPool
 
 	qp  *verbs.QP
-	scq *verbs.CQ // send completions (fire at wire time)
 	ccq *verbs.CQ // credit datagram arrivals
-
-	gate epGate
-
-	mr       *verbs.MR
-	poolBufs int
-	free     *sim.Queue[int]
-	pending  map[int]int
 
 	creditMR   *verbs.MR // receive slots for credit datagrams
 	creditSlot int       // slot size: GRH + HeaderSize
@@ -43,37 +37,9 @@ type srUDSend struct {
 	// hwmc enables one-WQE broadcast through the multicast group mgid.
 	hwmc bool
 	mgid uint32
-
-	// failed marks destinations declared dead by the connection manager.
-	// UD sends to them still complete locally (the datagram vanishes on the
-	// wire), so buffers keep cycling; only the credit wait must not block.
-	failed []bool
 }
 
-// DrainPeer and ClosePeer implement PeerDrainer.
-func (e *srUDSend) DrainPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = true
-	}
-}
-
-func (e *srUDSend) ClosePeer(peer int) {
-	e.ccq.Kick()
-	e.scq.Kick()
-}
-
-// ReopenPeer implements PeerResumer. UD connections hold no per-peer QP
-// state, so clearing the failed mark fully resumes the destination: the
-// absolute credit and totals counters were never disturbed by the drain.
-func (e *srUDSend) ReopenPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = false
-	}
-}
-
-func (e *srUDSend) buf(off int) *Buf {
-	return &Buf{Data: e.mr.Bytes(off+HeaderSize, e.mtu-HeaderSize), off: off}
-}
+func (e *srUDSend) sendMemory() int64 { return int64(e.mr.Len() + e.creditMR.Len()) }
 
 // drainCredit consumes pending credit datagrams; absolute credit makes the
 // update a simple max, so reordered or duplicated grants are harmless.
@@ -111,43 +77,29 @@ func (e *srUDSend) postCreditRecv(p *sim.Proc, slot int) error {
 	return nil
 }
 
-func (e *srUDSend) reap(es []verbs.CQE) error {
-	var err error
-	for _, c := range es {
-		if c.Status != verbs.WCSuccess {
-			if err == nil {
-				err = wcErr(c)
-			}
-			continue
-		}
-		off := int(c.WRID)
-		e.pending[off]--
-		if e.pending[off] == 0 {
-			delete(e.pending, off)
-			e.free.Put(off)
-		}
+// awaitSends blocks up to q for send completions and reaps one poll of them.
+func (e *srUDSend) awaitSends(p *sim.Proc, q sim.Duration) (bool, error) {
+	if !e.scq.WaitNonEmpty(p, q) {
+		return false, nil
 	}
-	return err
+	var es [16]verbs.CQE
+	n := e.gate.poll(p, e.scq, es[:])
+	return true, e.reap(es[:n], &e.sendPool)
 }
 
 // GetFree implements SendEndpoint.
 func (e *srUDSend) GetFree(p *sim.Proc) (*Buf, error) {
 	w := newWaiter(e.cfg.StallTimeout)
 	for {
-		if off, ok := e.free.TryGet(); ok {
-			return e.buf(off), nil
+		if b, ok := e.tryGet(); ok {
+			return b, nil
 		}
-		var es [16]verbs.CQE
-		if !e.scq.WaitNonEmpty(p, w.step()) {
-			if !w.idle() {
-				return nil, fmt.Errorf("%w: UD GetFree on node %d", ErrStalled, e.dev.Node())
-			}
-			continue
-		}
-		w.progress()
-		n := e.gate.poll(p, e.scq, es[:])
-		if err := e.reap(es[:n]); err != nil {
+		woke, err := e.awaitSends(p, w.step())
+		if err != nil {
 			return nil, err
+		}
+		if !w.after(woke) {
+			return nil, fmt.Errorf("%w: UD GetFree on node %d", ErrStalled, e.dev.Node())
 		}
 	}
 }
@@ -165,78 +117,41 @@ func (e *srUDSend) waitCredit(p *sim.Proc, dest int) error {
 			e.sent[dest]++
 			return nil
 		}
-		if !e.ccq.WaitNonEmpty(p, w.step()) {
-			if !w.idle() {
-				return fmt.Errorf("%w: waiting for UD credit from node %d", ErrStalled, dest)
-			}
-			continue
+		if !w.after(e.ccq.WaitNonEmpty(p, w.step())) {
+			return fmt.Errorf("%w: waiting for UD credit from node %d", ErrStalled, dest)
 		}
-		w.progress()
 	}
 }
 
-func (e *srUDSend) post(p *sim.Proc, dest, off, length int) error {
-	for {
-		err := e.gate.post(p, e.qp, verbs.SendWR{
-			ID: uint64(off), Op: verbs.OpSend,
-			MR: e.mr, Offset: off, Len: length,
-			Dest: e.ahs[dest],
-		})
-		if err == nil {
-			return nil
-		}
-		if err != verbs.ErrSQFull {
-			return err
-		}
-		var es [16]verbs.CQE
-		e.scq.WaitNonEmpty(p, 0)
-		n := e.gate.poll(p, e.scq, es[:])
-		if err := e.reap(es[:n]); err != nil {
-			return err
-		}
-	}
+// transmit posts b as one datagram toward ah.
+func (e *srUDSend) transmit(p *sim.Proc, b *Buf, ah verbs.AH) error {
+	return e.post(p, e.qp, verbs.SendWR{
+		ID: e.id(b.off), Op: verbs.OpSend,
+		MR: e.mr, Offset: b.off, Len: HeaderSize + b.Len,
+		Dest: ah,
+	}, &e.sendPool)
 }
 
 func (e *srUDSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16, value uint64) error {
-	putHeader(e.mr.Bytes(b.off, HeaderSize), header{
-		payload: b.Len, flags: flags, src: uint16(e.dev.Node()), value: value,
-	})
+	h := header{payload: b.Len, flags: flags, src: uint16(e.dev.Node()), value: value}
 	if e.hwmc && flags == 0 && len(dest) == e.n {
 		// Native multicast broadcast: one credit unit per member, a single
-		// work request, a single uplink serialization.
+		// work request (one completion), a single uplink serialization.
+		e.commit(b, h, 1)
 		for _, d := range dest {
 			if err := e.waitCredit(p, d); err != nil {
 				return err
 			}
 			e.totals[d]++
 		}
-		e.pending[b.off] = 1 // one WQE, one completion
-		for {
-			err := e.gate.post(p, e.qp, verbs.SendWR{
-				ID: uint64(b.off), Op: verbs.OpSend,
-				MR: e.mr, Offset: b.off, Len: HeaderSize + b.Len,
-				Dest: verbs.AH{Multicast: true, MGID: e.mgid},
-			})
-			if err == nil {
-				return nil
-			}
-			if err != verbs.ErrSQFull {
-				return err
-			}
-			var es [16]verbs.CQE
-			e.scq.WaitNonEmpty(p, 0)
-			n := e.gate.poll(p, e.scq, es[:])
-			if err := e.reap(es[:n]); err != nil {
-				return err
-			}
-		}
+		return e.transmit(p, b, verbs.AH{Multicast: true, MGID: e.mgid})
 	}
-	e.pending[b.off] = len(dest)
+	e.commit(b, h, len(dest))
 	for _, d := range dest {
 		if err := e.waitCredit(p, d); err != nil {
 			return err
 		}
-		if err := e.post(p, d, b.off, HeaderSize+b.Len); err != nil {
+		if err := e.transmit(p, b, e.ahs[d]); err != nil {
 			return err
 		}
 		if flags&flagTotal == 0 {
@@ -265,22 +180,7 @@ func (e *srUDSend) Finish(p *sim.Proc) error {
 			return err
 		}
 	}
-	w := newWaiter(e.cfg.StallTimeout)
-	for len(e.pending) > 0 {
-		var es [16]verbs.CQE
-		if !e.scq.WaitNonEmpty(p, w.step()) {
-			if !w.idle() {
-				return fmt.Errorf("%w: UD Finish flush", ErrStalled)
-			}
-			continue
-		}
-		w.progress()
-		n := e.gate.poll(p, e.scq, es[:])
-		if err := e.reap(es[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.flush(p, &e.sendPool, nil, e.awaitSends)
 }
 
 // srUDRecv implements the RECEIVE endpoint over UD Send/Receive (Fig. 6b).
@@ -289,16 +189,10 @@ func (e *srUDSend) Finish(p *sim.Proc) error {
 // the state only transitions once received[src] matches the sender's total,
 // and a timeout after the totals are known is treated as packet loss.
 type srUDRecv struct {
-	dev *verbs.Device
-	cfg Config
-	n   int
-	mtu int
+	endpoint // scq: completions of outgoing credit datagrams
 
 	qp  *verbs.QP
 	rcq *verbs.CQ // data arrivals
-	scq *verbs.CQ // completions of outgoing credit datagrams
-
-	gate epGate
 
 	bufMR    *verbs.MR
 	slots    int
@@ -316,46 +210,16 @@ type srUDRecv struct {
 	knownCount   int
 
 	lossWait sim.Duration // accumulated wait after all totals are known
-
-	// failed marks sources declared dead by the connection manager.
-	failed []bool
-}
-
-// DrainPeer and ClosePeer implement PeerDrainer. A failed source whose
-// total is known and matched owes nothing more; otherwise GetData reports
-// ErrPeerFailed instead of running down the DepletedTimeout.
-func (e *srUDRecv) DrainPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = true
-	}
-}
-
-func (e *srUDRecv) ClosePeer(peer int) {
-	e.rcq.Kick()
-	e.scq.Kick()
-}
-
-// ReopenPeer implements PeerResumer.
-func (e *srUDRecv) ReopenPeer(peer int) {
-	if peer >= 0 && peer < e.n {
-		e.failed[peer] = false
-	}
 }
 
 // Depleted implements ProgressReporter: a UD stream is complete only when
-// the sender's total is known and every counted message arrived.
+// the sender's total is known and every counted message arrived. GetData
+// mirrors it into the peer set's done mark on every arrival, so a failed
+// source whose total is known and matched owes nothing more; otherwise
+// GetData reports ErrPeerFailed instead of running down the
+// DepletedTimeout.
 func (e *srUDRecv) Depleted(src int) bool {
-	return src >= 0 && src < e.n && e.totalKnown[src] && e.received[src] == e.expected[src]
-}
-
-// missingFailed returns a failed source whose stream is still incomplete.
-func (e *srUDRecv) missingFailed() (int, bool) {
-	for s, f := range e.failed {
-		if f && (!e.totalKnown[s] || e.received[s] != e.expected[s]) {
-			return s, true
-		}
-	}
-	return 0, false
+	return e.has(src) && e.totalKnown[src] && e.received[src] == e.expected[src]
 }
 
 func (e *srUDRecv) allDone() bool {
@@ -383,48 +247,36 @@ func (e *srUDRecv) repost(p *sim.Proc, slot, src int) error {
 			return err
 		}
 	}
-	return e.drainSends(p)
+	return e.drain(p, nil)
 }
 
-// drainSends reaps completed credit-datagram sends, surfacing failures.
-func (e *srUDRecv) drainSends(p *sim.Proc) error {
-	var es [8]verbs.CQE
-	for e.scq.Len() > 0 {
-		n := e.gate.poll(p, e.scq, es[:])
-		for _, c := range es[:n] {
-			if c.Status != verbs.WCSuccess {
-				return wcErr(c)
-			}
-		}
-	}
-	return nil
-}
-
-// sendCredit grants absolute credit to src with a small UD datagram.
+// sendCredit grants absolute credit to src with a small UD datagram; a
+// grant toward a failed source would vanish on the dead node's cut links.
+// Each attempt restages the current count, as srRCRecv.writeCredit does.
 func (e *srUDRecv) sendCredit(p *sim.Proc, src int) error {
-	if e.failed[src] {
-		return nil // the grant would vanish on the dead node's cut links
-	}
-	e.lastWritten[src] = e.creditIssued[src]
-	off := src * HeaderSize
-	putHeader(e.stageMR.Bytes(off, HeaderSize), header{
-		flags: flagCredit, src: uint16(e.dev.Node()), value: e.creditIssued[src],
-	})
-	err := e.gate.post(p, e.qp, verbs.SendWR{
-		Op: verbs.OpSend, MR: e.stageMR, Offset: off, Len: HeaderSize,
-		Dest: e.ahs[src], Inline: true,
-	})
-	if err == verbs.ErrSQFull {
-		e.scq.WaitNonEmpty(p, 0)
-		if err := e.drainSends(p); err != nil {
-			return err
+	for !e.failed[src] {
+		e.lastWritten[src] = e.creditIssued[src]
+		off := src * HeaderSize
+		putHeader(e.stageMR.Bytes(off, HeaderSize), header{
+			flags: flagCredit, src: uint16(e.dev.Node()), value: e.creditIssued[src],
+		})
+		err := e.gate.post(p, e.qp, verbs.SendWR{
+			Op: verbs.OpSend, MR: e.stageMR, Offset: off, Len: HeaderSize,
+			Dest: e.ahs[src], Inline: true,
+		})
+		switch err {
+		case nil:
+			traceCredit(e.dev, src, int64(e.creditIssued[src]))
+			return nil
+		case verbs.ErrSQFull:
+			e.scq.WaitNonEmpty(p, 0)
+			if err := e.drain(p, nil); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("%w: UD credit send: %v", ErrTransport, err)
 		}
-		return e.sendCredit(p, src)
 	}
-	if err != nil {
-		return fmt.Errorf("%w: UD credit send: %v", ErrTransport, err)
-	}
-	traceCredit(e.dev, src, int64(e.creditIssued[src]))
 	return nil
 }
 
@@ -434,7 +286,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 	for {
 		var es [1]verbs.CQE
 		if e.gate.poll(p, e.rcq, es[:]) == 1 {
-			w.progress()
+			w.after(true)
 			if es[0].Status != verbs.WCSuccess {
 				return nil, wcErr(es[0])
 			}
@@ -448,6 +300,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 					e.knownCount++
 				}
 				e.expected[src] = h.value
+				e.done[src] = e.Depleted(src)
 				if err := e.repost(p, slot, src); err != nil {
 					return nil, err
 				}
@@ -457,6 +310,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 				continue
 			}
 			e.received[src]++
+			e.done[src] = e.Depleted(src)
 			if e.allDone() {
 				e.rcq.Kick()
 			}
@@ -473,22 +327,20 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 			return nil, peerFailedErr(s)
 		}
 		q := w.step()
-		if !e.rcq.WaitNonEmpty(p, q) {
-			if e.knownCount == e.n {
-				// All totals known but counts short: either packets are
-				// still in flight (common, reordering) or lost (rare).
-				if e.lossWait += q; e.lossWait > e.cfg.DepletedTimeout {
-					return nil, fmt.Errorf("%w on node %d: %s",
-						ErrDataLoss, e.dev.Node(), e.lossReport())
-				}
-			}
-			if !w.idle() {
-				return nil, fmt.Errorf("%w: UD GetData on node %d (%d/%d totals)",
-					ErrStalled, e.dev.Node(), e.knownCount, e.n)
-			}
-		} else {
-			w.progress()
+		woke := e.rcq.WaitNonEmpty(p, q)
+		if woke {
 			e.lossWait = 0
+		} else if e.knownCount == e.n {
+			// All totals known but counts short: either packets are still in
+			// flight (common, reordering) or lost (rare).
+			if e.lossWait += q; e.lossWait > e.cfg.DepletedTimeout {
+				return nil, fmt.Errorf("%w on node %d: %s",
+					ErrDataLoss, e.dev.Node(), e.lossReport())
+			}
+		}
+		if !w.after(woke) {
+			return nil, fmt.Errorf("%w: UD GetData on node %d (%d/%d totals)",
+				ErrStalled, e.dev.Node(), e.knownCount, e.n)
 		}
 	}
 }
@@ -509,29 +361,21 @@ func (e *srUDRecv) Release(p *sim.Proc, d *Data) error {
 func newSRUDSend(dev *verbs.Device, cfg Config, n, tpe int) *srUDSend {
 	mtu := dev.Network().Prof.MTU
 	pool := tpe * n * cfg.BuffersPerPeer
+	creditSlots := 4 * n
 	e := &srUDSend{
-		dev: dev, cfg: cfg, n: n, mtu: mtu,
-		gate:       newEPGate(dev.Sim(), fmt.Sprintf("srud-send@%d", dev.Node())),
-		poolBufs:   pool,
-		free:       sim.NewQueue[int](dev.Sim(), fmt.Sprintf("srud-free@%d", dev.Node())),
-		pending:    make(map[int]int),
+		// Broadcast posts one send per group member per buffer, and completions
+		// sit in the CQ until the application polls; size for the worst case.
+		endpoint:   newEndpoint(dev, cfg, n, "srud-send", pool*n+64, 16),
+		sendPool:   newSendPool(dev, "srud-free", pool, mtu, 0),
+		ccq:        dev.CreateCQ(creditSlots + 16),
 		creditSlot: verbs.GRHSize + HeaderSize,
 		sent:       make([]uint64, n),
 		credit:     make([]uint64, n),
 		totals:     make([]uint64, n),
 		ahs:        make([]verbs.AH, n),
-		failed:     make([]bool, n),
 	}
-	// Broadcast posts one send per group member per buffer, and completions
-	// sit in the CQ until the application polls; size for the worst case.
-	e.scq = dev.CreateCQ(pool*n + 64)
-	creditSlots := 4 * n
-	e.ccq = dev.CreateCQ(creditSlots + 16)
-	e.mr = dev.AllocRingNoCost(pool, mtu)
+	e.wake = []*verbs.CQ{e.ccq, e.scq}
 	e.creditMR = dev.RegisterMRNoCost(make([]byte, creditSlots*e.creditSlot))
-	for i := 0; i < pool; i++ {
-		e.free.Put(i * mtu)
-	}
 	e.qp = dev.CreateQP(verbs.QPConfig{
 		Type: fabric.UD, SendCQ: e.scq, RecvCQ: e.ccq,
 		MaxSend: pool*n + 16, MaxRecv: creditSlots + 4,
@@ -550,26 +394,24 @@ func (e *srUDSend) primeSend(p *sim.Proc) error {
 }
 
 func newSRUDRecv(dev *verbs.Device, cfg Config, n, tpe int) *srUDRecv {
-	mtu := dev.Network().Prof.MTU
 	perSrc := tpe * cfg.RecvBuffersPerPeer
 	slots := n * perSrc
+	slotSize := verbs.GRHSize + dev.Network().Prof.MTU
 	e := &srUDRecv{
-		dev: dev, cfg: cfg, n: n, mtu: mtu,
-		gate:  newEPGate(dev.Sim(), fmt.Sprintf("srud-recv@%d", dev.Node())),
-		slots: slots, slotSize: verbs.GRHSize + mtu, perSrc: perSrc,
+		// Credit-datagram completions queue behind bulk data on the wire.
+		endpoint: newEndpoint(dev, cfg, n, "srud-recv", slots+64, 8),
+		rcq:      dev.CreateCQ(slots + 64),
+		slots:    slots, slotSize: slotSize, perSrc: perSrc,
+		bufMR:        dev.AllocRingNoCost(slots, slotSize),
+		stageMR:      dev.RegisterMRNoCost(make([]byte, n*HeaderSize)),
 		ahs:          make([]verbs.AH, n),
 		creditIssued: make([]uint64, n),
 		lastWritten:  make([]uint64, n),
 		received:     make([]uint64, n),
 		expected:     make([]uint64, n),
 		totalKnown:   make([]bool, n),
-		failed:       make([]bool, n),
 	}
-	e.rcq = dev.CreateCQ(slots + 64)
-	// Credit-datagram completions queue behind bulk data on the wire.
-	e.scq = dev.CreateCQ(slots + 64)
-	e.bufMR = dev.AllocRingNoCost(slots, e.slotSize)
-	e.stageMR = dev.RegisterMRNoCost(make([]byte, n*HeaderSize))
+	e.wake = []*verbs.CQ{e.rcq, e.scq}
 	e.qp = dev.CreateQP(verbs.QPConfig{
 		Type: fabric.UD, SendCQ: e.scq, RecvCQ: e.rcq,
 		MaxSend: 4 * n, MaxRecv: slots + 4,

@@ -1,15 +1,15 @@
 // Declarative TPC-H plans over the DAG execution graph. Each PlanQ*
-// builds the same operator trees, partition keys, and exchange patterns as
-// the hand-wired RunQ* drivers in queries.go, expressed as stages and
-// typed edges: the planner detects broadcast/hash/forward edges from the
-// stage shapes, and the gathering final fragment falls out of a
-// parallelism-1 stage. The two paths produce byte-identical result tables
-// (pinned by dag_test.go), so the hand-wired drivers remain as the
-// equivalence oracle while new experiments compose plans declaratively.
+// expresses the query's operator trees, partition keys, and exchange
+// patterns as stages and typed edges: the planner detects
+// broadcast/hash/forward edges from the stage shapes, and the gathering
+// final fragment falls out of a parallelism-1 stage. Result tables and
+// response times are pinned by the golden values in dag_test.go, and the
+// result rows by the direct-iteration oracles in tpch_test.go.
 package tpch
 
 import (
 	"fmt"
+	"math"
 
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/dag"
@@ -17,7 +17,39 @@ import (
 	"rshuffle/internal/ipoib"
 	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
+	"rshuffle/internal/sim"
 )
+
+// QueryResult reports one distributed query execution.
+type QueryResult struct {
+	// Elapsed is the query response time, measured after all transports are
+	// connected (the paper reports Fig. 12 setup costs separately).
+	Elapsed sim.Duration
+	// Result holds the final rows, gathered on node 0.
+	Result *engine.Table
+	// Rows is the result cardinality.
+	Rows int64
+	// Err is the first transport error observed.
+	Err error
+}
+
+// revenue is the TPC-H revenue expression sum(l_extendedprice*(1-l_discount))
+// over the given price and discount columns.
+func revenue(priceCol, discCol int) engine.AggSpec {
+	return engine.AggSpec{Kind: engine.AggSum, Eval: func(b *engine.Batch, i int) float64 {
+		return b.Float64(i, priceCol) * (1 - b.Float64(i, discCol))
+	}}
+}
+
+func sumCol(col int) engine.AggSpec {
+	return engine.AggSpec{Kind: engine.AggSum, Eval: func(b *engine.Batch, i int) float64 {
+		return b.Float64(i, col)
+	}}
+}
+
+func f64(bits int64) float64 {
+	return math.Float64frombits(uint64(bits))
+}
 
 // TransportFactory maps a transport name — the -transport vocabulary of
 // cmd/tpchq, also used by the examples — to a provider factory for the
@@ -51,9 +83,8 @@ func TransportFactory(name string, threads int) (cluster.ProviderFactory, error)
 	return nil, fmt.Errorf("tpch: unknown transport %q", name)
 }
 
-// RunPlan executes a declarative plan and adapts the result to the
-// QueryResult shape of the hand-wired drivers; the full dag.Result is
-// returned alongside for per-edge statistics.
+// RunPlan executes a declarative plan and reports it as a QueryResult; the
+// full dag.Result is returned alongside for per-edge statistics.
 func RunPlan(c *cluster.Cluster, g *dag.Graph, f cluster.ProviderFactory) (*QueryResult, *dag.Result) {
 	r := g.Run(c, f)
 	return &QueryResult{Elapsed: r.Elapsed, Result: r.Result, Rows: r.Rows, Err: r.Err}, r

@@ -23,6 +23,20 @@ func testFactory() cluster.ProviderFactory {
 	return cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 14})
 }
 
+// runQuery executes query q through its DAG plan and fails the test on any
+// planning or transport error.
+func runQuery(t *testing.T, c *cluster.Cluster, db *DB, q int, f cluster.ProviderFactory, local bool) *QueryResult {
+	t.Helper()
+	res, _, err := Run(c, db, q, f, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatalf("Q%d: %v", q, res.Err)
+	}
+	return res
+}
+
 func TestDateArithmetic(t *testing.T) {
 	if Date(1992, 1, 1) != 0 {
 		t.Fatalf("epoch = %d", Date(1992, 1, 1))
@@ -125,10 +139,7 @@ func TestQ4MatchesReference(t *testing.T) {
 		db := Generate(0.01, 4, layout, 11)
 		want := refQ4(db)
 		c := cluster.New(quiet(), 4, 4, 5)
-		res := RunQ4(c, db, testFactory(), layout == CoPartitioned)
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
+		res := runQuery(t, c, db, 4, testFactory(), layout == CoPartitioned)
 		if int(res.Rows) != len(want) {
 			t.Fatalf("layout %v: %d priorities, want %d", layout, res.Rows, len(want))
 		}
@@ -213,10 +224,7 @@ func TestQ3MatchesReference(t *testing.T) {
 	db := Generate(0.01, 4, Random, 13)
 	want := refQ3(db)
 	c := cluster.New(quiet(), 4, 4, 5)
-	res := RunQ3(c, db, testFactory())
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
+	res := runQuery(t, c, db, 3, testFactory(), false)
 	if int(res.Rows) != len(want) {
 		t.Fatalf("rows = %d, want %d", res.Rows, len(want))
 	}
@@ -272,10 +280,7 @@ func TestQ10MatchesReference(t *testing.T) {
 	db := Generate(0.01, 4, Random, 17)
 	want := refQ10(db)
 	c := cluster.New(quiet(), 4, 4, 5)
-	res := RunQ10(c, db, testFactory())
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
+	res := runQuery(t, c, db, 10, testFactory(), false)
 	if int(res.Rows) != len(want) {
 		t.Fatalf("rows = %d, want %d", res.Rows, len(want))
 	}
@@ -298,14 +303,9 @@ func TestQ4MPIAndLocalOrdering(t *testing.T) {
 	db := Generate(0.02, 4, Random, 11)
 	dbLocal := Generate(0.02, 4, CoPartitioned, 11)
 
-	rdma := RunQ4(cluster.New(quiet(), 4, 0, 5), db, testFactory(), false)
-	mpiRes := RunQ4(cluster.New(quiet(), 4, 0, 5), db, cluster.MPIProvider(mpiConfig()), false)
-	local := RunQ4(cluster.New(quiet(), 4, 0, 5), dbLocal, testFactory(), true)
-	for _, r := range []*QueryResult{rdma, mpiRes, local} {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
+	rdma := runQuery(t, cluster.New(quiet(), 4, 0, 5), db, 4, testFactory(), false)
+	mpiRes := runQuery(t, cluster.New(quiet(), 4, 0, 5), db, 4, cluster.MPIProvider(mpiConfig()), false)
+	local := runQuery(t, cluster.New(quiet(), 4, 0, 5), dbLocal, 4, testFactory(), true)
 	t.Logf("Q4: local=%v MESQ/SR=%v MPI=%v", local.Elapsed, rdma.Elapsed, mpiRes.Elapsed)
 	if !(local.Elapsed <= rdma.Elapsed && rdma.Elapsed < mpiRes.Elapsed) {
 		t.Fatalf("ordering violated: local=%v rdma=%v mpi=%v",
@@ -329,20 +329,18 @@ func TestQ4AllTransportsAgree(t *testing.T) {
 		"IPoIB":   cluster.IPoIBProvider(ipoibCfg()),
 	}
 	for name, f := range factories {
-		c := cluster.New(quiet(), 4, 4, 5)
-		res := RunQ4(c, db, f, false)
-		if res.Err != nil {
-			t.Fatalf("%s: %v", name, res.Err)
-		}
-		if int(res.Rows) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", name, res.Rows, len(want))
-		}
-		tb := res.Result
-		for i := 0; i < tb.N; i++ {
-			b := engine.Batch{Sch: tb.Sch, Data: tb.Row(i), N: 1}
-			if b.Float64(0, 1) != want[b.Str(0, 0)] {
-				t.Fatalf("%s: %s = %v, want %v", name, b.Str(0, 0), b.Float64(0, 1), want[b.Str(0, 0)])
+		t.Run(name, func(t *testing.T) {
+			res := runQuery(t, cluster.New(quiet(), 4, 4, 5), db, 4, f, false)
+			if int(res.Rows) != len(want) {
+				t.Fatalf("%d rows, want %d", res.Rows, len(want))
 			}
-		}
+			tb := res.Result
+			for i := 0; i < tb.N; i++ {
+				b := engine.Batch{Sch: tb.Sch, Data: tb.Row(i), N: 1}
+				if b.Float64(0, 1) != want[b.Str(0, 0)] {
+					t.Fatalf("%s = %v, want %v", b.Str(0, 0), b.Float64(0, 1), want[b.Str(0, 0)])
+				}
+			}
+		})
 	}
 }

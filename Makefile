@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-check bench-gate results-check profile
+.PHONY: build test test-full vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-check wire-check bench-gate results-check profile
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,17 @@ bench-smoke:
 # rename in internal/ cannot break the benchmark command unnoticed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Fast refactoring oracle: 120 small whole-query cells (8 designs x FDR/EDR x
+# six endpoint shapes, plus three lossy RoCEv2 incasts per design), each
+# pinned to its checked-in fingerprint — response time, posts, polls, wire
+# messages, rows delivered, sha256 of the full trace
+# (internal/cluster/testdata/wire_golden.txt). A change meant to be invisible
+# on the wire passes in seconds; results-check below is the slow, complete
+# one. To re-capture after a deliberate model change, delete the golden file
+# and run this target once (that run fails on purpose), then review the diff.
+wire-check:
+	$(GO) test -run '^TestWireGolden$$' -count=1 ./internal/cluster/
 
 # Golden-file check: regenerate the fast-mode report — every exhibit table,
 # virtual time only — and compare it byte for byte with results_fast.txt.

@@ -4,7 +4,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -341,25 +340,6 @@ func (r *BenchResult) ThroughputPerNode() float64 {
 
 // GiBps converts ThroughputPerNode to GiB/s (the unit of Figs. 8-11).
 func (r *BenchResult) GiBps() float64 { return r.ThroughputPerNode() / (1 << 30) }
-
-// RunBenchWithRestart runs the workload like RunBench, but applies the
-// paper's recovery policy: any transport error — UD message-count mismatch
-// (§4.4.2), retry exhaustion erroring a Queue Pair, an endpoint stall — is
-// treated as a query failure and the query restarts from scratch (on a
-// fresh cluster, since a Simulation is single-use). It returns the final
-// result and the number of restarts; attempts are capped at maxRestarts.
-// It is a thin wrapper over RecoveryPolicy.Run.
-func RunBenchWithRestart(mk func() *Cluster, opts BenchOpts, maxRestarts int) (*BenchResult, int, error) {
-	pol := RecoveryPolicy{MaxRestarts: maxRestarts}
-	r, err := pol.Run(func(int) *Cluster { return mk() }, opts)
-	if err != nil {
-		if errors.Is(err, ErrRecoveryExhausted) {
-			return r.BenchResult, r.Restarts, r.BenchResult.Err
-		}
-		return nil, r.Restarts, err
-	}
-	return r.BenchResult, r.Restarts, nil
-}
 
 // RunBench executes the synthetic receive-throughput query to completion
 // and returns its metrics. It owns the cluster's simulation.

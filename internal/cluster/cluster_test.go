@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -123,24 +124,22 @@ func TestBurnSlowsElapsed(t *testing.T) {
 // injected packet loss fails the first attempt, the harness restarts the
 // query, and the retry (without injected loss) succeeds.
 func TestRestartOnLoss(t *testing.T) {
-	attempt := 0
-	mk := func() *Cluster {
-		attempt++
+	mk := func(attempt int) *Cluster {
 		c := New(quiet(fabric.EDR()), 2, 4, 7)
-		if attempt == 1 {
+		if attempt == 0 {
 			c.Sim.After(1, func() { c.Net.InjectUDLoss(1, 2) })
 		}
 		return c
 	}
-	res, restarts, err := RunBenchWithRestart(mk, BenchOpts{
+	res, err := RecoveryPolicy{MaxRestarts: 3}.Run(mk, BenchOpts{
 		Factory:     RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 4}),
 		RowsPerNode: 30_000,
-	}, 3)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", restarts)
+	if res.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", res.Restarts)
 	}
 	var rows int64
 	for _, r := range res.RowsPerNode {
@@ -153,19 +152,19 @@ func TestRestartOnLoss(t *testing.T) {
 
 // TestRestartGivesUp verifies the cap on restart attempts.
 func TestRestartGivesUp(t *testing.T) {
-	mk := func() *Cluster {
+	mk := func(int) *Cluster {
 		c := New(quiet(fabric.EDR()), 2, 4, 7)
 		c.Sim.After(1, func() { c.Net.InjectUDLoss(1, 2) })
 		return c
 	}
-	_, restarts, err := RunBenchWithRestart(mk, BenchOpts{
+	res, err := RecoveryPolicy{MaxRestarts: 2}.Run(mk, BenchOpts{
 		Factory:     RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 4}),
 		RowsPerNode: 30_000,
-	}, 2)
-	if err == nil {
-		t.Fatal("persistent loss should surface an error")
+	})
+	if !errors.Is(err, ErrRecoveryExhausted) || res.Err == nil {
+		t.Fatalf("persistent loss should exhaust recovery with the last attempt's error kept; got %v (last %v)", err, res.Err)
 	}
-	if restarts != 2 {
-		t.Fatalf("restarts = %d, want 2", restarts)
+	if res.Restarts != 2 {
+		t.Fatalf("restarts = %d, want 2", res.Restarts)
 	}
 }

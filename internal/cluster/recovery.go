@@ -108,25 +108,40 @@ func (pol RecoveryPolicy) backoff(restart int) sim.Duration {
 // success, wraps ErrRecoveryExhausted when the policy gives up, and is the
 // raw simulation error (with a partial result) when a run fails outright.
 func (pol RecoveryPolicy) Run(mk func(attempt int) *Cluster, opts BenchOpts) (*RecoveryResult, error) {
-	r := &RecoveryResult{}
+	return pol.run(&RecoveryResult{}, func(attempt int) (*BenchResult, []int, error) {
+		res, err := mk(attempt).RunBench(opts)
+		return res, nil, err
+	}, func(*BenchResult) error { return nil })
+}
+
+// run is the attempt loop every recovery flavour shares. try performs one
+// attempt and reports its result and the membership it ran on; a simulation
+// failure (e.g. an undetected protocol deadlock) is terminal, since
+// restarting cannot help. Each completed attempt is recorded with the
+// backoff charged before it and its virtual time. After a failed attempt,
+// failed may re-plan the next one or veto it; then the policy decides
+// whether a restart is still allowed.
+func (pol RecoveryPolicy) run(r *RecoveryResult, try func(attempt int) (*BenchResult, []int, error), failed func(*BenchResult) error) (*RecoveryResult, error) {
 	var backoff sim.Duration
 	for attempt := 0; ; attempt++ {
-		res, err := mk(attempt).RunBench(opts)
+		res, members, err := try(attempt)
 		if err != nil {
-			// The simulation itself failed (e.g. an undetected protocol
-			// deadlock). Restarting cannot help; report it as terminal.
 			r.Restarts = len(r.Attempts)
 			return r, err
 		}
 		r.BenchResult = res
 		r.TotalVirtual += res.Elapsed
-		r.Attempts = append(r.Attempts, Attempt{Backoff: backoff, Elapsed: res.Elapsed, Err: res.Err})
+		r.Attempts = append(r.Attempts, Attempt{
+			Backoff: backoff, Elapsed: res.Elapsed, Err: res.Err, Membership: members,
+		})
 		r.Restarts = attempt
 		if res.Err == nil {
 			return r, nil
 		}
-		backoff, err = pol.next(r, attempt, res.Err)
-		if err != nil {
+		if err := failed(res); err != nil {
+			return r, err
+		}
+		if backoff, err = pol.next(r, attempt, res.Err); err != nil {
 			return r, err
 		}
 	}
@@ -182,7 +197,6 @@ type keptPart struct {
 // nodes); opts.GroupsFn, when set, re-plans the transmission pattern for
 // the shrunken cluster. The error contract matches RecoveryPolicy.Run.
 func (mr MembershipRecovery) Run(n int, mk func(attempt, members int) *Cluster, opts BenchOpts) (*RecoveryResult, error) {
-	pol := mr.Policy
 	members := make([]int, n)
 	for i := range members {
 		members[i] = i
@@ -191,8 +205,8 @@ func (mr MembershipRecovery) Run(n int, mk func(attempt, members int) *Cluster, 
 	// destination retains from a completed stream of an earlier attempt.
 	kept := make(map[[2]int]keptPart)
 	r := &RecoveryResult{}
-	var backoff sim.Duration
-	for attempt := 0; ; attempt++ {
+	var fd *Detector
+	return mr.Policy.run(r, func(attempt int) (*BenchResult, []int, error) {
 		aOpts := opts
 		aOpts.SkipTo = skipMatrix(kept, members)
 		if attempt > 0 {
@@ -201,11 +215,10 @@ func (mr MembershipRecovery) Run(n int, mk func(attempt, members int) *Cluster, 
 			r.PartitionsRestreamed += len(members)*len(members) - nk
 		}
 		c := mk(attempt, len(members))
-		fd := c.InstallDetector(mr.Detector)
+		fd = c.InstallDetector(mr.Detector)
 		res, err := c.RunBench(aOpts)
 		if err != nil {
-			r.Restarts = len(r.Attempts)
-			return r, err
+			return nil, nil, err
 		}
 		// Fold the partitions this attempt skipped back into its totals, so
 		// a partial restart reports the same delivered rows and bytes as the
@@ -218,20 +231,12 @@ func (mr MembershipRecovery) Run(n int, mk func(attempt, members int) *Cluster, 
 				}
 			}
 		}
-		r.BenchResult = res
-		r.TotalVirtual += res.Elapsed
-		r.Attempts = append(r.Attempts, Attempt{
-			Backoff: backoff, Elapsed: res.Elapsed, Err: res.Err,
-			Membership: append([]int(nil), members...),
-		})
-		r.Restarts = attempt
 		r.Detections += fd.Detections
 		if fd.MaxDetectionLatency > r.MaxDetect {
 			r.MaxDetect = fd.MaxDetectionLatency
 		}
-		if res.Err == nil {
-			return r, nil
-		}
+		return res, append([]int(nil), members...), nil
+	}, func(res *BenchResult) error {
 		harvestKept(kept, res, members)
 		// Shrink the membership by the nodes a majority suspects. The
 		// detector indexes this attempt's cluster; map back to original ids.
@@ -253,14 +258,11 @@ func (mr MembershipRecovery) Run(n int, mk func(attempt, members int) *Cluster, 
 			kept = make(map[[2]int]keptPart)
 		}
 		if len(members) == 0 {
-			return r, fmt.Errorf("%w: no surviving members after %d attempt(s): %v",
-				ErrRecoveryExhausted, attempt+1, res.Err)
+			return fmt.Errorf("%w: no surviving members after %d attempt(s): %v",
+				ErrRecoveryExhausted, len(r.Attempts), res.Err)
 		}
-		backoff, err = pol.next(r, attempt, res.Err)
-		if err != nil {
-			return r, err
-		}
-	}
+		return nil
+	})
 }
 
 // skipMatrix projects the kept-partition set onto the attempt's local node

@@ -120,9 +120,31 @@ type Batch struct {
 	cap  int
 }
 
-// NewBatch allocates an empty batch holding up to capTuples rows.
+// NewBatch returns an empty batch holding up to capTuples rows. Its row
+// store is backed when the batch first has a row to hold (see rows), so an
+// output batch that never fills — most of a fragment's per-thread,
+// per-operator batches, once a selective join or a small aggregate sits
+// below them — costs only this header.
 func NewBatch(sch *Schema, capTuples int) *Batch {
-	return &Batch{Sch: sch, Data: make([]byte, capTuples*sch.Width()), cap: capTuples}
+	return &Batch{Sch: sch, cap: capTuples}
+}
+
+// threadBatches returns one output batch per worker thread, the state every
+// operator opens with.
+func threadBatches(sch *Schema, capTuples, threads int) []*Batch {
+	out := make([]*Batch, threads)
+	for i := range out {
+		out[i] = NewBatch(sch, capTuples)
+	}
+	return out
+}
+
+// rows returns the row store for writing, backing it on first use.
+func (b *Batch) rows() []byte {
+	if b.Data == nil {
+		b.Data = make([]byte, b.cap*b.Sch.Width())
+	}
+	return b.Data
 }
 
 // Cap returns the tuple capacity.
@@ -140,7 +162,7 @@ func (b *Batch) Bytes() []byte { return b.Data[:b.N*b.Sch.Width()] }
 // Row returns the raw bytes of row i.
 func (b *Batch) Row(i int) []byte {
 	w := b.Sch.Width()
-	return b.Data[i*w : (i+1)*w]
+	return b.rows()[i*w : (i+1)*w]
 }
 
 // AppendRow copies a raw row into the batch; the row must match the schema
@@ -161,7 +183,7 @@ func (b *Batch) AppendRows(raw []byte) int {
 	if room := b.cap - b.N; n > room {
 		n = room
 	}
-	copy(b.Data[b.N*w:], raw[:n*w])
+	copy(b.rows()[b.N*w:], raw[:n*w])
 	b.N += n
 	return n
 }
@@ -175,7 +197,7 @@ func (b *Batch) Int64(row, col int) int64 {
 // SetInt64 writes an int64 column.
 func (b *Batch) SetInt64(row, col int, v int64) {
 	off := row*b.Sch.Width() + b.Sch.Offset(col)
-	binary.LittleEndian.PutUint64(b.Data[off:], uint64(v))
+	binary.LittleEndian.PutUint64(b.rows()[off:], uint64(v))
 }
 
 // Float64 reads a float64 column.
@@ -187,7 +209,7 @@ func (b *Batch) Float64(row, col int) float64 {
 // SetFloat64 writes a float64 column.
 func (b *Batch) SetFloat64(row, col int, v float64) {
 	off := row*b.Sch.Width() + b.Sch.Offset(col)
-	binary.LittleEndian.PutUint64(b.Data[off:], float64bits(v))
+	binary.LittleEndian.PutUint64(b.rows()[off:], float64bits(v))
 }
 
 // Str reads a fixed string column with padding trimmed.
@@ -205,7 +227,7 @@ func (b *Batch) Str(row, col int) string {
 func (b *Batch) SetStr(row, col int, v string) {
 	off := row*b.Sch.Width() + b.Sch.Offset(col)
 	n := b.Sch.Cols[col].Size()
-	dst := b.Data[off : off+n]
+	dst := b.rows()[off : off+n]
 	for i := range dst {
 		dst[i] = 0
 	}

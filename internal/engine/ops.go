@@ -30,11 +30,8 @@ func (f *Filter) Schema() *Schema { return f.In.Schema() }
 func (f *Filter) Open(ctx *Ctx) {
 	f.In.Open(ctx)
 	f.ctx = ctx
-	f.out = make([]*Batch, ctx.Threads)
+	f.out = threadBatches(f.In.Schema(), DefaultBatchTuples, ctx.Threads)
 	f.carry = make([]filterCarry, ctx.Threads)
-	for i := range f.out {
-		f.out[i] = NewBatch(f.In.Schema(), DefaultBatchTuples)
-	}
 }
 
 // Next implements Operator.
@@ -99,10 +96,7 @@ func (pr *Project) Open(ctx *Ctx) {
 	pr.ctx = ctx
 	pr.sch = nil
 	pr.sch = pr.Schema()
-	pr.out = make([]*Batch, ctx.Threads)
-	for i := range pr.out {
-		pr.out[i] = NewBatch(pr.sch, DefaultBatchTuples)
-	}
+	pr.out = threadBatches(pr.sch, DefaultBatchTuples, ctx.Threads)
 }
 
 // Next implements Operator.
@@ -188,11 +182,8 @@ func (h *HashJoin) Open(ctx *Ctx) {
 	h.ht = make(map[int64][]int32)
 	h.barrier = NewBarrier(ctx.S, "hashjoin", ctx.Threads)
 	h.mu = ctx.S.NewMutex("hashjoin-build")
-	h.out = make([]*Batch, ctx.Threads)
+	h.out = threadBatches(h.sch, DefaultBatchTuples, ctx.Threads)
 	h.carry = make([]probeCarry, ctx.Threads)
-	for i := range h.out {
-		h.out[i] = NewBatch(h.sch, DefaultBatchTuples)
-	}
 }
 
 // buildPhase drains the build child on this thread, inserting into the
@@ -344,10 +335,7 @@ func (a *HashAgg) Open(ctx *Ctx) {
 		a.partial[i] = make(map[string][]float64)
 	}
 	a.barrier = NewBarrier(ctx.S, "hashagg", ctx.Threads)
-	a.out = make([]*Batch, ctx.Threads)
-	for i := range a.out {
-		a.out[i] = NewBatch(a.sch, DefaultBatchTuples)
-	}
+	a.out = threadBatches(a.sch, DefaultBatchTuples, ctx.Threads)
 }
 
 func (a *HashAgg) keyOf(b *Batch, i int) string {
@@ -471,10 +459,7 @@ func (t *TopN) Open(ctx *Ctx) {
 	t.ctx = ctx
 	t.barrier = NewBarrier(ctx.S, "topn", ctx.Threads)
 	t.mu = ctx.S.NewMutex("topn")
-	t.out = make([]*Batch, ctx.Threads)
-	for i := range t.out {
-		t.out[i] = NewBatch(t.In.Schema(), DefaultBatchTuples)
-	}
+	t.out = threadBatches(t.In.Schema(), DefaultBatchTuples, ctx.Threads)
 }
 
 // Next implements Operator.

@@ -105,10 +105,7 @@ func (s *Scan) Open(ctx *Ctx) {
 	if s.Passes <= 0 {
 		s.Passes = 1
 	}
-	s.out = make([]*Batch, ctx.Threads)
-	for i := range s.out {
-		s.out[i] = NewBatch(s.T.Sch, DefaultBatchTuples)
-	}
+	s.out = threadBatches(s.T.Sch, DefaultBatchTuples, ctx.Threads)
 }
 
 // Next implements Operator.

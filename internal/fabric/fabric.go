@@ -124,9 +124,9 @@ type nic struct {
 	// message overtake bulk data.
 	txOrder map[uint64]sim.Time
 	rxOrder map[uint64]sim.Time
-	// pend[pendHead:] are this source's batch-queued arrivals, sorted by
+	// pend[pendHead:] are this source's batch-queued flights, sorted by
 	// (arrive, seq); the drained prefix is reclaimed when the queue empties.
-	pend     []pendingArrival
+	pend     []flight
 	pendHead int
 }
 
@@ -194,16 +194,24 @@ type Network struct {
 	part *partition
 }
 
-// pendingArrival is one queued fast-path arrival: everything the arrival
-// computation needs, decided at transmit time. seq is the global transmit
-// order, the tie-break for equal arrival instants across sources.
-type pendingArrival struct {
-	m       *Message
-	arrive  sim.Time
-	seq     uint64
-	wire    int
-	jitter  sim.Duration
-	control bool
+// flight is one message between the two halves of the port model:
+// everything the uplink decided at transmit time that the downlink needs at
+// the arrival instant. seq is the global transmit order, the batched path's
+// tie-break for equal arrival instants across sources.
+type flight struct {
+	m      *Message
+	arrive sim.Time
+	seq    uint64
+	// sent is the instant the uplink gate opened (after NIC and PFC pauses),
+	// the instant the sender's port outage is judged at.
+	sent sim.Time
+	// bw is the link rate after FaultDegrade.
+	bw     float64
+	wire   int
+	jitter sim.Duration
+	// control marks a control-lane message; lost and corrupted are the wire
+	// fate drawn at transmit time.
+	control, lost, corrupted bool
 }
 
 // SetECNHandler installs h as the ECN-mark notification hook; nil detaches
@@ -449,27 +457,28 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 	return false, marked
 }
 
-// Transmit schedules delivery of m. It may be called from Procs or event
-// callbacks. The transmit engine of the source NIC and the receive engine of
-// the destination NIC are serving resources: messages queue in FIFO order
-// and the caller does not block.
-func (n *Network) Transmit(m *Message) {
-	prof := &n.Prof
-	if m.From == m.To {
-		// Hairpin loopback through the NIC; the switch is not traversed.
-		n.loopback(m)
-		return
-	}
-	src, dst := n.nics[m.From], n.nics[m.To]
-	if m.Service == UD && m.Payload > prof.MTU {
-		panic(fmt.Sprintf("fabric: UD payload %d exceeds MTU %d", m.Payload, prof.MTU))
-	}
-	wire := prof.WireBytes(m.Payload, m.Service)
-	control := wire <= ControlThreshold
+// The port model. A message crosses two serving resources — the sender's
+// uplink and the receiver's switch egress port plus downlink — and each is
+// written down once: uplink and downlink below. Every entry point is a
+// caller: Transmit (exact per-message events, the batched drain, and
+// flushPending's conversion between them) and TransmitMulticast (one uplink,
+// one downlink per member). What differs between entry points is only how
+// the downlink computation is scheduled, never what it computes.
 
-	// Transmit executes on the source node's partition; everything up to the
-	// arrival hand-off uses its clock, tracer shard, and RNG stream. On the
-	// legacy path these are the shared Sim/tr/RNG and nothing changes.
+// uplink is the source-port half of the port model. In order: the pause gate
+// (FaultPause on the NIC, then a PFC pause on the data priority), WQE fetch
+// + QP-state touch + serialization at the link's possibly degraded rate,
+// control-lane arbitration, the per-QP RC departure floor, the Tx counters,
+// the wire trace event and the Sent callback. It returns the flight toward
+// m.To with its wire fate still undrawn (see wireFate) and the instant the
+// last byte left the port.
+//
+// It executes on the source node's partition and uses only that partition's
+// clock, tracer shard and RNG stream; on the legacy path these are the
+// shared Sim/tr/RNG.
+func (n *Network) uplink(m *Message, wire int, control bool) (flight, sim.Time) {
+	prof := &n.Prof
+	src := n.nics[m.From]
 	ssim := n.SimAt(m.From)
 	now := ssim.Now()
 	bw := prof.LinkBandwidth
@@ -477,7 +486,7 @@ func (n *Network) Transmit(m *Message) {
 		// A paused NIC freezes its engines: nothing starts serializing until
 		// the pause window closes.
 		now = n.faults.pausedUntil(m.From, now)
-		bw *= n.faults.degradeFactor(m.From, m.To, now)
+		bw = n.linkRate(m.From, m.To, now)
 	}
 	if prof.Lossy && !control && src.pfcPausedUntil > now {
 		// A PFC pause frame from a congested egress port has frozen this
@@ -487,27 +496,8 @@ func (n *Network) Transmit(m *Message) {
 	if q := src.txBusy.Sub(now); q > src.stats.TxBacklogPeak {
 		src.stats.TxBacklogPeak = q
 	}
-	// Source NIC: WQE fetch + QP state + serialization onto the uplink.
 	txOcc := prof.WQEProcessing + n.touch(src, m.FromQP) + Serialize(wire, bw)
-	var txDone sim.Time
-	if control {
-		// NICs arbitrate Queue Pairs round-robin at packet granularity, so a
-		// tiny control message (credit write, read request) departs within
-		// about one bulk-packet time even when bulk transfers have a deep
-		// backlog; its bandwidth is still stolen from the bulk lane.
-		txDone = now.Add(Serialize(prof.MTU, bw) + txOcc)
-		src.txBusy = src.txBusy.Add(txOcc)
-		if src.txBusy < now {
-			src.txBusy = now
-		}
-	} else {
-		start := now
-		if src.txBusy > start {
-			start = src.txBusy
-		}
-		txDone = start.Add(txOcc)
-		src.txBusy = txDone
-	}
+	txDone := serve(&src.txBusy, now, txOcc, control, Serialize(prof.MTU, bw))
 	if m.Service == RC {
 		txDone = orderFloor(src.txOrder, m.FromQP, txDone)
 	}
@@ -525,169 +515,222 @@ func (n *Network) Transmit(m *Message) {
 	if m.Sent != nil {
 		ssim.At(txDone, func() { m.Sent(ssim.Now()) })
 	}
+	// The message reaches the destination switch port after propagation and
+	// switching.
+	return flight{m: m, arrive: txDone.Add(prof.SwitchDelay + prof.PropagationDelay),
+		sent: now, bw: bw, wire: wire, control: control}, txDone
+}
 
-	// Loss and reordering decisions are made now so the whole computation
-	// stays a pure function of the RNG stream (deterministic). The draws
-	// come from the sender's stream, which advances only in the sender's
-	// own causal order — invariant across LP counts.
-	lost, corrupted := false, false
+// serve occupies one serializer (an uplink or a downlink, *busy is its
+// busy-until instant) for occ starting no earlier than now and returns when
+// the message is through. Bulk messages queue FIFO. NICs and switch ports
+// arbitrate Queue Pairs round-robin at packet granularity, so a control-lane
+// message (credit write, read request) is through within about one
+// bulk-packet time (mtu) even behind a deep bulk backlog; its bandwidth is
+// still stolen from the bulk lane.
+func serve(busy *sim.Time, now sim.Time, occ sim.Duration, control bool, mtu sim.Duration) sim.Time {
+	if control {
+		*busy = busy.Add(occ)
+		if *busy < now {
+			*busy = now
+		}
+		return now.Add(mtu + occ)
+	}
+	start := now
+	if *busy > start {
+		start = *busy
+	}
+	*busy = start.Add(occ)
+	return *busy
+}
+
+// linkRate returns the usable rate of the directed link (from, to) at now:
+// the line rate scaled by every active FaultDegrade rule.
+func (n *Network) linkRate(from, to int, now sim.Time) float64 {
+	return n.Prof.LinkBandwidth * n.faults.degradeFactor(from, to, now)
+}
+
+// wireFate draws what happens to f's message on its way to f.m.To: injected
+// or random loss, injected corruption, UD reorder jitter. The decisions are
+// made at transmit time so the whole computation stays a pure function of
+// the RNG stream (deterministic), and the draws come from the sender's
+// stream, which advances only in the sender's own causal order — invariant
+// across LP counts.
+func (n *Network) wireFate(f flight) flight {
+	prof := &n.Prof
+	m := f.m
 	if !n.faults.Empty() {
 		switch {
 		case m.Service == UD:
-			lost = n.faults.drop(FaultUDLoss, m.From, m.To, now)
+			f.lost = n.faults.drop(FaultUDLoss, m.From, m.To, f.sent)
 		case m.Dropped != nil:
 			// RC messages without a Dropped handler are infrastructure
 			// transfers the verbs layer cannot retry; they pass unharmed.
-			lost = n.faults.drop(FaultRCLoss, m.From, m.To, now)
+			f.lost = n.faults.drop(FaultRCLoss, m.From, m.To, f.sent)
 		}
-		if !lost && m.Service == RC {
-			corrupted = n.faults.drop(FaultCorrupt, m.From, m.To, now)
+		if !f.lost && m.Service == RC {
+			f.corrupted = n.faults.drop(FaultCorrupt, m.From, m.To, f.sent)
 		}
 	}
-	if !lost && m.Service == UD && prof.UDLossRate > 0 && n.rngAt(m.From).Float64() < prof.UDLossRate {
-		lost = true
+	if m.Service == UD {
+		rng := n.rngAt(m.From)
+		if !f.lost && prof.UDLossRate > 0 && rng.Float64() < prof.UDLossRate {
+			f.lost = true
+		}
+		if prof.UDReorderProb > 0 && rng.Float64() < prof.UDReorderProb {
+			f.jitter = sim.Duration(rng.Int63n(int64(prof.UDReorderJitter) + 1))
+		}
 	}
-	var jitter sim.Duration
-	if m.Service == UD && prof.UDReorderProb > 0 && n.rngAt(m.From).Float64() < prof.UDReorderProb {
-		jitter = sim.Duration(n.rngAt(m.From).Int63n(int64(prof.UDReorderJitter) + 1))
-	}
-
-	// The message reaches the destination switch port after propagation and
-	// switching, then serializes onto the receiver downlink. The downlink is
-	// the incast bottleneck: simultaneous senders queue here.
-	arrive := txDone.Add(prof.SwitchDelay + prof.PropagationDelay)
-	if !prof.Lossy && !n.batchOff && n.tr == nil && n.faults.Empty() && !lost {
-		// Fast path: with no lossy admission, no faults, and no tracer the
-		// arrival-side computation is pure arithmetic on (arrive, NIC state),
-		// so it batches — one drain event processes a whole lookahead window
-		// of arrivals instead of one scheduler event per message. Loss and
-		// reorder draws above already happened, keeping the RNG stream
-		// byte-identical with the per-message path; a message the draw
-		// declared lost still takes the exact path so its Dropped callback
-		// runs at the arrival instant.
-		n.enqueueArrival(src, pendingArrival{m: m, arrive: arrive, wire: wire,
-			jitter: jitter, control: control})
-		return
-	}
-	n.Route(m.From, m.To, arrive, func() {
-		// From here on the computation executes on the receiver's partition.
-		dsim, dtr := n.SimAt(m.To), n.TracerAt(m.To)
-		// A dark endpoint port (crash or reboot window) or a partitioned link
-		// kills the message on the wire regardless of class: unlike
-		// FaultRCLoss this also swallows infrastructure transfers (nil
-		// Dropped), exactly as a dead port or severed trunk would. The
-		// sender's outage is judged at serialization time, the receiver's and
-		// the link's at arrival.
-		if !lost && !n.faults.Empty() &&
-			n.faults.severed(m.From, m.To, now, dsim.Now()) {
-			lost = true
-		}
-		if lost {
-			if m.Service == UD {
-				dst.stats.UDDropped++
-			} else {
-				dst.stats.RCDropped++
-			}
-			dtr.Instant(dsim.Now(), telemetry.EvDrop, int32(m.To), m.ToQP, int64(m.Payload), lane)
-			if m.Dropped != nil {
-				m.Dropped()
-			}
-			return
-		}
-		rnow := dsim.Now()
-		if !n.faults.Empty() {
-			rnow = n.faults.pausedUntil(m.To, rnow)
-		}
-		marked := false
-		if prof.Lossy && !control {
-			var tailDropped bool
-			tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, wire, bw,
-				m.Service == UD || m.Dropped != nil, rnow)
-			if tailDropped {
-				udBit := int64(0)
-				if m.Service == UD {
-					udBit = 1
-					dst.stats.UDDropped++
-				} else {
-					dst.stats.RCDropped++
-				}
-				dtr.Instant(rnow, telemetry.EvTailDrop, int32(m.To), m.ToQP, int64(m.Payload), udBit)
-				if m.Dropped != nil {
-					m.Dropped()
-				}
-				return
-			}
-		}
-		rxOcc := n.touch(dst, m.ToQP) + Serialize(wire, bw)
-		if q := dst.rxBusy.Sub(rnow); q > dst.stats.RxBacklogPeak {
-			dst.stats.RxBacklogPeak = q
-		}
-		var rxDone sim.Time
-		if control {
-			// Same packet-granularity arbitration on the switch egress port.
-			rxDone = rnow.Add(Serialize(prof.MTU, bw) + rxOcc)
-			dst.rxBusy = dst.rxBusy.Add(rxOcc)
-			if dst.rxBusy < rnow {
-				dst.rxBusy = rnow
-			}
-		} else {
-			rstart := rnow
-			if dst.rxBusy > rstart {
-				rstart = dst.rxBusy
-			}
-			rxDone = rstart.Add(rxOcc)
-			dst.rxBusy = rxDone
-		}
-		if corrupted {
-			// One packet failed its CRC: the receiver NAKs, the sender
-			// re-serializes that packet after a round trip.
-			pkt := wire
-			if lim := prof.MTU + prof.HeaderRC; pkt > lim {
-				pkt = lim
-			}
-			rxDone = rxDone.Add(Serialize(pkt, bw) + 2*prof.PropagationDelay + prof.SwitchDelay)
-			dst.stats.RCRetransmits++
-		}
-		if m.Service == RC {
-			rxDone = orderFloor(dst.rxOrder, m.ToQP, rxDone)
-		}
-		dst.stats.RxMessages++
-		dst.stats.RxBytes += int64(m.Payload)
-		if control {
-			dst.stats.RxControlBytes += int64(wire)
-		} else {
-			dst.stats.RxDataBytes += int64(wire)
-		}
-		if marked && n.onECN != nil {
-			dsim.At(rxDone, func() { n.onECN(m.From, m.To, m.FromQP, m.ToQP) })
-		}
-		dsim.At(rxDone.Add(jitter), func() { m.Deliver(dsim.Now()) })
-	})
+	return f
 }
 
-// enqueueArrival queues a fast-path arrival on its source NIC and makes
+// downlink is the destination-port half of the port model, evaluated at the
+// flight's arrival instant on the receiver's partition. In order: the
+// severed/lost verdict, FaultPause on the receiving NIC, lossy admission at
+// the egress port (tail drop, PFC, ECN), QP-state touch + serialization onto
+// the downlink — the incast bottleneck: simultaneous senders queue here —
+// with control-lane arbitration, the corruption retransmit, the per-QP RC
+// arrival floor, the Rx counters, the ECN hook, and Deliver after the UD
+// jitter. The batched drain calls it ahead of the clock (f.arrive, not Now,
+// is the arrival instant); nothing in it reads the clock.
+func (n *Network) downlink(f flight) {
+	prof := &n.Prof
+	m := f.m
+	src, dst := n.nics[m.From], n.nics[m.To]
+	dsim := n.SimAt(m.To)
+	rnow := f.arrive
+	lane := int64(0)
+	if f.control {
+		lane = 1
+	}
+	// A dark endpoint port (crash or reboot window) or a partitioned link
+	// kills the message on the wire regardless of class: unlike FaultRCLoss
+	// this also swallows infrastructure transfers (nil Dropped), exactly as a
+	// dead port or severed trunk would. The sender's outage is judged at
+	// serialization time, the receiver's and the link's at arrival.
+	if f.lost || (!n.faults.Empty() && n.faults.severed(m.From, m.To, f.sent, rnow)) {
+		n.drop(dst, m, rnow, telemetry.EvDrop, lane)
+		return
+	}
+	if !n.faults.Empty() {
+		rnow = n.faults.pausedUntil(m.To, rnow)
+	}
+	marked := false
+	if prof.Lossy && !f.control {
+		var tailDropped bool
+		tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, f.wire, f.bw,
+			m.Service == UD || m.Dropped != nil, rnow)
+		if tailDropped {
+			n.drop(dst, m, rnow, telemetry.EvTailDrop, int64(m.Service))
+			return
+		}
+	}
+	rxOcc := n.touch(dst, m.ToQP) + Serialize(f.wire, f.bw)
+	if q := dst.rxBusy.Sub(rnow); q > dst.stats.RxBacklogPeak {
+		dst.stats.RxBacklogPeak = q
+	}
+	rxDone := serve(&dst.rxBusy, rnow, rxOcc, f.control, Serialize(prof.MTU, f.bw))
+	if f.corrupted {
+		// One packet failed its CRC: the receiver NAKs, the sender
+		// re-serializes that packet after a round trip.
+		pkt := f.wire
+		if lim := prof.MTU + prof.HeaderRC; pkt > lim {
+			pkt = lim
+		}
+		rxDone = rxDone.Add(Serialize(pkt, f.bw) + 2*prof.PropagationDelay + prof.SwitchDelay)
+		dst.stats.RCRetransmits++
+	}
+	if m.Service == RC {
+		rxDone = orderFloor(dst.rxOrder, m.ToQP, rxDone)
+	}
+	dst.stats.RxMessages++
+	dst.stats.RxBytes += int64(m.Payload)
+	if f.control {
+		dst.stats.RxControlBytes += int64(f.wire)
+	} else {
+		dst.stats.RxDataBytes += int64(f.wire)
+	}
+	if marked && n.onECN != nil {
+		dsim.At(rxDone, func() { n.onECN(m.From, m.To, m.FromQP, m.ToQP) })
+	}
+	dsim.At(rxDone.Add(f.jitter), func() { m.Deliver(dsim.Now()) })
+}
+
+// drop accounts a message lost at dst's port at instant at — counter, trace
+// event ev with its class-specific last argument — and tells the sender.
+func (n *Network) drop(dst *nic, m *Message, at sim.Time, ev telemetry.Ev, arg int64) {
+	if m.Service == UD {
+		dst.stats.UDDropped++
+	} else {
+		dst.stats.RCDropped++
+	}
+	n.TracerAt(m.To).Instant(at, ev, int32(m.To), m.ToQP, int64(m.Payload), arg)
+	if m.Dropped != nil {
+		m.Dropped()
+	}
+}
+
+// exact schedules f's downlink as its own event at the arrival instant, on
+// the receiver's partition.
+func (n *Network) exact(f flight) {
+	n.Route(f.m.From, f.m.To, f.arrive, func() { n.downlink(f) })
+}
+
+// Transmit schedules delivery of m. It may be called from Procs or event
+// callbacks. The transmit engine of the source NIC and the receive engine of
+// the destination NIC are serving resources: messages queue in FIFO order
+// and the caller does not block.
+func (n *Network) Transmit(m *Message) {
+	prof := &n.Prof
+	if m.From == m.To {
+		// Hairpin loopback through the NIC; the switch is not traversed.
+		n.loopback(m)
+		return
+	}
+	if m.Service == UD && m.Payload > prof.MTU {
+		panic(fmt.Sprintf("fabric: UD payload %d exceeds MTU %d", m.Payload, prof.MTU))
+	}
+	wire := prof.WireBytes(m.Payload, m.Service)
+	f, _ := n.uplink(m, wire, wire <= ControlThreshold)
+	f = n.wireFate(f)
+	if !prof.Lossy && !n.batchOff && n.tr == nil && n.faults.Empty() && !f.lost {
+		// Fast path: with no lossy admission, no faults, and no tracer the
+		// downlink is pure arithmetic on (arrive, NIC state), so it batches —
+		// one drain event processes a whole lookahead window of arrivals
+		// instead of one scheduler event per message. The fate draws already
+		// happened, keeping the RNG stream byte-identical with the
+		// per-message path; a message the draw declared lost still takes the
+		// exact path so its Dropped callback runs at the arrival instant.
+		n.enqueueArrival(f)
+		return
+	}
+	n.exact(f)
+}
+
+// enqueueArrival queues a fast-path flight on its source NIC and makes
 // sure the drain timer fires no later than the earliest pending arrival.
 // A source's bulk backlog serializes in order, so insertion lands at or
 // near the queue tail; only a control-lane message overtaking queued bulk
 // data scans deeper.
-func (n *Network) enqueueArrival(src *nic, pa pendingArrival) {
+func (n *Network) enqueueArrival(f flight) {
+	src := n.nics[f.m.From]
 	n.pendSeq++
-	pa.seq = n.pendSeq
+	f.seq = n.pendSeq
 	i := len(src.pend)
-	for i > src.pendHead && src.pend[i-1].arrive > pa.arrive {
+	for i > src.pendHead && src.pend[i-1].arrive > f.arrive {
 		i--
 	}
-	src.pend = append(src.pend, pendingArrival{})
+	src.pend = append(src.pend, flight{})
 	copy(src.pend[i+1:], src.pend[i:])
-	src.pend[i] = pa
+	src.pend[i] = f
 	n.pendCount++
-	if !n.drainArmed || pa.arrive < n.drainAt {
+	if !n.drainArmed || f.arrive < n.drainAt {
 		if n.drainArmed {
 			n.drain.Stop()
 		}
 		n.drainArmed = true
 		if i == src.pendHead {
-			n.drainAt = pa.arrive
+			n.drainAt = f.arrive
 		} else {
 			n.drainAt = n.pendMin().arrive
 		}
@@ -695,10 +738,10 @@ func (n *Network) enqueueArrival(src *nic, pa pendingArrival) {
 	}
 }
 
-// pendMin returns the globally earliest pending arrival: the (arrive, seq)
+// pendMin returns the globally earliest pending flight: the (arrive, seq)
 // minimum over the source-queue heads.
-func (n *Network) pendMin() *pendingArrival {
-	var best *pendingArrival
+func (n *Network) pendMin() *flight {
+	var best *flight
 	for _, nc := range n.nics {
 		if nc.pendHead == len(nc.pend) {
 			continue
@@ -712,8 +755,23 @@ func (n *Network) pendMin() *pendingArrival {
 	return best
 }
 
+// popPending removes and returns the head of f's source queue (f must be a
+// pendMin result); the drained prefix is reclaimed when the queue empties.
+func (n *Network) popPending(head *flight) flight {
+	f := *head
+	src := n.nics[f.m.From]
+	src.pend[src.pendHead] = flight{}
+	src.pendHead++
+	if src.pendHead == len(src.pend) {
+		src.pend = src.pend[:0]
+		src.pendHead = 0
+	}
+	n.pendCount--
+	return f
+}
+
 // drainFire runs at the earliest pending arrival instant T and processes
-// every queued arrival in [T, T+lookahead) in (arrive, transmit) order —
+// every queued flight in [T, T+lookahead) in (arrive, transmit) order —
 // the same total order the per-message path's scheduler events would have
 // used — by K-way merging the source-queue heads. The window is closed:
 // any transmit issued at or after T (including later in this same instant)
@@ -728,15 +786,7 @@ func (n *Network) drainFire() {
 		if best == nil || best.arrive >= limit {
 			break
 		}
-		n.processArrival(best)
-		src := n.nics[best.m.From]
-		src.pend[src.pendHead] = pendingArrival{}
-		src.pendHead++
-		if src.pendHead == len(src.pend) {
-			src.pend = src.pend[:0]
-			src.pendHead = 0
-		}
-		n.pendCount--
+		n.downlink(n.popPending(best))
 	}
 	if n.pendCount > 0 {
 		n.drainArmed = true
@@ -745,7 +795,7 @@ func (n *Network) drainFire() {
 	}
 }
 
-// flushPending converts every batch-queued arrival into a per-message
+// flushPending converts every batch-queued flight into a per-message
 // scheduler event at its exact arrival instant, in global (arrive, seq)
 // order. SetTracer and Faults call it before changing mode, so batched and
 // per-message processing never interleave: each flushed arrival fires at
@@ -758,68 +808,19 @@ func (n *Network) flushPending() {
 	n.drain.Stop()
 	n.drainArmed = false
 	for n.pendCount > 0 {
-		pa := *n.pendMin()
-		src := n.nics[pa.m.From]
-		src.pend[src.pendHead] = pendingArrival{}
-		src.pendHead++
-		if src.pendHead == len(src.pend) {
-			src.pend = src.pend[:0]
-			src.pendHead = 0
-		}
-		n.pendCount--
-		n.Sim.At(pa.arrive, func() { n.processArrival(&pa) })
+		n.exact(n.popPending(n.pendMin()))
 	}
-}
-
-// processArrival is the arrival-side computation for one fast-path message:
-// the lossless, fault-free, untraced specialization of the per-message
-// arrival closure in Transmit, evaluated at pa.arrive regardless of the
-// clock's current instant (the two coincide except while draining a batch
-// window). It must mirror that closure's arithmetic exactly — the S6 table
-// regeneration test holds the two paths to byte-identical results.
-func (n *Network) processArrival(pa *pendingArrival) {
-	prof := &n.Prof
-	m := pa.m
-	dst := n.nics[m.To]
-	rnow := pa.arrive
-	bw := prof.LinkBandwidth
-	rxOcc := n.touch(dst, m.ToQP) + Serialize(pa.wire, bw)
-	if q := dst.rxBusy.Sub(rnow); q > dst.stats.RxBacklogPeak {
-		dst.stats.RxBacklogPeak = q
-	}
-	var rxDone sim.Time
-	if pa.control {
-		rxDone = rnow.Add(Serialize(prof.MTU, bw) + rxOcc)
-		dst.rxBusy = dst.rxBusy.Add(rxOcc)
-		if dst.rxBusy < rnow {
-			dst.rxBusy = rnow
-		}
-	} else {
-		rstart := rnow
-		if dst.rxBusy > rstart {
-			rstart = dst.rxBusy
-		}
-		rxDone = rstart.Add(rxOcc)
-		dst.rxBusy = rxDone
-	}
-	if m.Service == RC {
-		rxDone = orderFloor(dst.rxOrder, m.ToQP, rxDone)
-	}
-	dst.stats.RxMessages++
-	dst.stats.RxBytes += int64(m.Payload)
-	if pa.control {
-		dst.stats.RxControlBytes += int64(pa.wire)
-	} else {
-		dst.stats.RxDataBytes += int64(pa.wire)
-	}
-	n.Sim.At(rxDone.Add(pa.jitter), func() { m.Deliver(n.Sim.Now()) })
 }
 
 // TransmitMulticast sends one datagram to every node in dests with a single
 // work request and a single uplink serialization: the switch replicates the
 // packet to each member port, as InfiniBand hardware multicast does. Each
 // member's downlink still serializes its own copy. deliver runs once per
-// reached member; per-member loss and jitter apply independently.
+// reached member; per-member loss and jitter apply independently, and each
+// copy crosses its member's port exactly as a unicast datagram would. The
+// datagram always rides the data lane: the replication engine sits behind
+// the bulk serializer. m.To is ignored: the uplink serializes at the rate of
+// the sender's link to AnyNode, each copy's downlink at its own link's.
 func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest int, at sim.Time)) {
 	prof := &n.Prof
 	if m.Service != UD {
@@ -828,109 +829,28 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 	if m.Payload > prof.MTU {
 		panic(fmt.Sprintf("fabric: UD payload %d exceeds MTU %d", m.Payload, prof.MTU))
 	}
-	src := n.nics[m.From]
-	wire := prof.WireBytes(m.Payload, UD)
-
+	up := *m
+	up.To = AnyNode
+	f, txDone := n.uplink(&up, prof.WireBytes(m.Payload, UD), false)
 	ssim := n.SimAt(m.From)
-	now := ssim.Now()
-	if !n.faults.Empty() {
-		now = n.faults.pausedUntil(m.From, now)
-	}
-	if prof.Lossy && src.pfcPausedUntil > now {
-		now = src.pfcPausedUntil
-	}
-	if q := src.txBusy.Sub(now); q > src.stats.TxBacklogPeak {
-		src.stats.TxBacklogPeak = q
-	}
-	txOcc := prof.WQEProcessing + n.touch(src, m.FromQP) + Serialize(wire, prof.LinkBandwidth)
-	start := now
-	if src.txBusy > start {
-		start = src.txBusy
-	}
-	txDone := start.Add(txOcc)
-	src.txBusy = txDone
-	src.stats.TxMessages++
-	src.stats.TxBytes += int64(m.Payload)
-	src.stats.TxWireBytes += int64(wire)
-	src.stats.TxDataBytes += int64(wire)
-	n.TracerAt(m.From).Instant(txDone, telemetry.EvWire, int32(m.From), m.FromQP, int64(wire), 0)
-	if m.Sent != nil {
-		ssim.At(txDone, func() { m.Sent(ssim.Now()) })
-	}
-
-	// A dark sender port (crash or reboot window) keeps the packet off the
-	// switch: no member — not even the sender's own switch-loopback copy —
-	// sees it.
-	senderDown := !n.faults.Empty() && n.faults.down(m.From, now)
 	for _, d := range dests {
 		d := d
 		if d == m.From {
-			if senderDown {
-				continue
+			// The switch loops the packet back to an attached sender port —
+			// unless that port is dark, which keeps the packet off the switch.
+			if n.faults.Empty() || !n.faults.down(m.From, f.sent) {
+				ssim.At(txDone, func() { deliver(d, ssim.Now()) })
 			}
-			// The switch loops the packet back to an attached sender port.
-			ssim.At(txDone, func() { deliver(d, ssim.Now()) })
 			continue
 		}
-		lost := senderDown
-		if !lost && !n.faults.Empty() && n.faults.drop(FaultUDLoss, m.From, d, now) {
-			lost = true
-		} else if !lost && prof.UDLossRate > 0 && n.rngAt(m.From).Float64() < prof.UDLossRate {
-			lost = true
+		copy := up
+		copy.To, copy.Sent = d, nil
+		copy.Deliver = func(at sim.Time) { deliver(d, at) }
+		f.m = &copy
+		if !n.faults.Empty() {
+			f.bw = n.linkRate(m.From, d, f.sent)
 		}
-		var jitter sim.Duration
-		if prof.UDReorderProb > 0 && n.rngAt(m.From).Float64() < prof.UDReorderProb {
-			jitter = sim.Duration(n.rngAt(m.From).Int63n(int64(prof.UDReorderJitter) + 1))
-		}
-		dst := n.nics[d]
-		arrive := txDone.Add(prof.SwitchDelay + prof.PropagationDelay)
-		n.Route(m.From, d, arrive, func() {
-			dsim, dtr := n.SimAt(d), n.TracerAt(d)
-			if !lost && !n.faults.Empty() &&
-				(n.faults.down(d, dsim.Now()) || n.faults.cut(m.From, d, dsim.Now())) {
-				lost = true // dark member port or severed trunk: the copy vanishes
-			}
-			if lost {
-				dst.stats.UDDropped++
-				dtr.Instant(dsim.Now(), telemetry.EvDrop, int32(d), m.ToQP, int64(m.Payload), 0)
-				if m.Dropped != nil {
-					m.Dropped()
-				}
-				return
-			}
-			rnow := dsim.Now()
-			marked := false
-			if prof.Lossy {
-				var tailDropped bool
-				tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, wire,
-					prof.LinkBandwidth, true, rnow)
-				if tailDropped {
-					dst.stats.UDDropped++
-					dtr.Instant(rnow, telemetry.EvTailDrop, int32(d), m.ToQP, int64(m.Payload), 1)
-					if m.Dropped != nil {
-						m.Dropped()
-					}
-					return
-				}
-			}
-			rxOcc := n.touch(dst, m.ToQP) + Serialize(wire, prof.LinkBandwidth)
-			rstart := rnow
-			if q := dst.rxBusy.Sub(rstart); q > dst.stats.RxBacklogPeak {
-				dst.stats.RxBacklogPeak = q
-			}
-			if dst.rxBusy > rstart {
-				rstart = dst.rxBusy
-			}
-			rxDone := rstart.Add(rxOcc)
-			dst.rxBusy = rxDone
-			dst.stats.RxMessages++
-			dst.stats.RxBytes += int64(m.Payload)
-			dst.stats.RxDataBytes += int64(wire)
-			if marked && n.onECN != nil {
-				dsim.At(rxDone, func() { n.onECN(m.From, d, m.FromQP, m.ToQP) })
-			}
-			dsim.At(rxDone.Add(jitter), func() { deliver(d, dsim.Now()) })
-		})
+		n.exact(n.wireFate(f))
 	}
 }
 

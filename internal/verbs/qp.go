@@ -211,21 +211,37 @@ func (qp *QP) fencedAt(responder *Device, wrID uint64, op Opcode) bool {
 	return true
 }
 
-// errorFrom transitions qp into the Error state from an event executing on
-// exec's partition. A queue pair's state may only be touched by its own
-// partition, so on a partitioned network a remote responder's verdict (fence,
-// peer-error, RNR exhaustion) rides the fabric home as a routed NAK, arriving
-// one route latency later — exactly the wire trip the verdict takes on real
-// hardware. Same-node and legacy callers transition synchronously, keeping
-// the single-simulation path byte-identical.
-func (qp *QP) errorFrom(exec *Device, e CQE) {
+// foreign reports whether node's events execute on another partition than
+// qp's own, whose state they therefore must not touch.
+func (qp *QP) foreign(node int) bool {
+	return qp.dev.net.Partitioned() && node != qp.dev.node
+}
+
+// home runs fn as the arrival at qp of a verdict reached on node from: an
+// ACK, a NAK (fence, peer error, RNR exhaustion), a loss report. A queue
+// pair's state may only be touched by its own partition, so on a partitioned
+// network a remote responder's verdict rides the fabric home as a routed
+// message, arriving one full route latency (switch + propagation) later —
+// the wire trip it takes on real hardware, and late enough to clear the
+// window bound at any LP count. Same-node and legacy verdicts land after
+// local, synchronously when local is zero, keeping the single-simulation
+// path byte-identical.
+func (qp *QP) home(from int, local sim.Duration, fn func()) {
 	net := qp.dev.net
-	if net.Partitioned() && exec.node != qp.dev.node {
-		net.Route(exec.node, qp.dev.node, exec.sim.Now().Add(net.Prof.RouteLatency()),
-			func() { qp.enterError(e) })
-		return
+	switch {
+	case qp.foreign(from):
+		net.Route(from, qp.dev.node, net.SimAt(from).Now().Add(net.Prof.RouteLatency()), fn)
+	case local > 0:
+		qp.dev.sim.After(local, fn)
+	default:
+		fn()
 	}
-	qp.enterError(e)
+}
+
+// errorFrom transitions qp into the Error state on the verdict of exec's
+// device, with e as the failed work request's completion.
+func (qp *QP) errorFrom(exec *Device, e CQE) {
+	qp.home(exec.node, 0, func() { qp.enterError(&e, WCFlushErr) })
 }
 
 // PostRecv posts a receive buffer. The buffer must stay untouched until its
@@ -332,11 +348,13 @@ func (qp *QP) dropInflight(id uint64, op Opcode) bool {
 	return false
 }
 
-// enterError transitions the QP to the Error state: the triggering failed WR
-// completes with its error status, every other outstanding send-side WR and
-// every posted receive is flushed with WCFlushErr, and subsequent posts fail
-// with ErrQPError. It is idempotent.
-func (qp *QP) enterError(trigger CQE) {
+// enterError is the one transition to the Error state. A failed work
+// request (trigger non-nil) completes with its own error status and every
+// other outstanding send-side WR is flushed with status flush; a
+// connection-manager event (trigger nil) flushes them all with flush. Either
+// way every posted receive is flushed with WCFlushErr and subsequent posts
+// fail with ErrQPError. It is idempotent.
+func (qp *QP) enterError(trigger *CQE, flush WCStatus) {
 	if qp.state == QPError || qp.destroyed {
 		return
 	}
@@ -344,19 +362,26 @@ func (qp *QP) enterError(trigger CQE) {
 	qp.cancelRetx()
 	qp.dev.stats.QPErrors++
 	now := qp.dev.sim.Now()
-	qp.dev.tr().Instant(now, telemetry.EvQPError,
-		int32(qp.dev.node), qp.cacheKey(), int64(trigger.Status), 0)
-	if qp.dropInflight(trigger.WRID, trigger.Op) {
-		qp.outstanding--
+	cause := flush
+	if trigger != nil {
+		cause = trigger.Status
 	}
-	qp.dev.tr().End(now, telemetry.EvWR,
-		int32(qp.dev.node), qp.cacheKey(), int64(trigger.WRID), int64(trigger.Status))
-	qp.cfg.SendCQ.pushFlush(trigger)
+	qp.dev.tr().Instant(now, telemetry.EvQPError,
+		int32(qp.dev.node), qp.cacheKey(), int64(cause), 0)
+	flushWR := func(e CQE) {
+		qp.dev.tr().End(now, telemetry.EvWR,
+			int32(qp.dev.node), qp.cacheKey(), int64(e.WRID), int64(e.Status))
+		qp.cfg.SendCQ.pushFlush(e)
+	}
+	if trigger != nil {
+		if qp.dropInflight(trigger.WRID, trigger.Op) {
+			qp.outstanding--
+		}
+		flushWR(*trigger)
+	}
 	for _, w := range qp.inflight {
 		qp.outstanding--
-		qp.dev.tr().End(now, telemetry.EvWR,
-			int32(qp.dev.node), qp.cacheKey(), int64(w.id), int64(WCFlushErr))
-		qp.cfg.SendCQ.pushFlush(CQE{QPN: qp.qpn, WRID: w.id, Op: w.op, Status: WCFlushErr})
+		flushWR(CQE{QPN: qp.qpn, WRID: w.id, Op: w.op, Status: flush})
 	}
 	qp.inflight = nil
 	for _, rwr := range qp.recvQ {
@@ -369,136 +394,112 @@ func (qp *QP) enterError(trigger CQE) {
 	qp.dev.memWake.Broadcast()
 }
 
-// forceError transitions the QP to the Error state on a connection-manager
-// event rather than a failed work request: every outstanding send-side WR is
-// flushed with status st, every posted receive with WCFlushErr, and further
-// posts fail. It is idempotent.
-func (qp *QP) forceError(st WCStatus) {
-	if qp.state == QPError || qp.destroyed {
-		return
+// rcReady checks the preconditions every RC data verb shares: a connected
+// Reliable Connection queue pair and a message within the service's limit.
+func (qp *QP) rcReady(wr SendWR) error {
+	switch {
+	case qp.cfg.Type != fabric.RC:
+		return ErrBadOp
+	case !qp.connected:
+		return ErrNotConnected
+	case wr.Len > qp.dev.prof().MaxMsgRC:
+		return ErrTooLong
 	}
-	qp.state = QPError
-	qp.cancelRetx()
-	qp.dev.stats.QPErrors++
-	now := qp.dev.sim.Now()
-	qp.dev.tr().Instant(now, telemetry.EvQPError,
-		int32(qp.dev.node), qp.cacheKey(), int64(st), 0)
-	for _, w := range qp.inflight {
-		qp.outstanding--
-		qp.dev.tr().End(now, telemetry.EvWR,
-			int32(qp.dev.node), qp.cacheKey(), int64(w.id), int64(st))
-		qp.cfg.SendCQ.pushFlush(CQE{QPN: qp.qpn, WRID: w.id, Op: w.op, Status: st})
-	}
-	qp.inflight = nil
-	for _, rwr := range qp.recvQ {
-		qp.cfg.RecvCQ.pushFlush(CQE{QPN: qp.qpn, WRID: rwr.ID, Op: OpRecv, Status: WCFlushErr})
-	}
-	qp.recvQ = nil
-	qp.stalled = nil
-	qp.dev.memWake.Broadcast()
-}
-
-func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
-	prof := qp.dev.prof()
-	var toNode int
-	var toQPN uint32
-	switch qp.cfg.Type {
-	case fabric.RC:
-		if !qp.connected {
-			return ErrNotConnected
-		}
-		if wr.Len > prof.MaxMsgRC {
-			return ErrTooLong
-		}
-		toNode, toQPN = qp.peerNode, qp.peerQPN
-	case fabric.UD:
-		if wr.Len > prof.MTU {
-			return ErrTooLong
-		}
-		if wr.Dest.Multicast {
-			return qp.postMulticast(p, wr)
-		}
-		toNode, toQPN = wr.Dest.Node, wr.Dest.QPN
-	}
-	if wr.Inline {
-		if wr.Len > MaxInline {
-			return ErrTooLong
-		}
-		// The CPU copies the payload into the WQE; charged here.
-		p.Sleep(sim.Duration(float64(wr.Len) * prof.MemCopyPerByte))
-	}
-	// Snapshot the payload: the NIC DMA-reads it during transmission, and a
-	// correct application may reuse the buffer after the send completion,
-	// which for UD fires before delivery.
-	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
-
-	msg := &fabric.Message{
-		From: qp.dev.node, To: toNode,
-		FromQP: qp.cacheKey(), ToQP: uint64(toNode)<<32 | uint64(toQPN),
-		Payload: wr.Len, Service: qp.cfg.Type,
-	}
-	net := qp.dev.net
-	switch qp.cfg.Type {
-	case fabric.UD:
-		// Local completion when the datagram is on the wire.
-		msg.Sent = func(at sim.Time) {
-			qp.dev.stats.SendsCompleted++
-			qp.complete(qp.cfg.SendCQ, CQE{QPN: qp.qpn, WRID: wr.ID, Op: OpSend, Bytes: wr.Len})
-		}
-		msg.Deliver = func(at sim.Time) { deliverUD(net, toNode, toQPN, qp.dev.node, qp.qpn, payload, wr) }
-		msg.Dropped = func() {}
-	case fabric.RC:
-		msg.Deliver = func(at sim.Time) {
-			qp.deliverRC(toNode, toQPN, payload, wr)
-		}
-		qp.armRetry(msg, wr.ID, OpSend)
-	}
-	qp.sendPaced(msg)
 	return nil
 }
 
-// postMulticast sends one datagram to every QP attached to the MGID.
-func (qp *QP) postMulticast(p *sim.Proc, wr SendWR) error {
+// toPeer builds an RC message of payload bytes from this QP to its peer.
+func (qp *QP) toPeer(payload int) *fabric.Message {
+	return &fabric.Message{
+		From: qp.dev.node, To: qp.peerNode,
+		FromQP: qp.cacheKey(), ToQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN),
+		Payload: payload, Service: fabric.RC,
+	}
+}
+
+// stage is the payload-staging step of a Send or Write post. An inline
+// payload must fit the WQE and is copied into it by the CPU, charged here.
+// Either way the payload is snapshotted: the NIC DMA-reads it during
+// transmission, and a correct application may reuse the buffer after the
+// send completion, which for UD fires before delivery.
+func (qp *QP) stage(p *sim.Proc, wr SendWR) ([]byte, error) {
 	if wr.Inline {
 		if wr.Len > MaxInline {
-			return ErrTooLong
+			return nil, ErrTooLong
 		}
 		p.Sleep(sim.Duration(float64(wr.Len) * qp.dev.prof().MemCopyPerByte))
 	}
 	payload := make([]byte, wr.Len)
 	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
+	return payload, nil
+}
 
+// done generates the success completion of send-side work request wrID.
+func (qp *QP) done(op Opcode, wrID uint64, n int) {
+	switch op {
+	case OpSend:
+		qp.dev.stats.SendsCompleted++
+	case OpRead:
+		qp.dev.stats.ReadsCompleted++
+	case OpWrite:
+		qp.dev.stats.WritesCompleted++
+	}
+	qp.complete(qp.cfg.SendCQ, CQE{QPN: qp.qpn, WRID: wrID, Op: op, Bytes: n})
+}
+
+func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
+	if qp.cfg.Type == fabric.RC {
+		if err := qp.rcReady(wr); err != nil {
+			return err
+		}
+		payload, err := qp.stage(p, wr)
+		if err != nil {
+			return err
+		}
+		msg := qp.toPeer(wr.Len)
+		toNode, toQPN := qp.peerNode, qp.peerQPN
+		msg.Deliver = func(at sim.Time) { qp.deliverRC(toNode, toQPN, payload, wr) }
+		qp.armRetry(msg, wr.ID, OpSend)
+		qp.sendPaced(msg)
+		return nil
+	}
+	if wr.Len > qp.dev.prof().MTU {
+		return ErrTooLong
+	}
+	payload, err := qp.stage(p, wr)
+	if err != nil {
+		return err
+	}
 	net := qp.dev.net
-	// The switch knows the membership; collect member nodes and their
-	// attached QPs.
+	src, srcQPN, dest := qp.dev.node, qp.qpn, wr.Dest
+	msg := &fabric.Message{
+		From: src, To: dest.Node,
+		FromQP: qp.cacheKey(), ToQP: uint64(dest.Node)<<32 | uint64(dest.QPN),
+		Payload: wr.Len, Service: fabric.UD,
+		// Local completion when the datagram is on the wire.
+		Sent:    func(at sim.Time) { qp.done(OpSend, wr.ID, wr.Len) },
+		Dropped: func() {},
+	}
+	if !dest.Multicast {
+		msg.Deliver = func(at sim.Time) { deliverUD(net, dest.Node, dest.QPN, src, srcQPN, payload, wr) }
+		qp.sendPaced(msg)
+		return nil
+	}
+	// One datagram to every QP attached to the MGID. The switch knows the
+	// membership; collect member nodes and their attached QPs.
 	var nodes []int
 	members := map[int][]*QP{}
 	for i := 0; i < net.Nodes(); i++ {
-		d, ok := net.Host(i).(*Device)
-		if !ok {
-			continue
-		}
-		if qps := d.mcast[wr.Dest.MGID]; len(qps) > 0 {
+		if d, ok := net.Host(i).(*Device); ok && len(d.mcast[dest.MGID]) > 0 {
 			nodes = append(nodes, i)
-			members[i] = qps
+			members[i] = d.mcast[dest.MGID]
 		}
 	}
-	msg := &fabric.Message{
-		From: qp.dev.node, To: -1,
-		FromQP: qp.cacheKey(), ToQP: uint64(wr.Dest.MGID) | 1<<48,
-		Payload: wr.Len, Service: fabric.UD,
-		Sent: func(at sim.Time) {
-			qp.dev.stats.SendsCompleted++
-			qp.complete(qp.cfg.SendCQ, CQE{QPN: qp.qpn, WRID: wr.ID, Op: OpSend, Bytes: wr.Len})
-		},
-		Dropped: func() {},
-	}
-	src, srcQPN := qp.dev.node, qp.qpn
+	msg.To, msg.ToQP = fabric.AnyNode, uint64(dest.MGID)|1<<48
 	qp.pacedSend(net.Prof.WireBytes(wr.Len, fabric.UD), func() {
-		net.TransmitMulticast(msg, nodes, func(dest int, at sim.Time) {
-			for _, rqp := range members[dest] {
-				deliverUD(net, dest, rqp.qpn, src, srcQPN, payload, wr)
+		net.TransmitMulticast(msg, nodes, func(node int, at sim.Time) {
+			for _, rqp := range members[node] {
+				deliverUD(net, node, rqp.qpn, src, srcQPN, payload, wr)
 			}
 		})
 	})
@@ -558,7 +559,6 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 // match consumes one posted receive for message m and generates both
 // completions.
 func (rqp *QP) match(m stalledRC) {
-	net := rqp.dev.net
 	rwr := rqp.recvQ[0]
 	rqp.recvQ = rqp.recvQ[1:]
 	if rwr.Len < len(m.payload) {
@@ -574,18 +574,7 @@ func (rqp *QP) match(m stalledRC) {
 	})
 	// Sender completion once the ACK returns.
 	src, wrID, n := m.src, m.wr.ID, len(m.payload)
-	ack := func() {
-		src.dev.stats.SendsCompleted++
-		src.complete(src.cfg.SendCQ, CQE{QPN: src.qpn, WRID: wrID, Op: OpSend, Bytes: n})
-	}
-	if net.Partitioned() && src.dev.node != rqp.dev.node {
-		// Partitioned: the ACK rides the fabric back to the sender's
-		// partition, paying the full route latency (switch + propagation) so
-		// its arrival clears the window bound at any LP count.
-		net.Route(rqp.dev.node, src.dev.node, rqp.dev.sim.Now().Add(net.Prof.RouteLatency()), ack)
-	} else {
-		src.dev.sim.After(net.Prof.PropagationDelay, ack)
-	}
+	src.home(rqp.dev.node, rqp.dev.prof().PropagationDelay, func() { src.done(OpSend, wrID, n) })
 }
 
 // armRNRTimer schedules one RNR retry round after RNRRetryDelay, unless one
@@ -682,46 +671,40 @@ func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQP
 	})
 }
 
+// remoteMR resolves the region a one-sided work request addresses on the
+// responder d. An access outside a registered region is an application bug
+// no protocol here can produce, so it panics.
+func (d *Device) remoteMR(wr SendWR) *MR {
+	rmr := d.mrs[wr.RemoteKey]
+	if rmr == nil || rmr.check(wr.RemoteOffset, wr.Len) != nil {
+		panic(fmt.Sprintf("verbs: RDMA %v outside remote MR (rkey %d, off %d, len %d)",
+			wr.Op, wr.RemoteKey, wr.RemoteOffset, wr.Len))
+	}
+	return rmr
+}
+
 func (qp *QP) postRead(wr SendWR) error {
-	if qp.cfg.Type != fabric.RC {
-		return ErrBadOp
-	}
-	if !qp.connected {
-		return ErrNotConnected
-	}
-	prof := qp.dev.prof()
-	if wr.Len > prof.MaxMsgRC {
-		return ErrTooLong
+	if err := qp.rcReady(wr); err != nil {
+		return err
 	}
 	net := qp.dev.net
 	remote := deviceAt(net, qp.peerNode)
 	// Request leg: a small control packet to the responder NIC.
-	req := &fabric.Message{
-		From: qp.dev.node, To: qp.peerNode,
-		FromQP: qp.cacheKey(), ToQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN),
-		Payload: prof.ReadRequestBytes, Service: fabric.RC,
-	}
+	req := qp.toPeer(net.Prof.ReadRequestBytes)
 	req.Deliver = func(at sim.Time) {
 		if qp.fencedAt(remote, wr.ID, OpRead) {
 			return
 		}
 		// The responder NIC DMA-reads the region now — no remote CPU.
-		rmr := remote.mrs[wr.RemoteKey]
-		if rmr == nil || rmr.check(wr.RemoteOffset, wr.Len) != nil {
-			panic(fmt.Sprintf("verbs: RDMA Read outside remote MR (rkey %d, off %d, len %d)",
-				wr.RemoteKey, wr.RemoteOffset, wr.Len))
-		}
 		data := make([]byte, wr.Len)
-		copy(data, rmr.Bytes(wr.RemoteOffset, wr.Len))
+		copy(data, remote.remoteMR(wr).Bytes(wr.RemoteOffset, wr.Len))
 		resp := &fabric.Message{
-			From: qp.peerNode, To: qp.dev.node,
-			FromQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN), ToQP: qp.cacheKey(),
+			From: req.To, To: req.From, FromQP: req.ToQP, ToQP: req.FromQP,
 			Payload: wr.Len, Service: fabric.RC,
 		}
 		resp.Deliver = func(at sim.Time) {
 			copy(wr.MR.Bytes(wr.Offset, len(data)), data)
-			qp.dev.stats.ReadsCompleted++
-			qp.complete(qp.cfg.SendCQ, CQE{QPN: qp.qpn, WRID: wr.ID, Op: OpRead, Bytes: wr.Len})
+			qp.done(OpRead, wr.ID, wr.Len)
 		}
 		// A lost response is retransmitted by the responder NIC; each leg
 		// carries its own retry_cnt budget. The responder's own QP paces the
@@ -739,54 +722,23 @@ func (qp *QP) postRead(wr SendWR) error {
 }
 
 func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
-	if qp.cfg.Type != fabric.RC {
-		return ErrBadOp
+	if err := qp.rcReady(wr); err != nil {
+		return err
 	}
-	if !qp.connected {
-		return ErrNotConnected
+	payload, err := qp.stage(p, wr)
+	if err != nil {
+		return err
 	}
-	prof := qp.dev.prof()
-	if wr.Len > prof.MaxMsgRC {
-		return ErrTooLong
-	}
-	if wr.Inline {
-		if wr.Len > MaxInline {
-			return ErrTooLong
-		}
-		p.Sleep(sim.Duration(float64(wr.Len) * prof.MemCopyPerByte))
-	}
-	payload := make([]byte, wr.Len)
-	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
-	net := qp.dev.net
-	remote := deviceAt(net, qp.peerNode)
-	msg := &fabric.Message{
-		From: qp.dev.node, To: qp.peerNode,
-		FromQP: qp.cacheKey(), ToQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN),
-		Payload: wr.Len, Service: fabric.RC,
-	}
+	remote := deviceAt(qp.dev.net, qp.peerNode)
+	msg := qp.toPeer(wr.Len)
 	msg.Deliver = func(at sim.Time) {
 		if qp.fencedAt(remote, wr.ID, OpWrite) {
 			return
 		}
-		rmr := remote.mrs[wr.RemoteKey]
-		if rmr == nil || rmr.check(wr.RemoteOffset, wr.Len) != nil {
-			panic(fmt.Sprintf("verbs: RDMA Write outside remote MR (rkey %d, off %d, len %d)",
-				wr.RemoteKey, wr.RemoteOffset, wr.Len))
-		}
-		copy(rmr.Bytes(wr.RemoteOffset, len(payload)), payload)
+		copy(remote.remoteMR(wr).Bytes(wr.RemoteOffset, len(payload)), payload)
 		remote.stats.RemoteWrites++
 		remote.memWake.Broadcast()
-		ack := func() {
-			qp.dev.stats.WritesCompleted++
-			qp.complete(qp.cfg.SendCQ, CQE{QPN: qp.qpn, WRID: wr.ID, Op: OpWrite, Bytes: wr.Len})
-		}
-		if net.Partitioned() && qp.dev.node != remote.node {
-			// The write ACK routes back to the requester's partition at the
-			// full route latency, clearing the window bound at any LP count.
-			net.Route(remote.node, qp.dev.node, remote.sim.Now().Add(net.Prof.RouteLatency()), ack)
-		} else {
-			qp.dev.sim.After(net.Prof.PropagationDelay, ack)
-		}
+		qp.home(remote.node, remote.prof().PropagationDelay, func() { qp.done(OpWrite, wr.ID, wr.Len) })
 	}
 	qp.armRetry(msg, wr.ID, OpWrite)
 	qp.sendPaced(msg)

@@ -44,7 +44,7 @@ func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode) {
 		}
 		attempts++
 		if attempts > prof.RetryCount {
-			qp.enterError(CQE{QPN: qp.qpn, WRID: wrID, Op: op, Status: WCRetryExceeded})
+			qp.enterError(&CQE{QPN: qp.qpn, WRID: wrID, Op: op, Status: WCRetryExceeded}, WCFlushErr)
 			return
 		}
 		qp.dev.stats.TransportRetries++
@@ -53,20 +53,14 @@ func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode) {
 		qp.retx.queue = append(qp.retx.queue, msg)
 		qp.armRetxTimer()
 	}
-	net := qp.dev.net
-	if net.Partitioned() && msg.To != qp.dev.node {
+	msg.Dropped = drop
+	if to := msg.To; qp.foreign(to) {
 		// The fabric reports a loss from the receiving end of the wire (the
 		// arrival event that never delivered), which on a partitioned network
 		// is another partition. The loss verdict — real hardware's timeout or
 		// NAK — routes home before touching the QP's retransmission engine.
-		to := msg.To
-		msg.Dropped = func() {
-			exec := net.SimAt(to)
-			net.Route(to, qp.dev.node, exec.Now().Add(net.Prof.RouteLatency()), drop)
-		}
-		return
+		msg.Dropped = func() { qp.home(to, 0, drop) }
 	}
-	msg.Dropped = drop
 }
 
 // armRetxTimer starts the QP's retransmission timer unless one is already
@@ -93,7 +87,7 @@ func (qp *QP) retxFire() {
 	qp.retx.queue = nil
 	net := qp.dev.net
 	for _, m := range window {
-		if net.Partitioned() && m.From != qp.dev.node {
+		if qp.foreign(m.From) {
 			// A remote-NIC leg (an RDMA Read response) replays on the NIC
 			// that owns it. Partitioned profiles are lossless, so there is no
 			// pacer state to consult on the far side — the bare Transmit is

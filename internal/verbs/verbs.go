@@ -105,7 +105,7 @@ type Device struct {
 	// sim owns this device's events: the node's partition on a partitioned
 	// network, the shared simulation otherwise. Every event that touches
 	// device state executes on it; cross-device interactions route through
-	// the fabric (see errorFrom, match, postWrite).
+	// the fabric (see QP.home).
 	sim     *sim.Simulation
 	node    int
 	nextQPN uint32
@@ -496,7 +496,7 @@ func (d *Device) NotifyPeerDown(peer int) {
 		if qp == nil || qp.cfg.Type != fabric.RC || !qp.connected || qp.peerNode != peer {
 			continue
 		}
-		qp.forceError(WCPeerDown)
+		qp.enterError(nil, WCPeerDown)
 	}
 	for _, fn := range d.peerDownFns {
 		fn(peer)

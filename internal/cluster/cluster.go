@@ -488,10 +488,8 @@ func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 				res.RowsPerNode[a] = recvs[a].Rows
 				res.Progress[a] = recvs[a].Progress(c.N)
 				res.Epochs[a] = c.Devs[a].Epoch()
-				if err := shuffle.CheckErr(sends[a], recvs[a]); err != nil && res.Err == nil {
-					res.Err = err
-				}
 			}
+			res.Err = shuffle.CheckErr(sends, recvs)
 		})
 	})
 	if c.Group != nil {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -51,6 +53,15 @@ func TestLossyIncastDCQCNDegradationWhenDisabled(t *testing.T) {
 	if on.Err != nil {
 		t.Fatalf("with DCQCN on the lossy incast must complete cleanly; got %v", on.Err)
 	}
+	// Completing is not enough: the run tail-drops and retransmits hundreds
+	// of buffers on the way, and every row must still arrive exactly once.
+	var delivered int64
+	for _, r := range on.RowsPerNode {
+		delivered += r
+	}
+	if delivered != 8*rows {
+		t.Fatalf("DCQCN-on leg delivered %d of %d rows", delivered, 8*rows)
+	}
 
 	off := fabric.RoCEv2Lossy()
 	off.DCQCN = false
@@ -100,6 +111,46 @@ func TestLossyChaosSmoke(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLossyMatrixConservesRows runs all eight designs on the `make
+// trace-rocev2` cell — four nodes funnelling into node 0 on the lossy tier,
+// where the switch tail-drops and the RC designs retransmit. Whatever a
+// design's transport does about a loss, the query must either deliver every
+// row or say it failed, and say the same on a same-seed repeat in the same
+// process (recycled registered memory included), down to the trace.
+func TestLossyMatrixConservesRows(t *testing.T) {
+	const rows = 16384
+	run := func(alg shuffle.Algorithm) (delivered int64, err error, hash [32]byte) {
+		c := New(fabric.RoCEv2Lossy(), 4, 2, 42)
+		tr := c.EnableTracing(1 << 18)
+		res, simErr := c.RunBench(BenchOpts{
+			Factory: RDMAProvider(alg.Config(c.Threads)), RowsPerNode: rows, GroupsFn: incast,
+		})
+		if simErr != nil {
+			t.Fatalf("%s: simulation failed: %v", alg.Name, simErr)
+		}
+		for _, r := range res.RowsPerNode {
+			delivered += r
+		}
+		var b bytes.Buffer
+		if werr := telemetry.WriteChromeTrace(&b, tr); werr != nil {
+			t.Fatal(werr)
+		}
+		return delivered, res.Err, sha256.Sum256(b.Bytes())
+	}
+	for _, alg := range shuffle.ExtendedAlgorithms {
+		t.Run(alg.Name, func(t *testing.T) {
+			delivered, err, hash := run(alg)
+			if err == nil && delivered != 4*rows {
+				t.Fatalf("clean run delivered %d of %d rows", delivered, 4*rows)
+			}
+			if d2, err2, hash2 := run(alg); d2 != delivered || (err2 == nil) != (err == nil) || hash2 != hash {
+				t.Fatalf("same-seed repeat differs: %d rows, err %v, trace %x vs %d rows, err %v, trace %x",
+					d2, err2, hash2[:4], delivered, err, hash[:4])
+			}
+		})
 	}
 }
 

@@ -69,7 +69,7 @@ func wireCells() []wireCell {
 	}
 	noCC := fabric.RoCEv2Lossy()
 	noCC.DCQCN = false
-	for _, alg := range shuffle.Algorithms {
+	for _, alg := range shuffle.ExtendedAlgorithms {
 		cells = append(cells, wireCell{
 			name: "RoCEv2/" + alg.Name + "/incast4", prof: fabric.RoCEv2Lossy(),
 			nodes: 4, threads: 2, cfg: alg.Config(2),

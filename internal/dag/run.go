@@ -252,9 +252,9 @@ func (g *Graph) Run(c *cluster.Cluster, factory cluster.ProviderFactory) *Result
 					st.Rows += er.recvs[node].Rows
 					st.Bytes += er.recvs[node].Bytes
 					st.WRs += er.sends[node].SendWRs
-					if err := shuffle.CheckErr(er.sends[node], er.recvs[node]); err != nil && res.Err == nil {
-						res.Err = fmt.Errorf("dag edge %s: %w", e.ID(), err)
-					}
+				}
+				if err := shuffle.CheckErr(er.sends, er.recvs); err != nil && res.Err == nil {
+					res.Err = fmt.Errorf("dag edge %s: %w", e.ID(), err)
 				}
 			}
 		})

@@ -162,7 +162,14 @@ func (b *Batch) Bytes() []byte { return b.Data[:b.N*b.Sch.Width()] }
 // Row returns the raw bytes of row i.
 func (b *Batch) Row(i int) []byte {
 	w := b.Sch.Width()
-	return b.rows()[i*w : (i+1)*w]
+	return b.Data[i*w : (i+1)*w]
+}
+
+// slot returns the bytes of the row after the last one, for an operator to
+// fill before it counts the row in N.
+func (b *Batch) slot() []byte {
+	w := b.Sch.Width()
+	return b.rows()[b.N*w : (b.N+1)*w]
 }
 
 // AppendRow copies a raw row into the batch; the row must match the schema
@@ -171,7 +178,7 @@ func (b *Batch) AppendRow(row []byte) {
 	if b.Full() {
 		panic("engine: append to full batch")
 	}
-	copy(b.Row(b.N), row)
+	copy(b.slot(), row)
 	b.N++
 }
 

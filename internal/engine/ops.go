@@ -114,7 +114,7 @@ func (pr *Project) Next(p *sim.Proc, tid int) (*Batch, State) {
 		insch := pr.In.Schema()
 		pr.ctx.ChargeCopy(p, in.N*pr.sch.Width())
 		for i := 0; i < in.N; i++ {
-			row := out.Row(out.N)
+			row := out.slot()
 			src := in.Row(i)
 			off := 0
 			for _, c := range pr.Cols {
@@ -244,7 +244,7 @@ func (h *HashJoin) Next(p *sim.Proc, tid int) (*Batch, State) {
 						h.ctx.ChargeCopy(p, matched*h.sch.Width())
 						return out, MoreData
 					}
-					row := out.Row(out.N)
+					row := out.slot()
 					copy(row, h.rows[r*bw:(r+1)*bw])
 					if h.Semi {
 						h.matched[r] = true
@@ -415,7 +415,7 @@ func (a *HashAgg) Next(p *sim.Proc, tid int) (*Batch, State) {
 	for out.N < out.Cap() && a.cursor < len(a.merged) {
 		k := a.merged[a.cursor]
 		a.cursor++
-		row := out.Row(out.N)
+		row := out.slot()
 		copy(row, k) // key bytes are a prefix of the output row
 		acc := a.table[k]
 		out.N++

@@ -317,8 +317,10 @@ func (n *Network) ResetStats() {
 // Faults exposes the network's fault schedule for installing rules. Like
 // SetTracer it first flushes any batch-queued arrivals to per-message
 // events: messages already in flight were transmitted under the old (empty)
-// plan and keep their decided fate, while every later transmit sees the new
-// rules and takes the exact per-message path.
+// plan and keep the wire fate and link rate drawn then — only a port that
+// is dark, cut off or paused when they arrive still catches them — while
+// every later transmit sees the new rules and takes the exact per-message
+// path.
 func (n *Network) Faults() *FaultPlan {
 	n.flushPending()
 	return &n.faults
@@ -621,6 +623,7 @@ func (n *Network) downlink(f flight) {
 		tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, f.wire, f.bw,
 			m.Service == UD || m.Dropped != nil, rnow)
 		if tailDropped {
+			// The event's last argument tells UD (1) from RC (0).
 			n.drop(dst, m, rnow, telemetry.EvTailDrop, int64(m.Service))
 			return
 		}
@@ -755,8 +758,8 @@ func (n *Network) pendMin() *flight {
 	return best
 }
 
-// popPending removes and returns the head of f's source queue (f must be a
-// pendMin result); the drained prefix is reclaimed when the queue empties.
+// popPending removes and returns head, the first flight of its source queue
+// (a pendMin result); the drained prefix is reclaimed when the queue empties.
 func (n *Network) popPending(head *flight) flight {
 	f := *head
 	src := n.nics[f.m.From]
@@ -843,10 +846,10 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 			}
 			continue
 		}
-		copy := up
-		copy.To, copy.Sent = d, nil
-		copy.Deliver = func(at sim.Time) { deliver(d, at) }
-		f.m = &copy
+		leg := up
+		leg.To, leg.Sent = d, nil
+		leg.Deliver = func(at sim.Time) { deliver(d, at) }
+		f.m = &leg
 		if !n.faults.Empty() {
 			f.bw = n.linkRate(m.From, d, f.sent)
 		}

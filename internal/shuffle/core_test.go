@@ -221,3 +221,22 @@ func TestReapConsumesWholeBatch(t *testing.T) {
 		t.Fatalf("lenient reap of a live peer's failure = %v, want ErrTransport", err)
 	}
 }
+
+// TestCheckErrConservation: a shuffle whose fragments all ran clean must
+// still account for every row it handed to SEND; a transport error outranks
+// the census, since a failed run is expected to be short.
+func TestCheckErrConservation(t *testing.T) {
+	sends := []*Shuffle{{rowsOut: 60}, {rowsOut: 40}}
+	recvs := []*Receive{{Rows: 70}, {Rows: 30}}
+	if err := CheckErr(sends, recvs); err != nil {
+		t.Fatalf("balanced census: %v", err)
+	}
+	recvs[1].Rows = 29
+	if err := CheckErr(sends, recvs); !errors.Is(err, ErrRowsLost) {
+		t.Fatalf("99 of 100 rows delivered: err = %v, want ErrRowsLost", err)
+	}
+	recvs[0].Err = ErrStalled
+	if err := CheckErr(sends, recvs); !errors.Is(err, ErrStalled) || errors.Is(err, ErrRowsLost) {
+		t.Fatalf("failed run: err = %v, want the transport error only", err)
+	}
+}

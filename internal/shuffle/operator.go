@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
 
 	"rshuffle/internal/engine"
@@ -54,6 +55,11 @@ type Shuffle struct {
 	// posted count below this, which the verbs layer accounts separately).
 	BufsSent, SendWRs int64
 
+	// rowsOut counts the tuples handed to SEND, once per destination of
+	// their transmission group: what the receivers of a clean run must add
+	// up to (CheckErr).
+	rowsOut int64
+
 	ctx *engine.Ctx
 	eps []SendEndpoint
 	out [][]*Buf // [tid][group] current output buffer
@@ -98,6 +104,19 @@ func (s *Shuffle) Open(ctx *engine.Ctx) {
 	s.empty = engine.NewBatch(s.In.Schema(), 1)
 }
 
+// send transmits b to group g and, on success, adds it to the census.
+func (s *Shuffle) send(p *sim.Proc, target SendEndpoint, b *Buf, g int) error {
+	rows := int64(b.Len / s.In.Schema().Width())
+	if err := target.Send(p, b, s.G[g]); err != nil {
+		return err
+	}
+	fanout := int64(len(s.G[g]))
+	s.BufsSent++
+	s.SendWRs += fanout
+	s.rowsOut += rows * fanout
+	return nil
+}
+
 func (s *Shuffle) fail(err error) {
 	if s.Err == nil {
 		s.Err = err
@@ -137,12 +156,10 @@ func (s *Shuffle) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 				cur.Len += w
 				copied += w
 				if cur.Len+w > cur.Cap() {
-					if err := target.Send(p, cur, s.G[g]); err != nil {
+					if err := s.send(p, target, cur, g); err != nil {
 						s.fail(err)
 						break
 					}
-					s.BufsSent++
-					s.SendWRs += int64(len(s.G[g]))
 					s.out[tid][g] = nil
 				}
 			}
@@ -164,11 +181,8 @@ func (s *Shuffle) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 		if cur == nil || s.Err != nil {
 			continue
 		}
-		if err := target.Send(p, cur, s.G[g]); err != nil {
+		if err := s.send(p, target, cur, g); err != nil {
 			s.fail(err)
-		} else {
-			s.BufsSent++
-			s.SendWRs += int64(len(s.G[g]))
 		}
 		s.out[tid][g] = nil
 	}
@@ -326,13 +340,35 @@ func (r *Receive) Progress(n int) []PartitionProgress {
 	return out
 }
 
-// CheckErr returns the first transport error seen by either side.
-func CheckErr(sh *Shuffle, rc *Receive) error {
-	if sh != nil && sh.Err != nil {
-		return fmt.Errorf("shuffle send: %w", sh.Err)
+// ErrRowsLost means a shuffle whose every fragment finished clean delivered
+// a different number of rows than its SHUFFLE operators handed to SEND: the
+// transport lost, duplicated or misrouted data without noticing.
+var ErrRowsLost = errors.New("shuffle: rows sent and rows received differ")
+
+// CheckErr judges one shuffle from its per-node operators (nil entries are
+// skipped). It returns the first transport error, in node order with a
+// node's sending side first. If every fragment ran clean it checks
+// conservation: the receivers together must hold exactly the rows the
+// senders handed to SEND, once per destination of each row's transmission
+// group (groups suppressed by SkipTo were never handed over).
+func CheckErr(sends []*Shuffle, recvs []*Receive) error {
+	var sent, got int64
+	for a := range sends {
+		if sh := sends[a]; sh != nil {
+			if sh.Err != nil {
+				return fmt.Errorf("shuffle send: %w", sh.Err)
+			}
+			sent += sh.rowsOut
+		}
+		if rc := recvs[a]; rc != nil {
+			if rc.Err != nil {
+				return fmt.Errorf("shuffle recv: %w", rc.Err)
+			}
+			got += rc.Rows
+		}
 	}
-	if rc != nil && rc.Err != nil {
-		return fmt.Errorf("shuffle recv: %w", rc.Err)
+	if sent != got {
+		return fmt.Errorf("%w: %d handed to SEND, %d received", ErrRowsLost, sent, got)
 	}
 	return nil
 }

@@ -73,10 +73,8 @@ func TestDrainReopenPerImpl(t *testing.T) {
 			if err := r.sim.Run(); err != nil {
 				t.Fatal(err)
 			}
-			for a := 0; a < nodes; a++ {
-				if err := CheckErr(r.sends[a], r.recvs[a]); err != nil {
-					t.Fatal(err)
-				}
+			if err := CheckErr(r.sends, r.recvs); err != nil {
+				t.Fatal(err)
 			}
 			verifyRepartition(t, r, nodes, rows)
 		})
@@ -174,10 +172,8 @@ func TestSkipToSuppressesPartitions(t *testing.T) {
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for a := 0; a < nodes; a++ {
-		if err := CheckErr(r.sends[a], r.recvs[a]); err != nil {
-			t.Fatal(err)
-		}
+	if err := CheckErr(r.sends, r.recvs); err != nil {
+		t.Fatal(err)
 	}
 	if got := r.results[1].Rows; got != 0 {
 		t.Fatalf("skipped destination received %d rows, want 0", got)

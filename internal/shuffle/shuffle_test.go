@@ -136,10 +136,8 @@ func TestRepartitionAllAlgorithms(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name(threads), func(t *testing.T) {
 			r := runShuffle(t, quietEDR(), cfg, nodes, threads, rows, Repartition(nodes))
-			for a := 0; a < nodes; a++ {
-				if err := CheckErr(r.sends[a], r.recvs[a]); err != nil {
-					t.Fatal(err)
-				}
+			if err := CheckErr(r.sends, r.recvs); err != nil {
+				t.Fatal(err)
 			}
 			verifyRepartition(t, r, nodes, rows)
 		})
@@ -203,12 +201,7 @@ func TestUDPacketLossDetected(t *testing.T) {
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var got error
-	for a := 0; a < nodes; a++ {
-		if err := CheckErr(r.sends[a], r.recvs[a]); err != nil {
-			got = err
-		}
-	}
+	got := CheckErr(r.sends, r.recvs)
 	if got == nil {
 		t.Fatal("packet loss went undetected")
 	}
@@ -459,12 +452,7 @@ func TestHWMulticastWithLossDetected(t *testing.T) {
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var got error
-	for a := 0; a < 3; a++ {
-		if err := CheckErr(r.sends[a], r.recvs[a]); err != nil {
-			got = err
-		}
-	}
+	got := CheckErr(r.sends, r.recvs)
 	if !errors.Is(got, ErrDataLoss) {
 		t.Fatalf("error = %v, want ErrDataLoss", got)
 	}
@@ -488,11 +476,9 @@ func TestRandomConfigConservationProperty(t *testing.T) {
 			t.Logf("%s n=%d t=%d e=%d buf=%d: %v", impl, nodes, threads, e, buf, err)
 			return false
 		}
-		for a := 0; a < nodes; a++ {
-			if err := CheckErr(r.sends[a], r.recvs[a]); err != nil {
-				t.Logf("%s n=%d t=%d e=%d buf=%d: %v", impl, nodes, threads, e, buf, err)
-				return false
-			}
+		if err := CheckErr(r.sends, r.recvs); err != nil {
+			t.Logf("%s n=%d t=%d e=%d buf=%d: %v", impl, nodes, threads, e, buf, err)
+			return false
 		}
 		var total int64
 		for _, s := range r.results {

@@ -134,33 +134,24 @@ func (d *Device) Rate(qpn uint32) (float64, bool) {
 	return d.prof().LinkBandwidth, false
 }
 
-// sendPaced routes msg through the QP's go-back-N engine and DCQCN rate
-// limiter before handing it to the fabric.
-func (qp *QP) sendPaced(msg *fabric.Message) {
-	// Go-back-N: while a replay is pending the QP's send pointer sits behind
-	// the hole, so new data sends join the lost window and first hit the
-	// wire when the retransmission timer fires — the head-of-line stall that
-	// makes packet loss expensive on real RC hardware.
-	if qp.frozenBehindHole(msg) {
-		qp.retx.queue = append(qp.retx.queue, msg)
-		return
-	}
+// sendPaced routes msg, the psn-th of its sequence (zero for traffic outside
+// the go-back-N sequences), through the QP's DCQCN rate limiter and
+// retransmission engine before handing it to the fabric. While a replay is
+// pending the QP's send pointer sits behind the hole, so an RC data send
+// (droppable, i.e. retry-armed; infrastructure and UD traffic passes) that
+// reaches the head of the TX pipeline freezes there, joins the lost window,
+// and first hits the wire when the retransmission timer fires — the
+// head-of-line stall that makes packet loss expensive on real RC hardware.
+// The check sits at the pacer's release instant, so a loss detected while
+// the message sat in the pacer rewinds it into the replay window too.
+func (qp *QP) sendPaced(msg *fabric.Message, psn uint64) {
 	qp.pacedSend(qp.dev.net.Prof.WireBytes(msg.Payload, msg.Service), func() {
-		// The release instant re-checks the hole: a loss detected while the
-		// message sat in the pacer rewinds it into the replay window too.
-		if qp.frozenBehindHole(msg) {
-			qp.retx.queue = append(qp.retx.queue, msg)
+		if qp.retx.armed && qp.cfg.Type == fabric.RC && msg.Dropped != nil {
+			qp.rejoin(replay{psn, msg})
 			return
 		}
 		qp.dev.net.Transmit(msg)
 	})
-}
-
-// frozenBehindHole reports whether a pending go-back-N replay must absorb
-// this message: RC data sends (droppable, i.e. retry-armed) queue behind the
-// hole; infrastructure and UD traffic passes.
-func (qp *QP) frozenBehindHole(msg *fabric.Message) bool {
-	return qp.retx.armed && qp.cfg.Type == fabric.RC && msg.Dropped != nil
 }
 
 // pacedSend delays send() so the QP's flow respects its NIC TX engine's
@@ -192,7 +183,9 @@ func (qp *QP) pacedSend(wire int, send func()) {
 		send()
 		return
 	}
+	qp.paced++
 	d.net.Sim.At(start, func() {
+		qp.paced--
 		if qp.destroyed || qp.state == QPError {
 			return
 		}

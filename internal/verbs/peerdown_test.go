@@ -144,12 +144,12 @@ func TestPeerDownCancelsPendingRetransmit(t *testing.T) {
 		// Let the drop land and arm the retransmission timer, then tear the
 		// peer down long before the ACK timeout would fire.
 		p.Sleep(50 * time.Microsecond)
-		if !qpa.retx.armed || len(qpa.retx.queue) != 1 {
-			t.Errorf("retx engine not armed before teardown: armed=%v queue=%d",
-				qpa.retx.armed, len(qpa.retx.queue))
+		if !qpa.retx.armed || len(qpa.retx.window) != 1 {
+			t.Errorf("retx engine not armed before teardown: armed=%v window=%d",
+				qpa.retx.armed, len(qpa.retx.window))
 		}
 		r.devs[0].NotifyPeerDown(1)
-		if qpa.retx.armed || qpa.retx.queue != nil {
+		if qpa.retx.armed || qpa.retx.window != nil {
 			t.Error("peer-down left the retransmission timer armed")
 		}
 		txAfterTeardown = r.net.Stats(0).TxMessages

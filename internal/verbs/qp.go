@@ -106,6 +106,8 @@ type QP struct {
 	// DCQCN profiles, sends are released no faster than the QP's current
 	// rate (see pacedSend).
 	txNextFree sim.Time
+	// paced counts the sends waiting in the pacer for their release instant.
+	paced int
 
 	state     QPState
 	destroyed bool
@@ -459,8 +461,9 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		msg := qp.toPeer(wr.Len)
 		toNode, toQPN := qp.peerNode, qp.peerQPN
 		msg.Deliver = func(at sim.Time) { qp.deliverRC(toNode, toQPN, payload, wr) }
-		qp.armRetry(msg, wr.ID, OpSend)
-		qp.sendPaced(msg)
+		psn := qp.nextPSN(seqRequest)
+		qp.armRetry(msg, wr.ID, OpSend, seqRequest, psn)
+		qp.sendPaced(msg, psn)
 		return nil
 	}
 	if wr.Len > qp.dev.prof().MTU {
@@ -471,18 +474,18 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		return err
 	}
 	net := qp.dev.net
-	src, srcQPN, dest := qp.dev.node, qp.qpn, wr.Dest
+	src, srcQPN, dest, id, n := qp.dev.node, qp.qpn, wr.Dest, wr.ID, wr.Len
 	msg := &fabric.Message{
 		From: src, To: dest.Node,
 		FromQP: qp.cacheKey(), ToQP: uint64(dest.Node)<<32 | uint64(dest.QPN),
 		Payload: wr.Len, Service: fabric.UD,
 		// Local completion when the datagram is on the wire.
-		Sent:    func(at sim.Time) { qp.done(OpSend, wr.ID, wr.Len) },
+		Sent:    func(at sim.Time) { qp.done(OpSend, id, n) },
 		Dropped: func() {},
 	}
 	if !dest.Multicast {
 		msg.Deliver = func(at sim.Time) { deliverUD(net, dest.Node, dest.QPN, src, srcQPN, payload, wr) }
-		qp.sendPaced(msg)
+		qp.sendPaced(msg, 0)
 		return nil
 	}
 	// One datagram to every QP attached to the MGID. The switch knows the
@@ -689,6 +692,7 @@ func (qp *QP) postRead(wr SendWR) error {
 	}
 	net := qp.dev.net
 	remote := deviceAt(net, qp.peerNode)
+	psn, rpsn := qp.nextPSN(seqRequest), qp.nextPSN(seqResponse)
 	// Request leg: a small control packet to the responder NIC.
 	req := qp.toPeer(net.Prof.ReadRequestBytes)
 	req.Deliver = func(at sim.Time) {
@@ -709,15 +713,15 @@ func (qp *QP) postRead(wr SendWR) error {
 		// A lost response is retransmitted by the responder NIC; each leg
 		// carries its own retry_cnt budget. The responder's own QP paces the
 		// bulk leg, so a congestion-cut server streams reads at its cut rate.
-		qp.armRetry(resp, wr.ID, OpRead)
+		qp.armRetry(resp, wr.ID, OpRead, seqResponse, rpsn)
 		if rqp := remote.qps[qp.peerQPN]; rqp != nil {
-			rqp.sendPaced(resp)
+			rqp.sendPaced(resp, rpsn)
 		} else {
 			net.Transmit(resp)
 		}
 	}
-	qp.armRetry(req, wr.ID, OpRead)
-	net.Transmit(req)
+	qp.armRetry(req, wr.ID, OpRead, seqRequest, psn)
+	qp.sendPaced(req, psn)
 	return nil
 }
 
@@ -740,8 +744,9 @@ func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 		remote.memWake.Broadcast()
 		qp.home(remote.node, remote.prof().PropagationDelay, func() { qp.done(OpWrite, wr.ID, wr.Len) })
 	}
-	qp.armRetry(msg, wr.ID, OpWrite)
-	qp.sendPaced(msg)
+	psn := qp.nextPSN(seqRequest)
+	qp.armRetry(msg, wr.ID, OpWrite, seqRequest, psn)
+	qp.sendPaced(msg, psn)
 	return nil
 }
 

@@ -13,8 +13,16 @@ test:
 test-full:
 	$(GO) test ./...
 
+# vet also guards the one query lifecycle: outside the simulator itself, its
+# qperf baseline and the frozen bench/ harness, only the driver
+# (cluster.Run, internal/cluster/query.go) may run a cluster's engine — a
+# hand-rolled Sim.Run()/Group.Run() forgets Recycle, the partitioned engine,
+# or both.
 vet:
 	$(GO) vet ./...
+	@if grep -rnE '\.(Sim|Group)\.Run\(\)' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
+		| grep -vE '^\./(internal/sim/|internal/qperf/|bench/|internal/cluster/query\.go:)'; then \
+		echo "vet: run the engine through cluster.Run (internal/cluster/query.go), not by hand"; exit 1; fi
 
 race:
 	$(GO) test -race -short ./...
@@ -69,11 +77,12 @@ dag-smoke:
 	$(GO) test -race -run '^TestDagChaosSmoke$$' -v ./internal/dag/
 
 # Race-enabled PDES equivalence smoke: all six Table 1 designs plus a
-# crash-stop chaos cell at 1, 2, and 8 logical partitions; every output
-# fingerprint (result, metrics report, merged trace) must be byte-identical
-# across LP counts.
+# crash-stop chaos cell through RunBench, and the multi-stage DAG plan over
+# three designs, at 1, 2, and 8 logical partitions; every output fingerprint
+# (result, metrics report, merged trace) must be byte-identical across LP
+# counts.
 pdes-smoke:
-	$(GO) test -race -run '^TestPDES' -v ./internal/cluster/
+	$(GO) test -race -run '^TestPDES' -v ./internal/cluster/ ./internal/dag/
 
 # Short fuzz smoke for the fuzz targets (checked-in corpus plus a few
 # seconds of fresh coverage each). Go runs one -fuzz target per invocation,

@@ -41,7 +41,7 @@ func main() {
 		trace   = flag.String("trace", "", "run a short traced benchmark and write Chrome trace-event JSON to this file")
 		metrics = flag.Bool("metrics", false, "regenerate the paper's Table 1 counters from the metrics registry")
 		workers = flag.Int("workers", 0, "simulation cells in flight at once: 1 = serial reference mode, 0 = one per CPU")
-		lps     = flag.Int("lps", 0, "logical partitions per simulation: >0 runs each whole-query cell on the conservative PDES engine (byte-identical results, lossless profiles only; combine with -workers 1 to give one big run the whole machine), 0 = classic single-threaded engine")
+		lps     = flag.Int("lps", 0, "logical partitions per simulation: >0 runs every cell of every exhibit — throughput, setup-only, DAG and TPC-H — on the conservative PDES engine (byte-identical results at every count; cells on a lossy profile stay on the classic engine; combine with -workers 1 to give one big run the whole machine), 0 = classic single-threaded engine")
 		profile = flag.String("profile", "ib", "fabric for -chaos and -trace: 'ib' (lossless InfiniBand) or 'rocev2' (lossy Ethernet with PFC/ECN/DCQCN)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -268,10 +268,9 @@ func runMetrics(w io.Writer, seed int64) error {
 		alg := findAlgorithm(name)
 		c := cluster.New(fabric.EDR(), 16, 14, seed)
 		cfg := alg.Config(c.Threads)
-		c.Sim.Spawn("build", func(p *sim.Proc) {
+		if err := c.Run(&cluster.Query{Name: "build", Setup: func(p *sim.Proc) {
 			shuffle.Build(p, c.Devs, cfg, c.Threads)
-		})
-		if err := c.Sim.Run(); err != nil {
+		}}); err != nil {
 			return fmt.Errorf("%s: %v", name, err)
 		}
 		reg := c.Metrics()

@@ -44,53 +44,46 @@ func main() {
 		}
 	}
 
+	// A hand-wired query is three steps of one Query; Cluster.Run supplies
+	// the lifecycle around them (driver Proc, join, engine, teardown).
 	var total int64
-	c.Sim.Spawn("query", func(p *rshuffle.Proc) {
-		comm := rshuffle.BuildComm(p, c, cfg)
-		done := c.Sim.NewWaitGroup("bcast-join")
-
+	var comm *rshuffle.Comm
+	sinks := make([]*engine.Sink, nodes)
+	q := &rshuffle.Query{Name: "query"}
+	q.Setup = func(p *rshuffle.Proc) { comm = rshuffle.BuildComm(p, c, cfg) }
+	q.Stream = func(*rshuffle.Proc) {
 		// Node 0 broadcasts the dimension table to every node (including
 		// itself, via NIC loopback); other nodes send nothing but must
 		// still signal end-of-stream.
-		recvs := make([]*shuffle.Receive, nodes)
 		for a := 0; a < nodes; a++ {
-			a := a
 			in := engine.Operator(&engine.Scan{T: dim})
 			if a != 0 {
 				in = &engine.Scan{T: engine.NewTable(sch)} // empty
 			}
-			sh := &shuffle.Shuffle{
+			q.Go(a, "send", &engine.Sink{In: &shuffle.Shuffle{
 				In: in, Comm: comm, Node: a,
 				G:   rshuffle.Broadcast(nodes),
 				Key: rshuffle.KeyInt64Col(0),
-			}
-			sink := &engine.Sink{In: sh}
-			done.Add(1)
-			sink.Run(c.Ctx(a), "send", func(p *rshuffle.Proc) { done.Done() })
-			recvs[a] = &shuffle.Receive{Comm: comm, Node: a, Sch: sch}
+			}})
 		}
-
 		// Each node joins the broadcast dimension against its local facts.
-		sinks := make([]*engine.Sink, nodes)
 		for a := 0; a < nodes; a++ {
-			join := &engine.HashJoin{
-				Build: recvs[a], Probe: &engine.Scan{T: facts[a]},
+			sinks[a] = &engine.Sink{In: &engine.HashJoin{
+				Build:    &shuffle.Receive{Comm: comm, Node: a, Sch: sch},
+				Probe:    &engine.Scan{T: facts[a]},
 				BuildKey: 0, ProbeKey: 0,
-			}
-			sinks[a] = &engine.Sink{In: join}
-			done.Add(1)
-			sinks[a].Run(c.Ctx(a), "join", func(p *rshuffle.Proc) { done.Done() })
+			}}
+			q.Go(a, "join", sinks[a])
 		}
-		c.Sim.Spawn("report", func(p *rshuffle.Proc) {
-			done.Wait(p)
-			for a := 0; a < nodes; a++ {
-				total += sinks[a].Rows
-			}
-			fmt.Printf("broadcast join matched %d fact rows in %v of virtual time\n",
-				total, p.Now())
-		})
-	})
-	if err := c.Sim.Run(); err != nil {
+	}
+	q.Collect = func() {
+		for a := 0; a < nodes; a++ {
+			total += sinks[a].Rows
+		}
+		fmt.Printf("broadcast join matched %d fact rows in %v of virtual time\n",
+			total, q.End)
+	}
+	if err := c.Run(q); err != nil {
 		log.Fatal(err)
 	}
 	if want := int64(nodes * factRows); total != want {

@@ -45,60 +45,53 @@ func main() {
 		s[a] = makeTable(int64(a+100), sRows, keyMod)
 	}
 
+	// A hand-wired query is three steps of one Query; Cluster.Run supplies
+	// the lifecycle around them (driver Proc, join, engine, teardown).
 	var joined int64
-	c.Sim.Spawn("query", func(p *rshuffle.Proc) {
+	var commR, commS *rshuffle.Comm
+	sinks := make([]*engine.Sink, nodes)
+	q := &rshuffle.Query{Name: "query"}
+	q.Setup = func(p *rshuffle.Proc) {
 		// One communication layer per shuffle operator pair, as in a real
 		// plan with two exchanges.
-		commR := rshuffle.BuildComm(p, c, cfg)
-		commS := rshuffle.BuildComm(p, c, cfg)
-		done := c.Sim.NewWaitGroup("join")
-
-		recvR := make([]*shuffle.Receive, nodes)
-		recvS := make([]*shuffle.Receive, nodes)
+		commR = rshuffle.BuildComm(p, c, cfg)
+		commS = rshuffle.BuildComm(p, c, cfg)
+	}
+	q.Stream = func(*rshuffle.Proc) {
+		// Sending fragments: repartition R and S on the join key.
 		for a := 0; a < nodes; a++ {
-			a := a
-			// Sending fragments: repartition R and S on the join key.
 			for _, side := range []struct {
 				comm *rshuffle.Comm
 				tbl  *engine.Table
 				name string
 			}{{commR, r[a], "R"}, {commS, s[a], "S"}} {
-				sh := &shuffle.Shuffle{
+				q.Go(a, "send-"+side.name, &engine.Sink{In: &shuffle.Shuffle{
 					In:   &engine.Scan{T: side.tbl},
 					Comm: side.comm, Node: a,
 					G:   rshuffle.Repartition(nodes),
 					Key: rshuffle.KeyInt64Col(0),
-				}
-				sink := &engine.Sink{In: sh}
-				done.Add(1)
-				sink.Run(c.Ctx(a), "send-"+side.name, func(p *rshuffle.Proc) { done.Done() })
+				}})
 			}
-			recvR[a] = &shuffle.Receive{Comm: commR, Node: a, Sch: r[a].Sch}
-			recvS[a] = &shuffle.Receive{Comm: commS, Node: a, Sch: s[a].Sch}
 		}
-
 		// Receiving fragments: build on R, probe with S, count matches.
-		sinks := make([]*engine.Sink, nodes)
 		for a := 0; a < nodes; a++ {
-			join := &engine.HashJoin{
-				Build: recvR[a], Probe: recvS[a],
+			sinks[a] = &engine.Sink{In: &engine.HashJoin{
+				Build:    &shuffle.Receive{Comm: commR, Node: a, Sch: r[a].Sch},
+				Probe:    &shuffle.Receive{Comm: commS, Node: a, Sch: s[a].Sch},
 				BuildKey: 0, ProbeKey: 0,
-			}
-			sinks[a] = &engine.Sink{In: join}
-			done.Add(1)
-			sinks[a].Run(c.Ctx(a), "join", func(p *rshuffle.Proc) { done.Done() })
+			}}
+			q.Go(a, "join", sinks[a])
 		}
-		c.Sim.Spawn("report", func(p *rshuffle.Proc) {
-			done.Wait(p)
-			for a := 0; a < nodes; a++ {
-				fmt.Printf("  node %d joined %d rows\n", a, sinks[a].Rows)
-				joined += sinks[a].Rows
-			}
-			fmt.Printf("distributed join produced %d rows in %v of virtual time\n",
-				joined, p.Now())
-		})
-	})
-	if err := c.Sim.Run(); err != nil {
+	}
+	q.Collect = func() {
+		for a := 0; a < nodes; a++ {
+			fmt.Printf("  node %d joined %d rows\n", a, sinks[a].Rows)
+			joined += sinks[a].Rows
+		}
+		fmt.Printf("distributed join produced %d rows in %v of virtual time\n",
+			joined, q.End)
+	}
+	if err := c.Run(q); err != nil {
 		log.Fatal(err)
 	}
 

@@ -29,29 +29,19 @@ type Cluster struct {
 	N       int
 	Threads int
 	// FD is the heartbeat failure detector, when one is installed
-	// (InstallDetector). RunBench stops it once the query completes.
+	// (InstallDetector). Run stops it once the query completes.
 	FD *Detector
-	// onBenchStart callbacks run when RunBench finishes transport setup and
-	// the query proper starts streaming. Fault harnesses use it to arm
+	// onBenchStart callbacks run when a query finishes transport setup and
+	// starts streaming (see Run). Fault harnesses use it to arm
 	// faults relative to the streaming phase, whose absolute start varies
 	// with the per-algorithm connection setup cost.
 	onBenchStart []func()
 }
 
-// AtBenchStart registers a callback to run at the instant RunBench starts
-// streaming (after transport setup). Callbacks run inside the benchmark
-// Proc and must not block.
+// AtBenchStart registers a callback to run at the instant a query starts
+// streaming (after transport setup; see Run). Callbacks run inside the
+// driver Proc and must not block.
 func (c *Cluster) AtBenchStart(f func()) { c.onBenchStart = append(c.onBenchStart, f) }
-
-// FireBenchStart invokes the AtBenchStart callbacks. RunBench calls it when
-// the streaming phase begins; external schedulers that drive their own query
-// (the DAG runner) call it at the equivalent instant so fault harnesses
-// armed relative to the streaming phase work unchanged.
-func (c *Cluster) FireBenchStart() {
-	for _, f := range c.onBenchStart {
-		f()
-	}
-}
 
 // New boots a cluster of nodes over the given hardware profile. threads <= 0
 // selects the profile's default thread count.
@@ -238,12 +228,6 @@ func (s *splitMix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Phase ids used in EvPhase trace spans.
-const (
-	phaseSetup  = 0 // transport bootstrap: QP creation, wiring, registration
-	phaseStream = 1 // the query proper
-)
-
 // BenchOpts configures a receive-throughput run (§5.1): every node scans a
 // local copy of R and shuffles it on R.a.
 type BenchOpts struct {
@@ -342,7 +326,8 @@ func (r *BenchResult) ThroughputPerNode() float64 {
 func (r *BenchResult) GiBps() float64 { return r.ThroughputPerNode() / (1 << 30) }
 
 // RunBench executes the synthetic receive-throughput query to completion
-// and returns its metrics. It owns the cluster's simulation.
+// and returns its metrics. It is a body of Run, which owns and recycles the
+// cluster's simulation.
 func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 	if opts.Passes <= 0 {
 		opts.Passes = 1
@@ -371,10 +356,15 @@ func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 	}
 	sch := tables[0].Sch
 
-	c.Sim.Spawn("bench", func(p *sim.Proc) {
-		tr := c.Net.TracerAt(-1)
-		tr.Begin(p.Now(), telemetry.EvPhase, -1, 0, phaseSetup, 0)
-		prov := opts.Factory(p, c)
+	sends := make([]*shuffle.Shuffle, c.N)
+	recvs := make([]*shuffle.Receive, c.N)
+	sendSinks := make([]*engine.Sink, c.N)
+	recvSinks := make([]*engine.Sink, c.N)
+	var prov shuffle.Provider
+	var node0Burn *engine.Burn
+	q := &Query{Name: "bench"}
+	q.Setup = func(p *sim.Proc) {
+		prov = opts.Factory(p, c)
 		if comm, ok := prov.(*shuffle.Comm); ok {
 			res.SetupTime, res.RegTime = comm.SetupTime, comm.RegTime
 			res.SendMemoryPerNode = comm.SendMemoryPerNode
@@ -382,41 +372,16 @@ func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 		} else if sr, ok := prov.(setupReporter); ok {
 			res.SetupTime, res.RegTime = sr.Setup()
 		}
-		res.SetupNIC = c.Net.SnapshotStats()
-		start := p.Now()
-		tr.End(start, telemetry.EvPhase, -1, 0, phaseSetup, 0)
-		tr.Begin(start, telemetry.EvPhase, -1, 0, phaseStream, 0)
-		c.FireBenchStart()
-		done := c.Sim.NewWaitGroup("bench")
-		// The WaitGroup lives on the control partition; a worker fragment's
-		// completion is a control message — on a partitioned run it routes
-		// home like any other cross-node interaction, paying one route
-		// latency, so the join instant is identical at every LP count.
-		finish := func(node int) func(*sim.Proc) {
-			if c.Group == nil {
-				return func(*sim.Proc) { done.Done() }
-			}
-			return func(*sim.Proc) {
-				at := c.Net.SimAt(node).Now().Add(c.Net.Prof.RouteLatency())
-				c.Net.Route(node, c.N, at, func() { done.Done() })
-			}
-		}
-		sends := make([]*shuffle.Shuffle, c.N)
-		recvs := make([]*shuffle.Receive, c.N)
-		sendSinks := make([]*engine.Sink, c.N)
-		recvSinks := make([]*engine.Sink, c.N)
-		var node0Burn *engine.Burn
+	}
+	q.Stream = func(*sim.Proc) {
 		for a := 0; a < c.N; a++ {
-			a := a
 			sends[a] = &shuffle.Shuffle{
 				In:   &engine.Scan{T: tables[a], Passes: opts.Passes},
 				Comm: prov, Node: a, G: groups, Key: shuffle.KeyInt64Col(0),
 				ZeroCopy: opts.ZeroCopy, SkipTo: opts.skipFor(a),
 			}
-			sendSink := &engine.Sink{In: sends[a]}
-			sendSinks[a] = sendSink
-			done.Add(1)
-			sendSink.Run(c.Ctx(a), fmt.Sprintf("send%d", a), finish(a))
+			sendSinks[a] = &engine.Sink{In: sends[a]}
+			q.Go(a, fmt.Sprintf("send%d", a), sendSinks[a])
 
 			bt := 0
 			if opts.ReceiveBatchBytes > 0 {
@@ -424,102 +389,53 @@ func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 			}
 			recvs[a] = &shuffle.Receive{Comm: prov, Node: a, Sch: sch, BatchTuples: bt}
 			var top engine.Operator = recvs[a]
-			var burn *engine.Burn
 			if opts.BurnPerBatch > 0 {
-				burn = &engine.Burn{In: top, PerBatch: opts.BurnPerBatch}
+				burn := &engine.Burn{In: top, PerBatch: opts.BurnPerBatch}
 				top = burn
+				if a == 0 {
+					node0Burn = burn
+				}
 			}
-			if a == 0 && burn != nil {
-				node0Burn = burn
-			}
-			recvSink := &engine.Sink{In: top}
-			recvSinks[a] = recvSink
-			done.Add(1)
-			recvSink.Run(c.Ctx(a), fmt.Sprintf("recv%d", a), finish(a))
+			recvSinks[a] = &engine.Sink{In: top}
+			q.Go(a, fmt.Sprintf("recv%d", a), recvSinks[a])
 		}
-		if c.Group != nil {
-			// Setup reached across partitions freely (fused lockstep); from
-			// the next barrier on, the streaming phase runs wide — every
-			// partition executes its lookahead window in parallel.
-			c.Group.GoWide()
+	}
+	q.Collect = func() {
+		res.Elapsed = q.End.Sub(q.Start)
+		res.SetupNIC = q.SetupNIC
+		final := c.Net.SnapshotStats()
+		res.StreamNIC = make([]fabric.NICStats, len(final))
+		for i := range final {
+			res.StreamNIC[i] = final[i].Sub(res.SetupNIC[i])
 		}
-		c.Sim.Spawn("bench-join", func(p *sim.Proc) {
-			done.Wait(p)
-			// The query ends the instant the last finish() lands, before any
-			// engine rejoin: Fuse parks this Proc across a barrier and resumes
-			// it two lookahead intervals later, so reading the clock after it
-			// would fold engine bookkeeping into Elapsed.
-			end := p.Now()
-			if c.Group != nil {
-				// Rejoin lockstep before reading worker-side state: sinks,
-				// receive counters, NIC stats all live on other partitions.
-				c.Group.Fuse(p)
-			}
-			if c.FD != nil {
-				c.FD.Stop()
-			}
-			res.Elapsed = end.Sub(start)
-			tr.End(end, telemetry.EvPhase, -1, 0, phaseStream, 0)
-			final := c.Net.SnapshotStats()
-			res.StreamNIC = make([]fabric.NICStats, len(final))
-			for i := range final {
-				res.StreamNIC[i] = final[i].Sub(res.SetupNIC[i])
-			}
-			if node0Burn != nil {
-				res.BurnBatches = node0Burn.Batches
-			}
-			var sb, sw, rb, rw sim.Duration
-			for a := 0; a < c.N; a++ {
-				sb += sendSinks[a].Busy
-				sw += sendSinks[a].Blocked
-				rb += recvSinks[a].Busy
-				rw += recvSinks[a].Blocked
-			}
-			if sb+sw > 0 {
-				res.SendBusyFrac = sb.Seconds() / (sb + sw).Seconds()
-			}
-			if rb+rw > 0 {
-				res.RecvBusyFrac = rb.Seconds() / (rb + rw).Seconds()
-			}
-			res.Progress = make([][]shuffle.PartitionProgress, c.N)
-			res.Epochs = make([]uint64, c.N)
-			for a := 0; a < c.N; a++ {
-				res.BytesPerNode[a] = recvs[a].Bytes
-				res.RowsPerNode[a] = recvs[a].Rows
-				res.Progress[a] = recvs[a].Progress(c.N)
-				res.Epochs[a] = c.Devs[a].Epoch()
-			}
-			res.Err = shuffle.CheckErr(sends, recvs)
-		})
-	})
-	if c.Group != nil {
-		if err := c.Group.Run(); err != nil {
-			return nil, err
+		if node0Burn != nil {
+			res.BurnBatches = node0Burn.Batches
 		}
-	} else if err := c.Sim.Run(); err != nil {
+		var sb, sw, rb, rw sim.Duration
+		for a := 0; a < c.N; a++ {
+			sb += sendSinks[a].Busy
+			sw += sendSinks[a].Blocked
+			rb += recvSinks[a].Busy
+			rw += recvSinks[a].Blocked
+		}
+		if sb+sw > 0 {
+			res.SendBusyFrac = sb.Seconds() / (sb + sw).Seconds()
+		}
+		if rb+rw > 0 {
+			res.RecvBusyFrac = rb.Seconds() / (rb + rw).Seconds()
+		}
+		res.Progress = make([][]shuffle.PartitionProgress, c.N)
+		res.Epochs = make([]uint64, c.N)
+		for a := 0; a < c.N; a++ {
+			res.BytesPerNode[a] = recvs[a].Bytes
+			res.RowsPerNode[a] = recvs[a].Rows
+			res.Progress[a] = recvs[a].Progress(c.N)
+			res.Epochs[a] = c.Devs[a].Epoch()
+		}
+		res.Err = shuffle.CheckErr(sends, recvs)
+	}
+	if err := c.Run(q); err != nil {
 		return nil, err
 	}
-	c.Recycle()
 	return res, nil
-}
-
-// Recycle tears the cluster down after its simulation finishes: every
-// pooled registered ring on the cluster's devices returns to the
-// process-wide buffer pool, and the simulation's Proc goroutines are shut
-// down (see sim.Shutdown — without this, each discarded cluster leaks its
-// parked goroutines and everything they pin, and sweeps over many clusters
-// slow down as the GC's mark work grows). The simulation must be finished
-// and must not run again: a recycled ring may immediately back an endpoint
-// in another cluster. RunBench calls it on completion; call it directly
-// after hand-rolled runs (tpch queries) that drive c.Sim.Run themselves.
-// Idempotent. Reading results, stats, and c.Sim.Events() remains safe.
-func (c *Cluster) Recycle() {
-	for _, d := range c.Devs {
-		d.RecycleMRs()
-	}
-	if c.Group != nil {
-		c.Group.Shutdown()
-		return
-	}
-	c.Sim.Shutdown()
 }

@@ -7,42 +7,56 @@ import (
 
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
+	"rshuffle/internal/sim"
 	"rshuffle/internal/verbs"
 )
 
 // TestRecycleReleasesProcGoroutines pins that discarding a cluster leaves
-// nothing behind: RunBench's Recycle must shut down the simulation's proc
+// nothing behind: Run's Recycle must shut down the simulation's proc
 // goroutines along with returning its rings to the buffer pool. Before
 // this guarantee, every cluster leaked its full proc population (about 26
 // goroutines at this scale), each parked goroutine pinning the cluster's
 // simulation, wheel, and rings — so benchmark and experiment sweeps slowed
 // down linearly with the number of clusters built as GC mark and
-// stack-scan work accumulated.
+// stack-scan work accumulated. The setup-only body is the shape of the
+// Fig. 12, Table 1 and -metrics census cells, which used to drive
+// c.Sim.Run by hand and leaked their one pooled goroutine per cell.
 func TestRecycleReleasesProcGoroutines(t *testing.T) {
-	run := func() {
-		c := New(fabric.FDR(), 4, 2, 42)
-		_, err := c.RunBench(BenchOpts{
-			Factory:     RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 2}),
-			RowsPerNode: 2048,
+	cfg := shuffle.Config{Impl: shuffle.SQSR, Endpoints: 2}
+	bodies := map[string]func(c *Cluster) error{
+		"bench": func(c *Cluster) error {
+			_, err := c.RunBench(BenchOpts{Factory: RDMAProvider(cfg), RowsPerNode: 2048})
+			return err
+		},
+		"setup-only": func(c *Cluster) error {
+			return c.Run(&Query{Name: "census", Setup: func(p *sim.Proc) {
+				shuffle.Build(p, c.Devs, cfg, c.Threads)
+			}})
+		},
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			run := func() {
+				if err := body(New(fabric.FDR(), 4, 2, 42)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm process-wide pools before taking the baseline
+			base := runtime.NumGoroutine()
+			for i := 0; i < 8; i++ {
+				run()
+			}
+			// Killed goroutines have handed control back by the time Recycle
+			// returns but may not have finished exiting; give them a moment.
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > base {
+				t.Fatalf("goroutines grew %d -> %d over 8 cluster runs; Recycle is leaking procs", base, n)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm process-wide pools before taking the baseline
-	base := runtime.NumGoroutine()
-	for i := 0; i < 8; i++ {
-		run()
-	}
-	// Killed goroutines have handed control back by the time Recycle
-	// returns but may not have finished exiting; give them a moment.
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	if n > base {
-		t.Fatalf("goroutines grew %d -> %d over 8 cluster runs; Recycle is leaking procs", base, n)
 	}
 }
 

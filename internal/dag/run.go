@@ -10,13 +10,6 @@ import (
 	"rshuffle/internal/telemetry"
 )
 
-// Phase ids used in EvPhase trace spans; they mirror the cluster harness so
-// DAG traces and RunBench traces read identically.
-const (
-	phaseSetup  = 0
-	phaseStream = 1
-)
-
 // EdgeStats reports one edge's observed traffic after a run.
 type EdgeStats struct {
 	// Edge is the metric identifier, "<from>-><to>".
@@ -108,8 +101,8 @@ type edgeRun struct {
 // per node, every non-Forward edge gets its own communication provider
 // (the default factory, unless the edge carries a SetConfig override), and
 // all fragments stream concurrently — stages are pipelined, not phased.
-// Run owns the cluster's simulation and recycles it: use a fresh cluster
-// per run.
+// Run is a body of cluster.Run, which owns the cluster's simulation —
+// classic or partitioned — and recycles it: use a fresh cluster per run.
 //
 // Structural problems (no terminal stage, schema divergence across nodes)
 // panic; runtime transport failures surface in Result.Err.
@@ -117,18 +110,17 @@ func (g *Graph) Run(c *cluster.Cluster, factory cluster.ProviderFactory) *Result
 	g.terminal() // validate: exactly one sink stage
 	order := g.topo()
 	res := &Result{}
+	runs := make(map[*Edge]*edgeRun, len(g.edges))
+	termSinks := make([]*engine.Sink, c.N)
+	q := &cluster.Query{Name: "dag"}
 
-	c.Sim.Spawn("dag", func(p *sim.Proc) {
-		tr := c.Net.Tracer()
+	// One provider per network edge, built in Connect order so the trace
+	// and the QP numbering are reproducible. A per-edge config override
+	// builds its own RDMA transport; everything else shares the run's
+	// default factory implementation (but still gets its own provider
+	// instance — endpoints are per operator pair).
+	q.Setup = func(p *sim.Proc) {
 		t0 := p.Now()
-		tr.Begin(t0, telemetry.EvPhase, -1, 0, phaseSetup, 0)
-
-		// One provider per network edge, built in Connect order so the
-		// trace and the QP numbering are reproducible. A per-edge config
-		// override builds its own RDMA transport; everything else shares
-		// the run's default factory implementation (but still gets its own
-		// provider instance — endpoints are per operator pair).
-		runs := make(map[*Edge]*edgeRun, len(g.edges))
 		for _, e := range g.edges {
 			er := &edgeRun{e: e}
 			runs[e] = er
@@ -145,20 +137,16 @@ func (g *Graph) Run(c *cluster.Cluster, factory cluster.ProviderFactory) *Result
 			er.sends = make([]*shuffle.Shuffle, c.N)
 			er.recvs = make([]*shuffle.Receive, c.N)
 		}
+		res.SetupTime = p.Now().Sub(t0)
+	}
 
-		start := p.Now()
-		res.SetupTime = start.Sub(t0)
-		tr.End(start, telemetry.EvPhase, -1, 0, phaseSetup, 0)
-		tr.Begin(start, telemetry.EvPhase, -1, 0, phaseStream, 0)
-		c.FireBenchStart()
-
-		// Build every stage's fragment on every node, inputs before
-		// consumers. Fragments launch as they are built; the pull-based
-		// receives idle until their upstream shuffles produce data, so
-		// launch order does not affect the dataflow.
-		done := c.Sim.NewWaitGroup("dag")
+	// Build every stage's fragment on every node, inputs before consumers.
+	// Fragments launch as they are built; the pull-based receives idle
+	// until their upstream shuffles produce data, so launch order does not
+	// affect the dataflow.
+	q.Stream = func(p *sim.Proc) {
+		tr := c.Net.TracerAt(-1)
 		roots := make([][]engine.Operator, len(g.stages)) // [stage][node]
-		termSinks := make([]*engine.Sink, c.N)
 		for _, s := range order {
 			s := s
 			roots[s.id] = make([]engine.Operator, c.N)
@@ -211,58 +199,49 @@ func (g *Graph) Run(c *cluster.Cluster, factory cluster.ProviderFactory) *Result
 					sink = &engine.Sink{In: top, Keep: node == 0}
 					termSinks[node] = sink
 				}
-				done.Add(1)
-				stageWG.Add(1)
-				sink.Run(c.Ctx(node), fmt.Sprintf("dag %s@%d", s.Name, node),
-					func(p *sim.Proc) { stageWG.Done(); done.Done() })
+				q.Go(node, fmt.Sprintf("dag %s@%d", s.Name, node), sink, stageWG)
 			}
 			c.Sim.Spawn("dag-stage-end "+s.Name, func(p *sim.Proc) {
 				stageWG.Wait(p)
 				tr.End(p.Now(), telemetry.EvStage, -1, 0, int64(s.id), 0)
 			})
 		}
+	}
 
-		c.Sim.Spawn("dag-join", func(p *sim.Proc) {
-			done.Wait(p)
-			if c.FD != nil {
-				c.FD.Stop()
-			}
-			res.Elapsed = p.Now().Sub(start)
-			tr.End(p.Now(), telemetry.EvPhase, -1, 0, phaseStream, 0)
-			res.Result = termSinks[0].Result
-			for node := 0; node < c.N; node++ {
-				res.Rows += termSinks[node].Rows
-			}
-			res.Edges = make([]EdgeStats, len(g.edges))
-			for i, e := range g.edges {
-				er := runs[e]
-				st := &res.Edges[i]
-				st.Edge, st.Type = e.ID(), e.Type
-				st.RowsPerNode = make([]int64, c.N)
-				if e.Type == Forward {
-					for node := 0; node < c.N; node++ {
-						st.RowsPerNode[node] = er.rows[node]
-						st.Rows += er.rows[node]
-						st.Bytes += er.bytes[node]
-					}
-					continue
-				}
+	q.Collect = func() {
+		res.Elapsed = q.End.Sub(q.Start)
+		res.Result = termSinks[0].Result
+		for node := 0; node < c.N; node++ {
+			res.Rows += termSinks[node].Rows
+		}
+		res.Edges = make([]EdgeStats, len(g.edges))
+		for i, e := range g.edges {
+			er := runs[e]
+			st := &res.Edges[i]
+			st.Edge, st.Type = e.ID(), e.Type
+			st.RowsPerNode = make([]int64, c.N)
+			if e.Type == Forward {
 				for node := 0; node < c.N; node++ {
-					st.RowsPerNode[node] = er.recvs[node].Rows
-					st.Rows += er.recvs[node].Rows
-					st.Bytes += er.recvs[node].Bytes
-					st.WRs += er.sends[node].SendWRs
+					st.RowsPerNode[node] = er.rows[node]
+					st.Rows += er.rows[node]
+					st.Bytes += er.bytes[node]
 				}
-				if err := shuffle.CheckErr(er.sends, er.recvs); err != nil && res.Err == nil {
-					res.Err = fmt.Errorf("dag edge %s: %w", e.ID(), err)
-				}
+				continue
 			}
-		})
-	})
-	if err := c.Sim.Run(); err != nil && res.Err == nil {
+			for node := 0; node < c.N; node++ {
+				st.RowsPerNode[node] = er.recvs[node].Rows
+				st.Rows += er.recvs[node].Rows
+				st.Bytes += er.recvs[node].Bytes
+				st.WRs += er.sends[node].SendWRs
+			}
+			if err := shuffle.CheckErr(er.sends, er.recvs); err != nil && res.Err == nil {
+				res.Err = fmt.Errorf("dag edge %s: %w", e.ID(), err)
+			}
+		}
+	}
+	if err := c.Run(q); err != nil && res.Err == nil {
 		res.Err = err
 	}
-	c.Recycle()
 	return res
 }
 

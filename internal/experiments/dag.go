@@ -57,7 +57,7 @@ func ExtDag(o Options) (*Table, error) {
 	for i, v := range variants {
 		i, v := i, v
 		cs.add(func() error {
-			c := cluster.New(quiet(prof), nodes, 0, o.Seed+int64(990+i))
+			c := o.newCluster(quiet(prof), nodes, 0, o.Seed+int64(990+i))
 			g := dag.MultiStageDemo(fact, dim)
 			v.tweak(g)
 			res := g.Run(c, cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: prof.Threads}))

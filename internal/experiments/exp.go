@@ -29,9 +29,11 @@ type Options struct {
 	// its own deterministic Simulation and parallelism only moves wall-clock
 	// time (see pool.go).
 	Workers int
-	// ParallelLPs > 0 runs each whole-query cell on the conservative PDES
-	// engine with that many logical partitions (see internal/sim/pdes.go);
-	// results stay byte-identical at every LP count. Complementary to
+	// ParallelLPs > 0 runs every cell — throughput, setup-only, DAG and
+	// TPC-H alike, since all boot through newCluster and run through
+	// cluster.Run — on the conservative PDES engine with that many logical
+	// partitions (see internal/sim/pdes.go); results stay byte-identical at
+	// every LP count. Complementary to
 	// Workers: cell-parallel sweeps spread *independent* simulations over
 	// cores, LP-parallelism spreads *one big* simulation — combine with
 	// Workers=1 to give a single large run the whole machine. Lossy-profile
@@ -186,40 +188,33 @@ func (o Options) workloadFor(cfg shuffle.Config, prof fabric.Profile, nodes int,
 	return rows, passes
 }
 
-// runThroughput executes one receive-throughput cell and returns GiB/s per
-// node.
+// runBench is the one door for a receive-throughput cell: it boots the
+// cell's cluster (quiet profile, the run's seed plus seedOff, on the engine
+// -lps selects), runs opts and folds the engine's error and the transport's
+// into one. The result is nil only when the engine failed; callers that
+// report a failed query as a data point read it beside the error. The
+// cluster is returned for its post-run counters (c.Net.Stats, c.Metrics).
+func (o Options) runBench(prof fabric.Profile, nodes, threads int, seedOff int64, opts cluster.BenchOpts) (*cluster.BenchResult, *cluster.Cluster, error) {
+	c := o.newCluster(quiet(prof), nodes, threads, o.Seed+seedOff)
+	res, err := c.RunBench(opts)
+	if err == nil {
+		err = res.Err
+	}
+	return res, c, err
+}
+
+// runThroughput executes one steady-state receive-throughput cell of an
+// RDMA design, sized by workloadFor.
 func (o Options) runThroughput(prof fabric.Profile, cfg shuffle.Config, nodes int, groups shuffle.Groups, seedOff int64) (*cluster.BenchResult, error) {
 	cfg = tuneRecvWindow(cfg, prof, nodes)
 	rows, passes := o.workloadFor(cfg, prof, nodes, groups)
-	c := o.newCluster(quiet(prof), nodes, 0, o.Seed+seedOff)
-	res, err := c.RunBench(cluster.BenchOpts{
+	res, _, err := o.runBench(prof, nodes, 0, seedOff, cluster.BenchOpts{
 		Factory:     cluster.RDMAProvider(cfg),
 		RowsPerNode: rows,
 		Passes:      passes,
 		Groups:      groups,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	return res, nil
-}
-
-// runFactory is runThroughput for non-RDMA transports.
-func (o Options) runFactory(prof fabric.Profile, f cluster.ProviderFactory, nodes, rows, passes int, groups shuffle.Groups, seedOff int64) (*cluster.BenchResult, error) {
-	c := o.newCluster(quiet(prof), nodes, 0, o.Seed+seedOff)
-	res, err := c.RunBench(cluster.BenchOpts{
-		Factory: f, RowsPerNode: rows, Passes: passes, Groups: groups,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	return res, nil
+	return res, err
 }
 
 // fourSRAlgos are the Send/Receive designs swept in Fig. 8.

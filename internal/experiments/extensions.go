@@ -131,16 +131,12 @@ func ExtMulticast(o Options) (*Table, error) {
 			cs.add(func() error {
 				cfg := shuffle.Config{Impl: shuffle.SQSR, Endpoints: prof.Threads, HWMulticast: hw}
 				rows, passes := o.workloadFor(cfg, prof, n, shuffle.Broadcast(n))
-				c := cluster.New(quiet(prof), n, 0, o.Seed+int64(900+i))
-				res, err := c.RunBench(cluster.BenchOpts{
+				res, c, err := o.runBench(prof, n, 0, int64(900+i), cluster.BenchOpts{
 					Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, Passes: passes,
 					Groups: shuffle.Broadcast(n),
 				})
 				if err != nil {
 					return err
-				}
-				if res.Err != nil {
-					return res.Err
 				}
 				row.Vals[i] = res.GiBps()
 				tx.Vals[i] = float64(c.Net.Stats(0).TxMessages)
@@ -187,16 +183,12 @@ func ExtZeroCopy(o Options) (*Table, error) {
 				if rows < 200_000 {
 					rows = 200_000
 				}
-				c := cluster.New(quiet(prof), 8, 0, o.Seed+int64(950+i))
-				res, err := c.RunBench(cluster.BenchOpts{
+				res, _, err := o.runBench(prof, 8, 0, int64(950+i), cluster.BenchOpts{
 					Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, Passes: passes,
 					RowWidth: w, ZeroCopy: zc,
 				})
 				if err != nil {
 					return err
-				}
-				if res.Err != nil {
-					return res.Err
 				}
 				row.Vals[i] = res.GiBps()
 				return nil
@@ -321,16 +313,12 @@ func ExtSkew(o Options) (*Table, error) {
 			cs.add(func() error {
 				cfg := a.Config(prof.Threads)
 				rows, passes := o.workload(cfg, prof, 8)
-				c := cluster.New(quiet(prof), 8, 0, o.Seed+int64(1100+i))
-				res, err := c.RunBench(cluster.BenchOpts{
+				res, _, err := o.runBench(prof, 8, 0, int64(1100+i), cluster.BenchOpts{
 					Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, Passes: passes,
 					ZipfExponent: ex,
 				})
 				if err != nil {
 					return err
-				}
-				if res.Err != nil {
-					return res.Err
 				}
 				row.Vals[i] = res.GiBps()
 				return nil

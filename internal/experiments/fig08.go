@@ -55,7 +55,9 @@ func Fig08(o Options) ([]*Table, error) {
 		qrow := Row{Name: "qperf", Vals: make([]float64, len(CreditFrequencies))}
 		cs.add(func() error {
 			rows, passes := o.workload(shuffle.Config{Impl: shuffle.MQSR}, prof, 8)
-			mres, err := o.runFactory(prof, cluster.MPIProvider(mpi.Config{}), 8, rows, passes, nil, 99)
+			mres, _, err := o.runBench(prof, 8, 0, 99, cluster.BenchOpts{
+				Factory: cluster.MPIProvider(mpi.Config{}), RowsPerNode: rows, Passes: passes,
+			})
 			if err != nil {
 				return err
 			}

@@ -66,7 +66,9 @@ func Fig10(o Options) ([]*Table, error) {
 				for i, n := range ScaleOutNodes {
 					cs.add(func() error {
 						rows, passes := o.workloadFor(shuffle.Config{Impl: shuffle.MQSR}, prof, n, groupsFor(n))
-						res, err := o.runFactory(prof, base.f, n, rows, passes, groupsFor(n), int64(300+i))
+						res, _, err := o.runBench(prof, n, 0, int64(300+i), cluster.BenchOpts{
+							Factory: base.f, RowsPerNode: rows, Passes: passes, Groups: groupsFor(n),
+						})
 						if err != nil {
 							return fmt.Errorf("%s %s %dn: %w", base.name, pattern, n, err)
 						}
@@ -164,12 +166,11 @@ func Fig12(o Options) (*Table, error) {
 		row := Row{Name: a.Name, Vals: make([]float64, len(sizes))}
 		for i, n := range sizes {
 			cs.add(func() error {
-				c := cluster.New(quiet(prof), n, 0, o.Seed)
-				c.Sim.Spawn("setup", func(p *sim.Proc) {
+				c := o.newCluster(quiet(prof), n, 0, o.Seed)
+				return c.Run(&cluster.Query{Name: "setup", Setup: func(p *sim.Proc) {
 					comm := shuffle.Build(p, c.Devs, a.Config(prof.Threads), c.Threads)
 					row.Vals[i] = comm.SetupTime.Seconds() * 1e3
-				})
-				return c.Sim.Run()
+				}})
 			})
 		}
 		t.Rows = append(t.Rows, row)

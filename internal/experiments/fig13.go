@@ -65,19 +65,15 @@ func Fig13(o Options) (*Table, error) {
 		}
 		for i, burn := range BurnSweep {
 			cs.add(func() error {
-				c := cluster.New(quiet(prof), 8, 0, o.Seed+int64(500+i))
 				// The x-axis is the fragment-wide batch-retrieval interval: all
 				// threads snatch batches concurrently, so each thread's
 				// per-batch burn is threads times the interval.
-				res, err := c.RunBench(cluster.BenchOpts{
+				res, _, err := o.runBench(prof, 8, 0, int64(500+i), cluster.BenchOpts{
 					Factory: e.f, RowsPerNode: rows, Passes: passes,
 					BurnPerBatch: burn * sim.Duration(prof.Threads), ReceiveBatchBytes: batchBytes,
 				})
 				if err != nil {
 					return fmt.Errorf("%s burn=%v: %w", e.name, burn, err)
-				}
-				if res.Err != nil {
-					return fmt.Errorf("%s burn=%v: %w", e.name, burn, res.Err)
 				}
 				// Processing throughput of the receiving fragment: t threads
 				// each consuming one 32 KiB batch per burn period.

@@ -26,10 +26,12 @@ func mesqFactory(threads int) cluster.ProviderFactory {
 	return cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: threads})
 }
 
-// runTPCH runs TPC-H query q through its DAG plan, folding the first
-// transport error into the returned error.
-func runTPCH(c *cluster.Cluster, db *tpch.DB, q int, f cluster.ProviderFactory, local bool) (*tpch.QueryResult, error) {
-	r, _, err := tpch.Run(c, db, q, f, local)
+// runTPCH is the one door for a TPC-H cell: it boots the cell's cluster
+// (quiet profile, the run's seed, on the engine -lps selects), runs query q
+// through its DAG plan and folds the first transport error into the
+// returned error.
+func (o Options) runTPCH(prof fabric.Profile, nodes int, db *tpch.DB, q int, f cluster.ProviderFactory, local bool) (*tpch.QueryResult, error) {
+	r, _, err := tpch.Run(o.newCluster(quiet(prof), nodes, 0, o.Seed), db, q, f, local)
 	if err == nil {
 		err = r.Err
 	}
@@ -71,7 +73,7 @@ func Fig14a(o Options) (*Table, error) {
 				if pl.name == "MPI" {
 					f = cluster.MPIProvider(mpi.Config{})
 				}
-				r, err := runTPCH(cluster.New(quiet(prof), 8, 0, o.Seed), db, 4, f, pl.local)
+				r, err := o.runTPCH(prof, 8, db, 4, f, pl.local)
 				if err != nil {
 					return fmt.Errorf("Q4 %s on %s: %w", pl.name, prof.Name, err)
 				}
@@ -125,10 +127,8 @@ func Fig14bcd(o Options) ([]*Table, error) {
 			cs.add(func() error {
 				sf := o.sfPerNode() * float64(n)
 				db := tpch.Generate(sf, n, tpch.Random, o.Seed)
-				m, merr := runTPCH(cluster.New(quiet(prof), n, 0, o.Seed), db, q.q,
-					cluster.MPIProvider(mpi.Config{}), false)
-				r, rerr := runTPCH(cluster.New(quiet(prof), n, 0, o.Seed), db, q.q,
-					mesqFactory(prof.Threads), false)
+				m, merr := o.runTPCH(prof, n, db, q.q, cluster.MPIProvider(mpi.Config{}), false)
+				r, rerr := o.runTPCH(prof, n, db, q.q, mesqFactory(prof.Threads), false)
 				if merr != nil || rerr != nil {
 					return fmt.Errorf("%s at %dn: mpi=%v rdma=%v", q.name, n, merr, rerr)
 				}
@@ -139,8 +139,7 @@ func Fig14bcd(o Options) ([]*Table, error) {
 					return nil
 				}
 				dbl := tpch.Generate(sf, n, tpch.CoPartitioned, o.Seed)
-				l, err := runTPCH(cluster.New(quiet(prof), n, 0, o.Seed), dbl, q.q,
-					mesqFactory(prof.Threads), true)
+				l, err := o.runTPCH(prof, n, dbl, q.q, mesqFactory(prof.Threads), true)
 				if err != nil {
 					return fmt.Errorf("%s local at %dn: %v", q.name, n, err)
 				}
@@ -180,12 +179,11 @@ func Table1(o Options) (*Table, error) {
 	for ai, a := range shuffle.Algorithms {
 		t.Rows[ai] = Row{Name: a.Name, Vals: make([]float64, 1)}
 		cs.add(func() error {
-			c := cluster.New(quiet(prof), n, threads, o.Seed)
+			c := o.newCluster(quiet(prof), n, threads, o.Seed)
 			var qps int
-			c.Sim.Spawn("census", func(p *sim.Proc) {
+			if err := c.Run(&cluster.Query{Name: "census", Setup: func(p *sim.Proc) {
 				qps = shuffle.Build(p, c.Devs, a.Config(threads), threads).QPsPerOperator
-			})
-			if err := c.Sim.Run(); err != nil {
+			}}); err != nil {
 				return err
 			}
 			want := map[string]int{

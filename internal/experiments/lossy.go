@@ -83,14 +83,14 @@ func extLossyIncast(o Options) (*Table, error) {
 		if !on {
 			name = "DCQCN off"
 		}
-		c := cluster.New(quiet(prof), 8, 2, o.Seed)
-		cfg := shuffle.Algorithms[0].Config(c.Threads) // MEMQ/SR
+		const threads = 2
+		cfg := shuffle.Algorithms[0].Config(threads) // MEMQ/SR
 		cfg.BuffersPerPeer = 8
 		cfg.BufSize = 32 << 10
-		res, err := c.RunBench(cluster.BenchOpts{
+		res, c, err := o.runBench(prof, 8, threads, 0, cluster.BenchOpts{
 			Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, ZipfExponent: 1.0,
 		})
-		if err != nil {
+		if res == nil {
 			return nil, err
 		}
 		var drops, pauses, retries float64
@@ -103,8 +103,8 @@ func extLossyIncast(o Options) (*Table, error) {
 			retries += float64(d.Stats().TransportRetries)
 		}
 		elapsed := float64(res.Elapsed.Microseconds()) / 1000
-		if res.Err != nil {
-			elapsed = 0
+		if err != nil {
+			elapsed = 0 // the query died: a data point here, not a broken cell
 		}
 		t.Rows = append(t.Rows, Row{Name: name, Vals: []float64{elapsed, drops, retries, pauses}})
 	}

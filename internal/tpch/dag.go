@@ -83,13 +83,6 @@ func TransportFactory(name string, threads int) (cluster.ProviderFactory, error)
 	return nil, fmt.Errorf("tpch: unknown transport %q", name)
 }
 
-// RunPlan executes a declarative plan and reports it as a QueryResult; the
-// full dag.Result is returned alongside for per-edge statistics.
-func RunPlan(c *cluster.Cluster, g *dag.Graph, f cluster.ProviderFactory) (*QueryResult, *dag.Result) {
-	r := g.Run(c, f)
-	return &QueryResult{Elapsed: r.Elapsed, Result: r.Result, Rows: r.Rows, Err: r.Err}, r
-}
-
 // Run executes TPC-H query q (3, 4, or 10) through the DAG planner —
 // the default execution path of cmd/tpchq and the examples. local selects
 // Q4's co-partitioned variant.
@@ -108,8 +101,8 @@ func Run(c *cluster.Cluster, db *DB, q int, f cluster.ProviderFactory, local boo
 	default:
 		return nil, nil, fmt.Errorf("tpch: query must be 3, 4 or 10")
 	}
-	qr, dr := RunPlan(c, g, f)
-	return qr, dr, nil
+	r := g.Run(c, f)
+	return &QueryResult{Elapsed: r.Elapsed, Result: r.Result, Rows: r.Rows, Err: r.Err}, r, nil
 }
 
 // q4OrdersIn is the filtered, projected ORDERS scan of Q4.

@@ -43,6 +43,9 @@ type (
 	Profile = fabric.Profile
 	// Cluster is one simulated cluster instance.
 	Cluster = cluster.Cluster
+	// Query is the body of a hand-wired query — transport setup, fragment
+	// launch, result collection — that Cluster.Run drives.
+	Query = cluster.Query
 	// Config selects a point in the shuffle design space.
 	Config = shuffle.Config
 	// Algorithm names one of the paper's six designs.
@@ -103,7 +106,7 @@ func NewCluster(prof Profile, nodes, threads int, seed int64) *Cluster {
 }
 
 // BuildComm wires the endpoints of a shuffle configuration across the
-// cluster; it must run inside a Proc (use Cluster.Sim.Spawn).
+// cluster; it must run inside a Proc (a Query's Setup step).
 func BuildComm(p *Proc, c *Cluster, cfg Config) *Comm {
 	return shuffle.Build(p, c.Devs, cfg, c.Threads)
 }

@@ -24,8 +24,12 @@ vet:
 		| grep -vE '^\./(internal/sim/|internal/qperf/|bench/|internal/cluster/query\.go:)'; then \
 		echo "vet: run the engine through cluster.Run (internal/cluster/query.go), not by hand"; exit 1; fi
 
+# The kernel runs a second time at one and at four Ps: its event loop moves
+# between goroutines (whoever blocks drives it), and the worker pool behind
+# wide PDES windows only starts above one P.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -cpu 1,4 ./internal/sim/
 
 fmt:
 	gofmt -l -w .

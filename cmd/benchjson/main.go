@@ -193,7 +193,7 @@ func runCompare(args []string, threshold float64) int {
 
 	oldNs := map[string]float64{}
 	for _, b := range oldRun.Benchmarks {
-		oldNs[b.Pkg+"."+b.Name] = b.Metrics["ns/op"]
+		oldNs[b.Pkg+"."+currentName(b.Name)] = b.Metrics["ns/op"]
 	}
 	fmt.Printf("benchjson: comparing %s -> %s (threshold %+.0f%% ns/op)\n",
 		oldLabel, newLabel, threshold*100)
@@ -228,6 +228,26 @@ func runCompare(args []string, threshold float64) int {
 		return 1
 	}
 	return 0
+}
+
+// renamed maps a benchmark's former name to its current one, so a series
+// recorded under the old name continues through -compare instead of showing
+// up as one retired benchmark and one new one.
+var renamed = map[string]string{
+	"BenchmarkHeapSchedule": "BenchmarkWheelSchedule", // it has timed the wheel since the heap went
+}
+
+// currentName applies renamed to a recorded name, keeping its -N GOMAXPROCS
+// suffix.
+func currentName(name string) string {
+	base, suffix := name, ""
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		base, suffix = name[:i], name[i:]
+	}
+	if now, ok := renamed[base]; ok {
+		return now + suffix
+	}
+	return name
 }
 
 // loadHistory reads the existing output file, accepting both the history

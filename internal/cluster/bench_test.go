@@ -34,10 +34,20 @@ func reportPool(b *testing.B) func() {
 	}
 }
 
+// reportSim reports a benchmark's simulator totals: events per wall second,
+// wall time per event, and the goroutine switches a query costs — the price
+// the event loop pays whenever a wake-up is for another Proc than the one
+// that just blocked.
+func reportSim(b *testing.B, events, switches uint64) {
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+}
+
 func benchShuffle(b *testing.B, cfg shuffle.Config) {
 	b.ReportAllocs()
 	defer reportPool(b)()
-	var events uint64
+	var events, switches uint64
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(fabric.FDR(), 4, 2, 42)
 		res, err := c.RunBench(cluster.BenchOpts{
@@ -50,9 +60,9 @@ func benchShuffle(b *testing.B, cfg shuffle.Config) {
 			b.Fatal(res.Err)
 		}
 		events += c.Sim.Events()
+		switches += c.Sim.Switches()
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	reportSim(b, events, switches)
 }
 
 func BenchmarkShuffleMEMQSR(b *testing.B) {
@@ -77,7 +87,7 @@ func BenchmarkShuffleMESQSR(b *testing.B) {
 func benchShuffleLPs(b *testing.B, lps int) {
 	b.ReportAllocs()
 	defer reportPool(b)()
-	var events uint64
+	var events, switches uint64
 	for i := 0; i < b.N; i++ {
 		c := cluster.NewWithOptions(fabric.FDR(), 64, 2, 42,
 			cluster.SimOptions{ParallelLPs: lps})
@@ -92,9 +102,9 @@ func benchShuffleLPs(b *testing.B, lps int) {
 			b.Fatal(res.Err)
 		}
 		events += c.Events()
+		switches += c.Group.Switches()
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	reportSim(b, events, switches)
 }
 
 func BenchmarkShuffleWide64LP1(b *testing.B) { benchShuffleLPs(b, 1) }
@@ -113,7 +123,7 @@ func BenchmarkDAGMultiStage(b *testing.B) {
 	factory := cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2})
 	b.ReportAllocs()
 	defer reportPool(b)()
-	var events uint64
+	var events, switches uint64
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(prof, 4, 2, 42)
 		res := dag.MultiStageDemo(fact, dim).Run(c, factory)
@@ -121,7 +131,7 @@ func BenchmarkDAGMultiStage(b *testing.B) {
 			b.Fatal(res.Err)
 		}
 		events += c.Sim.Events()
+		switches += c.Sim.Switches()
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	reportSim(b, events, switches)
 }

@@ -4,6 +4,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -180,15 +181,11 @@ func SyntheticTable(seed int64, rows int) *engine.Table {
 // domain: with exponent s > 0 some partitions receive far more data than
 // others, the skew scenario the flow-join line of work targets (paper §6).
 func SyntheticTableZipf(seed int64, rows int, domain uint64, exponent float64) *engine.Table {
-	sch := engine.NewSchema(engine.TInt64, engine.TInt64)
-	t := engine.NewTable(sch).Grow(rows)
-	w := engine.NewWriter(t)
-	r := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(r, 1+exponent, 1, domain-1)
+	z := rand.NewZipf(rand.New(rand.NewSource(seed)), 1+exponent, 1, domain-1)
+	t := zeroTable(rows, 16)
 	for i := 0; i < rows; i++ {
-		w.SetInt64(0, int64(z.Uint64()))
-		w.SetInt64(1, int64(i))
-		w.Done()
+		binary.LittleEndian.PutUint64(t.Data[i*16:], z.Uint64())
+		binary.LittleEndian.PutUint64(t.Data[i*16+8:], uint64(i))
 	}
 	return t
 }
@@ -200,19 +197,26 @@ func SyntheticTableWide(seed int64, rows, width int) *engine.Table {
 	if width < 16 || width%8 != 0 {
 		panic(fmt.Sprintf("cluster: record width %d must be a multiple of 8, >= 16", width))
 	}
+	t := zeroTable(rows, width)
+	rng := newSplitMix(uint64(seed))
+	for i := 0; i < rows; i++ {
+		binary.LittleEndian.PutUint64(t.Data[i*width:], rng.next())
+		binary.LittleEndian.PutUint64(t.Data[i*width+8:], uint64(i))
+	}
+	return t
+}
+
+// zeroTable returns a table of rows all-zero records of width/8 int64
+// columns for a generator to fill in place: key and row id written where
+// they belong, the padding never touched. A Writer would fill a scratch row
+// and append it — a copy per row of a table RunBench regenerates for every
+// query.
+func zeroTable(rows, width int) *engine.Table {
 	cols := make([]engine.Type, width/8)
 	for i := range cols {
 		cols[i] = engine.TInt64
 	}
-	t := engine.NewTable(engine.NewSchema(cols...)).Grow(rows)
-	w := engine.NewWriter(t)
-	rng := newSplitMix(uint64(seed))
-	for i := 0; i < rows; i++ {
-		w.SetInt64(0, int64(rng.next()))
-		w.SetInt64(1, int64(i))
-		w.Done()
-	}
-	return t
+	return &engine.Table{Sch: engine.NewSchema(cols...), Data: make([]byte, rows*width), N: rows}
 }
 
 // splitMix is a tiny deterministic generator so table synthesis does not

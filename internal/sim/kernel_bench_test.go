@@ -9,13 +9,22 @@ import (
 // Kernel microbenchmarks: the per-event scheduling cost is the wall-clock
 // price of every figure, chaos matrix, and CI run, so each path gets its own
 // number. allocs/op is the regression guard for the event free list (the
-// hot paths must stay at 0), ns/op is the dispatch cost, and events/sec the
-// headline throughput exported to BENCH_sim.json by `make bench`.
+// hot paths must stay at 0), ns/op is the dispatch cost, events/sec the
+// headline throughput exported to BENCH_sim.json by `make bench`, and
+// switches/op the goroutine switches behind it — the part of ns/op that the
+// event loop cannot shave, only avoid.
 
-// BenchmarkHeapSchedule measures the pure event-queue path with no Procs: a
+// reportSwitches reports the goroutine switches since start, per iteration.
+func reportSwitches(b *testing.B, s *Simulation, start uint64) {
+	b.ReportMetric(float64(s.Switches()-start)/float64(b.N), "switches/op")
+}
+
+// BenchmarkWheelSchedule measures the pure event-queue path with no Procs: a
 // window of 1024 pending future events, each rescheduling itself, so every
-// fire is an O(log n) pop plus push at realistic heap depth.
-func BenchmarkHeapSchedule(b *testing.B) {
+// fire is a wheel pop plus push at a realistic queue depth. benchjson maps
+// its former name, BenchmarkHeapSchedule, so the BENCH_sim.json series
+// continues.
+func BenchmarkWheelSchedule(b *testing.B) {
 	s := New(1)
 	const window = 1024
 	remaining := b.N
@@ -35,6 +44,7 @@ func BenchmarkHeapSchedule(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(s.Events())/b.Elapsed().Seconds(), "events/sec")
+	reportSwitches(b, s, 0)
 }
 
 // BenchmarkSameInstantChain measures the O(1) ring fast path: a callback
@@ -56,10 +66,12 @@ func BenchmarkSameInstantChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(s.Events())/b.Elapsed().Seconds(), "events/sec")
+	reportSwitches(b, s, 0)
 }
 
 // BenchmarkProcYield measures a Proc scheduling step on the ring path: one
-// closure-free dispatch event plus the two goroutine handoffs.
+// closure-free dispatch event that the yielding Proc pops itself, with no
+// goroutine handoff.
 func BenchmarkProcYield(b *testing.B) {
 	s := New(1)
 	var events uint64
@@ -69,12 +81,13 @@ func BenchmarkProcYield(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		start := s.Events()
+		start, sw := s.Events(), s.Switches()
 		for i := 0; i < b.N; i++ {
 			p.Yield()
 		}
 		events = s.Events() - start
 		b.StopTimer()
+		reportSwitches(b, s, sw)
 	})
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
@@ -97,11 +110,13 @@ func BenchmarkSpawnJoin(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		sw := s.Switches()
 		for i := 0; i < b.N; i++ {
 			s.Spawn("child", func(q *Proc) {})
 			p.Yield() // let the child run to completion
 		}
 		b.StopTimer()
+		reportSwitches(b, s, sw)
 	})
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
@@ -129,11 +144,13 @@ func BenchmarkCondSignalWake(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		sw := s.Switches()
 		for i := 0; i < b.N; i++ {
 			c.Signal()
 			p.Yield() // let the waiter wake and re-wait
 		}
 		b.StopTimer()
+		reportSwitches(b, s, sw)
 		stop = true
 		c.Broadcast()
 	})
@@ -167,4 +184,5 @@ func BenchmarkTimerWheelMix(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(s.Events())/b.Elapsed().Seconds(), "events/sec")
+	reportSwitches(b, s, 0)
 }

@@ -167,6 +167,16 @@ func (g *Group) Events() uint64 {
 	return n
 }
 
+// Switches returns the goroutine switches summed over all partitions (see
+// Simulation.Switches).
+func (g *Group) Switches() uint64 {
+	var n uint64
+	for _, s := range g.sims {
+		n += s.switches
+	}
+	return n
+}
+
 // Now returns the maximum clock across partitions — the run's finishing
 // instant once Run has returned.
 func (g *Group) Now() Time {
@@ -466,51 +476,12 @@ func (s *Simulation) advanceTo(t Time) {
 // runWindow executes every pending event with instant < limit, in exactly
 // the (time, seq) order Run would use, and stops with the clock at the last
 // executed instant (never forced to the bound, so a later routed insertion
-// at ≥ limit is always in this partition's future). The horizon is set to
-// limit-1 during the window so wheelAdvance never commits clock state past
-// the bound.
+// at ≥ limit is always in this partition's future). The horizon is limit-1
+// during the window, so wheelAdvance never commits clock state past the
+// bound, and the caller wakes once, when the baton comes home.
 func (s *Simulation) runWindow(limit Time) {
 	save := s.maxT
 	s.maxT = limit - 1
-	// A window bounded at instant 1 (the fused instant 0) would set horizon
-	// 0, which the wheel reads as "none". The wheel holds only events > 0
-	// there — instant-0 work lives in the chain and ring — so it is simply
-	// skipped instead.
-	useWheel := s.maxT != 0
-	for {
-		var e *event
-		if c := s.chain; c != nil {
-			if c.at >= limit {
-				break
-			}
-			e, s.chain = c, c.next
-		} else if s.rlen > 0 {
-			e = s.ringPop()
-		} else if useWheel && s.wheelAdvance() == advFound {
-			e = s.chain
-			s.chain = e.next
-		} else {
-			break // horizon (next event ≥ limit) or empty
-		}
-		s.now = e.at
-		s.fired++
-		if p := e.proc; p != nil {
-			gen := e.pgen
-			s.releaseEvent(e)
-			if p.gen == gen {
-				s.dispatch(p)
-			}
-		} else if e.fire != nil {
-			fn := e.fire
-			s.releaseEvent(e)
-			fn()
-		} else if c := e.cond; c != nil {
-			wid := e.wid
-			s.releaseEvent(e)
-			c.timeoutFire(wid)
-		} else {
-			s.releaseEvent(e)
-		}
-	}
+	s.drive(nil, "")
 	s.maxT = save
 }

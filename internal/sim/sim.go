@@ -4,11 +4,15 @@
 // A Simulation owns a virtual clock and an event queue. Simulated threads of
 // execution are Procs: ordinary goroutines that are scheduled cooperatively,
 // exactly one at a time. A Proc runs until it blocks on a simulation
-// primitive (Sleep, Cond.Wait, Mutex.Lock, ...), at which point control
-// returns to the scheduler, which advances the clock to the next event.
-// Because at most one Proc executes at any instant, simulation state needs no
-// locking and every run is deterministic: events scheduled for the same
-// virtual instant fire in the order they were scheduled.
+// primitive (Sleep, Cond.Wait, Mutex.Lock, ...). There is no scheduler
+// goroutine: control is a baton, and whoever holds it runs the event loop.
+// The Proc that blocks pops the following events itself, fires callbacks on
+// its own stack, carries straight on if the next wake-up is its own, and
+// otherwise hands the baton to the Proc being woken — one goroutine switch.
+// The baton returns to Run's caller only when no event is left to fire.
+// Because at most one goroutine holds the baton at any instant, simulation
+// state needs no locking and every run is deterministic: events scheduled for
+// the same virtual instant fire in the order they were scheduled.
 //
 // The kernel detects deadlock: if live Procs remain but no event can wake
 // any of them, Run returns a DeadlockError naming each blocked Proc and the
@@ -24,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -107,11 +112,12 @@ type Simulation struct {
 	free     []*event
 	procFree []*Proc
 	fired    uint64
-	yield    chan struct{}
+	yield    chan struct{} // brings the baton home to Run's caller; Shutdown acks
 	live     int
 	procs    map[*Proc]struct{}
 	rng      *rand.Rand
-	maxT     Time // horizon; 0 means none
+	maxT     Time   // horizon: nothing later fires; noHorizon when unset
+	switches uint64 // baton handoffs to another goroutine, see Switches
 	// dead is set by Shutdown; parked goroutines observe it on their next
 	// wake and exit instead of resuming their Proc body.
 	dead bool
@@ -127,8 +133,14 @@ func New(seed int64) *Simulation {
 		yield: make(chan struct{}),
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
+		maxT:  noHorizon,
 	}
 }
+
+// noHorizon is maxT's "run to completion" value. SetHorizon's public zero
+// maps to it, so a window may bound the fused instant 0 with a real horizon
+// of 0.
+const noHorizon Time = math.MaxInt64
 
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
@@ -137,6 +149,13 @@ func (s *Simulation) Now() Time { return s.now }
 // events/sec wall-clock throughput measurements.
 func (s *Simulation) Events() uint64 { return s.fired }
 
+// Switches returns how many times the event loop handed control to another
+// goroutine: one per dispatch of a Proc other than the one driving the loop.
+// A Proc's own wake-up and every callback cost none. The count prices a run
+// in goroutine switches; under a Group it depends on where window bounds
+// fall, hence on the partition count, so it belongs in no fingerprint.
+func (s *Simulation) Switches() uint64 { return s.switches }
+
 // Rand returns the simulation's deterministic random source. It must only be
 // used from Procs or event callbacks (never concurrently with Run from
 // outside).
@@ -144,7 +163,12 @@ func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // SetHorizon stops Run once virtual time would exceed t. Events past the
 // horizon are left unfired. A zero horizon (the default) means no limit.
-func (s *Simulation) SetHorizon(t Time) { s.maxT = t }
+func (s *Simulation) SetHorizon(t Time) {
+	if t == 0 {
+		t = noHorizon
+	}
+	s.maxT = t
+}
 
 // newEvent takes an event record off the free list (or allocates one) and
 // stamps it with the next schedule sequence number.
@@ -203,8 +227,9 @@ func (s *Simulation) ringPop() *event {
 }
 
 // At schedules fn to run at instant t (not before now). fn runs in scheduler
-// context: it may schedule events, wake Procs, and mutate simulation state,
-// but must not block.
+// context — inline in the event loop, on whichever goroutine holds the baton,
+// Run's caller or a Proc that has blocked: it may schedule events, wake
+// Procs, and mutate simulation state, but must not block.
 func (s *Simulation) At(t Time, fn func()) {
 	if t <= s.now {
 		s.ringPush(s.newEvent(s.now, fn, nil))
@@ -264,6 +289,13 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	done   bool
+	// timedOut reports whether the last WaitTimeout expired. (It shares a
+	// word with done, which keeps the record in the 96-byte size class.)
+	timedOut bool
+	// loop is the simulation whose event loop last dispatched this Proc —
+	// the loop it drives when it next blocks. It is sim except in a Group's
+	// fused phase, where another partition's Cond may wake the Proc.
+	loop *Simulation
 	// fn is the body the parked goroutine runs on its next dispatch; Proc
 	// records and their goroutines are pooled across Spawns, so fn changes
 	// with each reincarnation.
@@ -275,9 +307,9 @@ type Proc struct {
 	// reused by a later Spawn.
 	gen uint64
 	// blockedOn describes what the Proc is waiting for, for deadlock reports.
+	// It is written when the Proc parks, so it is current exactly when a
+	// report can read it; a wake-up that costs no switch never touches it.
 	blockedOn string
-	// timedOut reports whether the last WaitTimeout expired.
-	timedOut bool
 	// busy accumulates virtual CPU time consumed via Sleep; blocked
 	// accumulates time spent waiting on synchronization primitives. The
 	// split drives utilization profiling (the paper's §5.1.3 analysis).
@@ -331,40 +363,30 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procLoop is the body of every pooled Proc goroutine: run one incarnation,
-// retire the record to the free list, hand control back to the scheduler,
-// and park until the record's next tenant is dispatched. The retirement
-// writes happen before the yield send, which synchronizes them with the
-// scheduler exactly as the pre-pool teardown did.
+// procLoop is the body of every pooled Proc goroutine: run the record's
+// incarnations one after another until Shutdown wakes or unwinds it, then
+// acknowledge and exit.
 func procLoop(p *Proc) {
 	s := p.sim
-	for {
-		<-p.resume // wait for first dispatch of this incarnation
-		if s.dead {
-			s.yield <- struct{}{}
-			return
-		}
-		if !p.runBody() {
-			s.yield <- struct{}{} // unwound by Shutdown: acknowledge and exit
-			return
-		}
-		p.fn = nil
-		p.done = true
-		delete(s.procs, p)
-		s.live--
-		s.procFree = append(s.procFree, p)
-		s.yield <- struct{}{}
+	<-p.resume // first dispatch
+	for !s.dead && p.runBody() {
 	}
+	s.yield <- struct{}{}
 }
 
-// killProc is the panic value Shutdown uses to unwind a Proc parked inside
-// its body (block or Sleep), so the pooled goroutine can run the body's
-// deferred functions and exit.
+// killProc is the panic value Shutdown uses to unwind a Proc goroutine parked
+// in drive — inside its body (block, Sleep, Yield) or between incarnations —
+// so the body's deferred functions run and the goroutine can exit.
 type killProc struct{}
 
-// runBody executes one incarnation's body, reporting false when the body
-// was unwound by Shutdown rather than returning normally. Any other panic
-// propagates.
+// runBody executes one incarnation: the body, the record's retirement to the
+// free list, and — the finished Proc's goroutine still holds the baton — the
+// event loop until the record's next tenant is dispatched. A callback this
+// goroutine runs may Spawn into the very record it just retired; drive then
+// returns on the self-wake and procLoop falls through into the new body. It
+// reports false when unwound by Shutdown. Any other panic propagates: event
+// callbacks run on Proc goroutines, and one that panics must take the
+// process down with its own value.
 func (p *Proc) runBody() (completed bool) {
 	defer func() {
 		if completed {
@@ -377,33 +399,112 @@ func (p *Proc) runBody() (completed bool) {
 		}
 	}()
 	p.fn(p)
+	s := p.sim
+	p.fn = nil
+	p.done = true
+	delete(s.procs, p)
+	s.live--
+	s.procFree = append(s.procFree, p)
+	p.loop.drive(p, "")
 	return true
 }
 
-// dispatch hands control to p and waits for it to block or finish. It must
-// run in scheduler context. The yield is received from p's own simulation:
-// normally that is s, but under partitioned execution (see pdes.go) a Proc
-// can be woken by another partition's event — e.g. a fused-phase Cond on a
-// different clock — and it hands control back on its owner's channel.
-func (s *Simulation) dispatch(p *Proc) {
-	if p.done {
-		return
+// next pops the next event of the current instant, or returns nil when the
+// instant is exhausted and time has to advance: wheelAdvance then detaches
+// the next instant's bucket into the chain, and is the one place the horizon
+// is tested. The chain drains before the ring: everything in it was
+// scheduled before the clock reached this instant, so it carries smaller
+// seqs than any ring entry (which could only have been pushed at this
+// instant) — the same order the heap's (at, seq) merge produced. Kept apart
+// from wheelAdvance, next fits the inliner's budget and costs drive no call.
+func (s *Simulation) next() *event {
+	e := s.chain
+	if e != nil {
+		s.chain = e.next
+	} else if s.rlen > 0 {
+		e = s.ringPop()
+	} else {
+		return nil
 	}
-	p.blockedOn = ""
-	p.resume <- struct{}{}
-	<-p.sim.yield
+	s.now = e.at
+	s.fired++
+	return e
+}
+
+// drive is the event loop, run by whichever goroutine holds the baton: the
+// Run or runWindow caller (self == nil) or a Proc that has just blocked,
+// yielded or finished. Callbacks fire inline on the holder's stack. When the
+// popped event is self's own wake-up, drive returns with no channel
+// operation; when it wakes another Proc, the baton goes straight to it with
+// one resume send and the holder parks. Only when nothing is left below the
+// horizon does the baton go home on s.yield, so the caller of Run or
+// runWindow wakes exactly once. why is the blockedOn label self parks under,
+// written only if it does park.
+//
+// s is the loop that dispatched self, not necessarily self.sim: in a Group's
+// fused phase a Cond on LP 0 can wake a Proc owned by LP k, which must carry
+// on LP 0's loop when it blocks (its own wake-ups sit in LP k's queue and
+// are dispatched from there later).
+func (s *Simulation) drive(self *Proc, why string) {
+	for {
+		e := s.next()
+		if e == nil {
+			if s.wheelAdvance() {
+				continue
+			}
+			if self == nil {
+				return
+			}
+			self.blockedOn = why
+			s.yield <- struct{}{}
+			break
+		}
+		if p := e.proc; p != nil {
+			gen := e.pgen
+			s.releaseEvent(e)
+			if p.gen != gen || p.done {
+				continue // a finished Proc's stale wake-up pops as a no-op
+			}
+			if p == self {
+				return
+			}
+			p.loop = s
+			s.switches++
+			if self == nil {
+				p.resume <- struct{}{}
+				<-s.yield
+				return
+			}
+			self.blockedOn = why
+			p.resume <- struct{}{}
+			break
+		}
+		if fn := e.fire; fn != nil {
+			s.releaseEvent(e)
+			fn()
+		} else if c := e.cond; c != nil {
+			wid := e.wid
+			s.releaseEvent(e)
+			c.timeoutFire(wid)
+		} else {
+			// A cancelled timer: pops as a no-op so the clock, fired count,
+			// and same-instant ordering stay exactly as if it had fired a
+			// do-nothing callback (what cancellation-by-generation-counter
+			// used to cost).
+			s.releaseEvent(e)
+		}
+	}
+	<-self.resume
+	if self.sim.dead {
+		panic(killProc{})
+	}
 }
 
 // block suspends the calling Proc until something calls s.ready(p),
 // accounting the wait as blocked time.
 func (p *Proc) block(reason string) {
-	p.blockedOn = reason
 	t0 := p.sim.now
-	p.sim.yield <- struct{}{}
-	<-p.resume
-	if p.sim.dead {
-		panic(killProc{})
-	}
+	p.loop.drive(p, reason)
 	p.blocked += Duration(p.sim.now - t0)
 }
 
@@ -414,83 +515,24 @@ func (s *Simulation) ready(p *Proc) { s.ringPush(s.newEvent(s.now, nil, p)) }
 // Sleep suspends the Proc for d of virtual time. Negative and zero durations
 // yield to other same-instant events and return.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
+	if d <= 0 {
+		p.Yield()
+		return
 	}
 	p.busy += d
 	s := p.sim
-	if d == 0 {
-		s.ringPush(s.newEvent(s.now, nil, p))
-	} else {
-		s.wheelPush(s.newEvent(s.now.Add(d), nil, p))
-	}
-	p.blockedOn = "sleep"
-	s.yield <- struct{}{}
-	<-p.resume
-	if s.dead {
-		panic(killProc{})
-	}
+	s.wheelPush(s.newEvent(s.now.Add(d), nil, p))
+	p.loop.drive(p, "sleep")
 }
 
 // Yield lets all other events scheduled for the current instant run before
-// the Proc continues.
-//
-// Yield is the hottest proc-switch path (every poll loop spins on it), so it
-// shortcuts the scheduler where the outcome is already decided: after
-// queueing its own wakeup it pops same-instant dispatch events directly. A
-// self-dispatch (no other runnable work at this instant) returns with zero
-// channel operations; a dispatch of another Proc is a single direct
-// proc-to-proc handoff — the scheduler stays parked inside the current
-// dispatch and receives the yield from whichever Proc blocks next. Closure
-// and Cond-timeout events fall back to the scheduler, which must run them in
-// its own context. The observable schedule — (time, seq) firing order, the
-// fired counter, Proc wake order — is exactly the one Run would produce.
+// the Proc continues. It is the hottest proc-switch path (every poll loop
+// spins on it); with no other runnable work at this instant drive pops the
+// wake-up queued here and returns without a channel operation.
 func (p *Proc) Yield() {
 	s := p.sim
 	s.ringPush(s.newEvent(s.now, nil, p))
-	for {
-		var e *event
-		if e = s.chain; e != nil {
-			if e.at != s.now || e.fire != nil || e.cond != nil {
-				break
-			}
-			s.chain = e.next
-		} else if s.rlen > 0 {
-			e = s.ring[s.rhead]
-			if e.fire != nil || e.cond != nil {
-				break
-			}
-			s.ringPop()
-		} else {
-			break
-		}
-		// e is a proc dispatch or a cancelled timer at the current instant.
-		s.fired++
-		p2, gen := e.proc, e.pgen
-		s.releaseEvent(e)
-		if p2 == nil || p2.gen != gen || p2.done {
-			continue // cancelled timer or stale dispatch: pops as a no-op
-		}
-		if p2 == p {
-			return // self-dispatch: continue without a scheduler round-trip
-		}
-		p.blockedOn = "sleep"
-		p2.blockedOn = ""
-		p2.resume <- struct{}{}
-		<-p.resume
-		if s.dead {
-			panic(killProc{})
-		}
-		return
-	}
-	// Scheduler path: the wakeup is already queued, so this is Sleep(0)
-	// minus the push.
-	p.blockedOn = "sleep"
-	s.yield <- struct{}{}
-	<-p.resume
-	if s.dead {
-		panic(killProc{})
-	}
+	p.loop.drive(p, "sleep")
 }
 
 // DeadlockError is returned by Run when live Procs remain but the event
@@ -510,53 +552,10 @@ func (e *DeadlockError) Error() string {
 // blocked with no pending events, and nil otherwise. Run must be called from
 // the goroutine that owns the Simulation, and only once at a time.
 func (s *Simulation) Run() error {
-loop:
-	for {
-		var e *event
-		if e = s.chain; e != nil {
-			// The chain is the detached wheel bucket for the current instant.
-			// Everything in it was scheduled before the clock reached this
-			// instant, so it carries smaller seqs than any ring entry (which
-			// could only have been pushed at this instant) and drains first —
-			// the same order the heap's (at, seq) merge produced.
-			s.chain = e.next
-		} else if s.rlen > 0 {
-			e = s.ringPop()
-		} else {
-			switch s.wheelAdvance() {
-			case advFound:
-				e = s.chain
-				s.chain = e.next
-			case advHorizon:
-				s.now = s.maxT
-				return nil
-			default:
-				break loop
-			}
-		}
-		s.now = e.at
-		s.fired++
-		if p := e.proc; p != nil {
-			gen := e.pgen
-			s.releaseEvent(e)
-			if p.gen == gen {
-				s.dispatch(p)
-			}
-		} else if e.fire != nil {
-			fn := e.fire
-			s.releaseEvent(e)
-			fn()
-		} else if c := e.cond; c != nil {
-			wid := e.wid
-			s.releaseEvent(e)
-			c.timeoutFire(wid)
-		} else {
-			// A cancelled timer: pops as a no-op so the clock, fired count,
-			// and same-instant ordering stay exactly as if it had fired a
-			// do-nothing callback (what cancellation-by-generation-counter
-			// used to cost).
-			s.releaseEvent(e)
-		}
+	s.drive(nil, "")
+	if _, more := s.nextAt(); more {
+		s.now = s.maxT // events remain, so the loop stopped at the horizon
+		return nil
 	}
 	if s.live > 0 {
 		de := &DeadlockError{Time: s.now}
@@ -576,9 +575,10 @@ loop:
 // Sweeps that build thousands of short-lived simulations then pay an
 // ever-growing GC mark and stack-scan bill: goroutine counts climb by the
 // cluster's proc population per run and wall-clock per simulation drifts
-// upward. Shutdown wakes each parked goroutine with the dead flag set;
-// idle pooled goroutines exit immediately, and Procs still blocked
-// mid-simulation unwind via a panic that runs their deferred functions
+// upward. Shutdown wakes each parked goroutine with the dead flag set:
+// one never dispatched exits at once, and the rest — parked in drive, idle
+// between incarnations or blocked mid-body — unwind via a panic that runs
+// the body's deferred functions
 // (body defers must not block: Signal/Unlock are fine, Wait/Sleep are
 // not). Call it once the simulation is finished — Cluster.Recycle does —
 // after which the Simulation must not schedule or run anything further.
@@ -614,11 +614,9 @@ func (s *Simulation) Shutdown() {
 // set by the caller is honored if it is nearer, and is restored on return.
 func (s *Simulation) RunFor(d Duration) error {
 	prev := s.maxT
-	h := s.now.Add(d)
-	if prev != 0 && prev < h {
-		h = prev
+	if h := s.now.Add(d); h < prev {
+		s.maxT = h
 	}
-	s.SetHorizon(h)
-	defer s.SetHorizon(prev)
+	defer func() { s.maxT = prev }()
 	return s.Run()
 }

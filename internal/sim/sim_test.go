@@ -490,6 +490,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
+	reportSwitches(b, s, 0)
 }
 
 func BenchmarkMutexHandoff(b *testing.B) {
@@ -508,6 +509,7 @@ func BenchmarkMutexHandoff(b *testing.B) {
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
+	reportSwitches(b, s, 0)
 }
 
 func TestBusyBlockedAccounting(t *testing.T) {

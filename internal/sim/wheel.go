@@ -38,7 +38,7 @@ import "math/bits"
 //     level-(l−1) event, so scan order is time order.
 //
 // The same-instant ring is unchanged and still merges ahead of the wheel by
-// seq (see Run), so the heap-era TestSameInstantFloodOrdering contract
+// seq (see next), so the heap-era TestSameInstantFloodOrdering contract
 // holds verbatim.
 const (
 	wheelBits   = 8               // log2 slots per level: one byte of the timestamp
@@ -106,20 +106,12 @@ func (s *Simulation) bucketAppend(lvl int, e *event) {
 	w.occ[lvl][slot>>6] |= 1 << uint(slot&63)
 }
 
-// advResult is wheelAdvance's outcome.
-type advResult int
-
-const (
-	advEmpty   advResult = iota // no future events anywhere
-	advHorizon                  // the next event lies beyond s.maxT
-	advFound                    // s.chain now holds the next instant's events
-)
-
-// wheelAdvance finds the earliest future instant, detaches its (level-0)
-// bucket into s.chain, and reports what it found. It may cascade
-// higher-level buckets downward and advance s.now to a stride boundary on
-// the way; on advHorizon it stops before committing any state past s.maxT.
-func (s *Simulation) wheelAdvance() advResult {
+// wheelAdvance finds the earliest future instant and detaches its (level-0)
+// bucket into s.chain, reporting whether there was one at or below the
+// horizon s.maxT. It may cascade higher-level buckets downward and advance
+// s.now to a stride boundary on the way, but commits no state past the
+// horizon: a false return leaves every later event where nextAt finds it.
+func (s *Simulation) wheelAdvance() bool {
 	w := &s.wh
 	for {
 		now := uint64(s.now)
@@ -132,21 +124,21 @@ func (s *Simulation) wheelAdvance() advResult {
 			if lvl == 0 {
 				// One timestamp per level-0 bucket: detach it whole.
 				h := b.head
-				if s.maxT != 0 && h.at > s.maxT {
-					return advHorizon
+				if h.at > s.maxT {
+					return false
 				}
 				b.head, b.tail = nil, nil
 				w.occ[0][slot>>6] &^= 1 << uint(slot&63)
 				s.chain = chainCanon(h)
-				return advFound
+				return true
 			}
 			// Virtual time is entering this stride: cascade its bucket down.
 			// Everything in it lands strictly below lvl, so the bottom-up
 			// rescan makes progress.
 			shift := uint(lvl) * wheelBits
 			stride := (now &^ ((uint64(wheelSlots) << shift) - 1)) | uint64(slot)<<shift
-			if s.maxT != 0 && Time(stride) > s.maxT {
-				return advHorizon // whole stride starts past the horizon
+			if Time(stride) > s.maxT {
+				return false // whole stride starts past the horizon
 			}
 			s.now = Time(stride)
 			h := b.head
@@ -166,7 +158,7 @@ func (s *Simulation) wheelAdvance() advResult {
 		// beyond the wheel's 2^40 ns block. Jump the clock to the earliest
 		// one and reindex everything that lands inside the new block.
 		if w.ovHead == nil {
-			return advEmpty
+			return false
 		}
 		min := w.ovHead
 		for e := w.ovHead.next; e != nil; e = e.next {
@@ -174,8 +166,8 @@ func (s *Simulation) wheelAdvance() advResult {
 				min = e
 			}
 		}
-		if s.maxT != 0 && min.at > s.maxT {
-			return advHorizon
+		if min.at > s.maxT {
+			return false
 		}
 		s.now = min.at
 		h := w.ovHead

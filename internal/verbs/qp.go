@@ -420,16 +420,33 @@ func (qp *QP) toPeer(payload int) *fabric.Message {
 }
 
 // stage is the payload-staging step of a Send or Write post. An inline
-// payload must fit the WQE and is copied into it by the CPU, charged here.
-// Either way the payload is snapshotted: the NIC DMA-reads it during
-// transmission, and a correct application may reuse the buffer after the
-// send completion, which for UD fires before delivery.
+// payload must fit the WQE and is copied into it by the CPU, charged here,
+// and a UD send completes once the datagram is on the wire, before it is
+// delivered; in both cases the application may rewrite the buffer while the
+// message is in flight, so the payload is snapshotted.
+//
+// A non-inline RC payload is staged by reference. The invariant: between
+// the post and the work request's completion the buffer belongs to the NIC.
+// The completion follows delivery (it is the ACK), so the bytes are read
+// before the owner may touch them; a message stalled on an RNR NAK or
+// replayed by go-back-N re-reads the same still-owned bytes, as a real
+// adapter re-reads host memory on every retransmission. The one way out of
+// the invariant is a flush: when the QP enters the error state its pending
+// requests complete with WCFlushErr while copies may still be in flight. On
+// the single-wheel engine deliverRC drops such a late arrival outright; on a
+// partitioned network it is delivered and only its ACK is dropped, so a
+// sender that rewrote the buffer straight after the flush would hand the
+// receiver the new contents. Nothing here does: shuffle's reap returns a
+// buffer to its pool on a successful completion only, MPI frees staging the
+// same way, and pooled regions are recycled after the simulation has ended.
 func (qp *QP) stage(p *sim.Proc, wr SendWR) ([]byte, error) {
 	if wr.Inline {
 		if wr.Len > MaxInline {
 			return nil, ErrTooLong
 		}
 		p.Sleep(sim.Duration(float64(wr.Len) * qp.dev.prof().MemCopyPerByte))
+	} else if qp.cfg.Type == fabric.RC {
+		return wr.MR.Bytes(wr.Offset, wr.Len), nil
 	}
 	payload := make([]byte, wr.Len)
 	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))

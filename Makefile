@@ -17,12 +17,15 @@ test-full:
 # qperf baseline and the frozen bench/ harness, only the driver
 # (cluster.Run, internal/cluster/query.go) may run a cluster's engine — a
 # hand-rolled Sim.Run()/Group.Run() forgets Recycle, the partitioned engine,
-# or both.
+# or both. It also keeps fabric's SetArrivalBatching dead: the method is an
+# empty stub the frozen bench/probes.go still calls, and goes with that probe.
 vet:
 	$(GO) vet ./...
 	@if grep -rnE '\.(Sim|Group)\.Run\(\)' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
 		| grep -vE '^\./(internal/sim/|internal/qperf/|bench/|internal/cluster/query\.go:)'; then \
 		echo "vet: run the engine through cluster.Run (internal/cluster/query.go), not by hand"; exit 1; fi
+	@if grep -rnE '\.SetArrivalBatching\(' --include='*.go' --exclude-dir=.bench_build --exclude-dir=bench .; then \
+		echo "vet: SetArrivalBatching does nothing and is going away; only bench/ may still call it"; exit 1; fi
 
 # The kernel runs a second time at one and at four Ps: its event loop moves
 # between goroutines (whoever blocks drives it), and the worker pool behind
@@ -135,9 +138,9 @@ wire-check:
 	$(GO) test -run '^TestWireGolden$$' -count=1 ./internal/cluster/
 
 # Golden-file check: regenerate the fast-mode report — every exhibit table,
-# virtual time only — and compare it byte for byte with results_fast.txt.
-# Experiments run one at a time (-workers 1) to bound memory; expect tens of
-# minutes.
+# virtual time only — and compare it byte for byte with results_fast.txt; on a
+# mismatch the unified diff names every line that moved. Experiments run one
+# at a time (-workers 1) to bound memory; expect tens of minutes.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/shufflebench ./cmd/shufflebench && \

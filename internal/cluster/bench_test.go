@@ -7,6 +7,7 @@ import (
 	"rshuffle/internal/dag"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
+	"rshuffle/internal/tpch"
 	"rshuffle/internal/verbs"
 )
 
@@ -135,3 +136,45 @@ func BenchmarkDAGMultiStage(b *testing.B) {
 	}
 	reportSim(b, events, switches)
 }
+
+// benchTPCHPlans runs TPC-H Q3, Q4 and Q10 through their DAG plans over
+// MESQ/SR on 8 EDR nodes x 14 threads at SF 0.03 (the repository
+// benchmark's tpch8_ud), on the classic engine (lps 0) or on a sim.Group of
+// lps partitions. LP0 against LP1 is the engine gap: the wall-clock and
+// goroutine-switch price of running the same plans on a one-partition Group,
+// which has to reach ~1.0x before cluster.New can be built on it (ROADMAP
+// item 1). 13 short shuffle edges with setup between them make it the
+// workload where fused-mode execution — the baton goes home after every
+// setup instant — weighs most.
+func benchTPCHPlans(b *testing.B, lps int) {
+	const nodes, threads = 8, 14
+	db := tpch.Generate(0.03, nodes, tpch.Random, 42)
+	mesq := cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: threads})
+	b.ReportAllocs()
+	defer reportPool(b)()
+	b.ResetTimer()
+	var events, switches uint64
+	for i := 0; i < b.N; i++ {
+		for _, q := range []int{3, 4, 10} {
+			c := cluster.NewWithOptions(fabric.EDR(), nodes, threads, 42,
+				cluster.SimOptions{ParallelLPs: lps})
+			qr, _, err := tpch.Run(c, db, q, mesq, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if qr.Err != nil {
+				b.Fatal(qr.Err)
+			}
+			events += c.Events()
+			if c.Group != nil {
+				switches += c.Group.Switches()
+			} else {
+				switches += c.Sim.Switches()
+			}
+		}
+	}
+	reportSim(b, events, switches)
+}
+
+func BenchmarkTPCHPlansLP0(b *testing.B) { benchTPCHPlans(b, 0) }
+func BenchmarkTPCHPlansLP1(b *testing.B) { benchTPCHPlans(b, 1) }

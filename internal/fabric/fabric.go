@@ -124,10 +124,6 @@ type nic struct {
 	// message overtake bulk data.
 	txOrder map[uint64]sim.Time
 	rxOrder map[uint64]sim.Time
-	// pend[pendHead:] are this source's batch-queued flights, sorted by
-	// (arrive, seq); the drained prefix is reclaimed when the queue empties.
-	pend     []flight
-	pendHead int
 }
 
 // orderFloor returns t clamped to be no earlier than the previous value for
@@ -162,33 +158,6 @@ type Network struct {
 	// installs it to generate congestion notification packets.
 	onECN func(from, to int, fromQP, toQP uint64)
 
-	// Batched arrival processing (the NIC RX fast path). On lossless,
-	// fault-free, untraced runs every arrival-side computation — switch-port
-	// accounting, QP-cache touch, downlink serialization — is a pure
-	// function of the arrival instant, so instead of one scheduler event per
-	// message the fabric queues arrivals per source NIC and a single drain
-	// event processes a whole lookahead window of them per kernel dispatch.
-	// Arrivals are near-monotone per source (a source's TX backlog
-	// serializes in order; only the control fast lane jumps the queue), so
-	// each source queue inserts at or near its tail in O(1), and the drain
-	// K-way-merges the source heads in global (arrive, transmit) order. See
-	// Transmit for the gating and the ordering argument.
-	pendCount int
-	pendSeq   uint64
-	// drain is the pending wheel timer for the next drain; drainAt is the
-	// instant it fires (the earliest pending arrival).
-	drain      sim.Timer
-	drainArmed bool
-	drainAt    sim.Time
-	// lookahead caches Prof.Lookahead(): no transmit issued at or after the
-	// drain instant T can arrive before T+lookahead, so the window
-	// [T, T+lookahead) is closed when the drain runs.
-	lookahead sim.Duration
-	// batchOff forces the exact per-message arrival path even when the
-	// fast-path conditions hold (SetArrivalBatching). The equivalence test
-	// uses it to A/B the two paths at the same seed.
-	batchOff bool
-
 	// part is the PDES partition state (see pdes.go); nil on the legacy
 	// single-simulation path.
 	part *partition
@@ -196,12 +165,10 @@ type Network struct {
 
 // flight is one message between the two halves of the port model:
 // everything the uplink decided at transmit time that the downlink needs at
-// the arrival instant. seq is the global transmit order, the batched path's
-// tie-break for equal arrival instants across sources.
+// the arrival instant.
 type flight struct {
 	m      *Message
 	arrive sim.Time
-	seq    uint64
 	// sent is the instant the uplink gate opened (after NIC and PFC pauses),
 	// the instant the sender's port outage is judged at.
 	sent sim.Time
@@ -220,45 +187,22 @@ func (n *Network) SetECNHandler(h func(from, to int, fromQP, toQP uint64)) { n.o
 
 // SetTracer attaches an event tracer; nil detaches it. All layers above the
 // fabric (verbs, shuffle, cluster) reach the tracer through Tracer(), so a
-// single attachment instruments the whole stack. Attaching a tracer
-// disables the batched-arrival fast path from the next transmit on (traced
-// runs take the exact per-message path so traces stay byte-identical);
-// already-queued arrivals are flushed to per-message events first.
-func (n *Network) SetTracer(t *telemetry.Tracer) {
-	n.flushPending()
-	n.tr = t
-}
+// single attachment instruments the whole stack. A tracer only records: a
+// traced run schedules exactly the events an untraced one does.
+func (n *Network) SetTracer(t *telemetry.Tracer) { n.tr = t }
 
 // Tracer returns the attached tracer; nil means tracing is disabled, and a
 // nil *telemetry.Tracer is safe to emit on (every method is a no-op).
 func (n *Network) Tracer() *telemetry.Tracer { return n.tr }
 
-// SetArrivalBatching enables (the default) or disables the batched-arrival
-// fast path. Disabling flushes any queued arrivals to exact per-message
-// events and routes every later transmit through the per-message path.
+// SetArrivalBatching does nothing: every arrival is scheduled one way (see
+// Transmit).
 //
-// Equivalence contract: both paths compute identical per-message arrival
-// arithmetic and process arrivals in the same (arrive, transmit-seq)
-// order, so all per-message timing is bit-equal. The batched path does,
-// however, schedule deliver events at drain time — earlier in the
-// kernel's global sequence than the per-message path, which schedules
-// them at the arrival instant — so when a delivery ties with an unrelated
-// event at the same virtual nanosecond the tie can resolve in the other
-// order. Both resolutions are valid serializations of simultaneous
-// events, and each path is individually deterministic per seed; at scale
-// this shifts figure-level throughput numbers by at most the last printed
-// digit (see DESIGN.md, "Kernel performance"). The equivalence test
-// drives this switch and pins the two paths identical where no such ties
-// arise.
-func (n *Network) SetArrivalBatching(on bool) {
-	if n.part != nil {
-		return // partitioned runs always use the exact per-message path
-	}
-	if !on {
-		n.flushPending()
-	}
-	n.batchOff = !on
-}
+// Deprecated: kept only because the frozen benchmark harness
+// (bench/probes.go, the fabric.transmit_exact_ns probe) calls it; nothing
+// else may (make vet enforces it). The next benchmark PR retires that probe
+// and this method together.
+func (n *Network) SetArrivalBatching(bool) {}
 
 // SetHost attaches an opaque host context to node i.
 func (n *Network) SetHost(i int, h any) {
@@ -280,7 +224,6 @@ func (n *Network) Host(i int) any {
 func New(s *sim.Simulation, prof Profile, n int) *Network {
 	net := &Network{Sim: s, Prof: prof, nics: make([]*nic, n)}
 	net.faults.rng = s.Rand()
-	net.lookahead = prof.Lookahead()
 	for i := range net.nics {
 		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, s.Rand()),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}
@@ -314,17 +257,12 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// Faults exposes the network's fault schedule for installing rules. Like
-// SetTracer it first flushes any batch-queued arrivals to per-message
-// events: messages already in flight were transmitted under the old (empty)
-// plan and keep the wire fate and link rate drawn then — only a port that
-// is dark, cut off or paused when they arrive still catches them — while
-// every later transmit sees the new rules and takes the exact per-message
-// path.
-func (n *Network) Faults() *FaultPlan {
-	n.flushPending()
-	return &n.faults
-}
+// Faults exposes the network's fault schedule for installing rules. Rules
+// act from the next transmit on: messages already in flight keep the wire
+// fate and link rate drawn when they were transmitted — only a port that is
+// dark, cut off or paused when they arrive still catches them. Reading the
+// plan changes nothing.
+func (n *Network) Faults() *FaultPlan { return &n.faults }
 
 // Crashed reports whether node is crash-stopped at time at (a FaultCrash
 // rule names it with Start <= at). A crashed node's links are cut: nothing
@@ -462,10 +400,9 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 // The port model. A message crosses two serving resources — the sender's
 // uplink and the receiver's switch egress port plus downlink — and each is
 // written down once: uplink and downlink below. Every entry point is a
-// caller: Transmit (exact per-message events, the batched drain, and
-// flushPending's conversion between them) and TransmitMulticast (one uplink,
-// one downlink per member). What differs between entry points is only how
-// the downlink computation is scheduled, never what it computes.
+// caller: Transmit (one uplink, one downlink) and TransmitMulticast (one
+// uplink, one downlink per member). Both schedule the downlink the same way:
+// Route to the flight's arrival instant on the receiver's partition.
 
 // uplink is the source-port half of the port model. In order: the pause gate
 // (FaultPause on the NIC, then a PFC pause on the data priority), WQE fetch
@@ -593,8 +530,8 @@ func (n *Network) wireFate(f flight) flight {
 // the downlink — the incast bottleneck: simultaneous senders queue here —
 // with control-lane arbitration, the corruption retransmit, the per-QP RC
 // arrival floor, the Rx counters, the ECN hook, and Deliver after the UD
-// jitter. The batched drain calls it ahead of the clock (f.arrive, not Now,
-// is the arrival instant); nothing in it reads the clock.
+// jitter. It always runs as the event Route scheduled at f.arrive, so
+// f.arrive is the receiver's clock.
 func (n *Network) downlink(f flight) {
 	prof := &n.Prof
 	m := f.m
@@ -673,12 +610,6 @@ func (n *Network) drop(dst *nic, m *Message, at sim.Time, ev telemetry.Ev, arg i
 	}
 }
 
-// exact schedules f's downlink as its own event at the arrival instant, on
-// the receiver's partition.
-func (n *Network) exact(f flight) {
-	n.Route(f.m.From, f.m.To, f.arrive, func() { n.downlink(f) })
-}
-
 // Transmit schedules delivery of m. It may be called from Procs or event
 // callbacks. The transmit engine of the source NIC and the receive engine of
 // the destination NIC are serving resources: messages queue in FIFO order
@@ -694,125 +625,9 @@ func (n *Network) Transmit(m *Message) {
 		panic(fmt.Sprintf("fabric: UD payload %d exceeds MTU %d", m.Payload, prof.MTU))
 	}
 	wire := prof.WireBytes(m.Payload, m.Service)
-	f, _ := n.uplink(m, wire, wire <= ControlThreshold)
-	f = n.wireFate(f)
-	if !prof.Lossy && !n.batchOff && n.tr == nil && n.faults.Empty() && !f.lost {
-		// Fast path: with no lossy admission, no faults, and no tracer the
-		// downlink is pure arithmetic on (arrive, NIC state), so it batches —
-		// one drain event processes a whole lookahead window of arrivals
-		// instead of one scheduler event per message. The fate draws already
-		// happened, keeping the RNG stream byte-identical with the
-		// per-message path; a message the draw declared lost still takes the
-		// exact path so its Dropped callback runs at the arrival instant.
-		n.enqueueArrival(f)
-		return
-	}
-	n.exact(f)
-}
-
-// enqueueArrival queues a fast-path flight on its source NIC and makes
-// sure the drain timer fires no later than the earliest pending arrival.
-// A source's bulk backlog serializes in order, so insertion lands at or
-// near the queue tail; only a control-lane message overtaking queued bulk
-// data scans deeper.
-func (n *Network) enqueueArrival(f flight) {
-	src := n.nics[f.m.From]
-	n.pendSeq++
-	f.seq = n.pendSeq
-	i := len(src.pend)
-	for i > src.pendHead && src.pend[i-1].arrive > f.arrive {
-		i--
-	}
-	src.pend = append(src.pend, flight{})
-	copy(src.pend[i+1:], src.pend[i:])
-	src.pend[i] = f
-	n.pendCount++
-	if !n.drainArmed || f.arrive < n.drainAt {
-		if n.drainArmed {
-			n.drain.Stop()
-		}
-		n.drainArmed = true
-		if i == src.pendHead {
-			n.drainAt = f.arrive
-		} else {
-			n.drainAt = n.pendMin().arrive
-		}
-		n.drain = n.Sim.AfterTimer(n.drainAt.Sub(n.Sim.Now()), n.drainFire)
-	}
-}
-
-// pendMin returns the globally earliest pending flight: the (arrive, seq)
-// minimum over the source-queue heads.
-func (n *Network) pendMin() *flight {
-	var best *flight
-	for _, nc := range n.nics {
-		if nc.pendHead == len(nc.pend) {
-			continue
-		}
-		h := &nc.pend[nc.pendHead]
-		if best == nil || h.arrive < best.arrive ||
-			(h.arrive == best.arrive && h.seq < best.seq) {
-			best = h
-		}
-	}
-	return best
-}
-
-// popPending removes and returns head, the first flight of its source queue
-// (a pendMin result); the drained prefix is reclaimed when the queue empties.
-func (n *Network) popPending(head *flight) flight {
-	f := *head
-	src := n.nics[f.m.From]
-	src.pend[src.pendHead] = flight{}
-	src.pendHead++
-	if src.pendHead == len(src.pend) {
-		src.pend = src.pend[:0]
-		src.pendHead = 0
-	}
-	n.pendCount--
-	return f
-}
-
-// drainFire runs at the earliest pending arrival instant T and processes
-// every queued flight in [T, T+lookahead) in (arrive, transmit) order —
-// the same total order the per-message path's scheduler events would have
-// used — by K-way merging the source-queue heads. The window is closed:
-// any transmit issued at or after T (including later in this same instant)
-// arrives at T+lookahead or beyond, so nothing can be missed or reordered
-// by draining it in one dispatch. Arrivals beyond the window re-arm the
-// timer for their own instant.
-func (n *Network) drainFire() {
-	n.drainArmed = false
-	limit := n.drainAt.Add(n.lookahead)
-	for {
-		best := n.pendMin()
-		if best == nil || best.arrive >= limit {
-			break
-		}
-		n.downlink(n.popPending(best))
-	}
-	if n.pendCount > 0 {
-		n.drainArmed = true
-		n.drainAt = n.pendMin().arrive
-		n.drain = n.Sim.AfterTimer(n.drainAt.Sub(n.Sim.Now()), n.drainFire)
-	}
-}
-
-// flushPending converts every batch-queued flight into a per-message
-// scheduler event at its exact arrival instant, in global (arrive, seq)
-// order. SetTracer and Faults call it before changing mode, so batched and
-// per-message processing never interleave: each flushed arrival fires at
-// its own instant with the event seq order the per-message path would have
-// produced for messages already on the wire.
-func (n *Network) flushPending() {
-	if !n.drainArmed {
-		return
-	}
-	n.drain.Stop()
-	n.drainArmed = false
-	for n.pendCount > 0 {
-		n.exact(n.popPending(n.pendMin()))
-	}
+	up, _ := n.uplink(m, wire, wire <= ControlThreshold)
+	f := n.wireFate(up)
+	n.Route(m.From, m.To, f.arrive, func() { n.downlink(f) })
 }
 
 // TransmitMulticast sends one datagram to every node in dests with a single
@@ -853,7 +668,8 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 		if !n.faults.Empty() {
 			f.bw = n.linkRate(m.From, d, f.sent)
 		}
-		n.exact(n.wireFate(f))
+		lf := n.wireFate(f)
+		n.Route(m.From, d, lf.arrive, func() { n.downlink(lf) })
 	}
 }
 

@@ -34,6 +34,8 @@ type partition struct {
 // NewPartitioned builds a network whose n hosts are partitioned across g's
 // LPs. Network.Sim is the control partition's simulation (LP 0), which keeps
 // host-side helpers working; per-node scheduling must go through SimAt.
+// The port model is New's, unchanged: Transmit schedules every arrival
+// through Route, which is Group.Route here and Sim.At there.
 // Lossy profiles are rejected: the PFC/ECN egress model writes sender state
 // from receiver context, which is only safe on a single clock.
 func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
@@ -51,10 +53,6 @@ func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
 	}
 	net.part = p
 	net.faults.rng = net.Sim.Rand()
-	net.lookahead = prof.Lookahead()
-	// The batched-arrival fast path assumes one clock; partitioned runs
-	// always take the exact per-message path.
-	net.batchOff = true
 	for i := range net.nics {
 		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, p.rngs[i]),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}
@@ -140,8 +138,8 @@ func (n *Network) Route(src, dst int, at sim.Time, fn func()) {
 // RouteLatency is the minimum latency of any routed cross-node interaction
 // — switch traversal plus propagation, with no serialization component —
 // and therefore the widest safe PDES window lookahead. Data messages add
-// WQE processing and serialization on top (Profile.Lookahead); control
-// completions (ACKs, fence NAKs, membership verdicts) pay exactly this.
+// WQE processing and serialization on top; control completions (ACKs, fence
+// NAKs, membership verdicts) pay exactly this.
 func (p *Profile) RouteLatency() sim.Duration {
 	return p.SwitchDelay + p.PropagationDelay
 }

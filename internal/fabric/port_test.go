@@ -9,16 +9,17 @@ import (
 	"rshuffle/internal/sim"
 )
 
-// transmitAllocs returns the heap objects one Transmit costs from the call
-// to the Deliver callback: 64 reusable 4 KiB RC messages in flight between
-// two nodes (the shape of the benchmark's fabric.transmit probe), steady
-// state, simulator set-up amortised over the chain.
-func transmitAllocs(batched bool) float64 {
+// TestTransmitAllocationGuard pins the heap objects one Transmit costs from
+// the call to the Deliver callback: 64 reusable 4 KiB RC messages in flight
+// between two nodes (the shape of the benchmark's fabric.transmit probe),
+// steady state, simulator set-up amortised over the chain. The path pays two
+// closures a message — the arrival event holding the flight, the delivery
+// event — and ~0.1 in scheduler growth: 2.1 measured.
+func TestTransmitAllocationGuard(t *testing.T) {
 	const chain = 4096
 	perRun := testing.AllocsPerRun(5, func() {
 		s := sim.New(1)
 		net := New(s, FDR(), 2)
-		net.SetArrivalBatching(batched)
 		sent := 0
 		for i := 0; i < 64; i++ {
 			m := &Message{From: 0, To: 1, FromQP: 1, ToQP: 2, Payload: 4096, Service: RC}
@@ -35,24 +36,10 @@ func transmitAllocs(batched bool) float64 {
 			panic(err)
 		}
 	})
-	return perRun / chain
-}
-
-// TestTransmitAllocationGuard pins the per-message heap cost of both arrival
-// paths at what the five-copy port model paid (measured at a7c615d: 7.54
-// objects a message batched, 8.06 exact, five of them the transmit-time
-// variables its arrival closure captured by reference).
-func TestTransmitAllocationGuard(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		batched bool
-		limit   float64
-	}{{"batched", true, 7.54}, {"exact", false, 8.06}} {
-		if got := transmitAllocs(c.batched); got > c.limit {
-			t.Errorf("%s path: %.2f allocs per message, parent paid %.2f", c.name, got, c.limit)
-		} else {
-			t.Logf("%s path: %.2f allocs per message", c.name, got)
-		}
+	if got := perRun / chain; got > 2.5 {
+		t.Errorf("%.2f allocs per message, want <= 2.5", got)
+	} else {
+		t.Logf("%.2f allocs per message", got)
 	}
 }
 
@@ -66,13 +53,13 @@ type portMsg struct {
 }
 
 // portRun pushes msgs through a fresh three-node network on one of the
-// port model's entry points and returns what the model decided: every
-// delivery as "index@instant" in delivery order, and every NIC's counters.
-func portRun(t *testing.T, prof Profile, msgs []portMsg, mode string) ([]string, []NICStats) {
+// port model's entry points — Transmit, or TransmitMulticast to the one
+// member — and returns what the model decided: every delivery as
+// "index@instant" in delivery order, and every NIC's counters.
+func portRun(t *testing.T, prof Profile, msgs []portMsg, multicast bool) ([]string, []NICStats) {
 	t.Helper()
 	s := sim.New(7)
 	n := New(s, prof, 3)
-	n.SetArrivalBatching(mode == "batched")
 	var order []string
 	for i, pm := range msgs {
 		i, pm := i, pm
@@ -80,7 +67,7 @@ func portRun(t *testing.T, prof Profile, msgs []portMsg, mode string) ([]string,
 			Payload: pm.payload, Service: pm.svc, Dropped: func() {}}
 		landed := func(at sim.Time) { order = append(order, fmt.Sprintf("%d@%d", i, at)) }
 		s.After(pm.at, func() {
-			if mode == "multicast" {
+			if multicast {
 				n.TransmitMulticast(m, []int{pm.to}, func(_ int, at sim.Time) { landed(at) })
 				return
 			}
@@ -95,11 +82,13 @@ func portRun(t *testing.T, prof Profile, msgs []portMsg, mode string) ([]string,
 }
 
 // TestPortModelEntryPointsAgree pins the point of having one port model:
-// the exact per-message path, the batched drain and a multicast with a
-// single member are three ways to schedule the same uplink and downlink
-// computation, so each scenario must land every message at the same instant,
-// in the same order, with the same counters, whichever way it entered.
-// Multicast takes UD data-lane datagrams only, so it joins that scenario.
+// a unicast Transmit and a multicast with a single member are two entries to
+// the same uplink and downlink computation, so the scenario both can carry
+// (multicast takes UD data-lane datagrams only) must land every message at
+// the same instant, in the same order, with the same counters, whichever way
+// it entered. The RC scenarios have the one entry: they must deliver
+// everything, and the checks at the end pin what the model decides in them
+// (control-lane overtaking, per-QP order).
 func TestPortModelEntryPointsAgree(t *testing.T) {
 	jittery := FDR()
 	jittery.UDReorderProb = 0.5
@@ -118,37 +107,38 @@ func TestPortModelEntryPointsAgree(t *testing.T) {
 		ud = append(ud, portMsg{at / 3, src, 2, uint64(50 + src), 60, 4096, UD})
 	}
 	for _, sc := range []struct {
-		name  string
-		prof  Profile
-		msgs  []portMsg
-		modes []string
+		name      string
+		prof      Profile
+		msgs      []portMsg
+		multicast bool // the scenario can also enter through TransmitMulticast
 	}{
-		{"bulk", FDR(), bulk, []string{"exact", "batched"}},
-		{"control-lane", FDR(), control, []string{"exact", "batched"}},
-		{"rc-ordered", FDR(), ordered, []string{"exact", "batched"}},
-		{"ud-jittered", jittery, ud, []string{"exact", "batched", "multicast"}},
+		{"bulk", FDR(), bulk, false},
+		{"control-lane", FDR(), control, false},
+		{"rc-ordered", FDR(), ordered, false},
+		{"ud-jittered", jittery, ud, true},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			wantOrder, wantStats := portRun(t, sc.prof, sc.msgs, sc.modes[0])
+			wantOrder, wantStats := portRun(t, sc.prof, sc.msgs, false)
 			if len(wantOrder) != len(sc.msgs) {
-				t.Fatalf("%s delivered %d of %d messages", sc.modes[0], len(wantOrder), len(sc.msgs))
+				t.Fatalf("delivered %d of %d messages", len(wantOrder), len(sc.msgs))
 			}
-			for _, mode := range sc.modes[1:] {
-				order, stats := portRun(t, sc.prof, sc.msgs, mode)
-				if !reflect.DeepEqual(order, wantOrder) {
-					t.Errorf("%s deliveries differ from %s:\n  %v\n  %v", mode, sc.modes[0], order, wantOrder)
-				}
-				if !reflect.DeepEqual(stats, wantStats) {
-					t.Errorf("%s NIC counters differ from %s:\n  %+v\n  %+v", mode, sc.modes[0], stats, wantStats)
-				}
+			if !sc.multicast {
+				return
+			}
+			order, stats := portRun(t, sc.prof, sc.msgs, true)
+			if !reflect.DeepEqual(order, wantOrder) {
+				t.Errorf("multicast deliveries differ from unicast:\n  %v\n  %v", order, wantOrder)
+			}
+			if !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("multicast NIC counters differ from unicast:\n  %+v\n  %+v", stats, wantStats)
 			}
 		})
 	}
 	// The scenarios must exercise what their names claim.
-	if o, _ := portRun(t, FDR(), control, "exact"); o[0][:2] != "1@" {
+	if o, _ := portRun(t, FDR(), control, false); o[0][:2] != "1@" {
 		t.Errorf("control-lane word did not overtake the bulk buffer: %v", o[:2])
 	}
-	if o, _ := portRun(t, FDR(), ordered, "exact"); o[0][:2] != "0@" {
+	if o, _ := portRun(t, FDR(), ordered, false); o[0][:2] != "0@" {
 		t.Errorf("RC order let the word overtake its own QP's buffer: %v", o[:2])
 	}
 }

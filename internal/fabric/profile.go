@@ -326,24 +326,6 @@ func IWARP() Profile {
 	return p
 }
 
-// Lookahead returns the minimum latency between a transmit decision on any
-// host and the earliest instant it can be observed at a remote NIC: WQE
-// processing plus serialization of the smallest possible frame, plus
-// switching and propagation. It is the fabric's conservative lookahead in
-// the PDES sense — a transmit issued at time t cannot affect any remote
-// timeline before t + Lookahead() — which makes it both the drain-window
-// bound for batched arrival processing (Network.Transmit) and the null-
-// message bound groundwork for conservative parallel execution across
-// simulation partitions.
-func (p *Profile) Lookahead() sim.Duration {
-	minWire := p.HeaderRC
-	if p.SupportsUD && p.HeaderUD < minWire {
-		minWire = p.HeaderUD
-	}
-	return p.WQEProcessing + Serialize(minWire, p.LinkBandwidth) +
-		p.SwitchDelay + p.PropagationDelay
-}
-
 // Serialize returns the time to push n bytes onto a link at rate bw bytes/s.
 func Serialize(n int, bw float64) sim.Duration {
 	return sim.Duration(float64(n) / bw * 1e9)

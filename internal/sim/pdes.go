@@ -28,10 +28,10 @@ package sim
 //     coordinator computes the global minimum next-event time T and lets
 //     every LP execute all its events in [T, T+lookahead) concurrently on a
 //     pool of worker goroutines. The lookahead is the fabric's minimum
-//     cross-node latency (Profile.Lookahead), so no LP can receive a routed
-//     event inside the window being executed: every Route arrival time is
-//     checked against the window bound. During wide execution an LP's
-//     events must touch only that LP's actors.
+//     cross-node latency (Profile.RouteLatency), so no LP can receive a
+//     routed event inside the window being executed: every Route arrival
+//     time is checked against the window bound. During wide execution an
+//     LP's events must touch only that LP's actors.
 //
 // Conservative, not optimistic: the kernel's value is its determinism
 // contract (same seed ⇒ byte-identical traces), which every test in the

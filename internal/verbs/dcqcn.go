@@ -45,7 +45,7 @@ func (d *Device) ecnMarked(from int, fromQP, toQP uint64) {
 	if !prof.DCQCN {
 		return
 	}
-	now := d.net.Sim.Now()
+	now := d.sim.Now()
 	if last, ok := d.cnpLast[fromQP]; ok && now.Sub(last) < prof.CNPInterval {
 		return
 	}
@@ -85,7 +85,7 @@ func (d *Device) handleCNP(qpn uint32) {
 		rl.rate = prof.DCQCNMinRate
 	}
 	d.stats.RateCuts++
-	d.tr().Instant(d.net.Sim.Now(), telemetry.EvRateCut,
+	d.tr().Instant(d.sim.Now(), telemetry.EvRateCut,
 		int32(d.node), uint64(d.node)<<32|uint64(qpn), int64(rl.rate), 1)
 	d.armRateTimer(qpn, rl)
 }
@@ -95,7 +95,7 @@ func (d *Device) armRateTimer(qpn uint32, rl *dcqcn) {
 		return
 	}
 	rl.timerArmed = true
-	rl.timer = d.net.Sim.AfterTimer(d.prof().DCQCNRecoveryPeriod, func() { d.rateTick(qpn, rl) })
+	rl.timer = d.sim.AfterTimer(d.prof().DCQCNRecoveryPeriod, func() { d.rateTick(qpn, rl) })
 }
 
 // rateTick is one recovery period: decay alpha, raise the target additively,
@@ -116,7 +116,7 @@ func (d *Device) rateTick(qpn uint32, rl *dcqcn) {
 	}
 	rl.rate = (rl.rate + rl.target) / 2
 	rl.alpha *= 1 - prof.DCQCNAlphaG
-	d.tr().Instant(d.net.Sim.Now(), telemetry.EvRateCut,
+	d.tr().Instant(d.sim.Now(), telemetry.EvRateCut,
 		int32(d.node), uint64(d.node)<<32|uint64(qpn), int64(rl.rate), 0)
 	if rl.rate >= 0.999*link {
 		delete(d.rl, qpn)
@@ -173,7 +173,7 @@ func (qp *QP) pacedSend(wire int, send func()) {
 	if rl := d.rl[qp.qpn]; rl != nil {
 		rate = rl.rate
 	}
-	now := d.net.Sim.Now()
+	now := d.sim.Now()
 	start := qp.txNextFree
 	if start < now {
 		start = now
@@ -184,7 +184,7 @@ func (qp *QP) pacedSend(wire int, send func()) {
 		return
 	}
 	qp.paced++
-	d.net.Sim.At(start, func() {
+	d.sim.At(start, func() {
 		qp.paced--
 		if qp.destroyed || qp.state == QPError {
 			return

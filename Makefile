@@ -99,15 +99,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlanValidation$$' -fuzztime $(FUZZTIME) ./internal/fabric/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowMerge$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupTable$$' -fuzztime $(FUZZTIME) ./internal/engine/
 
-# Wall-clock benchmarks: kernel micro (events/sec, ns/dispatch, allocs/event)
-# plus whole-query macro, exported as BENCH_sim.json for regression tracking.
+# Wall-clock benchmarks: kernel micro (events/sec, ns/dispatch, allocs/event),
+# the engine's operator kernels (scan, hash join, hash aggregation by group
+# count and key width) and whole-query macro, exported as BENCH_sim.json for
+# regression tracking.
 # Each run appends to the file's run history (the old single-run schema is
 # absorbed as the first entry), so repeated invocations build a series.
 # benchjson is built before the benchmarks start: `go test | go run ...`
 # compiles the consumer concurrently with the first benchmarks in the pipe,
 # which inflates their ns/op on small machines.
-BENCH_PKGS = ./internal/sim/ ./internal/cluster/
+BENCH_PKGS = ./internal/sim/ ./internal/engine/ ./internal/cluster/
 bench:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson && \
@@ -145,7 +148,7 @@ results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/shufflebench ./cmd/shufflebench && \
 	$$tmp/shufflebench -exp all -workers 1 > $$tmp/results_fast.txt && \
-	cmp results_fast.txt $$tmp/results_fast.txt && \
+	{ cmp -s results_fast.txt $$tmp/results_fast.txt || { diff -u results_fast.txt $$tmp/results_fast.txt; exit 1; }; } && \
 	echo "results_fast.txt regenerates byte-identical"
 
 # Bench regression gate: benchmark the smoke set at the working tree AND at

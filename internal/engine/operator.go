@@ -66,7 +66,9 @@ type Operator interface {
 	// Open prepares per-thread state. It is called once, before any Next.
 	Open(ctx *Ctx)
 	// Next returns the next batch for thread tid. The returned batch is
-	// owned by the operator and valid until the same thread's next call.
+	// owned by the operator and valid until the same thread's next call;
+	// the caller reads it and never writes it — it may be a view of stored
+	// data (Scan hands out the table's own rows).
 	// After returning Depleted the operator keeps returning Depleted.
 	Next(p *sim.Proc, tid int) (*Batch, State)
 	// Close releases operator resources after all threads have finished.

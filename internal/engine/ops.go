@@ -141,24 +141,33 @@ type HashJoin struct {
 	BuildKey, ProbeKey int
 	Semi               bool
 
-	ctx     *Ctx
-	sch     *Schema
-	ht      map[int64][]int32
-	rows    []byte // build-side row store
-	matched []bool // Semi: build rows already emitted
-	built   bool
-	barrier *Barrier
-	out     []*Batch
-	carry   []probeCarry
-	mu      *sim.Mutex
+	ctx *Ctx
+	sch *Schema
+	// ht groups build rows by the 8 bytes of their key column. A group's rows
+	// are a chain through next from head[gid] to tail[gid], in insertion
+	// order; noRow ends it.
+	ht         groupTable
+	head, tail []int32 // per group
+	next       []int32 // per build row
+	rows       []byte  // build-side row store
+	matched    []bool  // Semi: build rows already emitted
+	built      bool
+	barrier    *Barrier
+	out        []*Batch
+	carry      []probeCarry
+	mu         *sim.Mutex
 }
+
+// noRow ends a build-row chain.
+const noRow = -1
 
 // probeCarry resumes a probe batch whose matches overflowed the output.
 type probeCarry struct {
-	in    *Batch
-	st    State
-	row   int // next probe row to examine
-	match int // next match index within that row's chain
+	in      *Batch
+	st      State
+	row     int   // probe row under examination
+	match   int32 // next build row of that row's chain, once chained
+	chained bool  // row's chain has been looked up
 }
 
 // Schema implements Operator; it is valid before Open.
@@ -179,17 +188,24 @@ func (h *HashJoin) Open(ctx *Ctx) {
 	h.Probe.Open(ctx)
 	h.ctx = ctx
 	h.sch = h.Schema()
-	h.ht = make(map[int64][]int32)
+	h.ht = groupTable{kw: 8}
 	h.barrier = NewBarrier(ctx.S, "hashjoin", ctx.Threads)
 	h.mu = ctx.S.NewMutex("hashjoin-build")
 	h.out = threadBatches(h.sch, DefaultBatchTuples, ctx.Threads)
 	h.carry = make([]probeCarry, ctx.Threads)
 }
 
+// joinKey returns the 8 bytes of an int64 key column within a raw row.
+func joinKey(sch *Schema, row []byte, col int) []byte {
+	off := sch.Offset(col)
+	return row[off : off+8]
+}
+
 // buildPhase drains the build child on this thread, inserting into the
 // shared table under a lock (the contention is part of the model).
 func (h *HashJoin) buildPhase(p *sim.Proc, tid int) {
-	bw := h.Build.Schema().Width()
+	bsch := h.Build.Schema()
+	bw := bsch.Width()
 	for {
 		in, st := h.Build.Next(p, tid)
 		if in != nil && in.N > 0 {
@@ -197,9 +213,18 @@ func (h *HashJoin) buildPhase(p *sim.Proc, tid int) {
 			h.ctx.ChargeCopy(p, in.N*bw)
 			h.mu.Lock(p)
 			for i := 0; i < in.N; i++ {
-				k := in.Int64(i, h.BuildKey)
-				h.ht[k] = append(h.ht[k], int32(len(h.rows)/bw))
-				h.rows = append(h.rows, in.Row(i)...)
+				row := in.Row(i)
+				r := int32(len(h.rows) / bw)
+				g, added := h.ht.insert(joinKey(bsch, row, h.BuildKey))
+				if added {
+					h.head = append(h.head, r)
+					h.tail = append(h.tail, r)
+				} else {
+					h.next[h.tail[g]] = r
+					h.tail[g] = r
+				}
+				h.next = append(h.next, noRow)
+				h.rows = append(h.rows, row...)
 			}
 			h.mu.Unlock(p)
 		}
@@ -220,23 +245,29 @@ func (h *HashJoin) Next(p *sim.Proc, tid int) (*Batch, State) {
 		h.buildPhase(p, tid)
 	}
 	bw := h.Build.Schema().Width()
+	psch := h.Probe.Schema()
 	out := h.out[tid]
 	out.Reset()
 	c := &h.carry[tid]
 	for {
 		if c.in == nil {
 			in, st := h.Probe.Next(p, tid)
-			c.in, c.st, c.row, c.match = in, st, 0, 0
+			c.in, c.st, c.row, c.chained = in, st, 0, false
 			if in != nil {
 				h.ctx.ChargeHash(p, in.N)
 			}
 		}
 		matched := 0
 		if c.in != nil {
-			for ; c.row < c.in.N; c.row, c.match = c.row+1, 0 {
-				chain := h.ht[c.in.Int64(c.row, h.ProbeKey)]
-				for ; c.match < len(chain); c.match++ {
-					r := int(chain[c.match])
+			for ; c.row < c.in.N; c.row, c.chained = c.row+1, false {
+				if !c.chained {
+					c.match, c.chained = noRow, true
+					if g := h.ht.lookup(joinKey(psch, c.in.Row(c.row), h.ProbeKey)); g >= 0 {
+						c.match = h.head[g]
+					}
+				}
+				for ; c.match != noRow; c.match = h.next[c.match] {
+					r := int(c.match)
 					if h.Semi && h.matched[r] {
 						continue
 					}
@@ -291,8 +322,10 @@ type AggSpec struct {
 }
 
 // HashAgg groups by the byte image of KeyCols and computes Aggs. Threads
-// build per-thread partial tables; the last thread to finish merges them,
-// then results are emitted round-robin across threads.
+// build per-thread partial tables; the last thread to finish merges them in
+// thread order (so a group's float sums always add up in the same order),
+// then results are emitted round-robin across threads, in ascending byte
+// order of the key image.
 // Output schema: key columns followed by one float64 per aggregate.
 type HashAgg struct {
 	In      Operator
@@ -301,13 +334,21 @@ type HashAgg struct {
 
 	ctx     *Ctx
 	sch     *Schema
-	partial []map[string][]float64
-	merged  []string // deterministic key order
-	table   map[string][]float64
+	keyAt   [][2]int   // byte span of each key column within an input row
+	partial []aggTable // one per thread
+	merged  aggTable
+	order   []int32 // merged's groups in emission order
 	done    bool
 	barrier *Barrier
 	cursor  int
 	out     []*Batch
+}
+
+// aggTable is a group table with its accumulators: group g's are
+// acc[g*len(Aggs) : (g+1)*len(Aggs)].
+type aggTable struct {
+	groupTable
+	acc []float64
 }
 
 // Schema implements Operator; it is valid before Open.
@@ -330,39 +371,54 @@ func (a *HashAgg) Open(ctx *Ctx) {
 	a.In.Open(ctx)
 	a.ctx = ctx
 	a.sch = a.Schema()
-	a.partial = make([]map[string][]float64, ctx.Threads)
-	for i := range a.partial {
-		a.partial[i] = make(map[string][]float64)
+	insch := a.In.Schema()
+	a.keyAt = make([][2]int, len(a.KeyCols))
+	kw := 0
+	for i, c := range a.KeyCols {
+		off, n := insch.Offset(c), insch.Cols[c].Size()
+		a.keyAt[i] = [2]int{off, off + n}
+		kw += n
 	}
+	a.partial = make([]aggTable, ctx.Threads)
+	for i := range a.partial {
+		a.partial[i].kw = kw
+	}
+	a.merged.kw = kw
 	a.barrier = NewBarrier(ctx.S, "hashagg", ctx.Threads)
 	a.out = threadBatches(a.sch, DefaultBatchTuples, ctx.Threads)
 }
 
-func (a *HashAgg) keyOf(b *Batch, i int) string {
-	insch := b.Sch
-	row := b.Row(i)
-	var key []byte
-	for _, c := range a.KeyCols {
-		off := insch.Offset(c)
-		key = append(key, row[off:off+insch.Cols[c].Size()]...)
+// keyOf returns row's key image: a one-column key is a slice of the row
+// itself, several columns are gathered into scratch (kw bytes, the calling
+// thread's own).
+func (a *HashAgg) keyOf(row, scratch []byte) []byte {
+	if len(a.keyAt) == 1 {
+		return row[a.keyAt[0][0]:a.keyAt[0][1]]
 	}
-	return string(key)
+	key := scratch[:0]
+	for _, at := range a.keyAt {
+		key = append(key, row[at[0]:at[1]]...)
+	}
+	return key
 }
 
 func (a *HashAgg) consume(p *sim.Proc, tid int) {
-	part := a.partial[tid]
+	part := &a.partial[tid]
+	na := len(a.Aggs)
+	scratch := make([]byte, part.kw)
 	for {
 		in, st := a.In.Next(p, tid)
 		if in != nil && in.N > 0 {
 			a.ctx.ChargeHash(p, in.N)
-			a.ctx.ChargeTuples(p, in.N*len(a.Aggs))
+			a.ctx.ChargeTuples(p, in.N*na)
 			for i := 0; i < in.N; i++ {
-				k := a.keyOf(in, i)
-				acc := part[k]
-				if acc == nil {
-					acc = make([]float64, len(a.Aggs))
-					part[k] = acc
+				g, added := part.insert(a.keyOf(in.Row(i), scratch))
+				if added {
+					for range a.Aggs {
+						part.acc = append(part.acc, 0)
+					}
 				}
+				acc := part.acc[g*na : (g+1)*na]
 				for j, spec := range a.Aggs {
 					switch spec.Kind {
 					case AggCount:
@@ -379,27 +435,25 @@ func (a *HashAgg) consume(p *sim.Proc, tid int) {
 	}
 	if a.barrier.Wait(p) {
 		// Last thread merges the partials deterministically.
-		a.table = make(map[string][]float64)
+		m := &a.merged
 		total := 0
-		for _, part := range a.partial {
-			total += len(part)
-			for k, acc := range part {
-				dst := a.table[k]
-				if dst == nil {
-					a.table[k] = append([]float64(nil), acc...)
+		for i := range a.partial {
+			part := &a.partial[i]
+			total += part.n
+			for g := 0; g < part.n; g++ {
+				acc := part.acc[g*na : (g+1)*na]
+				mg, added := m.insert(part.key(g))
+				if added {
+					m.acc = append(m.acc, acc...)
 					continue
 				}
-				for j := range dst {
-					dst[j] += acc[j]
+				for j, v := range acc {
+					m.acc[mg*na+j] += v
 				}
 			}
 		}
 		a.ctx.ChargeHash(p, total)
-		a.merged = make([]string, 0, len(a.table))
-		for k := range a.table {
-			a.merged = append(a.merged, k)
-		}
-		sort.Strings(a.merged)
+		a.order = m.sorted()
 	}
 	a.barrier.Wait(p)
 	a.done = true
@@ -412,19 +466,18 @@ func (a *HashAgg) Next(p *sim.Proc, tid int) (*Batch, State) {
 	}
 	out := a.out[tid]
 	out.Reset()
-	for out.N < out.Cap() && a.cursor < len(a.merged) {
-		k := a.merged[a.cursor]
+	m, na := &a.merged, len(a.Aggs)
+	for out.N < out.Cap() && a.cursor < len(a.order) {
+		g := int(a.order[a.cursor])
 		a.cursor++
-		row := out.slot()
-		copy(row, k) // key bytes are a prefix of the output row
-		acc := a.table[k]
+		copy(out.slot(), m.key(g)) // key bytes are a prefix of the output row
 		out.N++
-		for j, v := range acc {
+		for j, v := range m.acc[g*na : (g+1)*na] {
 			out.SetFloat64(out.N-1, len(a.KeyCols)+j, v)
 		}
 	}
 	a.ctx.ChargeTuples(p, out.N)
-	if a.cursor >= len(a.merged) {
+	if a.cursor >= len(a.order) {
 		return out, Depleted
 	}
 	return out, MoreData
@@ -442,7 +495,9 @@ type TopN struct {
 	Less func(sch *Schema, a, b []byte) bool
 
 	ctx     *Ctx
-	rows    [][]byte
+	w       int     // row width
+	rows    []byte  // every input row, in arrival order
+	order   []int32 // row numbers in rows, sorted
 	sorted  bool
 	barrier *Barrier
 	mu      *sim.Mutex
@@ -457,10 +512,14 @@ func (t *TopN) Schema() *Schema { return t.In.Schema() }
 func (t *TopN) Open(ctx *Ctx) {
 	t.In.Open(ctx)
 	t.ctx = ctx
+	t.w = t.In.Schema().Width()
 	t.barrier = NewBarrier(ctx.S, "topn", ctx.Threads)
 	t.mu = ctx.S.NewMutex("topn")
 	t.out = threadBatches(t.In.Schema(), DefaultBatchTuples, ctx.Threads)
 }
+
+// row returns stored row r.
+func (t *TopN) row(r int32) []byte { return t.rows[int(r)*t.w : (int(r)+1)*t.w] }
 
 // Next implements Operator.
 func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
@@ -468,11 +527,9 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 		for {
 			in, st := t.In.Next(p, tid)
 			if in != nil && in.N > 0 {
-				t.ctx.ChargeCopy(p, in.N*in.Sch.Width())
+				t.ctx.ChargeCopy(p, in.N*t.w)
 				t.mu.Lock(p)
-				for i := 0; i < in.N; i++ {
-					t.rows = append(t.rows, append([]byte(nil), in.Row(i)...))
-				}
+				t.rows = append(t.rows, in.Bytes()...)
 				t.mu.Unlock(p)
 			}
 			if st == Depleted {
@@ -482,7 +539,7 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 		if t.barrier.Wait(p) {
 			sch := t.In.Schema()
 			// n log n comparison cost, charged to the sorting thread.
-			n := len(t.rows)
+			n := len(t.rows) / t.w
 			if n > 1 {
 				cost := 0
 				for m := n; m > 1; m >>= 1 {
@@ -490,11 +547,15 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 				}
 				t.ctx.ChargeTuples(p, cost)
 			}
-			sort.SliceStable(t.rows, func(i, j int) bool {
-				return t.Less(sch, t.rows[i], t.rows[j])
+			t.order = make([]int32, n)
+			for i := range t.order {
+				t.order[i] = int32(i)
+			}
+			sort.SliceStable(t.order, func(i, j int) bool {
+				return t.Less(sch, t.row(t.order[i]), t.row(t.order[j]))
 			})
-			if t.N > 0 && len(t.rows) > t.N {
-				t.rows = t.rows[:t.N]
+			if t.N > 0 && n > t.N {
+				t.order = t.order[:t.N]
 			}
 		}
 		t.barrier.Wait(p)
@@ -502,11 +563,11 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 	}
 	out := t.out[tid]
 	out.Reset()
-	for out.N < out.Cap() && t.cursor < len(t.rows) {
-		out.AppendRow(t.rows[t.cursor])
+	for out.N < out.Cap() && t.cursor < len(t.order) {
+		out.AppendRow(t.row(t.order[t.cursor]))
 		t.cursor++
 	}
-	if t.cursor >= len(t.rows) {
+	if t.cursor >= len(t.order) {
 		return out, Depleted
 	}
 	return out, MoreData

@@ -83,7 +83,8 @@ func (w *Writer) Done() { w.t.Append(w.row) }
 
 // Scan is a morsel-driven parallel table scan: threads grab batches from a
 // shared cursor, so work balances across threads automatically (Leis et
-// al., morsel-driven parallelism).
+// al., morsel-driven parallelism). A batch is a view of the table's own
+// rows, not a copy; Operator.Next's contract keeps consumers from writing it.
 type Scan struct {
 	T *Table
 	// Passes repeats the scan the given number of times (the paper's
@@ -124,8 +125,8 @@ func (s *Scan) Next(p *sim.Proc, tid int) (*Batch, State) {
 			n = rem
 		}
 		out := s.out[tid]
-		out.Reset()
-		out.AppendRows(s.T.Data[s.cursor*w : (s.cursor+n)*w])
+		lo, hi := s.cursor*w, (s.cursor+n)*w
+		out.Data, out.N = s.T.Data[lo:hi:hi], n
 		s.cursor += n
 		s.ctx.ChargeTuples(p, n)
 		return out, MoreData

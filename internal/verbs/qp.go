@@ -88,7 +88,7 @@ type QP struct {
 	// post-reboot memory. Zero means unfenced (peer not epoch-aware).
 	peerEpoch uint64
 
-	recvQ       []RecvWR
+	recvQ       fifo[RecvWR]
 	outstanding int
 	// inflight tracks posted sends in order, so that an error transition
 	// can flush them deterministically.
@@ -260,7 +260,7 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	if qp.state == QPError {
 		return ErrQPError
 	}
-	if len(qp.recvQ) >= qp.cfg.MaxRecv {
+	if qp.recvQ.n >= qp.cfg.MaxRecv {
 		return ErrRQFull
 	}
 	if err := wr.MR.check(wr.Offset, wr.Len); err != nil {
@@ -269,13 +269,13 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	if qp.cfg.Type == fabric.UD && wr.Len <= GRHSize {
 		return ErrTooLong
 	}
-	qp.recvQ = append(qp.recvQ, wr)
+	qp.recvQ.push(wr)
 	qp.armRNRTimer()
 	return nil
 }
 
 // RecvQueued returns the number of posted, unmatched receive buffers.
-func (qp *QP) RecvQueued() int { return len(qp.recvQ) }
+func (qp *QP) RecvQueued() int { return qp.recvQ.n }
 
 // PostSend posts a Send, Read, or Write work request. It never blocks on
 // the network; completion arrives on the send CQ.
@@ -386,10 +386,9 @@ func (qp *QP) enterError(trigger *CQE, flush WCStatus) {
 		flushWR(CQE{QPN: qp.qpn, WRID: w.id, Op: w.op, Status: flush})
 	}
 	qp.inflight = nil
-	for _, rwr := range qp.recvQ {
-		qp.cfg.RecvCQ.pushFlush(CQE{QPN: qp.qpn, WRID: rwr.ID, Op: OpRecv, Status: WCFlushErr})
+	for ; qp.recvQ.n > 0; qp.recvQ.drop(1) {
+		qp.cfg.RecvCQ.pushFlush(CQE{QPN: qp.qpn, WRID: qp.recvQ.front().ID, Op: OpRecv, Status: WCFlushErr})
 	}
-	qp.recvQ = nil
 	qp.stalled = nil
 	// Wake pollers that wait on memory changes rather than CQs (one-sided
 	// protocols) so they observe the failure promptly.
@@ -557,7 +556,7 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 		// consume a post-reboot receive buffer.
 		return
 	}
-	if len(rqp.stalled) > 0 || len(rqp.recvQ) == 0 {
+	if len(rqp.stalled) > 0 || rqp.recvQ.n == 0 {
 		// The RNR NAK is generated here, at the responder; partitioned runs
 		// therefore count it on the responder device (whose partition is
 		// executing), while the legacy path keeps its historical requester
@@ -579,8 +578,8 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 // match consumes one posted receive for message m and generates both
 // completions.
 func (rqp *QP) match(m stalledRC) {
-	rwr := rqp.recvQ[0]
-	rqp.recvQ = rqp.recvQ[1:]
+	rwr := rqp.recvQ.front()
+	rqp.recvQ.drop(1)
 	if rwr.Len < len(m.payload) {
 		panic(fmt.Sprintf("verbs: RC recv buffer too small (%d < %d) on node %d",
 			rwr.Len, len(m.payload), rqp.dev.node))
@@ -618,7 +617,7 @@ func (rqp *QP) rnrTick() {
 		rqp.stalled = nil
 		return
 	}
-	for len(rqp.stalled) > 0 && len(rqp.recvQ) > 0 {
+	for len(rqp.stalled) > 0 && rqp.recvQ.n > 0 {
 		m := rqp.stalled[0]
 		rqp.stalled = rqp.stalled[1:]
 		rqp.match(m)
@@ -669,19 +668,19 @@ func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQP
 		dst.stats.UDNoRecvDrops++
 		return
 	}
-	if len(rqp.recvQ) == 0 {
+	if rqp.recvQ.n == 0 {
 		dst.stats.UDNoRecvDrops++
 		return
 	}
-	rwr := rqp.recvQ[0]
+	rwr := rqp.recvQ.front()
 	if rwr.Len < GRHSize+len(payload) {
 		// Real hardware completes this receive in error; the common outcome
 		// for the application is a lost message.
-		rqp.recvQ = rqp.recvQ[1:]
+		rqp.recvQ.drop(1)
 		dst.stats.UDNoRecvDrops++
 		return
 	}
-	rqp.recvQ = rqp.recvQ[1:]
+	rqp.recvQ.drop(1)
 	copy(rwr.MR.Bytes(rwr.Offset+GRHSize, len(payload)), payload)
 	dst.stats.RecvsCompleted++
 	rqp.cfg.RecvCQ.push(CQE{

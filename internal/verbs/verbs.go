@@ -575,7 +575,7 @@ func (e CQE) Err() error {
 type CQ struct {
 	dev     *Device
 	cap     int
-	entries []CQE
+	entries fifo[CQE]
 	cond    *sim.Cond
 }
 
@@ -590,10 +590,10 @@ func (d *Device) CreateCQ(capacity int) *CQ {
 }
 
 func (cq *CQ) push(e CQE) {
-	if len(cq.entries) >= cq.cap {
+	if cq.entries.n >= cq.cap {
 		panic(fmt.Sprintf("verbs: CQ overrun on node %d (cap %d)", cq.dev.node, cq.cap))
 	}
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.cond.Broadcast()
 }
 
@@ -602,7 +602,7 @@ func (cq *CQ) push(e CQE) {
 // errors out at once); real hardware reports these through the same CQ, and
 // panicking here would turn a survivable fault into a crash.
 func (cq *CQ) pushFlush(e CQE) {
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.cond.Broadcast()
 }
 
@@ -611,11 +611,8 @@ func (cq *CQ) pushFlush(e CQE) {
 func (cq *CQ) Poll(p *sim.Proc, dst []CQE) int {
 	p.Sleep(cq.dev.prof().PollCost)
 	cq.dev.stats.Polls++
-	n := copy(dst, cq.entries)
-	cq.entries = cq.entries[n:]
-	if len(cq.entries) == 0 {
-		cq.entries = nil
-	}
+	n := cq.entries.copyTo(dst)
+	cq.entries.drop(n)
 	if n > 0 {
 		// Empty polls are the receive loop's idle spin; only fruitful ones
 		// carry timeline information worth a trace slot.
@@ -628,7 +625,7 @@ func (cq *CQ) Poll(p *sim.Proc, dst []CQE) int {
 // like Poll. Blocking models a spin-poll loop whose idle iterations are not
 // charged (the paper reports receive-side threads up to 90% idle).
 func (cq *CQ) WaitPoll(p *sim.Proc, dst []CQE) int {
-	for len(cq.entries) == 0 {
+	for cq.entries.n == 0 {
 		cq.cond.Wait(p)
 	}
 	return cq.Poll(p, dst)
@@ -636,14 +633,14 @@ func (cq *CQ) WaitPoll(p *sim.Proc, dst []CQE) int {
 
 // WaitPollTimeout is WaitPoll with a deadline; it returns 0 on timeout.
 func (cq *CQ) WaitPollTimeout(p *sim.Proc, dst []CQE, timeout sim.Duration) int {
-	if len(cq.entries) == 0 {
-		if !cq.cond.WaitTimeout(p, timeout) && len(cq.entries) == 0 {
+	if cq.entries.n == 0 {
+		if !cq.cond.WaitTimeout(p, timeout) && cq.entries.n == 0 {
 			return 0
 		}
 	}
-	for len(cq.entries) == 0 {
+	for cq.entries.n == 0 {
 		// A spurious wake; keep waiting within a fresh timeout window.
-		if !cq.cond.WaitTimeout(p, timeout) && len(cq.entries) == 0 {
+		if !cq.cond.WaitTimeout(p, timeout) && cq.entries.n == 0 {
 			return 0
 		}
 	}
@@ -654,7 +651,7 @@ func (cq *CQ) WaitPollTimeout(p *sim.Proc, dst []CQE, timeout sim.Duration) int 
 // timeout elapses, without consuming anything. It returns false on timeout.
 // Use it in loops that must also observe conditions other than the CQ.
 func (cq *CQ) WaitNonEmpty(p *sim.Proc, timeout sim.Duration) bool {
-	if len(cq.entries) > 0 {
+	if cq.entries.n > 0 {
 		return true
 	}
 	if timeout <= 0 {
@@ -670,7 +667,7 @@ func (cq *CQ) WaitNonEmpty(p *sim.Proc, timeout sim.Duration) bool {
 func (cq *CQ) Kick() { cq.cond.Broadcast() }
 
 // Len returns the number of queued completions.
-func (cq *CQ) Len() int { return len(cq.entries) }
+func (cq *CQ) Len() int { return cq.entries.n }
 
 // PutUint64 and ReadUint64 are helpers for protocols that poll plain
 // memory words updated by remote writes (credit counters, circular-queue

@@ -35,20 +35,36 @@ func reportPool(b *testing.B) func() {
 	}
 }
 
-// reportSim reports a benchmark's simulator totals: events per wall second,
-// wall time per event, and the goroutine switches a query costs — the price
-// the event loop pays whenever a wake-up is for another Proc than the one
-// that just blocked.
-func reportSim(b *testing.B, events, switches uint64) {
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+// simTotals accumulates a benchmark's simulator counters over its queries.
+type simTotals struct{ events, switches, dispatches uint64 }
+
+func (s *simTotals) add(c *cluster.Cluster) {
+	s.events += c.Events()
+	if c.Group != nil {
+		s.switches += c.Group.Switches()
+		s.dispatches += c.Group.Dispatches()
+	} else {
+		s.switches += c.Sim.Switches()
+		s.dispatches += c.Sim.Dispatches()
+	}
+}
+
+// report reports the totals: events per wall second, wall time per event,
+// the Proc wake-ups a query delivers and the goroutine switches they cost —
+// the price the event loop pays whenever a wake-up is for another Proc than
+// the one that just blocked. dispatches − switches are the self-wakes, free
+// today and a switch each under a kernel with a central loop.
+func (s *simTotals) report(b *testing.B) {
+	b.ReportMetric(float64(s.events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.events), "ns/event")
+	b.ReportMetric(float64(s.switches)/float64(b.N), "switches/op")
+	b.ReportMetric(float64(s.dispatches)/float64(b.N), "dispatches/op")
 }
 
 func benchShuffle(b *testing.B, cfg shuffle.Config) {
 	b.ReportAllocs()
 	defer reportPool(b)()
-	var events, switches uint64
+	var tot simTotals
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(fabric.FDR(), 4, 2, 42)
 		res, err := c.RunBench(cluster.BenchOpts{
@@ -60,10 +76,9 @@ func benchShuffle(b *testing.B, cfg shuffle.Config) {
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
-		events += c.Sim.Events()
-		switches += c.Sim.Switches()
+		tot.add(c)
 	}
-	reportSim(b, events, switches)
+	tot.report(b)
 }
 
 func BenchmarkShuffleMEMQSR(b *testing.B) {
@@ -88,7 +103,7 @@ func BenchmarkShuffleMESQSR(b *testing.B) {
 func benchShuffleLPs(b *testing.B, lps int) {
 	b.ReportAllocs()
 	defer reportPool(b)()
-	var events, switches uint64
+	var tot simTotals
 	for i := 0; i < b.N; i++ {
 		c := cluster.NewWithOptions(fabric.FDR(), 64, 2, 42,
 			cluster.SimOptions{ParallelLPs: lps})
@@ -102,10 +117,9 @@ func benchShuffleLPs(b *testing.B, lps int) {
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
-		events += c.Events()
-		switches += c.Group.Switches()
+		tot.add(c)
 	}
-	reportSim(b, events, switches)
+	tot.report(b)
 }
 
 func BenchmarkShuffleWide64LP1(b *testing.B) { benchShuffleLPs(b, 1) }
@@ -124,17 +138,16 @@ func BenchmarkDAGMultiStage(b *testing.B) {
 	factory := cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2})
 	b.ReportAllocs()
 	defer reportPool(b)()
-	var events, switches uint64
+	var tot simTotals
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(prof, 4, 2, 42)
 		res := dag.MultiStageDemo(fact, dim).Run(c, factory)
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
-		events += c.Sim.Events()
-		switches += c.Sim.Switches()
+		tot.add(c)
 	}
-	reportSim(b, events, switches)
+	tot.report(b)
 }
 
 // benchTPCHPlans runs TPC-H Q3, Q4 and Q10 through their DAG plans over
@@ -153,7 +166,7 @@ func benchTPCHPlans(b *testing.B, lps int) {
 	b.ReportAllocs()
 	defer reportPool(b)()
 	b.ResetTimer()
-	var events, switches uint64
+	var tot simTotals
 	for i := 0; i < b.N; i++ {
 		for _, q := range []int{3, 4, 10} {
 			c := cluster.NewWithOptions(fabric.EDR(), nodes, threads, 42,
@@ -165,15 +178,10 @@ func benchTPCHPlans(b *testing.B, lps int) {
 			if qr.Err != nil {
 				b.Fatal(qr.Err)
 			}
-			events += c.Events()
-			if c.Group != nil {
-				switches += c.Group.Switches()
-			} else {
-				switches += c.Sim.Switches()
-			}
+			tot.add(c)
 		}
 	}
-	reportSim(b, events, switches)
+	tot.report(b)
 }
 
 func BenchmarkTPCHPlansLP0(b *testing.B) { benchTPCHPlans(b, 0) }

@@ -74,6 +74,9 @@ func TestSwitchesLoneSleeper(t *testing.T) {
 	if during != 0 || s.Switches() != 1 {
 		t.Fatalf("switches: %d while sleeping, %d in all; want 0 and 1", during, s.Switches())
 	}
+	if s.Dispatches() != 3001 { // the first dispatch, then three self-wakes a round
+		t.Fatalf("dispatches = %d, want 3001", s.Dispatches())
+	}
 	if callbacks != 1000 || s.Now() != 5000 {
 		t.Fatalf("callbacks = %d, now = %v; want 1000 at 5µs", callbacks, s.Now())
 	}
@@ -110,6 +113,9 @@ func TestSwitchesPingPong(t *testing.T) {
 	}
 	if wakes != 2*rounds || during != 2*rounds {
 		t.Fatalf("%d wakes cost %d switches, want %d each", wakes, during, 2*rounds)
+	}
+	if s.Dispatches() != s.Switches() {
+		t.Fatalf("%d dispatches, %d switches: no wake here is a self-wake", s.Dispatches(), s.Switches())
 	}
 	s.Shutdown()
 }

@@ -177,6 +177,16 @@ func (g *Group) Switches() uint64 {
 	return n
 }
 
+// Dispatches returns the Proc wake-ups delivered, summed over all partitions
+// (see Simulation.Dispatches).
+func (g *Group) Dispatches() uint64 {
+	var n uint64
+	for _, s := range g.sims {
+		n += s.dispatches
+	}
+	return n
+}
+
 // Now returns the maximum clock across partitions — the run's finishing
 // instant once Run has returned.
 func (g *Group) Now() Time {
@@ -194,19 +204,46 @@ func (g *Group) Now() Time {
 // beyond the current window bound — callers guarantee this by using a delay
 // of at least the Group's lookahead. Route may be called concurrently from
 // different LPs' windows; an actor's routes are FIFO per source.
+//
+// A Group of one partition has no window: the bound is the sender's clock
+// plus the lookahead — at least as strict as any window bound, so a program
+// legal at one partition is legal at every count — and the event goes
+// straight into the wheel under its merge key.
 func (g *Group) Route(from, to int, at Time, fn func()) {
-	if at < g.limit {
+	one, limit := len(g.sims) == 1, g.limit
+	if one {
+		limit = g.sims[0].now.Add(g.look)
+	}
+	if at < limit {
 		panic(fmt.Sprintf("sim: Route at %v violates window bound %v (from %d to %d, sender clock %v)",
-			at, g.limit, from, to, g.simOf[from].now))
+			at, limit, from, to, g.simOf[from].now))
 	}
 	g.seqs[from]++
+	r := routed{at: at, from: from, seq: g.seqs[from], to: to, fn: fn}
+	if one {
+		g.land(&r)
+		return
+	}
 	lp := g.lpOf[from]
-	g.outbox[lp] = append(g.outbox[lp], routed{at: at, from: from, seq: g.seqs[from], to: to, fn: fn})
+	g.outbox[lp] = append(g.outbox[lp], r)
+}
+
+// land files one routed event in its destination wheel, stamped with its
+// merge key: deliveries reach a wheel in barrier order (or, at one
+// partition, in send order), neither of which is the same at every
+// partition count, so the wheel re-sorts same-instant ties from the key at
+// detach (chainCanon).
+func (g *Group) land(r *routed) {
+	s := g.simOf[r.to]
+	e := s.newEvent(r.at, r.fn, nil)
+	e.rsrc, e.rseq = r.from+1, r.seq
+	s.wheelPush(e)
 }
 
 // GoWide switches the Group to wide (parallel window) execution at the next
 // barrier. Call it from model code once per-actor isolation holds — after
-// setup has finished reaching across partitions.
+// setup has finished reaching across partitions. One partition has no
+// barriers and no modes, so there it changes nothing.
 func (g *Group) GoWide() { g.wantWide = true }
 
 // fuse is one pending Fuse request: the parked Proc and the instant it
@@ -223,11 +260,29 @@ type fuse struct {
 // may then touch other partitions' state again. The resume instant is a
 // pure function of the call instant, so state read after Fuse is identical
 // at every LP count. Call it from the Proc that ends the parallel phase
-// (e.g. after a benchmark's sinks have all joined).
+// (e.g. after a benchmark's sinks have all joined). With one partition there
+// is no barrier to wait for: p schedules its own wake at that same instant.
 func (g *Group) Fuse(p *Proc) {
-	lp := p.sim.lpid
-	g.fuseReq[lp] = append(g.fuseReq[lp], fuse{p: p, at: p.sim.now})
+	f := fuse{p: p, at: p.sim.now}
+	if len(g.sims) == 1 {
+		g.wake(f)
+	} else {
+		lp := p.sim.lpid
+		g.fuseReq[lp] = append(g.fuseReq[lp], f)
+	}
 	p.block("fuse")
+}
+
+// wake schedules a Fuse caller's resume at a deterministic instant. The
+// window bound itself depends on the partition layout (window starts derive
+// from per-partition lower-bound peeks), so it cannot anchor anything
+// observable. Two lookahead intervals past the call instant is at or beyond
+// every partition clock at any LP count, and the extra nanosecond keeps the
+// wake off the route-latency lattice so it does not collide with trailing
+// message arrivals anchored at the same call instant.
+func (g *Group) wake(f fuse) {
+	s := f.p.sim
+	s.wheelPush(s.newEvent(f.at.Add(2*g.look+1), nil, f.p))
 }
 
 // deliver flushes every LP's outbox into the destination wheels in merged
@@ -243,17 +298,8 @@ func (g *Group) deliver() {
 	}
 	mergeRouted(g.merge)
 	for i := range g.merge {
-		r := &g.merge[i]
-		s := g.simOf[r.to]
-		e := s.newEvent(r.at, r.fn, nil)
-		// Stamp the merge key on the event: the merged order holds within
-		// this barrier, but two same-instant deliveries can arrive at
-		// different barriers under one partition layout and the same
-		// barrier under another (window bounds move with the LP count), so
-		// the destination wheel re-sorts ties from this key at detach.
-		e.rsrc, e.rseq = r.from+1, r.seq
-		s.wheelPush(e)
-		r.fn = nil
+		g.land(&g.merge[i])
+		g.merge[i].fn = nil
 	}
 }
 
@@ -265,16 +311,7 @@ func (g *Group) barrier() {
 	for lp := range g.fuseReq {
 		for _, f := range g.fuseReq[lp] {
 			g.wide = false
-			// Resume at a deterministic instant. The window bound itself
-			// depends on the partition layout (window starts derive from
-			// per-partition lower-bound peeks), so it cannot anchor anything
-			// observable. Two lookahead intervals past the call instant is at
-			// or beyond every partition clock at any LP count, and the extra
-			// nanosecond keeps the wake off the route-latency lattice so it
-			// does not collide with trailing message arrivals anchored at the
-			// same call instant.
-			s := f.p.sim
-			s.wheelPush(s.newEvent(f.at.Add(2*g.look+1), nil, f.p))
+			g.wake(f)
 		}
 		g.fuseReq[lp] = g.fuseReq[lp][:0]
 	}
@@ -360,24 +397,16 @@ func (g *Group) worker(i int) {
 	}
 }
 
-// Run executes the partitioned simulation to completion: barriers deliver
-// routed events and apply mode switches, then either one fused instant or
-// one wide window runs. It returns a DeadlockError naming every blocked
-// Proc across all partitions if live Procs remain with no pending events.
-// Run must be called from the goroutine that owns the Group, once.
+// Run executes the partitioned simulation to completion and returns a
+// DeadlockError naming every blocked Proc across all partitions if live
+// Procs remain with no pending events. One partition has no peer to stay in
+// lockstep with, so it runs its Simulation's own event loop to the end. Run
+// must be called from the goroutine that owns the Group, once.
 func (g *Group) Run() error {
-	for {
-		g.deliver()
-		g.barrier()
-		t, ok := g.minNext()
-		if !ok {
-			break
-		}
-		if g.wide {
-			g.runWide(t.Add(g.look))
-		} else {
-			g.runFused(t)
-		}
+	if len(g.sims) == 1 {
+		g.sims[0].drive(nil, "")
+	} else {
+		g.runWindows()
 	}
 	live := 0
 	var blocked []string
@@ -392,6 +421,25 @@ func (g *Group) Run() error {
 		return &DeadlockError{Time: g.Now(), Blocked: blocked}
 	}
 	return nil
+}
+
+// runWindows is Run's loop over two or more partitions: a barrier delivers
+// routed events and applies mode switches, then either one fused instant or
+// one wide window runs, until no partition holds an event.
+func (g *Group) runWindows() {
+	for {
+		g.deliver()
+		g.barrier()
+		t, ok := g.minNext()
+		if !ok {
+			return
+		}
+		if g.wide {
+			g.runWide(t.Add(g.look))
+		} else {
+			g.runFused(t)
+		}
+	}
 }
 
 // Shutdown stops the worker pool and terminates every Proc goroutine in

@@ -118,6 +118,8 @@ type Simulation struct {
 	rng      *rand.Rand
 	maxT     Time   // horizon: nothing later fires; noHorizon when unset
 	switches uint64 // baton handoffs to another goroutine, see Switches
+	// dispatches counts every Proc wake-up the loop delivered, see Dispatches.
+	dispatches uint64
 	// dead is set by Shutdown; parked goroutines observe it on their next
 	// wake and exit instead of resuming their Proc body.
 	dead bool
@@ -155,6 +157,12 @@ func (s *Simulation) Events() uint64 { return s.fired }
 // in goroutine switches; under a Group it depends on where window bounds
 // fall, hence on the partition count, so it belongs in no fingerprint.
 func (s *Simulation) Switches() uint64 { return s.switches }
+
+// Dispatches returns how many Proc wake-ups the event loop delivered: the
+// Switches that went to another goroutine plus the self-wakes — a blocked
+// Proc popping its own wake-up — that cost no switch at all. The difference
+// is what a kernel with a central loop would have to pay for.
+func (s *Simulation) Dispatches() uint64 { return s.dispatches }
 
 // Rand returns the simulation's deterministic random source. It must only be
 // used from Procs or event callbacks (never concurrently with Run from
@@ -465,6 +473,7 @@ func (s *Simulation) drive(self *Proc, why string) {
 			if p.gen != gen || p.done {
 				continue // a finished Proc's stale wake-up pops as a no-op
 			}
+			s.dispatches++
 			if p == self {
 				return
 			}

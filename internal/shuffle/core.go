@@ -463,6 +463,34 @@ func (c *endpoint) putWord(p *sim.Proc, out *wordRing, peer int, word uint64, po
 	return c.post(p, c.qps[peer], out.stage(peer, word), pool)
 }
 
+// getFree is every GetFree: it leases a free buffer, blocking until one has
+// completed toward all its destinations. reap and wait are flush's.
+func (c *endpoint) getFree(p *sim.Proc, pool *sendPool,
+	reap func(*sim.Proc) error, wait func(*sim.Proc, sim.Duration) (bool, error)) (*Buf, error) {
+	w := newWaiter(c.cfg.StallTimeout)
+	for {
+		if b, ok := pool.tryGet(); ok {
+			return b, nil
+		}
+		if reap != nil {
+			if err := reap(p); err != nil {
+				return nil, err
+			}
+			if b, ok := pool.tryGet(); ok {
+				return b, nil
+			}
+		}
+		woke, err := wait(p, w.step())
+		if err != nil {
+			return nil, err
+		}
+		if !w.after(woke) {
+			return nil, fmt.Errorf("%w: GetFree on node %d (%d buffers outstanding)",
+				ErrStalled, c.dev.Node(), len(pool.pending))
+		}
+	}
+}
+
 // flush is the tail of every Finish: it blocks until each buffer handed to
 // the wire has completed toward all its destinations. The design supplies
 // how completions are observed. reap, when non-nil, collects what is

@@ -55,26 +55,7 @@ func (e *rdRCSend) awaitFrees(p *sim.Proc, q sim.Duration) (bool, error) {
 // GetFree implements SendEndpoint (Alg. 3, GETFREE): it returns a buffer
 // only once every destination in its transmission group has marked it free.
 func (e *rdRCSend) GetFree(p *sim.Proc) (*Buf, error) {
-	w := newWaiter(e.cfg.StallTimeout)
-	for {
-		if b, ok := e.tryGet(); ok {
-			return b, nil
-		}
-		if err := e.reclaim(p); err != nil {
-			return nil, err
-		}
-		if b, ok := e.tryGet(); ok {
-			return b, nil
-		}
-		woke, err := e.awaitFrees(p, w.step())
-		if err != nil {
-			return nil, err
-		}
-		if !w.after(woke) {
-			return nil, fmt.Errorf("%w: RD GetFree on node %d (%d buffers outstanding)",
-				ErrStalled, e.dev.Node(), len(e.pending))
-		}
-	}
+	return e.getFree(p, &e.sendPool, e.reclaim, e.awaitFrees)
 }
 
 func (e *rdRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {

@@ -41,19 +41,7 @@ func (e *srRCSend) awaitSends(p *sim.Proc, q sim.Duration) (bool, error) {
 // GetFree implements SendEndpoint: it polls the send CQ until a buffer has
 // completed toward every member of its transmission group.
 func (e *srRCSend) GetFree(p *sim.Proc) (*Buf, error) {
-	w := newWaiter(e.cfg.StallTimeout)
-	for {
-		if b, ok := e.tryGet(); ok {
-			return b, nil
-		}
-		woke, err := e.awaitSends(p, w.step())
-		if err != nil {
-			return nil, err
-		}
-		if !w.after(woke) {
-			return nil, fmt.Errorf("%w: GetFree on node %d", ErrStalled, e.dev.Node())
-		}
-	}
+	return e.getFree(p, &e.sendPool, nil, e.awaitSends)
 }
 
 // waitCredit blocks until the connection to dest has spare credit, then

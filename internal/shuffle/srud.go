@@ -89,19 +89,7 @@ func (e *srUDSend) awaitSends(p *sim.Proc, q sim.Duration) (bool, error) {
 
 // GetFree implements SendEndpoint.
 func (e *srUDSend) GetFree(p *sim.Proc) (*Buf, error) {
-	w := newWaiter(e.cfg.StallTimeout)
-	for {
-		if b, ok := e.tryGet(); ok {
-			return b, nil
-		}
-		woke, err := e.awaitSends(p, w.step())
-		if err != nil {
-			return nil, err
-		}
-		if !w.after(woke) {
-			return nil, fmt.Errorf("%w: UD GetFree on node %d", ErrStalled, e.dev.Node())
-		}
-	}
+	return e.getFree(p, &e.sendPool, nil, e.awaitSends)
 }
 
 func (e *srUDSend) waitCredit(p *sim.Proc, dest int) error {

@@ -79,25 +79,7 @@ func (e *wrRCSend) awaitWrites(p *sim.Proc, q sim.Duration) (bool, error) {
 // GetFree implements SendEndpoint: a buffer is reusable once its data
 // writes complete locally — no remote notification needed.
 func (e *wrRCSend) GetFree(p *sim.Proc) (*Buf, error) {
-	w := newWaiter(e.cfg.StallTimeout)
-	for {
-		if b, ok := e.tryGet(); ok {
-			return b, nil
-		}
-		if err := e.reapWrites(p); err != nil {
-			return nil, err
-		}
-		if b, ok := e.tryGet(); ok {
-			return b, nil
-		}
-		woke, err := e.awaitWrites(p, w.step())
-		if err != nil {
-			return nil, err
-		}
-		if !w.after(woke) {
-			return nil, fmt.Errorf("%w: WR GetFree on node %d", ErrStalled, e.dev.Node())
-		}
-	}
+	return e.getFree(p, &e.sendPool, e.reapWrites, e.awaitWrites)
 }
 
 func (e *wrRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {

@@ -244,13 +244,24 @@ func runTraced(w io.Writer, path string, prof fabric.Profile, seed int64) error 
 		return err
 	}
 	defer f.Close()
-	if err := telemetry.WriteChromeTrace(f, tr); err != nil {
+	// c.Trace(), not tr: on a lossless profile every node records into its
+	// own shard and tr is only the control actor's.
+	events := c.Trace()
+	if err := telemetry.WriteChromeEvents(f, events); err != nil {
 		return err
+	}
+	shards := c.Net.TraceShards()
+	if shards == nil {
+		shards = []*telemetry.Tracer{tr}
+	}
+	var dropped uint64
+	for _, t := range shards {
+		dropped += t.Dropped()
 	}
 	fmt.Fprintf(w, "traced %s benchmark: %s, %d nodes, %d rows/node, seed %d\n",
 		shuffle.Algorithms[0].Name, prof.Name, 4, opts.RowsPerNode, seed)
 	fmt.Fprintf(w, "  elapsed %v, %d events retained (%d overwritten) -> %s\n",
-		res.Elapsed, tr.Len(), tr.Dropped(), path)
+		res.Elapsed, len(events), dropped, path)
 	return nil
 }
 

@@ -19,7 +19,7 @@ import (
 func tracedCrashRun(t *testing.T, seed int64, rows int) string {
 	t.Helper()
 	c := New(fabric.FDR(), 3, 2, seed)
-	tr := c.EnableTracing(1 << 16)
+	c.EnableTracing(1 << 16)
 	c.InstallDetector(DetectorConfig{})
 	c.AtBenchStart(func() {
 		c.Net.Faults().Add(fabric.FaultRule{
@@ -37,8 +37,10 @@ func tracedCrashRun(t *testing.T, seed int64, rows int) string {
 	if res.Err == nil {
 		t.Fatal("crash run unexpectedly succeeded; the trace would not cover recovery events")
 	}
+	// The tracer EnableTracing returns is the control shard alone on a
+	// lossless profile; the run's trace is the merged stream.
 	var b strings.Builder
-	if err := telemetry.WriteChromeTrace(&b, tr); err != nil {
+	if err := telemetry.WriteChromeEvents(&b, c.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

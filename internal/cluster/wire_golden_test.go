@@ -97,7 +97,7 @@ func wireCells() []wireCell {
 func (wc wireCell) fingerprint(t *testing.T) string {
 	t.Helper()
 	c := New(wc.prof, wc.nodes, wc.threads, 42)
-	tr := c.EnableTracing(1 << 20)
+	c.EnableTracing(1 << 20)
 	opts := wc.opts
 	opts.Factory = RDMAProvider(wc.cfg)
 	res, err := c.RunBench(opts)
@@ -105,7 +105,7 @@ func (wc wireCell) fingerprint(t *testing.T) string {
 		t.Fatalf("%s: simulation failed: %v", wc.name, err)
 	}
 	var trace bytes.Buffer
-	if err := telemetry.WriteChromeTrace(&trace, tr); err != nil {
+	if err := telemetry.WriteChromeEvents(&trace, c.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	var rows int64

@@ -391,13 +391,13 @@ func TestSameSeedDeterminism(t *testing.T) {
 		fact, dim := DemoTables(nodes, 2000, 250, 7)
 		g := MultiStageDemo(fact, dim)
 		c := cluster.New(quiet(fabric.EDR()), nodes, threads, 42)
-		tr := c.EnableTracing(1 << 15)
+		c.EnableTracing(1 << 15)
 		res := g.Run(c, defaultFactory(threads))
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
 		var tb, rb bytes.Buffer
-		if err := telemetry.WriteChromeTrace(&tb, tr); err != nil {
+		if err := telemetry.WriteChromeEvents(&tb, c.Trace()); err != nil {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
@@ -439,14 +439,14 @@ func TestStageSpans(t *testing.T) {
 	g.Connect(flt, agg, WithKey(0))
 
 	c := cluster.New(quiet(fabric.EDR()), nodes, 2, 42)
-	tr := c.EnableTracing(1 << 14)
+	c.EnableTracing(1 << 14)
 	res := g.Run(c, defaultFactory(2))
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	begins := map[int64]bool{}
 	ends := map[int64]bool{}
-	for _, ev := range tr.Events() {
+	for _, ev := range c.Trace() {
 		if ev.Name != telemetry.EvStage {
 			continue
 		}

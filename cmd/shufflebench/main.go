@@ -41,7 +41,7 @@ func main() {
 		trace   = flag.String("trace", "", "run a short traced benchmark and write Chrome trace-event JSON to this file")
 		metrics = flag.Bool("metrics", false, "regenerate the paper's Table 1 counters from the metrics registry")
 		workers = flag.Int("workers", 0, "simulation cells in flight at once: 1 = serial reference mode, 0 = one per CPU")
-		lps     = flag.Int("lps", 0, "logical partitions per simulation: >0 runs every cell of every exhibit — throughput, setup-only, DAG and TPC-H — on the conservative PDES engine (byte-identical results at every count; cells on a lossy profile stay on the classic engine; combine with -workers 1 to give one big run the whole machine), 0 = classic single-threaded engine")
+		lps     = flag.Int("lps", 0, "logical partitions per simulation: every cell of every exhibit — throughput, setup-only, DAG and TPC-H — is spread over this many (0 and 1 both mean one; byte-identical results at every count; cells on a lossy profile run on a single simulation and ignore it; combine with -workers 1 to give one big run the whole machine)")
 		profile = flag.String("profile", "ib", "fabric for -chaos and -trace: 'ib' (lossless InfiniBand) or 'rocev2' (lossy Ethernet with PFC/ECN/DCQCN)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")

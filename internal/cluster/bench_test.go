@@ -38,15 +38,12 @@ func reportPool(b *testing.B) func() {
 // simTotals accumulates a benchmark's simulator counters over its queries.
 type simTotals struct{ events, switches, dispatches uint64 }
 
+// add takes a finished query's counters. Every benchmark here boots a
+// lossless profile, so the cluster runs on a Group.
 func (s *simTotals) add(c *cluster.Cluster) {
 	s.events += c.Events()
-	if c.Group != nil {
-		s.switches += c.Group.Switches()
-		s.dispatches += c.Group.Dispatches()
-	} else {
-		s.switches += c.Sim.Switches()
-		s.dispatches += c.Sim.Dispatches()
-	}
+	s.switches += c.Group.Switches()
+	s.dispatches += c.Group.Dispatches()
 }
 
 // report reports the totals: events per wall second, wall time per event,
@@ -93,13 +90,13 @@ func BenchmarkShuffleMESQSR(b *testing.B) {
 	benchShuffle(b, shuffle.Config{Impl: shuffle.SQSR, Endpoints: 2})
 }
 
-// benchShuffleLPs runs a 64-node whole-query benchmark on the PDES engine
-// at a fixed logical-partition count. The four LP variants together are the
+// benchShuffleLPs runs a 64-node whole-query benchmark at a fixed
+// logical-partition count. The four LP variants together are the
 // parallel-speedup oracle: virtual-time results are byte-identical across
 // them (the equivalence matrix pins that), so any ns/op difference is pure
-// engine wall-clock — windowing overhead at LP1, scaling at LP2..8. Real
-// speedup needs real cores: on a single-core host the wide path degrades to
-// serial window execution and the variants converge.
+// engine wall-clock — LP1 has no windows, LP2..8 pay for them and scale with
+// cores. Real speedup needs real cores: on a single-core host the wide path
+// degrades to serial window execution.
 func benchShuffleLPs(b *testing.B, lps int) {
 	b.ReportAllocs()
 	defer reportPool(b)()
@@ -150,16 +147,12 @@ func BenchmarkDAGMultiStage(b *testing.B) {
 	tot.report(b)
 }
 
-// benchTPCHPlans runs TPC-H Q3, Q4 and Q10 through their DAG plans over
-// MESQ/SR on 8 EDR nodes x 14 threads at SF 0.03 (the repository
-// benchmark's tpch8_ud), on the classic engine (lps 0) or on a sim.Group of
-// lps partitions. LP0 against LP1 is the engine gap: the wall-clock and
-// goroutine-switch price of running the same plans on a one-partition Group,
-// which has to reach ~1.0x before cluster.New can be built on it (ROADMAP
-// item 1). 13 short shuffle edges with setup between them make it the
-// workload where fused-mode execution — the baton goes home after every
-// setup instant — weighs most.
-func benchTPCHPlans(b *testing.B, lps int) {
+// BenchmarkTPCHPlansLP1 runs TPC-H Q3, Q4 and Q10 through their DAG plans
+// over MESQ/SR on 8 EDR nodes x 14 threads at SF 0.03 (the repository
+// benchmark's tpch8_ud). 13 short shuffle edges with setup between them make
+// it the workload where the engine's fixed cost per setup instant weighs
+// most, and where self-wakes are the largest share of dispatches.
+func BenchmarkTPCHPlansLP1(b *testing.B) {
 	const nodes, threads = 8, 14
 	db := tpch.Generate(0.03, nodes, tpch.Random, 42)
 	mesq := cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: threads})
@@ -169,8 +162,7 @@ func benchTPCHPlans(b *testing.B, lps int) {
 	var tot simTotals
 	for i := 0; i < b.N; i++ {
 		for _, q := range []int{3, 4, 10} {
-			c := cluster.NewWithOptions(fabric.EDR(), nodes, threads, 42,
-				cluster.SimOptions{ParallelLPs: lps})
+			c := cluster.New(fabric.EDR(), nodes, threads, 42)
 			qr, _, err := tpch.Run(c, db, q, mesq, false)
 			if err != nil {
 				b.Fatal(err)
@@ -183,6 +175,3 @@ func benchTPCHPlans(b *testing.B, lps int) {
 	}
 	tot.report(b)
 }
-
-func BenchmarkTPCHPlansLP0(b *testing.B) { benchTPCHPlans(b, 0) }
-func BenchmarkTPCHPlansLP1(b *testing.B) { benchTPCHPlans(b, 1) }

@@ -21,10 +21,9 @@ import (
 type Cluster struct {
 	Sim *sim.Simulation
 	Net *fabric.Network
-	// Group is the logical-partition coordinator when the cluster runs with
-	// parallel discrete-event execution (NewWithOptions with ParallelLPs >
-	// 0); nil on the classic single-simulation path. When set, Sim is the
-	// control partition's simulation.
+	// Group is the logical-partition coordinator of a cluster on a lossless
+	// profile, and Sim its control partition's simulation; nil on a lossy
+	// profile, which runs on Sim alone (see NewWithOptions).
 	Group   *sim.Group
 	Devs    []*verbs.Device
 	N       int
@@ -47,59 +46,60 @@ func (c *Cluster) AtBenchStart(f func()) { c.onBenchStart = append(c.onBenchStar
 // New boots a cluster of nodes over the given hardware profile. threads <= 0
 // selects the profile's default thread count.
 func New(prof fabric.Profile, nodes, threads int, seed int64) *Cluster {
-	if threads <= 0 {
-		threads = prof.Threads
-	}
-	s := sim.New(seed)
-	net := fabric.New(s, prof, nodes)
-	return &Cluster{
-		Sim: s, Net: net, Devs: verbs.OpenAll(net),
-		N: nodes, Threads: threads,
-	}
+	return NewWithOptions(prof, nodes, threads, seed, SimOptions{})
 }
 
-// SimOptions selects the simulation execution engine for a cluster.
+// SimOptions tunes how a cluster's simulation executes. Which engine runs
+// is not an option: the profile decides (see NewWithOptions).
 type SimOptions struct {
-	// ParallelLPs > 0 partitions the run across that many logical partitions
-	// executed with conservative lookahead-windowed parallelism (see
-	// internal/sim/pdes.go). Node state is spread over the partitions in
-	// contiguous blocks and cross-node interactions ride routed mailboxes, so
-	// a given seed produces byte-identical results at every LP count —
-	// ParallelLPs 1 is the reference serial ordering of the same engine. 0
-	// keeps the classic single-simulation engine, byte-for-byte unchanged.
-	// Values above the node count are clamped.
+	// ParallelLPs is the number of logical partitions a lossless cluster's
+	// nodes are spread over, in contiguous blocks, and executed with
+	// conservative lookahead-windowed parallelism (see internal/sim/pdes.go).
+	// Cross-node interactions ride routed mailboxes at every count, so a
+	// given seed produces byte-identical results whatever the value; 0 and 1
+	// both mean one partition, which runs with no windows at all. Values
+	// above the node count are clamped.
 	ParallelLPs int
 }
 
-// NewWithOptions boots a cluster like New, with an explicit choice of
-// simulation engine. Partitioned execution requires a lossless profile and
-// supports fault plans whose rules are pure time-window checks (crashes,
-// partitions); probabilistic loss draws would couple partitions through a
-// shared RNG stream.
+// NewWithOptions boots a cluster like New. The profile picks the engine. A
+// lossless profile runs on a sim.Group of ParallelLPs partitions (at least
+// one) and supports fault plans whose rules are pure time-window checks
+// (crashes, partitions) at any count; probabilistic loss draws couple
+// partitions through a shared RNG stream and need ParallelLPs <= 1. A lossy
+// profile runs on a single Simulation — its PFC/ECN egress model writes
+// sender state from receiver context, which is only safe on one clock — and
+// rejects ParallelLPs > 1.
 func NewWithOptions(prof fabric.Profile, nodes, threads int, seed int64, opts SimOptions) *Cluster {
-	if opts.ParallelLPs <= 0 {
-		return New(prof, nodes, threads, seed)
-	}
 	if threads <= 0 {
 		threads = prof.Threads
 	}
-	g := sim.NewGroup(seed, opts.ParallelLPs, nodes, prof.RouteLatency())
-	net := fabric.NewPartitioned(g, prof, nodes, seed)
-	return &Cluster{
-		Sim: net.Sim, Net: net, Group: g, Devs: verbs.OpenAll(net),
-		N: nodes, Threads: threads,
+	c := &Cluster{N: nodes, Threads: threads}
+	if prof.Lossy {
+		if opts.ParallelLPs > 1 {
+			panic(fmt.Sprintf("cluster: profile %s is lossy and runs on a single simulation; ParallelLPs %d is not supported",
+				prof.Name, opts.ParallelLPs))
+		}
+		c.Sim = sim.New(seed)
+		c.Net = fabric.New(c.Sim, prof, nodes)
+	} else {
+		c.Group = sim.NewGroup(seed, opts.ParallelLPs, nodes, prof.RouteLatency())
+		c.Net = fabric.NewPartitioned(c.Group, prof, nodes, seed)
+		c.Sim = c.Net.Sim
 	}
+	c.Devs = verbs.OpenAll(c.Net)
+	return c
 }
 
 // Ctx returns an operator context for one node's fragment. The fragment's
-// Procs run on the simulation owning the node — its partition on a
-// partitioned cluster, the shared simulation otherwise.
+// Procs run on the simulation owning the node: its partition, or the one
+// simulation of a lossy profile.
 func (c *Cluster) Ctx(node int) *engine.Ctx {
 	return &engine.Ctx{S: c.Net.SimAt(node), Prof: &c.Net.Prof, Threads: c.Threads, Node: node}
 }
 
 // Events returns the total number of simulation events fired, summed across
-// partitions on a partitioned cluster.
+// partitions.
 func (c *Cluster) Events() uint64 {
 	if c.Group != nil {
 		return c.Group.Events()
@@ -110,10 +110,10 @@ func (c *Cluster) Events() uint64 {
 // EnableTracing attaches a fresh event tracer holding at most capacity
 // events to the cluster's fabric; every layer (fabric, verbs, shuffle,
 // detector) reaches it through Network.Tracer. It returns the tracer for
-// export after the run.
-// On a partitioned cluster each node gets its own shard (plus one for
-// control) so emission never crosses partitions; read the merged stream with
-// Trace. The returned tracer is the control shard in that case.
+// export after the run — on a lossy profile only. On a lossless one each
+// node gets its own shard (plus one for control) so emission never crosses
+// partitions, and the returned tracer is the control shard alone: read and
+// export the run's trace through Trace, which is right on both.
 func (c *Cluster) EnableTracing(capacity int) *telemetry.Tracer {
 	if c.Group != nil {
 		shards := make([]*telemetry.Tracer, c.N+1)
@@ -129,9 +129,9 @@ func (c *Cluster) EnableTracing(capacity int) *telemetry.Tracer {
 }
 
 // Trace returns the run's trace events in one deterministic stream: the
-// single tracer's events on the classic path, the per-node shards merged by
-// (time, shard, emission order) — and renumbered — on a partitioned cluster.
-// Returns nil when tracing was never enabled.
+// per-node shards merged by (time, shard, emission order) and renumbered, or
+// the single tracer's events on a lossy profile. Returns nil when tracing
+// was never enabled.
 func (c *Cluster) Trace() []telemetry.Event {
 	if c.Group != nil {
 		return telemetry.MergeShards(c.Net.TraceShards())

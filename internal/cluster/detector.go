@@ -108,8 +108,8 @@ func (d *Detector) Stop() { d.stopped = true }
 // bump) to node's device. The detector itself is control-partition state; on
 // a partitioned cluster the verdict rides a routed management message to the
 // node's partition — a device is only ever touched by its own partition —
-// arriving one route latency after the tick, at any LP count. The classic
-// path keeps the historical synchronous call.
+// arriving one route latency after the tick, at any LP count. On a lossy
+// profile's single simulation the call is synchronous.
 func (d *Detector) notify(node int, fn func()) {
 	c := d.c
 	if c.Group == nil {

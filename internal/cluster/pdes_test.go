@@ -17,12 +17,12 @@ import (
 
 // Serial-vs-parallel equivalence: the conservative PDES engine promises that
 // a given seed produces byte-identical outputs at every logical-partition
-// count — ParallelLPs 1 is the reference serial ordering of the same engine,
-// and 2 and 8 exercise the windowed parallel path with multi-node and
-// single-node partitions respectively. The fingerprint covers everything the
-// repository treats as a regression oracle: the full benchmark result, the
-// total event count, the metrics registry report, and the merged trace
-// stream.
+// count — ParallelLPs 1 is the reference ordering, one partition with no
+// windows at all, and 2 and 8 exercise the windowed parallel path with
+// multi-node and single-node partitions respectively. The fingerprint covers
+// everything the repository treats as a regression oracle: the full
+// benchmark result, the total event count, the metrics registry report, and
+// the merged trace stream.
 
 // goMaxProcs forces the true parallel wide-window path even on a single-core
 // host (runWide degrades to serial LP order when GOMAXPROCS is 1) and
@@ -33,13 +33,20 @@ func goMaxProcs(t testing.TB, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// pdesFingerprint runs one receive-throughput query on a PDES cluster and
-// renders every observable output as one string.
+// pdesFingerprint runs one receive-throughput query on a cluster of lps
+// partitions and renders every observable output as one string.
 func pdesFingerprint(t *testing.T, alg shuffle.Algorithm, lps int, chaos bool) string {
 	t.Helper()
-	const nodes, threads, seed = 8, 2, 42
-	c := cluster.NewWithOptions(fabric.FDR(), nodes, threads, seed,
+	c := cluster.NewWithOptions(fabric.FDR(), fpNodes, fpThreads, fpSeed,
 		cluster.SimOptions{ParallelLPs: lps})
+	return fingerprint(t, c, alg, fmt.Sprintf("lps=%d", lps), chaos)
+}
+
+const fpNodes, fpThreads, fpSeed = 8, 2, 42
+
+// fingerprint is pdesFingerprint on a cluster the caller booted.
+func fingerprint(t *testing.T, c *cluster.Cluster, alg shuffle.Algorithm, boot string, chaos bool) string {
+	t.Helper()
 	c.EnableTracing(1 << 13)
 	if chaos {
 		// The chaos harness's crash-stream scenario: node 1's NIC dies shortly
@@ -56,11 +63,11 @@ func pdesFingerprint(t *testing.T, alg shuffle.Algorithm, lps int, chaos bool) s
 		})
 	}
 	res, err := c.RunBench(cluster.BenchOpts{
-		Factory:     cluster.RDMAProvider(alg.Config(threads)),
+		Factory:     cluster.RDMAProvider(alg.Config(fpThreads)),
 		RowsPerNode: 2048,
 	})
 	if err != nil {
-		t.Fatalf("%s lps=%d: %v", alg.Name, lps, err)
+		t.Fatalf("%s %s: %v", alg.Name, boot, err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "result: %+v\n", res)
@@ -168,37 +175,49 @@ func TestSameInstantTieEquivalence(t *testing.T) {
 	}
 }
 
-// TestPDESMatchesClassicResult pins the relationship between the PDES engine
-// and the classic single-simulation engine: the PDES path inserts explicit
-// route hops for control interactions, so virtual-time results may differ by
-// those latencies, but the query must produce the same data movement — rows
-// and bytes received per node — and complete without error on both engines.
-func TestPDESMatchesClassicResult(t *testing.T) {
-	goMaxProcs(t, 4)
-	run := func(lps int) *cluster.BenchResult {
-		c := cluster.NewWithOptions(fabric.FDR(), 8, 2, 42,
-			cluster.SimOptions{ParallelLPs: lps})
-		res, err := c.RunBench(cluster.BenchOpts{
-			Factory:     cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2}),
-			RowsPerNode: 2048,
-		})
-		if err != nil {
-			t.Fatalf("lps=%d: %v", lps, err)
-		}
-		if res.Err != nil {
-			t.Fatalf("lps=%d: %v", lps, res.Err)
-		}
-		return res
+// TestProfilePicksEngine: which engine runs is decided by the profile and by
+// nothing a caller sets. On a lossless profile New, SimOptions{} and
+// ParallelLPs 1 are one boot — a one-partition sim.Group — and give
+// byte-identical results, metrics reports and merged traces; a lossy profile
+// runs on a single Simulation and rejects a partition count it cannot honour
+// by name.
+func TestProfilePicksEngine(t *testing.T) {
+	alg := shuffle.Algorithms[0]
+	boots := []struct {
+		name string
+		c    *cluster.Cluster
+	}{
+		{"New", cluster.New(fabric.FDR(), fpNodes, fpThreads, fpSeed)},
+		{"SimOptions{}", cluster.NewWithOptions(fabric.FDR(), fpNodes, fpThreads, fpSeed, cluster.SimOptions{})},
+		{"ParallelLPs 1", cluster.NewWithOptions(fabric.FDR(), fpNodes, fpThreads, fpSeed, cluster.SimOptions{ParallelLPs: 1})},
 	}
-	classic, pdes := run(0), run(8)
-	for a := range classic.RowsPerNode {
-		if classic.RowsPerNode[a] != pdes.RowsPerNode[a] ||
-			classic.BytesPerNode[a] != pdes.BytesPerNode[a] {
-			t.Fatalf("node %d: classic %d rows/%d B, pdes %d rows/%d B", a,
-				classic.RowsPerNode[a], classic.BytesPerNode[a],
-				pdes.RowsPerNode[a], pdes.BytesPerNode[a])
+	var ref string
+	for _, b := range boots {
+		if b.c.Group == nil || b.c.Group.LPs() != 1 {
+			t.Fatalf("%s: a lossless profile must boot a one-partition Group", b.name)
+		}
+		got := fingerprint(t, b.c, alg, b.name, false)
+		if ref == "" {
+			ref = got
+		}
+		if got != ref {
+			t.Fatalf("%s diverges from %s\n%s", b.name, boots[0].name, diffLine(ref, got))
 		}
 	}
+	if !strings.Contains(ref, "Name:wire") {
+		t.Fatal("the merged trace holds no wire event: the fingerprint compares control shards only")
+	}
+
+	lossy := fabric.RoCEv2Lossy()
+	if c := cluster.NewWithOptions(lossy, 4, 2, fpSeed, cluster.SimOptions{ParallelLPs: 1}); c.Group != nil {
+		t.Fatal("a lossy profile must run on a single Simulation")
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, lossy.Name) || !strings.Contains(msg, "ParallelLPs 2") {
+			t.Fatalf("lossy profile with ParallelLPs 2: panic %q does not name the profile and the setting", msg)
+		}
+	}()
+	cluster.NewWithOptions(lossy, 4, 2, fpSeed, cluster.SimOptions{ParallelLPs: 2})
 }
 
 // TestBaselineTransportEquivalence guards the non-RDMA baselines (MPI,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"rshuffle/internal/engine"
@@ -21,15 +22,20 @@ func (s *closeStamp) Close(p *sim.Proc) {
 }
 
 // TestFragmentCompletionRoutesHome pins the one engine-dependent step of a
-// fragment's life: on the classic engine the query ends the instant its
-// last fragment finishes; on a partitioned one the completion is a control
-// message from the fragment's node to the control partition and lands
-// exactly one route latency later — at 1 and 2 partitions alike, so the
-// response time cannot depend on the LP count.
+// fragment's life. On a lossless profile the completion is a control message
+// from the fragment's node to the control partition and lands exactly one
+// route latency later — at 1 and 2 partitions alike, so the response time
+// cannot depend on the LP count. On a lossy profile, which runs on a single
+// simulation, the query ends the instant its last fragment finishes.
 func TestFragmentCompletionRoutesHome(t *testing.T) {
-	prof := fabric.FDR()
-	for lps, hop := range []sim.Duration{0, prof.RouteLatency(), prof.RouteLatency()} {
-		c := NewWithOptions(prof, 2, 1, 7, SimOptions{ParallelLPs: lps})
+	fdr, lossy := fabric.FDR(), fabric.RoCEv2Lossy()
+	for _, leg := range []struct {
+		prof fabric.Profile
+		lps  int
+		hop  sim.Duration
+	}{{fdr, 1, fdr.RouteLatency()}, {fdr, 2, fdr.RouteLatency()}, {lossy, 0, 0}} {
+		name := fmt.Sprintf("%s lps=%d", leg.prof.Name, leg.lps)
+		c := NewWithOptions(leg.prof, 2, 1, 7, SimOptions{ParallelLPs: leg.lps})
 		frag := &closeStamp{Operator: &engine.Burn{
 			In: &engine.Scan{T: SyntheticTable(1, 4096)}, PerBatch: 3000,
 		}}
@@ -46,16 +52,16 @@ func TestFragmentCompletionRoutesHome(t *testing.T) {
 		collected := false
 		q.Collect = func() { collected = true }
 		if err := c.Run(q); err != nil {
-			t.Fatalf("lps=%d: %v", lps, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !collected || frag.at <= q.Start {
-			t.Fatalf("lps=%d: collected=%v, fragment closed at %v, stream began at %v", lps, collected, frag.at, q.Start)
+			t.Fatalf("%s: collected=%v, fragment closed at %v, stream began at %v", name, collected, frag.at, q.Start)
 		}
-		if got := q.End.Sub(frag.at); got != hop {
-			t.Errorf("lps=%d: query ended %v after its fragment finished, want %v", lps, got, hop)
+		if got := q.End.Sub(frag.at); got != leg.hop {
+			t.Errorf("%s: query ended %v after its fragment finished, want %v", name, got, leg.hop)
 		}
 		if stageEnd != q.End {
-			t.Errorf("lps=%d: extra WaitGroup released at %v, the query's at %v", lps, stageEnd, q.End)
+			t.Errorf("%s: extra WaitGroup released at %v, the query's at %v", name, stageEnd, q.End)
 		}
 	}
 }

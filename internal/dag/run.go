@@ -101,8 +101,8 @@ type edgeRun struct {
 // per node, every non-Forward edge gets its own communication provider
 // (the default factory, unless the edge carries a SetConfig override), and
 // all fragments stream concurrently — stages are pipelined, not phased.
-// Run is a body of cluster.Run, which owns the cluster's simulation —
-// classic or partitioned — and recycles it: use a fresh cluster per run.
+// Run is a body of cluster.Run, which owns the cluster's simulation and
+// recycles it: use a fresh cluster per run.
 //
 // Structural problems (no terminal stage, schema divergence across nodes)
 // panic; runtime transport failures surface in Result.Err.

@@ -29,20 +29,21 @@ type Options struct {
 	// its own deterministic Simulation and parallelism only moves wall-clock
 	// time (see pool.go).
 	Workers int
-	// ParallelLPs > 0 runs every cell — throughput, setup-only, DAG and
-	// TPC-H alike, since all boot through newCluster and run through
-	// cluster.Run — on the conservative PDES engine with that many logical
-	// partitions (see internal/sim/pdes.go); results stay byte-identical at
-	// every LP count. Complementary to
-	// Workers: cell-parallel sweeps spread *independent* simulations over
-	// cores, LP-parallelism spreads *one big* simulation — combine with
-	// Workers=1 to give a single large run the whole machine. Lossy-profile
-	// cells ignore the setting (the partitioned fabric is lossless-only).
+	// ParallelLPs spreads every cell — throughput, setup-only, DAG and TPC-H
+	// alike, since all boot through newCluster and run through cluster.Run —
+	// over that many logical partitions (see internal/sim/pdes.go); 0 and 1
+	// both mean one, and results are byte-identical at every count.
+	// Complementary to Workers: cell-parallel sweeps spread *independent*
+	// simulations over cores, LP-parallelism spreads *one big* simulation —
+	// combine with Workers=1 to give a single large run the whole machine.
+	// Lossy-profile cells ignore the setting: they run on a single
+	// simulation (see cluster.NewWithOptions).
 	ParallelLPs int
 }
 
-// newCluster boots one experiment cell, on the PDES engine when the run
-// asked for logical partitions and the profile allows it.
+// newCluster boots one experiment cell. A sweep mixes lossless and lossy
+// cells under one ParallelLPs, so the lossy ones drop it here rather than
+// have cluster.NewWithOptions reject it.
 func (o Options) newCluster(prof fabric.Profile, nodes, threads int, seed int64) *cluster.Cluster {
 	lps := o.ParallelLPs
 	if prof.Lossy {

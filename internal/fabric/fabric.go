@@ -158,8 +158,8 @@ type Network struct {
 	// installs it to generate congestion notification packets.
 	onECN func(from, to int, fromQP, toQP uint64)
 
-	// part is the PDES partition state (see pdes.go); nil on the legacy
-	// single-simulation path.
+	// part is the PDES partition state (see pdes.go); nil on a Network built
+	// around a single Simulation.
 	part *partition
 }
 
@@ -413,7 +413,7 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 // last byte left the port.
 //
 // It executes on the source node's partition and uses only that partition's
-// clock, tracer shard and RNG stream; on the legacy path these are the
+// clock, tracer shard and RNG stream; on a single Simulation these are the
 // shared Sim/tr/RNG.
 func (n *Network) uplink(m *Message, wire int, control bool) (flight, sim.Time) {
 	prof := &n.Prof

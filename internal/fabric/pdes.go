@@ -11,10 +11,10 @@ import (
 // partitions of a sim.Group (see internal/sim/pdes.go). Every per-node
 // resource — the NIC, its QP cache, its RNG stream, its trace shard — is
 // owned by the node's partition and only touched from that partition's
-// events; cross-node deliveries go through Group.Route. The legacy
-// single-simulation path is the nil-partition case: every accessor below
-// degrades to the shared Sim/tracer/RNG, so the pre-PDES code path is
-// byte-for-byte unchanged.
+// events; cross-node deliveries go through Group.Route. A Network built by
+// New around one bare Simulation — the lossy tier, whose egress model needs
+// a single clock, and stand-alone users such as qperf — is the nil-partition
+// case: every accessor below degrades to the shared Sim/tracer/RNG.
 //
 // Per-node RNG streams are the key to LP-count invariance: a draw made on
 // the shared simulation RNG would interleave with other nodes' draws in an
@@ -63,7 +63,7 @@ func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
 // Partitioned reports whether the network runs on a sim.Group.
 func (n *Network) Partitioned() bool { return n.part != nil }
 
-// Group returns the owning sim.Group, or nil on the legacy path.
+// Group returns the owning sim.Group, or nil on a single Simulation.
 func (n *Network) Group() *sim.Group {
 	if n.part == nil {
 		return nil
@@ -82,7 +82,7 @@ func (n *Network) SimAt(node int) *sim.Simulation {
 }
 
 // TracerAt returns the tracer shard for events executing on node's
-// partition (-1 for control), or the shared tracer on the legacy path. The
+// partition (-1 for control), or the shared tracer on a single Simulation. The
 // shard is chosen by the *executing* partition, never by the node a trace
 // happens to be attributed to, so emission stays race-free.
 func (n *Network) TracerAt(node int) *telemetry.Tracer {
@@ -95,8 +95,8 @@ func (n *Network) TracerAt(node int) *telemetry.Tracer {
 	return n.part.shards[node]
 }
 
-// rngAt returns node's deterministic random stream (the shared simulation
-// RNG on the legacy path).
+// rngAt returns node's deterministic random stream (the simulation's own
+// RNG on a single Simulation).
 func (n *Network) rngAt(node int) *rand.Rand {
 	if n.part == nil {
 		return n.Sim.Rand()
@@ -125,7 +125,7 @@ func (n *Network) TraceShards() []*telemetry.Tracer {
 }
 
 // Route schedules fn on dst's partition at instant at, on behalf of the
-// actor whose event is executing (src). On the legacy path it degrades to a
+// actor whose event is executing (src). On a single Simulation it is a
 // plain scheduler event at at.
 func (n *Network) Route(src, dst int, at sim.Time, fn func()) {
 	if n.part == nil {

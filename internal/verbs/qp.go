@@ -225,9 +225,9 @@ func (qp *QP) foreign(node int) bool {
 // network a remote responder's verdict rides the fabric home as a routed
 // message, arriving one full route latency (switch + propagation) later —
 // the wire trip it takes on real hardware, and late enough to clear the
-// window bound at any LP count. Same-node and legacy verdicts land after
-// local, synchronously when local is zero, keeping the single-simulation
-// path byte-identical.
+// window bound at any LP count. Same-node verdicts, and every verdict on a
+// single Simulation (the lossy tier), land after local, synchronously when
+// local is zero.
 func (qp *QP) home(from int, local sim.Duration, fn func()) {
 	net := qp.dev.net
 	switch {
@@ -559,8 +559,8 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 	if len(rqp.stalled) > 0 || rqp.recvQ.n == 0 {
 		// The RNR NAK is generated here, at the responder; partitioned runs
 		// therefore count it on the responder device (whose partition is
-		// executing), while the legacy path keeps its historical requester
-		// attribution byte-for-byte.
+		// executing), while a single Simulation (the lossy tier) keeps the
+		// requester attribution its goldens record.
 		if net.Partitioned() {
 			rqp.dev.stats.RNRRetries++
 		} else {

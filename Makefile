@@ -16,8 +16,8 @@ test-full:
 # vet also guards the one query lifecycle: outside the simulator itself, its
 # qperf baseline and the frozen bench/ harness, only the driver
 # (cluster.Run, internal/cluster/query.go) may run a cluster's engine — a
-# hand-rolled Sim.Run()/Group.Run() forgets Recycle, the partitioned engine,
-# or both. It also keeps fabric's SetArrivalBatching dead: the method is an
+# hand-rolled Sim.Run()/Group.Run() forgets Recycle, picks the wrong one of
+# the two for the profile, or both. It also keeps fabric's SetArrivalBatching dead: the method is an
 # empty stub the frozen bench/probes.go still calls, and goes with that probe.
 vet:
 	$(GO) vet ./...
@@ -88,9 +88,9 @@ dag-smoke:
 
 # Race-enabled PDES equivalence smoke: all six Table 1 designs plus a
 # crash-stop chaos cell through RunBench, and the multi-stage DAG plan over
-# three designs, at 1, 2, and 8 logical partitions; every output fingerprint
-# (result, metrics report, merged trace) must be byte-identical across LP
-# counts.
+# three designs, at 1 (no windows — what cluster.New boots), 2, and 8 logical
+# partitions; every output fingerprint (result, metrics report, merged
+# trace) must be byte-identical across LP counts.
 pdes-smoke:
 	$(GO) test -race -run '^TestPDES' -v ./internal/cluster/ ./internal/dag/
 

@@ -233,6 +233,11 @@ func runCompare(args []string, threshold float64) int {
 // renamed maps a benchmark's former name to its current one, so a series
 // recorded under the old name continues through -compare instead of showing
 // up as one retired benchmark and one new one.
+//
+// BenchmarkTPCHPlansLP0 is retired, not renamed: it timed lossless plans on
+// the single-Simulation engine, which lossless profiles no longer boot.
+// -compare lists it as retired once; what cluster.New costs continues in
+// BenchmarkTPCHPlansLP1, whose own series carries the 1.7x -> 1.0x step.
 var renamed = map[string]string{
 	"BenchmarkHeapSchedule": "BenchmarkWheelSchedule", // it has timed the wheel since the heap went
 }

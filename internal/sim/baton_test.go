@@ -367,8 +367,8 @@ func TestFusedCrossPartitionWake(t *testing.T) {
 	// dispatch, sleep): the waiter was the only Proc, so every dispatch from
 	// a window's own goroutine is a switch.
 	if s0.Switches() != 2 || s1.Switches() != 2 || w.loop != s0 {
-		t.Fatalf("switches: LP0 %d, LP1 %d, last loop LP%d; want 2, 2, LP0",
-			s0.Switches(), s1.Switches(), w.loop.lpid)
+		t.Fatalf("switches: LP0 %d, LP1 %d, last loop LP0 %v; want 2, 2, true",
+			s0.Switches(), s1.Switches(), w.loop == s0)
 	}
 	g.Shutdown()
 }

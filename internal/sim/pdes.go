@@ -137,7 +137,6 @@ func NewGroup(seed int64, lps, nodes int, look Duration) *Group {
 	}
 	for i := range g.sims {
 		g.sims[i] = New(seed + int64(i))
-		g.sims[i].lpid = i
 	}
 	for n := 0; n < nodes; n++ {
 		g.lpOf[n] = n * lps / nodes

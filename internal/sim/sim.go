@@ -123,9 +123,6 @@ type Simulation struct {
 	// dead is set by Shutdown; parked goroutines observe it on their next
 	// wake and exit instead of resuming their Proc body.
 	dead bool
-	// lpid is this simulation's logical-partition index when it belongs to
-	// a Group (see pdes.go); 0 otherwise.
-	lpid int
 }
 
 // New returns an empty simulation whose random source is seeded with seed.

@@ -19,6 +19,9 @@ test-full:
 # hand-rolled Sim.Run()/Group.Run() forgets Recycle, picks the wrong one of
 # the two for the profile, or both. It also keeps fabric's SetArrivalBatching dead: the method is an
 # empty stub the frozen bench/probes.go still calls, and goes with that probe.
+# And it keeps the buffer pool's tenants a reviewed list: outside tests,
+# bufpool.Get may be called from the three files that own a pooled store and
+# nowhere else (a fourth tenant needs an owner that returns what it draws).
 vet:
 	$(GO) vet ./...
 	@if grep -rnE '\.(Sim|Group)\.Run\(\)' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
@@ -26,13 +29,19 @@ vet:
 		echo "vet: run the engine through cluster.Run (internal/cluster/query.go), not by hand"; exit 1; fi
 	@if grep -rnE '\.SetArrivalBatching\(' --include='*.go' --exclude-dir=.bench_build --exclude-dir=bench .; then \
 		echo "vet: SetArrivalBatching does nothing and is going away; only bench/ may still call it"; exit 1; fi
+	@if grep -rnE 'bufpool\.Get\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
+		| grep -vE '^\./internal/(verbs/ring\.go|engine/batch\.go|cluster/cluster\.go):'; then \
+		echo "vet: the buffer pool has three tenants (verbs rings and snapshots, engine row stores, RunBench tables);"; \
+		echo "     a new one needs an owner that returns what it draws, and a line here and in DESIGN.md"; exit 1; fi
 
 # The kernel runs a second time at one and at four Ps: its event loop moves
 # between goroutines (whoever blocks drives it), and the worker pool behind
-# wide PDES windows only starts above one P.
+# wide PDES windows only starts above one P. The buffer pool rides along:
+# every partition of a wide window and every cell of a sweep draws from it
+# at once.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -cpu 1,4 ./internal/sim/
+	$(GO) test -race -short -cpu 1,4 ./internal/sim/ ./internal/bufpool/
 
 fmt:
 	gofmt -l -w .

@@ -3,12 +3,12 @@ package cluster_test
 import (
 	"testing"
 
+	"rshuffle/internal/bufpool"
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/dag"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/tpch"
-	"rshuffle/internal/verbs"
 )
 
 // Macro benchmarks: whole shuffle queries on a small FDR cluster, one
@@ -27,7 +27,7 @@ func reportPool(b *testing.B) func() {
 	start := cluster.PoolMisses()
 	return func() {
 		var retained int64
-		for _, c := range verbs.PoolStats() {
+		for _, c := range bufpool.Stats() {
 			retained += c.RetainedBytes
 		}
 		b.ReportMetric(float64(cluster.PoolMisses()-start)/float64(b.N), "pool-misses/op")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rshuffle/internal/bufpool"
 	"rshuffle/internal/engine"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
@@ -181,11 +182,16 @@ func SyntheticTable(seed int64, rows int) *engine.Table {
 // domain: with exponent s > 0 some partitions receive far more data than
 // others, the skew scenario the flow-join line of work targets (paper §6).
 func SyntheticTableZipf(seed int64, rows int, domain uint64, exponent float64) *engine.Table {
+	return fillZipf(make([]byte, rows*16), seed, domain, exponent)
+}
+
+// fillZipf writes SyntheticTableZipf's rows over all of data.
+func fillZipf(data []byte, seed int64, domain uint64, exponent float64) *engine.Table {
 	z := rand.NewZipf(rand.New(rand.NewSource(seed)), 1+exponent, 1, domain-1)
-	t := zeroTable(rows, 16)
-	for i := 0; i < rows; i++ {
-		binary.LittleEndian.PutUint64(t.Data[i*16:], z.Uint64())
-		binary.LittleEndian.PutUint64(t.Data[i*16+8:], uint64(i))
+	t := tableOver(data, 16)
+	for i := 0; i < t.N; i++ {
+		binary.LittleEndian.PutUint64(data[i*16:], z.Uint64())
+		binary.LittleEndian.PutUint64(data[i*16+8:], uint64(i))
 	}
 	return t
 }
@@ -194,29 +200,39 @@ func SyntheticTableZipf(seed int64, rows int, domain uint64, exponent float64) *
 // multiple of 8, at least 16): a randomized key, a row id, and padding
 // columns. Wide records drive the zero-copy ablation.
 func SyntheticTableWide(seed int64, rows, width int) *engine.Table {
+	checkWidth(width)
+	return fillWide(make([]byte, rows*width), seed, width)
+}
+
+func checkWidth(width int) {
 	if width < 16 || width%8 != 0 {
 		panic(fmt.Sprintf("cluster: record width %d must be a multiple of 8, >= 16", width))
 	}
-	t := zeroTable(rows, width)
+}
+
+// fillWide writes SyntheticTableWide's rows over all of data, whose padding
+// columns must already be zero: only key and row id are written.
+func fillWide(data []byte, seed int64, width int) *engine.Table {
 	rng := newSplitMix(uint64(seed))
-	for i := 0; i < rows; i++ {
-		binary.LittleEndian.PutUint64(t.Data[i*width:], rng.next())
-		binary.LittleEndian.PutUint64(t.Data[i*width+8:], uint64(i))
+	t := tableOver(data, width)
+	for i := 0; i < t.N; i++ {
+		binary.LittleEndian.PutUint64(data[i*width:], rng.next())
+		binary.LittleEndian.PutUint64(data[i*width+8:], uint64(i))
 	}
 	return t
 }
 
-// zeroTable returns a table of rows all-zero records of width/8 int64
-// columns for a generator to fill in place: key and row id written where
+// tableOver returns a table of width/8 int64 columns whose rows are data
+// itself, for a generator to fill in place: key and row id written where
 // they belong, the padding never touched. A Writer would fill a scratch row
 // and append it — a copy per row of a table RunBench regenerates for every
 // query.
-func zeroTable(rows, width int) *engine.Table {
+func tableOver(data []byte, width int) *engine.Table {
 	cols := make([]engine.Type, width/8)
 	for i := range cols {
 		cols[i] = engine.TInt64
 	}
-	return &engine.Table{Sch: engine.NewSchema(cols...), Data: make([]byte, rows*width), N: rows}
+	return &engine.Table{Sch: engine.NewSchema(cols...), Data: data, N: len(data) / width}
 }
 
 // splitMix is a tiny deterministic generator so table synthesis does not
@@ -273,6 +289,22 @@ func (o BenchOpts) skipFor(src int) []bool {
 		return o.SkipTo[src]
 	}
 	return nil
+}
+
+// pooledTable is SyntheticTableZipf or SyntheticTableWide, as the options
+// choose, over a row store drawn from the buffer pool. Such a store holds
+// whatever its last tenant left, so the padding columns of a wide table are
+// cleared before the fill.
+func (o BenchOpts) pooledTable(seed int64) *engine.Table {
+	if o.ZipfExponent > 0 {
+		return fillZipf(bufpool.Get(o.RowsPerNode*16), seed, 1<<20, o.ZipfExponent)
+	}
+	checkWidth(o.RowWidth)
+	data := bufpool.Get(o.RowsPerNode * o.RowWidth)
+	if o.RowWidth > 16 {
+		clear(data)
+	}
+	return fillWide(data, seed, o.RowWidth)
 }
 
 // BenchResult reports one receive-throughput run.
@@ -350,13 +382,13 @@ func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 	if opts.RowWidth == 0 {
 		opts.RowWidth = 16
 	}
+	// The tables are the same for every query of a sweep and are built anew
+	// for each, so their row stores cycle through the buffer pool: drawn
+	// here, returned once Run has come back — whatever it returns, the
+	// simulation is over by then and no Scan view of them is live.
 	tables := make([]*engine.Table, c.N)
-	for a := 0; a < c.N; a++ {
-		if opts.ZipfExponent > 0 {
-			tables[a] = SyntheticTableZipf(int64(a)+1, opts.RowsPerNode, 1<<20, opts.ZipfExponent)
-		} else {
-			tables[a] = SyntheticTableWide(int64(a)+1, opts.RowsPerNode, opts.RowWidth)
-		}
+	for a := range tables {
+		tables[a] = opts.pooledTable(int64(a) + 1)
 	}
 	sch := tables[0].Sch
 
@@ -438,7 +470,12 @@ func (c *Cluster) RunBench(opts BenchOpts) (*BenchResult, error) {
 		}
 		res.Err = shuffle.CheckErr(sends, recvs)
 	}
-	if err := c.Run(q); err != nil {
+	err := c.Run(q)
+	for _, t := range tables {
+		bufpool.Put(t.Data)
+		t.Data = nil
+	}
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

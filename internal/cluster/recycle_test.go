@@ -1,14 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
 
+	"rshuffle/internal/bufpool"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/sim"
-	"rshuffle/internal/verbs"
 )
 
 // TestRecycleReleasesProcGoroutines pins that discarding a cluster leaves
@@ -60,14 +61,25 @@ func TestRecycleReleasesProcGoroutines(t *testing.T) {
 	}
 }
 
-// PoolMisses returns how many ring chunks the process-wide registered-buffer
-// pool has had to allocate afresh so far, over all size classes. Exported
-// for the macro benchmarks in package cluster_test.
+// PoolMisses returns how many buffers the process-wide buffer pool has had
+// to allocate afresh so far, over all size classes. Exported for the macro
+// benchmarks in package cluster_test.
 func PoolMisses() (n int64) {
-	for _, cl := range verbs.PoolStats() {
+	for _, cl := range bufpool.Stats() {
 		n += cl.Misses
 	}
 	return n
+}
+
+// chunkMisses returns how many ring chunks (64 KiB for every slot size the
+// designs use) the pool has had to allocate afresh so far.
+func chunkMisses() int64 {
+	for _, cl := range bufpool.Stats() {
+		if cl.ClassBytes == 64<<10 {
+			return cl.Misses
+		}
+	}
+	return 0
 }
 
 // allocated runs one RunBench query on c and returns the bytes the process
@@ -76,7 +88,7 @@ func allocated(t *testing.T, c *Cluster, cfg shuffle.Config, rows int) (bytes ui
 	t.Helper()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	miss0 := PoolMisses()
+	miss0 := chunkMisses()
 	res, err := c.RunBench(BenchOpts{Factory: RDMAProvider(cfg), RowsPerNode: rows})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +97,7 @@ func allocated(t *testing.T, c *Cluster, cfg shuffle.Config, rows int) (bytes ui
 		t.Fatal(res.Err)
 	}
 	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc, PoolMisses() - miss0
+	return m1.TotalAlloc - m0.TotalAlloc, chunkMisses() - miss0
 }
 
 // TestAlternatingRingShapesShareThePool pins that the registered-buffer pool
@@ -101,6 +113,11 @@ func TestAlternatingRingShapesShareThePool(t *testing.T) {
 		return allocated(t, New(quiet(fabric.FDR()), 8, 14, 7), cfg, 20000)
 	}
 	run(rc) // warm the pool
+	// A datagram query also draws its send snapshots, one MTU each, which no
+	// RC query parks; this test is about ring chunks, so park those up front.
+	for i := 0; i < 1024; i++ {
+		bufpool.Put(make([]byte, 4096))
+	}
 	rcRepeat, _ := run(rc)
 	udAfterRC, udMisses := run(ud)
 	udRepeat, _ := run(ud)
@@ -139,4 +156,45 @@ func TestWideShuffleAllocationGuard(t *testing.T) {
 	if got > 300e6 {
 		t.Errorf("third 32-node MEMQ/SR query allocated %.0f MB, want under 300 MB", float64(got)/1e6)
 	}
+}
+
+// TestWideTablePaddingIsZero: RunBench draws its tables from the buffer pool
+// and writes only key and row id into each row, so the padding columns of a
+// wide record are zero only because the store is cleared first. A 64-byte
+// RunBench parks its tables (poisoned, under this package's TestMain); the
+// next table of that shape must be drawn from those and still equal the
+// fresh one SyntheticTableWide builds, byte for byte.
+func TestWideTablePaddingIsZero(t *testing.T) {
+	opts := BenchOpts{
+		Factory:     RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2}),
+		RowsPerNode: 4096, RowWidth: 64,
+	}
+	res, err := New(fabric.FDR(), 4, 2, 42).RunBench(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got, want := res.BytesPerNode[0]+res.BytesPerNode[1]+res.BytesPerNode[2]+res.BytesPerNode[3], int64(4*4096*64); got != want {
+		t.Fatalf("%d bytes delivered, want %d", got, want)
+	}
+	class := func() (hits int64) {
+		for _, c := range bufpool.Stats() {
+			if c.ClassBytes == opts.RowsPerNode*opts.RowWidth {
+				return c.Hits
+			}
+		}
+		return 0
+	}
+	hits := class()
+	got := opts.pooledTable(3)
+	if class() != hits+1 {
+		t.Fatal("the table's store was not one a query had parked")
+	}
+	want := SyntheticTableWide(3, opts.RowsPerNode, opts.RowWidth)
+	if got.N != want.N || !bytes.Equal(got.Data, want.Data) {
+		t.Error("a table over a recycled store differs from a fresh one: padding not cleared?")
+	}
+	bufpool.Put(got.Data)
 }

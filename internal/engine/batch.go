@@ -12,6 +12,8 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rshuffle/internal/bufpool"
 )
 
 // Type is a fixed-width column type.
@@ -118,6 +120,11 @@ type Batch struct {
 	Data []byte
 	N    int
 	cap  int
+	// pooled records that Data was drawn from the buffer pool by rows, and
+	// so is Release's to return. A Data somebody assigned is not: Scan
+	// points its batches at the table's own rows, and parking such a view
+	// would hand the table's memory to the pool's next caller.
+	pooled bool
 }
 
 // NewBatch returns an empty batch holding up to capTuples rows. Its row
@@ -139,12 +146,33 @@ func threadBatches(sch *Schema, capTuples, threads int) []*Batch {
 	return out
 }
 
-// rows returns the row store for writing, backing it on first use.
+// releaseBatches releases every batch of an operator's per-thread state.
+func releaseBatches(bs []*Batch) {
+	for _, b := range bs {
+		b.Release()
+	}
+}
+
+// rows returns the row store for writing, backing it from the buffer pool
+// on first use. Its contents are unspecified: a writer fills a whole row
+// before it counts the row in N, and readers stay below N.
 func (b *Batch) rows() []byte {
 	if b.Data == nil {
-		b.Data = make([]byte, b.cap*b.Sch.Width())
+		b.Data = bufpool.Get(b.cap * b.Sch.Width())
+		b.pooled = true
 	}
 	return b.Data
+}
+
+// Release empties the batch and returns its row store to the buffer pool,
+// if that is where it came from. The operator that owns the batch calls it
+// from Close, when no thread can be reading the rows any more; the batch
+// may be used again and backs itself anew.
+func (b *Batch) Release() {
+	if b.pooled {
+		bufpool.Put(b.Data)
+	}
+	b.Data, b.N, b.pooled = nil, 0, false
 }
 
 // Cap returns the tuple capacity.

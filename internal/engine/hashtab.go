@@ -48,7 +48,19 @@ func hashKey(key []byte) uint64 {
 // index: at least one insert precedes it, or the caller checks n.
 func (t *groupTable) probe(key []byte) (slot, gid int) {
 	mask := len(t.index) - 1
-	for slot = int(hashKey(key) >> t.shift); ; slot = (slot + 1) & mask {
+	slot = int(hashKey(key) >> t.shift)
+	if t.kw == 8 {
+		// One int64 column — every HashJoin, most aggregates: a key is one
+		// word, compared as one load from the arena.
+		k := binary.LittleEndian.Uint64(key)
+		for ; ; slot = (slot + 1) & mask {
+			g := int(t.index[slot]) - 1
+			if g < 0 || binary.LittleEndian.Uint64(t.keys[g*8:]) == k {
+				return slot, g
+			}
+		}
+	}
+	for ; ; slot = (slot + 1) & mask {
 		g := int(t.index[slot]) - 1
 		if g < 0 || bytes.Equal(t.key(g), key) {
 			return slot, g

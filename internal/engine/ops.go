@@ -70,7 +70,10 @@ func (f *Filter) Next(p *sim.Proc, tid int) (*Batch, State) {
 }
 
 // Close implements Operator.
-func (f *Filter) Close(p *sim.Proc) { f.In.Close(p) }
+func (f *Filter) Close(p *sim.Proc) {
+	f.In.Close(p)
+	releaseBatches(f.out)
+}
 
 // Project keeps only the selected columns, in the given order.
 type Project struct {
@@ -106,9 +109,11 @@ func (pr *Project) Next(p *sim.Proc, tid int) (*Batch, State) {
 	out.Reset()
 	if in != nil && in.N > out.Cap() {
 		// The child produces larger batches than the default vector size
-		// (e.g. a Receive configured for 32 KiB pulls); resize once.
-		pr.out[tid] = NewBatch(pr.sch, in.N)
-		out = pr.out[tid]
+		// (e.g. a Receive configured for 32 KiB pulls); resize once. The
+		// parent is done with the rows it was last handed (Next's contract),
+		// so the old store goes back now.
+		out.Release()
+		out.cap = in.N
 	}
 	if in != nil {
 		insch := pr.In.Schema()
@@ -129,7 +134,10 @@ func (pr *Project) Next(p *sim.Proc, tid int) (*Batch, State) {
 }
 
 // Close implements Operator.
-func (pr *Project) Close(p *sim.Proc) { pr.In.Close(p) }
+func (pr *Project) Close(p *sim.Proc) {
+	pr.In.Close(p)
+	releaseBatches(pr.out)
+}
 
 // HashJoin is an in-memory equi-join: it drains Build into a shared hash
 // table (all threads cooperate, with a barrier), then streams Probe,
@@ -303,6 +311,7 @@ func (h *HashJoin) Next(p *sim.Proc, tid int) (*Batch, State) {
 func (h *HashJoin) Close(p *sim.Proc) {
 	h.Build.Close(p)
 	h.Probe.Close(p)
+	releaseBatches(h.out)
 }
 
 // AggKind selects the aggregate function.
@@ -484,7 +493,10 @@ func (a *HashAgg) Next(p *sim.Proc, tid int) (*Batch, State) {
 }
 
 // Close implements Operator.
-func (a *HashAgg) Close(p *sim.Proc) { a.In.Close(p) }
+func (a *HashAgg) Close(p *sim.Proc) {
+	a.In.Close(p)
+	releaseBatches(a.out)
+}
 
 // TopN fully drains its input, sorts with Less over raw rows, and emits the
 // first N rows (all of them if N <= 0). The sort itself runs on the last
@@ -574,7 +586,10 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 }
 
 // Close implements Operator.
-func (t *TopN) Close(p *sim.Proc) { t.In.Close(p) }
+func (t *TopN) Close(p *sim.Proc) {
+	t.In.Close(p)
+	releaseBatches(t.out)
+}
 
 // Burn adds a fixed CPU cost per batch pulled through it; the paper's
 // compute-intensity experiment (Fig. 13) uses it to emulate query fragments

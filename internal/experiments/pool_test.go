@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"rshuffle/internal/bufpool"
 )
 
 // TestRunJobsSemantics covers the pool contract both drivers rely on: serial
@@ -75,5 +77,30 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if s, p := serialT.Format(), pooledT.Format(); s != p {
 			t.Fatalf("%s: pooled table differs from serial reference\nserial:\n%s\npooled:\n%s", ex.name, s, p)
 		}
+	}
+}
+
+// TestTwoWorkersShareTheBufferPool: cells that run at the same time draw
+// their row stores, ring chunks and datagram snapshots from one process-wide
+// pool and return them to it, so a store handed back while anybody still
+// reads it, or handed out twice, would move a number in some cell. The DAG
+// exhibit — hash aggregation, a join and three shuffles a cell, over RC and
+// UD designs — must read the same with two cells in flight as with one. The
+// pool poisons what it is handed back for the duration (not for the whole
+// package: filling every table and chunk the sweeps park costs a minute).
+func TestTwoWorkersShareTheBufferPool(t *testing.T) {
+	defer bufpool.PoisonForTest()()
+	SetParallelism(2)
+	defer SetParallelism(0)
+	one, err := ExtDag(Options{Fast: true, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := ExtDag(Options{Fast: true, Seed: 7, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := one.Format(), two.Format(); a != b {
+		t.Fatalf("two workers read differently from one\none:\n%s\ntwo:\n%s", a, b)
 	}
 }

@@ -228,9 +228,11 @@ type Receive struct {
 	ctx  *engine.Ctx
 	eps  []RecvEndpoint
 	out  []*engine.Batch
-	pend []*pendingData // per-thread partially consumed buffer
+	pend []pendingData // per-thread partially consumed buffer
 }
 
+// pendingData is what is left of a buffer that did not fit the last output
+// batch: d.Payload[off:]. A nil d means nothing is pending.
 type pendingData struct {
 	d   *Data
 	off int
@@ -244,7 +246,7 @@ func (r *Receive) Open(ctx *engine.Ctx) {
 	r.ctx = ctx
 	r.eps = r.Comm.RecvEndpoints(r.Node)
 	r.out = make([]*engine.Batch, ctx.Threads)
-	r.pend = make([]*pendingData, ctx.Threads)
+	r.pend = make([]pendingData, ctx.Threads)
 	bt := r.BatchTuples
 	if bt <= 0 {
 		bt = engine.DefaultBatchTuples
@@ -260,12 +262,9 @@ func (r *Receive) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 	out := r.out[tid]
 	out.Reset()
 	for {
-		var d *Data
-		var off int
-		if pd := r.pend[tid]; pd != nil {
-			d, off = pd.d, pd.off
-			r.pend[tid] = nil
-		} else {
+		d, off := r.pend[tid].d, r.pend[tid].off
+		r.pend[tid] = pendingData{}
+		if d == nil {
 			var err error
 			d, err = target.GetData(p)
 			if err != nil {
@@ -289,7 +288,7 @@ func (r *Receive) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 		r.RowsFrom[d.Src] += int64(n)
 		off += consumed
 		if off < len(d.Payload) {
-			r.pend[tid] = &pendingData{d: d, off: off}
+			r.pend[tid] = pendingData{d: d, off: off}
 			return out, engine.MoreData
 		}
 		if err := target.Release(p, d); err != nil {
@@ -304,8 +303,13 @@ func (r *Receive) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 	}
 }
 
-// Close implements engine.Operator.
-func (r *Receive) Close(p *sim.Proc) {}
+// Close implements engine.Operator: the output batches' row stores go back
+// to the buffer pool.
+func (r *Receive) Close(p *sim.Proc) {
+	for _, b := range r.out {
+		b.Release()
+	}
+}
 
 // PartitionProgress is the watermark of the stream from one source node.
 type PartitionProgress struct {

@@ -422,7 +422,12 @@ func (qp *QP) toPeer(payload int) *fabric.Message {
 // payload must fit the WQE and is copied into it by the CPU, charged here,
 // and a UD send completes once the datagram is on the wire, before it is
 // delivered; in both cases the application may rewrite the buffer while the
-// message is in flight, so the payload is snapshotted.
+// message is in flight, so the payload is snapshotted. A unicast datagram
+// of more than half an MTU takes its snapshot from the device's free list
+// and the delivery hands it on to the destination's (ring.go); a multicast
+// payload is shared by every member's delivery and so has no single point
+// at which it is free, and rounding inline and short payloads up to an MTU
+// costs more than it saves — those three are plain allocations.
 //
 // A non-inline RC payload is staged by reference. The invariant: between
 // the post and the work request's completion the buffer belongs to the NIC.
@@ -447,7 +452,12 @@ func (qp *QP) stage(p *sim.Proc, wr SendWR) ([]byte, error) {
 	} else if qp.cfg.Type == fabric.RC {
 		return wr.MR.Bytes(wr.Offset, wr.Len), nil
 	}
-	payload := make([]byte, wr.Len)
+	var payload []byte
+	if !wr.Inline && !wr.Dest.Multicast && wr.Len > qp.dev.prof().MTU/2 {
+		payload = qp.dev.takeUDSnap(wr.Len)
+	} else {
+		payload = make([]byte, wr.Len)
+	}
 	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
 	return payload, nil
 }
@@ -500,7 +510,10 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		Dropped: func() {},
 	}
 	if !dest.Multicast {
-		msg.Deliver = func(at sim.Time) { deliverUD(net, dest.Node, dest.QPN, src, srcQPN, payload, wr) }
+		msg.Deliver = func(at sim.Time) {
+			deliverUD(net, dest.Node, dest.QPN, src, srcQPN, payload, wr)
+			deviceAt(net, dest.Node).parkUDSnap(payload)
+		}
 		qp.sendPaced(msg, 0)
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rshuffle/internal/bufpool"
 	"rshuffle/internal/sim"
 )
 
@@ -15,7 +16,7 @@ const ringSlot = 64 << 10
 // retained returns the bytes parked in the pool class holding classBytes
 // chunks, and that class's hit and miss counts.
 func retained(classBytes int) (bytes, hits, misses int64) {
-	for _, c := range PoolStats() {
+	for _, c := range bufpool.Stats() {
 		if c.ClassBytes == classBytes {
 			return c.RetainedBytes, c.Hits, c.Misses
 		}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rshuffle/internal/bufpool"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/sim"
 	"rshuffle/internal/telemetry"
@@ -127,6 +128,9 @@ type Device struct {
 
 	// mcast holds this node's multicast group attachments.
 	mcast map[uint32][]*QP
+
+	// udSnaps is this device's free list of UD datagram snapshots (ring.go).
+	udSnaps [][]byte
 
 	// deadPeers records nodes the connection manager has declared dead;
 	// peerDownFns are the registered disconnect-event handlers, invoked in
@@ -385,7 +389,7 @@ func (m *MR) release() {
 		}
 		d.materialized -= int64(len(c))
 		if m.pooled {
-			putBuf(c)
+			bufpool.Put(c)
 		}
 	}
 	m.size, m.chunks = 0, nil

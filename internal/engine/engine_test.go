@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -469,5 +470,28 @@ func TestTableGrow(t *testing.T) {
 	}
 	if sized.Grow(10); cap(sized.Data) < 1010*sch.Width() || sized.N != 1000 || string(sized.Data) != string(plain.Data) {
 		t.Fatal("Grow on a full table lost rows or reserved too little")
+	}
+}
+
+// TestTableAppendDoubles: a table built a row at a time allocates about
+// twice its final size, not the five to six times append's 1.25x steps of
+// a large slice cost.
+func TestTableAppendDoubles(t *testing.T) {
+	const rows = 1 << 20
+	sch := NewSchema(TInt64, TInt64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := NewTable(sch)
+	w := NewWriter(tab)
+	for i := 0; i < rows; i++ {
+		w.SetInt64(0, int64(i))
+		w.Done()
+	}
+	runtime.ReadMemStats(&after)
+	if tab.N != rows || RowInt64(sch, tab.Row(rows-1), 0) != rows-1 {
+		t.Fatalf("table holds %d rows", tab.N)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2.1*float64(tab.Bytes())); got > limit {
+		t.Fatalf("building %d bytes of rows allocated %d bytes, want <= %d (2.1x)", tab.Bytes(), got, limit)
 	}
 }

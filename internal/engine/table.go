@@ -13,26 +13,42 @@ type Table struct {
 func NewTable(sch *Schema) *Table { return &Table{Sch: sch} }
 
 // Grow reserves room for rows more rows, so that a generator that knows its
-// row count fills the table without Append's doubling (which allocates about
-// five times the final size along the way). It returns t.
+// row count fills the table with one allocation. It returns t.
 func (t *Table) Grow(rows int) *Table {
 	if need := len(t.Data) + rows*t.Sch.Width(); need > cap(t.Data) {
-		data := make([]byte, len(t.Data), need)
-		copy(data, t.Data)
-		t.Data = data
+		t.realloc(need)
 	}
 	return t
 }
 
+// realloc moves the rows into a store of capacity c.
+func (t *Table) realloc(c int) {
+	data := make([]byte, len(t.Data), c)
+	copy(data, t.Data)
+	t.Data = data
+}
+
+// reserve makes room for n more bytes by doubling the store: append's own
+// growth of a large slice is 1.25x a step, which allocates five to six times
+// the final size along the way, where doubling allocates twice.
+func (t *Table) reserve(n int) {
+	if need := len(t.Data) + n; need > cap(t.Data) {
+		t.realloc(max(need, 2*cap(t.Data)))
+	}
+}
+
 // Append adds one raw row.
 func (t *Table) Append(row []byte) {
+	t.reserve(len(row))
 	t.Data = append(t.Data, row...)
 	t.N++
 }
 
 // AppendBatch adds all rows of b.
 func (t *Table) AppendBatch(b *Batch) {
-	t.Data = append(t.Data, b.Bytes()...)
+	rows := b.Bytes()
+	t.reserve(len(rows))
+	t.Data = append(t.Data, rows...)
 	t.N += b.N
 }
 

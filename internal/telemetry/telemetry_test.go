@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -31,6 +32,36 @@ func TestRingOverflow(t *testing.T) {
 	}
 }
 
+// TestTracerGrowsOnDemand checks that a tracer's capacity is a bound, not an
+// up-front allocation: a 2^21-event tracer costs nothing until it emits,
+// and the ring keeps its Len/Dropped/Events semantics across the point
+// where it stops growing and starts to wrap.
+func TestTracerGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	big := NewTracer(1 << 21)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<10 {
+		t.Fatalf("NewTracer(1<<21) allocated %d bytes before any event", d)
+	}
+	if !big.Enabled() || big.Len() != 0 || big.Dropped() != 0 || big.Events() != nil {
+		t.Fatal("a fresh tracer must be enabled and empty")
+	}
+
+	tr := NewTracer(4)
+	for i := 0; i < 4; i++ {
+		tr.Instant(sim.Time(i), EvWire, 0, 0, int64(i), 0)
+	}
+	if tr.Len() != 4 || tr.Dropped() != 0 {
+		t.Fatalf("full ring: Len %d Dropped %d, want 4 and 0", tr.Len(), tr.Dropped())
+	}
+	tr.Instant(4, EvWire, 0, 0, 4, 0)
+	evs := tr.Events()
+	if tr.Len() != 4 || tr.Dropped() != 1 || len(evs) != 4 || evs[0].A != 1 || evs[3].A != 4 {
+		t.Fatalf("after one wrap: Len %d Dropped %d events %+v", tr.Len(), tr.Dropped(), evs)
+	}
+}
+
 func TestNilAndEmptyTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Instant(0, EvWire, 0, 0, 0, 0)
@@ -48,7 +79,8 @@ func TestNilAndEmptyTracerSafe(t *testing.T) {
 
 func TestTracerNoAllocations(t *testing.T) {
 	// The hot-path guarantee: emitting is allocation-free both when tracing
-	// is disabled (nil tracer) and when it is enabled (preallocated ring).
+	// is disabled (nil tracer) and when it is enabled (a ring that has
+	// grown to its capacity).
 	var nilTr *Tracer
 	if n := testing.AllocsPerRun(1000, func() {
 		nilTr.Instant(1, EvWire, 2, 3, 4, 5)
@@ -56,6 +88,9 @@ func TestTracerNoAllocations(t *testing.T) {
 		t.Fatalf("nil tracer allocates %v per emit, want 0", n)
 	}
 	tr := NewTracer(64)
+	for i := 0; i < 64; i++ {
+		tr.Instant(0, EvWire, 0, 0, 0, 0)
+	}
 	if n := testing.AllocsPerRun(1000, func() {
 		tr.Instant(1, EvWire, 2, 3, 4, 5)
 		tr.Begin(1, EvWR, 2, 3, 4, 5)

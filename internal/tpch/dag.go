@@ -208,8 +208,12 @@ func PlanQ4(db *DB, local bool) *dag.Graph {
 }
 
 // PlanQ3 builds TPC-H Q3 as a DAG: CUSTOMER and ORDERS hash to the first
-// join on customer key, its projected output meets LINEITEM on order key,
-// and the grouped revenues gather into the top-ten stage.
+// join on customer key, and its projected output meets LINEITEM on order
+// key. join2 is hash-partitioned on order key, the first group column, so
+// each node's groups are complete: it keeps its own top ten, and only those
+// gather into the final top-ten stage (the §5.2 rule of a top-N below the
+// gather). q3Less is a total order on groups, so the local and global cuts
+// agree on ties.
 func PlanQ3(db *DB) *dag.Graph {
 	g := dag.New()
 	cust := g.AddStage(dag.Stage{
@@ -273,14 +277,18 @@ func PlanQ3(db *DB) *dag.Graph {
 	join2 := g.AddStage(dag.Stage{
 		Name: "join2", Stateful: true,
 		Build: func(node int, in []engine.Operator) engine.Operator {
-			// (okey, odate, shippri) ++ (okey, price, disc), grouped.
-			return &engine.HashAgg{
-				In: &engine.HashJoin{
-					Build: in[0], Probe: in[1],
-					BuildKey: 0, ProbeKey: 0,
+			// (okey, odate, shippri) ++ (okey, price, disc), grouped, and
+			// this node's top ten of its complete groups.
+			return &engine.TopN{
+				In: &engine.HashAgg{
+					In: &engine.HashJoin{
+						Build: in[0], Probe: in[1],
+						BuildKey: 0, ProbeKey: 0,
+					},
+					KeyCols: []int{0, 1, 2},
+					Aggs:    []engine.AggSpec{revenue(4, 5)},
 				},
-				KeyCols: []int{0, 1, 2},
-				Aggs:    []engine.AggSpec{revenue(4, 5)},
+				N: 10, Less: q3Less,
 			}
 		},
 	})
@@ -289,29 +297,34 @@ func PlanQ3(db *DB) *dag.Graph {
 	final := g.AddStage(dag.Stage{
 		Name: "final", Parallelism: 1, Stateful: true,
 		Build: func(node int, in []engine.Operator) engine.Operator {
-			return &engine.TopN{
-				In: &engine.HashAgg{In: in[0], KeyCols: []int{0, 1, 2},
-					Aggs: []engine.AggSpec{sumCol(3)}},
-				N: 10,
-				Less: func(sch *engine.Schema, a, b []byte) bool {
-					fa := f64(engine.RowInt64(sch, a, 3))
-					fb := f64(engine.RowInt64(sch, b, 3))
-					if fa != fb {
-						return fa > fb // revenue descending
-					}
-					return engine.RowInt64(sch, a, 1) < engine.RowInt64(sch, b, 1)
-				},
-			}
+			return &engine.TopN{In: in[0], N: 10, Less: q3Less}
 		},
 	})
 	g.Connect(join2, final, dag.WithKey(0))
 	return g
 }
 
+// q3Less orders Q3's (okey, odate, shippri, revenue) groups by revenue
+// descending, then order date, then order key, which is unique per group.
+func q3Less(sch *engine.Schema, a, b []byte) bool {
+	fa := f64(engine.RowInt64(sch, a, 3))
+	fb := f64(engine.RowInt64(sch, b, 3))
+	if fa != fb {
+		return fa > fb
+	}
+	if oa, ob := engine.RowInt64(sch, a, 1), engine.RowInt64(sch, b, 1); oa != ob {
+		return oa < ob
+	}
+	return engine.RowInt64(sch, a, 0) < engine.RowInt64(sch, b, 0)
+}
+
 // PlanQ10 builds TPC-H Q10 as a DAG: ORDERS and LINEITEM hash to the
-// first join on order key, per-customer revenues meet the local
-// customer×nation join on customer key, and the grouped result gathers
-// into the top-twenty stage.
+// first join on order key, and per-customer revenues meet the local
+// customer×nation join on customer key. join2 is hash-partitioned on
+// customer key, the first group column, so each node's groups are complete:
+// it keeps its own top twenty, and only those gather into the final
+// top-twenty stage (the §5.2 rule of a top-N below the gather). q10Less is a
+// total order on groups, so the local and global cuts agree on ties.
 func PlanQ10(db *DB) *dag.Graph {
 	g := dag.New()
 	ord := g.AddStage(dag.Stage{
@@ -379,14 +392,18 @@ func PlanQ10(db *DB) *dag.Graph {
 	join2 := g.AddStage(dag.Stage{
 		Name: "join2", Stateful: true,
 		Build: func(node int, in []engine.Operator) engine.Operator {
-			// customer attrs ++ (custkey, revenue), grouped per customer.
-			return &engine.HashAgg{
-				In: &engine.HashJoin{
-					Build: in[1], Probe: in[0],
-					BuildKey: 0, ProbeKey: 0,
+			// customer attrs ++ (custkey, revenue), grouped per customer, and
+			// this node's top twenty of its complete groups.
+			return &engine.TopN{
+				In: &engine.HashAgg{
+					In: &engine.HashJoin{
+						Build: in[1], Probe: in[0],
+						BuildKey: 0, ProbeKey: 0,
+					},
+					KeyCols: []int{0, 1, 2, 3, 4, 5, 6},
+					Aggs:    []engine.AggSpec{sumCol(8)},
 				},
-				KeyCols: []int{0, 1, 2, 3, 4, 5, 6},
-				Aggs:    []engine.AggSpec{sumCol(8)},
+				N: 20, Less: q10Less,
 			}
 		},
 	})
@@ -395,16 +412,20 @@ func PlanQ10(db *DB) *dag.Graph {
 	final := g.AddStage(dag.Stage{
 		Name: "final", Parallelism: 1, Stateful: true,
 		Build: func(node int, in []engine.Operator) engine.Operator {
-			return &engine.TopN{
-				In: &engine.HashAgg{In: in[0], KeyCols: []int{0, 1, 2, 3, 4, 5, 6},
-					Aggs: []engine.AggSpec{sumCol(7)}},
-				N: 20,
-				Less: func(sch *engine.Schema, a, b []byte) bool {
-					return f64(engine.RowInt64(sch, a, 7)) > f64(engine.RowInt64(sch, b, 7))
-				},
-			}
+			return &engine.TopN{In: in[0], N: 20, Less: q10Less}
 		},
 	})
 	g.Connect(join2, final, dag.WithKey(0))
 	return g
+}
+
+// q10Less orders Q10's per-customer groups by revenue (column 7) descending,
+// then customer key, which is unique per group.
+func q10Less(sch *engine.Schema, a, b []byte) bool {
+	fa := f64(engine.RowInt64(sch, a, 7))
+	fb := f64(engine.RowInt64(sch, b, 7))
+	if fa != fb {
+		return fa > fb
+	}
+	return engine.RowInt64(sch, a, 0) < engine.RowInt64(sch, b, 0)
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"rshuffle/internal/cluster"
+	"rshuffle/internal/dag"
+	"rshuffle/internal/engine"
 	"rshuffle/internal/sim"
 )
 
@@ -16,7 +18,9 @@ import (
 // the virtual response time must not move. The result constants were
 // captured at the last commit that still carried the hand-wired
 // RunQ3/RunQ4/RunQ10 drivers; the response times carry one route latency per
-// fragment completion. Two logical partitions must reproduce all three.
+// fragment completion; Q3's and Q10's moved when their top-N went below
+// the gather, and their result bytes did not. Two logical partitions must
+// reproduce all three.
 func TestDagPlansGolden(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // the parallel window path, even on one core
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -31,13 +35,13 @@ func TestDagPlansGolden(t *testing.T) {
 		elapsed sim.Duration
 	}{
 		{"q3", 3, Random, false, 13,
-			"cd9a8a583ad27dd0aa2db632d7a9e252f061506de3d9f9f6299e99d657317123", 10, 64750},
+			"cd9a8a583ad27dd0aa2db632d7a9e252f061506de3d9f9f6299e99d657317123", 10, 62953},
 		{"q4", 4, Random, false, 11,
 			"450f6d8cc7fa693fcd464929cd49085b1b822045b87043c206dccee8e9683b6e", 5, 55462},
 		{"q4-local", 4, CoPartitioned, true, 11,
 			"450f6d8cc7fa693fcd464929cd49085b1b822045b87043c206dccee8e9683b6e", 5, 36957},
 		{"q10", 10, Random, false, 17,
-			"1c2f0be29e4f4e54a14ec2b716b0faeea5fec56fd06879795b9e06208acbcceb", 20, 91314},
+			"1c2f0be29e4f4e54a14ec2b716b0faeea5fec56fd06879795b9e06208acbcceb", 20, 64338},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -80,6 +84,69 @@ func TestDagPlansGolden(t *testing.T) {
 				t.Errorf("lps=2: %d rows, sha256 %s, elapsed %d ns; golden %d, %s, %d ns",
 					res.Rows, sha, res.Elapsed, tc.rows, tc.sha, tc.elapsed)
 			}
+		})
+	}
+}
+
+// gatherAll rewrites a Q3 or Q10 plan back to gathering every group: join2
+// emits its whole aggregation and final re-aggregates the groups before its
+// top-N, as the plans did before the top-N moved below the gather.
+func gatherAll(g *dag.Graph) *dag.Graph {
+	for _, s := range g.Stages() {
+		build := s.Build
+		switch s.Name {
+		case "join2":
+			s.Build = func(node int, in []engine.Operator) engine.Operator {
+				return build(node, in).(*engine.TopN).In
+			}
+		case "final":
+			s.Build = func(node int, in []engine.Operator) engine.Operator {
+				top := build(node, in).(*engine.TopN)
+				last := len(in[0].Schema().Cols) - 1
+				keys := make([]int, last)
+				for i := range keys {
+					keys[i] = i
+				}
+				top.In = &engine.HashAgg{In: in[0], KeyCols: keys,
+					Aggs: []engine.AggSpec{sumCol(last)}}
+				return top
+			}
+		}
+	}
+	return g
+}
+
+// TestTopNBelowGather pins the plan rule on Q3 and Q10 at 16 nodes: the
+// gather into final carries at most each node's top N, and the result
+// bytes equal those of the plan that gathers every group.
+func TestTopNBelowGather(t *testing.T) {
+	const nodes = 16
+	for _, tc := range []struct {
+		q, n int
+		plan func(*DB) *dag.Graph
+	}{{3, 10, PlanQ3}, {10, 20, PlanQ10}} {
+		t.Run(fmt.Sprintf("q%d", tc.q), func(t *testing.T) {
+			db := Generate(0.005*nodes, nodes, Random, 23)
+			run := func(g *dag.Graph) (*dag.Result, string) {
+				r := g.Run(cluster.New(quiet(), nodes, 2, 5), testFactory())
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				return r, fmt.Sprintf("%x", sha256.Sum256(r.Result.Data))
+			}
+			r, sha := run(tc.plan(db))
+			old, oldSHA := run(gatherAll(tc.plan(db)))
+			got, all := r.EdgeByID("join2->final").Rows, old.EdgeByID("join2->final").Rows
+			if got > int64(nodes*tc.n) {
+				t.Errorf("join2->final carried %d rows, want <= %d nodes x top %d", got, nodes, tc.n)
+			}
+			if all <= got {
+				t.Errorf("gathering every group carried %d rows, no more than the top-N plan's %d", all, got)
+			}
+			if sha != oldSHA || r.Rows != int64(tc.n) {
+				t.Errorf("%d rows, sha256 %s; gathering every group gives %d rows, %s", r.Rows, sha, old.Rows, oldSHA)
+			}
+			t.Logf("join2->final: %d rows, %d when every group gathers", got, all)
 		})
 	}
 }

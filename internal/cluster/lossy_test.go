@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"strings"
 	"testing"
 
@@ -38,44 +39,54 @@ func runLossyIncast(t *testing.T, prof fabric.Profile, seed int64, rows int) *Be
 	return res
 }
 
-// TestLossyIncastDCQCNDegradationWhenDisabled is the acceptance check for
-// the DCQCN rate limiter: under RoCEv2Lossy with an incast-heavy skewed
-// plan, turning the congestion-control loop off must measurably degrade the
-// response time. With the loop on, WRED marks hold the hot queue near the
-// marking threshold and the run completes cleanly; with it off, the switch
-// tail-drops entire committed windows, the NICs burn ACK timeouts on
-// go-back-N replays, and sustained overrun can exhaust retry budgets —
-// surfacing as a bounded QP error / stalled-endpoint report, never a panic
-// or a hang.
+// TestLossyIncastDCQCNDegradationWhenDisabled asserts the lossy tier's
+// congestion-control finding as a rate over seeds 1–10, not as one seed's
+// outcome: under RoCEv2Lossy with an incast-heavy skewed plan, the run with
+// the DCQCN loop on completes cleanly on strictly more seeds than the run
+// with it off. With the loop on, WRED marks hold the hot queue near the
+// marking threshold; with it off, the switch tail-drops entire committed
+// windows, the NICs burn ACK timeouts on go-back-N replays, and sustained
+// overrun exhausts retry budgets. Either leg may fail on a given seed, but
+// only the bounded way: a stalled-endpoint or transport-error report within
+// a few stall timeouts — never lost rows, a panic or a hang — and a clean
+// run delivers every row exactly once.
 func TestLossyIncastDCQCNDegradationWhenDisabled(t *testing.T) {
-	const rows = 262144
-	on := runLossyIncast(t, fabric.RoCEv2Lossy(), 42, rows)
-	if on.Err != nil {
-		t.Fatalf("with DCQCN on the lossy incast must complete cleanly; got %v", on.Err)
-	}
-	// Completing is not enough: the run tail-drops and retransmits hundreds
-	// of buffers on the way, and every row must still arrive exactly once.
-	var delivered int64
-	for _, r := range on.RowsPerNode {
-		delivered += r
-	}
-	if delivered != 8*rows {
-		t.Fatalf("DCQCN-on leg delivered %d of %d rows", delivered, 8*rows)
-	}
-
+	const rows, seeds = 262144, 10
 	off := fabric.RoCEv2Lossy()
 	off.DCQCN = false
-	offRes := runLossyIncast(t, off, 42, rows)
-
-	// Degradation can surface two ways, both acceptable and both "measurable":
-	// the run limps home slower, or loss escalates past the retry budget and
-	// the query dies with a bounded transport error. What is NOT acceptable
-	// is off matching on.
-	if offRes.Err == nil && float64(offRes.Elapsed) < 1.05*float64(on.Elapsed) {
-		t.Fatalf("DCQCN off finished in %v vs on %v with no error: disabling congestion control should measurably hurt",
-			offRes.Elapsed, on.Elapsed)
+	bound := 2 * shuffle.Config{}.Defaulted().StallTimeout
+	clean := func(prof fabric.Profile, leg string) int {
+		n := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			res := runLossyIncast(t, prof, seed, rows)
+			if res.Err == nil {
+				var delivered int64
+				for _, r := range res.RowsPerNode {
+					delivered += r
+				}
+				if delivered != 8*rows {
+					t.Errorf("%s seed %d: clean run delivered %d of %d rows", leg, seed, delivered, 8*rows)
+				}
+				n++
+				continue
+			}
+			if errors.Is(res.Err, shuffle.ErrRowsLost) ||
+				!(errors.Is(res.Err, shuffle.ErrStalled) || errors.Is(res.Err, shuffle.ErrTransport)) {
+				t.Errorf("%s seed %d: want a stalled or transport error, got %v", leg, seed, res.Err)
+			}
+			if res.Elapsed > bound {
+				t.Errorf("%s seed %d: failure took %v, past %v", leg, seed, res.Elapsed, bound)
+			}
+		}
+		return n
 	}
-	t.Logf("DCQCN on: %v; DCQCN off: %v (err=%v)", on.Elapsed, offRes.Elapsed, offRes.Err)
+	on := clean(fabric.RoCEv2Lossy(), "DCQCN on")
+	offClean := clean(off, "DCQCN off")
+	t.Logf("clean runs over seeds 1-%d: DCQCN on %d/%d, DCQCN off %d/%d", seeds, on, seeds, offClean, seeds)
+	if on <= offClean {
+		t.Errorf("DCQCN on completed %d/%d seeds, off %d/%d: disabling congestion control should cost completions",
+			on, seeds, offClean, seeds)
+	}
 }
 
 // TestLossyChaosSmoke runs an RC design and a UD design through the fault
@@ -124,7 +135,7 @@ func TestLossyMatrixConservesRows(t *testing.T) {
 	const rows = 16384
 	run := func(alg shuffle.Algorithm) (delivered int64, err error, hash [32]byte) {
 		c := New(fabric.RoCEv2Lossy(), 4, 2, 42)
-		tr := c.EnableTracing(1 << 18)
+		c.EnableTracing(1 << 18)
 		res, simErr := c.RunBench(BenchOpts{
 			Factory: RDMAProvider(alg.Config(c.Threads)), RowsPerNode: rows, GroupsFn: incast,
 		})
@@ -135,7 +146,7 @@ func TestLossyMatrixConservesRows(t *testing.T) {
 			delivered += r
 		}
 		var b bytes.Buffer
-		if werr := telemetry.WriteChromeTrace(&b, tr); werr != nil {
+		if werr := telemetry.WriteChromeEvents(&b, c.Trace()); werr != nil {
 			t.Fatal(werr)
 		}
 		return delivered, res.Err, sha256.Sum256(b.Bytes())
@@ -159,7 +170,7 @@ func TestLossyMatrixConservesRows(t *testing.T) {
 func tracedLossyRun(t *testing.T, seed int64, rows int) string {
 	t.Helper()
 	c := New(fabric.RoCEv2Lossy(), 4, 2, seed)
-	tr := c.EnableTracing(1 << 18)
+	c.EnableTracing(1 << 18)
 	cfg := shuffle.Algorithms[0].Config(c.Threads)
 	res, err := c.RunBench(BenchOpts{
 		Factory: RDMAProvider(cfg), RowsPerNode: rows, GroupsFn: incast,
@@ -171,7 +182,7 @@ func tracedLossyRun(t *testing.T, seed int64, rows int) string {
 		t.Fatalf("traced lossy run errored: %v", res.Err)
 	}
 	var b strings.Builder
-	if err := telemetry.WriteChromeTrace(&b, tr); err != nil {
+	if err := telemetry.WriteChromeEvents(&b, c.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

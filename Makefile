@@ -16,8 +16,8 @@ test-full:
 # vet also guards the one query lifecycle: outside the simulator itself, its
 # qperf baseline and the frozen bench/ harness, only the driver
 # (cluster.Run, internal/cluster/query.go) may run a cluster's engine — a
-# hand-rolled Sim.Run()/Group.Run() forgets Recycle, picks the wrong one of
-# the two for the profile, or both. It also keeps fabric's SetArrivalBatching dead: the method is an
+# hand-rolled Sim.Run()/Group.Run() forgets Recycle, or runs the control
+# partition alone where the cluster has more. It also keeps fabric's SetArrivalBatching dead: the method is an
 # empty stub the frozen bench/probes.go still calls, and goes with that probe.
 # And it keeps the buffer pool's tenants a reviewed list: outside tests,
 # bufpool.Get may be called from the three files that own a pooled store and
@@ -71,6 +71,8 @@ trace-rocev2:
 	$$tmp/shufflebench -profile rocev2 -trace trace-rocev2-2.json && \
 	cmp trace-rocev2.json trace-rocev2-2.json && \
 	grep -q '"name":"rate_cut"' trace-rocev2.json && \
+	grep -q '"name":"pfc_pause"' trace-rocev2.json && \
+	grep -q '"name":"ecn_mark"' trace-rocev2.json && \
 	echo "lossy trace deterministic: trace-rocev2.json"
 
 # Short lossy chaos smoke: every Table 1 design through the fault matrix on

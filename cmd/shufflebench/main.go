@@ -41,7 +41,7 @@ func main() {
 		trace   = flag.String("trace", "", "run a short traced benchmark and write Chrome trace-event JSON to this file")
 		metrics = flag.Bool("metrics", false, "regenerate the paper's Table 1 counters from the metrics registry")
 		workers = flag.Int("workers", 0, "simulation cells in flight at once: 1 = serial reference mode, 0 = one per CPU")
-		lps     = flag.Int("lps", 0, "logical partitions per simulation: every cell of every exhibit — throughput, setup-only, DAG and TPC-H — is spread over this many (0 and 1 both mean one; byte-identical results at every count; cells on a lossy profile run on a single simulation and ignore it; combine with -workers 1 to give one big run the whole machine)")
+		lps     = flag.Int("lps", 0, "logical partitions per simulation: every cell of every exhibit — throughput, setup-only, DAG and TPC-H — is spread over this many (0 and 1 both mean one; byte-identical results at every count; cells on a lossy profile run on one partition and ignore it; combine with -workers 1 to give one big run the whole machine)")
 		profile = flag.String("profile", "ib", "fabric for -chaos and -trace: 'ib' (lossless InfiniBand) or 'rocev2' (lossy Ethernet with PFC/ECN/DCQCN)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -244,9 +244,8 @@ func runTraced(w io.Writer, path string, prof fabric.Profile, seed int64) error 
 		return err
 	}
 	defer f.Close()
-	// c.Trace(), not the tracer EnableTracing returns: on a lossless profile
-	// every node records into its own shard and that one is the control
-	// actor's alone.
+	// c.Trace(), not the tracer EnableTracing returns: every node records
+	// into its own shard and that one is the control actor's alone.
 	events := c.Trace()
 	if err := telemetry.WriteChromeEvents(f, events); err != nil {
 		return err

@@ -38,8 +38,7 @@ func reportPool(b *testing.B) func() {
 // simTotals accumulates a benchmark's simulator counters over its queries.
 type simTotals struct{ events, switches, dispatches uint64 }
 
-// add takes a finished query's counters. Every benchmark here boots a
-// lossless profile, so the cluster runs on a Group.
+// add takes a finished query's counters.
 func (s *simTotals) add(c *cluster.Cluster) {
 	s.events += c.Events()
 	s.switches += c.Group.Switches()

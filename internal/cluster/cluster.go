@@ -22,9 +22,8 @@ import (
 type Cluster struct {
 	Sim *sim.Simulation
 	Net *fabric.Network
-	// Group is the logical-partition coordinator of a cluster on a lossless
-	// profile, and Sim its control partition's simulation; nil on a lossy
-	// profile, which runs on Sim alone (see NewWithOptions).
+	// Group is the cluster's logical-partition coordinator, and Sim its
+	// control partition's simulation.
 	Group   *sim.Group
 	Devs    []*verbs.Device
 	N       int
@@ -50,98 +49,68 @@ func New(prof fabric.Profile, nodes, threads int, seed int64) *Cluster {
 	return NewWithOptions(prof, nodes, threads, seed, SimOptions{})
 }
 
-// SimOptions tunes how a cluster's simulation executes. Which engine runs
-// is not an option: the profile decides (see NewWithOptions).
+// SimOptions tunes how a cluster's simulation executes.
 type SimOptions struct {
-	// ParallelLPs is the number of logical partitions a lossless cluster's
-	// nodes are spread over, in contiguous blocks, and executed with
-	// conservative lookahead-windowed parallelism (see internal/sim/pdes.go).
-	// Cross-node interactions ride routed mailboxes at every count, so a
-	// given seed produces byte-identical results whatever the value; 0 and 1
-	// both mean one partition, which runs with no windows at all. Values
-	// above the node count are clamped.
+	// ParallelLPs is the number of logical partitions the cluster's nodes
+	// are spread over, in contiguous blocks, and executed with conservative
+	// lookahead-windowed parallelism (see internal/sim/pdes.go). Cross-node
+	// interactions ride routed mailboxes at every count, so a given seed
+	// produces byte-identical results whatever the value; 0 and 1 both mean
+	// one partition, which runs with no windows at all. Values above the
+	// node count are clamped. A lossy profile needs one partition.
 	ParallelLPs int
 }
 
-// NewWithOptions boots a cluster like New. The profile picks the engine. A
-// lossless profile runs on a sim.Group of ParallelLPs partitions (at least
-// one) and supports fault plans whose rules are pure time-window checks
-// (crashes, partitions) at any count; probabilistic loss draws couple
-// partitions through a shared RNG stream and need ParallelLPs <= 1. A lossy
-// profile runs on a single Simulation — its PFC/ECN egress model writes
-// sender state from receiver context, which is only safe on one clock — and
-// rejects ParallelLPs > 1.
+// NewWithOptions boots a cluster like New, on a sim.Group of ParallelLPs
+// partitions (at least one). Fault plans whose rules are pure time-window
+// checks (crashes, partitions) work at any count; probabilistic loss draws
+// couple partitions through a shared RNG stream and need ParallelLPs <= 1.
+// A lossy profile rejects ParallelLPs > 1: its PFC/ECN egress model writes
+// sender state from receiver context, which is only safe on one clock.
 func NewWithOptions(prof fabric.Profile, nodes, threads int, seed int64, opts SimOptions) *Cluster {
 	if threads <= 0 {
 		threads = prof.Threads
 	}
-	c := &Cluster{N: nodes, Threads: threads}
-	if prof.Lossy {
-		if opts.ParallelLPs > 1 {
-			panic(fmt.Sprintf("cluster: profile %s is lossy and runs on a single simulation; ParallelLPs %d is not supported",
-				prof.Name, opts.ParallelLPs))
-		}
-		c.Sim = sim.New(seed)
-		c.Net = fabric.New(c.Sim, prof, nodes)
-	} else {
-		c.Group = sim.NewGroup(seed, opts.ParallelLPs, nodes, prof.RouteLatency())
-		c.Net = fabric.NewPartitioned(c.Group, prof, nodes, seed)
-		c.Sim = c.Net.Sim
+	if prof.Lossy && opts.ParallelLPs > 1 {
+		panic(fmt.Sprintf("cluster: profile %s is lossy and runs on one partition; ParallelLPs %d is not supported",
+			prof.Name, opts.ParallelLPs))
 	}
+	c := &Cluster{N: nodes, Threads: threads}
+	c.Group = sim.NewGroup(seed, opts.ParallelLPs, nodes, prof.RouteLatency())
+	c.Net = fabric.NewPartitioned(c.Group, prof, nodes, seed)
+	c.Sim = c.Net.Sim
 	c.Devs = verbs.OpenAll(c.Net)
 	return c
 }
 
 // Ctx returns an operator context for one node's fragment. The fragment's
-// Procs run on the simulation owning the node: its partition, or the one
-// simulation of a lossy profile.
+// Procs run on the simulation owning the node's partition.
 func (c *Cluster) Ctx(node int) *engine.Ctx {
 	return &engine.Ctx{S: c.Net.SimAt(node), Prof: &c.Net.Prof, Threads: c.Threads, Node: node}
 }
 
 // Events returns the total number of simulation events fired, summed across
 // partitions.
-func (c *Cluster) Events() uint64 {
-	if c.Group != nil {
-		return c.Group.Events()
-	}
-	return c.Sim.Events()
-}
+func (c *Cluster) Events() uint64 { return c.Group.Events() }
 
-// EnableTracing attaches a fresh event tracer holding at most capacity
-// events to the cluster's fabric; every layer (fabric, verbs, shuffle,
-// detector) reaches it through Network.Tracer. It returns the tracer for
-// export after the run — on a lossy profile only. On a lossless one each
-// node gets its own shard (plus one for control) so emission never crosses
-// partitions, and the returned tracer is the control shard alone: read and
-// export the run's trace through Trace, which is right on both.
+// EnableTracing gives every node of the cluster's fabric a fresh trace
+// shard holding at most capacity events, plus one for the control actor, so
+// emission never crosses partitions; every layer (fabric, verbs, shuffle,
+// detector) reaches its shard through Network.TracerAt. It returns the
+// control shard alone: read and export the run's trace through Trace.
 func (c *Cluster) EnableTracing(capacity int) *telemetry.Tracer {
-	if c.Group != nil {
-		shards := make([]*telemetry.Tracer, c.N+1)
-		for i := range shards {
-			shards[i] = telemetry.NewTracer(capacity)
-		}
-		c.Net.SetTracerShards(shards)
-		return shards[c.N]
+	shards := make([]*telemetry.Tracer, c.N+1)
+	for i := range shards {
+		shards[i] = telemetry.NewTracer(capacity)
 	}
-	t := telemetry.NewTracer(capacity)
-	c.Net.SetTracer(t)
-	return t
+	c.Net.SetTracerShards(shards)
+	return shards[c.N]
 }
 
 // Trace returns the run's trace events in one deterministic stream: the
-// per-node shards merged by (time, shard, emission order) and renumbered, or
-// the single tracer's events on a lossy profile. Returns nil when tracing
-// was never enabled.
-func (c *Cluster) Trace() []telemetry.Event {
-	if c.Group != nil {
-		return telemetry.MergeShards(c.Net.TraceShards())
-	}
-	if t := c.Net.Tracer(); t != nil {
-		return t.Events()
-	}
-	return nil
-}
+// per-node shards merged by (time, shard, emission order) and renumbered.
+// Returns nil when tracing was never enabled.
+func (c *Cluster) Trace() []telemetry.Event { return telemetry.MergeShards(c.Net.TraceShards()) }
 
 // Metrics scrapes the whole stack into a fresh registry: every fabric NIC
 // counter, every verbs device counter, and — when a failure detector is

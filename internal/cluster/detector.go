@@ -105,17 +105,12 @@ func (c *Cluster) InstallDetector(cfg DetectorConfig) *Detector {
 func (d *Detector) Stop() { d.stopped = true }
 
 // notify delivers a connection-manager verdict (peer-down, peer-up, epoch
-// bump) to node's device. The detector itself is control-partition state; on
-// a partitioned cluster the verdict rides a routed management message to the
-// node's partition — a device is only ever touched by its own partition —
-// arriving one route latency after the tick, at any LP count. On a lossy
-// profile's single simulation the call is synchronous.
+// bump) to node's device. The detector itself is control-partition state;
+// the verdict rides a routed management message to the node's partition — a
+// device is only ever touched by its own partition — arriving one route
+// latency after the tick, at any LP count.
 func (d *Detector) notify(node int, fn func()) {
 	c := d.c
-	if c.Group == nil {
-		fn()
-		return
-	}
 	c.Net.Route(c.N, node, c.Sim.Now().Add(c.Net.Prof.RouteLatency()), fn)
 }
 

@@ -175,12 +175,11 @@ func TestSameInstantTieEquivalence(t *testing.T) {
 	}
 }
 
-// TestProfilePicksEngine: which engine runs is decided by the profile and by
-// nothing a caller sets. On a lossless profile New, SimOptions{} and
-// ParallelLPs 1 are one boot — a one-partition sim.Group — and give
-// byte-identical results, metrics reports and merged traces; a lossy profile
-// runs on a single Simulation and rejects a partition count it cannot honour
-// by name.
+// TestProfilePicksEngine: every profile boots a sim.Group. New,
+// SimOptions{} and ParallelLPs 1 are one boot — a one-partition Group — and
+// give byte-identical results, metrics reports and merged traces; a lossy
+// profile boots one too, and rejects a partition count it cannot honour by
+// name.
 func TestProfilePicksEngine(t *testing.T) {
 	alg := shuffle.Algorithms[0]
 	boots := []struct {
@@ -193,8 +192,8 @@ func TestProfilePicksEngine(t *testing.T) {
 	}
 	var ref string
 	for _, b := range boots {
-		if b.c.Group == nil || b.c.Group.LPs() != 1 {
-			t.Fatalf("%s: a lossless profile must boot a one-partition Group", b.name)
+		if b.c.Group.LPs() != 1 {
+			t.Fatalf("%s: must boot a one-partition Group", b.name)
 		}
 		got := fingerprint(t, b.c, alg, b.name, false)
 		if ref == "" {
@@ -209,8 +208,8 @@ func TestProfilePicksEngine(t *testing.T) {
 	}
 
 	lossy := fabric.RoCEv2Lossy()
-	if c := cluster.NewWithOptions(lossy, 4, 2, fpSeed, cluster.SimOptions{ParallelLPs: 1}); c.Group != nil {
-		t.Fatal("a lossy profile must run on a single Simulation")
+	if c := cluster.NewWithOptions(lossy, 4, 2, fpSeed, cluster.SimOptions{ParallelLPs: 1}); c.Group.LPs() != 1 {
+		t.Fatal("a lossy profile must boot a one-partition Group")
 	}
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, lossy.Name) || !strings.Contains(msg, "ParallelLPs 2") {

@@ -16,8 +16,8 @@ const (
 // Query is the body of one query: the steps that differ between the §5.1
 // benchmark, a DAG plan and a bare transport bootstrap. Everything around
 // them — the driver Proc and its phase spans, the stream instant, fragment
-// completion, which engine runs and how it is torn down — belongs to
-// Cluster.Run, the one place that knows whether the cluster is partitioned.
+// completion, how the engine runs and how it is torn down — belongs to
+// Cluster.Run.
 type Query struct {
 	// Name names the driver Proc and its WaitGroup; the join Proc is
 	// Name+"-join".
@@ -50,11 +50,11 @@ type Query struct {
 // Go starts one fragment of the running query: sink drains its plan with the
 // cluster's worker threads on node, and the query ends when every fragment
 // started this way has finished. Completion is a control message: the
-// WaitGroups live on the control partition, so on a partitioned cluster a
-// fragment's finish routes home like any other cross-node interaction,
-// paying one route latency, and the join instant is identical at every LP
-// count. also lists further control-partition WaitGroups (a plan's per-stage
-// groups) the same completion releases. Call it from Stream only.
+// WaitGroups live on the control partition, so a fragment's finish routes
+// home like any other cross-node interaction, paying one route latency, and
+// the join instant is identical at every LP count. also lists further
+// control-partition WaitGroups (a plan's per-stage groups) the same
+// completion releases. Call it from Stream only.
 func (q *Query) Go(node int, name string, sink *engine.Sink, also ...*sim.WaitGroup) {
 	c := q.c
 	q.done.Add(1)
@@ -68,19 +68,15 @@ func (q *Query) Go(node int, name string, sink *engine.Sink, also ...*sim.WaitGr
 		q.done.Done()
 	}
 	sink.Run(c.Ctx(node), name, func(p *sim.Proc) {
-		if c.Group == nil {
-			finished()
-			return
-		}
 		c.Net.Route(node, c.N, p.Now().Add(c.Net.Prof.RouteLatency()), finished)
 	})
 }
 
 // Run drives one query through its whole lifecycle — setup span, stream
 // instant (AtBenchStart callbacks fire here), fragments, join, teardown —
-// on whichever engine the cluster was booted with, and returns the engine's
-// error (a deadlock or a stall). It owns the cluster's simulation and
-// recycles it, also on error: use a fresh cluster per query.
+// and returns the engine's error (a deadlock or a stall). It owns the
+// cluster's simulation and recycles it, also on error: use a fresh cluster
+// per query.
 func (c *Cluster) Run(q *Query) error {
 	q.c = c
 	c.Sim.Spawn(q.Name, func(p *sim.Proc) {
@@ -98,12 +94,10 @@ func (c *Cluster) Run(q *Query) error {
 		if q.Stream != nil {
 			q.Stream(p)
 		}
-		if c.Group != nil {
-			// Setup reached across partitions freely (fused lockstep); from
-			// the next barrier on, the streaming phase runs wide — every
-			// partition executes its lookahead window in parallel.
-			c.Group.GoWide()
-		}
+		// Setup reached across partitions freely (fused lockstep); from the
+		// next barrier on, the streaming phase runs wide — every partition
+		// executes its lookahead window in parallel.
+		c.Group.GoWide()
 		c.Sim.Spawn(q.Name+"-join", func(p *sim.Proc) {
 			q.done.Wait(p)
 			// The query ends the instant the last completion lands, before
@@ -111,9 +105,7 @@ func (c *Cluster) Run(q *Query) error {
 			// resumes it two lookahead intervals later, so reading the clock
 			// after it would fold engine bookkeeping into the response time.
 			q.End = p.Now()
-			if c.Group != nil {
-				c.Group.Fuse(p)
-			}
+			c.Group.Fuse(p)
 			if c.FD != nil {
 				c.FD.Stop()
 			}
@@ -123,12 +115,7 @@ func (c *Cluster) Run(q *Query) error {
 			}
 		})
 	})
-	var err error
-	if c.Group != nil {
-		err = c.Group.Run()
-	} else {
-		err = c.Sim.Run()
-	}
+	err := c.Group.Run()
 	c.Recycle()
 	return err
 }
@@ -141,15 +128,11 @@ func (c *Cluster) Run(q *Query) error {
 // slow down as the GC's mark work grows). The simulation must be finished
 // and must not run again: a recycled ring may immediately back an endpoint
 // in another cluster. Run calls it on completion; call it directly only
-// after driving c.Sim.Run by hand. Idempotent. Reading results, stats, and
+// after driving c.Group.Run by hand. Idempotent. Reading results, stats, and
 // c.Events() remains safe.
 func (c *Cluster) Recycle() {
 	for _, d := range c.Devs {
 		d.RecycleMRs()
 	}
-	if c.Group != nil {
-		c.Group.Shutdown()
-		return
-	}
-	c.Sim.Shutdown()
+	c.Group.Shutdown()
 }

@@ -21,19 +21,18 @@ func (s *closeStamp) Close(p *sim.Proc) {
 	s.at = p.Now()
 }
 
-// TestFragmentCompletionRoutesHome pins the one engine-dependent step of a
-// fragment's life. On a lossless profile the completion is a control message
-// from the fragment's node to the control partition and lands exactly one
-// route latency later — at 1 and 2 partitions alike, so the response time
-// cannot depend on the LP count. On a lossy profile, which runs on a single
-// simulation, the query ends the instant its last fragment finishes.
+// TestFragmentCompletionRoutesHome pins the last step of a fragment's life:
+// the completion is a control message from the fragment's node to the
+// control partition and lands exactly one route latency later — at 1 and 2
+// partitions alike, so the response time cannot depend on the LP count, and
+// on the lossy tier as on the lossless one.
 func TestFragmentCompletionRoutesHome(t *testing.T) {
 	fdr, lossy := fabric.FDR(), fabric.RoCEv2Lossy()
 	for _, leg := range []struct {
 		prof fabric.Profile
 		lps  int
 		hop  sim.Duration
-	}{{fdr, 1, fdr.RouteLatency()}, {fdr, 2, fdr.RouteLatency()}, {lossy, 0, 0}} {
+	}{{fdr, 1, fdr.RouteLatency()}, {fdr, 2, fdr.RouteLatency()}, {lossy, 0, lossy.RouteLatency()}} {
 		name := fmt.Sprintf("%s lps=%d", leg.prof.Name, leg.lps)
 		c := NewWithOptions(leg.prof, 2, 1, 7, SimOptions{ParallelLPs: leg.lps})
 		frag := &closeStamp{Operator: &engine.Burn{

@@ -37,8 +37,8 @@ func tracedCrashRun(t *testing.T, seed int64, rows int) string {
 	if res.Err == nil {
 		t.Fatal("crash run unexpectedly succeeded; the trace would not cover recovery events")
 	}
-	// The tracer EnableTracing returns is the control shard alone on a
-	// lossless profile; the run's trace is the merged stream.
+	// The tracer EnableTracing returns is the control shard alone; the run's
+	// trace is the merged stream.
 	var b strings.Builder
 	if err := telemetry.WriteChromeEvents(&b, c.Trace()); err != nil {
 		t.Fatal(err)

@@ -195,16 +195,6 @@ func WithRange(col int, bounds []int64) EdgeOption {
 	}
 }
 
-// WithConfig is the option form of SetConfig.
-func WithConfig(cfg shuffle.Config) EdgeOption {
-	return func(e *Edge) { e.SetConfig(cfg) }
-}
-
-// WithAlgorithm is the option form of SetAlgorithm.
-func WithAlgorithm(a shuffle.Algorithm, threads int) EdgeOption {
-	return func(e *Edge) { e.SetAlgorithm(a, threads) }
-}
-
 // Graph is a DAG of stages under construction. Build one with New,
 // populate it with AddStage and Connect, and execute it with Run.
 type Graph struct {

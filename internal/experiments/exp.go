@@ -36,8 +36,8 @@ type Options struct {
 	// Complementary to Workers: cell-parallel sweeps spread *independent*
 	// simulations over cores, LP-parallelism spreads *one big* simulation —
 	// combine with Workers=1 to give a single large run the whole machine.
-	// Lossy-profile cells ignore the setting: they run on a single
-	// simulation (see cluster.NewWithOptions).
+	// Lossy-profile cells ignore the setting: they run on one partition
+	// (see cluster.NewWithOptions).
 	ParallelLPs int
 }
 

@@ -63,9 +63,11 @@ func ExtLossy(o Options) ([]*Table, error) {
 }
 
 // extLossyIncast is the crossover exhibit: a Zipf-skewed shuffle whose hot
-// receiver congests one switch port. With DCQCN the run completes; without
-// it the committed windows overrun the shared buffer, go-back-N burns ACK
-// timeouts, and sustained drops exhaust the retry budget.
+// receiver congests one switch port. Without DCQCN the committed windows
+// overrun the shared buffer, go-back-N burns ACK timeouts, and sustained
+// drops exhaust the retry budget; with it the run completes on some seeds
+// only (the rate is asserted by TestLossyIncastDCQCNDegradationWhenDisabled),
+// so one seed's cell here is an outcome, not the finding.
 func extLossyIncast(o Options) (*Table, error) {
 	t := &Table{
 		ID:    "Extension: lossy RoCEv2 — skewed incast crossover",
@@ -111,7 +113,8 @@ func extLossyIncast(o Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the crossover the extension exists for: with congestion control off the incast",
 		"tail-drops whole send windows until retry budgets exhaust and the query dies;",
-		"with it on every row arrives, in RC order, through ~300 drops and their replays")
+		"with it on, some seeds complete (4 of seeds 1-10), every row in RC order, through",
+		"300-450 drops and their replays; the rest lose one sender QP to retry exhaustion")
 	return t, nil
 }
 

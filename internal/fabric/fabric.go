@@ -149,18 +149,13 @@ type Network struct {
 	// faults is the installed fault schedule; empty by default.
 	faults FaultPlan
 
-	// tr is the attached event tracer; nil (the default) disables tracing
-	// at zero cost on the transmit path.
-	tr *telemetry.Tracer
-
 	// onECN, when set, runs in scheduler context at packet receive time for
 	// every ECN-marked data packet, identifying the flow. The verbs layer
 	// installs it to generate congestion notification packets.
 	onECN func(from, to int, fromQP, toQP uint64)
 
-	// part is the PDES partition state (see pdes.go); nil on a Network built
-	// around a single Simulation.
-	part *partition
+	// part is the PDES partition state (see pdes.go).
+	part partition
 }
 
 // flight is one message between the two halves of the port model:
@@ -185,16 +180,6 @@ type flight struct {
 // it. Marks are still counted with no handler installed.
 func (n *Network) SetECNHandler(h func(from, to int, fromQP, toQP uint64)) { n.onECN = h }
 
-// SetTracer attaches an event tracer; nil detaches it. All layers above the
-// fabric (verbs, shuffle, cluster) reach the tracer through Tracer(), so a
-// single attachment instruments the whole stack. A tracer only records: a
-// traced run schedules exactly the events an untraced one does.
-func (n *Network) SetTracer(t *telemetry.Tracer) { n.tr = t }
-
-// Tracer returns the attached tracer; nil means tracing is disabled, and a
-// nil *telemetry.Tracer is safe to emit on (every method is a no-op).
-func (n *Network) Tracer() *telemetry.Tracer { return n.tr }
-
 // SetArrivalBatching does nothing: every arrival is scheduled one way (see
 // Transmit).
 //
@@ -218,17 +203,6 @@ func (n *Network) Host(i int) any {
 		return nil
 	}
 	return n.hosts[i]
-}
-
-// New builds a network of n hosts over the given profile.
-func New(s *sim.Simulation, prof Profile, n int) *Network {
-	net := &Network{Sim: s, Prof: prof, nics: make([]*nic, n)}
-	net.faults.rng = s.Rand()
-	for i := range net.nics {
-		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, s.Rand()),
-			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}
-	}
-	return net
 }
 
 // Nodes returns the number of hosts.
@@ -377,7 +351,7 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 			src.pfcPausedUntil = resume
 			src.stats.PFCPauseTime += ext
 			dst.stats.PFCPausesSent++
-			n.tr.Instant(rnow, telemetry.EvPFCPause, int32(src.id), qp, int64(ext), int64(dst.id))
+			n.TracerAt(dst.id).Instant(rnow, telemetry.EvPFCPause, int32(src.id), qp, int64(ext), int64(dst.id))
 		}
 	}
 	// WRED-style ECN: the marking probability ramps linearly from 0 at the
@@ -385,12 +359,14 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 	// Probabilistic marking is what keeps the DCQCN control loop stable — a
 	// deterministic cliff would CNP every flow on every interval at
 	// equilibrium and crash rates to the floor. The draw comes from the
-	// seeded simulation RNG, so same-seed runs stay byte-identical.
+	// seeded simulation RNG, so same-seed runs stay byte-identical; a lossy
+	// network has one partition, so that RNG is the egress port's own and
+	// no node pays for a stream of its own.
 	if fill >= prof.ECNMarkBytes {
 		p := float64(fill-prof.ECNMarkBytes) / float64(prof.PFCXoffBytes-prof.ECNMarkBytes)
 		if p >= 1 || n.Sim.Rand().Float64() < p {
 			dst.stats.ECNMarks++
-			n.tr.Instant(rnow, telemetry.EvECNMark, int32(dst.id), qp, int64(wire), 0)
+			n.TracerAt(dst.id).Instant(rnow, telemetry.EvECNMark, int32(dst.id), qp, int64(wire), 0)
 			marked = true
 		}
 	}
@@ -413,8 +389,7 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 // last byte left the port.
 //
 // It executes on the source node's partition and uses only that partition's
-// clock, tracer shard and RNG stream; on a single Simulation these are the
-// shared Sim/tr/RNG.
+// clock, tracer shard and RNG stream.
 func (n *Network) uplink(m *Message, wire int, control bool) (flight, sim.Time) {
 	prof := &n.Prof
 	src := n.nics[m.From]

@@ -285,8 +285,14 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// fixedRand returns a qpCache stream source over one seeded generator.
+func fixedRand(seed int64) func() *rand.Rand {
+	r := rand.New(rand.NewSource(seed))
+	return func() *rand.Rand { return r }
+}
+
 func TestQPCacheBasics(t *testing.T) {
-	c := newQPCache(2, rand.New(rand.NewSource(1)))
+	c := newQPCache(2, fixedRand(1))
 	hit := func(qp uint64) bool { h, _, _ := c.touch(qp); return h }
 	if hit(1) {
 		t.Fatal("first touch of 1 should miss")
@@ -314,7 +320,7 @@ func TestQPCacheBasics(t *testing.T) {
 // replacement, cyclic access) should be well above zero and below one —
 // i.e., no scan-thrash cliff.
 func TestQPCacheNoThrashCliff(t *testing.T) {
-	c := newQPCache(32, rand.New(rand.NewSource(3)))
+	c := newQPCache(32, fixedRand(3))
 	hits, total := 0, 0
 	for round := 0; round < 200; round++ {
 		for qp := uint64(0); qp < 48; qp++ {

@@ -238,20 +238,8 @@ func (p *FaultPlan) Add(r FaultRule) *FaultRule {
 	return rule
 }
 
-// Clear removes every rule.
-func (p *FaultPlan) Clear() { p.rules = nil }
-
 // Empty reports whether the plan has no rules installed.
 func (p *FaultPlan) Empty() bool { return len(p.rules) == 0 }
-
-// Fired returns the total number of rule firings, for tests and reports.
-func (p *FaultPlan) Fired() int {
-	n := 0
-	for _, r := range p.rules {
-		n += r.fired
-	}
-	return n
-}
 
 // drop evaluates loss-like classes (FaultUDLoss, FaultRCLoss, FaultCorrupt)
 // for one message on (from, to) at now.

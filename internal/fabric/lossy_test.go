@@ -56,8 +56,7 @@ func TestPFCPauseHysteresis(t *testing.T) {
 	prof.SwitchBufferBytes = 512 << 10
 	s := sim.New(1)
 	n := New(s, prof, 4)
-	tr := telemetry.NewTracer(1 << 16)
-	n.SetTracer(tr)
+	events := traceShards(n, 1<<16)
 
 	// 8 KiB messages at 1.2x aggregate oversubscription: occupancy ramps
 	// slowly enough that the in-flight overshoot past XOFF (messages already
@@ -99,7 +98,7 @@ func TestPFCPauseHysteresis(t *testing.T) {
 	maxPause := int64(prof.PropagationDelay + Serialize(prof.SwitchBufferBytes+wire-prof.PFCXonBytes, prof.LinkBandwidth))
 	var pauseEvents int
 	pausedPerNode := map[int32]int64{}
-	for _, e := range tr.Events() {
+	for _, e := range events() {
 		if e.Name != telemetry.EvPFCPause {
 			continue
 		}
@@ -144,8 +143,7 @@ func TestPFCVictimHeadOfLineBlocking(t *testing.T) {
 		prof := lossyProf()
 		s := sim.New(1)
 		n := New(s, prof, 5)
-		tr := telemetry.NewTracer(1 << 16)
-		n.SetTracer(tr)
+		events := traceShards(n, 1<<16)
 		wire := prof.WireBytes(payload, RC)
 		gap := Serialize(wire, prof.LinkBandwidth)
 		if withAggressors {
@@ -167,7 +165,7 @@ func TestPFCVictimHeadOfLineBlocking(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range tr.Events() {
+		for _, e := range events() {
 			if e.Name == telemetry.EvPFCPause && e.Node == 0 {
 				if end := e.At.Add(sim.Duration(e.A)); end > pauseFloor {
 					pauseFloor = end
@@ -248,4 +246,15 @@ func TestTailDropOnOverrun(t *testing.T) {
 	if port.ECNMarks == 0 {
 		t.Fatal("an overrunning incast must mark admitted packets")
 	}
+}
+
+// traceShards installs a trace shard of capacity events on every node of n
+// and returns a reader of the merged stream.
+func traceShards(n *Network, capacity int) func() []telemetry.Event {
+	shards := make([]*telemetry.Tracer, n.Nodes()+1)
+	for i := range shards {
+		shards[i] = telemetry.NewTracer(capacity)
+	}
+	n.SetTracerShards(shards)
+	return func() []telemetry.Event { return telemetry.MergeShards(shards) }
 }

@@ -1,20 +1,20 @@
 package fabric
 
 import (
+	"fmt"
 	"math/rand"
 
 	"rshuffle/internal/sim"
 	"rshuffle/internal/telemetry"
 )
 
-// PDES plumbing: a partitioned Network spreads its nodes across the logical
-// partitions of a sim.Group (see internal/sim/pdes.go). Every per-node
-// resource — the NIC, its QP cache, its RNG stream, its trace shard — is
-// owned by the node's partition and only touched from that partition's
-// events; cross-node deliveries go through Group.Route. A Network built by
-// New around one bare Simulation — the lossy tier, whose egress model needs
-// a single clock, and stand-alone users such as qperf — is the nil-partition
-// case: every accessor below degrades to the shared Sim/tracer/RNG.
+// PDES plumbing: a Network spreads its nodes across the logical partitions
+// of a sim.Group (see internal/sim/pdes.go). Every per-node resource — the
+// NIC, its QP cache, its RNG stream, its trace shard — is owned by the
+// node's partition and only touched from that partition's events;
+// cross-node deliveries go through Group.Route. A Network built by New
+// around one bare Simulation (qperf, unit tests) runs on a one-partition
+// Group over it.
 //
 // Per-node RNG streams are the key to LP-count invariance: a draw made on
 // the shared simulation RNG would interleave with other nodes' draws in an
@@ -24,7 +24,8 @@ import (
 // into one deterministic stream after the run (telemetry.MergeShards).
 type partition struct {
 	g    *sim.Group
-	sims []*sim.Simulation
+	seed int64
+	// rngs[i] is node i's stream, created on its first draw (see rngAt).
 	rngs []*rand.Rand
 	// shards[i] is node i's trace shard; shards[nodes] is the control
 	// actor's. nil until tracing is enabled.
@@ -34,96 +35,84 @@ type partition struct {
 // NewPartitioned builds a network whose n hosts are partitioned across g's
 // LPs. Network.Sim is the control partition's simulation (LP 0), which keeps
 // host-side helpers working; per-node scheduling must go through SimAt.
-// The port model is New's, unchanged: Transmit schedules every arrival
-// through Route, which is Group.Route here and Sim.At there.
-// Lossy profiles are rejected: the PFC/ECN egress model writes sender state
-// from receiver context, which is only safe on a single clock.
+// Transmit schedules every arrival through Group.Route.
+// A lossy profile needs one partition: the PFC/ECN egress model writes
+// sender state from receiver context, which is only safe on a single clock.
 func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
-	if prof.Lossy {
-		panic("fabric: partitioned execution does not support lossy profiles")
+	if prof.Lossy && g.LPs() > 1 {
+		panic(fmt.Sprintf("fabric: lossy profile %s needs one partition, got %d", prof.Name, g.LPs()))
 	}
-	net := &Network{Sim: g.Sim(g.Control()), Prof: prof, nics: make([]*nic, n)}
-	p := &partition{g: g, sims: make([]*sim.Simulation, n), rngs: make([]*rand.Rand, n)}
-	for i := 0; i < n; i++ {
-		p.sims[i] = g.Sim(i)
-		// splitmix-style spread keeps per-node streams decorrelated while
-		// staying a pure function of (seed, node) — identical at every LP
-		// count.
-		p.rngs[i] = rand.New(rand.NewSource(seed ^ (int64(i)+1)*-0x61C8864680B583EB))
-	}
-	net.part = p
+	net := &Network{Sim: g.Sim(g.Control()), Prof: prof, nics: make([]*nic, n),
+		part: partition{g: g, seed: seed, rngs: make([]*rand.Rand, n)}}
 	net.faults.rng = net.Sim.Rand()
 	for i := range net.nics {
-		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, p.rngs[i]),
+		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, func() *rand.Rand { return net.rngAt(i) }),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}
 	}
 	return net
 }
 
-// Partitioned reports whether the network runs on a sim.Group.
-func (n *Network) Partitioned() bool { return n.part != nil }
+// New builds a network of n hosts over the given profile on s alone, as a
+// one-partition Group over it (sim.GroupOf): the caller drives s.
+func New(s *sim.Simulation, prof Profile, n int) *Network {
+	return NewPartitioned(sim.GroupOf(s, n, prof.RouteLatency()), prof, n, s.Seed())
+}
 
-// SimAt returns the simulation owning node's events: the node's partition
-// when partitioned, the shared simulation otherwise. node == -1 (cluster-
+// SimAt returns the simulation owning node's events. node == -1 (cluster-
 // wide context) maps to the control partition.
 func (n *Network) SimAt(node int) *sim.Simulation {
-	if n.part == nil || node < 0 {
+	if node < 0 {
 		return n.Sim
 	}
-	return n.part.sims[node]
+	return n.part.g.Sim(node)
 }
 
 // TracerAt returns the tracer shard for events executing on node's
-// partition (-1 for control), or the shared tracer on a single Simulation. The
-// shard is chosen by the *executing* partition, never by the node a trace
-// happens to be attributed to, so emission stays race-free.
+// partition (-1 for control), or nil when tracing is off. The shard is
+// chosen by the *executing* partition, never by the node a trace happens to
+// be attributed to, so emission stays race-free.
 func (n *Network) TracerAt(node int) *telemetry.Tracer {
-	if n.part == nil || n.part.shards == nil {
-		return n.tr
+	if n.part.shards == nil {
+		return nil
 	}
-	if node < 0 || node >= len(n.part.sims) {
-		return n.part.shards[len(n.part.sims)]
+	if node < 0 || node >= len(n.nics) {
+		return n.part.shards[len(n.nics)]
 	}
 	return n.part.shards[node]
 }
 
-// rngAt returns node's deterministic random stream (the simulation's own
-// RNG on a single Simulation).
+// rngAt returns node's deterministic random stream. A stream is created on
+// its node's first draw — most nodes of a run never draw — from a
+// splitmix-style spread that keeps streams decorrelated while staying a pure
+// function of (seed, node), identical at every LP count. Only node's own
+// partition calls it, so creation is race-free.
 func (n *Network) rngAt(node int) *rand.Rand {
-	if n.part == nil {
-		return n.Sim.Rand()
+	r := n.part.rngs[node]
+	if r == nil {
+		r = rand.New(rand.NewSource(n.part.seed ^ (int64(node)+1)*-0x61C8864680B583EB))
+		n.part.rngs[node] = r
 	}
-	return n.part.rngs[node]
+	return r
 }
 
-// SetTracerShards installs per-node trace shards (one per node plus one for
-// the control actor). Partitioned runs use shards instead of SetTracer.
+// SetTracerShards installs per-node trace shards, one per node plus one for
+// the control actor. Every layer above the fabric (verbs, shuffle, cluster)
+// emits through TracerAt, so one installation instruments the whole stack.
+// A tracer only records: a traced run schedules exactly the events an
+// untraced one does.
 func (n *Network) SetTracerShards(shards []*telemetry.Tracer) {
-	if n.part == nil {
-		panic("fabric: SetTracerShards requires a partitioned network")
-	}
-	if len(shards) != len(n.part.sims)+1 {
+	if len(shards) != len(n.nics)+1 {
 		panic("fabric: need one shard per node plus control")
 	}
 	n.part.shards = shards
 }
 
 // TraceShards returns the installed shards, or nil.
-func (n *Network) TraceShards() []*telemetry.Tracer {
-	if n.part == nil {
-		return nil
-	}
-	return n.part.shards
-}
+func (n *Network) TraceShards() []*telemetry.Tracer { return n.part.shards }
 
 // Route schedules fn on dst's partition at instant at, on behalf of the
-// actor whose event is executing (src). On a single Simulation it is a
-// plain scheduler event at at.
+// actor whose event is executing (src).
 func (n *Network) Route(src, dst int, at sim.Time, fn func()) {
-	if n.part == nil {
-		n.Sim.At(at, fn)
-		return
-	}
 	n.part.g.Route(src, dst, at, fn)
 }
 

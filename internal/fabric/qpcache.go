@@ -12,10 +12,12 @@ type qpCache struct {
 	cap   int
 	slots []uint64
 	index map[uint64]int
-	rng   *rand.Rand
+	// rng returns the owning node's stream; it is called on the first
+	// eviction, not at construction (see Network.rngAt).
+	rng func() *rand.Rand
 }
 
-func newQPCache(capacity int, rng *rand.Rand) *qpCache {
+func newQPCache(capacity int, rng func() *rand.Rand) *qpCache {
 	return &qpCache{
 		cap:   capacity,
 		index: make(map[uint64]int, capacity),
@@ -35,7 +37,7 @@ func (c *qpCache) touch(qp uint64) (hit bool, victim uint64, evicted bool) {
 		c.slots = append(c.slots, qp)
 		return false, 0, false
 	}
-	slot := c.rng.Intn(c.cap)
+	slot := c.rng().Intn(c.cap)
 	victim = c.slots[slot]
 	delete(c.index, victim)
 	c.slots[slot] = qp

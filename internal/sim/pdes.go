@@ -122,21 +122,33 @@ func NewGroup(seed int64, lps, nodes int, look Duration) *Group {
 	if lps > nodes {
 		lps = nodes
 	}
-	if look <= 0 {
-		panic("sim: NewGroup requires positive lookahead")
+	sims := make([]*Simulation, lps)
+	for i := range sims {
+		sims[i] = New(seed + int64(i))
 	}
+	return newGroup(sims, nodes, look)
+}
+
+// GroupOf returns the one-partition Group over s: every actor lives on s,
+// which has no windows, so its owner may go on driving s itself (s.Run).
+func GroupOf(s *Simulation, nodes int, look Duration) *Group {
+	return newGroup([]*Simulation{s}, nodes, look)
+}
+
+func newGroup(sims []*Simulation, nodes int, look Duration) *Group {
+	if look <= 0 {
+		panic("sim: a Group requires positive lookahead")
+	}
+	lps := len(sims)
 	g := &Group{
 		look:   look,
 		nodes:  nodes,
-		sims:   make([]*Simulation, lps),
+		sims:   sims,
 		lpOf:   make([]int, nodes+1),
 		simOf:  make([]*Simulation, nodes+1),
 		seqs:   make([]uint64, nodes+1),
 		outbox: make([][]routed, lps),
 		done:   make([]atomic.Uint64, lps),
-	}
-	for i := range g.sims {
-		g.sims[i] = New(seed + int64(i))
 	}
 	for n := 0; n < nodes; n++ {
 		g.lpOf[n] = n * lps / nodes

@@ -116,6 +116,7 @@ type Simulation struct {
 	live     int
 	procs    map[*Proc]struct{}
 	rng      *rand.Rand
+	seed     int64
 	maxT     Time   // horizon: nothing later fires; noHorizon when unset
 	switches uint64 // baton handoffs to another goroutine, see Switches
 	// dispatches counts every Proc wake-up the loop delivered, see Dispatches.
@@ -132,6 +133,7 @@ func New(seed int64) *Simulation {
 		yield: make(chan struct{}),
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		maxT:  noHorizon,
 	}
 }
@@ -165,6 +167,9 @@ func (s *Simulation) Dispatches() uint64 { return s.dispatches }
 // used from Procs or event callbacks (never concurrently with Run from
 // outside).
 func (s *Simulation) Rand() *rand.Rand { return s.rng }
+
+// Seed returns the seed the simulation was created with.
+func (s *Simulation) Seed() int64 { return s.seed }
 
 // SetHorizon stops Run once virtual time would exceed t. Events past the
 // horizon are left unfired. A zero horizon (the default) means no limit.

@@ -170,9 +170,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.sim.ready(next)
 }
 
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
-
 // Waiters returns the number of Procs queued behind the current owner.
 func (m *Mutex) Waiters() int { return len(m.queue) - m.qhead }
 

@@ -186,7 +186,7 @@ func (qp *QP) pacedSend(wire int, send func()) {
 	qp.paced++
 	d.sim.At(start, func() {
 		qp.paced--
-		if qp.destroyed || qp.state == QPError {
+		if qp.state == QPError {
 			return
 		}
 		send()

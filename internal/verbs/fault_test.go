@@ -43,9 +43,13 @@ func TestRNRRetryExhaustionErrorsQP(t *testing.T) {
 	if qpa.State() != QPError {
 		t.Fatalf("QP state = %v, want QPError", qpa.State())
 	}
-	st := r.devs[0].Stats()
-	if st.RNRRetries == 0 || st.QPErrors == 0 {
-		t.Fatalf("stats = %+v, want RNR retries and a QP error counted", st)
+	// The responder generates the RNR NAKs and counts them; the requester
+	// counts its QP error.
+	if rnr := r.devs[1].Stats().RNRRetries; rnr == 0 {
+		t.Fatal("want RNR retries counted on the responder")
+	}
+	if st := r.devs[0].Stats(); st.QPErrors == 0 {
+		t.Fatalf("stats = %+v, want a QP error counted", st)
 	}
 }
 

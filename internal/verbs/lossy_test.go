@@ -25,8 +25,7 @@ func rocev2(p *fabric.Profile) {
 // Every write must still complete successfully.
 func TestECNCNPRateCutRoundTrip(t *testing.T) {
 	r := newRig(t, 4, rocev2)
-	tr := telemetry.NewTracer(1 << 16)
-	r.net.SetTracer(tr)
+	events := r.trace(1 << 16)
 	prof := r.net.Prof
 
 	const perSender = 40
@@ -93,7 +92,7 @@ func TestECNCNPRateCutRoundTrip(t *testing.T) {
 	// at least one propagation delay between the CNP leaving the receiver
 	// and the cut landing on the sender.
 	var tMark, tCNP, tCut sim.Time
-	for _, e := range tr.Events() {
+	for _, e := range events() {
 		switch e.Name {
 		case telemetry.EvECNMark:
 			if tMark == 0 {

@@ -18,8 +18,7 @@ import (
 // window for free, so even retry_cnt = 1 survives.
 func TestRCOrderAcrossADrop(t *testing.T) {
 	r := newRig(t, 2, func(p *fabric.Profile) { p.RetryCount = 1 })
-	tr := telemetry.NewTracer(1 << 12)
-	r.net.SetTracer(tr)
+	events := r.trace(1 << 12)
 	r.net.Faults().Add(fabric.FaultRule{Class: fabric.FaultRCLoss, From: 0, To: 1, Count: 1})
 	qpa, qpb, cqa, cqb := r.rcPair(0, 1)
 	const n = 6
@@ -70,7 +69,7 @@ func TestRCOrderAcrossADrop(t *testing.T) {
 		t.Errorf("TransportRetries = %d, want %d: the dropped head and its %d followers all replay", got, n, n-1)
 	}
 	// The retry event records the attempts its message has spent so far.
-	for _, e := range tr.Events() {
+	for _, e := range events() {
 		if e.Name != telemetry.EvTransportRetry {
 			continue
 		}

@@ -109,8 +109,7 @@ type QP struct {
 	// paced counts the sends waiting in the pacer for their release instant.
 	paced int
 
-	state     QPState
-	destroyed bool
+	state QPState
 }
 
 // inflightWR is the identity of one posted, uncompleted send-side WR.
@@ -162,14 +161,6 @@ func (qp *QP) Type() fabric.Service { return qp.cfg.Type }
 // State returns the queue pair state.
 func (qp *QP) State() QPState { return qp.state }
 
-// Destroy removes the QP; subsequent deliveries to it are dropped and any
-// pending retransmission timer is cancelled.
-func (qp *QP) Destroy() {
-	qp.destroyed = true
-	qp.cancelRetx()
-	delete(qp.dev.qps, qp.qpn)
-}
-
 // cacheKey identifies this QP's state in NIC caches across the cluster.
 func (qp *QP) cacheKey() uint64 { return uint64(qp.dev.node)<<32 | uint64(qp.qpn) }
 
@@ -213,21 +204,18 @@ func (qp *QP) fencedAt(responder *Device, wrID uint64, op Opcode) bool {
 	return true
 }
 
-// foreign reports whether node's events execute on another partition than
-// qp's own, whose state they therefore must not touch.
-func (qp *QP) foreign(node int) bool {
-	return qp.dev.net.Partitioned() && node != qp.dev.node
-}
+// foreign reports whether node is another node than qp's own: its events
+// may execute on another partition, and so must not touch qp's state.
+func (qp *QP) foreign(node int) bool { return node != qp.dev.node }
 
 // home runs fn as the arrival at qp of a verdict reached on node from: an
 // ACK, a NAK (fence, peer error, RNR exhaustion), a loss report. A queue
-// pair's state may only be touched by its own partition, so on a partitioned
-// network a remote responder's verdict rides the fabric home as a routed
-// message, arriving one full route latency (switch + propagation) later —
-// the wire trip it takes on real hardware, and late enough to clear the
-// window bound at any LP count. Same-node verdicts, and every verdict on a
-// single Simulation (the lossy tier), land after local, synchronously when
-// local is zero.
+// pair's state may only be touched by its own partition, so a remote
+// responder's verdict rides the fabric home as a routed message, arriving
+// one full route latency (switch + propagation) later — the wire trip it
+// takes on real hardware, and late enough to clear the window bound at any
+// LP count. Same-node verdicts land after local, synchronously when local
+// is zero.
 func (qp *QP) home(from int, local sim.Duration, fn func()) {
 	net := qp.dev.net
 	switch {
@@ -273,9 +261,6 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	qp.armRNRTimer()
 	return nil
 }
-
-// RecvQueued returns the number of posted, unmatched receive buffers.
-func (qp *QP) RecvQueued() int { return qp.recvQ.n }
 
 // PostSend posts a Send, Read, or Write work request. It never blocks on
 // the network; completion arrives on the send CQ.
@@ -357,7 +342,7 @@ func (qp *QP) dropInflight(id uint64, op Opcode) bool {
 // way every posted receive is flushed with WCFlushErr and subsequent posts
 // fail with ErrQPError. It is idempotent.
 func (qp *QP) enterError(trigger *CQE, flush WCStatus) {
-	if qp.state == QPError || qp.destroyed {
+	if qp.state == QPError {
 		return
 	}
 	qp.state = QPError
@@ -546,18 +531,13 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 	dst := deviceAt(qp.dev.net, toNode)
 	rqp := dst.qps[toQPN]
-	if rqp == nil || rqp.destroyed || rqp.cfg.Type != fabric.RC {
+	if rqp == nil || rqp.cfg.Type != fabric.RC {
 		panic(fmt.Sprintf("verbs: RC send to nonexistent QP %d on node %d", toQPN, toNode))
 	}
-	net := qp.dev.net
-	if !net.Partitioned() && qp.state == QPError {
-		// Late arrival of a send that was already flushed at the source. On a
-		// partitioned network this executes on the receiver's partition and
-		// the sender's state cannot be read here; the late success is instead
-		// dropped by complete()'s own error-state guard when the routed ACK
-		// reaches home — the same hardware behaviour, judged one trip later.
-		return
-	}
+	// A late arrival of a send already flushed at the source is not judged
+	// here: this runs on the receiver's partition, which cannot read the
+	// sender's state. complete()'s own error-state guard drops the late
+	// success when the routed ACK reaches home.
 	if rqp.state == QPError {
 		// The peer flushed its receive queue and will never post again; the
 		// sender observes the broken connection as retry exhaustion.
@@ -570,15 +550,9 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 		return
 	}
 	if len(rqp.stalled) > 0 || rqp.recvQ.n == 0 {
-		// The RNR NAK is generated here, at the responder; partitioned runs
-		// therefore count it on the responder device (whose partition is
-		// executing), while a single Simulation (the lossy tier) keeps the
-		// requester attribution its goldens record.
-		if net.Partitioned() {
-			rqp.dev.stats.RNRRetries++
-		} else {
-			qp.dev.stats.RNRRetries++
-		}
+		// The RNR NAK is generated here, at the responder, and counted on
+		// the responder device, whose partition is executing.
+		rqp.dev.stats.RNRRetries++
 		rqp.dev.tr().Instant(rqp.dev.sim.Now(), telemetry.EvRNRRetry,
 			int32(toNode), rqp.cacheKey(), int64(wr.ID), 0)
 		rqp.stalled = append(rqp.stalled, stalledRC{payload: payload, wr: wr, src: qp})
@@ -626,7 +600,7 @@ func (rqp *QP) armRNRAfter(d sim.Duration) {
 // rnrTick runs one RNR retry round.
 func (rqp *QP) rnrTick() {
 	rqp.drainPending = false
-	if rqp.destroyed || rqp.state == QPError {
+	if rqp.state == QPError {
 		rqp.stalled = nil
 		return
 	}
@@ -677,7 +651,7 @@ func (rqp *QP) rnrTick() {
 func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQPN uint32, payload []byte, wr SendWR) {
 	dst := deviceAt(net, toNode)
 	rqp := dst.qps[toQPN]
-	if rqp == nil || rqp.destroyed || rqp.cfg.Type != fabric.UD {
+	if rqp == nil || rqp.cfg.Type != fabric.UD {
 		dst.stats.UDNoRecvDrops++
 		return
 	}

@@ -16,7 +16,7 @@ import (
 // new data sends freeze behind the hole (see QP.sendPaced) and ship with the
 // replay, so a loss stalls the whole pipeline for one ACK timeout — the
 // dominant cost of running RoCE on a lossy fabric. The timer is cancellable:
-// teardown paths (QP error, peer-down, Destroy) stop the wheel timer in O(1)
+// teardown paths (QP error, peer-down) stop the wheel timer in O(1)
 // so a pending timer can never fire into a dead QP.
 
 // retxState is one QP's retransmission engine.
@@ -101,7 +101,7 @@ func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode, seq int, psn
 	// retransmission engine.
 	lost := func(dropped bool) {
 		qp.home(to, 0, func() {
-			if qp.state == QPError || qp.destroyed {
+			if qp.state == QPError {
 				return
 			}
 			if dropped {
@@ -141,7 +141,7 @@ func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode, seq int, psn
 // pending stops it on the wheel, so a cancelled timer never gets here; the
 // state checks are a second line of defense.
 func (qp *QP) retxFire() {
-	if !qp.retx.armed || qp.destroyed || qp.state == QPError {
+	if !qp.retx.armed || qp.state == QPError {
 		return
 	}
 	if qp.paced > 0 {
@@ -160,11 +160,14 @@ func (qp *QP) retxFire() {
 	for _, r := range window {
 		if m := r.msg; qp.foreign(m.From) {
 			// A remote-NIC leg (an RDMA Read response) replays on the NIC
-			// that owns it. Partitioned profiles are lossless, so there is no
-			// pacer state to consult on the far side — the bare Transmit is
-			// exactly what sendPaced reduces to there.
-			net.Route(qp.dev.node, m.From, qp.dev.sim.Now().Add(net.Prof.RouteLatency()),
-				func() { net.Transmit(m) })
+			// that owns it, through its QP's pacer as the first copy went.
+			net.Route(qp.dev.node, m.From, qp.dev.sim.Now().Add(net.Prof.RouteLatency()), func() {
+				if rqp := deviceAt(net, m.From).qps[qp.peerQPN]; rqp != nil {
+					rqp.pacedSend(net.Prof.WireBytes(m.Payload, m.Service), func() { net.Transmit(m) })
+				} else {
+					net.Transmit(m)
+				}
+			})
 			continue
 		}
 		qp.sendPaced(r.msg, r.psn)

@@ -8,6 +8,7 @@ import (
 
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/sim"
+	"rshuffle/internal/telemetry"
 )
 
 // testRig wires a quiet two-node (or n-node) fabric with verbs devices.
@@ -28,6 +29,17 @@ func newRig(t testing.TB, nodes int, mutate ...func(*fabric.Profile)) *testRig {
 	s := sim.New(1)
 	net := fabric.New(s, p, nodes)
 	return &testRig{sim: s, net: net, devs: OpenAll(net)}
+}
+
+// trace installs a trace shard of capacity events on every node and returns
+// a reader of the merged stream.
+func (r *testRig) trace(capacity int) func() []telemetry.Event {
+	shards := make([]*telemetry.Tracer, r.net.Nodes()+1)
+	for i := range shards {
+		shards[i] = telemetry.NewTracer(capacity)
+	}
+	r.net.SetTracerShards(shards)
+	return func() []telemetry.Event { return telemetry.MergeShards(shards) }
 }
 
 // rcPair creates a connected RC QP pair between nodes a and b and returns
@@ -131,8 +143,8 @@ func TestRCRNRRetryWhenRecvPostedLate(t *testing.T) {
 	if !delivered {
 		t.Fatal("send never delivered after RNR retries")
 	}
-	if r.devs[0].Stats().RNRRetries == 0 {
-		t.Fatal("expected RNR retries to be counted")
+	if r.devs[1].Stats().RNRRetries == 0 {
+		t.Fatal("expected RNR retries to be counted on the responder")
 	}
 }
 

@@ -28,6 +28,9 @@ func tracedCrashRun(t *testing.T, seed int64, rows int) string {
 		})
 	})
 	cfg := shuffle.Algorithms[0].Config(c.Threads) // MEMQ/SR
+	// Every repost writes credit back: a run this small fills no receive
+	// window, so at the default frequency it may grant none.
+	cfg.CreditFrequency = 1
 	cfg.DepletedTimeout = 10 * time.Millisecond
 	cfg.StallTimeout = 120 * time.Millisecond
 	res, err := c.RunBench(BenchOpts{Factory: RDMAProvider(cfg), RowsPerNode: rows})
@@ -147,6 +150,7 @@ func TestPhaseScopedNICStats(t *testing.T) {
 func TestLaneByteSplit(t *testing.T) {
 	c := New(fabric.FDR(), 3, 2, 5)
 	cfg := shuffle.Algorithms[0].Config(c.Threads)
+	cfg.CreditFrequency = 1 // as in tracedCrashRun: make this small run write credit back
 	res, err := c.RunBench(BenchOpts{Factory: RDMAProvider(cfg), RowsPerNode: 4096})
 	if err != nil {
 		t.Fatal(err)

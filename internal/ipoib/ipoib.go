@@ -155,10 +155,11 @@ func (h *host) GetFree(p *sim.Proc) (*shuffle.Buf, error) {
 
 // Send implements shuffle.SendEndpoint: one send() per group member.
 func (h *host) Send(p *sim.Proc, b *shuffle.Buf, dest []int) error {
-	for _, d := range dest {
-		if err := h.sendOne(p, d, b.Data[:b.Len], false); err != nil {
-			return err
-		}
+	err := shuffle.FanOut(h.node, dest, func(d int) error {
+		return h.sendOne(p, d, b.Data[:b.Len], false)
+	})
+	if err != nil {
+		return err
 	}
 	h.kernel.Lock(p)
 	h.appFree = append(h.appFree, b.Data[:cap(b.Data)])
@@ -223,15 +224,18 @@ func (h *host) ackWindow(src, size int) {
 	})
 }
 
-// Finish implements shuffle.SendEndpoint: a zero-length marker closes each
-// stream (TCP is ordered, so the marker arriving means all data arrived).
-func (h *host) Finish(p *sim.Proc) error {
-	for d := 0; d < h.n; d++ {
-		if err := h.sendOne(p, d, nil, true); err != nil {
+// Finish implements shuffle.SendEndpoint: after the tails, a zero-length
+// marker closes each stream (TCP is ordered, so the marker arriving means
+// all data arrived).
+func (h *host) Finish(p *sim.Proc, tails ...shuffle.Tail) error {
+	for _, t := range tails {
+		if err := h.Send(p, t.Buf, t.Dest); err != nil {
 			return err
 		}
 	}
-	return nil
+	return shuffle.FanOut(h.node, shuffle.Broadcast(h.n)[0], func(d int) error {
+		return h.sendOne(p, d, nil, true)
+	})
 }
 
 // GetData implements shuffle.RecvEndpoint: select() on all sockets, then

@@ -484,13 +484,17 @@ func (l *lib) GetFree(p *sim.Proc) (*shuffle.Buf, error) {
 
 // Send implements shuffle.SendEndpoint: MPI_Send to every group member.
 func (l *lib) Send(p *sim.Proc, b *shuffle.Buf, dest []int) error {
-	for _, d := range dest {
+	err := shuffle.FanOut(l.node, dest, func(d int) error {
 		if err := l.sendOne(p, d, b.Data[:b.Len], 0, 0); err != nil {
 			return err
 		}
 		l.mu.Lock(p)
 		l.sendCnt[d]++
 		l.mu.Unlock(p)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	l.mu.Lock(p)
 	l.putAppBuf(b.Data)
@@ -582,19 +586,21 @@ func (l *lib) sendOne(p *sim.Proc, dest int, payload []byte, flags byte, value u
 	return nil
 }
 
-// Finish implements shuffle.SendEndpoint: every peer learns the total
-// message count (totals ride an eager marker), then outstanding staging
-// drains.
-func (l *lib) Finish(p *sim.Proc) error {
-	for d := 0; d < l.n; d++ {
-		l.mu.Lock(p)
-		cnt := l.sendCnt[d]
-		l.mu.Unlock(p)
-		if err := l.sendOne(p, d, nil, flagDepleted|flagTotal, cnt); err != nil {
+// Finish implements shuffle.SendEndpoint: after the tails, every peer
+// learns the total message count (totals ride an eager marker), then
+// outstanding staging drains.
+func (l *lib) Finish(p *sim.Proc, tails ...shuffle.Tail) error {
+	for _, t := range tails {
+		if err := l.Send(p, t.Buf, t.Dest); err != nil {
 			return err
 		}
 	}
-	return nil
+	return shuffle.FanOut(l.node, shuffle.Broadcast(l.n)[0], func(d int) error {
+		l.mu.Lock(p)
+		cnt := l.sendCnt[d]
+		l.mu.Unlock(p)
+		return l.sendOne(p, d, nil, flagDepleted|flagTotal, cnt)
+	})
 }
 
 // GetData implements shuffle.RecvEndpoint (MPI_Irecv + progress).

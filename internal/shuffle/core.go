@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"rshuffle/internal/fabric"
@@ -68,14 +69,82 @@ type remoteWin struct {
 	base int
 }
 
-// allNodes returns {0..n-1}: the full-cluster broadcast group, and the
-// destination list of an end-of-stream marker.
+// allNodes returns {0..n-1}: the full-cluster broadcast group.
 func allNodes(n int) []int {
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
 	return all
+}
+
+// FanOut calls visit once for each member of dest, a list of node ids in
+// ascending order, and stops at the first error. The walk starts at the
+// first member after self and wraps: when every node of a cluster reaches
+// the same fan-out at the same instant (the final flush, end-of-stream, a
+// broadcast), node i targets i+1, i+2, … so the N senders meet N different
+// downlinks in each step instead of converging on node 0, then node 1 — the
+// phase order of a pairwise all-to-all (MVAPICH) and of Rödiger et al.'s
+// round-robin network schedule. Every multi-destination loop of the
+// endpoints, the SHUFFLE operator and the MPI and IPoIB baselines walks in
+// this order.
+func FanOut(self int, dest []int, visit func(d int) error) error {
+	start := sort.SearchInts(dest, self+1)
+	for i := range dest {
+		j := start + i
+		if j >= len(dest) {
+			j -= len(dest)
+		}
+		if err := visit(dest[j]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// endStream is the end-of-stream of the three RC designs: each tail goes to
+// its group as one of the stream's last buffers, tagged Depleted (send's
+// last argument) where no later tail shares a destination with it, and one
+// zero-payload Depleted buffer goes to the nodes no tagged tail reached.
+// Destinations keep the per-connection order, so a tagged buffer is the
+// last thing its receiver sees from this endpoint.
+func (c *endpoint) endStream(p *sim.Proc, tails []Tail,
+	getFree func(*sim.Proc) (*Buf, error), send func(*sim.Proc, *Buf, []int, bool) error) error {
+	// last[d] is one past the index of the final tail toward d, or 0.
+	last := make([]int, c.n)
+	for i, t := range tails {
+		for _, d := range t.Dest {
+			last[d] = i + 1
+		}
+	}
+	reached := make([]bool, c.n)
+	for i, t := range tails {
+		tag := true
+		for _, d := range t.Dest {
+			tag = tag && last[d] == i+1
+		}
+		if err := send(p, t.Buf, t.Dest, tag); err != nil {
+			return err
+		}
+		for _, d := range t.Dest {
+			reached[d] = reached[d] || tag
+		}
+	}
+	var rest []int
+	for d, r := range reached {
+		if !r {
+			rest = append(rest, d)
+		}
+	}
+	if len(rest) == 0 {
+		return nil
+	}
+	b, err := getFree(p)
+	if err != nil {
+		return err
+	}
+	b.Len = 0
+	return send(p, b, rest, true)
 }
 
 // peerSet is an endpoint's view of its n peers: which the connection

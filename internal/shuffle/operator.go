@@ -63,12 +63,18 @@ type Shuffle struct {
 	ctx *engine.Ctx
 	eps []SendEndpoint
 	out [][]*Buf // [tid][group] current output buffer
-	// epUsers counts threads still using each endpoint; the last one out
-	// propagates Depleted (Alg. 1 lines 14-17 generalized to any e).
-	epUsers []int
+	// scanning counts the threads on each endpoint still draining their
+	// input, and epUsers those still sending. The last one out hands the
+	// endpoint's tails, the partial buffers of its last thread to drain, to
+	// Finish.
+	scanning, epUsers []int
+	tails             [][]Tail
 	// skip[g] is true when every member of group g is in SkipTo.
-	skip  []bool
-	empty *engine.Batch
+	skip []bool
+	// groupIDs lists the group indices for FanOut's walk over a thread's
+	// partial buffers: with Repartition, group g is node g.
+	groupIDs []int
+	empty    *engine.Batch
 }
 
 // Schema implements engine.Operator; the shuffle transmits its input.
@@ -84,9 +90,11 @@ func (s *Shuffle) Open(ctx *engine.Ctx) {
 		s.out[i] = make([]*Buf, len(s.G))
 	}
 	s.epUsers = make([]int, len(s.eps))
+	s.tails = make([][]Tail, len(s.eps))
 	for t := 0; t < ctx.Threads; t++ {
 		s.epUsers[t%len(s.eps)]++
 	}
+	s.scanning = append([]int(nil), s.epUsers...)
 	s.skip = nil
 	if len(s.SkipTo) > 0 {
 		s.skip = make([]bool, len(s.G))
@@ -101,20 +109,25 @@ func (s *Shuffle) Open(ctx *engine.Ctx) {
 			s.skip[g] = all
 		}
 	}
+	s.groupIDs = allNodes(len(s.G))
 	s.empty = engine.NewBatch(s.In.Schema(), 1)
 }
 
 // send transmits b to group g and, on success, adds it to the census.
 func (s *Shuffle) send(p *sim.Proc, target SendEndpoint, b *Buf, g int) error {
-	rows := int64(b.Len / s.In.Schema().Width())
 	if err := target.Send(p, b, s.G[g]); err != nil {
 		return err
 	}
-	fanout := int64(len(s.G[g]))
+	s.count(b, s.G[g])
+	return nil
+}
+
+// count adds b, handed to the wire toward dest, to the census.
+func (s *Shuffle) count(b *Buf, dest []int) {
+	fanout := int64(len(dest))
 	s.BufsSent++
 	s.SendWRs += fanout
-	s.rowsOut += rows * fanout
-	return nil
+	s.rowsOut += int64(b.Len/s.In.Schema().Width()) * fanout
 }
 
 func (s *Shuffle) fail(err error) {
@@ -174,24 +187,42 @@ func (s *Shuffle) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 			break
 		}
 	}
-	// Flush partial buffers for this thread. A leased buffer always holds
+	// This thread's partial buffers are its last data, walked in fan-out
+	// order from the group after this node's. A leased buffer always holds
 	// at least one tuple: buffers are leased on first use and the slot is
-	// cleared when a full buffer is transmitted.
-	for g, cur := range s.out[tid] {
-		if cur == nil || s.Err != nil {
-			continue
-		}
-		if err := s.send(p, target, cur, g); err != nil {
+	// cleared when a full buffer is transmitted. The last thread on an
+	// endpoint to drain its input keeps them as the endpoint's tails; the
+	// last one out hands those to Finish, which sends them as the stream's
+	// last buffers and propagates end-of-stream (Alg. 1 lines 14-17
+	// generalized to any e). Every other thread sends its own.
+	ep := tid % len(s.eps)
+	s.scanning[ep]--
+	keep := s.scanning[ep] == 0
+	if s.Err == nil {
+		err := FanOut(s.Node, s.groupIDs, func(g int) error {
+			cur := s.out[tid][g]
+			if cur == nil || s.Err != nil {
+				return nil
+			}
+			s.out[tid][g] = nil
+			if keep {
+				s.tails[ep] = append(s.tails[ep], Tail{Buf: cur, Dest: s.G[g]})
+				return nil
+			}
+			return s.send(p, target, cur, g)
+		})
+		if err != nil {
 			s.fail(err)
 		}
-		s.out[tid][g] = nil
 	}
-	// The last thread using this endpoint propagates end-of-stream.
-	ep := tid % len(s.eps)
 	s.epUsers[ep]--
 	if s.epUsers[ep] == 0 && s.Err == nil {
-		if err := target.Finish(p); err != nil {
+		if err := target.Finish(p, s.tails[ep]...); err != nil {
 			s.fail(err)
+		} else {
+			for _, t := range s.tails[ep] {
+				s.count(t.Buf, t.Dest)
+			}
 		}
 	}
 	return s.empty, engine.Depleted

@@ -61,14 +61,15 @@ func (e *rdRCSend) GetFree(p *sim.Proc) (*Buf, error) {
 func (e *rdRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
 	e.commit(b, header{payload: b.Len, src: uint16(e.dev.Node())}, len(dest))
 	word := packSlot(b.off, HeaderSize+b.Len, depleted)
-	for _, d := range dest {
+	err := FanOut(e.dev.Node(), dest, func(d int) error {
 		// Announce (off, length) in d's ValidArr.
 		if e.failed[d] {
 			return peerFailedErr(d)
 		}
-		if err := e.putWord(p, &e.validOut, d, word, nil); err != nil {
-			return postErr(d, err)
-		}
+		return postErr(d, e.putWord(p, &e.validOut, d, word, nil))
+	})
+	if err != nil {
+		return err
 	}
 	return e.drain(p, nil)
 }
@@ -78,17 +79,12 @@ func (e *rdRCSend) Send(p *sim.Proc, b *Buf, dest []int) error {
 	return e.send(p, b, dest, false)
 }
 
-// Finish implements SendEndpoint: one Depleted buffer is announced to every
-// node, then the endpoint waits for receivers to return every outstanding
-// buffer, since buffers may not be unregistered while a remote Read could
-// still target them.
-func (e *rdRCSend) Finish(p *sim.Proc) error {
-	b, err := e.GetFree(p)
-	if err != nil {
-		return err
-	}
-	b.Len = 0
-	if err := e.send(p, b, allNodes(e.n), true); err != nil {
+// Finish implements SendEndpoint: the tails are announced as Depleted, a
+// zero-payload Depleted buffer to the nodes they missed, then the endpoint
+// waits for receivers to return every outstanding buffer, since buffers may
+// not be unregistered while a remote Read could still target them.
+func (e *rdRCSend) Finish(p *sim.Proc, tails ...Tail) error {
+	if err := e.endStream(p, tails, e.GetFree, e.send); err != nil {
 		return err
 	}
 	return e.flush(p, &e.sendPool, e.reclaim, e.awaitFrees)

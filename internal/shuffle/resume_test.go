@@ -1,14 +1,8 @@
 package shuffle
 
 import (
-	"fmt"
 	"testing"
 	"time"
-
-	"rshuffle/internal/engine"
-	"rshuffle/internal/fabric"
-	"rshuffle/internal/sim"
-	"rshuffle/internal/verbs"
 )
 
 // drainReopenCycle exercises the PeerDrainer/PeerResumer contract on every
@@ -107,56 +101,6 @@ func TestProgressWatermarks(t *testing.T) {
 	}
 }
 
-// launchSkip mirrors launch but attaches a SkipTo set to every sending
-// shuffle at construction, the way partial-restart recovery does.
-func launchSkip(t *testing.T, cfg Config, nodes, threads, rowsPerNode int, skip []bool) *shuffleRun {
-	t.Helper()
-	s := sim.New(42)
-	net := fabric.New(s, quietEDR(), nodes)
-	devs := verbs.OpenAll(net)
-	r := &shuffleRun{sim: s, net: net}
-	r.sends = make([]*Shuffle, nodes)
-	r.recvs = make([]*Receive, nodes)
-	r.results = make([]*engine.Sink, nodes)
-
-	sch := engine.NewSchema(engine.TInt64, engine.TInt64)
-	tables := make([]*engine.Table, nodes)
-	for a := 0; a < nodes; a++ {
-		tbl := engine.NewTable(sch)
-		w := engine.NewWriter(tbl)
-		for i := 0; i < rowsPerNode; i++ {
-			w.SetInt64(0, int64(i*7+a))
-			w.SetInt64(1, int64(a)<<32|int64(i))
-			w.Done()
-		}
-		tables[a] = tbl
-	}
-
-	groups := Repartition(nodes)
-	s.Spawn("query", func(p *sim.Proc) {
-		r.comm = Build(p, devs, cfg, threads)
-		done := s.NewWaitGroup("query")
-		for a := 0; a < nodes; a++ {
-			a := a
-			sctx := &engine.Ctx{S: s, Prof: &net.Prof, Threads: threads, Node: a}
-			r.sends[a] = &Shuffle{
-				In: &engine.Scan{T: tables[a]}, Comm: r.comm, Node: a,
-				G: groups, Key: KeyInt64Col(0), SkipTo: skip,
-			}
-			sendSink := &engine.Sink{In: r.sends[a]}
-			done.Add(1)
-			sendSink.Run(sctx, fmt.Sprintf("send%d", a), func(p *sim.Proc) { done.Done() })
-
-			rctx := &engine.Ctx{S: s, Prof: &net.Prof, Threads: threads, Node: a}
-			r.recvs[a] = &Receive{Comm: r.comm, Node: a, Sch: sch}
-			r.results[a] = &engine.Sink{In: r.recvs[a], Keep: true}
-			done.Add(1)
-			r.results[a].Run(rctx, fmt.Sprintf("recv%d", a), func(p *sim.Proc) { done.Done() })
-		}
-	})
-	return r
-}
-
 // TestSkipToSuppressesPartitions runs a repartition shuffle with every
 // sender skipping destination 1: node 1 receives a clean zero-row stream
 // (end-of-stream still propagates), the other nodes receive exactly what
@@ -168,7 +112,8 @@ func TestSkipToSuppressesPartitions(t *testing.T) {
 
 	skip := make([]bool, nodes)
 	skip[1] = true
-	r := launchSkip(t, cfg, nodes, threads, rows, skip)
+	r := launchRun(t, runOpts{prof: quietEDR(), cfg: cfg, nodes: nodes, threads: threads,
+		rowsPerNode: rows, groups: Repartition(nodes), skip: skip, seed: 42})
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}

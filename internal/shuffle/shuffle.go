@@ -318,9 +318,19 @@ type SendEndpoint interface {
 	// Send schedules transmission of b to every node in dest. The buffer
 	// cannot be used after Send returns. Send may block for flow control.
 	Send(p *sim.Proc, b *Buf, dest []int) error
-	// Finish signals end-of-stream from this endpoint to every node in the
-	// cluster and flushes in-flight traffic. Call it exactly once.
-	Finish(p *sim.Proc) error
+	// Finish sends tails, the last data buffers of this endpoint's stream,
+	// signals end-of-stream to every node in the cluster and flushes
+	// in-flight traffic. Call it exactly once, after every other Send on
+	// the endpoint returned. The RC designs tag the tails themselves as
+	// Depleted and send a separate marker only to nodes no tail reached.
+	Finish(p *sim.Proc, tails ...Tail) error
+}
+
+// Tail is a partially filled buffer a SHUFFLE thread still owes its
+// transmission group when its input runs out.
+type Tail struct {
+	Buf  *Buf
+	Dest []int
 }
 
 // RecvEndpoint is the RECEIVE half of the communication endpoint (§4.2).

@@ -35,8 +35,32 @@ func quietEDR() fabric.Profile {
 // launch builds the cluster and starts the query; callers then Run the sim.
 func launch(t testing.TB, prof fabric.Profile, cfg Config, nodes, threads, rowsPerNode int, groups Groups, seed int64) *shuffleRun {
 	t.Helper()
-	s := sim.New(seed)
-	net := fabric.New(s, prof, nodes)
+	return launchRun(t, runOpts{prof: prof, cfg: cfg, nodes: nodes, threads: threads,
+		rowsPerNode: rowsPerNode, groups: groups, seed: seed})
+}
+
+// runOpts describes one shuffle run.
+type runOpts struct {
+	prof           fabric.Profile
+	cfg            Config
+	nodes, threads int
+	rowsPerNode    int
+	// rows, when set, overrides rowsPerNode node by node.
+	rows   []int
+	groups Groups
+	// skip is every sending shuffle's SkipTo, as partial-restart recovery
+	// sets it.
+	skip []bool
+	seed int64
+}
+
+// launchRun builds the cluster o describes and starts the query; callers
+// then Run the sim.
+func launchRun(t testing.TB, o runOpts) *shuffleRun {
+	t.Helper()
+	nodes, threads := o.nodes, o.threads
+	s := sim.New(o.seed)
+	net := fabric.New(s, o.prof, nodes)
 	devs := verbs.OpenAll(net)
 	r := &shuffleRun{sim: s, net: net}
 	r.sends = make([]*Shuffle, nodes)
@@ -46,9 +70,13 @@ func launch(t testing.TB, prof fabric.Profile, cfg Config, nodes, threads, rowsP
 	sch := engine.NewSchema(engine.TInt64, engine.TInt64)
 	tables := make([]*engine.Table, nodes)
 	for a := 0; a < nodes; a++ {
+		n := o.rowsPerNode
+		if o.rows != nil {
+			n = o.rows[a]
+		}
 		tbl := engine.NewTable(sch)
 		w := engine.NewWriter(tbl)
-		for i := 0; i < rowsPerNode; i++ {
+		for i := 0; i < n; i++ {
 			w.SetInt64(0, int64(i*7+a)) // key
 			w.SetInt64(1, int64(a)<<32|int64(i))
 			w.Done()
@@ -57,7 +85,7 @@ func launch(t testing.TB, prof fabric.Profile, cfg Config, nodes, threads, rowsP
 	}
 
 	s.Spawn("query", func(p *sim.Proc) {
-		r.comm = Build(p, devs, cfg, threads)
+		r.comm = Build(p, devs, o.cfg, threads)
 		start := p.Now()
 		done := s.NewWaitGroup("query")
 		for a := 0; a < nodes; a++ {
@@ -65,7 +93,7 @@ func launch(t testing.TB, prof fabric.Profile, cfg Config, nodes, threads, rowsP
 			sctx := &engine.Ctx{S: s, Prof: &net.Prof, Threads: threads, Node: a}
 			r.sends[a] = &Shuffle{
 				In: &engine.Scan{T: tables[a]}, Comm: r.comm, Node: a,
-				G: groups, Key: KeyInt64Col(0),
+				G: o.groups, Key: KeyInt64Col(0), SkipTo: o.skip,
 			}
 			sendSink := &engine.Sink{In: r.sends[a]}
 			done.Add(1)

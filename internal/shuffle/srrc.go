@@ -68,9 +68,13 @@ func (e *srRCSend) waitCredit(p *sim.Proc, dest int) error {
 	}
 }
 
-func (e *srRCSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16) error {
-	e.commit(b, header{payload: b.Len, flags: flags, src: uint16(e.dev.Node())}, len(dest))
-	for _, d := range dest {
+func (e *srRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
+	h := header{payload: b.Len, src: uint16(e.dev.Node())}
+	if depleted {
+		h.flags = flagDepleted
+	}
+	e.commit(b, h, len(dest))
+	return FanOut(e.dev.Node(), dest, func(d int) error {
 		if err := e.waitCredit(p, d); err != nil {
 			return err
 		}
@@ -84,24 +88,20 @@ func (e *srRCSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16) error {
 			}
 			return postErr(d, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Send implements SendEndpoint.
 func (e *srRCSend) Send(p *sim.Proc, b *Buf, dest []int) error {
-	return e.send(p, b, dest, 0)
+	return e.send(p, b, dest, false)
 }
 
-// Finish implements SendEndpoint: a zero-payload buffer tagged Depleted is
-// multicast to every node, then in-flight sends are drained.
-func (e *srRCSend) Finish(p *sim.Proc) error {
-	b, err := e.GetFree(p)
-	if err != nil {
-		return err
-	}
-	b.Len = 0
-	if err := e.send(p, b, allNodes(e.n), flagDepleted); err != nil {
+// Finish implements SendEndpoint: the tails carry the Depleted flag, a
+// zero-payload Depleted buffer goes to the nodes they missed, then in-flight
+// sends are drained.
+func (e *srRCSend) Finish(p *sim.Proc, tails ...Tail) error {
+	if err := e.endStream(p, tails, e.GetFree, e.send); err != nil {
 		return err
 	}
 	return e.flush(p, &e.sendPool, nil, e.awaitSends)

@@ -122,20 +122,25 @@ func (e *srUDSend) transmit(p *sim.Proc, b *Buf, ah verbs.AH) error {
 
 func (e *srUDSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16, value uint64) error {
 	h := header{payload: b.Len, flags: flags, src: uint16(e.dev.Node()), value: value}
+	me := e.dev.Node()
 	if e.hwmc && flags == 0 && len(dest) == e.n {
 		// Native multicast broadcast: one credit unit per member, a single
 		// work request (one completion), a single uplink serialization.
 		e.commit(b, h, 1)
-		for _, d := range dest {
+		err := FanOut(me, dest, func(d int) error {
 			if err := e.waitCredit(p, d); err != nil {
 				return err
 			}
 			e.totals[d]++
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		return e.transmit(p, b, verbs.AH{Multicast: true, MGID: e.mgid})
 	}
 	e.commit(b, h, len(dest))
-	for _, d := range dest {
+	return FanOut(me, dest, func(d int) error {
 		if err := e.waitCredit(p, d); err != nil {
 			return err
 		}
@@ -145,8 +150,8 @@ func (e *srUDSend) send(p *sim.Proc, b *Buf, dest []int, flags uint16, value uin
 		if flags&flagTotal == 0 {
 			e.totals[d]++
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Send implements SendEndpoint.
@@ -154,19 +159,27 @@ func (e *srUDSend) Send(p *sim.Proc, b *Buf, dest []int) error {
 	return e.send(p, b, dest, 0, 0)
 }
 
-// Finish implements SendEndpoint: every peer receives a total-count
-// datagram carrying how many data messages were sent to it, so it can keep
-// waiting for reordered stragglers or declare loss (§4.4.2).
-func (e *srUDSend) Finish(p *sim.Proc) error {
-	for d := 0; d < e.n; d++ {
+// Finish implements SendEndpoint: after the tails, every peer receives a
+// total-count datagram carrying how many data messages were sent to it, so
+// it can keep waiting for reordered stragglers or declare loss (§4.4.2).
+// The totals are the end-of-stream: a datagram may overtake the data it
+// follows, so no data buffer can carry it.
+func (e *srUDSend) Finish(p *sim.Proc, tails ...Tail) error {
+	for _, t := range tails {
+		if err := e.Send(p, t.Buf, t.Dest); err != nil {
+			return err
+		}
+	}
+	err := FanOut(e.dev.Node(), allNodes(e.n), func(d int) error {
 		b, err := e.GetFree(p)
 		if err != nil {
 			return err
 		}
 		b.Len = 0
-		if err := e.send(p, b, []int{d}, flagTotal|flagDepleted, e.totals[d]); err != nil {
-			return err
-		}
+		return e.send(p, b, []int{d}, flagTotal|flagDepleted, e.totals[d])
+	})
+	if err != nil {
+		return err
 	}
 	return e.flush(p, &e.sendPool, nil, e.awaitSends)
 }

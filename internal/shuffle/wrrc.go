@@ -85,7 +85,7 @@ func (e *wrRCSend) GetFree(p *sim.Proc) (*Buf, error) {
 func (e *wrRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
 	e.commit(b, header{payload: b.Len, src: uint16(e.dev.Node())}, len(dest))
 	length := HeaderSize + b.Len
-	for _, d := range dest {
+	err := FanOut(e.dev.Node(), dest, func(d int) error {
 		slot, err := e.popSlot(p, d)
 		if err != nil {
 			return err
@@ -100,9 +100,10 @@ func (e *wrRCSend) send(p *sim.Proc, b *Buf, dest []int, depleted bool) error {
 			// Announcement write, ordered behind the data on the same QP.
 			err = e.putWord(p, &e.validOut, d, packSlot(slot, length, depleted), &e.sendPool)
 		}
-		if err != nil {
-			return postErr(d, err)
-		}
+		return postErr(d, err)
+	})
+	if err != nil {
+		return err
 	}
 	return e.reapWrites(p)
 }
@@ -112,14 +113,10 @@ func (e *wrRCSend) Send(p *sim.Proc, b *Buf, dest []int) error {
 	return e.send(p, b, dest, false)
 }
 
-// Finish implements SendEndpoint.
-func (e *wrRCSend) Finish(p *sim.Proc) error {
-	b, err := e.GetFree(p)
-	if err != nil {
-		return err
-	}
-	b.Len = 0
-	if err := e.send(p, b, allNodes(e.n), true); err != nil {
+// Finish implements SendEndpoint: the tails are announced as Depleted, a
+// zero-payload Depleted buffer to the nodes they missed.
+func (e *wrRCSend) Finish(p *sim.Proc, tails ...Tail) error {
+	if err := e.endStream(p, tails, e.GetFree, e.send); err != nil {
 		return err
 	}
 	return e.flush(p, &e.sendPool, e.reapWrites, e.awaitWrites)
@@ -156,10 +153,14 @@ func (e *wrRCRecv) grant(p *sim.Proc, src, slot int) error {
 }
 
 // GetData implements RecvEndpoint: announcements arrive purely through
-// memory, so the wait path watches for remote writes.
+// memory, so the wait path watches for remote writes. A marker's re-grant
+// posts, and posting can block; an announcement that lands meanwhile from a
+// source the scan already passed raised no memory change the wait below
+// could see, so a scan that granted anything scans again before it waits.
 func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 	w := newWaiter(e.cfg.StallTimeout)
 	for {
+		granted := false
 		for src := 0; src < e.n; src++ {
 			v, ok := e.validArr.take(src)
 			if !ok {
@@ -175,6 +176,7 @@ func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 				if err := e.grant(p, src, slot); err != nil {
 					return nil, err
 				}
+				granted = true
 				continue
 			}
 			return &Data{
@@ -182,6 +184,9 @@ func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 				Payload: e.slotMR.Bytes(slot+HeaderSize, h.payload),
 				slot:    slot,
 			}, nil
+		}
+		if granted {
+			continue
 		}
 		if e.allDone() {
 			return nil, nil

@@ -1,7 +1,8 @@
 // Package bufpool is the process-wide pool of host memory behind every
 // per-query byte store: the chunks of verbs' registered rings and the UD
 // datagram snapshots its devices keep, the row stores of engine's operator
-// output batches, and the input tables cluster.RunBench synthesises. A query
+// output batches, engine's operator state (hash tables, accumulators, join
+// chains, TopN's rows), and the input tables cluster.RunBench synthesises. A query
 // builds all of these afresh — its cluster is discarded when it ends — so
 // without a pool each one is allocated, zeroed and left to the GC once per
 // query. The paper's operator has the same problem with registered memory
@@ -10,7 +11,8 @@
 //
 // Every tenant has an owner that returns what it drew once nothing can read
 // it any more: a device recycles its rings and snapshots when its simulation
-// has ended, an operator returns its batches in Close, RunBench returns its
+// has ended, an operator returns its batches and its state in Close (a
+// HashAgg its per-thread tables once they are merged), RunBench returns its
 // tables after the query has run. A slice the owner did not draw here — a
 // Scan batch is a view of its table — must never be parked: the next Get
 // would hand a second owner memory the first one still reads. A tenant is a
@@ -23,8 +25,8 @@
 // same discipline a real ibv buffer imposes, since pinned memory is never
 // zeroed by the NIC. Regions whose initial all-zero state is load-bearing
 // (credit words, stage arrays, valid/slot markers, the padding columns of a
-// wide RunBench table) must NOT rely on the pool: take a fresh make([]byte,
-// n), or clear what was drawn. Tests switch PoisonForTest on so that a read
+// wide RunBench table, a hash index's empty slots) must NOT rely on the
+// pool: take a fresh make([]byte, n), or clear what was drawn. Tests switch PoisonForTest on so that a read
 // of bytes nobody wrote, or of a buffer already returned, changes a result
 // instead of passing on a lucky zero.
 //

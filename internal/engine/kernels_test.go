@@ -3,10 +3,12 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
+	"rshuffle/internal/bufpool"
 	"rshuffle/internal/sim"
 )
 
@@ -202,24 +204,35 @@ func TestTopNStableOnTies(t *testing.T) {
 	}
 }
 
-// TestHashAggAllocations: a 100k-row, 25k-group aggregation allocates for
-// table doublings and arena growth only, nothing per row or per group (the
-// map-based operator took more than 200k heap objects here).
+// TestHashAggAllocations: a 100k-row, 25k-group aggregation allocates
+// nothing per row or per group (the map-based operator took more than 200k
+// heap objects here), and once a drain has filled the buffer pool, nothing
+// for its tables either: their index, key arena and accumulators are drawn
+// from the pool and go back at the merge and in Close.
 func TestHashAggAllocations(t *testing.T) {
 	tbl := makeInts(100_000, 25_000)
-	allocs := testing.AllocsPerRun(3, func() {
-		runPlan(t, &HashAgg{In: &Scan{T: tbl}, KeyCols: []int{0}, Aggs: sumV}, 4, false)
-	})
+	drain := func() { runPlan(t, &HashAgg{In: &Scan{T: tbl}, KeyCols: []int{0}, Aggs: sumV}, 4, false) }
+	allocs := testing.AllocsPerRun(3, drain)
 	if allocs >= 1000 {
 		t.Errorf("HashAgg drain took %.0f heap objects, want < 1000", allocs)
 	}
-	t.Logf("%.0f heap objects a drain", allocs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	drain()
+	runtime.ReadMemStats(&after)
+	const bound = 256 << 10
+	if b := after.TotalAlloc - before.TotalAlloc; b >= bound {
+		t.Errorf("a warm HashAgg drain allocated %d bytes, want < %d", b, bound)
+	}
+	t.Logf("%.0f heap objects, %d bytes a warm drain", allocs, after.TotalAlloc-before.TotalAlloc)
 }
 
 // FuzzGroupTable drives a groupTable and a map[string]int with the same
 // lookups and inserts: same group ids in first-seen order, same membership,
 // keys stored intact across index doublings, and sorted() in sort.Strings'
-// order.
+// order. A second table then replays the same operations on the stores the
+// first one released, which the poisoning pool has scribbled over: an index
+// not cleared after its draw, or a key read before it was written, fails.
 func FuzzGroupTable(f *testing.F) {
 	// Seeds with many distinct keys take a 16-slot index through several
 	// doublings; they are kept short because the fuzzer minimises every
@@ -234,47 +247,57 @@ func FuzzGroupTable(f *testing.F) {
 	f.Add(uint8(8), noise)
 	f.Add(uint8(24), bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 0, 0}, 12))
 	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
+		defer bufpool.PoisonForTest()()
 		kw := int(width % 40)
-		tab := groupTable{kw: kw}
-		model := map[string]int{}
 		ops := len(data)
 		if kw > 0 {
 			ops /= kw
 		}
-		for i := 0; i < ops; i++ {
-			key := data[i*kw : (i+1)*kw]
-			want, seen := model[string(key)]
-			if !seen {
-				want = -1
+		replay := func(leg string, tab *groupTable) {
+			model := map[string]int{}
+			for i := 0; i < ops; i++ {
+				key := data[i*kw : (i+1)*kw]
+				want, seen := model[string(key)]
+				if !seen {
+					want = -1
+				}
+				if g := tab.lookup(key); g != want {
+					t.Fatalf("%s, op %d: lookup = %d, want %d", leg, i, g, want)
+				}
+				g, added := tab.insert(key)
+				if !seen {
+					want = len(model)
+					model[string(key)] = want
+				}
+				if g != want || added == seen {
+					t.Fatalf("%s, op %d: insert = (%d, %v), want (%d, %v)", leg, i, g, added, want, !seen)
+				}
 			}
-			if g := tab.lookup(key); g != want {
-				t.Fatalf("op %d: lookup = %d, want %d", i, g, want)
+			if tab.n != len(model) {
+				t.Fatalf("%s: %d groups, want %d", leg, tab.n, len(model))
 			}
-			g, added := tab.insert(key)
-			if !seen {
-				want = len(model)
-				model[string(key)] = want
+			keys := make([]string, 0, len(model))
+			for k, g := range model {
+				if string(tab.key(g)) != k {
+					t.Fatalf("%s: group %d holds %q, want %q", leg, g, tab.key(g), k)
+				}
+				keys = append(keys, k)
 			}
-			if g != want || added == seen {
-				t.Fatalf("op %d: insert = (%d, %v), want (%d, %v)", i, g, added, want, !seen)
+			sort.Strings(keys)
+			order := tab.sorted()
+			defer order.release()
+			for i := range keys {
+				if g := getInt32(order.b, i); string(tab.key(int(g))) != keys[i] {
+					t.Fatalf("%s: sorted()[%d] is key %q, want %q", leg, i, tab.key(int(g)), keys[i])
+				}
 			}
 		}
-		if tab.n != len(model) {
-			t.Fatalf("%d groups, want %d", tab.n, len(model))
-		}
-		keys := make([]string, 0, len(model))
-		for k, g := range model {
-			if string(tab.key(g)) != k {
-				t.Fatalf("group %d holds %q, want %q", g, tab.key(g), k)
-			}
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, g := range tab.sorted() {
-			if string(tab.key(int(g))) != keys[i] {
-				t.Fatalf("sorted()[%d] is key %q, want %q", i, tab.key(int(g)), keys[i])
-			}
-		}
+		first := groupTable{kw: kw}
+		replay("first table", &first)
+		first.release()
+		pooled := groupTable{kw: kw}
+		replay("second table", &pooled)
+		pooled.release()
 	})
 }
 

@@ -153,12 +153,13 @@ type HashJoin struct {
 	sch *Schema
 	// ht groups build rows by the 8 bytes of their key column. A group's rows
 	// are a chain through next from head[gid] to tail[gid], in insertion
-	// order; noRow ends it.
+	// order; noRow ends it. Chains, rows and flags are pool stores, returned
+	// in Close.
 	ht         groupTable
-	head, tail []int32 // per group
-	next       []int32 // per build row
-	rows       []byte  // build-side row store
-	matched    []bool  // Semi: build rows already emitted
+	head, tail store // int32 per group
+	next       store // int32 per build row
+	rows       store // build-side row store
+	matched    store // Semi: nonzero for build rows already emitted
 	built      bool
 	barrier    *Barrier
 	out        []*Batch
@@ -220,19 +221,19 @@ func (h *HashJoin) buildPhase(p *sim.Proc, tid int) {
 			h.ctx.ChargeHash(p, in.N)
 			h.ctx.ChargeCopy(p, in.N*bw)
 			h.mu.Lock(p)
+			base := len(h.rows.b) / bw
+			copy(h.rows.grow(in.N*bw), in.Bytes())
 			for i := 0; i < in.N; i++ {
-				row := in.Row(i)
-				r := int32(len(h.rows) / bw)
-				g, added := h.ht.insert(joinKey(bsch, row, h.BuildKey))
+				r := int32(base + i)
+				g, added := h.ht.insert(joinKey(bsch, in.Row(i), h.BuildKey))
 				if added {
-					h.head = append(h.head, r)
-					h.tail = append(h.tail, r)
+					h.head.appendInt32(r)
+					h.tail.appendInt32(r)
 				} else {
-					h.next[h.tail[g]] = r
-					h.tail[g] = r
+					putInt32(h.next.b, int(getInt32(h.tail.b, g)), r)
+					putInt32(h.tail.b, g, r)
 				}
-				h.next = append(h.next, noRow)
-				h.rows = append(h.rows, row...)
+				h.next.appendInt32(noRow)
 			}
 			h.mu.Unlock(p)
 		}
@@ -240,9 +241,9 @@ func (h *HashJoin) buildPhase(p *sim.Proc, tid int) {
 			break
 		}
 	}
-	h.barrier.Wait(p)
-	if h.Semi && h.matched == nil {
-		h.matched = make([]bool, len(h.rows)/bw)
+	if h.barrier.Wait(p) && h.Semi {
+		// The last thread in sets the flags up before any other resumes.
+		clear(h.matched.reset(len(h.rows.b) / bw))
 	}
 	h.built = true
 }
@@ -271,12 +272,12 @@ func (h *HashJoin) Next(p *sim.Proc, tid int) (*Batch, State) {
 				if !c.chained {
 					c.match, c.chained = noRow, true
 					if g := h.ht.lookup(joinKey(psch, c.in.Row(c.row), h.ProbeKey)); g >= 0 {
-						c.match = h.head[g]
+						c.match = getInt32(h.head.b, g)
 					}
 				}
-				for ; c.match != noRow; c.match = h.next[c.match] {
+				for ; c.match != noRow; c.match = getInt32(h.next.b, int(c.match)) {
 					r := int(c.match)
-					if h.Semi && h.matched[r] {
+					if h.Semi && h.matched.b[r] != 0 {
 						continue
 					}
 					if out.Full() {
@@ -284,9 +285,9 @@ func (h *HashJoin) Next(p *sim.Proc, tid int) (*Batch, State) {
 						return out, MoreData
 					}
 					row := out.slot()
-					copy(row, h.rows[r*bw:(r+1)*bw])
+					copy(row, h.rows.b[r*bw:(r+1)*bw])
 					if h.Semi {
-						h.matched[r] = true
+						h.matched.b[r] = 1
 					} else {
 						copy(row[bw:], c.in.Row(c.row))
 					}
@@ -312,6 +313,10 @@ func (h *HashJoin) Close(p *sim.Proc) {
 	h.Build.Close(p)
 	h.Probe.Close(p)
 	releaseBatches(h.out)
+	h.ht.release()
+	for _, s := range []*store{&h.head, &h.tail, &h.next, &h.rows, &h.matched} {
+		s.release()
+	}
 }
 
 // AggKind selects the aggregate function.
@@ -344,20 +349,26 @@ type HashAgg struct {
 	ctx     *Ctx
 	sch     *Schema
 	keyAt   [][2]int   // byte span of each key column within an input row
-	partial []aggTable // one per thread
+	partial []aggTable // one per thread, released once merged
 	merged  aggTable
-	order   []int32 // merged's groups in emission order
+	order   store // int32s: merged's groups in emission order
 	done    bool
 	barrier *Barrier
 	cursor  int
 	out     []*Batch
 }
 
-// aggTable is a group table with its accumulators: group g's are
-// acc[g*len(Aggs) : (g+1)*len(Aggs)].
+// aggTable is a group table with its accumulators, a store of float64s:
+// group g's are entries g*len(Aggs) to (g+1)*len(Aggs)-1.
 type aggTable struct {
 	groupTable
-	acc []float64
+	acc store
+}
+
+// release returns the table's stores to the pool.
+func (t *aggTable) release() {
+	t.groupTable.release()
+	t.acc.release()
 }
 
 // Schema implements Operator; it is valid before Open.
@@ -413,27 +424,25 @@ func (a *HashAgg) keyOf(row, scratch []byte) []byte {
 
 func (a *HashAgg) consume(p *sim.Proc, tid int) {
 	part := &a.partial[tid]
-	na := len(a.Aggs)
+	aw := 8 * len(a.Aggs) // accumulator bytes a group
 	scratch := make([]byte, part.kw)
 	for {
 		in, st := a.In.Next(p, tid)
 		if in != nil && in.N > 0 {
 			a.ctx.ChargeHash(p, in.N)
-			a.ctx.ChargeTuples(p, in.N*na)
+			a.ctx.ChargeTuples(p, in.N*len(a.Aggs))
 			for i := 0; i < in.N; i++ {
 				g, added := part.insert(a.keyOf(in.Row(i), scratch))
 				if added {
-					for range a.Aggs {
-						part.acc = append(part.acc, 0)
-					}
+					clear(part.acc.grow(aw)) // pooled bytes are not zeros
 				}
-				acc := part.acc[g*na : (g+1)*na]
+				acc := part.acc.b[g*aw : (g+1)*aw]
 				for j, spec := range a.Aggs {
 					switch spec.Kind {
 					case AggCount:
-						acc[j]++
+						putFloat64(acc, j, getFloat64(acc, j)+1)
 					case AggSum:
-						acc[j] += spec.Eval(in, i)
+						putFloat64(acc, j, getFloat64(acc, j)+spec.Eval(in, i))
 					}
 				}
 			}
@@ -443,23 +452,26 @@ func (a *HashAgg) consume(p *sim.Proc, tid int) {
 		}
 	}
 	if a.barrier.Wait(p) {
-		// Last thread merges the partials deterministically.
+		// Last thread merges the partials deterministically, returning each
+		// to the pool once it is folded in.
 		m := &a.merged
 		total := 0
 		for i := range a.partial {
 			part := &a.partial[i]
 			total += part.n
 			for g := 0; g < part.n; g++ {
-				acc := part.acc[g*na : (g+1)*na]
+				acc := part.acc.b[g*aw : (g+1)*aw]
 				mg, added := m.insert(part.key(g))
 				if added {
-					m.acc = append(m.acc, acc...)
+					copy(m.acc.grow(aw), acc)
 					continue
 				}
-				for j, v := range acc {
-					m.acc[mg*na+j] += v
+				macc := m.acc.b[mg*aw : (mg+1)*aw]
+				for j := range a.Aggs {
+					putFloat64(macc, j, getFloat64(macc, j)+getFloat64(acc, j))
 				}
 			}
+			part.release()
 		}
 		a.ctx.ChargeHash(p, total)
 		a.order = m.sorted()
@@ -476,17 +488,18 @@ func (a *HashAgg) Next(p *sim.Proc, tid int) (*Batch, State) {
 	out := a.out[tid]
 	out.Reset()
 	m, na := &a.merged, len(a.Aggs)
-	for out.N < out.Cap() && a.cursor < len(a.order) {
-		g := int(a.order[a.cursor])
+	groups := len(a.order.b) / 4
+	for out.N < out.Cap() && a.cursor < groups {
+		g := int(getInt32(a.order.b, a.cursor))
 		a.cursor++
 		copy(out.slot(), m.key(g)) // key bytes are a prefix of the output row
 		out.N++
-		for j, v := range m.acc[g*na : (g+1)*na] {
-			out.SetFloat64(out.N-1, len(a.KeyCols)+j, v)
+		for j := 0; j < na; j++ {
+			out.SetFloat64(out.N-1, len(a.KeyCols)+j, getFloat64(m.acc.b, g*na+j))
 		}
 	}
 	a.ctx.ChargeTuples(p, out.N)
-	if a.cursor >= len(a.order) {
+	if a.cursor >= groups {
 		return out, Depleted
 	}
 	return out, MoreData
@@ -496,6 +509,11 @@ func (a *HashAgg) Next(p *sim.Proc, tid int) (*Batch, State) {
 func (a *HashAgg) Close(p *sim.Proc) {
 	a.In.Close(p)
 	releaseBatches(a.out)
+	for i := range a.partial {
+		a.partial[i].release()
+	}
+	a.merged.release()
+	a.order.release()
 }
 
 // TopN fully drains its input, sorts with Less over raw rows, and emits the
@@ -507,9 +525,9 @@ type TopN struct {
 	Less func(sch *Schema, a, b []byte) bool
 
 	ctx     *Ctx
-	w       int     // row width
-	rows    []byte  // every input row, in arrival order
-	order   []int32 // row numbers in rows, sorted
+	w       int   // row width
+	rows    store // every input row, in arrival order
+	order   store // int32s: row numbers in rows, sorted and cut to N
 	sorted  bool
 	barrier *Barrier
 	mu      *sim.Mutex
@@ -531,7 +549,25 @@ func (t *TopN) Open(ctx *Ctx) {
 }
 
 // row returns stored row r.
-func (t *TopN) row(r int32) []byte { return t.rows[int(r)*t.w : (int(r)+1)*t.w] }
+func (t *TopN) row(r int32) []byte { return t.rows.b[int(r)*t.w : (int(r)+1)*t.w] }
+
+// byLess orders a TopN's row numbers with its Less, for sort.Stable.
+type byLess struct {
+	t   *TopN
+	sch *Schema
+}
+
+func (o byLess) Len() int { return len(o.t.order.b) / 4 }
+func (o byLess) Less(i, j int) bool {
+	order := o.t.order.b
+	return o.t.Less(o.sch, o.t.row(getInt32(order, i)), o.t.row(getInt32(order, j)))
+}
+func (o byLess) Swap(i, j int) {
+	order := o.t.order.b
+	a, b := getInt32(order, i), getInt32(order, j)
+	putInt32(order, i, b)
+	putInt32(order, j, a)
+}
 
 // Next implements Operator.
 func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
@@ -541,7 +577,7 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 			if in != nil && in.N > 0 {
 				t.ctx.ChargeCopy(p, in.N*t.w)
 				t.mu.Lock(p)
-				t.rows = append(t.rows, in.Bytes()...)
+				copy(t.rows.grow(len(in.Bytes())), in.Bytes())
 				t.mu.Unlock(p)
 			}
 			if st == Depleted {
@@ -551,7 +587,7 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 		if t.barrier.Wait(p) {
 			sch := t.In.Schema()
 			// n log n comparison cost, charged to the sorting thread.
-			n := len(t.rows) / t.w
+			n := len(t.rows.b) / t.w
 			if n > 1 {
 				cost := 0
 				for m := n; m > 1; m >>= 1 {
@@ -559,15 +595,13 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 				}
 				t.ctx.ChargeTuples(p, cost)
 			}
-			t.order = make([]int32, n)
-			for i := range t.order {
-				t.order[i] = int32(i)
+			order := t.order.reset(4 * n)
+			for i := 0; i < n; i++ {
+				putInt32(order, i, int32(i))
 			}
-			sort.SliceStable(t.order, func(i, j int) bool {
-				return t.Less(sch, t.row(t.order[i]), t.row(t.order[j]))
-			})
+			sort.Stable(byLess{t, sch})
 			if t.N > 0 && n > t.N {
-				t.order = t.order[:t.N]
+				t.order.b = order[:4*t.N]
 			}
 		}
 		t.barrier.Wait(p)
@@ -575,11 +609,12 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 	}
 	out := t.out[tid]
 	out.Reset()
-	for out.N < out.Cap() && t.cursor < len(t.order) {
-		out.AppendRow(t.row(t.order[t.cursor]))
+	n := len(t.order.b) / 4
+	for out.N < out.Cap() && t.cursor < n {
+		out.AppendRow(t.row(getInt32(t.order.b, t.cursor)))
 		t.cursor++
 	}
-	if t.cursor >= len(t.order) {
+	if t.cursor >= n {
 		return out, Depleted
 	}
 	return out, MoreData
@@ -589,6 +624,8 @@ func (t *TopN) Next(p *sim.Proc, tid int) (*Batch, State) {
 func (t *TopN) Close(p *sim.Proc) {
 	t.In.Close(p)
 	releaseBatches(t.out)
+	t.rows.release()
+	t.order.release()
 }
 
 // Burn adds a fixed CPU cost per batch pulled through it; the paper's

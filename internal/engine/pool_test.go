@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"sort"
 	"testing"
 
 	"rshuffle/internal/bufpool"
@@ -159,4 +161,69 @@ func TestProjectResizeReturnsBothStores(t *testing.T) {
 		t.Errorf("%d stores drawn from the %d-byte class, want one a thread", n, large)
 	}
 	checkPoolOut(t, "resizing project", held)
+}
+
+// TestOperatorStoresRoundTrip: the hash table, accumulators, join chains and
+// sort state of HashAgg, HashJoin and TopN are stores drawn from the pool.
+// Run every plan twice under the poisoning pool, so that the second run
+// draws what the first one returned, scribbled over: each run must emit
+// exactly what the map-based oracle emits (a stable sort of the input for
+// TopN), and every store must be back in the pool once the plan has closed.
+func TestOperatorStoresRoundTrip(t *testing.T) {
+	const threads = 3
+	w0, w8, w16 := keyShapes[0], keyShapes[1], keyShapes[2]
+	aggOf := func(k keyShape, tbl *Table) [2]func() Operator {
+		return [2]func() Operator{
+			func() Operator { return &HashAgg{In: &Scan{T: tbl}, KeyCols: k.keys, Aggs: k.aggs()} },
+			func() Operator { return &mapHashAgg{In: &Scan{T: tbl}, KeyCols: k.keys, Aggs: k.aggs()} },
+		}
+	}
+	build, probe := makeInts(6000, 1500), makeInts(9000, 2000)
+	joinOf := func(semi bool) [2]func() Operator {
+		return [2]func() Operator{
+			func() Operator { return &HashJoin{Build: &Scan{T: build}, Probe: &Scan{T: probe}, Semi: semi} },
+			func() Operator { return &mapHashJoin{Build: &Scan{T: build}, Probe: &Scan{T: probe}, Semi: semi} },
+		}
+	}
+	plans := map[string][2]func() Operator{ // the operator, then its oracle
+		"agg/zero-width-key": aggOf(w0, w0.table(9000, 1)),
+		"agg/one-column-key": aggOf(w8, w8.table(9000, 4096)),
+		"agg/gathered-key":   aggOf(w16, w16.table(9000, 4096)),
+		"join/inner":         joinOf(false),
+		"join/semi":          joinOf(true),
+	}
+	want := map[string][]byte{}
+	for name, plan := range plans {
+		if want[name] = runPlan(t, plan[1](), threads, true).Result.Data; len(want[name]) == 0 {
+			t.Fatalf("%s: the oracle emitted nothing", name)
+		}
+	}
+	fact := makeInts(20_000, 500)
+	want["topn"] = stableTopN(fact, 1500, lessV)
+	plans["topn"] = [2]func() Operator{func() Operator { return &TopN{In: &Scan{T: fact}, N: 1500, Less: lessV} }}
+
+	held := poolOut()
+	for name, plan := range plans {
+		for run := 1; run <= 2; run++ {
+			got := runPlan(t, plan[0](), threads, true).Result.Data
+			if !bytes.Equal(got, want[name]) {
+				t.Errorf("%s, run %d: %d bytes emitted, differing from the oracle's %d", name, run, len(got), len(want[name]))
+			}
+		}
+		checkPoolOut(t, name, held)
+	}
+}
+
+// stableTopN is TopN's oracle: the first n rows of tbl under a stable sort.
+func stableTopN(tbl *Table, n int, less func(sch *Schema, a, b []byte) bool) []byte {
+	rows := make([][]byte, tbl.N)
+	for i := range rows {
+		rows[i] = tbl.Row(i)
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return less(tbl.Sch, rows[i], rows[j]) })
+	var out []byte
+	for _, r := range rows[:min(n, len(rows))] {
+		out = append(out, r...)
+	}
+	return out
 }

@@ -113,7 +113,7 @@ func extLossyIncast(o Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the crossover the extension exists for: with congestion control off the incast",
 		"tail-drops whole send windows until retry budgets exhaust and the query dies;",
-		"with it on, some seeds complete (2 of seeds 1-10), every row in RC order, through",
+		"with it on, some seeds complete (rate: TestLossyIncastDCQCNDegradationWhenDisabled), every row in RC order, through",
 		"300-450 drops and their replays; the rest lose one sender QP to retry exhaustion")
 	return t, nil
 }

@@ -240,8 +240,7 @@ func (qp *QP) errorFrom(exec *Device, e CQE) {
 func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	qp.mu.Lock(p)
 	defer qp.mu.Unlock(p)
-	p.Sleep(qp.dev.prof().PostCost)
-	qp.dev.stats.Posts++
+	p.Sleep(qp.dev.prof().PostCost) // a refused post costs the call too
 	if qp.cfg.Type == fabric.RC && qp.connected && qp.dev.PeerDown(qp.peerNode) {
 		return ErrPeerDown
 	}
@@ -257,6 +256,7 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	if qp.cfg.Type == fabric.UD && wr.Len <= GRHSize {
 		return ErrTooLong
 	}
+	qp.dev.stats.Posts++
 	qp.recvQ.push(wr)
 	qp.armRNRTimer()
 	return nil
@@ -266,8 +266,7 @@ func (qp *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 // the network; completion arrives on the send CQ.
 func (qp *QP) PostSend(p *sim.Proc, wr SendWR) error {
 	qp.mu.Lock(p)
-	p.Sleep(qp.dev.prof().PostCost)
-	qp.dev.stats.Posts++
+	p.Sleep(qp.dev.prof().PostCost) // a refused post costs the call too
 	if qp.cfg.Type == fabric.RC && qp.connected && qp.dev.PeerDown(qp.peerNode) {
 		qp.mu.Unlock(p)
 		return ErrPeerDown
@@ -296,6 +295,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr SendWR) error {
 		err = ErrBadOp
 	}
 	if err == nil {
+		qp.dev.stats.Posts++
 		qp.outstanding++
 		qp.inflight = append(qp.inflight, inflightWR{wr.ID, wr.Op})
 		// The WR lifecycle span opens at post time and closes when the

@@ -156,6 +156,10 @@ type Device struct {
 
 // DeviceStats counts verb-level activity on one device.
 type DeviceStats struct {
+	// Posts counts the work requests queue pairs accepted: a post refused
+	// with an error (ErrSQFull, say) is charged its PostCost but not
+	// counted, so the count does not move with how often a full send queue
+	// was retried.
 	Posts, Polls    int64
 	RNRRetries      int64
 	UDNoRecvDrops   int64

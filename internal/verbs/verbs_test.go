@@ -310,6 +310,60 @@ func TestSQDepthLimit(t *testing.T) {
 	}
 }
 
+// TestRefusedPostsAreNotCounted: Posts counts the work requests a queue
+// pair accepted. A send bounced with ErrSQFull and a receive bounced with
+// ErrRQFull still cost the caller PostCost, but neither is counted.
+func TestRefusedPostsAreNotCounted(t *testing.T) {
+	r := newRig(t, 2)
+	cqa := r.devs[0].CreateCQ(64)
+	cqb := r.devs[1].CreateCQ(64)
+	qpa := r.devs[0].CreateQP(QPConfig{Type: fabric.RC, SendCQ: cqa, RecvCQ: cqa, MaxSend: 2, MaxRecv: 1})
+	qpb := r.devs[1].CreateQP(QPConfig{Type: fabric.RC, SendCQ: cqb, RecvCQ: cqb})
+	qpa.Connect(1, qpb.QPN())
+	qpb.Connect(0, qpa.QPN())
+	cost := r.devs[0].prof().PostCost
+	r.sim.Spawn("send", func(p *sim.Proc) {
+		mr := r.devs[0].RegisterMRNoCost(make([]byte, 64))
+		wr := SendWR{Op: OpSend, MR: mr, Len: 64}
+		for i := 0; i < 2; i++ {
+			if err := qpa.PostSend(p, wr); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := qpa.PostRecv(p, RecvWR{MR: mr, Len: 64}); err != nil {
+			t.Error(err)
+		}
+		at := p.Now()
+		if err := qpa.PostSend(p, wr); err != ErrSQFull {
+			t.Errorf("third send: err = %v, want ErrSQFull", err)
+		}
+		if err := qpa.PostRecv(p, RecvWR{MR: mr, Len: 64}); err != ErrRQFull {
+			t.Errorf("second receive: err = %v, want ErrRQFull", err)
+		}
+		if took := p.Now() - at; took != sim.Time(2*cost) {
+			t.Errorf("two refused posts took %v, want two PostCosts (%v)", took, 2*cost)
+		}
+		if n := r.devs[0].Stats().Posts; n != 3 {
+			t.Errorf("Posts = %d after three accepted posts and two refused ones, want 3", n)
+		}
+	})
+	r.sim.Spawn("recv", func(p *sim.Proc) {
+		mr := r.devs[1].RegisterMRNoCost(make([]byte, 128))
+		for i := 0; i < 2; i++ {
+			if err := qpb.PostRecv(p, RecvWR{MR: mr, Offset: i * 64, Len: 64}); err != nil {
+				t.Error(err)
+			}
+		}
+		var es [2]CQE
+		for n := 0; n < 2; {
+			n += cqb.WaitPoll(p, es[:])
+		}
+	})
+	if err := r.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRDMAWriteUpdatesRemoteMemory(t *testing.T) {
 	r := newRig(t, 2)
 	qpa, _, cqa, _ := r.rcPair(0, 1)

@@ -92,8 +92,10 @@ partition-smoke:
 	$(GO) test -race -run '^TestPartitionSmoke$$' -v ./internal/cluster/
 
 # Race-enabled DAG smoke: the multi-stage plan (partial agg → hash
-# re-shuffle → join → broadcast) through an attempt-zero RC outage and a
-# whole-plan restart, exercising the planner's recovery path.
+# re-shuffle → join → broadcast) in two explicit attempts. Attempt 0 runs
+# under total RC loss into node 1 and must fail with a transport error;
+# attempt 1 reruns the whole plan on a fresh, clean cluster and must produce
+# the right sum.
 dag-smoke:
 	$(GO) test -race -run '^TestDagChaosSmoke$$' -v ./internal/dag/
 

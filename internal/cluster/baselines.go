@@ -8,9 +8,9 @@ import (
 )
 
 // MPIProvider returns a factory for the MVAPICH-like baseline.
-func MPIProvider(cfg mpi.Config) ProviderFactory {
+func MPIProvider() ProviderFactory {
 	return func(p *sim.Proc, c *Cluster) shuffle.Provider {
-		return mpi.Build(p, c.Devs, cfg)
+		return mpi.Build(p, c.Devs)
 	}
 }
 

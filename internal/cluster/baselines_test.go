@@ -5,7 +5,6 @@ import (
 
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/qperf"
 	"rshuffle/internal/shuffle"
 )
@@ -25,7 +24,7 @@ func runBaseline(t testing.TB, prof fabric.Profile, f ProviderFactory, nodes, ro
 
 func TestMPIConservesRows(t *testing.T) {
 	const nodes, rows = 4, 100_000
-	res := runBaseline(t, quiet(fabric.EDR()), MPIProvider(mpi.Config{}), nodes, rows, nil)
+	res := runBaseline(t, quiet(fabric.EDR()), MPIProvider(), nodes, rows, nil)
 	var total int64
 	for _, r := range res.RowsPerNode {
 		total += r
@@ -37,7 +36,7 @@ func TestMPIConservesRows(t *testing.T) {
 
 func TestMPIBroadcast(t *testing.T) {
 	const nodes, rows = 3, 40_000
-	res := runBaseline(t, quiet(fabric.EDR()), MPIProvider(mpi.Config{}), nodes, rows, shuffle.Broadcast(nodes))
+	res := runBaseline(t, quiet(fabric.EDR()), MPIProvider(), nodes, rows, shuffle.Broadcast(nodes))
 	for a, r := range res.RowsPerNode {
 		if r != int64(nodes*rows) {
 			t.Fatalf("node %d received %d rows, want %d", a, r, nodes*rows)
@@ -72,7 +71,7 @@ func TestBaselineOrdering(t *testing.T) {
 	const nodes, rows = 8, 1_000_000
 	rdma := runBaseline(t, quiet(fabric.EDR()),
 		RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 14}), nodes, rows, nil)
-	mpiRes := runBaseline(t, quiet(fabric.EDR()), MPIProvider(mpi.Config{}), nodes, rows, nil)
+	mpiRes := runBaseline(t, quiet(fabric.EDR()), MPIProvider(), nodes, rows, nil)
 	ipoibRes := runBaseline(t, quiet(fabric.EDR()), IPoIBProvider(ipoib.Config{}), nodes, rows, nil)
 	r, m, i := rdma.GiBps(), mpiRes.GiBps(), ipoibRes.GiBps()
 	t.Logf("EDR 8 nodes: MESQ/SR=%.2f MPI=%.2f IPoIB=%.2f GiB/s", r, m, i)

@@ -367,30 +367,6 @@ func TestChaosPersistentFaultGivesUp(t *testing.T) {
 	}
 }
 
-// TestRecoveryPolicyDeadline bounds the total virtual time: with a deadline
-// shorter than one attempt, a failing query gets no restart at all.
-func TestRecoveryPolicyDeadline(t *testing.T) {
-	mk := func(attempt int) *Cluster {
-		c := New(quiet(fabric.EDR()), 2, 4, 7)
-		c.Sim.After(1, func() { c.Net.InjectUDLoss(1, 2) })
-		return c
-	}
-	pol := RecoveryPolicy{MaxRestarts: 5, Deadline: 1} // 1ns: spent by any attempt
-	r, err := pol.Run(mk, BenchOpts{
-		Factory:     RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 4, DepletedTimeout: 5 * time.Millisecond}),
-		RowsPerNode: 20_000,
-	})
-	if !errors.Is(err, ErrRecoveryExhausted) {
-		t.Fatalf("err = %v, want ErrRecoveryExhausted", err)
-	}
-	if len(r.Attempts) != 1 || r.Restarts != 0 {
-		t.Fatalf("attempts = %d restarts = %d, want 1 and 0", len(r.Attempts), r.Restarts)
-	}
-	if r.Attempts[0].Err == nil || r.TotalVirtual < r.Attempts[0].Elapsed {
-		t.Fatalf("attempt bookkeeping wrong: %+v", r.Attempts[0])
-	}
-}
-
 // TestRecoveryPolicyBackoff pins the exponential backoff schedule.
 func TestRecoveryPolicyBackoff(t *testing.T) {
 	pol := RecoveryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
@@ -411,7 +387,9 @@ func TestRecoveryPolicyRecordsAttempts(t *testing.T) {
 	mk := func(attempt int) *Cluster {
 		c := New(quiet(fabric.EDR()), 2, 4, 7)
 		if attempt == 0 {
-			c.Sim.After(1, func() { c.Net.InjectUDLoss(1, 2) })
+			c.Sim.After(1, func() {
+				c.Net.Faults().Add(fabric.FaultRule{Class: fabric.FaultUDLoss, From: fabric.AnyNode, To: 1, Count: 2})
+			})
 		}
 		return c
 	}

@@ -147,14 +147,10 @@ func SyntheticTable(seed int64, rows int) *engine.Table {
 	return SyntheticTableWide(seed, rows, 16)
 }
 
-// SyntheticTableZipf generates R with Zipf-distributed keys over the given
-// domain: with exponent s > 0 some partitions receive far more data than
-// others, the skew scenario the flow-join line of work targets (paper §6).
-func SyntheticTableZipf(seed int64, rows int, domain uint64, exponent float64) *engine.Table {
-	return fillZipf(make([]byte, rows*16), seed, domain, exponent)
-}
-
-// fillZipf writes SyntheticTableZipf's rows over all of data.
+// fillZipf writes R with Zipf-distributed keys over the given domain over
+// all of data: with exponent s > 0 some partitions receive far more data
+// than others, the skew scenario the flow-join line of work targets (paper
+// §6).
 func fillZipf(data []byte, seed int64, domain uint64, exponent float64) *engine.Table {
 	z := rand.NewZipf(rand.New(rand.NewSource(seed)), 1+exponent, 1, domain-1)
 	t := tableOver(data, 16)
@@ -260,10 +256,10 @@ func (o BenchOpts) skipFor(src int) []bool {
 	return nil
 }
 
-// pooledTable is SyntheticTableZipf or SyntheticTableWide, as the options
-// choose, over a row store drawn from the buffer pool. Such a store holds
-// whatever its last tenant left, so the padding columns of a wide table are
-// cleared before the fill.
+// pooledTable is a Zipf table (fillZipf) or SyntheticTableWide, as the
+// options choose, over a row store drawn from the buffer pool. Such a store
+// holds whatever its last tenant left, so the padding columns of a wide
+// table are cleared before the fill.
 func (o BenchOpts) pooledTable(seed int64) *engine.Table {
 	if o.ZipfExponent > 0 {
 		return fillZipf(bufpool.Get(o.RowsPerNode*16), seed, 1<<20, o.ZipfExponent)

@@ -127,7 +127,9 @@ func TestRestartOnLoss(t *testing.T) {
 	mk := func(attempt int) *Cluster {
 		c := New(quiet(fabric.EDR()), 2, 4, 7)
 		if attempt == 0 {
-			c.Sim.After(1, func() { c.Net.InjectUDLoss(1, 2) })
+			c.Sim.After(1, func() {
+				c.Net.Faults().Add(fabric.FaultRule{Class: fabric.FaultUDLoss, From: fabric.AnyNode, To: 1, Count: 2})
+			})
 		}
 		return c
 	}
@@ -154,7 +156,9 @@ func TestRestartOnLoss(t *testing.T) {
 func TestRestartGivesUp(t *testing.T) {
 	mk := func(int) *Cluster {
 		c := New(quiet(fabric.EDR()), 2, 4, 7)
-		c.Sim.After(1, func() { c.Net.InjectUDLoss(1, 2) })
+		c.Sim.After(1, func() {
+			c.Net.Faults().Add(fabric.FaultRule{Class: fabric.FaultUDLoss, From: fabric.AnyNode, To: 1, Count: 2})
+		})
 		return c
 	}
 	res, err := RecoveryPolicy{MaxRestarts: 2}.Run(mk, BenchOpts{

@@ -230,21 +230,3 @@ func (d *Detector) Dead() []int {
 	}
 	return dead
 }
-
-// Suspected reports whether node i currently suspects node j.
-func (d *Detector) Suspected(i, j int) bool { return d.suspected[i][j] }
-
-// ViewEpoch returns node i's membership-view epoch: it advances on every
-// suspicion set or clear at i, so equal epochs imply identical views.
-func (d *Detector) ViewEpoch(i int) uint64 { return d.viewEpoch[i] }
-
-// View returns node i's current membership view: its epoch stamp and the
-// peers i suspects, in node order.
-func (d *Detector) View(i int) (epoch uint64, suspects []int) {
-	for j := 0; j < d.c.N; j++ {
-		if d.suspected[i][j] {
-			suspects = append(suspects, j)
-		}
-	}
-	return d.viewEpoch[i], suspects
-}

@@ -32,10 +32,10 @@ func detectorRig(t *testing.T, crashNode int, crashAt, runFor sim.Duration) *Det
 // itself — hearing nothing — suspects everyone without polluting Dead.
 func TestDetectorSuspectsCrashedNode(t *testing.T) {
 	fd := detectorRig(t, 1, time.Millisecond, 20*time.Millisecond)
-	if !fd.Suspected(0, 1) || !fd.Suspected(2, 1) {
+	if !fd.suspected[0][1] || !fd.suspected[2][1] {
 		t.Fatalf("survivors did not suspect the crashed node")
 	}
-	if !fd.Suspected(1, 0) || !fd.Suspected(1, 2) {
+	if !fd.suspected[1][0] || !fd.suspected[1][2] {
 		t.Fatalf("crashed node should suspect the silent world")
 	}
 	if dead := fd.Dead(); len(dead) != 1 || dead[0] != 1 {

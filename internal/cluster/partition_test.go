@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -26,24 +27,24 @@ func TestAsymmetricPartitionSuspectsNotDead(t *testing.T) {
 		t.Fatalf("simulation failed: %v", err)
 	}
 	for _, i := range []int{0, 1, 3} {
-		if !fd.Suspected(i, 2) {
+		if !fd.suspected[i][2] {
 			t.Fatalf("node %d should suspect the hidden node 2", i)
 		}
 	}
-	if fd.Suspected(4, 2) {
+	if fd.suspected[4][2] {
 		t.Fatal("node 4 hears node 2 and must not suspect it")
 	}
 	// The cut is one-way: node 2 still hears everyone.
 	for _, j := range []int{0, 1, 3, 4} {
-		if fd.Suspected(2, j) {
+		if fd.suspected[2][j] {
 			t.Fatalf("node 2 should still hear node %d (asymmetric cut)", j)
 		}
 	}
 	if dead := fd.Dead(); len(dead) != 0 {
 		t.Fatalf("Dead() = %v, want none: node 4's fresh heartbeat vetoes the majority", dead)
 	}
-	if ep, sus := fd.View(0); ep == 0 || len(sus) != 1 || sus[0] != 2 {
-		t.Fatalf("View(0) = epoch %d suspects %v, want a stamped view suspecting [2]", ep, sus)
+	if ep, sus := fd.viewEpoch[0], fd.suspected[0]; ep == 0 || !slices.Equal(sus, []bool{false, false, true, false, false}) {
+		t.Fatalf("node 0's view = epoch %d suspects %v, want a stamped view suspecting node 2 alone", ep, sus)
 	}
 }
 
@@ -67,7 +68,7 @@ func TestPartitionHealClearsSuspicion(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if i != j && fd.Suspected(i, j) {
+			if i != j && fd.suspected[i][j] {
 				t.Fatalf("suspicion %d->%d survived the heal", i, j)
 			}
 		}
@@ -76,8 +77,8 @@ func TestPartitionHealClearsSuspicion(t *testing.T) {
 		t.Fatalf("Dead() = %v after heal, want none", dead)
 	}
 	// Suspicion set + clear both advance the view epoch.
-	if ep, _ := fd.View(0); ep < 2 {
-		t.Fatalf("ViewEpoch(0) = %d, want >= 2 (one set, one clear)", ep)
+	if ep := fd.viewEpoch[0]; ep < 2 {
+		t.Fatalf("node 0's view epoch = %d, want >= 2 (one set, one clear)", ep)
 	}
 	if c.Devs[0].PeerDown(1) {
 		t.Fatal("device still thinks the healed peer is down")
@@ -105,7 +106,7 @@ func TestRebootBumpsEpoch(t *testing.T) {
 	if got := c.Devs[0].Epoch(); got != 1 {
 		t.Fatalf("untouched node epoch = %d, want 1", got)
 	}
-	if fd.Suspected(0, 1) || fd.Suspected(2, 1) {
+	if fd.suspected[0][1] || fd.suspected[2][1] {
 		t.Fatal("suspicion of the rebooted node should clear once heartbeats resume")
 	}
 	if dead := fd.Dead(); len(dead) != 0 {

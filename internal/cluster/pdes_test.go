@@ -10,7 +10,6 @@ import (
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/telemetry"
 )
@@ -240,7 +239,7 @@ func TestBaselineTransportEquivalence(t *testing.T) {
 		factory cluster.ProviderFactory
 		rows    int
 	}{
-		{"MPI", cluster.MPIProvider(mpi.Config{}), 6 * prof.Threads * 8 * bufTuples},
+		{"MPI", cluster.MPIProvider(), 6 * prof.Threads * 8 * bufTuples},
 		{"IPoIB", cluster.IPoIBProvider(ipoib.Config{}), 100000},
 	}
 	for _, cell := range cells {

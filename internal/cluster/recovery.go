@@ -9,7 +9,7 @@ import (
 )
 
 // ErrRecoveryExhausted means a query kept failing until its RecoveryPolicy
-// gave up (restart budget or deadline spent). The last attempt's transport
+// gave up (restart budget spent). The last attempt's transport
 // error is wrapped for diagnosis.
 var ErrRecoveryExhausted = errors.New("cluster: recovery exhausted")
 
@@ -27,10 +27,6 @@ type RecoveryPolicy struct {
 	BaseBackoff sim.Duration
 	// MaxBackoff caps the doubling; zero leaves it uncapped.
 	MaxBackoff sim.Duration
-	// Deadline bounds the total virtual time spent across attempts and
-	// backoffs: once exceeded, no further restart is scheduled. Zero means
-	// no deadline.
-	Deadline sim.Duration
 }
 
 // Attempt records one try of the query under a RecoveryPolicy.
@@ -148,20 +144,13 @@ func (pol RecoveryPolicy) run(r *RecoveryResult, try func(attempt int) (*BenchRe
 }
 
 // next decides whether a further restart is allowed after failed attempt
-// number attempt. The deadline is checked BEFORE the backoff is charged or
-// the next attempt starts: a restart whose backoff alone would overrun the
-// deadline is never scheduled, so TotalVirtual stays within the budget
-// instead of overshooting by one backoff plus one attempt.
+// number attempt and, if so, charges its backoff to TotalVirtual.
 func (pol RecoveryPolicy) next(r *RecoveryResult, attempt int, cause error) (sim.Duration, error) {
 	if attempt >= pol.MaxRestarts {
 		return 0, fmt.Errorf("%w after %d attempt(s): %v",
 			ErrRecoveryExhausted, attempt+1, cause)
 	}
 	b := pol.backoff(attempt)
-	if pol.Deadline > 0 && r.TotalVirtual+b >= pol.Deadline {
-		return 0, fmt.Errorf("%w: deadline %v spent after %d attempt(s): %v",
-			ErrRecoveryExhausted, pol.Deadline, attempt+1, cause)
-	}
 	r.TotalVirtual += b
 	return b, nil
 }

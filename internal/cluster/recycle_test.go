@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 	"time"
@@ -197,4 +199,17 @@ func TestWideTablePaddingIsZero(t *testing.T) {
 		t.Error("a table over a recycled store differs from a fresh one: padding not cleared?")
 	}
 	bufpool.Put(got.Data)
+}
+
+// TestZipfTablePinned holds the skewed RunBench input (BenchOpts
+// ZipfExponent) to the bytes its generator has produced since 3f0c6d1.
+func TestZipfTablePinned(t *testing.T) {
+	tab := BenchOpts{RowsPerNode: 5000, ZipfExponent: 0.8}.pooledTable(3)
+	f := fnv.New64a()
+	f.Write(tab.Data)
+	fmt.Fprintf(f, "|%d|", tab.N)
+	if got, want := fmt.Sprintf("%#x", f.Sum64()), "0x8c90a9a13f7de126"; got != want {
+		t.Errorf("Zipf table bytes hash to %s, want %s", got, want)
+	}
+	bufpool.Put(tab.Data)
 }

@@ -93,7 +93,8 @@ func wireCells() []wireCell {
 
 // fingerprint runs the cell once traced and returns its golden line: the
 // response time, the verb and wire census, the rows delivered, whether the
-// run errored, and the hash of the full Chrome trace.
+// run errored, and the hash of the full Chrome trace. It also checks that
+// the cell's design, and only an RD design, completed RDMA Reads.
 func (wc wireCell) fingerprint(t *testing.T) string {
 	t.Helper()
 	c := New(wc.prof, wc.nodes, wc.threads, 42)
@@ -113,6 +114,11 @@ func (wc wireCell) fingerprint(t *testing.T) string {
 		rows += r
 	}
 	reg := c.Metrics()
+	// RDMA Read is the RD designs' verb alone: their receivers pull every
+	// buffer, and no SR or WR design posts one.
+	if reads, rd := reg.CounterValue("verbs.reads_completed.total"), strings.Contains(wc.name, "/RD/"); rd != (reads > 0) {
+		t.Errorf("%s: verbs.reads_completed.total = %d", wc.name, reads)
+	}
 	return fmt.Sprintf("%s elapsed=%d posts=%d polls=%d tx=%d rows=%d err=%t trace=%x",
 		wc.name, int64(res.Elapsed), reg.CounterValue("verbs.posts.total"),
 		reg.CounterValue("verbs.polls.total"), reg.CounterValue("fabric.tx_messages.total"),

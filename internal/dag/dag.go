@@ -1,6 +1,6 @@
 // Package dag provides a shuffle-aware DAG execution graph on top of the
 // engine operators and the shuffle transport: operators as stages, typed
-// shuffle edges (forward / hash / broadcast / rebalance / range) with
+// shuffle edges (forward / hash / broadcast / rebalance) with
 // automatic edge-type detection from stage parallelism and key
 // requirements, N×M task wiring that instantiates one communication
 // provider per edge (so every edge can run a different Table 1 design,
@@ -20,7 +20,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 
 	"rshuffle/internal/engine"
 	"rshuffle/internal/shuffle"
@@ -41,9 +40,6 @@ const (
 	// Rebalance spreads rows round-robin across downstream tasks,
 	// ignoring keys.
 	Rebalance
-	// Range partitions rows by comparing a key column against ordered
-	// split points (never auto-detected; request it with WithRange).
-	Range
 )
 
 func (t EdgeType) String() string {
@@ -56,8 +52,6 @@ func (t EdgeType) String() string {
 		return "broadcast"
 	case Rebalance:
 		return "rebalance"
-	case Range:
-		return "range"
 	}
 	return fmt.Sprintf("EdgeType(%d)", int(t))
 }
@@ -70,9 +64,6 @@ func (t EdgeType) String() string {
 //	stateful downstream with a partition key          → Hash
 //	equal parallelism, no redistribution requirement  → Forward (chaining)
 //	otherwise (parallelism change, stateless)         → Rebalance
-//
-// Range is never detected automatically: split points cannot be inferred
-// from the operator shape.
 func DetectEdgeType(upPar, downPar int, stateful, keyed, replicated bool) EdgeType {
 	switch {
 	case replicated:
@@ -125,14 +116,9 @@ type Edge struct {
 	From, To *Stage
 	Type     EdgeType
 	// Key is the partition key column in the upstream output schema
-	// (Hash and Range edges; -1 otherwise).
+	// (WithKey; -1 otherwise).
 	Key int
-	// Bounds are the Range split points: rows with key <= Bounds[i] go to
-	// task i, the remainder to the last task.
-	Bounds []int64
 
-	// forced marks an explicitly requested type (skips detection).
-	forced bool
 	// replicated marks a WithReplicated requirement (detection input).
 	replicated bool
 	// cfg is the per-edge transport override; nil inherits the runner's
@@ -176,23 +162,6 @@ func WithKey(col int) EdgeOption {
 // chooses Broadcast.
 func WithReplicated() EdgeOption {
 	return func(e *Edge) { e.replicated = true }
-}
-
-// WithType forces the edge type, bypassing detection.
-func WithType(t EdgeType) EdgeOption {
-	return func(e *Edge) { e.Type = t; e.forced = true }
-}
-
-// WithRange forces a Range edge partitioning column col against the given
-// ascending split points: rows with key <= bounds[i] land on task i, the
-// rest on the last task. len(bounds) must be the downstream parallelism
-// minus one.
-func WithRange(col int, bounds []int64) EdgeOption {
-	return func(e *Edge) {
-		e.Type, e.forced = Range, true
-		e.Key = col
-		e.Bounds = append([]int64(nil), bounds...)
-	}
 }
 
 // Graph is a DAG of stages under construction. Build one with New,
@@ -242,9 +211,8 @@ func (g *Graph) AddStage(s Stage) *Stage {
 }
 
 // Connect adds an edge from one stage's output to another's input and
-// returns it. Unless WithType/WithRange forces one, the edge type is
-// detected from the stages' parallelism and the options' key requirements
-// (see DetectEdgeType). Each stage feeds at most one edge — the pull-based
+// returns it. The edge type is detected from the stages' parallelism and
+// the options' key requirements (see DetectEdgeType). Each stage feeds at most one edge — the pull-based
 // fragments are drained exactly once — so plans are in-trees: joins fan
 // in, nothing fans out except through Broadcast delivery.
 func (g *Graph) Connect(from, to *Stage, opts ...EdgeOption) *Edge {
@@ -272,28 +240,8 @@ func (g *Graph) Connect(from, to *Stage, opts ...EdgeOption) *Edge {
 	for _, o := range opts {
 		o(e)
 	}
-	if !e.forced {
-		e.Type = DetectEdgeType(from.Parallelism, to.Parallelism,
-			to.Stateful, e.Key >= 0, e.replicated)
-	}
-	switch e.Type {
-	case Hash:
-		if e.Key < 0 {
-			panic(fmt.Sprintf("dag: hash edge %s needs WithKey", e.ID()))
-		}
-	case Range:
-		if e.Key < 0 {
-			panic(fmt.Sprintf("dag: range edge %s needs a key column", e.ID()))
-		}
-		if !sort.SliceIsSorted(e.Bounds, func(i, j int) bool { return e.Bounds[i] < e.Bounds[j] }) {
-			panic(fmt.Sprintf("dag: range edge %s bounds not ascending", e.ID()))
-		}
-	case Forward:
-		if from.Parallelism != to.Parallelism {
-			panic(fmt.Sprintf("dag: forward edge %s chains stages of unequal parallelism (%d vs %d)",
-				e.ID(), from.Parallelism, to.Parallelism))
-		}
-	}
+	e.Type = DetectEdgeType(from.Parallelism, to.Parallelism,
+		to.Stateful, e.Key >= 0, e.replicated)
 	from.out = e
 	to.in = append(to.in, e)
 	g.edges = append(g.edges, e)
@@ -361,26 +309,13 @@ func (e *Edge) groups(n int) shuffle.Groups {
 
 // keyFunc returns the partitioning function for one sending task. Hash
 // uses the library's mixing hash (shuffle.KeyInt64Col), so a DAG plan
-// partitions like a bare SHUFFLE operator; Range maps keys to the task whose bound covers them;
-// Rebalance round-robins with a per-sender cursor (deterministic under the
-// cooperative scheduler); Broadcast has a single group, so the constant
-// zero suffices.
-func (e *Edge) keyFunc(n int) func(sch *engine.Schema, row []byte) uint64 {
+// partitions like a bare SHUFFLE operator; Rebalance round-robins with a
+// per-sender cursor (deterministic under the cooperative scheduler);
+// Broadcast has a single group, so the constant zero suffices.
+func (e *Edge) keyFunc() func(sch *engine.Schema, row []byte) uint64 {
 	switch e.Type {
 	case Hash:
 		return shuffle.KeyInt64Col(e.Key)
-	case Range:
-		bounds, last := e.Bounds, uint64(e.To.par(n)-1)
-		col := e.Key
-		return func(sch *engine.Schema, row []byte) uint64 {
-			v := engine.RowInt64(sch, row, col)
-			for i, b := range bounds {
-				if v <= b {
-					return uint64(i)
-				}
-			}
-			return last
-		}
 	case Rebalance:
 		var cursor uint64
 		return func(sch *engine.Schema, row []byte) uint64 {

@@ -41,6 +41,18 @@ func seqTables(n, rows int) []*engine.Table {
 	return ts
 }
 
+// edgeStats returns the named edge's statistics from a run.
+func edgeStats(t *testing.T, res *Result, id string) *EdgeStats {
+	t.Helper()
+	for i := range res.Edges {
+		if res.Edges[i].Edge == id {
+			return &res.Edges[i]
+		}
+	}
+	t.Fatalf("no stats for edge %s", id)
+	return nil
+}
+
 func scanStage(g *Graph, name string, tables []*engine.Table) *Stage {
 	return g.AddStage(Stage{
 		Name: name,
@@ -127,12 +139,6 @@ func TestGraphValidation(t *testing.T) {
 		g.Connect(a, b)
 		g.Connect(b, a)
 	})
-	expectPanic("hash-without-key", func() {
-		g := New()
-		a := g.AddStage(Stage{Name: "a", Build: build})
-		b := g.AddStage(Stage{Name: "b", Build: build})
-		g.Connect(a, b, WithType(Hash))
-	})
 	expectPanic("duplicate-name", func() {
 		g := New()
 		g.AddStage(Stage{Name: "a", Build: build})
@@ -166,10 +172,7 @@ func TestForwardChaining(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	st := res.EdgeByID("scan->filter")
-	if st == nil {
-		t.Fatal("no stats for scan->filter")
-	}
+	st := edgeStats(t, res, "scan->filter")
 	if st.Rows != nodes*rows {
 		t.Errorf("forward edge rows = %d, want %d", st.Rows, nodes*rows)
 	}
@@ -200,7 +203,7 @@ func TestRebalanceSpread(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	st := res.EdgeByID("scan->collect")
+	st := edgeStats(t, res, "scan->collect")
 	if st.Rows != nodes*rows {
 		t.Fatalf("edge rows = %d, want %d", st.Rows, nodes*rows)
 	}
@@ -214,45 +217,6 @@ func TestRebalanceSpread(t *testing.T) {
 	if diff > nodes {
 		t.Errorf("rebalance spread %v differs by %d, want <= %d (one per sender)",
 			st.RowsPerNode[:2], diff, nodes)
-	}
-}
-
-// TestRangePartition forces a Range edge and checks every receiving task
-// sees only keys within its split range.
-func TestRangePartition(t *testing.T) {
-	const nodes, rows = 4, 1000 // keys 0..999 on every node
-	tables := seqTables(nodes, rows)
-	violations := make([]int64, nodes)
-	g := New()
-	src := scanStage(g, "scan", tables)
-	chk := g.AddStage(Stage{
-		Name: "check",
-		Build: func(node int, in []engine.Operator) engine.Operator {
-			lo := int64(node) * 250
-			hi := lo + 249
-			return &engine.Filter{In: in[0], Pred: func(b *engine.Batch, i int) bool {
-				if k := b.Int64(i, 0); k < lo || k > hi {
-					violations[node]++
-				}
-				return true
-			}}
-		},
-	})
-	g.Connect(src, chk, WithRange(0, []int64{249, 499, 749}))
-
-	c := cluster.New(quiet(fabric.EDR()), nodes, 2, 42)
-	res := g.Run(c, defaultFactory(2))
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	st := res.EdgeByID("scan->check")
-	for node, got := range st.RowsPerNode {
-		if got != 250*nodes {
-			t.Errorf("node %d received %d rows, want %d", node, got, 250*nodes)
-		}
-		if violations[node] != 0 {
-			t.Errorf("node %d saw %d out-of-range keys", node, violations[node])
-		}
 	}
 }
 
@@ -274,7 +238,7 @@ func TestBroadcastReplicates(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	st := res.EdgeByID("scan->all")
+	st := edgeStats(t, res, "scan->all")
 	for node, got := range st.RowsPerNode {
 		if got != nodes*rows {
 			t.Errorf("node %d received %d rows, want full copy %d", node, got, nodes*rows)
@@ -469,31 +433,30 @@ func TestStageSpans(t *testing.T) {
 }
 
 // TestDagChaosSmoke drives the multi-stage plan through the rc-outage
-// chaos fault: attempt 0 loses every RC packet into node 1 until the
-// transport errors out, and the restart on a clean cluster must succeed.
+// chaos fault in two explicit attempts: attempt 0 loses every RC packet
+// into node 1, so the transport errors out, and attempt 1 reruns the plan on
+// a fresh, clean cluster and must produce the right sum.
 func TestDagChaosSmoke(t *testing.T) {
 	const nodes, threads = 4, 2
 	fact, dim := DemoTables(nodes, 800, 100, 7)
 	cfg := shuffle.Config{Impl: shuffle.MQSR, Endpoints: threads,
 		DepletedTimeout: 10 * time.Millisecond, StallTimeout: 120 * time.Millisecond}
-	res, restarts, err := RunWithRestart(func(attempt int) (*cluster.Cluster, *Graph, cluster.ProviderFactory) {
-		c := cluster.New(quiet(fabric.EDR()), nodes, threads, 42)
-		if attempt == 0 {
-			c.Net.Faults().Add(fabric.FaultRule{
-				Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1, Rate: 1,
-			})
-		}
-		g := MultiStageDemo(fact, dim)
-		return c, g, cluster.RDMAProvider(cfg)
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
+
+	c := cluster.New(quiet(fabric.EDR()), nodes, threads, 42)
+	c.Net.Faults().Add(fabric.FaultRule{
+		Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1, Rate: 1,
+	})
+	if res := MultiStageDemo(fact, dim).Run(c, cluster.RDMAProvider(cfg)); res.Err == nil {
+		t.Fatal("attempt 0 succeeded under total RC loss into node 1")
 	}
-	if restarts < 1 {
-		t.Errorf("restarts = %d, want at least one (attempt 0 runs under total RC loss)", restarts)
+
+	c = cluster.New(quiet(fabric.EDR()), nodes, threads, 42)
+	res := MultiStageDemo(fact, dim).Run(c, cluster.RDMAProvider(cfg))
+	if res.Err != nil {
+		t.Fatalf("attempt 1 on a clean cluster: %v", res.Err)
 	}
 	if res.Result == nil || res.Result.N != 1 {
-		t.Fatalf("final attempt produced no summary row")
+		t.Fatalf("attempt 1 produced no summary row")
 	}
 	sumVal := engine.RowFloat64(res.Result.Sch, res.Result.Row(0), 1)
 	if want := float64(nodes) * 799 * 800 / 2; sumVal != want {

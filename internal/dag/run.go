@@ -42,18 +42,8 @@ type Result struct {
 	// Edges holds per-edge traffic statistics in Connect order.
 	Edges []EdgeStats
 	// Err is the first transport error observed on any edge; non-nil
-	// means the run failed and should restart (see RunWithRestart).
+	// means the run failed; the caller restarts the plan on a fresh cluster.
 	Err error
-}
-
-// EdgeByID returns the named edge's statistics, or nil.
-func (r *Result) EdgeByID(id string) *EdgeStats {
-	for i := range r.Edges {
-		if r.Edges[i].Edge == id {
-			return &r.Edges[i]
-		}
-	}
-	return nil
 }
 
 // PublishMetrics writes the per-edge traffic counters into a registry as
@@ -191,7 +181,7 @@ func (g *Graph) Run(c *cluster.Cluster, factory cluster.ProviderFactory) *Result
 					e := s.out
 					sh := &shuffle.Shuffle{
 						In: top, Comm: runs[e].prov, Node: node,
-						G: e.groups(c.N), Key: e.keyFunc(c.N),
+						G: e.groups(c.N), Key: e.keyFunc(),
 					}
 					runs[e].sends[node] = sh
 					sink = &engine.Sink{In: sh}
@@ -243,22 +233,4 @@ func (g *Graph) Run(c *cluster.Cluster, factory cluster.ProviderFactory) *Result
 		res.Err = err
 	}
 	return res
-}
-
-// RunWithRestart applies the paper's recovery policy to a DAG plan: any
-// transport error fails the whole query, which restarts from scratch on a
-// fresh cluster (a Simulation is single-use, so mk builds cluster, graph,
-// and default factory anew per attempt). It returns the final result, the
-// number of restarts taken, and an error once maxRestarts is exhausted.
-func RunWithRestart(mk func(attempt int) (*cluster.Cluster, *Graph, cluster.ProviderFactory), maxRestarts int) (*Result, int, error) {
-	for attempt := 0; ; attempt++ {
-		c, g, f := mk(attempt)
-		res := g.Run(c, f)
-		if res.Err == nil {
-			return res, attempt, nil
-		}
-		if attempt >= maxRestarts {
-			return res, attempt, fmt.Errorf("dag: recovery exhausted after %d restarts: %w", attempt, res.Err)
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/qperf"
 	"rshuffle/internal/shuffle"
 )
@@ -56,7 +55,7 @@ func Fig08(o Options) ([]*Table, error) {
 		cs.add(func() error {
 			rows, passes := o.workload(shuffle.Config{Impl: shuffle.MQSR}, prof, 8)
 			mres, _, err := o.runBench(prof, 8, 0, 99, cluster.BenchOpts{
-				Factory: cluster.MPIProvider(mpi.Config{}), RowsPerNode: rows, Passes: passes,
+				Factory: cluster.MPIProvider(), RowsPerNode: rows, Passes: passes,
 			})
 			if err != nil {
 				return err

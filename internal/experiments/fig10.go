@@ -6,7 +6,6 @@ import (
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/qperf"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/sim"
@@ -59,7 +58,7 @@ func Fig10(o Options) ([]*Table, error) {
 				name string
 				f    cluster.ProviderFactory
 			}{
-				{"MPI", cluster.MPIProvider(mpi.Config{})},
+				{"MPI", cluster.MPIProvider()},
 				{"IPoIB", cluster.IPoIBProvider(ipoib.Config{})},
 			} {
 				row := Row{Name: base.name, Vals: make([]float64, len(ScaleOutNodes))}

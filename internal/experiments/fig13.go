@@ -7,7 +7,6 @@ import (
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/sim"
 )
@@ -46,7 +45,7 @@ func Fig13(o Options) (*Table, error) {
 		entries = append(entries, entry{a.Name, cluster.RDMAProvider(cfg), cfg})
 	}
 	entries = append(entries,
-		entry{"MPI", cluster.MPIProvider(mpi.Config{}), shuffle.Config{Impl: shuffle.MQSR}},
+		entry{"MPI", cluster.MPIProvider(), shuffle.Config{Impl: shuffle.MQSR}},
 		entry{"IPoIB", cluster.IPoIBProvider(ipoib.Config{}), shuffle.Config{Impl: shuffle.MQSR}},
 	)
 

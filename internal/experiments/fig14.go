@@ -6,7 +6,6 @@ import (
 
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/sim"
 	"rshuffle/internal/tpch"
@@ -71,7 +70,7 @@ func Fig14a(o Options) (*Table, error) {
 				db := tpch.Generate(o.sfPerNode()*8, 8, pl.part, o.Seed)
 				f := mesqFactory(prof.Threads)
 				if pl.name == "MPI" {
-					f = cluster.MPIProvider(mpi.Config{})
+					f = cluster.MPIProvider()
 				}
 				r, err := o.runTPCH(prof, 8, db, 4, f, pl.local)
 				if err != nil {
@@ -127,7 +126,7 @@ func Fig14bcd(o Options) ([]*Table, error) {
 			cs.add(func() error {
 				sf := o.sfPerNode() * float64(n)
 				db := tpch.Generate(sf, n, tpch.Random, o.Seed)
-				m, merr := o.runTPCH(prof, n, db, q.q, cluster.MPIProvider(mpi.Config{}), false)
+				m, merr := o.runTPCH(prof, n, db, q.q, cluster.MPIProvider(), false)
 				r, rerr := o.runTPCH(prof, n, db, q.q, mesqFactory(prof.Threads), false)
 				if merr != nil || rerr != nil {
 					return fmt.Errorf("%s at %dn: mpi=%v rdma=%v", q.name, n, merr, rerr)

@@ -49,7 +49,6 @@ type NICStats struct {
 	RCDropped int64
 	// RCRetransmits counts packets re-sent after an injected corruption.
 	RCRetransmits int64
-	ReadRequests  int64
 
 	// Lossy Ethernet tier counters (zero under lossless profiles).
 
@@ -81,7 +80,7 @@ type NICStats struct {
 
 // Sub returns the counter deltas s - o, for scoping a run phase between two
 // snapshots. The backlog high-water marks are maxima, not sums, so Sub keeps
-// s's values; use Network.ResetStats at a phase boundary to re-arm them.
+// s's values.
 func (s NICStats) Sub(o NICStats) NICStats {
 	s.TxMessages -= o.TxMessages
 	s.RxMessages -= o.RxMessages
@@ -94,7 +93,6 @@ func (s NICStats) Sub(o NICStats) NICStats {
 	s.UDDropped -= o.UDDropped
 	s.RCDropped -= o.RCDropped
 	s.RCRetransmits -= o.RCRetransmits
-	s.ReadRequests -= o.ReadRequests
 	s.PFCPausesSent -= o.PFCPausesSent
 	s.PFCPauseTime -= o.PFCPauseTime
 	s.ECNMarks -= o.ECNMarks
@@ -222,15 +220,6 @@ func (n *Network) SnapshotStats() []NICStats {
 	return out
 }
 
-// ResetStats zeroes every NIC's counters (including the backlog high-water
-// marks), so multi-phase experiments can account each phase separately
-// instead of conflating setup and stream traffic.
-func (n *Network) ResetStats() {
-	for _, nc := range n.nics {
-		nc.stats = NICStats{}
-	}
-}
-
 // Faults exposes the network's fault schedule for installing rules. Rules
 // act from the next transmit on: messages already in flight keep the wire
 // fate and link rate drawn when they were transmitted — only a port that is
@@ -238,24 +227,9 @@ func (n *Network) ResetStats() {
 // plan changes nothing.
 func (n *Network) Faults() *FaultPlan { return &n.faults }
 
-// Crashed reports whether node is crash-stopped at time at (a FaultCrash
-// rule names it with Start <= at). A crashed node's links are cut: nothing
-// it sends reaches the switch, nothing addressed to it is delivered. Its
-// NIC hairpin loopback still works — crash models a network-visible
-// failure, and local state on the dead node is unreachable anyway.
-func (n *Network) Crashed(node int, at sim.Time) bool {
-	if n.faults.Empty() {
-		return false
-	}
-	return n.faults.crashed(node, at)
-}
-
-// CrashTime returns the instant node crash-stops and whether a FaultCrash
-// rule names it at all, for failure detectors measuring detection latency.
-func (n *Network) CrashTime(node int) (sim.Time, bool) { return n.faults.crashTime(node) }
-
 // Down reports whether node's port is dark at time at: crash-stopped, or
-// inside a FaultReboot window. Unlike Crashed, a Down node may come back.
+// inside a FaultReboot window. A rebooted node comes back; a crashed one
+// does not.
 func (n *Network) Down(node int, at sim.Time) bool {
 	if n.faults.Empty() {
 		return false
@@ -288,13 +262,6 @@ func (n *Network) Reachable(from, to int, at sim.Time) bool {
 // FaultCrash or FaultReboot Start) and whether any such rule exists, for
 // failure detectors measuring detection latency.
 func (n *Network) DownTime(node int) (sim.Time, bool) { return n.faults.downTime(node) }
-
-// InjectUDLoss forces the next k UD messages destined to node to be dropped,
-// for fault-injection tests. It is a convenience wrapper over a
-// deterministic count rule in the fault plan (no RNG draws).
-func (n *Network) InjectUDLoss(node, k int) {
-	n.Faults().Add(FaultRule{Class: FaultUDLoss, From: AnyNode, To: node, Count: k})
-}
 
 // touch charges the QP-cache cost of accessing qp state on nc and returns
 // the penalty to add to the engine occupancy.
@@ -672,31 +639,4 @@ func (n *Network) loopback(m *Message) {
 	nc.stats.TxBytes += int64(m.Payload)
 	nc.stats.RxBytes += int64(m.Payload)
 	s.At(done, func() { m.Deliver(s.Now()) })
-}
-
-// ReadTransfer models a one-sided RDMA Read: a small request packet travels
-// from the requester to the responder, whose NIC then streams size bytes
-// back without involving the remote CPU. onData runs at the requester when
-// the data has fully arrived.
-func (n *Network) ReadTransfer(requester, responder int, reqQP, respQP uint64, size int, onData func(at sim.Time)) {
-	prof := &n.Prof
-	n.nics[requester].stats.ReadRequests++
-	// Request leg: a control packet addressed to the responder's QP.
-	req := &Message{
-		From: requester, To: responder,
-		FromQP: reqQP, ToQP: respQP,
-		Payload: prof.ReadRequestBytes, Service: RC,
-		Deliver: func(at sim.Time) {
-			// Response leg: the responder NIC DMA-reads local memory and
-			// streams it back; this consumes the responder's uplink.
-			resp := &Message{
-				From: responder, To: requester,
-				FromQP: respQP, ToQP: reqQP,
-				Payload: size, Service: RC,
-				Deliver: onData,
-			}
-			n.Transmit(resp)
-		},
-	}
-	n.Transmit(req)
 }

@@ -171,7 +171,7 @@ func TestInjectedUDLoss(t *testing.T) {
 	s := sim.New(1)
 	p := quietProfile()
 	n := New(s, p, 2)
-	n.InjectUDLoss(1, 2)
+	n.Faults().Add(FaultRule{Class: FaultUDLoss, From: AnyNode, To: 1, Count: 2})
 	delivered, dropped := 0, 0
 	for i := 0; i < 5; i++ {
 		n.Transmit(&Message{
@@ -219,29 +219,6 @@ func TestQPCacheMissesDegradeThroughput(t *testing.T) {
 	if many > 0.93*few {
 		t.Fatalf("expected >7%% degradation from QP cache misses, got %.1f%%",
 			100*(1-many/few))
-	}
-}
-
-func TestReadTransfer(t *testing.T) {
-	s := sim.New(1)
-	p := quietProfile()
-	n := New(s, p, 2)
-	var at sim.Time
-	n.ReadTransfer(0, 1, 10, 20, 65536, func(t sim.Time) { at = t })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at == 0 {
-		t.Fatal("read data never arrived")
-	}
-	// Must take at least two propagation delays plus both serializations.
-	min := sim.Time(0).Add(2*(p.SwitchDelay+p.PropagationDelay) +
-		Serialize(p.WireBytes(65536, RC), p.LinkBandwidth))
-	if at < min {
-		t.Fatalf("read completed at %v, below physical minimum %v", at, min)
-	}
-	if got := n.Stats(0).ReadRequests; got != 1 {
-		t.Fatalf("ReadRequests = %d, want 1", got)
 	}
 }
 
@@ -490,7 +467,7 @@ func TestMulticastPerMemberLoss(t *testing.T) {
 	s := sim.New(1)
 	p := quietProfile()
 	n := New(s, p, 4)
-	n.InjectUDLoss(2, 1)
+	n.Faults().Add(FaultRule{Class: FaultUDLoss, From: AnyNode, To: 2, Count: 1})
 	delivered := map[int]bool{}
 	m := &Message{From: 0, FromQP: 1, ToQP: 99, Payload: 512, Service: UD,
 		Dropped: func() {}}

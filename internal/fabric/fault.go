@@ -89,7 +89,7 @@ func (c FaultClass) String() string {
 //
 // Rate and Count select how often an active rule fires. Count > 0 with
 // Rate == 0 fires deterministically on the next Count matching messages and
-// draws nothing from the RNG stream (this is what the old InjectUDLoss did).
+// draws nothing from the RNG stream.
 // 0 < Rate < 1 fires probabilistically; Rate >= 1 always fires. A Count
 // budget, when set alongside a Rate, caps the total number of firings.
 type FaultRule struct {
@@ -290,33 +290,6 @@ func (p *FaultPlan) pausedUntil(node int, now sim.Time) sim.Time {
 		}
 	}
 	return t
-}
-
-// crashed reports whether node is crash-stopped at now.
-func (p *FaultPlan) crashed(node int, now sim.Time) bool {
-	for _, r := range p.rules {
-		if r.Class == FaultCrash && r.To == node && now >= r.Start {
-			return true
-		}
-	}
-	return false
-}
-
-// crashTime returns the instant node crash-stops (the earliest Start among
-// its FaultCrash rules) and whether any such rule exists.
-func (p *FaultPlan) crashTime(node int) (sim.Time, bool) {
-	var at sim.Time
-	found := false
-	for _, r := range p.rules {
-		if r.Class != FaultCrash || r.To != node {
-			continue
-		}
-		if !found || r.Start < at {
-			at = r.Start
-		}
-		found = true
-	}
-	return at, found
 }
 
 // down reports whether node's port is dark at now: crash-stopped, or inside

@@ -106,24 +106,25 @@ func TestFaultCrashMulticast(t *testing.T) {
 	}
 }
 
-// TestCrashedAndCrashTime covers the introspection the failure detector
-// relies on.
+// TestCrashedAndCrashTime covers the crash introspection the failure
+// detector relies on: Down from the crash instant on, for good, and DownTime
+// naming that instant.
 func TestCrashedAndCrashTime(t *testing.T) {
 	s := sim.New(1)
 	n := New(s, quietProfile(), 2)
-	if n.Crashed(1, sim.Time(time.Hour)) {
+	if n.Down(1, sim.Time(time.Hour)) {
 		t.Fatalf("empty plan reports a crash")
 	}
 	at := sim.Time(3 * time.Millisecond)
 	n.Faults().Add(FaultRule{Class: FaultCrash, To: 1, Start: at})
-	if n.Crashed(1, at-1) || !n.Crashed(1, at) || n.Crashed(0, at) {
-		t.Fatalf("Crashed window wrong around %v", at)
+	if n.Down(1, at-1) || !n.Down(1, at) || !n.Down(1, sim.Time(time.Hour)) || n.Down(0, at) {
+		t.Fatalf("Down window wrong around %v", at)
 	}
-	if ct, ok := n.CrashTime(1); !ok || ct != at {
-		t.Fatalf("CrashTime(1) = %v,%v, want %v,true", ct, ok, at)
+	if ct, ok := n.DownTime(1); !ok || ct != at {
+		t.Fatalf("DownTime(1) = %v,%v, want %v,true", ct, ok, at)
 	}
-	if _, ok := n.CrashTime(0); ok {
-		t.Fatalf("CrashTime(0) reported for a healthy node")
+	if _, ok := n.DownTime(0); ok {
+		t.Fatalf("DownTime(0) reported for a healthy node")
 	}
 }
 

@@ -160,8 +160,6 @@ type Profile struct {
 	// MemRegBase and MemRegPerByte model ibv_reg_mr.
 	MemRegBase    sim.Duration
 	MemRegPerByte float64 // ns per byte
-	// MemDeregBase models ibv_dereg_mr.
-	MemDeregBase sim.Duration
 
 	// MPI cost model.
 
@@ -230,7 +228,6 @@ func FDR() Profile {
 		ConnSetupBase:       2 * time.Millisecond,
 		MemRegBase:          500 * time.Microsecond,
 		MemRegPerByte:       0.015,
-		MemDeregBase:        200 * time.Microsecond,
 		MPIPerMessage:       2800 * time.Nanosecond,
 		TCPPerByte:          0.42,
 		TCPPerMessage:       1800 * time.Nanosecond,

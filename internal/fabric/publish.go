@@ -10,8 +10,7 @@ import (
 // "fabric.<metric>.node<i>" names plus "fabric.<metric>.total" aggregates.
 // It supersedes scattered per-test NICStats reads: experiments scrape the
 // registry once and derive their figures from it. Counters accumulate, so
-// publishing twice doubles them — publish into a fresh registry per run (or
-// per phase, after ResetStats).
+// publishing twice doubles them — publish into a fresh registry per run.
 func (n *Network) PublishMetrics(reg *telemetry.Registry) {
 	type item struct {
 		name string
@@ -33,7 +32,6 @@ func (n *Network) PublishMetrics(reg *telemetry.Registry) {
 		{"ud_dropped", func(s *NICStats) int64 { return s.UDDropped }},
 		{"rc_dropped", func(s *NICStats) int64 { return s.RCDropped }},
 		{"rc_retransmits", func(s *NICStats) int64 { return s.RCRetransmits }},
-		{"read_requests", func(s *NICStats) int64 { return s.ReadRequests }},
 		{"pfc_pauses_sent", func(s *NICStats) int64 { return s.PFCPausesSent }},
 		{"pfc_pause_ns", func(s *NICStats) int64 { return int64(s.PFCPauseTime) }},
 		{"ecn_marks", func(s *NICStats) int64 { return s.ECNMarks }},

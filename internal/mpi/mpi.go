@@ -28,45 +28,22 @@ import (
 	"rshuffle/internal/verbs"
 )
 
-// Config tunes the library.
-type Config struct {
-	// EagerLimit is the largest payload sent eagerly (copied through
+// The library's fixed sizes and bounds. The per-message overhead is the
+// profile's MPIPerMessage.
+const (
+	// eagerLimit is the largest payload sent eagerly (copied through
 	// pre-posted bounce buffers); larger messages use rendezvous.
-	EagerLimit int
-	// BufSize is the application message buffer size (matches the shuffle
+	eagerLimit = 16 << 10
+	// bufSize is the application message buffer size (matches the shuffle
 	// operator's transmission buffer size).
-	BufSize int
-	// EagerSlots is the number of pre-posted eager bounce buffers per peer.
-	EagerSlots int
-	// RdvSlots is the number of rendezvous data slots per peer.
-	RdvSlots int
-	// Overhead is per-message library bookkeeping charged under the lock at
-	// both ends (tag matching, request management).
-	Overhead sim.Duration
-	// StallTimeout bounds blocking calls.
-	StallTimeout sim.Duration
-}
-
-// Defaulted fills zero fields.
-func (c Config) Defaulted() Config {
-	if c.EagerLimit <= 0 {
-		c.EagerLimit = 16 << 10
-	}
-	if c.BufSize <= 0 {
-		c.BufSize = 64 << 10
-	}
-	if c.EagerSlots <= 0 {
-		c.EagerSlots = 16
-	}
-	if c.RdvSlots <= 0 {
-		c.RdvSlots = 16
-	}
-	// Overhead defaults to the cluster profile's MPIPerMessage at Build.
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 5 * time.Second
-	}
-	return c
-}
+	bufSize = 64 << 10
+	// eagerSlots is the number of pre-posted eager bounce buffers per peer.
+	eagerSlots = 16
+	// rdvSlots is the number of rendezvous data slots per peer.
+	rdvSlots = 16
+	// stallTimeout bounds blocking calls.
+	stallTimeout = 5 * time.Second
+)
 
 const (
 	hdrSize = 24
@@ -115,7 +92,6 @@ const (
 // World is one MPI job spanning the cluster; it implements
 // shuffle.Provider with a single library endpoint per node.
 type World struct {
-	Cfg   Config
 	libs  []*lib
 	setup sim.Duration
 	reg   sim.Duration
@@ -138,9 +114,12 @@ func (w *World) Setup() (conn, reg sim.Duration) { return w.setup, w.reg }
 type lib struct {
 	w    *World
 	dev  *verbs.Device
-	cfg  Config
 	n    int
 	node int
+	// overhead is per-message library bookkeeping charged under the lock
+	// at both ends (tag matching, request management): the profile's
+	// MPIPerMessage.
+	overhead sim.Duration
 
 	// mu is the MPI_THREAD_MULTIPLE library lock: every path that touches
 	// library state (copies, postings, the progress engine) serializes here.
@@ -196,24 +175,20 @@ func (q *dataQueue) pop() *shuffle.Data {
 
 // Build boots the MPI job across all devices. It charges p one node's
 // connection setup (two QPs per peer, like mpirun wireup).
-func Build(p *sim.Proc, devs []*verbs.Device, cfg Config) *World {
-	cfg = cfg.Defaulted()
-	if cfg.Overhead <= 0 {
-		cfg.Overhead = devs[0].Network().Prof.MPIPerMessage
-	}
+func Build(p *sim.Proc, devs []*verbs.Device) *World {
 	n := len(devs)
-	w := &World{Cfg: cfg, libs: make([]*lib, n)}
+	w := &World{libs: make([]*lib, n)}
 	prof := &devs[0].Network().Prof
 
 	for a, dev := range devs {
 		l := &lib{
-			w: w, dev: dev, cfg: cfg, n: n, node: a,
+			w: w, dev: dev, n: n, node: a, overhead: prof.MPIPerMessage,
 			// The library lock lives on the node's own partition sim: waking
 			// a queued waiter pushes a dispatch event onto the lock's sim, so
 			// homing it anywhere else would leak events across partitions on
 			// a parallel (-lps) run.
 			mu:          dev.Sim().NewMutex(fmt.Sprintf("mpi@%d", a)),
-			eagerSlot:   hdrSize + cfg.EagerLimit,
+			eagerSlot:   hdrSize + eagerLimit,
 			eagerCredit: make([]uint64, n),
 			eagerSent:   make([]uint64, n),
 			eagerSeen:   make([]uint64, n),
@@ -224,18 +199,18 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config) *World {
 			known:       make([]bool, n),
 			sendCnt:     make([]uint64, n),
 		}
-		ctlSlots := n * (cfg.EagerSlots + 4*cfg.RdvSlots + 16)
-		rdvSlots := n * cfg.RdvSlots
-		l.cq = dev.CreateCQ(4*(ctlSlots+rdvSlots) + 256)
+		ctlSlots := n * (eagerSlots + 4*rdvSlots + 16)
+		rdvRing := n * rdvSlots
+		l.cq = dev.CreateCQ(4*(ctlSlots+rdvRing) + 256)
 		l.eagerRecvMR = dev.AllocRingNoCost(ctlSlots, l.eagerSlot)
-		l.stagingMR = dev.AllocRingNoCost(rdvSlots, hdrSize+cfg.BufSize)
-		l.rdvRecvMR = dev.AllocRingNoCost(rdvSlots, hdrSize+cfg.BufSize)
-		for i := 0; i < rdvSlots; i++ {
-			l.stagFree = append(l.stagFree, i*(hdrSize+cfg.BufSize))
-			l.rdvFree = append(l.rdvFree, i*(hdrSize+cfg.BufSize))
+		l.stagingMR = dev.AllocRingNoCost(rdvRing, hdrSize+bufSize)
+		l.rdvRecvMR = dev.AllocRingNoCost(rdvRing, hdrSize+bufSize)
+		for i := 0; i < rdvRing; i++ {
+			l.stagFree = append(l.stagFree, i*(hdrSize+bufSize))
+			l.rdvFree = append(l.rdvFree, i*(hdrSize+bufSize))
 		}
 		for i := 0; i < 2*n; i++ {
-			l.appFree = append(l.appFree, make([]byte, cfg.BufSize))
+			l.appFree = append(l.appFree, make([]byte, bufSize))
 		}
 		l.ctlQP = make([]*verbs.QP, n)
 		l.dataQP = make([]*verbs.QP, n)
@@ -246,7 +221,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config) *World {
 			})
 			l.dataQP[b] = dev.CreateQP(verbs.QPConfig{
 				Type: fabric.RC, SendCQ: l.cq, RecvCQ: l.cq,
-				MaxSend: 2*cfg.RdvSlots + 8, MaxRecv: 2*cfg.RdvSlots + 8,
+				MaxSend: 2*rdvSlots + 8, MaxRecv: 2*rdvSlots + 8,
 			})
 		}
 		w.libs[a] = l
@@ -262,7 +237,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config) *World {
 		l := w.libs[a]
 		slot := 0
 		for b := 0; b < n; b++ {
-			for i := 0; i < cfg.EagerSlots+4*cfg.RdvSlots+16; i++ {
+			for i := 0; i < eagerSlots+4*rdvSlots+16; i++ {
 				err := l.ctlQP[b].PostRecv(p, verbs.RecvWR{
 					ID: uint64(slot), MR: l.eagerRecvMR,
 					Offset: slot * l.eagerSlot, Len: l.eagerSlot,
@@ -270,7 +245,7 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config) *World {
 				mustNil(err)
 				slot++
 			}
-			l.eagerCredit[b] = uint64(cfg.EagerSlots)
+			l.eagerCredit[b] = uint64(eagerSlots)
 		}
 	}
 	qpsPerNode := 2 * 2 * n
@@ -333,7 +308,7 @@ func (l *lib) handleRecv(p *sim.Proc, c verbs.CQE) {
 		copy(buf, l.eagerRecvMR.Bytes(off+hdrSize, int(h.payload)))
 		l.repostCtl(p, slot, src)
 		l.eagerSeen[src]++
-		if l.eagerSeen[src]-l.eagerAcked[src] >= uint64(l.cfg.EagerSlots/2) {
+		if l.eagerSeen[src]-l.eagerAcked[src] >= uint64(eagerSlots/2) {
 			l.sendCredit(p, src)
 		}
 		if h.flags&flagTotal != 0 {
@@ -396,7 +371,7 @@ func (l *lib) grantRTS(p *sim.Proc) {
 		src := int(h.src)
 		err := l.dataQP[src].PostRecv(p, verbs.RecvWR{
 			ID: uint64(off) + 1<<32, MR: l.rdvRecvMR,
-			Offset: off, Len: hdrSize + l.cfg.BufSize,
+			Offset: off, Len: hdrSize + bufSize,
 		})
 		mustNil(err)
 		l.ctlSend(p, src, msgHeader{kind: kindCTS, msgID: h.msgID, src: uint16(l.node)}, nil)
@@ -439,7 +414,7 @@ func (l *lib) ctlSend(p *sim.Proc, dest int, h msgHeader, payload []byte) {
 
 func (l *lib) sendCredit(p *sim.Proc, src int) {
 	l.eagerAcked[src] = l.eagerSeen[src]
-	grant := l.eagerSeen[src] + uint64(l.cfg.EagerSlots)
+	grant := l.eagerSeen[src] + uint64(eagerSlots)
 	l.ctlSend(p, src, msgHeader{kind: kindCred, src: uint16(l.node), value: grant}, nil)
 }
 
@@ -454,7 +429,7 @@ func (l *lib) takeStaging() (int, bool) {
 
 func (l *lib) takeAppBuf() []byte {
 	if len(l.appFree) == 0 {
-		return make([]byte, l.cfg.BufSize)
+		return make([]byte, bufSize)
 	}
 	b := l.appFree[len(l.appFree)-1]
 	l.appFree = l.appFree[:len(l.appFree)-1]
@@ -505,8 +480,8 @@ func (l *lib) Send(p *sim.Proc, b *shuffle.Buf, dest []int) error {
 // sendOne is MPI_Send: eager for small payloads, rendezvous otherwise.
 func (l *lib) sendOne(p *sim.Proc, dest int, payload []byte, flags byte, value uint64) error {
 	l.mu.Lock(p)
-	p.Sleep(l.cfg.Overhead)
-	if len(payload) <= l.cfg.EagerLimit {
+	p.Sleep(l.overhead)
+	if len(payload) <= eagerLimit {
 		// Eager: wait for credit, then copy-and-send.
 		var waited sim.Duration
 		for l.eagerSent[dest] >= l.eagerCredit[dest] {
@@ -516,7 +491,7 @@ func (l *lib) sendOne(p *sim.Proc, dest int, payload []byte, flags byte, value u
 			}
 			l.mu.Unlock(p)
 			if !l.cq.WaitNonEmpty(p, 200*time.Microsecond) {
-				if waited += 200 * time.Microsecond; waited > l.cfg.StallTimeout {
+				if waited += 200 * time.Microsecond; waited > stallTimeout {
 					return fmt.Errorf("%w: MPI eager credit to %d", shuffle.ErrStalled, dest)
 				}
 			}
@@ -543,7 +518,7 @@ func (l *lib) sendOne(p *sim.Proc, dest int, payload []byte, flags byte, value u
 		}
 		l.mu.Unlock(p)
 		if !l.cq.WaitNonEmpty(p, 200*time.Microsecond) {
-			if waited += 200 * time.Microsecond; waited > l.cfg.StallTimeout {
+			if waited += 200 * time.Microsecond; waited > stallTimeout {
 				return fmt.Errorf("%w: MPI CTS from %d", shuffle.ErrStalled, dest)
 			}
 		}
@@ -608,7 +583,7 @@ func (l *lib) GetData(p *sim.Proc) (*shuffle.Data, error) {
 	var waited sim.Duration
 	for {
 		l.mu.Lock(p)
-		p.Sleep(l.cfg.Overhead / 2)
+		p.Sleep(l.overhead / 2)
 		l.progress(p)
 		it := l.ready.pop()
 		done := l.allDone()
@@ -620,7 +595,7 @@ func (l *lib) GetData(p *sim.Proc) (*shuffle.Data, error) {
 			return nil, nil
 		}
 		if !l.cq.WaitNonEmpty(p, 200*time.Microsecond) {
-			if waited += 200 * time.Microsecond; waited > l.cfg.StallTimeout {
+			if waited += 200 * time.Microsecond; waited > stallTimeout {
 				return nil, fmt.Errorf("%w: MPI GetData on node %d", shuffle.ErrStalled, l.node)
 			}
 		} else {

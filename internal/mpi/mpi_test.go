@@ -19,16 +19,6 @@ func TestHeaderRoundtrip(t *testing.T) {
 	}
 }
 
-func TestDefaulted(t *testing.T) {
-	c := Config{}.Defaulted()
-	if c.EagerLimit != 16<<10 || c.BufSize != 64<<10 || c.RdvSlots <= 0 {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
-	if c.Overhead != 0 {
-		t.Fatal("Overhead should default at Build from the profile")
-	}
-}
-
 // world builds a 2-node MPI job on a quiet EDR fabric.
 func world(t *testing.T) (*sim.Simulation, *World) {
 	t.Helper()
@@ -39,7 +29,7 @@ func world(t *testing.T) (*sim.Simulation, *World) {
 	devs := verbs.OpenAll(net)
 	var w *World
 	s.Spawn("build", func(p *sim.Proc) {
-		w = Build(p, devs, Config{})
+		w = Build(p, devs)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

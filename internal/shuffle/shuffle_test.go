@@ -225,7 +225,9 @@ func TestUDPacketLossDetected(t *testing.T) {
 	cfg := Config{Impl: SQSR, Endpoints: threads}.Defaulted()
 	r := launch(t, prof, cfg, nodes, threads, rows, Repartition(nodes), 42)
 	// Drop some mid-stream datagrams destined to node 1.
-	r.sim.After(1, func() { r.net.InjectUDLoss(1, 3) })
+	r.sim.After(1, func() {
+		r.net.Faults().Add(fabric.FaultRule{Class: fabric.FaultUDLoss, From: fabric.AnyNode, To: 1, Count: 3})
+	})
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +478,9 @@ func TestHWMulticastWithLossDetected(t *testing.T) {
 	// caught by the counting protocol.
 	cfg := Config{Impl: SQSR, Endpoints: 2, HWMulticast: true}.Defaulted()
 	r := launch(t, quietEDR(), cfg, 3, 2, 6000, Broadcast(3), 42)
-	r.sim.After(1, func() { r.net.InjectUDLoss(1, 2) })
+	r.sim.After(1, func() {
+		r.net.Faults().Add(fabric.FaultRule{Class: fabric.FaultUDLoss, From: fabric.AnyNode, To: 1, Count: 2})
+	})
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}

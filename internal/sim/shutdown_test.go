@@ -37,7 +37,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		c := s.NewCond("never")
 		// A mix of terminal states: finished procs (pooled goroutines),
 		// procs blocked on a cond that never signals, and a proc asleep
-		// past the horizon.
+		// past the window.
 		for j := 0; j < 4; j++ {
 			s.Spawn(fmt.Sprintf("done%d", j), func(p *Proc) { p.Sleep(5) })
 		}
@@ -45,10 +45,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			s.Spawn(fmt.Sprintf("stuck%d", j), func(p *Proc) { c.Wait(p) })
 		}
 		s.Spawn("sleeper", func(p *Proc) { p.Sleep(1 << 30) })
-		s.SetHorizon(100)
-		if err := s.Run(); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
+		s.runWindow(101)
 		s.Shutdown()
 		s.Shutdown() // idempotent
 	}

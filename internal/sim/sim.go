@@ -79,15 +79,6 @@ type event struct {
 	rseq uint64
 }
 
-// eventLess orders events by (time, schedule sequence): the global firing
-// order is a strict total order, identical for the heap and the ring.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // Simulation is a discrete-event simulator. The zero value is not usable;
 // create one with New.
 type Simulation struct {
@@ -117,7 +108,7 @@ type Simulation struct {
 	procs    map[*Proc]struct{}
 	rng      *rand.Rand
 	seed     int64
-	maxT     Time   // horizon: nothing later fires; noHorizon when unset
+	maxT     Time   // horizon: nothing later fires; noHorizon outside runWindow
 	switches uint64 // baton handoffs to another goroutine, see Switches
 	// dispatches counts every Proc wake-up the loop delivered, see Dispatches.
 	dispatches uint64
@@ -138,9 +129,8 @@ func New(seed int64) *Simulation {
 	}
 }
 
-// noHorizon is maxT's "run to completion" value. SetHorizon's public zero
-// maps to it, so a window may bound the fused instant 0 with a real horizon
-// of 0.
+// noHorizon is maxT's "run to completion" value. A window may bound the
+// fused instant 0 with a real horizon of 0.
 const noHorizon Time = math.MaxInt64
 
 // Now returns the current virtual time.
@@ -170,15 +160,6 @@ func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // Seed returns the seed the simulation was created with.
 func (s *Simulation) Seed() int64 { return s.seed }
-
-// SetHorizon stops Run once virtual time would exceed t. Events past the
-// horizon are left unfired. A zero horizon (the default) means no limit.
-func (s *Simulation) SetHorizon(t Time) {
-	if t == 0 {
-		t = noHorizon
-	}
-	s.maxT = t
-}
 
 // newEvent takes an event record off the free list (or allocates one) and
 // stamps it with the next schedule sequence number.
@@ -558,16 +539,12 @@ func (e *DeadlockError) Error() string {
 		e.Time, len(e.Blocked), e.Blocked)
 }
 
-// Run executes events until the queue drains, all Procs have finished, or
-// the horizon is reached. It returns a *DeadlockError if Procs remain
-// blocked with no pending events, and nil otherwise. Run must be called from
-// the goroutine that owns the Simulation, and only once at a time.
+// Run executes events until the queue drains or all Procs have finished.
+// It returns a *DeadlockError if Procs remain blocked with no pending
+// events, and nil otherwise. Run must be called from the goroutine that owns
+// the Simulation, and only once at a time.
 func (s *Simulation) Run() error {
 	s.drive(nil, "")
-	if _, more := s.nextAt(); more {
-		s.now = s.maxT // events remain, so the loop stopped at the horizon
-		return nil
-	}
 	if s.live > 0 {
 		de := &DeadlockError{Time: s.now}
 		for p := range s.procs {
@@ -618,16 +595,4 @@ func (s *Simulation) Shutdown() {
 		<-s.yield
 	}
 	s.procFree = nil
-}
-
-// RunFor runs until the event queue drains or until d of virtual time has
-// elapsed from the current instant, whichever comes first. A horizon already
-// set by the caller is honored if it is nearer, and is restored on return.
-func (s *Simulation) RunFor(d Duration) error {
-	prev := s.maxT
-	if h := s.now.Add(d); h < prev {
-		s.maxT = h
-	}
-	defer func() { s.maxT = prev }()
-	return s.Run()
 }

@@ -184,27 +184,22 @@ func TestTimerStopZeroDelay(t *testing.T) {
 	}
 }
 
-// TestRunForAcrossCascadeBoundary runs the clock up to horizons that fall
-// inside higher-level strides holding pending events, ensuring a horizon
-// stop mid-cascade leaves the wheel consistent and a later Run picks the
-// events up in order.
+// TestRunForAcrossCascadeBoundary runs windows whose bounds fall inside
+// higher-level strides holding pending events, ensuring a stop mid-cascade
+// leaves the wheel consistent and a later Run picks the events up in order.
 func TestRunForAcrossCascadeBoundary(t *testing.T) {
 	s := New(1)
 	var order []int
 	s.At(1<<16+5, func() { order = append(order, 0) }) // level-2 resident
 	s.At(1<<16+5, func() { order = append(order, 1) })
 	s.At(1<<17, func() { order = append(order, 2) })
-	if err := s.RunFor(1 << 10); err != nil { // horizon far below the stride
-		t.Fatal(err)
+	s.runWindow(1<<10 + 1) // bound far below the stride
+	if len(order) != 0 || s.Now() > Time(1<<10) {
+		t.Fatalf("window overshoot: order=%v now=%v", order, s.Now())
 	}
-	if len(order) != 0 || s.Now() != Time(1<<10) {
-		t.Fatalf("horizon overshoot: order=%v now=%v", order, s.Now())
-	}
-	if err := s.RunFor(Duration(1<<16 + 10 - 1<<10)); err != nil { // lands between the two instants
-		t.Fatal(err)
-	}
-	if len(order) != 2 {
-		t.Fatalf("after second horizon: order=%v, want first two", order)
+	s.runWindow(1<<16 + 10) // lands between the two instants
+	if len(order) != 2 || s.Now() != 1<<16+5 {
+		t.Fatalf("after second window: order=%v now=%v, want first two at %v", order, s.Now(), 1<<16+5)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -6,20 +6,15 @@ import (
 	"io"
 )
 
-// WriteChromeTrace serializes the tracer's retained events as Chrome
-// trace-event JSON (the format chrome://tracing and Perfetto load). Spans
-// become async begin/end pairs keyed by (name, qp, a); instants become
-// thread-scoped instant events. pid is the fabric node, tid the low 32 bits
-// of the QP key, and ts is virtual microseconds with nanosecond precision.
+// WriteChromeEvents serializes an event stream — a tracer's Events, or the
+// merged shards of a partitioned run — as Chrome trace-event JSON (the
+// format chrome://tracing and Perfetto load). Spans become async begin/end
+// pairs keyed by (name, qp, a); instants become thread-scoped instant
+// events. pid is the fabric node, tid the low 32 bits of the QP key, and ts
+// is virtual microseconds with nanosecond precision.
 //
 // The output is a pure function of the event sequence: with a deterministic
 // simulation, two same-seed runs produce byte-identical files.
-func WriteChromeTrace(w io.Writer, t *Tracer) error {
-	return WriteChromeEvents(w, t.Events())
-}
-
-// WriteChromeEvents is WriteChromeTrace over an explicit event stream — the
-// shape a partitioned run produces after MergeShards.
 func WriteChromeEvents(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {

@@ -34,9 +34,6 @@ type Counter struct{ v int64 }
 // Add increases the counter by n.
 func (c *Counter) Add(n int64) { c.v += n }
 
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 

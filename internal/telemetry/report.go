@@ -44,23 +44,3 @@ func WriteReport(w io.Writer, r *Registry) error {
 	}
 	return bw.Flush()
 }
-
-// WriteCSV renders counters and gauges as "kind,name,value" rows and
-// histogram buckets as "hist,name,upper_bound,count" rows, sorted by name.
-func WriteCSV(w io.Writer, r *Registry) error {
-	bw := bufio.NewWriter(w)
-	for _, name := range r.CounterNames() {
-		fmt.Fprintf(bw, "counter,%s,%d\n", name, r.counters[name].Value())
-	}
-	for _, name := range r.GaugeNames() {
-		fmt.Fprintf(bw, "gauge,%s,%g\n", name, r.gauges[name].Value())
-	}
-	for _, name := range r.HistogramNames() {
-		h := r.hists[name]
-		for i, b := range h.bounds {
-			fmt.Fprintf(bw, "hist,%s,%d,%d\n", name, b, h.counts[i])
-		}
-		fmt.Fprintf(bw, "hist,%s,inf,%d\n", name, h.counts[len(h.bounds)])
-	}
-	return bw.Flush()
-}

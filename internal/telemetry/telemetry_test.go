@@ -44,7 +44,7 @@ func TestTracerGrowsOnDemand(t *testing.T) {
 	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<10 {
 		t.Fatalf("NewTracer(1<<21) allocated %d bytes before any event", d)
 	}
-	if !big.Enabled() || big.Len() != 0 || big.Dropped() != 0 || big.Events() != nil {
+	if big.max == 0 || big.Len() != 0 || big.Dropped() != 0 || big.Events() != nil {
 		t.Fatal("a fresh tracer must be enabled and empty")
 	}
 
@@ -67,12 +67,12 @@ func TestNilAndEmptyTracerSafe(t *testing.T) {
 	tr.Instant(0, EvWire, 0, 0, 0, 0)
 	tr.Begin(0, EvWR, 0, 0, 0, 0)
 	tr.End(0, EvWR, 0, 0, 0, 0)
-	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must be a disabled no-op")
 	}
 	var zero Tracer
 	zero.Instant(0, EvWire, 0, 0, 0, 0)
-	if zero.Enabled() || zero.Len() != 0 {
+	if zero.max != 0 || zero.Len() != 0 {
 		t.Fatal("zero-value tracer must be a disabled no-op")
 	}
 }
@@ -107,7 +107,7 @@ func TestChromeTraceShape(t *testing.T) {
 	tr.End(2500, EvWR, 3, 77, 42, 0)
 
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, tr); err != nil {
+	if err := WriteChromeEvents(&b, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -130,7 +130,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 			tr.Instant(sim.Time(i*100), EvWire, int32(i%4), uint64(i), int64(i), 0)
 		}
 		var b strings.Builder
-		if err := WriteChromeTrace(&b, tr); err != nil {
+		if err := WriteChromeEvents(&b, tr.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

@@ -15,7 +15,6 @@ import (
 	"rshuffle/internal/dag"
 	"rshuffle/internal/engine"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/sim"
 )
@@ -76,7 +75,7 @@ func TransportFactory(name string, threads int) (cluster.ProviderFactory, error)
 	case "semq-wr":
 		return rdma(shuffle.MQWR, 1)
 	case "mpi":
-		return cluster.MPIProvider(mpi.Config{}), nil
+		return cluster.MPIProvider(), nil
 	case "ipoib":
 		return cluster.IPoIBProvider(ipoib.Config{}), nil
 	}

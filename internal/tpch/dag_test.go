@@ -119,6 +119,18 @@ func gatherAll(g *dag.Graph) *dag.Graph {
 	return g
 }
 
+// edgeRows returns the rows the named edge of a plan run carried.
+func edgeRows(t *testing.T, r *dag.Result, id string) int64 {
+	t.Helper()
+	for _, e := range r.Edges {
+		if e.Edge == id {
+			return e.Rows
+		}
+	}
+	t.Fatalf("no edge %s in the plan", id)
+	return 0
+}
+
 // TestTopNBelowGather pins the plan rule on Q3 and Q10 at 16 nodes: the
 // gather into final carries at most each node's top N, and the result
 // bytes equal those of the plan that gathers every group.
@@ -139,7 +151,7 @@ func TestTopNBelowGather(t *testing.T) {
 			}
 			r, sha := run(tc.plan(db))
 			old, oldSHA := run(gatherAll(tc.plan(db)))
-			got, all := r.EdgeByID("join2->final").Rows, old.EdgeByID("join2->final").Rows
+			got, all := edgeRows(t, r, "join2->final"), edgeRows(t, old, "join2->final")
 			if got > int64(nodes*tc.n) {
 				t.Errorf("join2->final carried %d rows, want <= %d nodes x top %d", got, nodes, tc.n)
 			}

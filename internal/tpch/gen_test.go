@@ -33,7 +33,6 @@ func TestGeneratedTablesPinned(t *testing.T) {
 	fact, dim := dag.DemoTables(3, 2000, 250, 7)
 	for _, c := range []struct{ name, got, want string }{
 		{"SyntheticTableWide", sum(cluster.SyntheticTableWide(3, 5000, 32)), "0xf740369aae0a0b49"},
-		{"SyntheticTableZipf", sum(cluster.SyntheticTableZipf(3, 5000, 1<<20, 0.8)), "0x8c90a9a13f7de126"},
 		{"DemoTables", sum(append(fact, dim...)...), "0x9b5b7acbef0f574e"},
 		{"Generate/CoPartitioned", db(CoPartitioned), "0x5d084a6369294852"},
 		{"Generate/Random", db(Random), "0xb401180413b72698"},

@@ -9,7 +9,6 @@ import (
 	"rshuffle/internal/engine"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
 )
 
@@ -304,7 +303,7 @@ func TestQ4MPIAndLocalOrdering(t *testing.T) {
 	dbLocal := Generate(0.02, 4, CoPartitioned, 11)
 
 	rdma := runQuery(t, cluster.New(quiet(), 4, 0, 5), db, 4, testFactory(), false)
-	mpiRes := runQuery(t, cluster.New(quiet(), 4, 0, 5), db, 4, cluster.MPIProvider(mpiConfig()), false)
+	mpiRes := runQuery(t, cluster.New(quiet(), 4, 0, 5), db, 4, cluster.MPIProvider(), false)
 	local := runQuery(t, cluster.New(quiet(), 4, 0, 5), dbLocal, 4, testFactory(), true)
 	t.Logf("Q4: local=%v MESQ/SR=%v MPI=%v", local.Elapsed, rdma.Elapsed, mpiRes.Elapsed)
 	if !(local.Elapsed <= rdma.Elapsed && rdma.Elapsed < mpiRes.Elapsed) {
@@ -313,7 +312,6 @@ func TestQ4MPIAndLocalOrdering(t *testing.T) {
 	}
 }
 
-func mpiConfig() mpi.Config  { return mpi.Config{} }
 func ipoibCfg() ipoib.Config { return ipoib.Config{} }
 
 // TestQ4AllTransportsAgree runs Q4 over five transports and checks they
@@ -325,7 +323,7 @@ func TestQ4AllTransportsAgree(t *testing.T) {
 		"MESQ/SR": cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: 4}),
 		"MEMQ/RD": cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQRD, Endpoints: 4}),
 		"MEMQ/WR": cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQWR, Endpoints: 4}),
-		"MPI":     cluster.MPIProvider(mpi.Config{}),
+		"MPI":     cluster.MPIProvider(),
 		"IPoIB":   cluster.IPoIBProvider(ipoibCfg()),
 	}
 	for name, f := range factories {

@@ -185,9 +185,6 @@ func (qp *QP) Connect(peerNode int, peerQPN uint32) error {
 	return nil
 }
 
-// PeerEpoch returns the peer boot epoch captured at Connect (0 if unfenced).
-func (qp *QP) PeerEpoch() uint64 { return qp.peerEpoch }
-
 // fencedAt implements the responder-side epoch check: if this QP's captured
 // peer epoch is stale with respect to the responder device's current epoch,
 // the work request is rejected before touching responder memory — the

@@ -165,11 +165,11 @@ func TestReconnectRCPairAfterReboot(t *testing.T) {
 			r.devs[0].Stats().Reconnects, r.devs[1].Stats().Reconnects)
 	}
 	// The new pair captured the post-reboot epoch, not the stale one.
-	if newA.PeerEpoch() != r.devs[1].Epoch() {
-		t.Fatalf("new QP peer epoch = %d, responder epoch = %d", newA.PeerEpoch(), r.devs[1].Epoch())
+	if newA.peerEpoch != r.devs[1].Epoch() {
+		t.Fatalf("new QP peer epoch = %d, responder epoch = %d", newA.peerEpoch, r.devs[1].Epoch())
 	}
 	// The pre-reboot QP is stale by construction once the epoch advances.
-	if qpa.PeerEpoch() == r.devs[1].Epoch() && r.devs[1].Epoch() > 1 {
+	if qpa.peerEpoch == r.devs[1].Epoch() && r.devs[1].Epoch() > 1 {
 		t.Fatal("stale QP should not match the post-reboot epoch")
 	}
 }

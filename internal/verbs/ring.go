@@ -46,7 +46,7 @@ const ringChunkTarget = 64 << 10
 // accounting now, while a slot nothing ever lands in costs no host memory.
 // Contents are UNSPECIFIED — callers must treat the region like real pinned
 // memory and only read bytes they have seen written — and every access must
-// stay within one slot. The chunks return to the pool on Deregister or
+// stay within one slot. The chunks return to the pool on
 // Device.RecycleMRs.
 func (d *Device) AllocRingNoCost(slots, slotSize int) *MR {
 	chunk := slotSize

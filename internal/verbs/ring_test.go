@@ -9,6 +9,7 @@ import (
 
 	"rshuffle/internal/bufpool"
 	"rshuffle/internal/sim"
+	"rshuffle/internal/telemetry"
 )
 
 const ringSlot = 64 << 10
@@ -22,6 +23,15 @@ func retained(classBytes int) (bytes, hits, misses int64) {
 		}
 	}
 	return 0, 0, 0
+}
+
+// gauge reads one of the device's published per-node gauges,
+// verbs.<name>.node<i>.
+func gauge(d *Device, name string) int64 {
+	reg := telemetry.NewRegistry()
+	d.PublishMetrics(reg)
+	v, _ := reg.Value(fmt.Sprintf("verbs.%s.node%d", name, d.node))
+	return int64(v)
 }
 
 // TestRingMaterialisesOnArrival pins the demand-materialisation contract on
@@ -42,7 +52,7 @@ func TestRingMaterialisesOnArrival(t *testing.T) {
 				return
 			}
 		}
-		if got := r.devs[1].PeakMaterializedBytes(); got != 0 {
+		if got := gauge(r.devs[1], "peak_materialized_bytes"); got != 0 {
 			t.Errorf("materialised after PostRecv alone = %d, want 0", got)
 		}
 		if got := r.devs[1].RegisteredBytes(); got != window*ringSlot {
@@ -51,7 +61,7 @@ func TestRingMaterialisesOnArrival(t *testing.T) {
 		var es [1]CQE
 		for i := 1; i <= 2; i++ {
 			cqb.WaitPoll(p, es[:])
-			if got := r.devs[1].PeakMaterializedBytes(); got != int64(i*ringSlot) {
+			if got := gauge(r.devs[1], "peak_materialized_bytes"); got != int64(i*ringSlot) {
 				t.Errorf("materialised after arrival %d = %d, want %d", i, got, i*ringSlot)
 			}
 			slot := int(es[0].WRID)
@@ -74,47 +84,32 @@ func TestRingMaterialisesOnArrival(t *testing.T) {
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.devs[1].PeakRegisteredBytes(); got != window*ringSlot {
+	if got := gauge(r.devs[1], "peak_registered_bytes"); got != window*ringSlot {
 		t.Errorf("peak registered = %d, want %d", got, window*ringSlot)
 	}
 }
 
-// TestRingReleaseParksTouchedChunks: RecycleMRs and Deregister hand the pool
-// exactly the chunks that were materialised, and doing either twice changes
-// nothing.
+// TestRingReleaseParksTouchedChunks: RecycleMRs hands the pool exactly the
+// chunks that were materialised, and doing it twice changes nothing.
 func TestRingReleaseParksTouchedChunks(t *testing.T) {
 	r := newRig(t, 1)
 	d := r.devs[0]
-	for _, release := range []struct {
-		name string
-		do   func(p *sim.Proc, mr *MR)
-	}{
-		{"RecycleMRs", func(p *sim.Proc, mr *MR) { d.RecycleMRs() }},
-		{"Deregister", func(p *sim.Proc, mr *MR) { mr.Deregister(p) }},
-	} {
-		release := release
-		r.sim.Spawn(release.name, func(p *sim.Proc) {
-			mr := d.AllocRingNoCost(16, ringSlot)
-			mr.Bytes(3*ringSlot, 8)
-			mr.Bytes(9*ringSlot+100, 8)
-			mr.Bytes(9*ringSlot, ringSlot) // same chunk again
-			before, _, _ := retained(ringSlot)
-			for round := 1; round <= 2; round++ {
-				release.do(p, mr)
-				if after, _, _ := retained(ringSlot); after-before != 2*ringSlot {
-					t.Errorf("%s round %d parked %d bytes, want the 2 touched chunks (%d)",
-						release.name, round, after-before, 2*ringSlot)
-				}
-				if got := d.RegisteredBytes(); got != 0 {
-					t.Errorf("%s round %d: registered = %d, want 0", release.name, round, got)
-				}
-			}
-		})
-		if err := r.sim.Run(); err != nil {
-			t.Fatal(err)
+	mr := d.AllocRingNoCost(16, ringSlot)
+	mr.Bytes(3*ringSlot, 8)
+	mr.Bytes(9*ringSlot+100, 8)
+	mr.Bytes(9*ringSlot, ringSlot) // same chunk again
+	before, _, _ := retained(ringSlot)
+	for round := 1; round <= 2; round++ {
+		d.RecycleMRs()
+		if after, _, _ := retained(ringSlot); after-before != 2*ringSlot {
+			t.Errorf("round %d parked %d bytes, want the 2 touched chunks (%d)",
+				round, after-before, 2*ringSlot)
+		}
+		if got := d.RegisteredBytes(); got != 0 {
+			t.Errorf("round %d: registered = %d, want 0", round, got)
 		}
 	}
-	if got := d.PeakMaterializedBytes(); got != 2*ringSlot {
+	if got := gauge(d, "peak_materialized_bytes"); got != 2*ringSlot {
 		t.Errorf("peak materialised = %d, want %d", got, 2*ringSlot)
 	}
 }
@@ -141,11 +136,11 @@ func TestRecycledChunkServesAnotherShape(t *testing.T) {
 	}
 	// Slots 0..14 share the first chunk; slot 15 opens the second.
 	ud.Bytes(14*udSlot, udSlot)
-	if got := d.PeakMaterializedBytes(); got != 15*udSlot {
+	if got := gauge(d, "peak_materialized_bytes"); got != 15*udSlot {
 		t.Errorf("peak materialised = %d, want %d", got, 15*udSlot)
 	}
 	ud.Bytes(15*udSlot, udSlot)
-	if got := d.PeakMaterializedBytes(); got != 30*udSlot {
+	if got := gauge(d, "peak_materialized_bytes"); got != 30*udSlot {
 		t.Errorf("peak materialised = %d, want %d", got, 30*udSlot)
 	}
 	d.RecycleMRs()
@@ -178,7 +173,7 @@ func TestRingStraddleIsAnError(t *testing.T) {
 	if err := r.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.devs[0].PeakMaterializedBytes(); got != 0 {
+	if got := gauge(r.devs[0], "peak_materialized_bytes"); got != 0 {
 		t.Errorf("rejected work requests materialised %d bytes", got)
 	}
 	defer func() {

@@ -249,7 +249,7 @@ func (d *Device) PublishMetrics(reg *telemetry.Registry) {
 	}
 	reg.Gauge(fmt.Sprintf("verbs.registered_bytes.node%d", d.node)).Set(float64(d.registered))
 	reg.Gauge(fmt.Sprintf("verbs.peak_registered_bytes.node%d", d.node)).Set(float64(d.peakRegistered))
-	reg.Gauge(fmt.Sprintf("verbs.materialized_bytes.node%d", d.node)).Set(float64(d.peakMaterialized))
+	reg.Gauge(fmt.Sprintf("verbs.peak_materialized_bytes.node%d", d.node)).Set(float64(d.peakMaterialized))
 }
 
 func (d *Device) prof() *fabric.Profile { return &d.net.Prof }
@@ -275,7 +275,7 @@ type MR struct {
 	chunk  int      // bytes per chunk; the last chunk may be shorter
 	chunks [][]byte // backing by chunk index; nil until materialised
 	// pooled marks regions whose chunks come from the registered-buffer
-	// pool; Deregister and RecycleMRs return them to it.
+	// pool; RecycleMRs returns them to it.
 	pooled bool
 }
 
@@ -331,14 +331,9 @@ func (m *MR) Bytes(off, n int) []byte {
 	return c[lo : lo+n : lo+n]
 }
 
-// RegisterMR pins and registers buf, charging p the registration cost.
-func (d *Device) RegisterMR(p *sim.Proc, buf []byte) *MR {
-	p.Sleep(d.prof().MemRegBase + sim.Duration(float64(len(buf))*d.prof().MemRegPerByte))
-	return d.RegisterMRNoCost(buf)
-}
-
-// RegisterMRNoCost registers buf without charging virtual time; it is meant
-// for tests and for setup phases whose cost is accounted elsewhere.
+// RegisterMRNoCost registers buf without charging virtual time: shuffle.Build
+// charges the registration cost of an operator's regions once, as
+// Comm.RegTime.
 func (d *Device) RegisterMRNoCost(buf []byte) *MR {
 	mr := d.register(len(buf), len(buf))
 	if len(buf) > 0 {
@@ -371,13 +366,6 @@ func (d *Device) addMaterialized(n int64) {
 	}
 }
 
-// Deregister unpins the region, charging p the deregistration cost. The
-// region must not be accessed afterwards; deregistering twice is a no-op.
-func (m *MR) Deregister(p *sim.Proc) {
-	p.Sleep(m.dev.prof().MemDeregBase)
-	m.release()
-}
-
 // release drops the region from the device's tables and accounting and, for
 // a pooled region, parks the chunks that were materialised. Idempotent.
 func (m *MR) release() {
@@ -402,14 +390,6 @@ func (m *MR) release() {
 // RegisteredBytes returns the bytes currently registered on this device.
 func (d *Device) RegisteredBytes() int64 { return d.registered }
 
-// PeakRegisteredBytes returns the high-water mark of registered bytes.
-func (d *Device) PeakRegisteredBytes() int64 { return d.peakRegistered }
-
-// PeakMaterializedBytes returns the high-water mark of registered bytes that
-// were backed by host memory: all of a region registered over caller memory,
-// and the touched chunks of a ring.
-func (d *Device) PeakMaterializedBytes() int64 { return d.peakMaterialized }
-
 // AttachMulticast joins qp (which must be UD) to the multicast group mgid,
 // like ibv_attach_mcast. Datagrams sent to the group consume posted
 // receives exactly like unicast UD sends.
@@ -419,17 +399,6 @@ func (d *Device) AttachMulticast(qp *QP, mgid uint32) error {
 	}
 	d.mcast[mgid] = append(d.mcast[mgid], qp)
 	return nil
-}
-
-// DetachMulticast removes qp from the group.
-func (d *Device) DetachMulticast(qp *QP, mgid uint32) {
-	qps := d.mcast[mgid]
-	for i, q := range qps {
-		if q == qp {
-			d.mcast[mgid] = append(qps[:i], qps[i+1:]...)
-			return
-		}
-	}
 }
 
 // KickMemWaiters wakes every Proc blocked in WaitMemChange; see CQ.Kick.

@@ -23,7 +23,6 @@ import (
 	"rshuffle/internal/engine"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/mpi"
 	"rshuffle/internal/shuffle"
 	"rshuffle/internal/sim"
 	"rshuffle/internal/verbs"
@@ -115,7 +114,7 @@ func BuildComm(p *Proc, c *Cluster, cfg Config) *Comm {
 func RDMA(cfg Config) cluster.ProviderFactory { return cluster.RDMAProvider(cfg) }
 
 // MPI returns the MVAPICH-like baseline transport factory.
-func MPI() cluster.ProviderFactory { return cluster.MPIProvider(mpi.Config{}) }
+func MPI() cluster.ProviderFactory { return cluster.MPIProvider() }
 
 // IPoIB returns the TCP-over-InfiniBand baseline transport factory.
 func IPoIB() cluster.ProviderFactory { return cluster.IPoIBProvider(ipoib.Config{}) }

@@ -38,10 +38,13 @@ vet:
 # between goroutines (whoever blocks drives it), and the worker pool behind
 # wide PDES windows only starts above one P. The buffer pool rides along:
 # every partition of a wide window and every cell of a sweep draws from it
-# at once.
+# at once. So does the PDES equivalence matrix: a UD datagram record is
+# made on the sender's partition and parked on the receiver's, so its
+# handoff through the window barrier is checked with the worker pool live.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -cpu 1,4 ./internal/sim/ ./internal/bufpool/
+	$(GO) test -race -cpu 1,4 -run TestPDESEquivalenceMatrix ./internal/cluster/
 
 fmt:
 	gofmt -l -w .

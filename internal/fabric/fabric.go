@@ -16,6 +16,14 @@ const ControlThreshold = 256
 // scheduler context at the instant the last byte reaches the destination
 // host; it must not block. For lost packets Deliver never runs (Dropped runs
 // instead, if set).
+//
+// The fabric schedules the Message itself at every stage of its way — the
+// Sent callback, the arrival at the receiver's port, the ECN notification,
+// Deliver — and keeps what the uplink decided for the downlink in the
+// Message, so a transmission allocates nothing. One Message therefore
+// carries one transmission at a time: Deliver, or the drop, is the last
+// thing the fabric does with it, and from inside either callback the
+// Message may be transmitted again (a go-back-N replay, a re-used probe).
 type Message struct {
 	From, To int
 	// FromQP and ToQP identify the Queue Pair state the NICs must touch to
@@ -32,6 +40,41 @@ type Message struct {
 	Sent func(at sim.Time)
 	// Dropped, if non-nil, is invoked if the message is lost (UD only).
 	Dropped func()
+
+	// net is the network carrying the current transmission, fl its state
+	// between the two halves of the port model.
+	net *Network
+	fl  flight
+}
+
+// The stages of a transmission: the event argument with which the fabric
+// schedules a Message.
+const (
+	stageSent    = iota // the last byte left the source port: Sent
+	stageArrive         // the message reached the receiver's switch port: downlink
+	stageECN            // a CE-marked packet reached the receiver: the ECN hook
+	stageDeliver        // the last byte reached the destination host: Deliver
+)
+
+// transit is a Message seen as the handler of its own transmission's events.
+type transit Message
+
+// Fire runs one stage of the transmission. Deliver comes last: the message
+// may be transmitted again from inside it, so nothing of the finished
+// transmission is read after it.
+func (t *transit) Fire(stage uint64) {
+	m := (*Message)(t)
+	n := m.net
+	switch stage {
+	case stageSent:
+		m.Sent(n.SimAt(m.From).Now())
+	case stageArrive:
+		n.downlink(m)
+	case stageECN:
+		n.onECN(m.From, m.To, m.FromQP, m.ToQP)
+	case stageDeliver:
+		m.Deliver(n.SimAt(m.To).Now())
+	}
 }
 
 // NICStats counts per-NIC activity.
@@ -156,19 +199,16 @@ type Network struct {
 	part partition
 }
 
-// flight is one message between the two halves of the port model:
-// everything the uplink decided at transmit time that the downlink needs at
-// the arrival instant.
+// flight is what the uplink decided at transmit time that the downlink needs
+// at the arrival instant, kept in the Message between the two.
 type flight struct {
-	m      *Message
-	arrive sim.Time
 	// sent is the instant the uplink gate opened (after NIC and PFC pauses),
 	// the instant the sender's port outage is judged at.
 	sent sim.Time
 	// bw is the link rate after FaultDegrade.
 	bw     float64
-	wire   int
 	jitter sim.Duration
+	wire   int32
 	// control marks a control-lane message; lost and corrupted are the wire
 	// fate drawn at transmit time.
 	control, lost, corrupted bool
@@ -345,19 +385,21 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 // written down once: uplink and downlink below. Every entry point is a
 // caller: Transmit (one uplink, one downlink) and TransmitMulticast (one
 // uplink, one downlink per member). Both schedule the downlink the same way:
-// Route to the flight's arrival instant on the receiver's partition.
+// the Message itself, routed to its arrival instant on the receiver's
+// partition.
 
 // uplink is the source-port half of the port model. In order: the pause gate
 // (FaultPause on the NIC, then a PFC pause on the data priority), WQE fetch
 // + QP-state touch + serialization at the link's possibly degraded rate,
 // control-lane arbitration, the per-QP RC departure floor, the Tx counters,
-// the wire trace event and the Sent callback. It returns the flight toward
-// m.To with its wire fate still undrawn (see wireFate) and the instant the
-// last byte left the port.
+// the wire trace event and the Sent callback. It leaves the flight toward
+// m.To in m with its wire fate still undrawn (see wireFate) and returns the
+// instants the last byte left the port and reaches the destination switch
+// port.
 //
 // It executes on the source node's partition and uses only that partition's
 // clock, tracer shard and RNG stream.
-func (n *Network) uplink(m *Message, wire int, control bool) (flight, sim.Time) {
+func (n *Network) uplink(m *Message, wire int, control bool) (txDone, arrive sim.Time) {
 	prof := &n.Prof
 	src := n.nics[m.From]
 	ssim := n.SimAt(m.From)
@@ -378,7 +420,7 @@ func (n *Network) uplink(m *Message, wire int, control bool) (flight, sim.Time) 
 		src.stats.TxBacklogPeak = q
 	}
 	txOcc := prof.WQEProcessing + n.touch(src, m.FromQP) + Serialize(wire, bw)
-	txDone := serve(&src.txBusy, now, txOcc, control, Serialize(prof.MTU, bw))
+	txDone = serve(&src.txBusy, now, txOcc, control, Serialize(prof.MTU, bw))
 	if m.Service == RC {
 		txDone = orderFloor(src.txOrder, m.FromQP, txDone)
 	}
@@ -393,13 +435,14 @@ func (n *Network) uplink(m *Message, wire int, control bool) (flight, sim.Time) 
 		src.stats.TxDataBytes += int64(wire)
 	}
 	n.TracerAt(m.From).Instant(txDone, telemetry.EvWire, int32(m.From), m.FromQP, int64(wire), lane)
+	m.net = n
+	m.fl = flight{sent: now, bw: bw, wire: int32(wire), control: control}
 	if m.Sent != nil {
-		ssim.At(txDone, func() { m.Sent(ssim.Now()) })
+		ssim.Schedule(txDone, (*transit)(m), stageSent)
 	}
 	// The message reaches the destination switch port after propagation and
 	// switching.
-	return flight{m: m, arrive: txDone.Add(prof.SwitchDelay + prof.PropagationDelay),
-		sent: now, bw: bw, wire: wire, control: control}, txDone
+	return txDone, txDone.Add(prof.SwitchDelay + prof.PropagationDelay)
 }
 
 // serve occupies one serializer (an uplink or a downlink, *busy is its
@@ -431,15 +474,15 @@ func (n *Network) linkRate(from, to int, now sim.Time) float64 {
 	return n.Prof.LinkBandwidth * n.faults.degradeFactor(from, to, now)
 }
 
-// wireFate draws what happens to f's message on its way to f.m.To: injected
-// or random loss, injected corruption, UD reorder jitter. The decisions are
-// made at transmit time so the whole computation stays a pure function of
-// the RNG stream (deterministic), and the draws come from the sender's
-// stream, which advances only in the sender's own causal order — invariant
-// across LP counts.
-func (n *Network) wireFate(f flight) flight {
+// wireFate draws what happens to m on its way to m.To: injected or random
+// loss, injected corruption, UD reorder jitter, into m's flight. The
+// decisions are made at transmit time so the whole computation stays a pure
+// function of the RNG stream (deterministic), and the draws come from the
+// sender's stream, which advances only in the sender's own causal order —
+// invariant across LP counts.
+func (n *Network) wireFate(m *Message) {
 	prof := &n.Prof
-	m := f.m
+	f := &m.fl
 	if !n.faults.Empty() {
 		switch {
 		case m.Service == UD:
@@ -462,24 +505,23 @@ func (n *Network) wireFate(f flight) flight {
 			f.jitter = sim.Duration(rng.Int63n(int64(prof.UDReorderJitter) + 1))
 		}
 	}
-	return f
 }
 
 // downlink is the destination-port half of the port model, evaluated at the
-// flight's arrival instant on the receiver's partition. In order: the
-// severed/lost verdict, FaultPause on the receiving NIC, lossy admission at
-// the egress port (tail drop, PFC, ECN), QP-state touch + serialization onto
-// the downlink — the incast bottleneck: simultaneous senders queue here —
-// with control-lane arbitration, the corruption retransmit, the per-QP RC
-// arrival floor, the Rx counters, the ECN hook, and Deliver after the UD
-// jitter. It always runs as the event Route scheduled at f.arrive, so
-// f.arrive is the receiver's clock.
-func (n *Network) downlink(f flight) {
+// arrival instant on the receiver's partition. In order: the severed/lost
+// verdict, FaultPause on the receiving NIC, lossy admission at the egress
+// port (tail drop, PFC, ECN), QP-state touch + serialization onto the
+// downlink — the incast bottleneck: simultaneous senders queue here — with
+// control-lane arbitration, the corruption retransmit, the per-QP RC arrival
+// floor, the Rx counters, the ECN hook, and Deliver after the UD jitter. It
+// always runs as the stageArrive event Route scheduled at the arrival
+// instant, so the receiver's clock is that instant.
+func (n *Network) downlink(m *Message) {
 	prof := &n.Prof
-	m := f.m
+	f := &m.fl
 	src, dst := n.nics[m.From], n.nics[m.To]
 	dsim := n.SimAt(m.To)
-	rnow := f.arrive
+	rnow := dsim.Now()
 	lane := int64(0)
 	if f.control {
 		lane = 1
@@ -499,7 +541,7 @@ func (n *Network) downlink(f flight) {
 	marked := false
 	if prof.Lossy && !f.control {
 		var tailDropped bool
-		tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, f.wire, f.bw,
+		tailDropped, marked = n.lossyAdmit(src, dst, m.ToQP, int(f.wire), f.bw,
 			m.Service == UD || m.Dropped != nil, rnow)
 		if tailDropped {
 			// The event's last argument tells UD (1) from RC (0).
@@ -507,7 +549,7 @@ func (n *Network) downlink(f flight) {
 			return
 		}
 	}
-	rxOcc := n.touch(dst, m.ToQP) + Serialize(f.wire, f.bw)
+	rxOcc := n.touch(dst, m.ToQP) + Serialize(int(f.wire), f.bw)
 	if q := dst.rxBusy.Sub(rnow); q > dst.stats.RxBacklogPeak {
 		dst.stats.RxBacklogPeak = q
 	}
@@ -515,7 +557,7 @@ func (n *Network) downlink(f flight) {
 	if f.corrupted {
 		// One packet failed its CRC: the receiver NAKs, the sender
 		// re-serializes that packet after a round trip.
-		pkt := f.wire
+		pkt := int(f.wire)
 		if lim := prof.MTU + prof.HeaderRC; pkt > lim {
 			pkt = lim
 		}
@@ -533,9 +575,9 @@ func (n *Network) downlink(f flight) {
 		dst.stats.RxDataBytes += int64(f.wire)
 	}
 	if marked && n.onECN != nil {
-		dsim.At(rxDone, func() { n.onECN(m.From, m.To, m.FromQP, m.ToQP) })
+		dsim.Schedule(rxDone, (*transit)(m), stageECN)
 	}
-	dsim.At(rxDone.Add(f.jitter), func() { m.Deliver(dsim.Now()) })
+	dsim.Schedule(rxDone.Add(f.jitter), (*transit)(m), stageDeliver)
 }
 
 // drop accounts a message lost at dst's port at instant at — counter, trace
@@ -555,7 +597,8 @@ func (n *Network) drop(dst *nic, m *Message, at sim.Time, ev telemetry.Ev, arg i
 // Transmit schedules delivery of m. It may be called from Procs or event
 // callbacks. The transmit engine of the source NIC and the receive engine of
 // the destination NIC are serving resources: messages queue in FIFO order
-// and the caller does not block.
+// and the caller does not block. m must not be in flight already (see
+// Message).
 func (n *Network) Transmit(m *Message) {
 	prof := &n.Prof
 	if m.From == m.To {
@@ -567,9 +610,9 @@ func (n *Network) Transmit(m *Message) {
 		panic(fmt.Sprintf("fabric: UD payload %d exceeds MTU %d", m.Payload, prof.MTU))
 	}
 	wire := prof.WireBytes(m.Payload, m.Service)
-	up, _ := n.uplink(m, wire, wire <= ControlThreshold)
-	f := n.wireFate(up)
-	n.Route(m.From, m.To, f.arrive, func() { n.downlink(f) })
+	_, arrive := n.uplink(m, wire, wire <= ControlThreshold)
+	n.wireFate(m)
+	n.RouteHandler(m.From, m.To, arrive, (*transit)(m), stageArrive)
 }
 
 // TransmitMulticast sends one datagram to every node in dests with a single
@@ -581,6 +624,7 @@ func (n *Network) Transmit(m *Message) {
 // datagram always rides the data lane: the replication engine sits behind
 // the bulk serializer. m.To is ignored: the uplink serializes at the rate of
 // the sender's link to AnyNode, each copy's downlink at its own link's.
+// Every copy is a Message of its own, scheduled like a unicast one.
 func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest int, at sim.Time)) {
 	prof := &n.Prof
 	if m.Service != UD {
@@ -591,27 +635,26 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 	}
 	up := *m
 	up.To = AnyNode
-	f, txDone := n.uplink(&up, prof.WireBytes(m.Payload, UD), false)
+	txDone, arrive := n.uplink(&up, prof.WireBytes(m.Payload, UD), false)
 	ssim := n.SimAt(m.From)
 	for _, d := range dests {
-		d := d
-		if d == m.From {
+		if d == m.From && !n.faults.Empty() && n.faults.down(m.From, up.fl.sent) {
 			// The switch loops the packet back to an attached sender port —
 			// unless that port is dark, which keeps the packet off the switch.
-			if n.faults.Empty() || !n.faults.down(m.From, f.sent) {
-				ssim.At(txDone, func() { deliver(d, ssim.Now()) })
-			}
 			continue
 		}
 		leg := up
 		leg.To, leg.Sent = d, nil
 		leg.Deliver = func(at sim.Time) { deliver(d, at) }
-		f.m = &leg
-		if !n.faults.Empty() {
-			f.bw = n.linkRate(m.From, d, f.sent)
+		if d == m.From {
+			ssim.Schedule(txDone, (*transit)(&leg), stageDeliver)
+			continue
 		}
-		lf := n.wireFate(f)
-		n.Route(m.From, d, lf.arrive, func() { n.downlink(lf) })
+		if !n.faults.Empty() {
+			leg.fl.bw = n.linkRate(m.From, d, up.fl.sent)
+		}
+		n.wireFate(&leg)
+		n.RouteHandler(m.From, d, arrive, (*transit)(&leg), stageArrive)
 	}
 }
 
@@ -631,12 +674,13 @@ func (n *Network) loopback(m *Message) {
 	}
 	done := start.Add(occ)
 	nc.txBusy = done
+	m.net = n
 	if m.Sent != nil {
-		s.At(done, func() { m.Sent(s.Now()) })
+		s.Schedule(done, (*transit)(m), stageSent)
 	}
 	nc.stats.TxMessages++
 	nc.stats.RxMessages++
 	nc.stats.TxBytes += int64(m.Payload)
 	nc.stats.RxBytes += int64(m.Payload)
-	s.At(done, func() { m.Deliver(s.Now()) })
+	s.Schedule(done, (*transit)(m), stageDeliver)
 }

@@ -116,6 +116,11 @@ func (n *Network) Route(src, dst int, at sim.Time, fn func()) {
 	n.part.g.Route(src, dst, at, fn)
 }
 
+// RouteHandler is Route for a handler fired with arg (sim.Group.RouteHandler).
+func (n *Network) RouteHandler(src, dst int, at sim.Time, h sim.Handler, arg uint64) {
+	n.part.g.RouteHandler(src, dst, at, h, arg)
+}
+
 // RouteLatency is the minimum latency of any routed cross-node interaction
 // — switch traversal plus propagation, with no serialization component —
 // and therefore the widest safe PDES window lookahead. Data messages add

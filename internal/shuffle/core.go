@@ -265,12 +265,17 @@ func postErr(peer int, err error) error {
 
 // sendPool is a SEND endpoint's pool of registered transmission buffers. A
 // buffer handed to the wire toward k destinations owes k completions; the
-// k-th returns it to the free list.
+// k-th returns it to the free list. Each slot has its Buf record, made the
+// first time the slot is leased and leased with it from then on: like the
+// registered bytes behind it, a record is made once and then cycled through
+// GETFREE and the completions.
 type sendPool struct {
 	mr      *verbs.MR
 	bufSize int
 	free    *sim.Queue[int] // offsets of reusable buffers
-	pending map[int]int     // offset -> completions still owed
+	bufs    []*Buf          // per slot: the record GETFREE hands out, once made
+	// inFlight counts the slots that owe completions (Buf.owed).
+	inFlight int
 	// idBase offsets the work-request id of a buffer's transmissions: buffer
 	// off completes as id idBase+off, and smaller ids belong to control
 	// writes that share the completion queue.
@@ -282,7 +287,7 @@ func newSendPool(dev *verbs.Device, name string, bufs, bufSize int, idBase uint6
 		mr:      dev.AllocRingNoCost(bufs, bufSize),
 		bufSize: bufSize,
 		free:    sim.NewQueue[int](dev.Sim(), fmt.Sprintf("%s@%d", name, dev.Node())),
-		pending: make(map[int]int),
+		bufs:    make([]*Buf, bufs),
 		idBase:  idBase,
 	}
 	for i := 0; i < bufs; i++ {
@@ -297,14 +302,23 @@ func (sp *sendPool) tryGet() (*Buf, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &Buf{Data: sp.mr.Bytes(off+HeaderSize, sp.bufSize-HeaderSize), off: off}, true
+	b := sp.bufs[off/sp.bufSize]
+	if b == nil {
+		b = &Buf{Data: sp.mr.Bytes(off+HeaderSize, sp.bufSize-HeaderSize), off: off}
+		sp.bufs[off/sp.bufSize] = b
+	}
+	b.Len = 0
+	return b, true
 }
 
 // commit writes b's header and records that fanout completions must arrive
 // before b is reusable.
 func (sp *sendPool) commit(b *Buf, h header, fanout int) {
 	putHeader(sp.mr.Bytes(b.off, HeaderSize), h)
-	sp.pending[b.off] = fanout
+	if b.owed == 0 {
+		sp.inFlight++
+	}
+	b.owed = fanout
 }
 
 // id is the work-request id under which buffer off is transmitted.
@@ -314,17 +328,45 @@ func (sp *sendPool) id(off int) uint64 { return sp.idBase + uint64(off) }
 // returns it to the free list. A completion nothing is owed for is a
 // protocol bug and reported, never counted below zero.
 func (sp *sendPool) complete(off int) error {
-	left, ok := sp.pending[off]
-	if !ok {
+	var b *Buf
+	if i := off / sp.bufSize; off >= 0 && off%sp.bufSize == 0 && i < len(sp.bufs) {
+		b = sp.bufs[i]
+	}
+	if b == nil || b.owed == 0 {
 		return fmt.Errorf("shuffle: completion for send buffer %d, which is not in flight", off)
 	}
-	if left > 1 {
-		sp.pending[off] = left - 1
+	if b.owed--; b.owed > 0 {
 		return nil
 	}
-	delete(sp.pending, off)
+	sp.inFlight--
 	sp.free.Put(off)
 	return nil
+}
+
+// dataRecs recycles a RECEIVE endpoint's Data records: GETDATA hands one
+// out with each filled slot, and RELEASE takes it back with the slot, so an
+// endpoint holds as many records as buffers are out at once. (One record
+// per receive slot, made up front, costs more than it saves: a query posts
+// far more slots than it fills.)
+type dataRecs struct{ spare []*Data }
+
+// get returns a record describing a buffer from src.
+func (r *dataRecs) get(src int, payload []byte, remote uint64, slot int) *Data {
+	var d *Data
+	if n := len(r.spare); n > 0 {
+		d = r.spare[n-1]
+		r.spare = r.spare[:n-1]
+	} else {
+		d = new(Data)
+	}
+	*d = Data{Src: src, Payload: payload, Remote: remote, slot: slot}
+	return d
+}
+
+// put takes back a released record; its caller is done with it.
+func (r *dataRecs) put(d *Data) {
+	*d = Data{}
+	r.spare = append(r.spare, d)
 }
 
 // Slot encoding for the circular queues of Alg. 3 (FreeArr, ValidArr, and
@@ -555,7 +597,7 @@ func (c *endpoint) getFree(p *sim.Proc, pool *sendPool,
 		}
 		if !w.after(woke) {
 			return nil, fmt.Errorf("%w: GetFree on node %d (%d buffers outstanding)",
-				ErrStalled, c.dev.Node(), len(pool.pending))
+				ErrStalled, c.dev.Node(), pool.inFlight)
 		}
 	}
 }
@@ -569,12 +611,12 @@ func (c *endpoint) getFree(p *sim.Proc, pool *sendPool,
 func (c *endpoint) flush(p *sim.Proc, pool *sendPool,
 	reap func(*sim.Proc) error, wait func(*sim.Proc, sim.Duration) (bool, error)) error {
 	w := newWaiter(c.cfg.StallTimeout)
-	for len(pool.pending) > 0 {
+	for pool.inFlight > 0 {
 		if reap != nil {
 			if err := reap(p); err != nil {
 				return err
 			}
-			if len(pool.pending) == 0 {
+			if pool.inFlight == 0 {
 				break
 			}
 		}
@@ -584,7 +626,7 @@ func (c *endpoint) flush(p *sim.Proc, pool *sendPool,
 		}
 		if !w.after(woke) {
 			return fmt.Errorf("%w: Finish flush on node %d (%d buffers outstanding)",
-				ErrStalled, c.dev.Node(), len(pool.pending))
+				ErrStalled, c.dev.Node(), pool.inFlight)
 		}
 	}
 	return nil

@@ -73,6 +73,7 @@ func TestSendPoolFanOut(t *testing.T) {
 		t.Fatalf("tryGet = %v, %v", b, ok)
 	}
 	const fanout = 3
+	b.Len = 8
 	sp.commit(b, header{payload: 8, src: 1}, fanout)
 	if h := getHeader(sp.mr.Bytes(b.off, HeaderSize)); h.payload != 8 || h.src != 1 {
 		t.Fatalf("committed header = %+v", h)
@@ -81,26 +82,36 @@ func TestSendPoolFanOut(t *testing.T) {
 		if err := sp.complete(b.off); err != nil {
 			t.Fatal(err)
 		}
-		if sp.free.Len() != 1 || sp.pending[b.off] != fanout-i {
-			t.Fatalf("after %d of %d completions: %d free, %d owed",
-				i, fanout, sp.free.Len(), sp.pending[b.off])
+		if sp.free.Len() != 1 || b.owed != fanout-i || sp.inFlight != 1 {
+			t.Fatalf("after %d of %d completions: %d free, %d owed, %d in flight",
+				i, fanout, sp.free.Len(), b.owed, sp.inFlight)
 		}
 	}
 	if err := sp.complete(b.off); err != nil {
 		t.Fatal(err)
 	}
-	if sp.free.Len() != 2 || len(sp.pending) != 0 {
-		t.Fatalf("after the last completion: %d free, %d pending", sp.free.Len(), len(sp.pending))
+	if sp.free.Len() != 2 || sp.inFlight != 0 {
+		t.Fatalf("after the last completion: %d free, %d in flight", sp.free.Len(), sp.inFlight)
 	}
-	// A duplicate completion, or one for a buffer never sent, is an error
-	// and leaves no negative count behind.
-	for _, off := range []int{b.off, 256} {
+	// A duplicate completion, or one for a buffer never sent or no buffer at
+	// all, is an error and leaves no negative count behind.
+	for _, off := range []int{b.off, 256, 100, 512} {
 		if err := sp.complete(off); err == nil {
 			t.Fatalf("completion for idle buffer %d accepted", off)
 		}
 	}
-	if sp.free.Len() != 2 || len(sp.pending) != 0 {
-		t.Fatalf("bogus completions changed the pool: %d free, %v pending", sp.free.Len(), sp.pending)
+	if sp.free.Len() != 2 || sp.inFlight != 0 || b.owed != 0 {
+		t.Fatalf("bogus completions changed the pool: %d free, %d owed, %d in flight", sp.free.Len(), b.owed, sp.inFlight)
+	}
+	// The slot's record goes out again with the slot.
+	b0 := b
+	for i := 0; i < 2; i++ {
+		if b, ok = sp.tryGet(); !ok {
+			t.Fatal("pool empty after every buffer came back")
+		}
+		if b.off == b0.off && (b != b0 || b.Len != 0) {
+			t.Fatalf("slot %d leased as a new record or with a stale length", b.off)
+		}
 	}
 }
 
@@ -202,8 +213,8 @@ func TestReapConsumesWholeBatch(t *testing.T) {
 	if b, ok := sp.tryGet(); !ok || b.off != kept.off {
 		t.Fatal("the buffer completed behind the failed CQE did not return to the pool")
 	}
-	if _, owed := sp.pending[lost.off]; !owed || len(sp.pending) != 1 {
-		t.Fatalf("pending = %v, want only the failed buffer", sp.pending)
+	if lost.owed != 1 || sp.inFlight != 1 {
+		t.Fatalf("%d owed, %d in flight, want only the failed buffer", lost.owed, sp.inFlight)
 	}
 
 	// Attribution: the same failure on a connection whose peer is dead is

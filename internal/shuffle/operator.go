@@ -113,21 +113,25 @@ func (s *Shuffle) Open(ctx *engine.Ctx) {
 	s.empty = engine.NewBatch(s.In.Schema(), 1)
 }
 
-// send transmits b to group g and, on success, adds it to the census.
+// send transmits b to group g and, on success, adds it to the census. b's
+// length is read first: once Send returns, another thread sharing the
+// endpoint may already have reaped its completions and leased its slot again.
 func (s *Shuffle) send(p *sim.Proc, target SendEndpoint, b *Buf, g int) error {
+	n := b.Len
 	if err := target.Send(p, b, s.G[g]); err != nil {
 		return err
 	}
-	s.count(b, s.G[g])
+	s.count(n, s.G[g])
 	return nil
 }
 
-// count adds b, handed to the wire toward dest, to the census.
-func (s *Shuffle) count(b *Buf, dest []int) {
+// count adds a buffer of n bytes, handed to the wire toward dest, to the
+// census.
+func (s *Shuffle) count(n int, dest []int) {
 	fanout := int64(len(dest))
 	s.BufsSent++
 	s.SendWRs += fanout
-	s.rowsOut += int64(b.Len/s.In.Schema().Width()) * fanout
+	s.rowsOut += int64(n/s.In.Schema().Width()) * fanout
 }
 
 func (s *Shuffle) fail(err error) {
@@ -217,11 +221,18 @@ func (s *Shuffle) Next(p *sim.Proc, tid int) (*engine.Batch, engine.State) {
 	}
 	s.epUsers[ep]--
 	if s.epUsers[ep] == 0 && s.Err == nil {
-		if err := target.Finish(p, s.tails[ep]...); err != nil {
+		// Finish leases buffers of its own, which may be a tail's slot once
+		// that tail has gone out, so the tails' lengths are read first.
+		tails := s.tails[ep]
+		lens := make([]int, len(tails))
+		for i, t := range tails {
+			lens[i] = t.Buf.Len
+		}
+		if err := target.Finish(p, tails...); err != nil {
 			s.fail(err)
 		} else {
-			for _, t := range s.tails[ep] {
-				s.count(t.Buf, t.Dest)
+			for i, t := range tails {
+				s.count(lens[i], t.Dest)
 			}
 		}
 	}

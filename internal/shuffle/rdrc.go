@@ -101,7 +101,8 @@ type rdRCRecv struct {
 	validArr wordRing // announcements written by senders
 	freeOut  wordRing // my queue in each sender's FreeArr
 
-	localMR  *verbs.MR   // local destination buffers for incoming reads
+	localMR  *verbs.MR // local destination buffers for incoming reads
+	datas    dataRecs
 	localArr [][]int     // per source: stack of free local buffer offsets
 	dataWin  []remoteWin // per source: that sender's data pool MR
 
@@ -213,12 +214,8 @@ func (e *rdRCRecv) handle(es []verbs.CQE) error {
 			continue
 		}
 		off := ctx.localOff
-		e.ready.push(&Data{
-			Src:     int(h.src),
-			Payload: e.localMR.Bytes(off+HeaderSize, h.payload),
-			Remote:  uint64(ctx.remoteOff),
-			slot:    off,
-		})
+		e.ready.push(e.datas.get(int(h.src),
+			e.localMR.Bytes(off+HeaderSize, h.payload), uint64(ctx.remoteOff), off))
 	}
 	return nil
 }
@@ -304,6 +301,7 @@ func (e *rdRCRecv) GetData(p *sim.Proc) (*Data, error) {
 // Release implements RecvEndpoint (Alg. 3, RELEASE).
 func (e *rdRCRecv) Release(p *sim.Proc, d *Data) error {
 	e.releaseParts(d.Src, int(d.Remote), d.slot)
+	e.datas.put(d)
 	return e.flushFrees(p)
 }
 

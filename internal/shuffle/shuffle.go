@@ -287,7 +287,8 @@ type Buf struct {
 	// Len is the number of valid bytes in Data.
 	Len int
 
-	off int // offset of the header within the endpoint MR
+	off  int // offset of the header within the endpoint MR
+	owed int // completions still owed before the slot is free again
 }
 
 // Cap returns the tuple-area capacity.

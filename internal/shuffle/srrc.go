@@ -117,6 +117,7 @@ type srRCRecv struct {
 	rcq *verbs.CQ // receive completions, shared by all QPs
 
 	bufMR   *verbs.MR // receive slots, perSrc per source
+	datas   dataRecs
 	perSrc  int
 	stageMR *verbs.MR // per source 8-byte staging for credit writes
 
@@ -205,11 +206,7 @@ func (e *srRCRecv) GetData(p *sim.Proc) (*Data, error) {
 					continue
 				}
 			}
-			return &Data{
-				Src:     int(h.src),
-				Payload: e.bufMR.Bytes(off+HeaderSize, h.payload),
-				slot:    slot,
-			}, nil
+			return e.datas.get(int(h.src), e.bufMR.Bytes(off+HeaderSize, h.payload), 0, slot), nil
 		}
 		if e.allDone() {
 			return nil, nil
@@ -227,7 +224,9 @@ func (e *srRCRecv) GetData(p *sim.Proc) (*Data, error) {
 
 // Release implements RecvEndpoint.
 func (e *srRCRecv) Release(p *sim.Proc, d *Data) error {
-	return e.repost(p, d.slot)
+	slot := d.slot
+	e.datas.put(d)
+	return e.repost(p, slot)
 }
 
 func newSRRCSend(dev *verbs.Device, cfg Config, n, tpe int) *srRCSend {

@@ -202,6 +202,7 @@ type srUDRecv struct {
 
 	stageMR *verbs.MR  // per source HeaderSize staging for credit datagrams
 	ahs     []verbs.AH // per source: the paired send endpoint's QP
+	datas   dataRecs
 
 	creditIssued []uint64
 	lastWritten  []uint64
@@ -315,11 +316,7 @@ func (e *srUDRecv) GetData(p *sim.Proc) (*Data, error) {
 			if e.allDone() {
 				e.rcq.Kick()
 			}
-			return &Data{
-				Src:     src,
-				Payload: e.bufMR.Bytes(off+HeaderSize, h.payload),
-				slot:    slot,
-			}, nil
+			return e.datas.get(src, e.bufMR.Bytes(off+HeaderSize, h.payload), 0, slot), nil
 		}
 		if e.allDone() {
 			return nil, nil
@@ -356,7 +353,9 @@ func (e *srUDRecv) lossReport() string {
 
 // Release implements RecvEndpoint.
 func (e *srUDRecv) Release(p *sim.Proc, d *Data) error {
-	return e.repost(p, d.slot, d.Src)
+	slot, src := d.slot, d.Src
+	e.datas.put(d)
+	return e.repost(p, slot, src)
 }
 
 func newSRUDSend(dev *verbs.Device, cfg Config, n, tpe int) *srUDSend {

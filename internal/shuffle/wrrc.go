@@ -129,6 +129,7 @@ type wrRCRecv struct {
 	endpoint // scq: grant-write completions
 
 	slotMR *verbs.MR // data slots, perSrc per source
+	datas  dataRecs
 	perSrc int
 
 	validArr wordRing // announcements written by senders
@@ -179,11 +180,7 @@ func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 				granted = true
 				continue
 			}
-			return &Data{
-				Src:     int(h.src),
-				Payload: e.slotMR.Bytes(slot+HeaderSize, h.payload),
-				slot:    slot,
-			}, nil
+			return e.datas.get(int(h.src), e.slotMR.Bytes(slot+HeaderSize, h.payload), 0, slot), nil
 		}
 		if granted {
 			continue
@@ -205,8 +202,9 @@ func (e *wrRCRecv) GetData(p *sim.Proc) (*Data, error) {
 func (e *wrRCRecv) Release(p *sim.Proc, d *Data) error {
 	// The slot belongs to the source that filled it; slots are partitioned
 	// per source, so recover the source from the slot index.
-	src := d.slot / (e.perSrc * e.cfg.BufSize)
-	return e.grant(p, src, d.slot)
+	slot := d.slot
+	e.datas.put(d)
+	return e.grant(p, slot/(e.perSrc*e.cfg.BufSize), slot)
 }
 
 func newWRRCSend(dev *verbs.Device, cfg Config, n, tpe, grantCap int) *wrRCSend {

@@ -51,14 +51,16 @@ import (
 	"sync/atomic"
 )
 
-// routed is one cross-LP event in flight: fn runs on the destination
-// actor's LP at instant at. The (at, from, seq) triple is the merge key.
+// routed is one cross-LP event in flight: h.Fire(arg) runs on the
+// destination actor's LP at instant at. The (at, from, seq) triple is the
+// merge key.
 type routed struct {
 	at   Time
 	from int
 	seq  uint64
 	to   int
-	fn   func()
+	h    Handler
+	arg  uint64
 }
 
 // mergeRouted sorts a barrier's cross-LP events into the deterministic
@@ -210,15 +212,20 @@ func (g *Group) Now() Time {
 	return t
 }
 
-// Route schedules fn on to's partition at instant at, on behalf of actor
-// from (which must be the actor whose event is executing). at must be at or
-// beyond the current window bound — callers guarantee this by using a delay
-// of at least the Group's lookahead. Route may be called concurrently from
+// Route schedules fn on to's partition at instant at, like RouteHandler.
+func (g *Group) Route(from, to int, at Time, fn func()) {
+	g.RouteHandler(from, to, at, Func(fn), 0)
+}
+
+// RouteHandler schedules h.Fire(arg) on to's partition at instant at, on
+// behalf of actor from (which must be the actor whose event is executing).
+// at must be at or beyond the current window bound — callers guarantee this
+// by using a delay of at least the Group's lookahead. It may be called concurrently from
 // different LPs' windows; an actor's routes are FIFO per source. One
 // partition has no window: its bound is the clock plus the lookahead — no
 // laxer than any window bound, so what is legal there is legal at every
 // count — and the event goes straight into the wheel.
-func (g *Group) Route(from, to int, at Time, fn func()) {
+func (g *Group) RouteHandler(from, to int, at Time, h Handler, arg uint64) {
 	one, limit := len(g.sims) == 1, g.limit
 	if one {
 		limit = g.sims[0].now.Add(g.look)
@@ -228,7 +235,7 @@ func (g *Group) Route(from, to int, at Time, fn func()) {
 			at, limit, from, to, g.simOf[from].now))
 	}
 	g.seqs[from]++
-	r := routed{at: at, from: from, seq: g.seqs[from], to: to, fn: fn}
+	r := routed{at: at, from: from, seq: g.seqs[from], to: to, h: h, arg: arg}
 	if one {
 		g.land(&r)
 		return
@@ -243,7 +250,7 @@ func (g *Group) Route(from, to int, at Time, fn func()) {
 // from the key at detach (chainCanon).
 func (g *Group) land(r *routed) {
 	s := g.simOf[r.to]
-	e := s.newEvent(r.at, r.fn, nil)
+	e := s.newEvent(r.at, r.h, r.arg, nil)
 	e.rsrc, e.rseq = r.from+1, r.seq
 	s.wheelPush(e)
 }
@@ -270,7 +277,7 @@ func (g *Group) GoWide() { g.wantWide = true }
 func (g *Group) Fuse(p *Proc) {
 	g.wantFused.Store(true)
 	s := p.sim
-	s.wheelPush(s.newEvent(s.now.Add(2*g.look+1), nil, p))
+	s.wheelPush(s.newEvent(s.now.Add(2*g.look+1), nil, 0, p))
 	p.block("fuse")
 }
 
@@ -288,7 +295,7 @@ func (g *Group) deliver() {
 	mergeRouted(g.merge)
 	for i := range g.merge {
 		g.land(&g.merge[i])
-		g.merge[i].fn = nil
+		g.merge[i].h = nil
 	}
 }
 

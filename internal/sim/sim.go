@@ -19,8 +19,10 @@
 // primitive it is blocked on.
 //
 // Scheduling is the simulator's hot path, so the kernel avoids per-event
-// allocation: event records are recycled on a free list, Proc wakeups are a
-// closure-free event variant, and same-instant wakeups (ready, Yield, the
+// allocation: event records are recycled on a free list, an event's action
+// is a Handler fired with an argument (so a model object can schedule
+// itself at every step without a closure), Proc wakeups are a direct
+// dispatch variant, and same-instant wakeups (ready, Yield, the
 // first dispatch after Spawn) go through an O(1) FIFO ring that bypasses the
 // O(log n) heap while preserving the global schedule-order semantics. See
 // DESIGN.md, "Kernel performance".
@@ -49,26 +51,42 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return Duration(t).String() }
 
-// event is one scheduled occurrence. At most one of fire and proc is set:
-// fire is a general callback; proc is the direct-dispatch variant that
-// resumes a Proc without allocating a closure; an event with neither is a
-// cancelled timer, which still pops (advancing the clock and the fired
-// counter exactly as the live timer would have) but does nothing. Events are
-// recycled through Simulation.free, so no pointer to an event may outlive
-// its firing — Timer handles guard against reuse with the seq stamp.
+// Handler is the action of a scheduled event. Fire runs in scheduler
+// context with the argument the event was scheduled with, so one handler
+// can stand for several steps of a multi-event process — a fabric message
+// scheduling itself at each stage of its transmission, a verbs work request
+// routing its own verdict home — and scheduling one costs no closure. A
+// handler must not block.
+type Handler interface {
+	Fire(arg uint64)
+}
+
+// Func adapts a closure to Handler; its argument is ignored. At, After and
+// Route schedule closures through it.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire(uint64) { f() }
+
+// event is one scheduled occurrence. At most one of h and proc is set: h is
+// the action, fired with arg; proc is the direct-dispatch variant that
+// resumes a Proc; an event with neither is a cancelled timer, which still
+// pops (advancing the clock and the fired counter exactly as the live timer
+// would have) but does nothing. Events are recycled through
+// Simulation.free, so no pointer to an event may outlive its firing — Timer
+// handles guard against reuse with the seq stamp. The record is 80 bytes;
+// a larger one costs the whole-query benchmarks measurable wall time
+// (TestEventRecordSize).
 type event struct {
 	at   Time
 	seq  uint64
 	next *event // intrusive link: wheel bucket / overflow / chain membership
-	fire func()
+	h    Handler
+	arg  uint64
 	proc *Proc
 	// pgen snapshots proc.gen at schedule time: Proc records are pooled, so
 	// a dispatch event must not resume a record recycled for a new Proc.
 	pgen uint64
-	// cond/wid make a Cond timeout a closure-free event variant: at the
-	// deadline the waiter with claim ticket wid times out if still waiting.
-	cond *Cond
-	wid  uint64
 	// rsrc/rseq carry a cross-partition delivery's merge key through the
 	// wheel: source actor + 1 and the source's send sequence (zero for
 	// locally scheduled events). Deliveries reach a bucket in barrier
@@ -163,7 +181,7 @@ func (s *Simulation) Seed() int64 { return s.seed }
 
 // newEvent takes an event record off the free list (or allocates one) and
 // stamps it with the next schedule sequence number.
-func (s *Simulation) newEvent(at Time, fn func(), p *Proc) *event {
+func (s *Simulation) newEvent(at Time, h Handler, arg uint64, p *Proc) *event {
 	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -173,7 +191,7 @@ func (s *Simulation) newEvent(at Time, fn func(), p *Proc) *event {
 		e = &event{}
 	}
 	s.seq++
-	e.at, e.seq, e.fire, e.proc = at, s.seq, fn, p
+	e.at, e.seq, e.h, e.arg, e.proc = at, s.seq, h, arg, p
 	e.rsrc, e.rseq = 0, 0
 	if p != nil {
 		e.pgen = p.gen
@@ -182,9 +200,9 @@ func (s *Simulation) newEvent(at Time, fn func(), p *Proc) *event {
 }
 
 // releaseEvent returns a fired event to the free list, dropping its payload
-// references so recycled records don't retain closures, Procs, or siblings.
+// references so recycled records don't retain handlers, Procs, or siblings.
 func (s *Simulation) releaseEvent(e *event) {
-	e.fire, e.proc, e.next, e.cond = nil, nil, nil, nil
+	e.h, e.proc, e.next = nil, nil, nil
 	s.free = append(s.free, e)
 }
 
@@ -217,20 +235,24 @@ func (s *Simulation) ringPop() *event {
 	return e
 }
 
-// At schedules fn to run at instant t (not before now). fn runs in scheduler
-// context — inline in the event loop, on whichever goroutine holds the baton,
-// Run's caller or a Proc that has blocked: it may schedule events, wake
-// Procs, and mutate simulation state, but must not block.
-func (s *Simulation) At(t Time, fn func()) {
+// Schedule arranges for h.Fire(arg) at instant t (not before now). The
+// handler runs in scheduler context — inline in the event loop, on whichever
+// goroutine holds the baton, Run's caller or a Proc that has blocked: it may
+// schedule events, wake Procs, and mutate simulation state, but must not
+// block.
+func (s *Simulation) Schedule(t Time, h Handler, arg uint64) {
 	if t <= s.now {
-		s.ringPush(s.newEvent(s.now, fn, nil))
+		s.ringPush(s.newEvent(s.now, h, arg, nil))
 		return
 	}
-	s.wheelPush(s.newEvent(t, fn, nil))
+	s.wheelPush(s.newEvent(t, h, arg, nil))
 }
 
+// At schedules fn to run at instant t (not before now), like Schedule.
+func (s *Simulation) At(t Time, fn func()) { s.Schedule(t, Func(fn), 0) }
+
 // After schedules fn to run d after the current instant.
-func (s *Simulation) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
+func (s *Simulation) After(d Duration, fn func()) { s.Schedule(s.now.Add(d), Func(fn), 0) }
 
 // Timer is a cancellable handle to a callback scheduled with AfterTimer.
 // The zero Timer is valid and inert.
@@ -248,10 +270,10 @@ func (s *Simulation) AfterTimer(d Duration, fn func()) Timer {
 	t := s.now.Add(d)
 	var e *event
 	if t <= s.now {
-		e = s.newEvent(s.now, fn, nil)
+		e = s.newEvent(s.now, Func(fn), 0, nil)
 		s.ringPush(e)
 	} else {
-		e = s.newEvent(t, fn, nil)
+		e = s.newEvent(t, Func(fn), 0, nil)
 		s.wheelPush(e)
 	}
 	return Timer{e: e, seq: e.seq}
@@ -264,10 +286,10 @@ func (s *Simulation) AfterTimer(d Duration, fn func()) Timer {
 // perturbs a same-seed trace. The seq stamp guards against the event
 // record having been recycled for a later schedule.
 func (t Timer) Stop() bool {
-	if t.e == nil || t.e.seq != t.seq || t.e.fire == nil {
+	if t.e == nil || t.e.seq != t.seq || t.e.h == nil {
 		return false
 	}
-	t.e.fire = nil
+	t.e.h = nil
 	return true
 }
 
@@ -471,13 +493,14 @@ func (s *Simulation) drive(self *Proc, why string) {
 			p.resume <- struct{}{}
 			break
 		}
-		if fn := e.fire; fn != nil {
+		if h := e.h; h != nil {
+			arg := e.arg
 			s.releaseEvent(e)
-			fn()
-		} else if c := e.cond; c != nil {
-			wid := e.wid
-			s.releaseEvent(e)
-			c.timeoutFire(wid)
+			if f, ok := h.(Func); ok {
+				f() // the closure wrappers skip one indirect call
+			} else {
+				h.Fire(arg)
+			}
 		} else {
 			// A cancelled timer: pops as a no-op so the clock, fired count,
 			// and same-instant ordering stay exactly as if it had fired a
@@ -502,7 +525,7 @@ func (p *Proc) block(reason string) {
 
 // ready schedules p to resume at the current instant: an O(1) ring push of
 // a closure-free dispatch event.
-func (s *Simulation) ready(p *Proc) { s.ringPush(s.newEvent(s.now, nil, p)) }
+func (s *Simulation) ready(p *Proc) { s.ringPush(s.newEvent(s.now, nil, 0, p)) }
 
 // Sleep suspends the Proc for d of virtual time. Negative and zero durations
 // yield to other same-instant events and return.
@@ -513,7 +536,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.busy += d
 	s := p.sim
-	s.wheelPush(s.newEvent(s.now.Add(d), nil, p))
+	s.wheelPush(s.newEvent(s.now.Add(d), nil, 0, p))
 	p.loop.drive(p, "sleep")
 }
 
@@ -523,7 +546,7 @@ func (p *Proc) Sleep(d Duration) {
 // wake-up queued here and returns without a channel operation.
 func (p *Proc) Yield() {
 	s := p.sim
-	s.ringPush(s.newEvent(s.now, nil, p))
+	s.ringPush(s.newEvent(s.now, nil, 0, p))
 	p.loop.drive(p, "sleep")
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -553,5 +554,55 @@ func TestMutexWaitCountsAsBlocked(t *testing.T) {
 	}
 	if second.BlockedTime() != 200 {
 		t.Fatalf("blocked = %v, want 200ns", second.BlockedTime())
+	}
+}
+
+// TestEventRecordSize holds the event record at 80 bytes: one more word
+// puts every scheduled event in the next size class, which was measured at
+// 2.7 % wall time on shuffle8_rc.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 80 {
+		t.Fatalf("sizeof(event) = %d bytes, want <= 80", n)
+	}
+}
+
+// stepper schedules itself once per step, telling the steps apart by the
+// event argument.
+type stepper struct {
+	s     *Simulation
+	steps []Time // steps[i] is when stage i+1 fired
+}
+
+func (st *stepper) Fire(arg uint64) {
+	st.steps = append(st.steps, st.s.Now())
+	if arg < 3 {
+		st.s.Schedule(st.s.Now().Add(10), st, arg+1)
+	}
+}
+
+// TestScheduleHandler runs one handler through its stages by argument,
+// interleaved in schedule order with a closure at a shared instant.
+func TestScheduleHandler(t *testing.T) {
+	s := New(1)
+	st := &stepper{s: s}
+	var fnAt Time
+	s.Schedule(5, st, 1)
+	s.At(25, func() { fnAt = s.Now(); st.steps = append(st.steps, -1) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The closure was scheduled before stage 3 was, so it fires first.
+	if got, want := fmt.Sprint(st.steps), "[5ns 15ns -1ns 25ns]"; got != want || fnAt != 25 {
+		t.Fatalf("steps = %s (closure at %v), want %s", got, fnAt, want)
+	}
+	// A handler event allocates nothing once the free list is warm.
+	if a := testing.AllocsPerRun(100, func() {
+		st.steps = st.steps[:0]
+		s.Schedule(s.Now().Add(5), st, 1)
+		if err := s.Run(); err != nil {
+			t.Error(err)
+		}
+	}); a != 0 {
+		t.Fatalf("three handler stages allocate %.1f objects, want 0", a)
 	}
 }

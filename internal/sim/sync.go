@@ -48,29 +48,22 @@ func (c *Cond) Wait(p *Proc) {
 
 // WaitTimeout is Wait with a virtual-time timeout. It returns false if the
 // wait timed out before a Signal/Broadcast reached this waiter. The
-// deadline is a closure-free tagged event carrying the claim ticket; if the
-// waiter was claimed first the event pops as a no-op.
+// deadline is an event whose handler is the Cond itself and whose argument
+// is the claim ticket; if the waiter was claimed first it pops as a no-op.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	id := c.push(p)
 	p.timedOut = false
-	s := c.sim
-	t := s.now.Add(d)
-	var e *event
-	if t <= s.now {
-		e = s.newEvent(s.now, nil, nil)
-		e.cond, e.wid = c, id
-		s.ringPush(e)
-	} else {
-		e = s.newEvent(t, nil, nil)
-		e.cond, e.wid = c, id
-		s.wheelPush(e)
-	}
+	c.sim.Schedule(c.sim.now.Add(d), (*condTimeout)(c), id)
 	p.block(c.reasonT)
 	return !p.timedOut
 }
 
-// timeoutFire expires the waiter holding ticket id, if it is still waiting.
-func (c *Cond) timeoutFire(id uint64) {
+// condTimeout is a Cond seen as the handler of its waiters' deadlines.
+type condTimeout Cond
+
+// Fire expires the waiter holding ticket id, if it is still waiting.
+func (t *condTimeout) Fire(id uint64) {
+	c := (*Cond)(t)
 	for i := c.qhead; i < len(c.waiters); i++ {
 		if w := &c.waiters[i]; w.id == id {
 			p := w.p

@@ -335,7 +335,7 @@ func TestChainCanonDeliveryOrder(t *testing.T) {
 			s.At(T, func() { fired = append(fired, tag) })
 		}
 		delivery := func(src int, seq uint64, tag string) {
-			e := s.newEvent(T, func() { fired = append(fired, tag) }, nil)
+			e := s.newEvent(T, Func(func() { fired = append(fired, tag) }), 0, nil)
 			e.rsrc, e.rseq = src, seq
 			s.wheelPush(e)
 		}

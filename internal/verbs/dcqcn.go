@@ -136,22 +136,36 @@ func (d *Device) Rate(qpn uint32) (float64, bool) {
 
 // sendPaced routes msg, the psn-th of its sequence (zero for traffic outside
 // the go-back-N sequences), through the QP's DCQCN rate limiter and
-// retransmission engine before handing it to the fabric. While a replay is
-// pending the QP's send pointer sits behind the hole, so an RC data send
-// (droppable, i.e. retry-armed; infrastructure and UD traffic passes) that
-// reaches the head of the TX pipeline freezes there, joins the lost window,
-// and first hits the wire when the retransmission timer fires — the
-// head-of-line stall that makes packet loss expensive on real RC hardware.
-// The check sits at the pacer's release instant, so a loss detected while
-// the message sat in the pacer rewinds it into the replay window too.
+// retransmission engine before handing it to the fabric (see release). A
+// QP that is not paced releases at once and builds no closure.
 func (qp *QP) sendPaced(msg *fabric.Message, psn uint64) {
-	qp.pacedSend(qp.dev.net.Prof.WireBytes(msg.Payload, msg.Service), func() {
-		if qp.retx.armed && qp.cfg.Type == fabric.RC && msg.Dropped != nil {
-			qp.rejoin(replay{psn, msg})
-			return
-		}
-		qp.dev.net.Transmit(msg)
-	})
+	if !qp.dev.paced() {
+		qp.release(msg, psn)
+		return
+	}
+	qp.pacedSend(qp.dev.net.Prof.WireBytes(msg.Payload, msg.Service), func() { qp.release(msg, psn) })
+}
+
+// release hands msg to the fabric at its pacer's release instant. While a
+// replay is pending the QP's send pointer sits behind the hole, so an RC
+// data send (droppable, i.e. retry-armed; infrastructure and UD traffic
+// passes) that reaches the head of the TX pipeline freezes there, joins the
+// lost window, and first hits the wire when the retransmission timer fires
+// — the head-of-line stall that makes packet loss expensive on real RC
+// hardware. The check sits at the release instant, so a loss detected while
+// the message sat in the pacer rewinds it into the replay window too.
+func (qp *QP) release(msg *fabric.Message, psn uint64) {
+	if qp.retx.armed && qp.cfg.Type == fabric.RC && msg.Dropped != nil {
+		qp.rejoin(replay{psn, msg})
+		return
+	}
+	qp.dev.net.Transmit(msg)
+}
+
+// paced reports whether the device's QPs are paced: on lossy DCQCN profiles.
+func (d *Device) paced() bool {
+	p := d.prof()
+	return p.Lossy && p.DCQCN
 }
 
 // pacedSend delays send() so the QP's flow respects its NIC TX engine's
@@ -165,7 +179,7 @@ func (qp *QP) sendPaced(msg *fabric.Message, psn uint64) {
 func (qp *QP) pacedSend(wire int, send func()) {
 	d := qp.dev
 	prof := d.prof()
-	if !prof.Lossy || !prof.DCQCN {
+	if !d.paced() {
 		send()
 		return
 	}

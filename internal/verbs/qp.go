@@ -118,11 +118,9 @@ type inflightWR struct {
 	op Opcode
 }
 
-// stalledRC is an in-flight RC message waiting for a posted receive.
+// stalledRC is an in-flight RC Send waiting for a posted receive.
 type stalledRC struct {
-	payload []byte
-	wr      SendWR
-	src     *QP
+	r *rcMsg
 	// retries counts RNR retry rounds this message has spent at the head
 	// of the stall queue.
 	retries int
@@ -205,30 +203,31 @@ func (qp *QP) fencedAt(responder *Device, wrID uint64, op Opcode) bool {
 // may execute on another partition, and so must not touch qp's state.
 func (qp *QP) foreign(node int) bool { return node != qp.dev.node }
 
-// home runs fn as the arrival at qp of a verdict reached on node from: an
-// ACK, a NAK (fence, peer error, RNR exhaustion), a loss report. A queue
-// pair's state may only be touched by its own partition, so a remote
-// responder's verdict rides the fabric home as a routed message, arriving
-// one full route latency (switch + propagation) later — the wire trip it
-// takes on real hardware, and late enough to clear the window bound at any
-// LP count. Same-node verdicts land after local, synchronously when local
-// is zero.
-func (qp *QP) home(from int, local sim.Duration, fn func()) {
+// home fires h with verdict as the arrival at qp of a verdict reached on
+// node from: an ACK, a NAK (fence, peer error, RNR exhaustion), a loss
+// report. A queue pair's state may only be touched by its own partition, so
+// a remote responder's verdict rides the fabric home as a routed message,
+// arriving one full route latency (switch + propagation) later — the wire
+// trip it takes on real hardware, and late enough to clear the window bound
+// at any LP count. Same-node verdicts land after local, synchronously when
+// local is zero. The verdicts of a message's life are its record's (rcMsg);
+// the rare ones take a closure through sim.Func.
+func (qp *QP) home(from int, local sim.Duration, h sim.Handler, verdict uint64) {
 	net := qp.dev.net
 	switch {
 	case qp.foreign(from):
-		net.Route(from, qp.dev.node, net.SimAt(from).Now().Add(net.Prof.RouteLatency()), fn)
+		net.RouteHandler(from, qp.dev.node, net.SimAt(from).Now().Add(net.Prof.RouteLatency()), h, verdict)
 	case local > 0:
-		qp.dev.sim.After(local, fn)
+		qp.dev.sim.Schedule(qp.dev.sim.Now().Add(local), h, verdict)
 	default:
-		fn()
+		h.Fire(verdict)
 	}
 }
 
 // errorFrom transitions qp into the Error state on the verdict of exec's
 // device, with e as the failed work request's completion.
 func (qp *QP) errorFrom(exec *Device, e CQE) {
-	qp.home(exec.node, 0, func() { qp.enterError(&e, WCFlushErr) })
+	qp.home(exec.node, 0, sim.Func(func() { qp.enterError(&e, WCFlushErr) }), 0)
 }
 
 // PostRecv posts a receive buffer. The buffer must stay untouched until its
@@ -391,25 +390,27 @@ func (qp *QP) rcReady(wr SendWR) error {
 	return nil
 }
 
-// toPeer builds an RC message of payload bytes from this QP to its peer.
-func (qp *QP) toPeer(payload int) *fabric.Message {
-	return &fabric.Message{
+// toPeer returns a record for an RC message of payload bytes from this QP
+// to its peer, carrying wr.
+func (qp *QP) toPeer(wr SendWR, payload int) *rcMsg {
+	r := &rcMsg{qp: qp, wr: wr}
+	r.msg = fabric.Message{
 		From: qp.dev.node, To: qp.peerNode,
 		FromQP: qp.cacheKey(), ToQP: uint64(qp.peerNode)<<32 | uint64(qp.peerQPN),
 		Payload: payload, Service: fabric.RC,
 	}
+	return r
 }
 
 // stage is the payload-staging step of a Send or Write post. An inline
 // payload must fit the WQE and is copied into it by the CPU, charged here,
 // and a UD send completes once the datagram is on the wire, before it is
 // delivered; in both cases the application may rewrite the buffer while the
-// message is in flight, so the payload is snapshotted. A unicast datagram
-// of more than half an MTU takes its snapshot from the device's free list
-// and the delivery hands it on to the destination's (ring.go); a multicast
-// payload is shared by every member's delivery and so has no single point
-// at which it is free, and rounding inline and short payloads up to an MTU
-// costs more than it saves — those three are plain allocations.
+// message is in flight, so the payload is snapshotted into dst, or into a
+// fresh slice when dst is nil. A unicast datagram's dst is its record's
+// snapshot (ring.go); a multicast payload is shared by every member's
+// delivery and so has no single point at which it is free, and an inline RC
+// payload is a few bytes — those two are plain allocations.
 //
 // A non-inline RC payload is staged by reference. The invariant: between
 // the post and the work request's completion the buffer belongs to the NIC.
@@ -419,13 +420,13 @@ func (qp *QP) toPeer(payload int) *fabric.Message {
 // adapter re-reads host memory on every retransmission. The one way out of
 // the invariant is a flush: when the QP enters the error state its pending
 // requests complete with WCFlushErr while copies may still be in flight. On
-// the single-wheel engine deliverRC drops such a late arrival outright; on a
-// partitioned network it is delivered and only its ACK is dropped, so a
+// the single-wheel engine deliverSend drops such a late arrival outright; on
+// a partitioned network it is delivered and only its ACK is dropped, so a
 // sender that rewrote the buffer straight after the flush would hand the
 // receiver the new contents. Nothing here does: shuffle's reap returns a
 // buffer to its pool on a successful completion only, MPI frees staging the
 // same way, and pooled regions are recycled after the simulation has ended.
-func (qp *QP) stage(p *sim.Proc, wr SendWR) ([]byte, error) {
+func (qp *QP) stage(p *sim.Proc, wr SendWR, dst []byte) ([]byte, error) {
 	if wr.Inline {
 		if wr.Len > MaxInline {
 			return nil, ErrTooLong
@@ -434,14 +435,11 @@ func (qp *QP) stage(p *sim.Proc, wr SendWR) ([]byte, error) {
 	} else if qp.cfg.Type == fabric.RC {
 		return wr.MR.Bytes(wr.Offset, wr.Len), nil
 	}
-	var payload []byte
-	if !wr.Inline && !wr.Dest.Multicast && wr.Len > qp.dev.prof().MTU/2 {
-		payload = qp.dev.takeUDSnap(wr.Len)
-	} else {
-		payload = make([]byte, wr.Len)
+	if dst == nil {
+		dst = make([]byte, wr.Len)
 	}
-	copy(payload, wr.MR.Bytes(wr.Offset, wr.Len))
-	return payload, nil
+	copy(dst, wr.MR.Bytes(wr.Offset, wr.Len))
+	return dst, nil
 }
 
 // done generates the success completion of send-side work request wrID.
@@ -462,42 +460,42 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 		if err := qp.rcReady(wr); err != nil {
 			return err
 		}
-		payload, err := qp.stage(p, wr)
+		payload, err := qp.stage(p, wr, nil)
 		if err != nil {
 			return err
 		}
-		msg := qp.toPeer(wr.Len)
-		toNode, toQPN := qp.peerNode, qp.peerQPN
-		msg.Deliver = func(at sim.Time) { qp.deliverRC(toNode, toQPN, payload, wr) }
-		psn := qp.nextPSN(seqRequest)
-		qp.armRetry(msg, wr.ID, OpSend, seqRequest, psn)
-		qp.sendPaced(msg, psn)
+		r := qp.toPeer(wr, wr.Len)
+		r.payload = payload
+		qp.sendRC(r, seqRequest)
 		return nil
 	}
 	if wr.Len > qp.dev.prof().MTU {
 		return ErrTooLong
 	}
-	payload, err := qp.stage(p, wr)
+	if !wr.Dest.Multicast {
+		r := qp.dev.takeUD()
+		if _, err := qp.stage(p, wr, r.snap[:wr.Len]); err != nil {
+			qp.dev.parkUD(r)
+			return err
+		}
+		r.src, r.id, r.toQPN, r.imm, r.hasImm = qp, wr.ID, wr.Dest.QPN, wr.Imm, wr.HasImm
+		r.msg.From, r.msg.To = qp.dev.node, wr.Dest.Node
+		r.msg.FromQP, r.msg.ToQP = qp.cacheKey(), uint64(wr.Dest.Node)<<32|uint64(wr.Dest.QPN)
+		r.msg.Payload, r.msg.Service = wr.Len, fabric.UD
+		qp.sendPaced(&r.msg, 0)
+		return nil
+	}
+	payload, err := qp.stage(p, wr, nil)
 	if err != nil {
 		return err
 	}
 	net := qp.dev.net
 	src, srcQPN, dest, id, n := qp.dev.node, qp.qpn, wr.Dest, wr.ID, wr.Len
 	msg := &fabric.Message{
-		From: src, To: dest.Node,
-		FromQP: qp.cacheKey(), ToQP: uint64(dest.Node)<<32 | uint64(dest.QPN),
-		Payload: wr.Len, Service: fabric.UD,
+		From: src, FromQP: qp.cacheKey(), Payload: wr.Len, Service: fabric.UD,
 		// Local completion when the datagram is on the wire.
 		Sent:    func(at sim.Time) { qp.done(OpSend, id, n) },
 		Dropped: func() {},
-	}
-	if !dest.Multicast {
-		msg.Deliver = func(at sim.Time) {
-			deliverUD(net, dest.Node, dest.QPN, src, srcQPN, payload, wr)
-			deviceAt(net, dest.Node).parkUDSnap(payload)
-		}
-		qp.sendPaced(msg, 0)
-		return nil
 	}
 	// One datagram to every QP attached to the MGID. The switch knows the
 	// membership; collect member nodes and their attached QPs.
@@ -513,19 +511,21 @@ func (qp *QP) postSendMsg(p *sim.Proc, wr SendWR) error {
 	qp.pacedSend(net.Prof.WireBytes(wr.Len, fabric.UD), func() {
 		net.TransmitMulticast(msg, nodes, func(node int, at sim.Time) {
 			for _, rqp := range members[node] {
-				deliverUD(net, node, rqp.qpn, src, srcQPN, payload, wr)
+				deliverUD(net, node, rqp.qpn, src, srcQPN, payload, wr.Imm, wr.HasImm)
 			}
 		})
 	})
 	return nil
 }
 
-// deliverRC lands an RC Send at its destination. If no receive is posted
+// deliverSend lands an RC Send at its destination. If no receive is posted
 // (or earlier messages are already stalled) the message joins the
 // connection's stall queue: the destination returned an RNR NAK and the
 // retried message must still be matched in its original order, as the
 // Reliable Connection service guarantees in-order delivery.
-func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
+func (r *rcMsg) deliverSend() {
+	qp, wr := r.qp, &r.wr
+	toNode, toQPN := r.msg.To, uint32(r.msg.ToQP)
 	dst := deviceAt(qp.dev.net, toNode)
 	rqp := dst.qps[toQPN]
 	if rqp == nil || rqp.cfg.Type != fabric.RC {
@@ -552,32 +552,31 @@ func (qp *QP) deliverRC(toNode int, toQPN uint32, payload []byte, wr SendWR) {
 		rqp.dev.stats.RNRRetries++
 		rqp.dev.tr().Instant(rqp.dev.sim.Now(), telemetry.EvRNRRetry,
 			int32(toNode), rqp.cacheKey(), int64(wr.ID), 0)
-		rqp.stalled = append(rqp.stalled, stalledRC{payload: payload, wr: wr, src: qp})
+		rqp.stalled = append(rqp.stalled, stalledRC{r: r})
 		rqp.armRNRTimer()
 		return
 	}
-	rqp.match(stalledRC{payload: payload, wr: wr, src: qp})
+	rqp.match(r)
 }
 
-// match consumes one posted receive for message m and generates both
+// match consumes one posted receive for Send r and generates both
 // completions.
-func (rqp *QP) match(m stalledRC) {
+func (rqp *QP) match(r *rcMsg) {
 	rwr := rqp.recvQ.front()
 	rqp.recvQ.drop(1)
-	if rwr.Len < len(m.payload) {
+	if rwr.Len < len(r.payload) {
 		panic(fmt.Sprintf("verbs: RC recv buffer too small (%d < %d) on node %d",
-			rwr.Len, len(m.payload), rqp.dev.node))
+			rwr.Len, len(r.payload), rqp.dev.node))
 	}
-	copy(rwr.MR.Bytes(rwr.Offset, len(m.payload)), m.payload)
+	copy(rwr.MR.Bytes(rwr.Offset, len(r.payload)), r.payload)
 	rqp.dev.stats.RecvsCompleted++
 	rqp.cfg.RecvCQ.push(CQE{
-		QPN: rqp.qpn, WRID: rwr.ID, Op: OpRecv, Bytes: len(m.payload),
-		Imm: m.wr.Imm, HasImm: m.wr.HasImm,
-		SrcNode: m.src.dev.node, SrcQPN: m.src.qpn,
+		QPN: rqp.qpn, WRID: rwr.ID, Op: OpRecv, Bytes: len(r.payload),
+		Imm: r.wr.Imm, HasImm: r.wr.HasImm,
+		SrcNode: r.qp.dev.node, SrcQPN: r.qp.qpn,
 	})
 	// Sender completion once the ACK returns.
-	src, wrID, n := m.src, m.wr.ID, len(m.payload)
-	src.home(rqp.dev.node, rqp.dev.prof().PropagationDelay, func() { src.done(OpSend, wrID, n) })
+	r.qp.home(rqp.dev.node, rqp.dev.prof().PropagationDelay, r, verdictAck)
 }
 
 // armRNRTimer schedules one RNR retry round after RNRRetryDelay, unless one
@@ -604,7 +603,7 @@ func (rqp *QP) rnrTick() {
 	for len(rqp.stalled) > 0 && rqp.recvQ.n > 0 {
 		m := rqp.stalled[0]
 		rqp.stalled = rqp.stalled[1:]
-		rqp.match(m)
+		rqp.match(m.r)
 	}
 	if len(rqp.stalled) == 0 {
 		return
@@ -615,15 +614,15 @@ func (rqp *QP) rnrTick() {
 	head.retries++
 	rqp.dev.stats.RNRRetries++
 	rqp.dev.tr().Instant(rqp.dev.sim.Now(), telemetry.EvRNRRetry,
-		int32(rqp.dev.node), rqp.cacheKey(), int64(head.wr.ID), int64(head.retries))
+		int32(rqp.dev.node), rqp.cacheKey(), int64(head.r.wr.ID), int64(head.retries))
 	if lim := rqp.dev.prof().RNRRetryCount; lim > 0 && head.retries > lim {
 		// rnr_retry exhausted: the sender QP breaks. Every message it has
 		// queued here dies with it (an RC connection is one sender QP).
-		src := head.src
-		id := head.wr.ID
+		src := head.r.qp
+		id := head.r.wr.ID
 		kept := rqp.stalled[:0]
 		for _, m := range rqp.stalled {
-			if m.src != src {
+			if m.r.qp != src {
 				kept = append(kept, m)
 			}
 		}
@@ -645,7 +644,7 @@ func (rqp *QP) rnrTick() {
 
 // deliverUD lands a datagram: no receive posted, wrong QP type, or an
 // undersized buffer silently consumes the packet.
-func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQPN uint32, payload []byte, wr SendWR) {
+func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQPN uint32, payload []byte, imm uint32, hasImm bool) {
 	dst := deviceAt(net, toNode)
 	rqp := dst.qps[toQPN]
 	if rqp == nil || rqp.cfg.Type != fabric.UD {
@@ -669,7 +668,7 @@ func deliverUD(net *fabric.Network, toNode int, toQPN uint32, srcNode int, srcQP
 	dst.stats.RecvsCompleted++
 	rqp.cfg.RecvCQ.push(CQE{
 		QPN: rqp.qpn, WRID: rwr.ID, Op: OpRecv, Bytes: GRHSize + len(payload),
-		Imm: wr.Imm, HasImm: wr.HasImm,
+		Imm: imm, HasImm: hasImm,
 		SrcNode: srcNode, SrcQPN: srcQPN,
 	})
 }
@@ -690,64 +689,67 @@ func (qp *QP) postRead(wr SendWR) error {
 	if err := qp.rcReady(wr); err != nil {
 		return err
 	}
-	net := qp.dev.net
-	remote := deviceAt(net, qp.peerNode)
-	psn, rpsn := qp.nextPSN(seqRequest), qp.nextPSN(seqResponse)
-	// Request leg: a small control packet to the responder NIC.
-	req := qp.toPeer(net.Prof.ReadRequestBytes)
-	req.Deliver = func(at sim.Time) {
-		if qp.fencedAt(remote, wr.ID, OpRead) {
-			return
-		}
-		// The responder NIC DMA-reads the region now — no remote CPU.
-		data := make([]byte, wr.Len)
-		copy(data, remote.remoteMR(wr).Bytes(wr.RemoteOffset, wr.Len))
-		resp := &fabric.Message{
-			From: req.To, To: req.From, FromQP: req.ToQP, ToQP: req.FromQP,
-			Payload: wr.Len, Service: fabric.RC,
-		}
-		resp.Deliver = func(at sim.Time) {
-			copy(wr.MR.Bytes(wr.Offset, len(data)), data)
-			qp.done(OpRead, wr.ID, wr.Len)
-		}
-		// A lost response is retransmitted by the responder NIC; each leg
-		// carries its own retry_cnt budget. The responder's own QP paces the
-		// bulk leg, so a congestion-cut server streams reads at its cut rate.
-		qp.armRetry(resp, wr.ID, OpRead, seqResponse, rpsn)
-		if rqp := remote.qps[qp.peerQPN]; rqp != nil {
-			rqp.sendPaced(resp, rpsn)
-		} else {
-			net.Transmit(resp)
-		}
-	}
-	qp.armRetry(req, wr.ID, OpRead, seqRequest, psn)
-	qp.sendPaced(req, psn)
+	// Request leg: a small control packet to the responder NIC. Its
+	// response leg is numbered now, in posting order.
+	r := qp.toPeer(wr, qp.dev.net.Prof.ReadRequestBytes)
+	r.rpsn = qp.nextPSN(seqResponse)
+	qp.sendRC(r, seqRequest)
 	return nil
+}
+
+// serveRead runs at the responder when Read request r lands: the responder
+// NIC DMA-reads the region now — no remote CPU — and streams the bytes back
+// as the response leg.
+func (r *rcMsg) serveRead() {
+	qp, wr := r.qp, &r.wr
+	net := qp.dev.net
+	remote := deviceAt(net, r.msg.To)
+	if qp.fencedAt(remote, wr.ID, OpRead) {
+		return
+	}
+	resp := &rcMsg{qp: qp, wr: *wr, payload: make([]byte, wr.Len)}
+	copy(resp.payload, remote.remoteMR(*wr).Bytes(wr.RemoteOffset, wr.Len))
+	resp.msg = fabric.Message{
+		From: r.msg.To, To: r.msg.From, FromQP: r.msg.ToQP, ToQP: r.msg.FromQP,
+		Payload: wr.Len, Service: fabric.RC,
+	}
+	// A lost response is retransmitted by the responder NIC; each leg
+	// carries its own retry_cnt budget. The responder's own QP paces the
+	// bulk leg, so a congestion-cut server streams reads at its cut rate.
+	resp.arm(seqResponse, r.rpsn)
+	if rqp := remote.qps[qp.peerQPN]; rqp != nil {
+		rqp.sendPaced(&resp.msg, r.rpsn)
+	} else {
+		net.Transmit(&resp.msg)
+	}
 }
 
 func (qp *QP) postWrite(p *sim.Proc, wr SendWR) error {
 	if err := qp.rcReady(wr); err != nil {
 		return err
 	}
-	payload, err := qp.stage(p, wr)
+	payload, err := qp.stage(p, wr, nil)
 	if err != nil {
 		return err
 	}
-	remote := deviceAt(qp.dev.net, qp.peerNode)
-	msg := qp.toPeer(wr.Len)
-	msg.Deliver = func(at sim.Time) {
-		if qp.fencedAt(remote, wr.ID, OpWrite) {
-			return
-		}
-		copy(remote.remoteMR(wr).Bytes(wr.RemoteOffset, len(payload)), payload)
-		remote.stats.RemoteWrites++
-		remote.memWake.Broadcast()
-		qp.home(remote.node, remote.prof().PropagationDelay, func() { qp.done(OpWrite, wr.ID, wr.Len) })
-	}
-	psn := qp.nextPSN(seqRequest)
-	qp.armRetry(msg, wr.ID, OpWrite, seqRequest, psn)
-	qp.sendPaced(msg, psn)
+	r := qp.toPeer(wr, wr.Len)
+	r.payload = payload
+	qp.sendRC(r, seqRequest)
 	return nil
+}
+
+// landWrite runs at the responder when Write r lands: the bytes go straight
+// into the addressed region and the ACK heads home.
+func (r *rcMsg) landWrite() {
+	qp, wr := r.qp, &r.wr
+	remote := deviceAt(qp.dev.net, r.msg.To)
+	if qp.fencedAt(remote, wr.ID, OpWrite) {
+		return
+	}
+	copy(remote.remoteMR(*wr).Bytes(wr.RemoteOffset, len(r.payload)), r.payload)
+	remote.stats.RemoteWrites++
+	remote.memWake.Broadcast()
+	qp.home(remote.node, remote.prof().PropagationDelay, r, verdictAck)
 }
 
 // OpenAll opens one device per node, attaches each to its fabric node so

@@ -80,7 +80,47 @@ func (qp *QP) rejoin(r replay) {
 	}
 }
 
-// armRetry makes msg, the psn-th message of this QP's sequence seq, a
+// rcMsg is one RC message on the wire — a Send, a Write, a Read request or
+// a Read response — in one record: the fabric Message, the work request it
+// carries, and its place in the go-back-N sequence. The record is the
+// handler of every verdict that travels home to the requester about it, the
+// ACK and the loss reports (see Fire), and its Deliver and Dropped callbacks
+// are bound once, when it is armed, so a message costs no closure on its way
+// out, on its way in, or on its way home.
+type rcMsg struct {
+	msg fabric.Message
+	// qp is the requester: the QP whose work request this is. A Read
+	// response travels from the responder back to it.
+	qp *QP
+	wr SendWR
+	// payload is a Send's or Write's staged bytes, or the bytes a Read
+	// response carries back.
+	payload []byte
+	// seq and psn place the message in its QP's go-back-N sequences;
+	// attempts counts the retries its losses spent (touched at home only).
+	seq      int
+	psn      uint64
+	attempts int
+	// rpsn is a Read request's response-leg number, assigned at post time.
+	rpsn uint64
+}
+
+// The verdicts home fires an rcMsg with.
+const (
+	verdictAck       = iota // the responder accepted the message: the WR completes
+	verdictDropped          // the fabric lost this copy: it spends a retry
+	verdictDiscarded        // the responder discarded it behind a loss: it rides along
+)
+
+// sendRC numbers r in the QP's sequence seq, arms it and hands it to the
+// pacer.
+func (qp *QP) sendRC(r *rcMsg, seq int) {
+	psn := qp.nextPSN(seq)
+	r.arm(seq, psn)
+	qp.sendPaced(&r.msg, psn)
+}
+
+// arm makes r, the psn-th message of its requester's sequence seq, a
 // reliable one. Receiving side: the message lands only if it is the next of
 // its sequence; anything else is out of order behind a loss and is
 // discarded, as a real responder NAKs a PSN it does not expect — so RC
@@ -92,47 +132,66 @@ func (qp *QP) rejoin(r replay) {
 // semantics: a real requester retries the oldest unacknowledged PSN, and
 // the discarded followers ride along for free); exhaustion errors the QP
 // with WCRetryExceeded and flushes everything outstanding.
-func (qp *QP) armRetry(msg *fabric.Message, wrID uint64, op Opcode, seq int, psn uint64) {
-	to, attempts := msg.To, 0
-	// lost runs for every copy of msg that did not land. The fabric reports a
-	// loss, and the receiver discards, at the receiving end of the wire,
-	// which on a partitioned network is another partition: the verdict —
-	// real hardware's timeout or NAK — routes home before touching the QP's
-	// retransmission engine.
-	lost := func(dropped bool) {
-		qp.home(to, 0, func() {
-			if qp.state == QPError {
-				return
-			}
-			if dropped {
-				attempts++
-				if attempts > qp.dev.prof().RetryCount {
-					qp.enterError(&CQE{QPN: qp.qpn, WRID: wrID, Op: op, Status: WCRetryExceeded}, WCFlushErr)
-					return
-				}
-			}
-			qp.dev.stats.TransportRetries++
-			qp.dev.tr().Instant(qp.dev.sim.Now(), telemetry.EvTransportRetry,
-				int32(qp.dev.node), qp.cacheKey(), int64(wrID), int64(attempts))
-			qp.rejoin(replay{psn, msg})
-		})
+func (r *rcMsg) arm(seq int, psn uint64) {
+	r.seq, r.psn = seq, psn
+	r.msg.Deliver, r.msg.Dropped = r.deliver, r.dropped
+}
+
+// dropped and the discard in deliver run for every copy of the message that
+// did not land. The fabric reports a loss, and the receiver discards, at the
+// receiving end of the wire, which on a partitioned network is another
+// partition: the verdict — real hardware's timeout or NAK — routes home
+// before touching the QP's retransmission engine.
+func (r *rcMsg) dropped() { r.qp.home(r.msg.To, 0, r, verdictDropped) }
+
+// deliver is the message's arrival: the sequence check, then what its
+// opcode does at the far end.
+func (r *rcMsg) deliver(sim.Time) {
+	rx := r.qp // responses come back to the QP that asked
+	if r.seq == seqRequest {
+		rx = deviceAt(r.qp.dev.net, r.msg.To).qps[r.qp.peerQPN]
 	}
-	msg.Dropped = func() { lost(true) }
-	land := msg.Deliver
-	msg.Deliver = func(at sim.Time) {
-		rx := qp // responses come back to the QP that asked
-		if seq == seqRequest {
-			rx = deviceAt(qp.dev.net, to).qps[qp.peerQPN]
+	if rx != nil {
+		if rx.retx.next[r.seq]+1 != r.psn {
+			r.qp.home(r.msg.To, 0, r, verdictDiscarded)
+			return
 		}
-		if rx != nil {
-			if rx.retx.next[seq]+1 != psn {
-				lost(false)
-				return
-			}
-			rx.retx.next[seq] = psn
-		}
-		land(at)
+		rx.retx.next[r.seq] = r.psn
 	}
+	switch {
+	case r.seq == seqResponse:
+		copy(r.wr.MR.Bytes(r.wr.Offset, len(r.payload)), r.payload)
+		r.qp.done(OpRead, r.wr.ID, r.wr.Len)
+	case r.wr.Op == OpSend:
+		r.deliverSend()
+	case r.wr.Op == OpWrite:
+		r.landWrite()
+	default:
+		r.serveRead()
+	}
+}
+
+// Fire is a verdict arriving home at the requester.
+func (r *rcMsg) Fire(verdict uint64) {
+	qp := r.qp
+	if verdict == verdictAck {
+		qp.done(r.wr.Op, r.wr.ID, r.wr.Len)
+		return
+	}
+	if qp.state == QPError {
+		return
+	}
+	if verdict == verdictDropped {
+		r.attempts++
+		if r.attempts > qp.dev.prof().RetryCount {
+			qp.enterError(&CQE{QPN: qp.qpn, WRID: r.wr.ID, Op: r.wr.Op, Status: WCRetryExceeded}, WCFlushErr)
+			return
+		}
+	}
+	qp.dev.stats.TransportRetries++
+	qp.dev.tr().Instant(qp.dev.sim.Now(), telemetry.EvTransportRetry,
+		int32(qp.dev.node), qp.cacheKey(), int64(r.wr.ID), int64(r.attempts))
+	qp.rejoin(replay{r.psn, &r.msg})
 }
 
 // retxFire replays the lost window in posting order (go-back-N). Replays go

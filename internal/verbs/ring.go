@@ -1,6 +1,10 @@
 package verbs
 
-import "rshuffle/internal/bufpool"
+import (
+	"rshuffle/internal/bufpool"
+	"rshuffle/internal/fabric"
+	"rshuffle/internal/sim"
+)
 
 // Registered rings: what is registered and what is backed.
 //
@@ -73,60 +77,93 @@ func (m *MR) materialize(i int) []byte {
 	return c
 }
 
-// UD datagram snapshots.
+// UD datagram records.
 //
-// A UD send completes when the datagram is on the wire, so stage snapshots
-// the payload, and a datagram shuffle snapshots an MTU per 4 KiB it moves.
-// Each device keeps a short free list of MTU-capacity snapshots in front of
-// the pool: stage takes from the sending device's list, and once the
-// receive-side copy is done the delivery parks the snapshot on the
-// *destination* device's list. Delivery runs on the destination's
-// partition, as that device's own posts do, so a list has one owner and
-// needs no lock, and an all-to-all refills every node as fast as it drains.
-// maxUDSnaps bounds the list so that the receiver of an incast, which sends
-// nothing, cannot hoard; what does not fit goes to the pool, as the list
-// itself does when the device is recycled.
-const maxUDSnaps = 64
+// A UD send completes when the datagram is on the wire, so its payload is
+// snapshotted at post time, and a datagram shuffle snapshots an MTU per 4 KiB
+// it moves. A unicast datagram is one record: the fabric Message, the work
+// request fields its completion and delivery need, and an MTU-capacity
+// snapshot drawn from the pool when the record is first made. Its Deliver,
+// Sent and Dropped callbacks are bound then too, and the record is recycled
+// whole. Each device keeps a short free list of records: a post takes from
+// the sending device's list, and delivery — or a drop, the other way a
+// datagram's last event can go — parks the record on the *destination*
+// device's list. Both run on the destination's partition, as that device's
+// own posts do, so a list has one owner and needs no lock, and an all-to-all
+// refills every node as fast as it drains. The Sent completion fires at the
+// sender before the datagram reaches the destination port, so a parked
+// record has no event left to fire. maxUDFree bounds the list so that the
+// receiver of an incast, which sends nothing, cannot hoard; a record that
+// does not fit returns its snapshot to the pool, as the whole list does when
+// the device is recycled.
+const maxUDFree = 64
 
-// takeUDSnap returns an n-byte snapshot buffer of at least MTU capacity.
-func (d *Device) takeUDSnap(n int) []byte {
-	if last := len(d.udSnaps) - 1; last >= 0 {
-		b := d.udSnaps[last]
-		d.udSnaps[last] = nil
-		d.udSnaps = d.udSnaps[:last]
-		return b[:n]
-	}
-	return bufpool.Get(d.prof().MTU)[:n]
+// udDatagram is one unicast UD datagram in flight.
+type udDatagram struct {
+	msg fabric.Message
+	// src is the posting QP: its Sent completion retires the work request
+	// id. toQPN, imm and hasImm are what delivery needs of the rest.
+	src    *QP
+	id     uint64
+	toQPN  uint32
+	imm    uint32
+	hasImm bool
+	// snap holds the payload, snap[:msg.Payload]; its capacity is an MTU.
+	snap []byte
 }
 
-// parkUDSnap takes back the payload of a delivered unicast datagram. Only a
-// buffer of MTU capacity is one of takeUDSnap's: stage gives inline and
-// short payloads exactly the bytes they need, and those go to the GC.
-func (d *Device) parkUDSnap(b []byte) {
-	if cap(b) < d.prof().MTU {
-		return
+// takeUD returns a datagram record from the device's free list, or a new one.
+func (d *Device) takeUD() *udDatagram {
+	if last := len(d.udFree) - 1; last >= 0 {
+		r := d.udFree[last]
+		d.udFree[last] = nil
+		d.udFree = d.udFree[:last]
+		return r
 	}
-	if len(d.udSnaps) >= maxUDSnaps {
-		bufpool.Put(b)
-		return
-	}
-	bufpool.Scribble(b[:cap(b)])
-	d.udSnaps = append(d.udSnaps, b)
+	mtu := d.prof().MTU
+	r := &udDatagram{snap: bufpool.Get(mtu)[:mtu]}
+	r.msg.Deliver, r.msg.Sent, r.msg.Dropped = r.deliver, r.sent, r.dropped
+	return r
 }
+
+// parkUD takes back a datagram record whose last event has fired.
+func (d *Device) parkUD(r *udDatagram) {
+	r.src = nil
+	if len(d.udFree) >= maxUDFree {
+		bufpool.Put(r.snap)
+		r.snap = nil
+		return
+	}
+	bufpool.Scribble(r.snap[:cap(r.snap)])
+	d.udFree = append(d.udFree, r)
+}
+
+// sent is the local completion: the datagram is on the wire.
+func (r *udDatagram) sent(sim.Time) { r.src.done(OpSend, r.id, r.msg.Payload) }
+
+// deliver lands the datagram at its destination and parks the record there.
+func (r *udDatagram) deliver(sim.Time) {
+	net, m := r.src.dev.net, &r.msg
+	deliverUD(net, m.To, r.toQPN, m.From, r.src.qpn, r.snap[:m.Payload], r.imm, r.hasImm)
+	deviceAt(net, m.To).parkUD(r)
+}
+
+// dropped parks the record of a datagram lost at the destination port.
+func (r *udDatagram) dropped() { deviceAt(r.src.dev.net, r.msg.To).parkUD(r) }
 
 // RecycleMRs deregisters every remaining pooled region on the device and
-// returns their materialised chunks, and the device's datagram snapshots,
-// to the pool. Call it only when the owning simulation is finished: no Proc
-// may touch a recycled ring again. Non-pooled regions are untouched, and
-// calling it twice is a no-op.
+// returns their materialised chunks, and the snapshots of the device's
+// datagram records, to the pool. Call it only when the owning simulation is
+// finished: no Proc may touch a recycled ring again. Non-pooled regions are
+// untouched, and calling it twice is a no-op.
 func (d *Device) RecycleMRs() {
 	for _, mr := range d.mrs {
 		if mr.pooled {
 			mr.release()
 		}
 	}
-	for _, b := range d.udSnaps {
-		bufpool.Put(b)
+	for _, r := range d.udFree {
+		bufpool.Put(r.snap)
 	}
-	d.udSnaps = nil
+	d.udFree = nil
 }

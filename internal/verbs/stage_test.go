@@ -12,8 +12,8 @@ import (
 )
 
 // TestRCSendStagedByReference pins what QP.stage copies. A non-inline RC
-// Send holds a reference to the registered bytes — the post allocates a
-// message and a few closures, not a second copy of the payload — and the
+// Send holds a reference to the registered bytes — the post allocates the
+// message's record, not a second copy of the payload — and the
 // receiver still gets exactly what was posted, because the sender owns the
 // buffer again only after the completion, which follows delivery.
 func TestRCSendStagedByReference(t *testing.T) {
@@ -123,11 +123,11 @@ func TestInlineAndUDPostsSnapshot(t *testing.T) {
 	}
 }
 
-// snapsParked returns how many datagram snapshots the rig's devices hold on
-// their free lists.
+// snapsParked returns how many datagram records, each with its snapshot,
+// the rig's devices hold on their free lists.
 func (r *testRig) snapsParked() (n int) {
 	for _, d := range r.devs {
-		n += len(d.udSnaps)
+		n += len(d.udFree)
 	}
 	return n
 }
@@ -299,5 +299,64 @@ func TestUDSnapshotsRecirculate(t *testing.T) {
 	t.Logf("%.1f MB allocated", mb)
 	if mb > 16 {
 		t.Errorf("the exchange allocated %.1f MB, want what messages and completions cost", mb)
+	}
+}
+
+// TestUDDatagramLoopAllocatesNothing: a unicast datagram is one record that
+// the destination parks on its free list and reuses for its own sends, so
+// two devices exchanging datagrams — post, deliver, poll, repost — allocate
+// nothing once their lists are warm: no message, no closure, no snapshot.
+func TestUDDatagramLoopAllocatesNothing(t *testing.T) {
+	const rounds, size = 200, 4096 - GRHSize
+	r := newRig(t, 2)
+	type end struct {
+		qp       *QP
+		scq, rcq *CQ
+		smr, rmr *MR
+	}
+	var ends [2]end
+	for i := range ends {
+		e := &ends[i]
+		e.scq, e.rcq = r.devs[i].CreateCQ(8), r.devs[i].CreateCQ(8)
+		e.qp = r.devs[i].CreateQP(QPConfig{Type: fabric.UD, SendCQ: e.scq, RecvCQ: e.rcq})
+		e.smr = r.devs[i].RegisterMRNoCost(make([]byte, size))
+		e.rmr = r.devs[i].RegisterMRNoCost(make([]byte, GRHSize+size))
+	}
+	// Each end sends one datagram to the other per round and waits for
+	// the peer's: the two directions keep both free lists stocked.
+	var bodies [2]func(*sim.Proc)
+	for i := range ends {
+		e, peer := &ends[i], &ends[1-i]
+		bodies[i] = func(p *sim.Proc) {
+			dest := AH{Node: 1 - i, QPN: peer.qp.QPN()}
+			var es [1]CQE
+			for k := 0; k < rounds; k++ {
+				if err := e.qp.PostRecv(p, RecvWR{MR: e.rmr, Len: GRHSize + size}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := e.qp.PostSend(p, SendWR{Op: OpSend, MR: e.smr, Len: size, Dest: dest}); err != nil {
+					t.Error(err)
+					return
+				}
+				e.scq.WaitPoll(p, es[:])
+				e.rcq.WaitPoll(p, es[:])
+				if es[0].Status != WCSuccess || es[0].Bytes != GRHSize+size {
+					t.Errorf("node %d: receive completion %+v", i, es[0])
+					return
+				}
+			}
+		}
+	}
+	run := func() {
+		r.sim.Spawn("end0", bodies[0])
+		r.sim.Spawn("end1", bodies[1])
+		if err := r.sim.Run(); err != nil {
+			t.Error(err)
+		}
+	}
+	run() // warm the free lists, the queues and the kernel's pools
+	if per := testing.AllocsPerRun(5, run) / (2 * rounds); per >= 0.1 {
+		t.Errorf("%.2f objects allocated per datagram, want < 0.1", per)
 	}
 }

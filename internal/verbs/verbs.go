@@ -129,8 +129,8 @@ type Device struct {
 	// mcast holds this node's multicast group attachments.
 	mcast map[uint32][]*QP
 
-	// udSnaps is this device's free list of UD datagram snapshots (ring.go).
-	udSnaps [][]byte
+	// udFree is this device's free list of UD datagram records (ring.go).
+	udFree []*udDatagram
 
 	// deadPeers records nodes the connection manager has declared dead;
 	// peerDownFns are the registered disconnect-event handlers, invoked in

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full vet race fmt trace trace-rocev2 lossy-smoke partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-check wire-check bench-gate results-check profile
+.PHONY: build test test-full vet race fmt trace trace-rocev2 chaos-check partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-check wire-check bench-gate results-check profile
 
 build:
 	$(GO) build ./...
@@ -78,14 +78,23 @@ trace-rocev2:
 	grep -q '"name":"ecn_mark"' trace-rocev2.json && \
 	echo "lossy trace deterministic: trace-rocev2.json"
 
-# Short lossy chaos smoke: every Table 1 design through the fault matrix on
-# the lossy RoCEv2 fabric; any non-converging cell fails the run.
-lossy-smoke:
+# Chaos golden check: the fault x design matrix (shufflebench -chaos) on the
+# lossless InfiniBand and the lossy RoCEv2 fabric, each table compared byte
+# for byte with its checked-in copy (internal/cluster/testdata/chaos_*.txt);
+# a mismatch prints the unified diff, and a cell that exhausted its restart
+# budget fails the run even if the golden were re-captured with it. The
+# binary is built once; both matrices take well under a second.
+chaos-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/shufflebench ./cmd/shufflebench && \
-	out=$$($$tmp/shufflebench -chaos -profile rocev2) && \
-	echo "$$out" && \
-	! echo "$$out" | grep -q exhausted
+	for prof in ib rocev2; do \
+		golden=internal/cluster/testdata/chaos_$$prof.txt; \
+		$$tmp/shufflebench -chaos -profile $$prof > $$tmp/chaos_$$prof.txt || exit 1; \
+		if grep -q exhausted $$tmp/chaos_$$prof.txt; then \
+			grep exhausted $$tmp/chaos_$$prof.txt; echo "chaos-check: $$prof: a cell exhausted its restarts"; exit 1; fi; \
+		cmp -s $$golden $$tmp/chaos_$$prof.txt || { diff -u $$golden $$tmp/chaos_$$prof.txt; exit 1; }; \
+	done && \
+	echo "chaos matrices match internal/cluster/testdata/chaos_{ib,rocev2}.txt"
 
 # Race-enabled transient-fault smoke: one mid-stream reboot and one
 # asymmetric partition against MEMQ/SR, through detection, epoch fencing,

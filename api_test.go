@@ -22,7 +22,6 @@ var apiAllowlist = map[string]string{
 	"telemetry.Histogram.Bounds":       "the registry histograms feed ROADMAP item 2b",
 	"telemetry.WriteReport":            "the registry fingerprint of the cluster and dag PDES equivalence tests",
 	"bufpool.Stats":                    "the pool's hit, miss and retained counts, which the macro benchmarks report; they depend on what else ran in the process, so no reproducible result reads them",
-	"verbs.ReconnectRCPair":            "the connection-manager loop of the transient fault tier (README, EXPERIMENTS.md); recovery restarts the query instead, and ROADMAP item 13 leaves wiring it in or deleting it open",
 }
 
 // stdMethods are the method names a standard interface calls, so a method

@@ -59,7 +59,7 @@ func ChaosFaults() []ChaosFault {
 				return
 			}
 			c.Net.Faults().Add(fabric.FaultRule{
-				Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1, Rate: 1,
+				Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1,
 			})
 		}},
 		// Quarter the bandwidth of every link into node 1 for the whole
@@ -86,7 +86,7 @@ func ChaosFaults() []ChaosFault {
 				return
 			}
 			c.Net.Faults().Add(fabric.FaultRule{
-				Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1, Rate: 1,
+				Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1,
 				End:    sim.Time(3 * time.Millisecond),
 				Period: time.Millisecond, OnFor: 120 * time.Microsecond,
 			})
@@ -232,9 +232,6 @@ type ChaosOpts struct {
 	RowsPerNode    int
 	Seed           int64
 	Policy         RecoveryPolicy
-	// Detector parameterizes the failure detector for crash scenarios; the
-	// zero value selects the defaults (500us period, 3 missed beats).
-	Detector DetectorConfig
 }
 
 // ChaosOutcome is the deterministic summary of one chaos run: with equal
@@ -285,7 +282,7 @@ func RunChaos(alg shuffle.Algorithm, fault ChaosFault, o ChaosOpts) (ChaosOutcom
 	var r *RecoveryResult
 	var err error
 	if fault.Crash {
-		mr := MembershipRecovery{Policy: o.Policy, Detector: o.Detector}
+		mr := MembershipRecovery{Policy: o.Policy}
 		r, err = mr.Run(o.Nodes, func(attempt, members int) *Cluster {
 			c := New(o.Prof, members, o.Threads, o.Seed)
 			fault.Install(c, attempt)

@@ -8,7 +8,6 @@ import (
 
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
-	"rshuffle/internal/sim"
 )
 
 func chaosOpts() ChaosOpts {
@@ -71,14 +70,12 @@ func TestChaosMatrix(t *testing.T) {
 // TestChaosCrashMatrix runs every Table 1 algorithm under every crash-stop
 // scenario twice with the same seed. A crash must (a) never panic or
 // deadlock the simulation, (b) be detected by the heartbeat detector within
-// the documented (Suspect+2)*Period bound — not by waiting out an endpoint
+// the documented (hbSuspect+2)*hbPeriod bound — not by waiting out an endpoint
 // stall timeout — (c) force exactly one membership-shrinking restart that
 // completes on the survivors with the full surviving-membership row totals,
 // and (d) yield bitwise identical outcomes on a repeat run.
 func TestChaosCrashMatrix(t *testing.T) {
 	opts := chaosOpts()
-	period := 500 * time.Microsecond
-	opts.Detector = DetectorConfig{Period: period, Suspect: 3}
 	for _, alg := range shuffle.Algorithms {
 		for _, f := range ChaosCrashFaults() {
 			alg, f := alg, f
@@ -114,7 +111,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 				if o1.Detections == 0 {
 					t.Fatalf("crash went undetected: %+v", o1)
 				}
-				bound := sim.Duration(opts.Detector.Suspect+2) * period
+				const bound = (hbSuspect + 2) * hbPeriod
 				if o1.MaxDetect <= 0 || o1.MaxDetect > bound {
 					t.Fatalf("detection latency %v outside (0, %v]", o1.MaxDetect, bound)
 				}
@@ -134,7 +131,6 @@ func TestChaosCrashMatrix(t *testing.T) {
 // minority cut is convicted and excluded like a crash.
 func TestChaosTransientMatrix(t *testing.T) {
 	opts := chaosOpts()
-	opts.Detector = DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3}
 	fullRows := int64(opts.Nodes) * int64(opts.RowsPerNode)
 	for _, alg := range shuffle.Algorithms {
 		for _, f := range ChaosTransientFaults() {
@@ -219,7 +215,6 @@ func TestChaosTransientMatrix(t *testing.T) {
 // setup time). Recovery must stay bounded either way.
 func TestChaosRebootForcesRestart(t *testing.T) {
 	opts := chaosOpts()
-	opts.Detector = DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3}
 	restarted := map[string]bool{}
 	for _, alg := range shuffle.Algorithms {
 		for _, f := range ChaosTransientFaults()[:2] {
@@ -249,7 +244,6 @@ func TestChaosRebootForcesRestart(t *testing.T) {
 // than a full restart would.
 func TestPartitionSmoke(t *testing.T) {
 	opts := chaosOpts()
-	opts.Detector = DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3}
 	fullRows := int64(opts.Nodes) * int64(opts.RowsPerNode)
 	alg := shuffle.Algorithms[0] // MEMQ/SR
 	faults := ChaosTransientFaults()
@@ -307,8 +301,7 @@ func TestChaosCrashExhaustsDiagnosably(t *testing.T) {
 // the survivors and succeeds.
 func TestMembershipRecoveryAttempts(t *testing.T) {
 	mr := MembershipRecovery{
-		Policy:   RecoveryPolicy{MaxRestarts: 2, BaseBackoff: time.Millisecond},
-		Detector: DetectorConfig{},
+		Policy: RecoveryPolicy{MaxRestarts: 2, BaseBackoff: time.Millisecond},
 	}
 	cfg := shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2, DepletedTimeout: 10 * time.Millisecond,
 		StallTimeout: 120 * time.Millisecond}

@@ -14,34 +14,20 @@ import (
 	"rshuffle/internal/telemetry"
 )
 
-// DetectorConfig parameterizes the heartbeat failure detector in virtual
-// time.
-type DetectorConfig struct {
-	// Period is the heartbeat interval; zero selects 500us.
-	Period sim.Duration
-	// Suspect is the number of consecutive missed periods after which a
-	// silent peer is declared down; zero selects 3. Detection latency is
-	// bounded by (Suspect+2)*Period.
-	Suspect int
-	// Horizon stops the detector after this much virtual time as a backstop
-	// so a wedged run still surfaces as a simulation deadlock instead of
-	// ticking forever; zero selects 1s. Benchmarks stop the detector as soon
-	// as the query completes, long before the horizon.
-	Horizon sim.Duration
-}
-
-func (cfg DetectorConfig) defaulted() DetectorConfig {
-	if cfg.Period <= 0 {
-		cfg.Period = 500 * time.Microsecond
-	}
-	if cfg.Suspect <= 0 {
-		cfg.Suspect = 3
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = time.Second
-	}
-	return cfg
-}
+// The heartbeat failure detector's parameters, in virtual time.
+const (
+	// hbPeriod is the heartbeat interval.
+	hbPeriod = 500 * time.Microsecond
+	// hbSuspect is the number of consecutive missed periods after which a
+	// silent peer is declared down. Detection latency is bounded by
+	// (hbSuspect+2)*hbPeriod.
+	hbSuspect = 3
+	// hbHorizon stops the detector after this much virtual time as a
+	// backstop so a wedged run still surfaces as a simulation deadlock
+	// instead of ticking forever. Benchmarks stop the detector as soon as
+	// the query completes, long before the horizon.
+	hbHorizon = time.Second
+)
 
 // Detector is the cluster-wide heartbeat failure detector. Heartbeats ride
 // the management lane (the same out-of-band channel the connection setup
@@ -52,18 +38,14 @@ func (cfg DetectorConfig) defaulted() DetectorConfig {
 // faults (pause, loss, degradation) are shorter than any realistic
 // suspicion threshold and never silence the modeled heartbeats.
 type Detector struct {
-	cfg DetectorConfig
-	c   *Cluster
+	c *Cluster
 
 	// lastHeard[i][j] is the last tick at which node i heard node j's
 	// heartbeat; suspected[i][j] is i's current suspicion of j. Suspicion is
 	// not terminal: hearing a suspected peer again clears it (the partition
-	// healed or the node rebooted) and advances i's view epoch.
+	// healed or the node rebooted).
 	lastHeard [][]sim.Time
 	suspected [][]bool
-	// viewEpoch[i] counts membership-view changes at node i; every suspicion
-	// set or clear advances it, so two views with equal epochs are identical.
-	viewEpoch []uint64
 	// prevDown[j] remembers whether j's port was dark at the previous tick;
 	// the first tick after a reboot window closes bumps j's device boot
 	// epoch, modeling the memory wipe that fences pre-reboot writers.
@@ -84,12 +66,10 @@ type Detector struct {
 // starts it ticking immediately (first tick one period into the run). Call
 // before RunBench; the benchmark stops the detector once the query
 // completes.
-func (c *Cluster) InstallDetector(cfg DetectorConfig) *Detector {
-	cfg = cfg.defaulted()
-	d := &Detector{cfg: cfg, c: c}
+func (c *Cluster) InstallDetector() *Detector {
+	d := &Detector{c: c}
 	d.lastHeard = make([][]sim.Time, c.N)
 	d.suspected = make([][]bool, c.N)
-	d.viewEpoch = make([]uint64, c.N)
 	d.prevDown = make([]bool, c.N)
 	for i := 0; i < c.N; i++ {
 		d.lastHeard[i] = make([]sim.Time, c.N)
@@ -104,8 +84,8 @@ func (c *Cluster) InstallDetector(cfg DetectorConfig) *Detector {
 // no-op and nothing further is scheduled.
 func (d *Detector) Stop() { d.stopped = true }
 
-// notify delivers a connection-manager verdict (peer-down, peer-up, epoch
-// bump) to node's device. The detector itself is control-partition state;
+// notify delivers a connection-manager verdict (peer-down, epoch bump) to
+// node's device. The detector itself is control-partition state;
 // the verdict rides a routed management message to the node's partition — a
 // device is only ever touched by its own partition — arriving one route
 // latency after the tick, at any LP count.
@@ -115,12 +95,12 @@ func (d *Detector) notify(node int, fn func()) {
 }
 
 func (d *Detector) schedule() {
-	d.c.Sim.After(d.cfg.Period, func() {
+	d.c.Sim.After(hbPeriod, func() {
 		if d.stopped {
 			return
 		}
 		d.step()
-		if d.c.Sim.Now().Sub(0) < d.cfg.Horizon {
+		if d.c.Sim.Now().Sub(0) < hbHorizon {
 			d.schedule()
 		}
 	})
@@ -141,7 +121,7 @@ func (d *Detector) step() {
 	if sent < 0 {
 		sent = 0
 	}
-	threshold := sim.Duration(d.cfg.Suspect) * d.cfg.Period
+	const threshold = hbSuspect * hbPeriod
 	// A reboot window that closed since the previous tick advances the
 	// node's boot epoch: its memory came back empty, and the epoch fence
 	// keeps pre-reboot Queue Pairs out of it.
@@ -161,21 +141,14 @@ func (d *Detector) step() {
 			}
 			if listening && !net.Down(j, sent) && !net.Cut(j, i, now) {
 				d.lastHeard[i][j] = now
-				if d.suspected[i][j] {
-					// The peer is back (heal or reboot): clear the suspicion,
-					// advance the view, and let the connection manager re-arm.
-					d.suspected[i][j] = false
-					d.viewEpoch[i]++
-					dev, peer := d.c.Devs[i], j
-					d.notify(i, func() { dev.NotifyPeerUp(peer) })
-				}
+				// The peer is back (heal or reboot): clear any suspicion.
+				d.suspected[i][j] = false
 				continue
 			}
 			if d.suspected[i][j] || now.Sub(d.lastHeard[i][j]) <= threshold {
 				continue
 			}
 			d.suspected[i][j] = true
-			d.viewEpoch[i]++
 			d.Detections++
 			net.TracerAt(-1).Instant(now, telemetry.EvSuspect, int32(i), 0, int64(j), 0)
 			if dt, ok := net.DownTime(j); ok && dt <= now {
@@ -199,7 +172,7 @@ func (d *Detector) step() {
 // asymmetric partition keeps a fresh witness on the reachable side and is
 // only ever suspected — suspicion, not split-brain false death.
 func (d *Detector) Dead() []int {
-	threshold := sim.Duration(d.cfg.Suspect) * d.cfg.Period
+	const threshold = hbSuspect * hbPeriod
 	majoritySuspected := make([]bool, d.c.N)
 	for j := 0; j < d.c.N; j++ {
 		votes := 0

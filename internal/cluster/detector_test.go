@@ -18,7 +18,7 @@ func detectorRig(t *testing.T, crashNode int, crashAt, runFor sim.Duration) *Det
 			Class: fabric.FaultCrash, To: crashNode, Start: sim.Time(crashAt),
 		})
 	}
-	fd := c.InstallDetector(DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3})
+	fd := c.InstallDetector()
 	c.Sim.After(runFor, fd.Stop)
 	if err := c.Sim.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)
@@ -27,7 +27,7 @@ func detectorRig(t *testing.T, crashNode int, crashAt, runFor sim.Duration) *Det
 }
 
 // TestDetectorSuspectsCrashedNode crashes node 1 and checks that both
-// survivors suspect it within the documented (Suspect+2)*Period bound, that
+// survivors suspect it within the documented (hbSuspect+2)*hbPeriod bound, that
 // the majority rule declares exactly node 1 dead, and that the crashed node
 // itself — hearing nothing — suspects everyone without polluting Dead.
 func TestDetectorSuspectsCrashedNode(t *testing.T) {
@@ -44,7 +44,7 @@ func TestDetectorSuspectsCrashedNode(t *testing.T) {
 	if fd.Detections != 4 {
 		t.Fatalf("Detections = %d, want 4 (2 survivors x node 1, node 1 x 2 peers)", fd.Detections)
 	}
-	bound := 5 * 500 * time.Microsecond // (Suspect+2)*Period
+	const bound = (hbSuspect + 2) * hbPeriod
 	if fd.MaxDetectionLatency <= 0 || fd.MaxDetectionLatency > bound {
 		t.Fatalf("MaxDetectionLatency = %v, want in (0, %v]", fd.MaxDetectionLatency, bound)
 	}
@@ -65,7 +65,7 @@ func TestDetectorQuietWithoutCrash(t *testing.T) {
 func TestDetectorNotifiesDevice(t *testing.T) {
 	c := New(fabric.FDR(), 3, 2, 11)
 	c.Net.Faults().Add(fabric.FaultRule{Class: fabric.FaultCrash, To: 2})
-	fd := c.InstallDetector(DetectorConfig{})
+	fd := c.InstallDetector()
 	c.Sim.After(20*time.Millisecond, fd.Stop)
 	if err := c.Sim.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)
@@ -82,12 +82,12 @@ func TestDetectorNotifiesDevice(t *testing.T) {
 // passes, so a wedged simulation does not tick forever.
 func TestDetectorHorizon(t *testing.T) {
 	c := New(fabric.FDR(), 2, 2, 11)
-	c.InstallDetector(DetectorConfig{Period: time.Millisecond, Horizon: 10 * time.Millisecond})
+	c.InstallDetector()
 	if err := c.Sim.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)
 	}
 	now := c.Sim.Now()
-	if now.Sub(0) < 10*time.Millisecond || now.Sub(0) > 12*time.Millisecond {
-		t.Fatalf("detector stopped at %v, want right after the 10ms horizon", now.Sub(0))
+	if now.Sub(0) < hbHorizon || now.Sub(0) > hbHorizon+2*hbPeriod {
+		t.Fatalf("detector stopped at %v, want right after the %v horizon", now.Sub(0), hbHorizon)
 	}
 }

@@ -21,7 +21,7 @@ func TestAsymmetricPartitionSuspectsNotDead(t *testing.T) {
 		Asym:  true,
 		Start: sim.Time(0).Add(time.Millisecond), End: sim.Time(0).Add(100 * time.Millisecond),
 	})
-	fd := c.InstallDetector(DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3})
+	fd := c.InstallDetector()
 	c.Sim.After(20*time.Millisecond, fd.Stop) // stop well before the heal
 	if err := c.Sim.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)
@@ -43,22 +43,21 @@ func TestAsymmetricPartitionSuspectsNotDead(t *testing.T) {
 	if dead := fd.Dead(); len(dead) != 0 {
 		t.Fatalf("Dead() = %v, want none: node 4's fresh heartbeat vetoes the majority", dead)
 	}
-	if ep, sus := fd.viewEpoch[0], fd.suspected[0]; ep == 0 || !slices.Equal(sus, []bool{false, false, true, false, false}) {
-		t.Fatalf("node 0's view = epoch %d suspects %v, want a stamped view suspecting node 2 alone", ep, sus)
+	if sus := fd.suspected[0]; !slices.Equal(sus, []bool{false, false, true, false, false}) {
+		t.Fatalf("node 0 suspects %v, want node 2 alone", sus)
 	}
 }
 
 // TestPartitionHealClearsSuspicion runs a symmetric minority partition to
 // its heal deadline: during the cut both sides suspect each other, and
-// after the heal every suspicion is cleared, the view epochs advance, and
-// the verbs devices are told the peers are back.
+// after the heal every suspicion is cleared.
 func TestPartitionHealClearsSuspicion(t *testing.T) {
 	c := New(fabric.FDR(), 4, 2, 11)
 	c.Net.Faults().Add(fabric.FaultRule{
 		Class: fabric.FaultPartition, GroupA: []int{1}, GroupB: []int{0, 2, 3},
 		Start: sim.Time(0).Add(time.Millisecond), End: sim.Time(0).Add(10 * time.Millisecond),
 	})
-	fd := c.InstallDetector(DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3})
+	fd := c.InstallDetector()
 	c.Sim.After(30*time.Millisecond, fd.Stop)
 	if err := c.Sim.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)
@@ -76,13 +75,6 @@ func TestPartitionHealClearsSuspicion(t *testing.T) {
 	if dead := fd.Dead(); len(dead) != 0 {
 		t.Fatalf("Dead() = %v after heal, want none", dead)
 	}
-	// Suspicion set + clear both advance the view epoch.
-	if ep := fd.viewEpoch[0]; ep < 2 {
-		t.Fatalf("node 0's view epoch = %d, want >= 2 (one set, one clear)", ep)
-	}
-	if c.Devs[0].PeerDown(1) {
-		t.Fatal("device still thinks the healed peer is down")
-	}
 }
 
 // TestRebootBumpsEpoch closes the loop between the fault plan and the epoch
@@ -95,7 +87,7 @@ func TestRebootBumpsEpoch(t *testing.T) {
 		Class: fabric.FaultReboot, To: 1,
 		Start: sim.Time(0).Add(time.Millisecond), End: sim.Time(0).Add(8 * time.Millisecond),
 	})
-	fd := c.InstallDetector(DetectorConfig{Period: 500 * time.Microsecond, Suspect: 3})
+	fd := c.InstallDetector()
 	c.Sim.After(20*time.Millisecond, fd.Stop)
 	if err := c.Sim.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)

@@ -53,7 +53,7 @@ func fingerprint(t *testing.T, c *cluster.Cluster, alg shuffle.Algorithm, boot s
 		// query fails over with ErrPeerFailed. A crash is a pure time-window
 		// fault, so it is PDES-safe; the outcome must be identical at every
 		// LP count.
-		c.InstallDetector(cluster.DetectorConfig{})
+		c.InstallDetector()
 		c.AtBenchStart(func() {
 			c.Net.Faults().Add(fabric.FaultRule{
 				Class: fabric.FaultCrash, To: 1,

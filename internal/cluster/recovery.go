@@ -171,8 +171,7 @@ func (pol RecoveryPolicy) next(r *RecoveryResult, attempt int, cause error) (sim
 // discarded and everything it held is re-streamed. A membership change
 // re-hashes every partition, so it always forces a full re-stream.
 type MembershipRecovery struct {
-	Policy   RecoveryPolicy
-	Detector DetectorConfig
+	Policy RecoveryPolicy
 }
 
 // keptPart is the carried payload of one complete (source, destination)
@@ -204,7 +203,7 @@ func (mr MembershipRecovery) Run(n int, mk func(attempt, members int) *Cluster, 
 			r.PartitionsRestreamed += len(members)*len(members) - nk
 		}
 		c := mk(attempt, len(members))
-		fd = c.InstallDetector(mr.Detector)
+		fd = c.InstallDetector()
 		res, err := c.RunBench(aOpts)
 		if err != nil {
 			return nil, nil, err

@@ -20,7 +20,7 @@ func tracedCrashRun(t *testing.T, seed int64, rows int) string {
 	t.Helper()
 	c := New(fabric.FDR(), 3, 2, seed)
 	c.EnableTracing(1 << 16)
-	c.InstallDetector(DetectorConfig{})
+	c.InstallDetector()
 	c.AtBenchStart(func() {
 		c.Net.Faults().Add(fabric.FaultRule{
 			Class: fabric.FaultCrash, To: 1,

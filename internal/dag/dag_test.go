@@ -444,7 +444,7 @@ func TestDagChaosSmoke(t *testing.T) {
 
 	c := cluster.New(quiet(fabric.EDR()), nodes, threads, 42)
 	c.Net.Faults().Add(fabric.FaultRule{
-		Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1, Rate: 1,
+		Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1,
 	})
 	if res := MultiStageDemo(fact, dim).Run(c, cluster.RDMAProvider(cfg)); res.Err == nil {
 		t.Fatal("attempt 0 succeeded under total RC loss into node 1")

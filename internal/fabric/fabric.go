@@ -288,16 +288,6 @@ func (n *Network) Cut(from, to int, at sim.Time) bool {
 	return n.faults.cut(from, to, at)
 }
 
-// Reachable reports whether a packet from node from can reach node to at
-// time at: both ports up and the directed link not partitioned. Connection
-// managers probe it before attempting a reconnect.
-func (n *Network) Reachable(from, to int, at sim.Time) bool {
-	if n.faults.Empty() {
-		return true
-	}
-	return !n.faults.down(from, at) && !n.faults.down(to, at) && !n.faults.cut(from, to, at)
-}
-
 // DownTime returns the instant node's port first goes dark (earliest
 // FaultCrash or FaultReboot Start) and whether any such rule exists, for
 // failure detectors measuring detection latency.
@@ -474,8 +464,8 @@ func (n *Network) linkRate(from, to int, now sim.Time) float64 {
 	return n.Prof.LinkBandwidth * n.faults.degradeFactor(from, to, now)
 }
 
-// wireFate draws what happens to m on its way to m.To: injected or random
-// loss, injected corruption, UD reorder jitter, into m's flight. The
+// wireFate draws what happens to m on its way to m.To: injected loss,
+// injected corruption, UD reorder jitter, into m's flight. The
 // decisions are made at transmit time so the whole computation stays a pure
 // function of the RNG stream (deterministic), and the draws come from the
 // sender's stream, which advances only in the sender's own causal order —
@@ -498,9 +488,6 @@ func (n *Network) wireFate(m *Message) {
 	}
 	if m.Service == UD {
 		rng := n.rngAt(m.From)
-		if !f.lost && prof.UDLossRate > 0 && rng.Float64() < prof.UDLossRate {
-			f.lost = true
-		}
 		if prof.UDReorderProb > 0 && rng.Float64() < prof.UDReorderProb {
 			f.jitter = sim.Duration(rng.Int63n(int64(prof.UDReorderJitter) + 1))
 		}

@@ -14,7 +14,6 @@ import (
 func quietProfile() Profile {
 	p := EDR()
 	p.UDReorderProb = 0
-	p.UDLossRate = 0
 	return p
 }
 

@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"math/rand"
-
-	"rshuffle/internal/sim"
-)
+import "rshuffle/internal/sim"
 
 // AnyNode is the wildcard endpoint for fault rules: a rule with From or To
 // set to AnyNode matches traffic from or to every node.
@@ -37,7 +33,7 @@ const (
 	// from Start on: every link to and from it is cut, so all traffic —
 	// including control-lane and infrastructure transfers that other fault
 	// classes spare — vanishes on the wire. Unlike FaultPause the node never
-	// comes back; the rule admits no End, Period, OnFor, Rate or Count.
+	// comes back; the rule admits no End, Period, OnFor or Count.
 	FaultCrash
 	// FaultReboot silences a node (rule field To names the node) exactly like
 	// FaultCrash — every link cut, control lane included — but only for a
@@ -45,7 +41,7 @@ const (
 	// consequences (a rebooted node forgets everything it had received; its
 	// stale Queue Pairs must be fenced) live in the verbs and cluster layers;
 	// the fabric only models the port outage. The window must be finite (End
-	// or OnFor), and Period/Rate/Count are not admitted.
+	// or OnFor), and Period/Count are not admitted.
 	FaultReboot
 	// FaultPartition cuts every link from the nodes of GroupA to the nodes of
 	// GroupB over [Start, End) — control lane included, exactly as a failed
@@ -87,11 +83,10 @@ func (c FaultClass) String() string {
 // active only for the first OnFor. If Period == 0 and OnFor > 0 the window
 // is the single stretch [Start, Start+OnFor).
 //
-// Rate and Count select how often an active rule fires. Count > 0 with
-// Rate == 0 fires deterministically on the next Count matching messages and
-// draws nothing from the RNG stream.
-// 0 < Rate < 1 fires probabilistically; Rate >= 1 always fires. A Count
-// budget, when set alongside a Rate, caps the total number of firings.
+// Count selects how often an active loss-like rule fires: Count > 0 fires on
+// the next Count matching messages, Count == 0 on every matching message.
+// Neither draws from an RNG stream, so installing a rule never perturbs the
+// random stream of the rest of the simulation.
 type FaultRule struct {
 	Class    FaultClass
 	From, To int
@@ -99,7 +94,6 @@ type FaultRule struct {
 	End      sim.Time
 	Period   sim.Duration
 	OnFor    sim.Duration
-	Rate     float64
 	Count    int
 	// Factor is the bandwidth multiplier for FaultDegrade rules.
 	Factor float64
@@ -149,29 +143,10 @@ func (r *FaultRule) matches(from, to int, now sim.Time) bool {
 	if r.To != AnyNode && r.To != to {
 		return false
 	}
-	if r.Count > 0 && r.Rate > 0 && r.fired >= r.Count {
+	if r.Count > 0 && r.fired >= r.Count {
 		return false
 	}
 	return r.windowOpen(now)
-}
-
-// fire decides whether a matching rule actually triggers, consuming budget
-// and (only for probabilistic rules) one RNG draw.
-func (r *FaultRule) fire(rng *rand.Rand) bool {
-	if r.Rate == 0 {
-		// Deterministic count budget: no RNG draw, so installing such a rule
-		// never perturbs the random stream of the rest of the simulation.
-		if r.Count > 0 && r.fired < r.Count {
-			r.fired++
-			return true
-		}
-		return false
-	}
-	if r.Rate < 1 && rng.Float64() >= r.Rate {
-		return false
-	}
-	r.fired++
-	return true
 }
 
 // FaultPlan is a deterministic schedule of fault rules evaluated against the
@@ -179,7 +154,6 @@ func (r *FaultRule) fire(rng *rand.Rand) bool {
 // transmission.
 type FaultPlan struct {
 	rules []*FaultRule
-	rng   *rand.Rand
 }
 
 // Add installs a rule and returns it (so tests can keep a handle).
@@ -198,8 +172,8 @@ func (p *FaultPlan) Add(r FaultRule) *FaultRule {
 		if r.To == AnyNode {
 			panic("fabric: FaultCrash requires a concrete To node")
 		}
-		if r.End != 0 || r.Period != 0 || r.OnFor != 0 || r.Rate != 0 || r.Count != 0 {
-			panic("fabric: FaultCrash is permanent and unconditional; End/Period/OnFor/Rate/Count must be zero")
+		if r.End != 0 || r.Period != 0 || r.OnFor != 0 || r.Count != 0 {
+			panic("fabric: FaultCrash is permanent and unconditional; End/Period/OnFor/Count must be zero")
 		}
 	}
 	if r.Class == FaultReboot {
@@ -212,8 +186,8 @@ func (p *FaultPlan) Add(r FaultRule) *FaultRule {
 		if r.End != 0 && r.End <= r.Start {
 			panic("fabric: FaultReboot window must end after it starts")
 		}
-		if r.Period != 0 || r.Rate != 0 || r.Count != 0 {
-			panic("fabric: FaultReboot is a single unconditional window; Period/Rate/Count must be zero")
+		if r.Period != 0 || r.Count != 0 {
+			panic("fabric: FaultReboot is a single unconditional window; Period/Count must be zero")
 		}
 	}
 	if r.Class == FaultPartition {
@@ -229,8 +203,8 @@ func (p *FaultPlan) Add(r FaultRule) *FaultRule {
 		if r.End == 0 || r.End <= r.Start {
 			panic("fabric: FaultPartition requires a heal deadline (End > Start); a permanent cut is a set of FaultCrash rules")
 		}
-		if r.Period != 0 || r.OnFor != 0 || r.Rate != 0 || r.Count != 0 {
-			panic("fabric: FaultPartition is a single unconditional window; Period/OnFor/Rate/Count must be zero")
+		if r.Period != 0 || r.OnFor != 0 || r.Count != 0 {
+			panic("fabric: FaultPartition is a single unconditional window; Period/OnFor/Count must be zero")
 		}
 	}
 	rule := &r
@@ -245,10 +219,8 @@ func (p *FaultPlan) Empty() bool { return len(p.rules) == 0 }
 // for one message on (from, to) at now.
 func (p *FaultPlan) drop(class FaultClass, from, to int, now sim.Time) bool {
 	for _, r := range p.rules {
-		if r.Class != class || !r.matches(from, to, now) {
-			continue
-		}
-		if r.fire(p.rng) {
+		if r.Class == class && r.matches(from, to, now) {
+			r.fired++
 			return true
 		}
 	}

@@ -19,22 +19,22 @@ func FuzzFaultPlanValidation(f *testing.F) {
 	// One seed per class, plus the tricky shapes: a reboot expressed via
 	// OnFor, a periodic pause, an asymmetric partition, overlapping windows
 	// via Period > OnFor, and degenerate zero-width windows.
-	f.Add(uint8(0), int64(-1), int64(1), int64(0), int64(0), int64(0), 0.5, int64(3), 1.0, uint8(1), uint8(2), false)
-	f.Add(uint8(5), int64(1), int64(1), int64(100), int64(0), int64(0), 0.0, int64(0), 1.0, uint8(0), uint8(0), false)   // crash
-	f.Add(uint8(6), int64(1), int64(1), int64(100), int64(900), int64(0), 0.0, int64(0), 1.0, uint8(0), uint8(0), false) // reboot via End
-	f.Add(uint8(6), int64(1), int64(1), int64(100), int64(0), int64(800), 0.0, int64(0), 1.0, uint8(0), uint8(0), false) // reboot via OnFor
-	f.Add(uint8(6), int64(1), int64(1), int64(100), int64(90), int64(0), 0.0, int64(0), 1.0, uint8(0), uint8(0), false)  // reboot ends before it starts
-	f.Add(uint8(7), int64(0), int64(0), int64(50), int64(5000), int64(0), 0.0, int64(0), 1.0, uint8(0b0010), uint8(0b1101), true)
-	f.Add(uint8(7), int64(0), int64(0), int64(50), int64(40), int64(0), 0.0, int64(0), 1.0, uint8(0b0010), uint8(0b0110), false) // End<Start, groups overlap
-	f.Add(uint8(4), int64(-1), int64(2), int64(0), int64(0), int64(300), 0.0, int64(0), 1.0, uint8(0), uint8(0), false)          // pause, OnFor only
-	f.Add(uint8(4), int64(-1), int64(2), int64(10), int64(0), int64(0), 0.0, int64(0), 1.0, uint8(0), uint8(0), false)           // open-ended pause: rejected
-	f.Add(uint8(3), int64(-1), int64(1), int64(0), int64(0), int64(0), 0.0, int64(0), 0.25, uint8(0), uint8(0), false)           // degrade
-	f.Fuzz(func(t *testing.T, class uint8, from, to, start, end, onFor int64, rate float64, count int64, factor float64, maskA, maskB uint8, asym bool) {
+	f.Add(uint8(0), int64(-1), int64(1), int64(0), int64(0), int64(0), int64(3), 1.0, uint8(1), uint8(2), false)
+	f.Add(uint8(5), int64(1), int64(1), int64(100), int64(0), int64(0), int64(0), 1.0, uint8(0), uint8(0), false)   // crash
+	f.Add(uint8(6), int64(1), int64(1), int64(100), int64(900), int64(0), int64(0), 1.0, uint8(0), uint8(0), false) // reboot via End
+	f.Add(uint8(6), int64(1), int64(1), int64(100), int64(0), int64(800), int64(0), 1.0, uint8(0), uint8(0), false) // reboot via OnFor
+	f.Add(uint8(6), int64(1), int64(1), int64(100), int64(90), int64(0), int64(0), 1.0, uint8(0), uint8(0), false)  // reboot ends before it starts
+	f.Add(uint8(7), int64(0), int64(0), int64(50), int64(5000), int64(0), int64(0), 1.0, uint8(0b0010), uint8(0b1101), true)
+	f.Add(uint8(7), int64(0), int64(0), int64(50), int64(40), int64(0), int64(0), 1.0, uint8(0b0010), uint8(0b0110), false) // End<Start, groups overlap
+	f.Add(uint8(4), int64(-1), int64(2), int64(0), int64(0), int64(300), int64(0), 1.0, uint8(0), uint8(0), false)          // pause, OnFor only
+	f.Add(uint8(4), int64(-1), int64(2), int64(10), int64(0), int64(0), int64(0), 1.0, uint8(0), uint8(0), false)           // open-ended pause: rejected
+	f.Add(uint8(3), int64(-1), int64(1), int64(0), int64(0), int64(0), int64(0), 0.25, uint8(0), uint8(0), false)           // degrade
+	f.Fuzz(func(t *testing.T, class uint8, from, to, start, end, onFor, count int64, factor float64, maskA, maskB uint8, asym bool) {
 		const nodes = 8
 		r := FaultRule{
 			Class: FaultClass(class % 8), From: int(from % nodes), To: int(to % nodes),
 			Start: sim.Time(start), End: sim.Time(end),
-			OnFor: sim.Duration(onFor), Rate: rate, Count: int(count % 16), Factor: factor,
+			OnFor: sim.Duration(onFor), Count: int(count % 16), Factor: factor,
 			Asym: asym,
 		}
 		for n := 0; n < nodes; n++ {

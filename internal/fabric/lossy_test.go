@@ -13,7 +13,6 @@ import (
 func lossyProf() Profile {
 	p := RoCEv2Lossy()
 	p.UDReorderProb = 0
-	p.UDLossRate = 0
 	p.DCQCN = false
 	return p
 }

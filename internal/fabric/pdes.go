@@ -44,7 +44,6 @@ func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
 	}
 	net := &Network{Sim: g.Sim(g.Control()), Prof: prof, nics: make([]*nic, n),
 		part: partition{g: g, seed: seed, rngs: make([]*rand.Rand, n)}}
-	net.faults.rng = net.Sim.Rand()
 	for i := range net.nics {
 		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, func() *rand.Rand { return net.rngAt(i) }),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}

@@ -89,9 +89,6 @@ type Profile struct {
 	// packets.
 	UDReorderProb   float64
 	UDReorderJitter sim.Duration
-	// UDLossRate is the probability that a UD packet is silently lost on the
-	// wire (bit errors; rare in practice).
-	UDLossRate float64
 
 	// Lossy Ethernet tier (RoCEv2). All zero on the InfiniBand and legacy
 	// lossless RoCE/iWARP profiles: Lossy == false keeps every congestion
@@ -218,7 +215,6 @@ func FDR() Profile {
 		TransportRetryDelay: 400 * time.Microsecond,
 		UDReorderProb:       0.02,
 		UDReorderJitter:     4 * time.Microsecond,
-		UDLossRate:          0,
 		PostCost:            340 * time.Nanosecond,
 		PollCost:            90 * time.Nanosecond,
 		MemCopyPerByte:      0.12,

@@ -222,21 +222,6 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 				}
 			}
 		})
-		// The reverse transition: a suspicion cleared by resumed heartbeats
-		// (partition heal, reboot) re-arms the drained endpoints so the peer
-		// can resume. The verbs device traces EvPeerUp.
-		node.Dev.OnPeerUp(func(peer int) {
-			for _, s := range node.Send {
-				if pr, ok := s.(PeerResumer); ok {
-					pr.ReopenPeer(peer)
-				}
-			}
-			for _, r := range node.Recv {
-				if pr, ok := r.(PeerResumer); ok {
-					pr.ReopenPeer(peer)
-				}
-			}
-		})
 	}
 
 	// QP census (one side's send operator; Fig. 11 / Table 1).

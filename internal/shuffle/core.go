@@ -149,8 +149,8 @@ func (c *endpoint) endStream(p *sim.Proc, tails []Tail,
 
 // peerSet is an endpoint's view of its n peers: which the connection
 // manager has declared dead, and (receive side) whose stream finished
-// cleanly. Its exported methods make every endpoint a PeerDrainer, a
-// PeerResumer and a ProgressReporter.
+// cleanly. Its exported methods make every endpoint a PeerDrainer and a
+// ProgressReporter.
 type peerSet struct {
 	failed []bool
 	done   []bool
@@ -188,15 +188,6 @@ func (s *peerSet) ClosePeer(int) {
 	}
 	if s.wakeMem != nil {
 		s.wakeMem.KickMemWaiters()
-	}
-}
-
-// ReopenPeer implements PeerResumer. Only the mark clears: every design's
-// flow-control state is absolute (credit counts, ring positions), so a
-// drain/reopen cycle leaks nothing.
-func (s *peerSet) ReopenPeer(peer int) {
-	if s.has(peer) {
-		s.failed[peer] = false
 	}
 }
 

@@ -27,19 +27,12 @@ func TestPeerSetDrainReopen(t *testing.T) {
 	}
 	for _, peer := range []int{-1, 3} { // out of range: ignored
 		ps.DrainPeer(peer)
-		ps.ReopenPeer(peer)
 		if ps.Depleted(peer) {
 			t.Fatalf("out-of-range peer %d reported depleted", peer)
 		}
 	}
 	if got := ps.failed; got[0] || !got[1] || got[2] {
 		t.Fatalf("failed marks = %v, want only peer 1", got)
-	}
-	for i := 0; i < 2; i++ {
-		ps.ReopenPeer(1)
-		if d, ok := ps.anyFailed(); ok {
-			t.Fatalf("after reopen %d: peer %d still failed", i, d)
-		}
 	}
 }
 
@@ -227,7 +220,7 @@ func TestReapConsumesWholeBatch(t *testing.T) {
 	if err := e.reap(batch[:1], &sp); err != nil {
 		t.Fatalf("lenient reap of a dead peer's flush = %v", err)
 	}
-	e.ReopenPeer(1)
+	e.failed[1] = false
 	if err := e.reap(batch[:1], &sp); !errors.Is(err, ErrTransport) {
 		t.Fatalf("lenient reap of a live peer's failure = %v, want ErrTransport", err)
 	}

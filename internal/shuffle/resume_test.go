@@ -1,79 +1,6 @@
 package shuffle
 
-import (
-	"testing"
-	"time"
-)
-
-// drainReopenCycle exercises the PeerDrainer/PeerResumer contract on every
-// endpoint of node 0: drain peer 1 twice (idempotent), then reopen twice
-// (also idempotent). It runs from a scheduler callback mid-stream, so the
-// query that follows proves the cycle left the flow-control accounting
-// intact — any leaked credit or stuck buffer would deadlock or fail the
-// run.
-func drainReopenCycle(t *testing.T, r *shuffleRun) {
-	t.Helper()
-	node := r.comm.Nodes[0]
-	eps := make([]interface{}, 0, len(node.Send)+len(node.Recv))
-	for _, s := range node.Send {
-		eps = append(eps, s)
-	}
-	for _, rc := range node.Recv {
-		eps = append(eps, rc)
-	}
-	for _, ep := range eps {
-		pd, ok := ep.(PeerDrainer)
-		if !ok {
-			t.Errorf("%T does not implement PeerDrainer", ep)
-			continue
-		}
-		pr, ok := ep.(PeerResumer)
-		if !ok {
-			t.Errorf("%T does not implement PeerResumer", ep)
-			continue
-		}
-		pd.DrainPeer(1)
-		pd.DrainPeer(1) // idempotent
-		pr.ReopenPeer(1)
-		pr.ReopenPeer(1) // idempotent
-		// Out-of-range peers must be ignored, not panic or corrupt state.
-		pd.DrainPeer(-1)
-		pd.DrainPeer(99)
-		pr.ReopenPeer(-1)
-		pr.ReopenPeer(99)
-	}
-}
-
-// TestDrainReopenPerImpl runs the drain/reopen cycle mid-stream for every
-// endpoint implementation and checks the shuffle still completes with
-// exactly-once delivery: the reopened peer resumed, and no credits leaked.
-func TestDrainReopenPerImpl(t *testing.T) {
-	const nodes, threads, rows = 3, 2, 8000
-	for _, cfg := range allConfigs(threads) {
-		cfg := cfg
-		t.Run(cfg.Name(threads), func(t *testing.T) {
-			r := launch(t, quietEDR(), cfg, nodes, threads, rows, Repartition(nodes), 42)
-			// Fire after connection setup but within the stream; setup time
-			// varies per config, so poll until the comm layer exists.
-			var arm func()
-			arm = func() {
-				if r.comm == nil {
-					r.sim.After(50*time.Microsecond, arm)
-					return
-				}
-				drainReopenCycle(t, r)
-			}
-			r.sim.After(200*time.Microsecond, arm)
-			if err := r.sim.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := CheckErr(r.sends, r.recvs); err != nil {
-				t.Fatal(err)
-			}
-			verifyRepartition(t, r, nodes, rows)
-		})
-	}
-}
+import "testing"
 
 // TestProgressWatermarks checks the per-source progress interface across
 // all implementations: after a clean run every source is Complete and the

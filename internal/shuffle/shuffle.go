@@ -217,18 +217,6 @@ type PeerDrainer interface {
 	ClosePeer(peer int)
 }
 
-// PeerResumer is the re-arm half of PeerDrainer: draining a peer is not
-// terminal. When a suspicion turns out to be transient — the partition
-// healed or the node rebooted and the connection manager re-established the
-// link — ReopenPeer clears the failed mark so the endpoint works with the
-// peer again. Both drain and reopen are idempotent, and a drain/reopen
-// cycle leaves the per-peer flow-control accounting untouched, so repeated
-// false suspicions leak no credits. Like the drainer methods it runs from
-// scheduler context and must not block.
-type PeerResumer interface {
-	ReopenPeer(peer int)
-}
-
 // ProgressReporter is implemented by receive endpoints that track
 // per-source stream completion. Depleted reports whether the stream from
 // src finished cleanly: its end-of-stream marker arrived and — for

@@ -28,7 +28,6 @@ type shuffleRun struct {
 func quietEDR() fabric.Profile {
 	p := fabric.EDR()
 	p.UDReorderProb = 0
-	p.UDLossRate = 0
 	return p
 }
 

@@ -81,12 +81,6 @@ const (
 	// A = the new rate in bytes/s, B = 1 for a CNP-triggered cut, 0 for a
 	// recovery-timer increase.
 	EvRateCut
-	// EvPeerUp marks a connection-manager reconnect event clearing a
-	// previously dead peer; A = the peer.
-	EvPeerUp
-	// EvReconnect marks an RC connection re-established after a peer-down
-	// event; A = the peer, B = the reconnect attempt number.
-	EvReconnect
 	// EvStaleFenced marks a work request from a stale-epoch Queue Pair
 	// rejected at the responder before touching memory; A = the stale
 	// writer's node, B = the responder's current epoch.
@@ -122,8 +116,6 @@ var evNames = [evMax]string{
 	EvTailDrop:       "tail_drop",
 	EvCNP:            "cnp",
 	EvRateCut:        "rate_cut",
-	EvPeerUp:         "peer_up",
-	EvReconnect:      "reconnect",
 	EvStaleFenced:    "stale_fenced",
 	EvStage:          "stage",
 }

@@ -125,15 +125,6 @@ func (d *Device) rateTick(qpn uint32, rl *dcqcn) {
 	d.armRateTimer(qpn, rl)
 }
 
-// Rate returns qpn's current DCQCN sending rate in bytes/s and whether a
-// limiter is active; an inactive limiter means line rate.
-func (d *Device) Rate(qpn uint32) (float64, bool) {
-	if rl := d.rl[qpn]; rl != nil {
-		return rl.rate, true
-	}
-	return d.prof().LinkBandwidth, false
-}
-
 // sendPaced routes msg, the psn-th of its sequence (zero for traffic outside
 // the go-back-N sequences), through the QP's DCQCN rate limiter and
 // retransmission engine before handing it to the fabric (see release). A

@@ -59,7 +59,7 @@ func TestRNRRetryExhaustionErrorsQP(t *testing.T) {
 func TestTransportRetryExhaustion(t *testing.T) {
 	r := newRig(t, 2)
 	r.net.Faults().Add(fabric.FaultRule{
-		Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1, Rate: 1,
+		Class: fabric.FaultRCLoss, From: fabric.AnyNode, To: 1,
 	})
 	qpa, qpb, cqa, _ := r.rcPair(0, 1)
 	var got CQE

@@ -14,7 +14,6 @@ import (
 func rocev2(p *fabric.Profile) {
 	*p = fabric.RoCEv2Lossy()
 	p.UDReorderProb = 0
-	p.UDLossRate = 0
 }
 
 // TestECNCNPRateCutRoundTrip drives a paced 3-into-1 RDMA-write incast under

@@ -134,10 +134,9 @@ type Device struct {
 
 	// deadPeers records nodes the connection manager has declared dead;
 	// peerDownFns are the registered disconnect-event handlers, invoked in
-	// registration order; peerUpFns mirror them for reconnect events.
+	// registration order.
 	deadPeers   map[int]bool
 	peerDownFns []func(peer int)
-	peerUpFns   []func(peer int)
 
 	// epoch is this device's boot incarnation, starting at 1. The connection
 	// manager bumps it when the node reboots (its memory is gone); QPs
@@ -182,10 +181,8 @@ type DeviceStats struct {
 	// paper's Table 1 Queue Pair census from it.
 	QPsCreated int64
 	// StaleFenced counts work requests from stale-epoch Queue Pairs rejected
-	// at this device before touching its memory; Reconnects counts RC
-	// connections re-established after a peer-down event.
+	// at this device before touching its memory.
 	StaleFenced int64
-	Reconnects  int64
 }
 
 // Open returns the verbs context for the given node.
@@ -242,7 +239,6 @@ func (d *Device) PublishMetrics(reg *telemetry.Registry) {
 		{"cnps_received", d.stats.CNPsReceived},
 		{"rate_cuts", d.stats.RateCuts},
 		{"stale_fenced", d.stats.StaleFenced},
-		{"reconnects", d.stats.Reconnects},
 	} {
 		reg.Counter(fmt.Sprintf("verbs.%s.node%d", it.name, d.node)).Add(it.v)
 		reg.Counter("verbs." + it.name + ".total").Add(it.v)
@@ -419,30 +415,6 @@ func (d *Device) BumpEpoch() {
 
 // PeerDown reports whether the connection manager has declared node dead.
 func (d *Device) PeerDown(node int) bool { return d.deadPeers[node] }
-
-// OnPeerUp registers a connection-manager reconnect handler, invoked from
-// NotifyPeerUp in registration order from scheduler context; handlers must
-// not block.
-func (d *Device) OnPeerUp(fn func(peer int)) {
-	d.peerUpFns = append(d.peerUpFns, fn)
-}
-
-// NotifyPeerUp is the connection-manager reconnect event: it clears the
-// peer's dead mark so posting verbs stop failing fast with ErrPeerDown, and
-// invokes the registered OnPeerUp handlers. Queue Pairs errored by the
-// earlier NotifyPeerDown stay errored — reconnection rebuilds fresh pairs
-// (see ReconnectRCPair). Idempotent; runs in scheduler context.
-func (d *Device) NotifyPeerUp(peer int) {
-	if !d.deadPeers[peer] {
-		return
-	}
-	delete(d.deadPeers, peer)
-	d.tr().Instant(d.sim.Now(), telemetry.EvPeerUp, int32(d.node), 0, int64(peer), 0)
-	for _, fn := range d.peerUpFns {
-		fn(peer)
-	}
-	d.memWake.Broadcast()
-}
 
 // OnPeerDown registers a connection-manager disconnect handler, invoked once
 // per dead peer in registration order from scheduler context; handlers must

@@ -22,7 +22,6 @@ func newRig(t testing.TB, nodes int, mutate ...func(*fabric.Profile)) *testRig {
 	t.Helper()
 	p := fabric.EDR()
 	p.UDReorderProb = 0
-	p.UDLossRate = 0
 	for _, m := range mutate {
 		m(&p)
 	}

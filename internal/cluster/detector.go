@@ -22,6 +22,9 @@ const (
 	// silent peer is declared down. Detection latency is bounded by
 	// (hbSuspect+2)*hbPeriod.
 	hbSuspect = 3
+	// hbThreshold is the silence after which a peer is suspected, and the
+	// freshness a witness needs to veto a conviction.
+	hbThreshold = hbSuspect * hbPeriod
 	// hbHorizon stops the detector after this much virtual time as a
 	// backstop so a wedged run still surfaces as a simulation deadlock
 	// instead of ticking forever. Benchmarks stop the detector as soon as
@@ -121,7 +124,6 @@ func (d *Detector) step() {
 	if sent < 0 {
 		sent = 0
 	}
-	const threshold = hbSuspect * hbPeriod
 	// A reboot window that closed since the previous tick advances the
 	// node's boot epoch: its memory came back empty, and the epoch fence
 	// keeps pre-reboot Queue Pairs out of it.
@@ -145,7 +147,7 @@ func (d *Detector) step() {
 				d.suspected[i][j] = false
 				continue
 			}
-			if d.suspected[i][j] || now.Sub(d.lastHeard[i][j]) <= threshold {
+			if d.suspected[i][j] || now.Sub(d.lastHeard[i][j]) <= hbThreshold {
 				continue
 			}
 			d.suspected[i][j] = true
@@ -172,7 +174,6 @@ func (d *Detector) step() {
 // asymmetric partition keeps a fresh witness on the reachable side and is
 // only ever suspected — suspicion, not split-brain false death.
 func (d *Detector) Dead() []int {
-	const threshold = hbSuspect * hbPeriod
 	majoritySuspected := make([]bool, d.c.N)
 	for j := 0; j < d.c.N; j++ {
 		votes := 0
@@ -193,7 +194,7 @@ func (d *Detector) Dead() []int {
 			if i == j || majoritySuspected[i] || d.suspected[i][j] {
 				continue
 			}
-			if d.lastTick.Sub(d.lastHeard[i][j]) <= threshold {
+			if d.lastTick.Sub(d.lastHeard[i][j]) <= hbThreshold {
 				vetoed = true
 			}
 		}

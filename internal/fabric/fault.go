@@ -85,7 +85,7 @@ func (c FaultClass) String() string {
 //
 // Count selects how often an active loss-like rule fires: Count > 0 fires on
 // the next Count matching messages, Count == 0 on every matching message.
-// Neither draws from an RNG stream, so installing a rule never perturbs the
+// No rule draws from an RNG stream, so installing one never perturbs the
 // random stream of the rest of the simulation.
 type FaultRule struct {
 	Class    FaultClass

@@ -1,9 +1,12 @@
 package rshuffle_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -16,39 +19,42 @@ import (
 var apiAllowlist = map[string]string{
 	"sim.Mutex.Waiters":                "feeds the mutex state of ROADMAP item 2a",
 	"dag.Graph.Stages":                 "ROADMAP item 13 keeps it as the plan's stage view",
+	"dag.Result.PublishMetrics":        "the registry half of the DAG PDES equivalence fingerprint (TestPDESDagEquivalence)",
 	"telemetry.Histogram.Observe":      "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Histogram.Sum":          "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Histogram.BucketCounts": "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Histogram.Bounds":       "the registry histograms feed ROADMAP item 2b",
+	"telemetry.Registry.Histogram":     "the registry histograms feed ROADMAP item 2b",
 	"telemetry.WriteReport":            "the registry fingerprint of the cluster and dag PDES equivalence tests",
 	"bufpool.Stats":                    "the pool's hit, miss and retained counts, which the macro benchmarks report; they depend on what else ran in the process, so no reproducible result reads them",
+	"sim.Simulation.Events":            "events fired per run, the events/sec of the kernel benchmarks (ROADMAP item 3)",
+	"sim.Simulation.Switches":          "Proc handoffs per run, the switches/op of ROADMAP item 3",
+	"sim.Simulation.Dispatches":        "events fired per run, the dispatch count beside item 3's switches/op",
+	"sim.Group.Switches":               "Proc handoffs summed over partitions, the switches/op of ROADMAP item 3",
+	"sim.Group.Dispatches":             "events fired summed over partitions, beside item 3's switches/op",
 }
 
-// stdMethods are the method names a standard interface calls, so a method
-// of that name is reached without anyone naming it.
+// stdMethods are the method names a standard-library interface calls from
+// inside the standard library (fmt, errors, sort), so a method of that name
+// is reached without any file of the module calling it.
 var stdMethods = map[string]bool{
 	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
 }
 
-type apiFile struct {
-	dir  string // package directory, slash-separated, relative to the root
-	file *ast.File
-}
-
 // TestNoTestOnlyAPI fails when an exported function or method declared in a
-// non-test file under internal/ is named by no non-test file of the module
+// non-test file under internal/ is used by no non-test file of the module
 // (cmd/, examples/, the root package and internal/) nor of bench/. A name
 // only tests reach is a second path or a knob the program never turns; it
 // goes, or moves into a _test.go file, or earns an allowlist entry here.
 //
-// Functions count as named when their package calls them by bare name or
-// another file selects them through an import of that package. Methods count
-// as named when any non-test file mentions the name: a selector, an
-// interface method or a method value. That is approximate: a method sharing
-// its name with a live one is not caught.
+// Uses are resolved by the type checker, not by name: a function counts as
+// used when a non-test file refers to it, a method when a non-test file
+// calls it (or takes its method value), or calls an interface method the
+// method's type implements. The module's packages are checked from source,
+// the standard library through go/importer's source importer.
 func TestNoTestOnlyAPI(t *testing.T) {
 	fset := token.NewFileSet()
-	var files []apiFile
+	files := map[string][]*ast.File{} // import path -> non-test files
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -66,114 +72,136 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, apiFile{dir: filepath.ToSlash(filepath.Dir(path)), file: f})
+		// The bench/ module is rshuffle/bench, so one prefix names both.
+		ip := "rshuffle"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			ip += "/" + dir
+		}
+		files[ip] = append(files[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	type decl struct {
-		key   string     // "pkg.Func" or "pkg.Type.Method"
-		dir   string     // declaring package directory
-		ident *ast.Ident // the declaration's own name
-		recv  bool
+	imp := &moduleImporter{
+		fset: fset, files: files,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{},
+		used: map[*types.Func]bool{},
 	}
-	var decls []decl
-	for _, af := range files {
-		if !strings.HasPrefix(af.dir, "internal/") || strings.HasSuffix(af.file.Name.Name, "test") {
-			continue
-		}
-		pkg := af.file.Name.Name
-		for _, d := range af.file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
-			}
-			if fd.Recv == nil {
-				decls = append(decls, decl{key: pkg + "." + fd.Name.Name, dir: af.dir, ident: fd.Name})
-				continue
-			}
-			if stdMethods[fd.Name.Name] {
-				continue
-			}
-			recv := fd.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			if idx, ok := recv.(*ast.IndexExpr); ok {
-				recv = idx.X
-			}
-			rid, ok := recv.(*ast.Ident)
-			if !ok || !rid.IsExported() {
-				continue
-			}
-			decls = append(decls, decl{key: pkg + "." + rid.Name + "." + fd.Name.Name, dir: af.dir, ident: fd.Name, recv: true})
+	var paths []string
+	for p := range files {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := imp.Import(p); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// Every mention of a name in a non-test file: bare identifiers per
-	// package directory, qualified selectors per import path, and any
-	// identifier at all for the method check.
-	bare := map[string]map[string]int{}      // dir -> name -> count
-	qualified := map[string]map[string]int{} // import path -> name -> count
-	anywhere := map[string]int{}
-	for _, af := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, im := range af.file.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			local := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				local = im.Name.Name
+	// Interface methods called anywhere; a concrete method that implements
+	// one of them is reached through the interface.
+	var ifaceCalls []*types.Func
+	for fn := range imp.used {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceCalls = append(ifaceCalls, fn)
+		}
+	}
+	viaInterface := func(fn *types.Func, recv *types.Named) bool {
+		if recv.TypeParams().Len() > 0 {
+			return false // Implements is unspecified for uninstantiated types
+		}
+		for _, im := range ifaceCalls {
+			if im.Name() != fn.Name() {
+				continue
 			}
-			imports[local] = p
-		}
-		if bare[af.dir] == nil {
-			bare[af.dir] = map[string]int{}
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				anywhere[n.Sel.Name]++
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						if qualified[p] == nil {
-							qualified[p] = map[string]int{}
-						}
-						qualified[p][n.Sel.Name]++
-						return false
-					}
-				}
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				bare[af.dir][n.Name]++
-				anywhere[n.Name]++
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
 			}
-			return true
 		}
-		ast.Inspect(af.file, visit)
+		return false
 	}
 
 	var unused []string
-	for _, d := range decls {
-		// The declaration's own name is one of the identifiers counted.
-		name := d.ident.Name
-		if d.recv {
-			if anywhere[name] > 1 {
+	for _, p := range paths {
+		pkg := imp.pkgs[p]
+		if !strings.HasPrefix(p, "rshuffle/internal/") || strings.HasSuffix(pkg.Name(), "test") {
+			continue // outside internal/, or a helper package for tests
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if fn, ok := obj.(*types.Func); ok && fn.Exported() && !imp.used[fn] {
+				unused = append(unused, apiKey(fset, fn, ""))
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
 				continue
 			}
-		} else if bare[d.dir][name] > 1 || qualified["rshuffle/"+d.dir][name] > 0 {
-			continue
+			named, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				fn := named.Method(i)
+				if !fn.Exported() || stdMethods[fn.Name()] || imp.used[fn] || viaInterface(fn, named) {
+					continue
+				}
+				unused = append(unused, apiKey(fset, fn, tn.Name()))
+			}
 		}
-		if _, ok := apiAllowlist[d.key]; ok {
-			continue
-		}
-		unused = append(unused, d.key+" ("+fset.Position(d.ident.Pos()).String()+")")
 	}
 	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("exported but named only by tests: %s", u)
+	for _, key := range unused {
+		if _, ok := apiAllowlist[key[:strings.IndexByte(key, ' ')]]; !ok {
+			t.Errorf("exported but used only by tests: %s", key)
+		}
 	}
+}
+
+// apiKey renders a declaration as "pkg.Func (file:line)" or
+// "pkg.Type.Method (file:line)".
+func apiKey(fset *token.FileSet, fn *types.Func, recv string) string {
+	name := fn.Pkg().Name() + "."
+	if recv != "" {
+		name += recv + "."
+	}
+	return name + fn.Name() + " (" + fset.Position(fn.Pos()).String() + ")"
+}
+
+// moduleImporter type-checks the module's packages from the parsed files,
+// on demand and once each, and records every function and method their
+// files use. Everything else comes from the standard library.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	used  map[*types.Func]bool
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	fs, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, fs, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
+	}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			m.used[fn.Origin()] = true
+		}
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
 }

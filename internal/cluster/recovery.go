@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rshuffle/internal/sim"
-	"rshuffle/internal/telemetry"
 )
 
 // ErrRecoveryExhausted means a query kept failing until its RecoveryPolicy
@@ -67,19 +66,6 @@ type RecoveryResult struct {
 	// counts the partitions restarts streamed again. A full restart of an
 	// n-node query re-streams n*n partitions per attempt.
 	PartitionsKept, PartitionsRestreamed int
-}
-
-// PublishMetrics copies the recovery run's aggregates into the registry
-// under "recovery.*" names, so fault experiments report through the same
-// channel as the data-path counters.
-func (r *RecoveryResult) PublishMetrics(reg *telemetry.Registry) {
-	reg.Counter("recovery.restarts").Add(int64(r.Restarts))
-	reg.Counter("recovery.attempts").Add(int64(len(r.Attempts)))
-	reg.Counter("recovery.fd_detections").Add(int64(r.Detections))
-	reg.Gauge("recovery.fd_max_detect_us").SetMax(float64(r.MaxDetect) / 1e3)
-	reg.Gauge("recovery.total_virtual_ms").SetMax(float64(r.TotalVirtual) / 1e6)
-	reg.Counter("recovery.partitions_kept").Add(int64(r.PartitionsKept))
-	reg.Counter("recovery.partitions_restreamed").Add(int64(r.PartitionsRestreamed))
 }
 
 // backoff returns the delay before restart number restart (0-based).

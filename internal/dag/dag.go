@@ -107,10 +107,6 @@ type Stage struct {
 	out *Edge
 }
 
-// ID returns the stage's index within its graph (also the A argument of
-// its EvStage trace span).
-func (s *Stage) ID() int { return s.id }
-
 // Edge is one typed data movement between two stages.
 type Edge struct {
 	From, To *Stage

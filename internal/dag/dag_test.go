@@ -463,3 +463,7 @@ func TestDagChaosSmoke(t *testing.T) {
 		t.Errorf("sum(val) = %v, want %v", sumVal, want)
 	}
 }
+
+// ID returns the stage's index within its graph (also the A argument of
+// its EvStage trace span).
+func (s *Stage) ID() int { return s.id }

@@ -229,12 +229,6 @@ func (b *Batch) Int64(row, col int) int64 {
 	return int64(binary.LittleEndian.Uint64(b.Data[off:]))
 }
 
-// SetInt64 writes an int64 column.
-func (b *Batch) SetInt64(row, col int, v int64) {
-	off := row*b.Sch.Width() + b.Sch.Offset(col)
-	binary.LittleEndian.PutUint64(b.rows()[off:], uint64(v))
-}
-
 // Float64 reads a float64 column.
 func (b *Batch) Float64(row, col int) float64 {
 	off := row*b.Sch.Width() + b.Sch.Offset(col)
@@ -256,17 +250,6 @@ func (b *Batch) Str(row, col int) string {
 		n--
 	}
 	return string(s[:n])
-}
-
-// SetStr writes a fixed string column, truncating or zero-padding.
-func (b *Batch) SetStr(row, col int, v string) {
-	off := row*b.Sch.Width() + b.Sch.Offset(col)
-	n := b.Sch.Cols[col].Size()
-	dst := b.rows()[off : off+n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	copy(dst, v)
 }
 
 // RowInt64 reads an int64 column from a raw row.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
@@ -494,4 +495,21 @@ func TestTableAppendDoubles(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2.1*float64(tab.Bytes())); got > limit {
 		t.Fatalf("building %d bytes of rows allocated %d bytes, want <= %d (2.1x)", tab.Bytes(), got, limit)
 	}
+}
+
+// SetInt64 writes an int64 column.
+func (b *Batch) SetInt64(row, col int, v int64) {
+	off := row*b.Sch.Width() + b.Sch.Offset(col)
+	binary.LittleEndian.PutUint64(b.rows()[off:], uint64(v))
+}
+
+// SetStr writes a fixed string column, truncating or zero-padding.
+func (b *Batch) SetStr(row, col int, v string) {
+	off := row*b.Sch.Width() + b.Sch.Offset(col)
+	n := b.Sch.Cols[col].Size()
+	dst := b.rows()[off : off+n]
+	for i := range dst {
+		dst[i] = 0
+	}
+	copy(dst, v)
 }

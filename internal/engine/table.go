@@ -72,9 +72,6 @@ func NewWriter(t *Table) *Writer {
 	return &Writer{t: t, row: make([]byte, t.Sch.Width())}
 }
 
-// Row returns the scratch row; fill it with the Set helpers then call Done.
-func (w *Writer) Row() []byte { return w.row }
-
 // SetInt64 sets an int64 column of the scratch row.
 func (w *Writer) SetInt64(col int, v int64) { RowSetInt64(w.t.Sch, w.row, col, v) }
 

@@ -263,8 +263,8 @@ func postErr(peer int, err error) error {
 type sendPool struct {
 	mr      *verbs.MR
 	bufSize int
-	free    *sim.Queue[int] // offsets of reusable buffers
-	bufs    []*Buf          // per slot: the record GETFREE hands out, once made
+	free    []int  // offsets of reusable buffers, oldest first
+	bufs    []*Buf // per slot: the record GETFREE hands out, once made
 	// inFlight counts the slots that owe completions (Buf.owed).
 	inFlight int
 	// idBase offsets the work-request id of a buffer's transmissions: buffer
@@ -273,26 +273,26 @@ type sendPool struct {
 	idBase uint64
 }
 
-func newSendPool(dev *verbs.Device, name string, bufs, bufSize int, idBase uint64) sendPool {
+func newSendPool(dev *verbs.Device, bufs, bufSize int, idBase uint64) sendPool {
 	sp := sendPool{
 		mr:      dev.AllocRingNoCost(bufs, bufSize),
 		bufSize: bufSize,
-		free:    sim.NewQueue[int](dev.Sim(), fmt.Sprintf("%s@%d", name, dev.Node())),
 		bufs:    make([]*Buf, bufs),
 		idBase:  idBase,
 	}
 	for i := 0; i < bufs; i++ {
-		sp.free.Put(i * bufSize)
+		sp.free = append(sp.free, i*bufSize)
 	}
 	return sp
 }
 
 // tryGet leases a free buffer without blocking.
 func (sp *sendPool) tryGet() (*Buf, bool) {
-	off, ok := sp.free.TryGet()
-	if !ok {
+	if len(sp.free) == 0 {
 		return nil, false
 	}
+	off := sp.free[0]
+	sp.free = sp.free[1:]
 	b := sp.bufs[off/sp.bufSize]
 	if b == nil {
 		b = &Buf{Data: sp.mr.Bytes(off+HeaderSize, sp.bufSize-HeaderSize), off: off}
@@ -330,7 +330,7 @@ func (sp *sendPool) complete(off int) error {
 		return nil
 	}
 	sp.inFlight--
-	sp.free.Put(off)
+	sp.free = append(sp.free, off)
 	return nil
 }
 

@@ -60,7 +60,7 @@ func TestPeerSetMissingFailed(t *testing.T) {
 
 func TestSendPoolFanOut(t *testing.T) {
 	_, dev := coreDev()
-	sp := newSendPool(dev, "test-free", 2, 256, 0)
+	sp := newSendPool(dev, 2, 256, 0)
 	b, ok := sp.tryGet()
 	if !ok || b.Cap() != 256-HeaderSize {
 		t.Fatalf("tryGet = %v, %v", b, ok)
@@ -75,16 +75,16 @@ func TestSendPoolFanOut(t *testing.T) {
 		if err := sp.complete(b.off); err != nil {
 			t.Fatal(err)
 		}
-		if sp.free.Len() != 1 || b.owed != fanout-i || sp.inFlight != 1 {
+		if len(sp.free) != 1 || b.owed != fanout-i || sp.inFlight != 1 {
 			t.Fatalf("after %d of %d completions: %d free, %d owed, %d in flight",
-				i, fanout, sp.free.Len(), b.owed, sp.inFlight)
+				i, fanout, len(sp.free), b.owed, sp.inFlight)
 		}
 	}
 	if err := sp.complete(b.off); err != nil {
 		t.Fatal(err)
 	}
-	if sp.free.Len() != 2 || sp.inFlight != 0 {
-		t.Fatalf("after the last completion: %d free, %d in flight", sp.free.Len(), sp.inFlight)
+	if len(sp.free) != 2 || sp.inFlight != 0 {
+		t.Fatalf("after the last completion: %d free, %d in flight", len(sp.free), sp.inFlight)
 	}
 	// A duplicate completion, or one for a buffer never sent or no buffer at
 	// all, is an error and leaves no negative count behind.
@@ -93,8 +93,8 @@ func TestSendPoolFanOut(t *testing.T) {
 			t.Fatalf("completion for idle buffer %d accepted", off)
 		}
 	}
-	if sp.free.Len() != 2 || sp.inFlight != 0 || b.owed != 0 {
-		t.Fatalf("bogus completions changed the pool: %d free, %d owed, %d in flight", sp.free.Len(), b.owed, sp.inFlight)
+	if len(sp.free) != 2 || sp.inFlight != 0 || b.owed != 0 {
+		t.Fatalf("bogus completions changed the pool: %d free, %d owed, %d in flight", len(sp.free), b.owed, sp.inFlight)
 	}
 	// The slot's record goes out again with the slot.
 	b0 := b
@@ -188,7 +188,7 @@ func TestReapConsumesWholeBatch(t *testing.T) {
 	_, dev := coreDev()
 	e := newEndpoint(dev, Config{}.Defaulted(), 2, "test", 8, 16)
 	e.createRCQPs(e.scq, 4, 4)
-	sp := newSendPool(dev, "test-free", 2, 256, 1)
+	sp := newSendPool(dev, 2, 256, 1)
 	lost, _ := sp.tryGet()
 	kept, _ := sp.tryGet()
 	sp.commit(lost, header{}, 1)

@@ -309,7 +309,7 @@ func newRDRCSend(dev *verbs.Device, cfg Config, n, tpe int) *rdRCSend {
 	pool := tpe * n * cfg.BuffersPerPeer
 	e := &rdRCSend{
 		endpoint: newEndpoint(dev, cfg, n, "rd-send", 4*pool*n+64, 16),
-		sendPool: newSendPool(dev, "rd-free", pool, cfg.BufSize, 0),
+		sendPool: newSendPool(dev, pool, cfg.BufSize, 0),
 		freeArr:  newWordRing(dev, n, pool+1),
 		validOut: newWordRing(dev, n, pool+1),
 	}

@@ -547,3 +547,15 @@ func TestHeaderCodecProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Name returns the paper's designation for this configuration given the
+// worker thread count, e.g. "MESQ/SR".
+func (c Config) Name(threads int) string {
+	mode := "SE"
+	if c.Endpoints >= threads {
+		mode = "ME"
+	} else if c.Endpoints > 1 {
+		mode = fmt.Sprintf("%dE", c.Endpoints)
+	}
+	return mode + c.Impl.String()
+}

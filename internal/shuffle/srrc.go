@@ -233,7 +233,7 @@ func newSRRCSend(dev *verbs.Device, cfg Config, n, tpe int) *srRCSend {
 	pool := tpe * n * cfg.BuffersPerPeer
 	e := &srRCSend{
 		endpoint: newEndpoint(dev, cfg, n, "srrc-send", 2*pool*n+64, 16),
-		sendPool: newSendPool(dev, "srrc-free", pool, cfg.BufSize, 0),
+		sendPool: newSendPool(dev, pool, cfg.BufSize, 0),
 		sent:     make([]uint64, n),
 		creditMR: dev.RegisterMRNoCost(make([]byte, 8*n)),
 	}

@@ -366,7 +366,7 @@ func newSRUDSend(dev *verbs.Device, cfg Config, n, tpe int) *srUDSend {
 		// Broadcast posts one send per group member per buffer, and completions
 		// sit in the CQ until the application polls; size for the worst case.
 		endpoint:   newEndpoint(dev, cfg, n, "srud-send", pool*n+64, 16),
-		sendPool:   newSendPool(dev, "srud-free", pool, mtu, 0),
+		sendPool:   newSendPool(dev, pool, mtu, 0),
 		ccq:        dev.CreateCQ(creditSlots + 16),
 		creditSlot: verbs.GRHSize + HeaderSize,
 		sent:       make([]uint64, n),

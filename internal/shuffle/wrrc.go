@@ -211,7 +211,7 @@ func newWRRCSend(dev *verbs.Device, cfg Config, n, tpe, grantCap int) *wrRCSend 
 	pool := tpe * n * cfg.BuffersPerPeer
 	e := &wrRCSend{
 		endpoint: newEndpoint(dev, cfg, n, "wr-send", 4*pool*n+64, 16),
-		sendPool: newSendPool(dev, "wr-free", pool, cfg.BufSize, 1),
+		sendPool: newSendPool(dev, pool, cfg.BufSize, 1),
 		slotArr:  newWordRing(dev, n, grantCap),
 		validOut: newWordRing(dev, n, grantCap),
 		slotWin:  make([]remoteWin, n),

@@ -292,10 +292,10 @@ func TestBatonHomeOnDeadlock(t *testing.T) {
 	s := New(1)
 	never := s.NewCond("never")
 	m := s.NewMutex("m")
-	q := NewQueue[int](s, "q")
+	q := s.NewCond("queue q")
 	s.Spawn("holder", func(p *Proc) {
 		m.Lock(p)
-		q.Get(p) // blocks for good, holding m
+		q.Wait(p) // blocks for good, holding m
 	})
 	s.Spawn("locker", func(p *Proc) {
 		if never.WaitTimeout(p, 40) {

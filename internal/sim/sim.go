@@ -337,12 +337,6 @@ func (p *Proc) BusyTime() Duration { return p.busy }
 // synchronization (waiting for completions, credit, buffers, ...).
 func (p *Proc) BlockedTime() Duration { return p.blocked }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulation that owns this Proc.
-func (p *Proc) Sim() *Simulation { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 

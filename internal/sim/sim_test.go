@@ -239,56 +239,6 @@ func TestMutexPanicsOnBadUse(t *testing.T) {
 	}
 }
 
-func TestQueueBlockingGet(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, "q")
-	var got []int
-	s.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	s.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(10 * time.Nanosecond)
-			q.Put(i)
-		}
-		q.Close()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("got = %v, want [1 2 3]", got)
-	}
-}
-
-func TestQueueCloseUnblocksAll(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, "q")
-	done := 0
-	for i := 0; i < 4; i++ {
-		s.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			_, ok := q.Get(p)
-			if ok {
-				t.Error("Get returned ok on empty closed queue")
-			}
-			done++
-		})
-	}
-	s.At(50, func() { q.Close() })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 4 {
-		t.Fatalf("done = %d, want 4", done)
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	s := New(1)
 	wg := s.NewWaitGroup("wg")
@@ -359,7 +309,7 @@ func TestDeterminism(t *testing.T) {
 		var trace []string
 		m := s.NewMutex("m")
 		c := s.NewCond("c")
-		q := NewQueue[int](s, "q")
+		var q []int
 		for i := 0; i < 5; i++ {
 			i := i
 			s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -368,13 +318,14 @@ func TestDeterminism(t *testing.T) {
 				trace = append(trace, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
 				p.Sleep(Duration(s.Rand().Intn(50)))
 				m.Unlock(p)
-				q.Put(i)
+				q = append(q, i)
 				c.Broadcast()
 			})
 		}
 		s.Spawn("drain", func(p *Proc) {
 			for n := 0; n < 5; {
-				if _, ok := q.TryGet(); ok {
+				if len(q) > 0 {
+					q = q[1:]
 					n++
 					continue
 				}
@@ -606,3 +557,6 @@ func TestScheduleHandler(t *testing.T) {
 		t.Fatalf("three handler stages allocate %.1f objects, want 0", a)
 	}
 }
+
+// Name returns the name given at Spawn.
+func (p *Proc) Name() string { return p.name }

@@ -165,66 +165,3 @@ func (m *Mutex) Unlock(p *Proc) {
 
 // Waiters returns the number of Procs queued behind the current owner.
 func (m *Mutex) Waiters() int { return len(m.queue) - m.qhead }
-
-// Queue is an unbounded FIFO of items with blocking Get, usable as a simple
-// mailbox between Procs.
-type Queue[T any] struct {
-	sim   *Simulation
-	name  string
-	items []T
-	cond  *Cond
-	// closed marks end-of-stream: Get returns the zero value and false once
-	// drained.
-	closed bool
-}
-
-// NewQueue returns an empty queue with a diagnostic name.
-func NewQueue[T any](s *Simulation, name string) *Queue[T] {
-	return &Queue[T]{sim: s, name: name, cond: s.NewCond("queue " + name)}
-}
-
-// Put appends v. It never blocks and may be called from event callbacks.
-func (q *Queue[T]) Put(v T) {
-	if q.closed {
-		panic("sim: Put on closed Queue " + q.name)
-	}
-	q.items = append(q.items, v)
-	q.cond.Signal()
-}
-
-// Close marks end-of-stream and wakes all blocked getters.
-func (q *Queue[T]) Close() {
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// Get removes and returns the head item, blocking p while the queue is
-// empty. It returns ok=false when the queue is closed and drained.
-func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			return v, false
-		}
-		q.cond.Wait(p)
-	}
-	v = q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
-}
-
-// TryGet removes and returns the head item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }

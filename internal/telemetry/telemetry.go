@@ -212,14 +212,6 @@ func (t *Tracer) Len() int {
 	return len(t.buf)
 }
 
-// Dropped returns how many events were overwritten after the ring wrapped.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.n - uint64(len(t.buf))
-}
-
 // Events returns the retained events oldest-first. The slice is a copy; the
 // tracer may keep recording afterwards.
 func (t *Tracer) Events() []Event {

@@ -150,3 +150,11 @@ func TestEvStrings(t *testing.T) {
 		t.Fatal("out-of-range Ev must stringify as unknown")
 	}
 }
+
+// Dropped returns how many events were overwritten after the ring wrapped.
+func (t *Tracer) Dropped() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.n - uint64(len(t.buf))
+}

@@ -153,9 +153,6 @@ func (d *Device) CreateQP(cfg QPConfig) *QP {
 // QPN returns the queue pair number, unique within the device.
 func (qp *QP) QPN() uint32 { return qp.qpn }
 
-// Type returns the transport service of this QP.
-func (qp *QP) Type() fabric.Service { return qp.cfg.Type }
-
 // State returns the queue pair state.
 func (qp *QP) State() QPState { return qp.state }
 

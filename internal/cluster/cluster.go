@@ -62,9 +62,11 @@ type SimOptions struct {
 }
 
 // NewWithOptions boots a cluster like New, on a sim.Group of ParallelLPs
-// partitions (at least one). Fault plans whose rules are pure time-window
-// checks (crashes, partitions) work at any count; probabilistic loss draws
-// couple partitions through a shared RNG stream and need ParallelLPs <= 1.
+// partitions (at least one). No fault rule draws from an RNG stream, so a
+// fault plan works at any count, with one caveat: a counted rule (Count > 0)
+// keeps its budget in the rule and every sender it matches draws it down, so
+// on more than one partition it needs a single sending node (From), or two
+// partitions could draw one budget at once.
 // A lossy profile rejects ParallelLPs > 1: its PFC/ECN egress model writes
 // sender state from receiver context, which is only safe on one clock.
 func NewWithOptions(prof fabric.Profile, nodes, threads int, seed int64, opts SimOptions) *Cluster {

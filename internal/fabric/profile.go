@@ -174,8 +174,6 @@ type Profile struct {
 	TCPPerByte float64 // ns per byte
 	// TCPPerMessage is the per-send/recv syscall cost.
 	TCPPerMessage sim.Duration
-	// IPoIBBandwidth is the achievable IPoIB wire rate (lower than native).
-	IPoIBBandwidth float64
 
 	// SupportsUD reports whether the transport offers an Unreliable
 	// Datagram service. InfiniBand and RoCE do; iWARP does not, which rules
@@ -227,7 +225,6 @@ func FDR() Profile {
 		MPIPerMessage:       2800 * time.Nanosecond,
 		TCPPerByte:          0.42,
 		TCPPerMessage:       1800 * time.Nanosecond,
-		IPoIBBandwidth:      3.2e9,
 		SupportsUD:          true,
 		SGEPerTuple:         60 * time.Nanosecond,
 		Threads:             10,
@@ -252,7 +249,6 @@ func EDR() Profile {
 	p.ConnSetupPerQP = 1250 * time.Microsecond
 	p.MPIPerMessage = 350 * time.Nanosecond
 	p.TCPPerByte = 0.28
-	p.IPoIBBandwidth = 4.4e9
 	p.Threads = 14
 	return p
 }

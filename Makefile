@@ -170,13 +170,15 @@ bench-check:
 wire-check:
 	$(GO) test -run '^TestWireGolden$$' -count=1 ./internal/cluster/
 
-# Golden-file check: regenerate the fast-mode report — every exhibit table,
-# virtual time only — and compare it byte for byte with results_fast.txt; on a
-# mismatch the unified diff names every line that moved. Experiments run one
-# at a time (-workers 1) to bound memory: PR 21's re-capture took 10 min 43 s
-# that way on the 2-core host, 4.7 GB resident at its peak. -workers 0 is
-# not faster there and overlaps every experiment's inputs — it was stopped at
-# 6.7 GB resident inside its first minute.
+# Golden-file check: regenerate the report — every exhibit table, virtual
+# time only — and compare it byte for byte with results_fast.txt; on a
+# mismatch the unified diff names every line that moved. Cells run one at a
+# time (-workers 1) to bound memory: 9 min on a 2-core host. -workers 0 is
+# not faster there and overlaps every cell's inputs — it was stopped at
+# 6.7 GB resident inside its first minute. On an 8 GB host run it with
+# GOMEMLIMIT=5000MiB in the environment: without it fig09 alone passes
+# 7.7 GB resident and the run is OOM-killed; with it the run peaks near
+# 5.1 GB and prints the same bytes.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/shufflebench ./cmd/shufflebench && \

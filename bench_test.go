@@ -16,7 +16,7 @@ import (
 	"rshuffle/internal/qperf"
 )
 
-var benchOpts = experiments.Options{Fast: true, Seed: 42}
+var benchOpts = experiments.Options{Seed: 42}
 
 func metric(b *testing.B, t *experiments.Table, row string, col int, name string) {
 	b.Helper()
@@ -38,11 +38,11 @@ func runExp(b *testing.B, name string) []*experiments.Table {
 	var out []*experiments.Table
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ts, err := e.Run(benchOpts)
+		ts, err := experiments.Run(benchOpts, e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = ts
+		out = ts[0]
 	}
 	return out
 }

@@ -6,7 +6,7 @@
 //
 //	shufflebench -list
 //	shufflebench -exp fig10,fig12
-//	shufflebench -exp all -full -out results.txt
+//	shufflebench -exp all -workers 1 -out results.txt
 //	shufflebench -chaos
 //	shufflebench -trace out.json
 //	shufflebench -metrics
@@ -34,14 +34,12 @@ func main() {
 	var (
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		exp     = flag.String("exp", "all", "comma-separated experiment names, or 'all'")
-		full    = flag.Bool("full", false, "paper-grade data volumes (slower, smoother numbers)")
 		out     = flag.String("out", "", "also write the report to this file")
 		seed    = flag.Int64("seed", 42, "simulation seed")
 		chaos   = flag.Bool("chaos", false, "run the fault-injection matrix instead of the experiments")
 		trace   = flag.String("trace", "", "run a short traced benchmark and write Chrome trace-event JSON to this file")
 		metrics = flag.Bool("metrics", false, "regenerate the paper's Table 1 counters from the metrics registry")
 		workers = flag.Int("workers", 0, "simulation cells in flight at once: 1 = serial reference mode, 0 = one per CPU")
-		lps     = flag.Int("lps", 0, "logical partitions per simulation: every cell of every exhibit — throughput, setup-only, DAG and TPC-H — is spread over this many (0 and 1 both mean one; byte-identical results at every count; cells on a lossy profile run on one partition and ignore it; combine with -workers 1 to give one big run the whole machine)")
 		profile = flag.String("profile", "ib", "fabric for -chaos and -trace: 'ib' (lossless InfiniBand) or 'rocev2' (lossy Ethernet with PFC/ECN/DCQCN)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -148,70 +146,22 @@ func main() {
 		}
 		exps = append(exps, e)
 	}
-	experiments.SetParallelism(*workers)
-	opts := experiments.Options{Fast: !*full, Seed: *seed, Workers: *workers, ParallelLPs: *lps}
-	mode := "fast"
-	if *full {
-		mode = "full"
+	// The report holds virtual-time results only, so the same seed
+	// regenerates it byte for byte (make results-check); the wall-clock line
+	// goes to stderr. "fast mode" names the one data size there is.
+	fmt.Fprintf(w, "rshuffle evaluation reproduction (fast mode, seed %d)\n\n", *seed)
+	start := time.Now()
+	tables, err := experiments.Run(experiments.Options{Seed: *seed, Workers: *workers}, exps...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	fmt.Fprintf(w, "rshuffle evaluation reproduction (%s mode, seed %d)\n\n", mode, *seed)
-
-	if opts.Workers == 1 {
-		for _, e := range exps {
-			start := time.Now()
-			tables, err := e.Run(opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
-				os.Exit(1)
-			}
-			printTables(w, e.Name, tables, time.Since(start))
+	for _, ts := range tables {
+		for _, t := range ts {
+			fmt.Fprintln(w, t.Format())
 		}
-		return
 	}
-
-	// Overlap whole experiments: each renders into a private buffer and the
-	// buffers are flushed in the order the experiments were requested, so the
-	// report reads identically to a serial run. The process-wide cell budget
-	// keeps at most -workers simulations executing no matter how many
-	// experiments are in flight.
-	type result struct {
-		buf  strings.Builder
-		err  error
-		done chan struct{}
-	}
-	results := make([]*result, len(exps))
-	for i, e := range exps {
-		r := &result{done: make(chan struct{})}
-		results[i] = r
-		go func() {
-			defer close(r.done)
-			start := time.Now()
-			tables, err := e.Run(opts)
-			if err != nil {
-				r.err = err
-				return
-			}
-			printTables(&r.buf, e.Name, tables, time.Since(start))
-		}()
-	}
-	for i, r := range results {
-		<-r.done
-		if r.err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", exps[i].Name, r.err)
-			os.Exit(1)
-		}
-		io.WriteString(w, r.buf.String())
-	}
-}
-
-// printTables writes an experiment's tables to the report. The wall-clock
-// line goes to stderr: the report holds virtual-time results only, so the
-// same seed regenerates it byte for byte (make results-check).
-func printTables(w io.Writer, name string, tables []*experiments.Table, elapsed time.Duration) {
-	for _, t := range tables {
-		fmt.Fprintln(w, t.Format())
-	}
-	fmt.Fprintf(os.Stderr, "  (%s completed in %v wall time)\n", name, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "  (%s completed in %v wall time)\n", *exp, time.Since(start).Round(time.Millisecond))
 }
 
 // runTraced executes a short MEMQ/SR benchmark with the event tracer

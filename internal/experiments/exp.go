@@ -1,76 +1,44 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§5): one driver per exhibit, each printing the same rows and
-// series the paper reports, measured in virtual time on the simulated
-// cluster. Absolute numbers depend on the calibrated cost model; the shapes
-// (who wins, by how much, where the crossovers fall) are the reproduction
-// targets recorded in EXPERIMENTS.md.
+// evaluation (§5): each exhibit is a list of cells — one simulation each —
+// and the tables they fill, with the same rows and series the paper
+// reports, measured in virtual time on the simulated cluster. Absolute
+// numbers depend on the calibrated cost model; the shapes (who wins, by how
+// much, where the crossovers fall) are the reproduction targets recorded in
+// EXPERIMENTS.md.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 
-	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
 )
 
 // Options configures a reproduction run.
 type Options struct {
-	// Fast shrinks data volumes for CI-speed runs; the full volumes give
-	// smoother steady-state numbers.
-	Fast bool
 	// Seed for the simulations.
 	Seed int64
-	// Workers selects the cell execution mode: 1 runs every simulation cell
-	// serially on the calling goroutine (the reference path); any other
-	// value fans independent cells out across a process-wide GOMAXPROCS
-	// worker pool. Both modes produce byte-identical tables — each cell is
-	// its own deterministic Simulation and parallelism only moves wall-clock
-	// time (see pool.go).
+	// Workers is how many cells run at once: 1 runs them one after another
+	// in list order, the reference run; 0 means one per CPU (GOMAXPROCS).
+	// Every cell is its own deterministic simulation, so the tables are
+	// byte-identical at any count; only wall-clock time moves (see run.go).
 	Workers int
-	// ParallelLPs spreads every cell — throughput, setup-only, DAG and TPC-H
-	// alike, since all boot through newCluster and run through cluster.Run —
-	// over that many logical partitions (see internal/sim/pdes.go); 0 and 1
-	// both mean one, and results are byte-identical at every count.
-	// Complementary to Workers: cell-parallel sweeps spread *independent*
-	// simulations over cores, LP-parallelism spreads *one big* simulation —
-	// combine with Workers=1 to give a single large run the whole machine.
-	// Lossy-profile cells ignore the setting: they run on one partition
-	// (see cluster.NewWithOptions).
-	ParallelLPs int
-}
-
-// newCluster boots one experiment cell. A sweep mixes lossless and lossy
-// cells under one ParallelLPs, so the lossy ones drop it here rather than
-// have cluster.NewWithOptions reject it.
-func (o Options) newCluster(prof fabric.Profile, nodes, threads int, seed int64) *cluster.Cluster {
-	lps := o.ParallelLPs
-	if prof.Lossy {
-		lps = 0
-	}
-	return cluster.NewWithOptions(prof, nodes, threads, seed,
-		cluster.SimOptions{ParallelLPs: lps})
 }
 
 // fills is the steady-state target: how many times each (thread,
 // destination) stream should fill its transmission buffer.
-func (o Options) fills() int {
-	if o.Fast {
-		return 6
-	}
-	return 20
-}
+const fills = 6
 
 // workload returns RowsPerNode and Passes for a steady-state run of the
 // given configuration, capping resident table size.
-func (o Options) workload(cfg shuffle.Config, prof fabric.Profile, nodes int) (rows, passes int) {
+func workload(cfg shuffle.Config, prof fabric.Profile, nodes int) (rows, passes int) {
 	cfg = cfg.Defaulted()
 	bufTuples := (cfg.BufSize - shuffle.HeaderSize) / 16
 	if cfg.Impl == shuffle.SQSR {
 		bufTuples = (prof.MTU - shuffle.HeaderSize) / 16
 	}
-	need := o.fills() * prof.Threads * nodes * bufTuples
+	need := fills * prof.Threads * nodes * bufTuples
 	const maxRows = 4_000_000 // 64 MiB per node resident
 	rows = need
 	passes = 1
@@ -99,6 +67,13 @@ type Table struct {
 	Cols  []string
 	Rows  []Row
 	Notes []string
+}
+
+// series appends a row with one empty slot per column and returns the slots.
+func (t *Table) series(name string) []float64 {
+	vals := make([]float64, len(t.Cols))
+	t.Rows = append(t.Rows, Row{Name: name, Vals: vals})
+	return vals
 }
 
 // Format renders the table as aligned text.
@@ -172,8 +147,8 @@ func tuneRecvWindow(cfg shuffle.Config, prof fabric.Profile, nodes int) shuffle.
 // workloadFor is workload adjusted for the transmission pattern: broadcast
 // multiplies received volume by the fan-out, so the source table shrinks
 // accordingly to keep simulated traffic comparable.
-func (o Options) workloadFor(cfg shuffle.Config, prof fabric.Profile, nodes int, groups shuffle.Groups) (rows, passes int) {
-	rows, passes = o.workload(cfg, prof, nodes)
+func workloadFor(cfg shuffle.Config, prof fabric.Profile, nodes int, groups shuffle.Groups) (rows, passes int) {
+	rows, passes = workload(cfg, prof, nodes)
 	fanout := 1
 	for _, g := range groups {
 		if len(g) > fanout {
@@ -187,35 +162,6 @@ func (o Options) workloadFor(cfg shuffle.Config, prof fabric.Profile, nodes int,
 		}
 	}
 	return rows, passes
-}
-
-// runBench is the one door for a receive-throughput cell: it boots the
-// cell's cluster (quiet profile, the run's seed plus seedOff, on the engine
-// -lps selects), runs opts and folds the engine's error and the transport's
-// into one. The result is nil only when the engine failed; callers that
-// report a failed query as a data point read it beside the error. The
-// cluster is returned for its post-run counters (c.Net.Stats, c.Metrics).
-func (o Options) runBench(prof fabric.Profile, nodes, threads int, seedOff int64, opts cluster.BenchOpts) (*cluster.BenchResult, *cluster.Cluster, error) {
-	c := o.newCluster(quiet(prof), nodes, threads, o.Seed+seedOff)
-	res, err := c.RunBench(opts)
-	if err == nil {
-		err = res.Err
-	}
-	return res, c, err
-}
-
-// runThroughput executes one steady-state receive-throughput cell of an
-// RDMA design, sized by workloadFor.
-func (o Options) runThroughput(prof fabric.Profile, cfg shuffle.Config, nodes int, groups shuffle.Groups, seedOff int64) (*cluster.BenchResult, error) {
-	cfg = tuneRecvWindow(cfg, prof, nodes)
-	rows, passes := o.workloadFor(cfg, prof, nodes, groups)
-	res, _, err := o.runBench(prof, nodes, 0, seedOff, cluster.BenchOpts{
-		Factory:     cluster.RDMAProvider(cfg),
-		RowsPerNode: rows,
-		Passes:      passes,
-		Groups:      groups,
-	})
-	return res, err
 }
 
 // fourSRAlgos are the Send/Receive designs swept in Fig. 8.

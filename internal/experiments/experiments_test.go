@@ -9,7 +9,17 @@ import (
 	"rshuffle/internal/shuffle"
 )
 
-var fast = Options{Fast: true, Seed: 7}
+var fast = Options{Seed: 7}
+
+// exhibitTables runs one experiment and returns its tables.
+func exhibitTables(t *testing.T, name string, o Options) []*Table {
+	t.Helper()
+	tables, err := Run(o, Find(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables[0]
+}
 
 func val(t *Table, rowName string, col int) float64 {
 	for _, r := range t.Rows {
@@ -24,10 +34,7 @@ func TestTable1QPCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tb, err := Table1(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "table1", fast)[0]
 	if got := val(tb, "MEMQ/SR", 0); got != 224 {
 		t.Fatalf("MEMQ/SR QPs = %v, want 224", got)
 	}
@@ -43,10 +50,7 @@ func TestFig12Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tb, err := Fig12(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "fig12", fast)[0]
 	last := len(tb.Cols) - 1
 	// MQ grows with cluster size; SQ stays flat.
 	if val(tb, "MEMQ/SR", last) < 3*val(tb, "MEMQ/SR", 0) {
@@ -69,17 +73,16 @@ func TestFig12Shapes(t *testing.T) {
 }
 
 func TestWorkloadSizing(t *testing.T) {
-	o := Options{Fast: true}
 	edr := fabric.EDR()
-	rows, passes := o.workload(shuffle.Config{Impl: shuffle.MQSR}, edr, 16)
+	rows, passes := workload(shuffle.Config{Impl: shuffle.MQSR}, edr, 16)
 	if rows > 4_000_000 {
 		t.Fatalf("rows = %d exceeds residency cap", rows)
 	}
-	need := o.fills() * edr.Threads * 16 * (64<<10 - shuffle.HeaderSize) / 16
+	need := fills * edr.Threads * 16 * (64<<10 - shuffle.HeaderSize) / 16
 	if rows*passes < need*9/10 {
 		t.Fatalf("volume %d under steady-state need %d", rows*passes, need)
 	}
-	udRows, udPasses := o.workload(shuffle.Config{Impl: shuffle.SQSR}, edr, 16)
+	udRows, udPasses := workload(shuffle.Config{Impl: shuffle.SQSR}, edr, 16)
 	if udRows*udPasses >= rows*passes {
 		t.Fatal("UD workloads should be smaller than RC workloads")
 	}
@@ -122,10 +125,7 @@ func TestFig13Overlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tb, err := Fig13(Options{Fast: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "fig13", fast)[0]
 	last := len(tb.Cols) - 1
 	mesq := val(tb, "MESQ/SR", last)
 	if mesq < 90 {
@@ -152,11 +152,7 @@ func TestFig14aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	o := Options{Fast: true, Seed: 7}
-	tb, err := Fig14a(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "fig14a", fast)[0]
 	for c, name := range tb.Cols {
 		mpi, rdma, local := val(tb, "MPI", c), val(tb, "MESQ/SR", c), val(tb, "local data", c)
 		if !(local <= rdma && rdma < mpi) {
@@ -178,10 +174,7 @@ func TestFig14bcdShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tbs, err := Fig14bcd(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbs := exhibitTables(t, "fig14bcd", fast)
 	q3, q10 := tbs[1], tbs[2]
 	last := len(q10.Cols) - 1 // 16 nodes
 	mpi, rdma := val(q10, "MPI", last), val(q10, "MESQ/SR", last)
@@ -207,10 +200,7 @@ func TestExtZeroCopyCrossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tb, err := ExtZeroCopy(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "ext-zerocopy", fast)[0]
 	if val(tb, "zero-copy", 0) > 0.5*val(tb, "copy", 0) {
 		t.Fatalf("zero-copy should collapse for 16 B records: zc=%.2f copy=%.2f",
 			val(tb, "zero-copy", 0), val(tb, "copy", 0))
@@ -228,10 +218,7 @@ func TestExtFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tb, err := ExtFabrics(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "ext-fabrics", fast)[0]
 	if v := val(tb, "MESQ/SR", 1); v == v { // NaN check: v==v is false for NaN
 		t.Fatalf("MESQ/SR on iWARP should be absent, got %v", v)
 	}
@@ -247,10 +234,7 @@ func TestExtMulticastSavesWQEs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tb, err := ExtMulticast(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := exhibitTables(t, "ext-mcast", fast)[0]
 	last := len(tb.Cols) - 1
 	sw := val(tb, "MESQ/SR txmsgs", last)
 	hw := val(tb, "MESQ/SR+mcast txmsgs", last)
@@ -272,11 +256,10 @@ func TestExtMulticastSavesWQEs(t *testing.T) {
 }
 
 func TestWorkloadForBroadcastScales(t *testing.T) {
-	o := Options{Fast: true}
 	edr := fabric.EDR()
 	cfg := shuffle.Config{Impl: shuffle.MQSR}
-	rRows, rPasses := o.workloadFor(cfg, edr, 8, shuffle.Repartition(8))
-	bRows, bPasses := o.workloadFor(cfg, edr, 8, shuffle.Broadcast(8))
+	rRows, rPasses := workloadFor(cfg, edr, 8, shuffle.Repartition(8))
+	bRows, bPasses := workloadFor(cfg, edr, 8, shuffle.Broadcast(8))
 	if bRows*bPasses >= rRows*rPasses {
 		t.Fatalf("broadcast volume (%d) should shrink vs repartition (%d)",
 			bRows*bPasses, rRows*rPasses)

@@ -14,9 +14,9 @@ import (
 // multicast for MESQ/SR broadcast — plus the copy-vs-zero-copy ablation the
 // paper discusses in §4.3.1 (citing Kesavan et al.).
 
-// ExtWrite compares the one-sided designs: the paper's RDMA Read endpoints
+// extWrite compares the one-sided designs: the paper's RDMA Read endpoints
 // against the future-work RDMA Write endpoints, for both patterns on EDR.
-func ExtWrite(o Options) ([]*Table, error) {
+func extWrite() (x exhibit) {
 	prof := fabric.EDR()
 	algos := []shuffle.Algorithm{
 		{Name: "MEMQ/RD", Impl: shuffle.MQRD, ME: true},
@@ -25,51 +25,40 @@ func ExtWrite(o Options) ([]*Table, error) {
 		{Name: "SEMQ/WR", Impl: shuffle.MQWR, ME: false},
 		{Name: "MEMQ/SR", Impl: shuffle.MQSR, ME: true},
 	}
-	var out []*Table
-	cs := cells{o: o}
+	nodesSweep := []int{4, 8, 16}
 	for _, pattern := range []string{"repartition", "broadcast"} {
 		t := &Table{
 			ID:    "Extension: RDMA Write endpoint (" + pattern + ")",
 			Title: "one-sided designs on EDR — the paper's first future-work item",
 			Unit:  "GiB/s per node",
 		}
-		nodesSweep := []int{4, 8, 16}
 		for _, n := range nodesSweep {
 			t.Cols = append(t.Cols, fmt.Sprintf("%dn", n))
 		}
 		for _, a := range algos {
-			row := Row{Name: a.Name, Vals: make([]float64, len(nodesSweep))}
+			row := t.series(a.Name)
 			for i, n := range nodesSweep {
-				cs.add(func() error {
-					groups := shuffle.Repartition(n)
-					if pattern == "broadcast" {
-						groups = shuffle.Broadcast(n)
-					}
-					res, err := o.runThroughput(prof, a.Config(prof.Threads), n, groups, int64(700+i))
-					if err != nil {
-						return fmt.Errorf("%s %s %dn: %w", a.Name, pattern, n, err)
-					}
-					row.Vals[i] = res.GiBps()
-					return nil
-				})
+				groups := shuffle.Repartition(n)
+				if pattern == "broadcast" {
+					groups = shuffle.Broadcast(n)
+				}
+				x.cells = append(x.cells, cell{key: key("ext-write", pattern, a.Name, t.Cols[i]),
+					prof: prof, nodes: n, cfg: a.Config(prof.Threads), seedOff: int64(700 + i),
+					bench: cluster.BenchOpts{Groups: groups}, out: []*float64{&row[i]}})
 			}
-			t.Rows = append(t.Rows, row)
 		}
 		t.Notes = append(t.Notes,
 			"WR frees send buffers on local completions, so broadcast does not starve for buffer",
 			"returns the way RD does (§5.1.3); data+announcement ride one ordered QP")
-		out = append(out, t)
+		x.tables = append(x.tables, t)
 	}
-	if err := cs.run(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return x
 }
 
-// ExtFabrics runs the designs on RoCE and iWARP (the second future-work
+// extFabrics runs the designs on RoCE and iWARP (the second future-work
 // item). iWARP offers no Unreliable Datagram service, so the SQ/SR designs
 // cannot run there.
-func ExtFabrics(o Options) (*Table, error) {
+func extFabrics() (x exhibit) {
 	t := &Table{
 		ID:    "Extension: RoCE and iWARP",
 		Title: "repartition throughput on Ethernet RDMA fabrics, 8 nodes",
@@ -77,38 +66,29 @@ func ExtFabrics(o Options) (*Table, error) {
 		Cols:  []string{"RoCE", "iWARP"},
 	}
 	profs := []fabric.Profile{fabric.RoCE(), fabric.IWARP()}
-	cs := cells{o: o}
 	for _, a := range shuffle.Algorithms {
-		row := Row{Name: a.Name, Vals: make([]float64, len(profs))}
+		row := t.series(a.Name)
 		for i, prof := range profs {
 			if a.Impl == shuffle.SQSR && !prof.SupportsUD {
-				row.Vals[i] = math.NaN()
+				row[i] = math.NaN()
 				continue
 			}
-			cs.add(func() error {
-				res, err := o.runThroughput(prof, a.Config(prof.Threads), 8, nil, int64(800+i))
-				if err != nil {
-					return fmt.Errorf("%s on %s: %w", a.Name, prof.Name, err)
-				}
-				row.Vals[i] = res.GiBps()
-				return nil
-			})
+			x.cells = append(x.cells, cell{key: key("ext-fabrics", prof.Name, a.Name),
+				prof: prof, nodes: 8, cfg: a.Config(prof.Threads), seedOff: int64(800 + i),
+				out: []*float64{&row[i]}})
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"iWARP has no UD service: the SQ/SR designs (including the paper's winner MESQ/SR)",
 		"cannot run there, leaving only the connection-oriented designs")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// ExtMulticast measures MESQ/SR broadcast with native InfiniBand hardware
+// extMulticast measures MESQ/SR broadcast with native InfiniBand hardware
 // multicast (the third future-work item): one work request and one uplink
 // serialization per buffer, replicated by the switch.
-func ExtMulticast(o Options) (*Table, error) {
+func extMulticast() (x exhibit) {
 	prof := fabric.EDR()
 	nodesSweep := []int{4, 8, 16}
 	t := &Table{
@@ -119,45 +99,37 @@ func ExtMulticast(o Options) (*Table, error) {
 	for _, n := range nodesSweep {
 		t.Cols = append(t.Cols, fmt.Sprintf("%dn", n))
 	}
-	cs := cells{o: o}
 	for _, hw := range []bool{false, true} {
 		name := "MESQ/SR"
 		if hw {
 			name = "MESQ/SR+mcast"
 		}
-		row := Row{Name: name, Vals: make([]float64, len(nodesSweep))}
-		tx := Row{Name: name + " txmsgs", Vals: make([]float64, len(nodesSweep))}
+		row, tx := t.series(name), t.series(name+" txmsgs")
 		for i, n := range nodesSweep {
-			cs.add(func() error {
-				cfg := shuffle.Config{Impl: shuffle.SQSR, Endpoints: prof.Threads, HWMulticast: hw}
-				rows, passes := o.workloadFor(cfg, prof, n, shuffle.Broadcast(n))
-				res, c, err := o.runBench(prof, n, 0, int64(900+i), cluster.BenchOpts{
-					Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, Passes: passes,
-					Groups: shuffle.Broadcast(n),
-				})
-				if err != nil {
-					return err
-				}
-				row.Vals[i] = res.GiBps()
-				tx.Vals[i] = float64(c.Net.Stats(0).TxMessages)
-				return nil
-			})
+			x.cells = append(x.cells, cell{key: key("ext-mcast", name, t.Cols[i]),
+				prof: prof, nodes: n, seedOff: int64(900 + i),
+				cfg:   shuffle.Config{Impl: shuffle.SQSR, Endpoints: prof.Threads, HWMulticast: hw},
+				bench: cluster.BenchOpts{Groups: shuffle.Broadcast(n)},
+				read:  gibpsAndTxMessages, out: []*float64{&row[i], &tx[i]}})
 		}
-		t.Rows = append(t.Rows, row, tx)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"the paper hypothesizes multicast reduces CPU cost since MESQ/SR already runs at line",
 		"rate: transmitted messages (and send WQEs) drop by ~the cluster size")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// ExtZeroCopy reproduces the §4.3.1 design discussion: copying tuples into
+// gibpsAndTxMessages reads a multicast cell: throughput and the messages
+// node 0 transmitted.
+func gibpsAndTxMessages(_ *cell, r *cluster.BenchResult, cl *cluster.Cluster, _ bool) []float64 {
+	return []float64{r.GiBps(), float64(cl.Net.Stats(0).TxMessages)}
+}
+
+// extZeroCopy reproduces the §4.3.1 design discussion: copying tuples into
 // registered buffers versus zero-copy sends that need one scatter/gather
 // element per record. Small records favour copying (Kesavan et al.).
-func ExtZeroCopy(o Options) (*Table, error) {
+func extZeroCopy() (x exhibit) {
 	prof := fabric.EDR()
 	widths := []int{16, 64, 144, 272, 528}
 	t := &Table{
@@ -168,48 +140,34 @@ func ExtZeroCopy(o Options) (*Table, error) {
 	for _, w := range widths {
 		t.Cols = append(t.Cols, fmt.Sprintf("%dB", w))
 	}
-	cs := cells{o: o}
+	cfg := shuffle.Config{Impl: shuffle.MQSR, Endpoints: prof.Threads}
 	for _, zc := range []bool{false, true} {
 		name := "copy"
 		if zc {
 			name = "zero-copy"
 		}
-		row := Row{Name: name, Vals: make([]float64, len(widths))}
+		row := t.series(name)
 		for i, w := range widths {
-			cs.add(func() error {
-				cfg := shuffle.Config{Impl: shuffle.MQSR, Endpoints: prof.Threads}
-				rows, passes := o.workload(cfg, prof, 8)
-				rows = rows * 16 / w // keep byte volume comparable
-				if rows < 200_000 {
-					rows = 200_000
-				}
-				res, _, err := o.runBench(prof, 8, 0, int64(950+i), cluster.BenchOpts{
-					Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, Passes: passes,
-					RowWidth: w, ZeroCopy: zc,
-				})
-				if err != nil {
-					return err
-				}
-				row.Vals[i] = res.GiBps()
-				return nil
-			})
+			rows, passes := workload(cfg, prof, 8)
+			rows = max(rows*16/w, 200_000) // keep byte volume comparable
+			x.cells = append(x.cells, cell{key: key("ext-zerocopy", name, t.Cols[i]),
+				prof: prof, nodes: 8, cfg: cfg, seedOff: int64(950 + i),
+				bench: cluster.BenchOpts{RowsPerNode: rows, Passes: passes, RowWidth: w, ZeroCopy: zc},
+				out:   []*float64{&row[i]}})
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"the paper always copies: tuples are ~16-200 B, and zero copy shows little benefit for",
 		"small records because each record costs a gather element (~60 ns) instead of its copy")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// ExtQPCache ablates the NIC Queue-Pair state cache, the mechanism this
+// extQPCache ablates the NIC Queue-Pair state cache, the mechanism this
 // reproduction attributes the paper's FDR scale-out degradation to: MEMQ/SR
 // on 16 nodes uses 448 QPs per node, and throughput tracks how many of them
 // the NIC can cache.
-func ExtQPCache(o Options) (*Table, error) {
+func extQPCache() (x exhibit) {
 	sizes := []int{16, 48, 128, 512, 2048}
 	t := &Table{
 		ID:    "Ablation: NIC QP-state cache size",
@@ -219,41 +177,32 @@ func ExtQPCache(o Options) (*Table, error) {
 	for _, s := range sizes {
 		t.Cols = append(t.Cols, fmt.Sprintf("%dQPs", s))
 	}
-	cs := cells{o: o}
 	for _, a := range []shuffle.Algorithm{
 		{Name: "MEMQ/SR", Impl: shuffle.MQSR, ME: true},
 		{Name: "MESQ/SR", Impl: shuffle.SQSR, ME: true},
 	} {
-		row := Row{Name: a.Name, Vals: make([]float64, len(sizes))}
+		row := t.series(a.Name)
 		for i, size := range sizes {
-			cs.add(func() error {
-				prof := fabric.FDR()
-				prof.QPCacheSize = size
-				res, err := o.runThroughput(prof, a.Config(prof.Threads), 16, nil, int64(980+i))
-				if err != nil {
-					return err
-				}
-				row.Vals[i] = res.GiBps()
-				return nil
-			})
+			prof := fabric.FDR()
+			prof.QPCacheSize = size
+			x.cells = append(x.cells, cell{key: key("ext-qpcache", a.Name, t.Cols[i]),
+				prof: prof, nodes: 16, cfg: a.Config(prof.Threads), seedOff: int64(980 + i),
+				out: []*float64{&row[i]}})
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"MEMQ/SR recovers its line-rate throughput once the cache holds its 448 QP states;",
 		"MESQ/SR is insensitive because it uses 14 QPs regardless of cluster size (Table 1)")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// ExtProfile reproduces the paper's §5.1.3 profiling analysis: on the
+// extProfile reproduces the paper's §5.1.3 profiling analysis: on the
 // sending side the most CPU-intensive activity is hashing tuples and
 // copying them into registered memory, yet a sizable fraction of cycles is
 // idle; the receiving side is blocked on completions for up to 90% of its
 // cycles.
-func ExtProfile(o Options) (*Table, error) {
+func extProfile() (x exhibit) {
 	prof := fabric.EDR()
 	t := &Table{
 		ID:    "Profiling (§5.1.3)",
@@ -261,33 +210,27 @@ func ExtProfile(o Options) (*Table, error) {
 		Unit:  "% of worker time on CPU work (rest blocked)",
 		Cols:  []string{"sender", "receiver"},
 	}
-	t.Rows = make([]Row, len(shuffle.Algorithms))
-	cs := cells{o: o}
-	for ai, a := range shuffle.Algorithms {
-		t.Rows[ai] = Row{Name: a.Name, Vals: make([]float64, 2)}
-		cs.add(func() error {
-			res, err := o.runThroughput(prof, a.Config(prof.Threads), 8, nil, 990)
-			if err != nil {
-				return err
-			}
-			t.Rows[ai].Vals[0] = 100 * res.SendBusyFrac
-			t.Rows[ai].Vals[1] = 100 * res.RecvBusyFrac
-			return nil
-		})
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
+	for _, a := range shuffle.Algorithms {
+		x.cells = append(x.cells, cell{key: key("ext-profile", a.Name),
+			prof: prof, nodes: 8, cfg: a.Config(prof.Threads), seedOff: 990,
+			read: busyPercent, out: slots(t.series(a.Name))})
 	}
 	t.Notes = append(t.Notes,
 		"paper: senders hash+copy but still idle ~30% of cycles; MEMQ/SR and MESQ/SR block on",
 		"credit, the others on pending RDMA operations; receivers are blocked up to 90%")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// ExtSkew studies the designs under Zipf-skewed partitioning keys: hot
+// busyPercent reads a profiling cell: sender and receiver busy percent.
+func busyPercent(_ *cell, r *cluster.BenchResult, _ *cluster.Cluster, _ bool) []float64 {
+	return []float64{100 * r.SendBusyFrac, 100 * r.RecvBusyFrac}
+}
+
+// extSkew studies the designs under Zipf-skewed partitioning keys: hot
 // receivers throttle every sender through flow control, the problem the
 // flow-join line of work (paper §6) addresses above the transport.
-func ExtSkew(o Options) (*Table, error) {
+func extSkew() (x exhibit) {
 	prof := fabric.EDR()
 	exps := []float64{0, 0.4, 0.8, 1.2}
 	t := &Table{
@@ -302,35 +245,21 @@ func ExtSkew(o Options) (*Table, error) {
 		}
 		t.Cols = append(t.Cols, label)
 	}
-	cs := cells{o: o}
 	for _, a := range []shuffle.Algorithm{
 		{Name: "MESQ/SR", Impl: shuffle.SQSR, ME: true},
 		{Name: "MEMQ/SR", Impl: shuffle.MQSR, ME: true},
 		{Name: "MEMQ/RD", Impl: shuffle.MQRD, ME: true},
 	} {
-		row := Row{Name: a.Name, Vals: make([]float64, len(exps))}
+		row := t.series(a.Name)
 		for i, ex := range exps {
-			cs.add(func() error {
-				cfg := a.Config(prof.Threads)
-				rows, passes := o.workload(cfg, prof, 8)
-				res, _, err := o.runBench(prof, 8, 0, int64(1100+i), cluster.BenchOpts{
-					Factory: cluster.RDMAProvider(cfg), RowsPerNode: rows, Passes: passes,
-					ZipfExponent: ex,
-				})
-				if err != nil {
-					return err
-				}
-				row.Vals[i] = res.GiBps()
-				return nil
-			})
+			x.cells = append(x.cells, cell{key: key("ext-skew", a.Name, t.Cols[i]),
+				prof: prof, nodes: 8, cfg: a.Config(prof.Threads), seedOff: int64(1100 + i),
+				bench: cluster.BenchOpts{ZipfExponent: ex}, out: []*float64{&row[i]}})
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"skew concentrates traffic on hot receivers whose downlinks saturate while others idle;",
 		"the transport cannot fix this — the paper cites track-join/flow-join as the remedy")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }

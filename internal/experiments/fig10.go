@@ -6,30 +6,24 @@ import (
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/ipoib"
-	"rshuffle/internal/qperf"
 	"rshuffle/internal/shuffle"
-	"rshuffle/internal/sim"
 )
 
 // ScaleOutNodes is the Fig. 10 cluster-size sweep.
 var ScaleOutNodes = []int{2, 4, 8, 16}
 
-// Fig10 reproduces Figure 10: per-node receive throughput of the six RDMA
+// fig10 reproduces Figure 10: per-node receive throughput of the six RDMA
 // designs plus MPI and IPoIB as the cluster grows, for the repartition and
 // broadcast patterns on both FDR and EDR.
-func Fig10(o Options) ([]*Table, error) {
-	var out []*Table
-	cs := cells{o: o}
+func fig10() (x exhibit) {
 	subs := []string{"(a)", "(b)", "(c)", "(d)"}
-	si := 0
 	for _, prof := range []fabric.Profile{fabric.FDR(), fabric.EDR()} {
 		for _, pattern := range []string{"repartition", "broadcast"} {
 			t := &Table{
-				ID:    "Figure 10" + subs[si],
+				ID:    "Figure 10" + subs[len(x.tables)],
 				Title: fmt.Sprintf("%s throughput vs cluster size, %s", pattern, prof.Name),
 				Unit:  "GiB/s per node",
 			}
-			si++
 			for _, n := range ScaleOutNodes {
 				t.Cols = append(t.Cols, fmt.Sprintf("%dn", n))
 			}
@@ -40,19 +34,12 @@ func Fig10(o Options) ([]*Table, error) {
 				return shuffle.Repartition(n)
 			}
 			for _, a := range shuffle.Algorithms {
-				row := Row{Name: a.Name, Vals: make([]float64, len(ScaleOutNodes))}
+				row := t.series(a.Name)
 				for i, n := range ScaleOutNodes {
-					cs.add(func() error {
-						cfg := a.Config(prof.Threads)
-						res, err := o.runThroughput(prof, cfg, n, groupsFor(n), int64(200+i))
-						if err != nil {
-							return fmt.Errorf("%s %s %dn: %w", a.Name, pattern, n, err)
-						}
-						row.Vals[i] = res.GiBps()
-						return nil
-					})
+					x.cells = append(x.cells, cell{key: key("fig10", prof.Name, pattern, a.Name, t.Cols[i]),
+						prof: prof, nodes: n, cfg: a.Config(prof.Threads), seedOff: int64(200 + i),
+						bench: cluster.BenchOpts{Groups: groupsFor(n)}, out: []*float64{&row[i]}})
 				}
-				t.Rows = append(t.Rows, row)
 			}
 			for _, base := range []struct {
 				name string
@@ -61,47 +48,28 @@ func Fig10(o Options) ([]*Table, error) {
 				{"MPI", cluster.MPIProvider()},
 				{"IPoIB", cluster.IPoIBProvider(ipoib.Config{})},
 			} {
-				row := Row{Name: base.name, Vals: make([]float64, len(ScaleOutNodes))}
+				row := t.series(base.name)
 				for i, n := range ScaleOutNodes {
-					cs.add(func() error {
-						rows, passes := o.workloadFor(shuffle.Config{Impl: shuffle.MQSR}, prof, n, groupsFor(n))
-						res, _, err := o.runBench(prof, n, 0, int64(300+i), cluster.BenchOpts{
-							Factory: base.f, RowsPerNode: rows, Passes: passes, Groups: groupsFor(n),
-						})
-						if err != nil {
-							return fmt.Errorf("%s %s %dn: %w", base.name, pattern, n, err)
-						}
-						row.Vals[i] = res.GiBps()
-						return nil
-					})
+					x.cells = append(x.cells, cell{key: key("fig10", prof.Name, pattern, base.name, t.Cols[i]),
+						prof: prof, nodes: n, seedOff: int64(300 + i),
+						bench: cluster.BenchOpts{Factory: base.f, Groups: groupsFor(n)}, out: []*float64{&row[i]}})
 				}
-				t.Rows = append(t.Rows, row)
 			}
 			if pattern == "repartition" {
-				row := Row{Name: "qperf", Vals: make([]float64, len(ScaleOutNodes))}
-				cs.add(func() error {
-					q := qperf.Run(prof, 64<<10, 1<<30).GiBps()
-					for i := range row.Vals {
-						row.Vals[i] = q
-					}
-					return nil
-				})
-				t.Rows = append(t.Rows, row)
+				x.cells = append(x.cells, cell{key: key("fig10", prof.Name, pattern, "qperf"),
+					prof: prof, body: qperfLine, out: slots(t.series("qperf"))})
 				t.Notes = append(t.Notes, "qperf measures a single pair and is shown as a constant line")
 			}
-			out = append(out, t)
+			x.tables = append(x.tables, t)
 		}
 	}
-	if err := cs.run(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return x
 }
 
-// Fig11 reproduces Figure 11: receive throughput on 16 EDR nodes as the
+// fig11 reproduces Figure 11: receive throughput on 16 EDR nodes as the
 // number of Queue Pairs per operator varies, by sweeping the endpoint count
 // e for each implementation (SE = 1, ME = t, and intermediate values).
-func Fig11(o Options) (*Table, error) {
+func fig11() (x exhibit) {
 	prof := fabric.EDR()
 	endpoints := []int{1, 2, 7, 14}
 	t := &Table{
@@ -120,36 +88,24 @@ func Fig11(o Options) (*Table, error) {
 	for _, e := range endpoints {
 		t.Cols = append(t.Cols, fmt.Sprintf("e=%d", e))
 	}
-	cs := cells{o: o}
 	for _, im := range impls {
-		row := Row{Name: im.name, Vals: make([]float64, len(endpoints))}
-		qps := Row{Name: im.name + " QPs", Vals: make([]float64, len(endpoints))}
+		row, qps := t.series(im.name), t.series(im.name+" QPs")
 		for i, e := range endpoints {
-			cs.add(func() error {
-				cfg := shuffle.Config{Impl: im.impl, Endpoints: e}
-				res, err := o.runThroughput(prof, cfg, 16, nil, int64(400+i))
-				if err != nil {
-					return fmt.Errorf("%s e=%d: %w", im.name, e, err)
-				}
-				row.Vals[i] = res.GiBps()
-				qps.Vals[i] = float64(res.QPsPerOperator)
-				return nil
-			})
+			x.cells = append(x.cells, cell{key: key("fig11", im.name, t.Cols[i]),
+				prof: prof, nodes: 16, cfg: shuffle.Config{Impl: im.impl, Endpoints: e}, seedOff: int64(400 + i),
+				read: gibpsAndQPs, out: []*float64{&row[i], &qps[i]}})
 		}
-		t.Rows = append(t.Rows, row, qps)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"QPs per operator: e for SQ, e*n for MQ — the paper's x-axis values 1,2,7,14,16,32,112,224",
 		"paper: MESQ/SR reaches higher throughput with far fewer Queue Pairs than the MQ designs")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// Fig12 reproduces Figure 12: time to build the RDMA connections as the
+// fig12 reproduces Figure 12: time to build the RDMA connections as the
 // cluster size grows, per algorithm.
-func Fig12(o Options) (*Table, error) {
+func fig12() (x exhibit) {
 	prof := fabric.EDR()
 	sizes := []int{2, 4, 6, 8, 10, 12, 14, 16}
 	t := &Table{
@@ -160,25 +116,30 @@ func Fig12(o Options) (*Table, error) {
 	for _, n := range sizes {
 		t.Cols = append(t.Cols, fmt.Sprintf("%dn", n))
 	}
-	cs := cells{o: o}
 	for _, a := range shuffle.Algorithms {
-		row := Row{Name: a.Name, Vals: make([]float64, len(sizes))}
+		row := t.series(a.Name)
 		for i, n := range sizes {
-			cs.add(func() error {
-				c := o.newCluster(quiet(prof), n, 0, o.Seed)
-				return c.Run(&cluster.Query{Name: "setup", Setup: func(p *sim.Proc) {
-					comm := shuffle.Build(p, c.Devs, a.Config(prof.Threads), c.Threads)
-					row.Vals[i] = comm.SetupTime.Seconds() * 1e3
-				}})
-			})
+			x.cells = append(x.cells, cell{key: key("fig12", a.Name, t.Cols[i]),
+				prof: prof, nodes: n, cfg: a.Config(prof.Threads), body: setupMs, out: []*float64{&row[i]}})
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	if err := cs.run(); err != nil {
-		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"paper: ME algorithms connect more endpoints than SE; MQ grows linearly with cluster size,",
 		"SQ stays flat — MESQ/SR stays under 40 ms; memory (de)registration is separate and <5 ms")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
+}
+
+// gibpsAndQPs reads a Fig. 11 cell: throughput and QPs per operator.
+func gibpsAndQPs(_ *cell, r *cluster.BenchResult, _ *cluster.Cluster, _ bool) []float64 {
+	return []float64{r.GiBps(), float64(r.QPsPerOperator)}
+}
+
+// setupMs is the body of a Fig. 12 cell: connection setup time in ms.
+func setupMs(o Options, c *cell) ([]float64, error) {
+	comm, err := o.buildOnly(c)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{comm.SetupTime.Seconds() * 1e3}, nil
 }

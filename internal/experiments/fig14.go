@@ -2,55 +2,47 @@ package experiments
 
 import (
 	"fmt"
-	"math"
+	"strconv"
 
 	"rshuffle/internal/cluster"
 	"rshuffle/internal/fabric"
 	"rshuffle/internal/shuffle"
-	"rshuffle/internal/sim"
 	"rshuffle/internal/tpch"
 )
 
 // sfPerNode is the scaled-down substitute for the paper's 100 GiB (scale
 // factor 100) per node; virtual-time response scales with data volume, so
 // the MPI/MESQ-SR/local comparisons are volume-independent ratios.
-func (o Options) sfPerNode() float64 {
-	if o.Fast {
-		return 0.02
-	}
-	return 0.05
+const sfPerNode = 0.02
+
+// mesq is the MESQ/SR design the TPC-H exhibits run.
+func mesq(threads int) shuffle.Config {
+	return shuffle.Config{Impl: shuffle.SQSR, Endpoints: threads}
 }
 
-func mesqFactory(threads int) cluster.ProviderFactory {
-	return cluster.RDMAProvider(shuffle.Config{Impl: shuffle.SQSR, Endpoints: threads})
-}
-
-// runTPCH is the one door for a TPC-H cell: it boots the cell's cluster
-// (quiet profile, the run's seed, on the engine -lps selects), runs query q
-// through its DAG plan and folds the first transport error into the
-// returned error.
-func (o Options) runTPCH(prof fabric.Profile, nodes int, db *tpch.DB, q int, f cluster.ProviderFactory, local bool) (*tpch.QueryResult, error) {
-	r, _, err := tpch.Run(o.newCluster(quiet(prof), nodes, 0, o.Seed), db, q, f, local)
+// runTPCH runs query q over db through its DAG plan on the cell's cluster
+// with transport f, and folds the first transport error into the returned
+// error. It returns the response time in ms.
+func (o Options) runTPCH(c *cell, f cluster.ProviderFactory, db *tpch.DB, q int, local bool) (float64, error) {
+	r, _, err := tpch.Run(o.boot(c), db, q, f, local)
 	if err == nil {
 		err = r.Err
 	}
-	return r, err
+	if err != nil {
+		return 0, err
+	}
+	return r.Elapsed.Seconds() * 1e3, nil
 }
 
-// Fig14a reproduces Figure 14(a): TPC-H Q4 response time on 8 nodes when
+// fig14a reproduces Figure 14(a): TPC-H Q4 response time on 8 nodes when
 // upgrading from FDR to EDR, for MPI, MESQ/SR and the co-partitioned
 // "local data" plan.
-func Fig14a(o Options) (*Table, error) {
+func fig14a() (x exhibit) {
 	t := &Table{
 		ID:    "Figure 14(a)",
 		Title: "TPC-H Q4 response time, 8 nodes, network upgrade",
 		Unit:  "ms",
 		Cols:  []string{"FDR", "EDR"},
-	}
-	rows := map[string]*Row{
-		"MPI":        {Name: "MPI", Vals: make([]float64, 2)},
-		"MESQ/SR":    {Name: "MESQ/SR", Vals: make([]float64, 2)},
-		"local data": {Name: "local data", Vals: make([]float64, 2)},
 	}
 	plans := []struct {
 		name  string
@@ -61,55 +53,49 @@ func Fig14a(o Options) (*Table, error) {
 		{"MESQ/SR", tpch.Random, false},
 		{"local data", tpch.CoPartitioned, true},
 	}
-	cs := cells{o: o}
+	rows := make([][]float64, len(plans))
+	for i, pl := range plans {
+		rows[i] = t.series(pl.name)
+	}
 	for pi, prof := range []fabric.Profile{fabric.FDR(), fabric.EDR()} {
-		// One cell per (profile, plan); each generates its own database so
-		// cells stay independent.
-		for _, pl := range plans {
-			cs.add(func() error {
-				db := tpch.Generate(o.sfPerNode()*8, 8, pl.part, o.Seed)
-				f := mesqFactory(prof.Threads)
-				if pl.name == "MPI" {
-					f = cluster.MPIProvider()
-				}
-				r, err := o.runTPCH(prof, 8, db, 4, f, pl.local)
-				if err != nil {
-					return fmt.Errorf("Q4 %s on %s: %w", pl.name, prof.Name, err)
-				}
-				rows[pl.name].Vals[pi] = r.Elapsed.Seconds() * 1e3
-				return nil
-			})
+		// One cell per (profile, plan); each generates its own database.
+		for i, pl := range plans {
+			c := cell{key: key("fig14a", prof.Name, pl.name), prof: prof, nodes: 8,
+				cfg: mesq(prof.Threads), out: []*float64{&rows[i][pi]},
+				body: func(o Options, c *cell) ([]float64, error) {
+					db := tpch.Generate(sfPerNode*8, 8, pl.part, o.Seed)
+					ms, err := o.runTPCH(c, c.provider(), db, 4, pl.local)
+					return []float64{ms}, err
+				}}
+			if pl.name == "MPI" {
+				c.bench.Factory = cluster.MPIProvider()
+			}
+			x.cells = append(x.cells, c)
 		}
 	}
-	if err := cs.run(); err != nil {
-		return nil, err
-	}
-	t.Rows = []Row{*rows["MPI"], *rows["MESQ/SR"], *rows["local data"]}
 	t.Notes = append(t.Notes,
 		"paper: MESQ/SR matches the no-shuffle local plan (full overlap) and its gain from the",
 		"upgrade keeps pace with local processing (~50%), while MPI improves only ~30%")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }
 
-// Fig14bcd reproduces Figures 14(b), (c) and (d): response time of Q4, Q3
+// fig14bcd reproduces Figures 14(b), (c) and (d): response time of Q4, Q3
 // and Q10 as the database grows in proportion to the cluster (scale factor
 // per node held constant), EDR, for MPI and MESQ/SR (plus the local plan
 // for Q4).
-func Fig14bcd(o Options) ([]*Table, error) {
+func fig14bcd() (x exhibit) {
 	prof := fabric.EDR()
 	nodes := []int{2, 4, 8, 16}
-	type qdef struct {
+	defs := []struct {
 		id, name string
 		q        int
 		local    bool // also plot the co-partitioned plan
-	}
-	defs := []qdef{
+	}{
 		{"Figure 14(b)", "TPC-H Q4", 4, true},
 		{"Figure 14(c)", "TPC-H Q3", 3, false},
 		{"Figure 14(d)", "TPC-H Q10", 10, false},
 	}
-	var out []*Table
-	cs := cells{o: o}
 	for _, q := range defs {
 		t := &Table{
 			ID:    q.id,
@@ -119,89 +105,76 @@ func Fig14bcd(o Options) ([]*Table, error) {
 		for _, n := range nodes {
 			t.Cols = append(t.Cols, fmt.Sprintf("%dn", n))
 		}
-		mpiRow := Row{Name: "MPI", Vals: make([]float64, len(nodes))}
-		rdmaRow := Row{Name: "MESQ/SR", Vals: make([]float64, len(nodes))}
-		localRow := Row{Name: "local data", Vals: make([]float64, len(nodes))}
-		for i, n := range nodes {
-			cs.add(func() error {
-				sf := o.sfPerNode() * float64(n)
-				db := tpch.Generate(sf, n, tpch.Random, o.Seed)
-				m, merr := o.runTPCH(prof, n, db, q.q, cluster.MPIProvider(), false)
-				r, rerr := o.runTPCH(prof, n, db, q.q, mesqFactory(prof.Threads), false)
-				if merr != nil || rerr != nil {
-					return fmt.Errorf("%s at %dn: mpi=%v rdma=%v", q.name, n, merr, rerr)
-				}
-				mpiRow.Vals[i] = m.Elapsed.Seconds() * 1e3
-				rdmaRow.Vals[i] = r.Elapsed.Seconds() * 1e3
-				if !q.local {
-					localRow.Vals[i] = math.NaN()
-					return nil
-				}
-				dbl := tpch.Generate(sf, n, tpch.CoPartitioned, o.Seed)
-				l, err := o.runTPCH(prof, n, dbl, q.q, mesqFactory(prof.Threads), true)
-				if err != nil {
-					return fmt.Errorf("%s local at %dn: %v", q.name, n, err)
-				}
-				localRow.Vals[i] = l.Elapsed.Seconds() * 1e3
-				return nil
-			})
-		}
-		t.Rows = []Row{mpiRow, rdmaRow}
+		mpiRow, rdmaRow := t.series("MPI"), t.series("MESQ/SR")
+		var localRow []float64
 		if q.local {
-			t.Rows = append(t.Rows, localRow)
+			localRow = t.series("local data")
 			t.Notes = append(t.Notes,
 				"the optimal line rises with cluster size because of the broadcast pattern")
 		}
 		t.Notes = append(t.Notes,
 			"paper: MESQ/SR scales better than MPI — ~70% faster for Q4, ~55% for Q3, ~2x for Q10 at 16 nodes")
-		out = append(out, t)
+		for i, n := range nodes {
+			// One database per cell, shared by the MPI and MESQ/SR runs; the
+			// local plan reads a co-partitioned one.
+			c := cell{key: key("fig14bcd", "Q"+strconv.Itoa(q.q), t.Cols[i]), prof: prof, nodes: n,
+				cfg: mesq(prof.Threads), out: []*float64{&mpiRow[i], &rdmaRow[i]},
+				body: func(o Options, c *cell) ([]float64, error) {
+					sf := sfPerNode * float64(n)
+					db := tpch.Generate(sf, n, tpch.Random, o.Seed)
+					m, err := o.runTPCH(c, cluster.MPIProvider(), db, q.q, false)
+					if err != nil {
+						return nil, fmt.Errorf("MPI: %w", err)
+					}
+					r, err := o.runTPCH(c, c.provider(), db, q.q, false)
+					if err != nil || !q.local {
+						return []float64{m, r}, err
+					}
+					l, err := o.runTPCH(c, c.provider(), tpch.Generate(sf, n, tpch.CoPartitioned, o.Seed), q.q, true)
+					return []float64{m, r, l}, err
+				}}
+			if q.local {
+				c.out = append(c.out, &localRow[i])
+			}
+			x.cells = append(x.cells, c)
+		}
+		x.tables = append(x.tables, t)
 	}
-	if err := cs.run(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return x
 }
 
-// Table1 reproduces Table 1: the design-space summary, with the Queue Pair
+// table1 reproduces Table 1: the design-space summary, with the Queue Pair
 // counts verified against the built communication layers (n = 16 nodes,
 // t = 14 threads).
-func Table1(o Options) (*Table, error) {
+func table1() (x exhibit) {
 	const n, threads = 16, 14
 	t := &Table{
 		ID:    "Table 1",
 		Title: fmt.Sprintf("design alternatives for n=%d nodes, t=%d threads", n, threads),
 		Cols:  []string{"QPs/node"},
 	}
-	prof := fabric.EDR()
-	t.Rows = make([]Row, len(shuffle.Algorithms))
-	cs := cells{o: o}
-	for ai, a := range shuffle.Algorithms {
-		t.Rows[ai] = Row{Name: a.Name, Vals: make([]float64, 1)}
-		cs.add(func() error {
-			c := o.newCluster(quiet(prof), n, threads, o.Seed)
-			var qps int
-			if err := c.Run(&cluster.Query{Name: "census", Setup: func(p *sim.Proc) {
-				qps = shuffle.Build(p, c.Devs, a.Config(threads), threads).QPsPerOperator
-			}}); err != nil {
-				return err
-			}
-			want := map[string]int{
-				"MEMQ/SR": n * threads, "MEMQ/RD": n * threads,
-				"SEMQ/SR": n, "SEMQ/RD": n,
-				"MESQ/SR": threads, "SESQ/SR": 1,
-			}[a.Name]
-			if qps != want {
-				return fmt.Errorf("%s: built %d QPs per operator, Table 1 says %d", a.Name, qps, want)
-			}
-			t.Rows[ai].Vals[0] = float64(qps)
-			return nil
-		})
+	want := map[string]int{
+		"MEMQ/SR": n * threads, "MEMQ/RD": n * threads,
+		"SEMQ/SR": n, "SEMQ/RD": n,
+		"MESQ/SR": threads, "SESQ/SR": 1,
 	}
-	if err := cs.run(); err != nil {
-		return nil, err
+	for _, a := range shuffle.Algorithms {
+		x.cells = append(x.cells, cell{key: key("table1", a.Name), prof: fabric.EDR(), nodes: n, threads: threads,
+			cfg: a.Config(threads), out: slots(t.series(a.Name)),
+			body: func(o Options, c *cell) ([]float64, error) {
+				comm, err := o.buildOnly(c)
+				if err != nil {
+					return nil, err
+				}
+				if comm.QPsPerOperator != want[a.Name] {
+					return nil, fmt.Errorf("built %d QPs per operator, Table 1 says %d", comm.QPsPerOperator, want[a.Name])
+				}
+				return []float64{float64(comm.QPsPerOperator)}, nil
+			}})
 	}
 	t.Notes = append(t.Notes,
 		"contention: none (ME), moderate (SEMQ), excessive (SESQ); messaging: RC round-trip w/ hardware",
 		"error control up to 1 GiB, UD half-trip w/ software error control up to 4 KiB (paper Table 1)")
-	return t, nil
+	x.tables = []*Table{t}
+	return x
 }

@@ -30,11 +30,7 @@ func TestGoldenSubset(t *testing.T) {
 		return ""
 	}
 	for _, name := range []string{"table1", "fig12", "fig14a", "ext-dag"} {
-		tables, err := Find(name).Run(Options{Fast: true, Seed: 42})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, tb := range tables {
+		for _, tb := range exhibitTables(t, name, Options{Seed: 42}) {
 			want := golden(tb.ID)
 			if want == "" {
 				t.Errorf("%s: no block for %q in results_fast.txt", name, tb.ID)

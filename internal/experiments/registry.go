@@ -1,45 +1,32 @@
 package experiments
 
-// Runner executes one exhibit's reproduction and returns its tables.
-type Runner func(Options) ([]*Table, error)
-
-func single(f func(Options) (*Table, error)) Runner {
-	return func(o Options) ([]*Table, error) {
-		t, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	}
-}
-
 // Experiment names one reproducible exhibit.
 type Experiment struct {
 	Name string // CLI name, e.g. "fig10"
 	What string
-	Run  Runner
+	plan func() exhibit
 }
 
 // All lists every exhibit of the paper's evaluation in order.
 var All = []Experiment{
-	{"table1", "design-space summary and Queue Pair census", single(Table1)},
-	{"fig08", "credit write-back frequency sweep (FDR and EDR)", Fig08},
-	{"fig09", "message size: throughput and registered memory", Fig09},
-	{"fig10", "scale-out: repartition and broadcast on FDR and EDR", Fig10},
-	{"fig11", "effect of the number of Queue Pairs", single(Fig11)},
-	{"fig12", "RDMA connection setup time", single(Fig12)},
-	{"fig13", "compute-intensive receiving fragments", single(Fig13)},
-	{"fig14a", "TPC-H Q4 under a network upgrade", single(Fig14a)},
-	{"fig14bcd", "TPC-H Q4/Q3/Q10 scale-out", Fig14bcd},
-	{"ext-write", "future work: RDMA Write endpoint", ExtWrite},
-	{"ext-fabrics", "future work: RoCE and iWARP fabrics", single(ExtFabrics)},
-	{"ext-mcast", "future work: native multicast broadcast", single(ExtMulticast)},
-	{"ext-zerocopy", "ablation: copy vs zero-copy sends", single(ExtZeroCopy)},
-	{"ext-qpcache", "ablation: NIC QP-state cache capacity", single(ExtQPCache)},
-	{"ext-profile", "profiling: worker busy vs blocked fractions (§5.1.3)", single(ExtProfile)},
-	{"ext-skew", "study: Zipf-skewed partitioning keys", single(ExtSkew)},
-	{"ext-lossy", "extension: lossy RoCEv2 tier (PFC/ECN/DCQCN)", ExtLossy},
-	{"ext-dag", "extension: shuffle-aware DAG multi-stage plans (per-edge transports)", single(ExtDag)},
+	{"table1", "design-space summary and Queue Pair census", table1},
+	{"fig08", "credit write-back frequency sweep (FDR and EDR)", fig08},
+	{"fig09", "message size: throughput and registered memory", fig09},
+	{"fig10", "scale-out: repartition and broadcast on FDR and EDR", fig10},
+	{"fig11", "effect of the number of Queue Pairs", fig11},
+	{"fig12", "RDMA connection setup time", fig12},
+	{"fig13", "compute-intensive receiving fragments", fig13},
+	{"fig14a", "TPC-H Q4 under a network upgrade", fig14a},
+	{"fig14bcd", "TPC-H Q4/Q3/Q10 scale-out", fig14bcd},
+	{"ext-write", "future work: RDMA Write endpoint", extWrite},
+	{"ext-fabrics", "future work: RoCE and iWARP fabrics", extFabrics},
+	{"ext-mcast", "future work: native multicast broadcast", extMulticast},
+	{"ext-zerocopy", "ablation: copy vs zero-copy sends", extZeroCopy},
+	{"ext-qpcache", "ablation: NIC QP-state cache capacity", extQPCache},
+	{"ext-profile", "profiling: worker busy vs blocked fractions (§5.1.3)", extProfile},
+	{"ext-skew", "study: Zipf-skewed partitioning keys", extSkew},
+	{"ext-lossy", "extension: lossy RoCEv2 tier (PFC/ECN/DCQCN)", extLossy},
+	{"ext-dag", "extension: shuffle-aware DAG multi-stage plans (per-edge transports)", extDag},
 }
 
 // Find returns the named experiment, or nil.

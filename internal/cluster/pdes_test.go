@@ -225,7 +225,7 @@ func TestProfilePicksEngine(t *testing.T) {
 // partition (as both once were) schedules wakeups on LP 0 at LP 0's clock
 // for Procs that live elsewhere, leaving the waiter's home clock behind and
 // its next Sleep wake below the window start (caught by the Route bound
-// panic on EDR fig08 under -lps). The MPI cell reproduces the original
+// panic on EDR fig08 at ParallelLPs > 1). The MPI cell reproduces the original
 // failure: EDR at a row count that keeps all rendezvous slots and the
 // library lock contended. (Deliberately outside the ^TestPDES -race smoke:
 // the MPI cell moves ~40 MiB per node and would dominate that budget.)

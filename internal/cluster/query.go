@@ -122,10 +122,10 @@ func (c *Cluster) Run(q *Query) error {
 
 // Recycle tears the cluster down after its simulation finishes: every
 // pooled registered ring on the cluster's devices returns to the
-// process-wide buffer pool, and the simulation's Proc goroutines are shut
-// down (see sim.Shutdown — without this, each discarded cluster leaks its
-// parked goroutines and everything they pin, and sweeps over many clusters
-// slow down as the GC's mark work grows). The simulation must be finished
+// process-wide buffer pool, and the goroutines of Procs still blocked are
+// shut down (see sim.Shutdown — without this, each discarded cluster leaks
+// them and everything they pin, and sweeps over many clusters slow down as
+// the GC's mark work grows). The simulation must be finished
 // and must not run again: a recycled ring may immediately back an endpoint
 // in another cluster. Run calls it on completion; call it directly only
 // after driving c.Group.Run by hand. Idempotent. Reading results, stats, and

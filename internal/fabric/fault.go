@@ -84,7 +84,10 @@ func (c FaultClass) String() string {
 // is the single stretch [Start, Start+OnFor).
 //
 // Count selects how often an active loss-like rule fires: Count > 0 fires on
-// the next Count matching messages, Count == 0 on every matching message.
+// the next Count matching messages, Count == 0 on every matching message. A
+// counted rule keeps its budget in the rule and each sender it matches draws
+// it down on its own partition, so on a network of more than one partition
+// it needs a concrete From: Add rejects a counted AnyNode sender there.
 // No rule draws from an RNG stream, so installing one never perturbs the
 // random stream of the rest of the simulation.
 type FaultRule struct {
@@ -154,6 +157,8 @@ func (r *FaultRule) matches(from, to int, now sim.Time) bool {
 // transmission.
 type FaultPlan struct {
 	rules []*FaultRule
+	// lps is the partition count of the network the plan belongs to.
+	lps int
 }
 
 // Add installs a rule and returns it (so tests can keep a handle).
@@ -167,6 +172,10 @@ func (p *FaultPlan) Add(r FaultRule) *FaultRule {
 		// have to either ignore it (the node silently stays up) or loop
 		// forever; a node that never comes back is FaultCrash.
 		panic("fabric: open-ended FaultPause requires End or OnFor (use FaultCrash for a permanent outage)")
+	}
+	if r.Count > 0 && r.From == AnyNode && p.lps > 1 {
+		// Senders on different partitions would draw one budget at once.
+		panic("fabric: a counted rule (Count > 0) from AnyNode needs a one-partition network; name the sending node (From)")
 	}
 	if r.Class == FaultCrash {
 		if r.To == AnyNode {
@@ -220,7 +229,9 @@ func (p *FaultPlan) Empty() bool { return len(p.rules) == 0 }
 func (p *FaultPlan) drop(class FaultClass, from, to int, now sim.Time) bool {
 	for _, r := range p.rules {
 		if r.Class == class && r.matches(from, to, now) {
-			r.fired++
+			if r.Count > 0 {
+				r.fired++
+			}
 			return true
 		}
 	}

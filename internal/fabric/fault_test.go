@@ -131,26 +131,36 @@ func TestCrashedAndCrashTime(t *testing.T) {
 // TestOpenEndedPausePanics is the regression for a silent misconfiguration:
 // a FaultPause with neither an End nor a duty cycle used to be accepted and
 // then ignored by the pause-window arithmetic. It must panic at Add time
-// and point the caller at FaultCrash.
+// and point the caller at FaultCrash. The other rules Add rejects ride
+// along, among them a counted rule from AnyNode on two partitions, whose
+// one budget senders on both would draw at once.
 func TestOpenEndedPausePanics(t *testing.T) {
-	expectPanic := func(name string, r FaultRule) {
+	network := func(lps int) *Network {
+		p := quietProfile()
+		return NewPartitioned(sim.NewGroup(1, lps, 2, p.RouteLatency()), p, 2, 1)
+	}
+	expectPanic := func(name string, lps int, r FaultRule) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Fatalf("%s: Add accepted an invalid rule", name)
 			}
 		}()
-		s := sim.New(1)
-		New(s, quietProfile(), 2).Faults().Add(r)
+		network(lps).Faults().Add(r)
 	}
-	expectPanic("open-ended pause", FaultRule{Class: FaultPause, To: 0})
-	expectPanic("crash with AnyNode", FaultRule{Class: FaultCrash, To: AnyNode})
-	expectPanic("crash with End", FaultRule{Class: FaultCrash, To: 1, End: sim.Time(time.Second)})
-	expectPanic("crash with Count", FaultRule{Class: FaultCrash, To: 1, Count: 3})
+	expectPanic("open-ended pause", 1, FaultRule{Class: FaultPause, To: 0})
+	expectPanic("crash with AnyNode", 1, FaultRule{Class: FaultCrash, To: AnyNode})
+	expectPanic("crash with End", 1, FaultRule{Class: FaultCrash, To: 1, End: sim.Time(time.Second)})
+	expectPanic("crash with Count", 1, FaultRule{Class: FaultCrash, To: 1, Count: 3})
+	expectPanic("counted AnyNode loss on two partitions", 2, FaultRule{Class: FaultUDLoss, From: AnyNode, To: 1, Count: 3})
+
+	// A counted rule from AnyNode stays legal on one partition, and on two
+	// with a concrete sender.
+	network(1).Faults().Add(FaultRule{Class: FaultUDLoss, From: AnyNode, To: 1, Count: 3})
+	network(2).Faults().Add(FaultRule{Class: FaultUDLoss, From: 0, To: 1, Count: 3})
 
 	// The two bounded pause forms must still be accepted.
-	s := sim.New(1)
-	n := New(s, quietProfile(), 2)
+	n := network(1)
 	n.Faults().Add(FaultRule{Class: FaultPause, To: 0, End: sim.Time(time.Second)})
 	n.Faults().Add(FaultRule{Class: FaultPause, To: 0, Period: time.Millisecond, OnFor: 100 * time.Microsecond})
 }

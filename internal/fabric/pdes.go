@@ -35,7 +35,8 @@ type partition struct {
 // NewPartitioned builds a network whose n hosts are partitioned across g's
 // LPs. Network.Sim is the control partition's simulation (LP 0), which keeps
 // host-side helpers working; per-node scheduling must go through SimAt.
-// Transmit schedules every arrival through Group.Route.
+// Transmit schedules every arrival through Group.Route. The fault plan
+// learns the partition count, which a counted rule's sender must respect.
 // A lossy profile needs one partition: the PFC/ECN egress model writes
 // sender state from receiver context, which is only safe on a single clock.
 func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
@@ -44,6 +45,7 @@ func NewPartitioned(g *sim.Group, prof Profile, n int, seed int64) *Network {
 	}
 	net := &Network{Sim: g.Sim(g.Control()), Prof: prof, nics: make([]*nic, n),
 		part: partition{g: g, seed: seed, rngs: make([]*rand.Rand, n)}}
+	net.faults.lps = g.LPs()
 	for i := range net.nics {
 		net.nics[i] = &nic{id: i, cache: newQPCache(prof.QPCacheSize, func() *rand.Rand { return net.rngAt(i) }),
 			txOrder: make(map[uint64]sim.Time), rxOrder: make(map[uint64]sim.Time)}

@@ -103,7 +103,7 @@ func newHost(net *fabric.Network, cfg Config, n, node int) *host {
 	// waiter (kernel handoff, window ack, inbox broadcast) pushes a dispatch
 	// event onto the primitive's sim, and the Deliver callbacks below run on
 	// the destination partition — homing them on the control sim would leak
-	// events across partitions on a parallel (-lps) run.
+	// events across partitions on a cluster of ParallelLPs > 1.
 	hsim := net.SimAt(node)
 	h := &host{
 		net: net, cfg: cfg, n: n, node: node,

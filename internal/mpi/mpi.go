@@ -186,7 +186,7 @@ func Build(p *sim.Proc, devs []*verbs.Device) *World {
 			// The library lock lives on the node's own partition sim: waking
 			// a queued waiter pushes a dispatch event onto the lock's sim, so
 			// homing it anywhere else would leak events across partitions on
-			// a parallel (-lps) run.
+			// a cluster of ParallelLPs > 1.
 			mu:          dev.Sim().NewMutex(fmt.Sprintf("mpi@%d", a)),
 			eagerSlot:   hdrSize + eagerLimit,
 			eagerCredit: make([]uint64, n),

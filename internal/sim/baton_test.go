@@ -14,10 +14,10 @@ import (
 // Tests for the baton-passing event loop: the goroutine that blocks drives
 // the loop, so the baton reaches Run's caller from a Proc goroutine, Procs
 // of one partition continue another partition's loop in fused mode, and a
-// finished Proc's goroutine keeps running callbacks — including one that
-// re-spawns its own record. The mechanism is pinned by Switches counts, not
-// by timing, and every scenario ends with Shutdown returning the process to
-// its goroutine baseline.
+// finished Proc's goroutine keeps running callbacks until the baton leaves
+// it. The mechanism is pinned by Switches counts, not by timing, and every
+// scenario ends with Shutdown returning the process to its goroutine
+// baseline.
 
 // leakCheck records the goroutine baseline and returns the check to run
 // once the test has shut its simulations down.
@@ -375,43 +375,6 @@ func TestFusedCrossPartitionWake(t *testing.T) {
 			s0.Switches(), s1.Switches(), w.loop == s0)
 	}
 	g.Shutdown()
-}
-
-// TestRetiredRecordRespawnedByOwnCallback: a finished Proc's goroutine
-// keeps the baton and runs the callbacks that follow. One of them spawns a
-// new Proc into the record that goroutine just retired; its first dispatch
-// is then a self-wake, and the goroutine must fall through into the new
-// body instead of parking on a resume nobody will send.
-func TestRetiredRecordRespawnedByOwnCallback(t *testing.T) {
-	defer leakCheck(t)()
-	s := New(1)
-	var second *Proc
-	var log []string
-	first := s.Spawn("first", func(p *Proc) {
-		p.Sleep(4)
-		s.After(6, func() {
-			second = s.Spawn("second", func(q *Proc) {
-				log = append(log, fmt.Sprintf("%s@%v busy=%v", q.Name(), q.Now(), q.BusyTime()))
-				q.Sleep(5)
-				log = append(log, fmt.Sprintf("%s@%v busy=%v", q.Name(), q.Now(), q.BusyTime()))
-			})
-		})
-		log = append(log, fmt.Sprintf("%s@%v busy=%v", p.Name(), p.Now(), p.BusyTime()))
-	})
-	if err := runWithin(t, s.Run); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"first@4ns busy=4ns", "second@10ns busy=0s", "second@15ns busy=5ns"}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("log = %q\nwant  %q", log, want)
-	}
-	if second != first {
-		t.Fatal("the callback's Spawn did not reuse the retired record")
-	}
-	if s.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1: only the first dispatch leaves Run's goroutine", s.Switches())
-	}
-	s.Shutdown()
 }
 
 // TestCallbackPanicOnProcGoroutine: callbacks run on Proc goroutines, under

@@ -95,16 +95,16 @@ func BenchmarkProcYield(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkSpawnJoin measures Proc creation: goroutine start, first
-// dispatch, and teardown accounting. The pools (Proc records, event free
-// list, ring) are warmed before the timer starts, so the reported allocs/op
-// is the steady-state figure at any -benchtime — including the 1x smoke and
-// the short regression-gate runs, which previously charged the one-time
-// pool growth to the handful of timed iterations.
+// BenchmarkSpawnJoin measures a Proc's whole life: record, resume channel
+// and goroutine start, first dispatch, the body, and the goroutine's exit.
+// The event free list and the ring are warmed before the timer starts, so
+// the reported allocs/op — the Proc's own, three objects — is the
+// steady-state figure at any -benchtime, the 1x smoke and the short
+// regression-gate runs included.
 func BenchmarkSpawnJoin(b *testing.B) {
 	s := New(1)
 	s.Spawn("parent", func(p *Proc) {
-		for i := 0; i < 64; i++ { // warm the Proc pool and the ring
+		for i := 0; i < 64; i++ { // warm the event free list and the ring
 			s.Spawn("child", func(q *Proc) {})
 			p.Yield()
 		}

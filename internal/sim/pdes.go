@@ -381,7 +381,7 @@ func (g *Group) worker(i int) {
 		}
 		round = g.release.Load()
 		if g.quit.Load() {
-			g.done[i].Store(round)
+			g.done[i].Store(workerGone)
 			return
 		}
 		g.sims[i].runWindow(g.limit)
@@ -413,20 +413,14 @@ func (g *Group) Run() error {
 			g.runFused(t)
 		}
 	}
-	live := 0
-	var blocked []string
-	for _, s := range g.sims {
-		live += s.live
-		for p := range s.procs {
-			blocked = append(blocked, p.name+": "+p.blockedOn)
-		}
-	}
-	if live > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{Time: g.Now(), Blocked: blocked}
-	}
-	return nil
+	return deadlock(g.Now(), g.sims...)
 }
+
+// workerGone is what a wide-window worker stores in its done slot as it
+// exits. It is no round number: a window that panicked on the coordinator
+// left its round unwaited for, so a worker may take that round's release,
+// see quit set before Shutdown's own release lands, and exit on it.
+const workerGone = ^uint64(0)
 
 // Shutdown stops the worker pool and terminates every Proc goroutine in
 // every partition (see Simulation.Shutdown). Idempotent.
@@ -435,7 +429,7 @@ func (g *Group) Shutdown() {
 		g.quit.Store(true)
 		g.release.Store(g.round + 1)
 		for i := 1; i < len(g.sims); i++ {
-			for g.done[i].Load() != g.round+1 {
+			for g.done[i].Load() != workerGone {
 				runtime.Gosched()
 			}
 		}

@@ -24,8 +24,26 @@ func goroutinesSettle(want int) int {
 	return n
 }
 
+// TestFinishedProcGoroutinesExit: a Proc's goroutine runs its body once and
+// exits as soon as the baton has left it, so a run whose Procs all finished
+// leaves none behind — before Shutdown, which has nothing left to wake.
+func TestFinishedProcGoroutinesExit(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(1)
+	for i := 0; i < 50; i++ {
+		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Sleep(Duration(1 + i%7)) })
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := goroutinesSettle(base); n > base {
+		t.Fatalf("goroutines = %d after 50 finished procs, started with %d", n, base)
+	}
+	s.Shutdown()
+}
+
 // TestShutdownReleasesGoroutines pins the teardown contract: after
-// Shutdown, a simulation retains no goroutines — neither pooled idle procs
+// Shutdown, a simulation retains no goroutines — neither finished procs
 // nor procs that were still blocked when Run returned. Without it, every
 // discarded Simulation would leak its proc population for the life of the
 // process, and sweeps over many short-lived simulations slow down as GC
@@ -35,9 +53,8 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s := New(int64(i))
 		c := s.NewCond("never")
-		// A mix of terminal states: finished procs (pooled goroutines),
-		// procs blocked on a cond that never signals, and a proc asleep
-		// past the window.
+		// A mix of terminal states: finished procs, procs blocked on a
+		// cond that never signals, and a proc asleep past the window.
 		for j := 0; j < 4; j++ {
 			s.Spawn(fmt.Sprintf("done%d", j), func(p *Proc) { p.Sleep(5) })
 		}

@@ -10,6 +10,8 @@
 // its own stack, carries straight on if the next wake-up is its own, and
 // otherwise hands the baton to the Proc being woken — one goroutine switch.
 // The baton returns to Run's caller only when no event is left to fire.
+// Each Proc is one goroutine that runs its body once: a finished Proc drives
+// the loop until the baton leaves it, and its goroutine then exits.
 // Because at most one goroutine holds the baton at any instant, simulation
 // state needs no locking and every run is deterministic: events scheduled for
 // the same virtual instant fire in the order they were scheduled.
@@ -74,9 +76,9 @@ func (f Func) Fire(uint64) { f() }
 // pops (advancing the clock and the fired counter exactly as the live timer
 // would have) but does nothing. Events are recycled through
 // Simulation.free, so no pointer to an event may outlive its firing — Timer
-// handles guard against reuse with the seq stamp. The record is 80 bytes;
-// a larger one costs the whole-query benchmarks measurable wall time
-// (TestEventRecordSize).
+// handles guard against reuse with the seq stamp. The record is 72 bytes,
+// in the 80-byte size class; a larger one costs the whole-query benchmarks
+// measurable wall time (TestEventRecordSize).
 type event struct {
 	at   Time
 	seq  uint64
@@ -84,9 +86,6 @@ type event struct {
 	h    Handler
 	arg  uint64
 	proc *Proc
-	// pgen snapshots proc.gen at schedule time: Proc records are pooled, so
-	// a dispatch event must not resume a record recycled for a new Proc.
-	pgen uint64
 	// rsrc/rseq carry a cross-partition delivery's merge key through the
 	// wheel: source actor + 1 and the source's send sequence (zero for
 	// locally scheduled events). Deliveries reach a bucket in barrier
@@ -116,13 +115,11 @@ type Simulation struct {
 	rhead int
 	rlen  int
 	// free recycles fired event records; its length is bounded by the peak
-	// number of simultaneously pending events. procFree recycles finished
-	// Proc records along with their parked goroutines.
-	free     []*event
-	procFree []*Proc
-	fired    uint64
-	yield    chan struct{} // brings the baton home to Run's caller; Shutdown acks
-	live     int
+	// number of simultaneously pending events.
+	free  []*event
+	fired uint64
+	yield chan struct{} // brings the baton home to Run's caller; Shutdown acks
+	// procs holds the live Procs: spawned and not yet finished.
 	procs    map[*Proc]struct{}
 	rng      *rand.Rand
 	seed     int64
@@ -130,8 +127,8 @@ type Simulation struct {
 	switches uint64 // baton handoffs to another goroutine, see Switches
 	// dispatches counts every Proc wake-up the loop delivered, see Dispatches.
 	dispatches uint64
-	// dead is set by Shutdown; parked goroutines observe it on their next
-	// wake and exit instead of resuming their Proc body.
+	// dead is set by Shutdown; a parked Proc goroutine observes it on its
+	// next wake and exits instead of resuming its body.
 	dead bool
 }
 
@@ -193,9 +190,6 @@ func (s *Simulation) newEvent(at Time, h Handler, arg uint64, p *Proc) *event {
 	s.seq++
 	e.at, e.seq, e.h, e.arg, e.proc = at, s.seq, h, arg, p
 	e.rsrc, e.rseq = 0, 0
-	if p != nil {
-		e.pgen = p.gen
-	}
 	return e
 }
 
@@ -301,24 +295,16 @@ type Proc struct {
 	sim    *Simulation
 	name   string
 	resume chan struct{}
-	done   bool
+	// done is set when the body returns; a wake-up still pending for the
+	// Proc then pops as a no-op.
+	done bool
 	// timedOut reports whether the last WaitTimeout expired. (It shares a
-	// word with done, which keeps the record in the 96-byte size class.)
+	// word with done, which keeps the record in the 80-byte size class.)
 	timedOut bool
 	// loop is the simulation whose event loop last dispatched this Proc —
 	// the loop it drives when it next blocks. It is sim except in a Group's
 	// fused phase, where another partition's Cond may wake the Proc.
 	loop *Simulation
-	// fn is the body the parked goroutine runs on its next dispatch; Proc
-	// records and their goroutines are pooled across Spawns, so fn changes
-	// with each reincarnation.
-	fn func(p *Proc)
-	// gen counts reincarnations: a pending dispatch event resumes the Proc
-	// only if its snapshot matches, so an event scheduled for a finished
-	// Proc can never wake the record's next tenant. Stats (BusyTime,
-	// BlockedTime) stay readable on a retained handle until the record is
-	// reused by a later Spawn.
-	gen uint64
 	// blockedOn describes what the Proc is waiting for, for deadlock reports.
 	// It is written when the Proc parks, so it is current exactly when a
 	// report can read it; a wake-up that costs no switch never touches it.
@@ -342,59 +328,40 @@ func (p *Proc) Now() Time { return p.sim.now }
 
 // Spawn creates a Proc named name that will begin executing fn at the
 // current virtual instant. It may be called before Run or from inside a
-// running Proc or event callback.
-//
-// Proc records and their goroutines are pooled: a finished Proc parks its
-// goroutine and the record is recycled by a later Spawn (with a fresh
-// generation, zeroed stats, and the new body). Spawning is therefore
-// allocation-free at steady state — the dominant cost of the heap-era
-// Spawn was the goroutine start and its closure.
+// running Proc or event callback. Each Proc is a goroutine of its own that
+// runs fn once; its record, stats included, stays readable on the returned
+// handle after it finishes.
 func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
-	var p *Proc
-	if n := len(s.procFree); n > 0 {
-		p = s.procFree[n-1]
-		s.procFree[n-1] = nil
-		s.procFree = s.procFree[:n-1]
-		p.name, p.fn = name, fn
-		p.gen++
-		p.done, p.timedOut = false, false
-		p.blockedOn = ""
-		p.busy, p.blocked = 0, 0
-	} else {
-		p = &Proc{sim: s, name: name, fn: fn, resume: make(chan struct{})}
-		go procLoop(p)
-	}
-	s.live++
+	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
+	go procLoop(p, fn)
 	s.procs[p] = struct{}{}
 	s.ready(p)
 	return p
 }
 
-// procLoop is the body of every pooled Proc goroutine: run the record's
-// incarnations one after another until Shutdown wakes or unwinds it, then
-// acknowledge and exit.
-func procLoop(p *Proc) {
+// procLoop is the body of every Proc goroutine: wait for the first dispatch,
+// run fn, and exit. A goroutine woken or unwound by Shutdown acknowledges on
+// s.yield before it exits; a finished one has already passed the baton on.
+func procLoop(p *Proc, fn func(p *Proc)) {
 	s := p.sim
 	<-p.resume // first dispatch
-	for !s.dead && p.runBody() {
+	if s.dead || !p.runBody(fn) {
+		s.yield <- struct{}{}
 	}
-	s.yield <- struct{}{}
 }
 
 // killProc is the panic value Shutdown uses to unwind a Proc goroutine parked
-// in drive — inside its body (block, Sleep, Yield) or between incarnations —
-// so the body's deferred functions run and the goroutine can exit.
+// in drive inside its body (block, Sleep, Yield), so the body's deferred
+// functions run and the goroutine can exit.
 type killProc struct{}
 
-// runBody executes one incarnation: the body, the record's retirement to the
-// free list, and — the finished Proc's goroutine still holds the baton — the
-// event loop until the record's next tenant is dispatched. A callback this
-// goroutine runs may Spawn into the very record it just retired; drive then
-// returns on the self-wake and procLoop falls through into the new body. It
-// reports false when unwound by Shutdown. Any other panic propagates: event
-// callbacks run on Proc goroutines, and one that panics must take the
-// process down with its own value.
-func (p *Proc) runBody() (completed bool) {
+// runBody runs fn, retires the Proc, and — the finished Proc's goroutine
+// still holds the baton — drives the event loop until the baton leaves it,
+// handed to another Proc or sent home; drive then returns instead of
+// parking. It reports false when unwound by Shutdown. Any other panic
+// propagates: event callbacks run on Proc goroutines, and one that panics
+// must take the process down with its own value.
+func (p *Proc) runBody(fn func(p *Proc)) (completed bool) {
 	defer func() {
 		if completed {
 			return
@@ -405,13 +372,9 @@ func (p *Proc) runBody() (completed bool) {
 			}
 		}
 	}()
-	p.fn(p)
-	s := p.sim
-	p.fn = nil
+	fn(p)
 	p.done = true
-	delete(s.procs, p)
-	s.live--
-	s.procFree = append(s.procFree, p)
+	delete(p.sim.procs, p)
 	p.loop.drive(p, "")
 	return true
 }
@@ -443,10 +406,11 @@ func (s *Simulation) next() *event {
 // yielded or finished. Callbacks fire inline on the holder's stack. When the
 // popped event is self's own wake-up, drive returns with no channel
 // operation; when it wakes another Proc, the baton goes straight to it with
-// one resume send and the holder parks. Only when nothing is left below the
-// horizon does the baton go home on s.yield, so the caller of Run or
-// runWindow wakes exactly once. why is the blockedOn label self parks under,
-// written only if it does park.
+// one resume send and the holder parks — or, if self has finished, returns
+// so its goroutine can exit. Only when nothing is left below the horizon
+// does the baton go home on s.yield, so the caller of Run or runWindow wakes
+// exactly once. why is the blockedOn label self parks under, written only if
+// it does park.
 //
 // s is the loop that dispatched self, not necessarily self.sim: in a Group's
 // fused phase a Cond on LP 0 can wake a Proc owned by LP k, which must carry
@@ -467,9 +431,8 @@ func (s *Simulation) drive(self *Proc, why string) {
 			break
 		}
 		if p := e.proc; p != nil {
-			gen := e.pgen
 			s.releaseEvent(e)
-			if p.gen != gen || p.done {
+			if p.done {
 				continue // a finished Proc's stale wake-up pops as a no-op
 			}
 			s.dispatches++
@@ -502,6 +465,9 @@ func (s *Simulation) drive(self *Proc, why string) {
 			// used to cost).
 			s.releaseEvent(e)
 		}
+	}
+	if self.done {
+		return // nobody wakes a finished Proc: its goroutine exits
 	}
 	<-self.resume
 	if self.sim.dead {
@@ -556,36 +522,40 @@ func (e *DeadlockError) Error() string {
 		e.Time, len(e.Blocked), e.Blocked)
 }
 
+// deadlock returns the DeadlockError at t naming every live Proc of sims,
+// or nil if none is left.
+func deadlock(t Time, sims ...*Simulation) error {
+	var blocked []string
+	for _, s := range sims {
+		for p := range s.procs {
+			blocked = append(blocked, p.name+": "+p.blockedOn)
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	sort.Strings(blocked)
+	return &DeadlockError{Time: t, Blocked: blocked}
+}
+
 // Run executes events until the queue drains or all Procs have finished.
 // It returns a *DeadlockError if Procs remain blocked with no pending
 // events, and nil otherwise. Run must be called from the goroutine that owns
 // the Simulation, and only once at a time.
 func (s *Simulation) Run() error {
 	s.drive(nil, "")
-	if s.live > 0 {
-		de := &DeadlockError{Time: s.now}
-		for p := range s.procs {
-			de.Blocked = append(de.Blocked, p.name+": "+p.blockedOn)
-		}
-		sort.Strings(de.Blocked)
-		return de
-	}
-	return nil
+	return deadlock(s.now, s)
 }
 
-// Shutdown terminates every goroutine the simulation owns. Each Proc is
-// driven by a parked goroutine (pooled across Spawns), so a discarded
-// Simulation otherwise retains all of them — and everything their stacks
-// and records reference, wheel and rings included — until process exit.
-// Sweeps that build thousands of short-lived simulations then pay an
-// ever-growing GC mark and stack-scan bill: goroutine counts climb by the
-// cluster's proc population per run and wall-clock per simulation drifts
-// upward. Shutdown wakes each parked goroutine with the dead flag set:
-// one never dispatched exits at once, and the rest — parked in drive, idle
-// between incarnations or blocked mid-body — unwind via a panic that runs
-// the body's deferred functions
-// (body defers must not block: Signal/Unlock are fine, Wait/Sleep are
-// not). Call it once the simulation is finished — Cluster.Recycle does —
+// Shutdown terminates the goroutines of the Procs that never finished. A
+// finished Proc's goroutine has already exited, but one still blocked when
+// the run stopped — deadlock, stall, a window horizon — stays parked, and a
+// discarded Simulation would retain it and everything its stack references,
+// wheel and rings included, until process exit. Shutdown wakes each such
+// goroutine with the dead flag set: one never dispatched exits at once, and
+// one blocked mid-body unwinds via a panic that runs the body's deferred
+// functions (body defers must not block: Signal/Unlock are fine, Wait/Sleep
+// are not). Call it once the simulation is finished — Cluster.Recycle does —
 // after which the Simulation must not schedule or run anything further.
 // Idempotent. Reading Now, Events, or Proc stats remains safe.
 func (s *Simulation) Shutdown() {
@@ -603,13 +573,7 @@ func (s *Simulation) Shutdown() {
 			break
 		}
 		delete(s.procs, p)
-		s.live--
 		p.resume <- struct{}{}
 		<-s.yield
 	}
-	for _, p := range s.procFree {
-		p.resume <- struct{}{}
-		<-s.yield
-	}
-	s.procFree = nil
 }

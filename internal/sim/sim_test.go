@@ -508,7 +508,7 @@ func TestMutexWaitCountsAsBlocked(t *testing.T) {
 	}
 }
 
-// TestEventRecordSize holds the event record at 80 bytes: one more word
+// TestEventRecordSize holds the event record within 80 bytes: a larger one
 // puts every scheduled event in the next size class, which was measured at
 // 2.7 % wall time on shuffle8_rc.
 func TestEventRecordSize(t *testing.T) {

@@ -209,30 +209,6 @@ func TestRunForAcrossCascadeBoundary(t *testing.T) {
 	}
 }
 
-// TestSpawnJoinZeroAlloc guards the pooled-Proc spawn path: steady-state
-// Spawn + run-to-completion + join must not allocate.
-func TestSpawnJoinZeroAlloc(t *testing.T) {
-	s := New(1)
-	var allocs float64
-	s.Spawn("parent", func(p *Proc) {
-		// Warm the pools outside the measurement.
-		for i := 0; i < 64; i++ {
-			s.Spawn("child", func(q *Proc) {})
-			p.Yield()
-		}
-		allocs = testing.AllocsPerRun(1000, func() {
-			s.Spawn("child", func(q *Proc) {})
-			p.Yield()
-		})
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Fatalf("SpawnJoin allocates %.1f times per op, want 0", allocs)
-	}
-}
-
 // TestProcYieldZeroAlloc guards the direct-handoff Yield fast path: a
 // self-dispatch must complete with no allocation (and no channel round
 // trip, which is what the ProcYield benchmark times).

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full vet race fmt trace trace-rocev2 chaos-check partition-smoke dag-smoke pdes-smoke fuzz-smoke bench bench-smoke bench-check wire-check bench-gate results-check profile census
+.PHONY: build test test-full vet race fmt trace trace-rocev2 chaos-check partition-smoke dag-smoke fuzz-smoke bench bench-smoke bench-check wire-check bench-gate results-check profile census
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,12 @@ test-full:
 # vet also guards the one query lifecycle: outside the simulator itself, its
 # qperf baseline and the frozen bench/ harness, only the driver
 # (cluster.Run, internal/cluster/query.go) may run a cluster's engine — a
-# hand-rolled Sim.Run()/Group.Run() forgets Recycle, or runs the control
-# partition alone where the cluster has more. It also keeps fabric's SetArrivalBatching dead: the method is an
-# empty stub the frozen bench/probes.go still calls, and goes with that probe.
+# hand-rolled Sim.Run()/Group.Run() forgets Recycle. It also keeps fabric's
+# SetArrivalBatching dead: the method is an empty stub the frozen
+# bench/probes.go still calls, and goes with that probe. Likewise the
+# multi-partition names bench/ still uses: outside tests and bench/, nothing
+# may call Group.GoWide, set SimOptions.ParallelLPs or call sim.NewGroup
+# (which takes a partition count); they go with ROADMAP item 8.
 # And it keeps the buffer pool's tenants a reviewed list: outside tests,
 # bufpool.Get may be called from the four files that own a pooled store and
 # nowhere else (a fifth tenant needs an owner that returns what it draws).
@@ -29,22 +32,21 @@ vet:
 		echo "vet: run the engine through cluster.Run (internal/cluster/query.go), not by hand"; exit 1; fi
 	@if grep -rnE '\.SetArrivalBatching\(' --include='*.go' --exclude-dir=.bench_build --exclude-dir=bench .; then \
 		echo "vet: SetArrivalBatching does nothing and is going away; only bench/ may still call it"; exit 1; fi
+	@if grep -rnE '\.GoWide\(|ParallelLPs *[:=]|(^|[^[:alnum:]_])(sim\.)?NewGroup\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=bench . \
+		| grep -vE ':[0-9]+:func '; then \
+		echo "vet: a Group has one partition; GoWide, ParallelLPs and NewGroup are kept for bench/ alone (use sim.GroupOf, cluster.New)"; exit 1; fi
 	@if grep -rnE 'bufpool\.Get\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
 		| grep -vE '^\./internal/(verbs/ring\.go|engine/(batch|store)\.go|cluster/cluster\.go):'; then \
 		echo "vet: the buffer pool has four tenants (verbs rings and snapshots, engine row stores, engine operator state, RunBench tables);"; \
 		echo "     a new one needs an owner that returns what it draws, and a line here and in DESIGN.md"; exit 1; fi
 
 # The kernel runs a second time at one and at four Ps: its event loop moves
-# between goroutines (whoever blocks drives it), and the worker pool behind
-# wide PDES windows only starts above one P. The buffer pool rides along:
-# every partition of a wide window and every cell of a sweep draws from it
-# at once. So does the PDES equivalence matrix: a UD datagram record is
-# made on the sender's partition and parked on the receiver's, so its
-# handoff through the window barrier is checked with the worker pool live.
+# between goroutines (whoever blocks drives it, and each hand-off is a
+# channel send to another goroutine). The buffer pool rides along: every
+# cell of a sweep draws from it at once.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -cpu 1,4 ./internal/sim/ ./internal/bufpool/
-	$(GO) test -race -cpu 1,4 -run TestPDESEquivalenceMatrix ./internal/cluster/
 
 fmt:
 	gofmt -l -w .
@@ -111,14 +113,6 @@ partition-smoke:
 dag-smoke:
 	$(GO) test -race -run '^TestDagChaosSmoke$$' -v ./internal/dag/
 
-# Race-enabled PDES equivalence smoke: all six Table 1 designs plus a
-# crash-stop chaos cell through RunBench, and the multi-stage DAG plan over
-# three designs, at 1 (no windows — what cluster.New boots), 2, and 8 logical
-# partitions; every output fingerprint (result, metrics report, merged
-# trace) must be byte-identical across LP counts.
-pdes-smoke:
-	$(GO) test -race -run '^TestPDES' -v ./internal/cluster/ ./internal/dag/
-
 # Short fuzz smoke for the fuzz targets (checked-in corpus plus a few
 # seconds of fresh coverage each). Go runs one -fuzz target per invocation,
 # so the packages are fuzzed back to back.
@@ -126,7 +120,6 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlanValidation$$' -fuzztime $(FUZZTIME) ./internal/fabric/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
-	$(GO) test -run '^$$' -fuzz '^FuzzWindowMerge$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupTable$$' -fuzztime $(FUZZTIME) ./internal/engine/
 
 # Wall-clock benchmarks: kernel micro (events/sec, ns/dispatch, allocs/event),
@@ -222,8 +215,9 @@ profile:
 # every bench workload's end-to-end pass for half a second (not the
 # per-layer probes of -trace 1), -chaos and -trace on both profiles,
 # -metrics, tpchq over every transport, qperf and the exhibits in EXP, then
-# lists the functions under internal/ that no run reached (0.0 %). Tests
-# are not traffic: a function only they reach is listed. Under half a
+# lists the functions under internal/ that no run reached (0.0 %), then each
+# package's unreached statements out of its total, most unreached first.
+# Tests are not traffic: a function only they reach is listed. Under half a
 # minute on a 2-core host at the default EXP; EXP=all takes about seven
 # minutes more and needs GOMEMLIMIT=5000MiB in the environment on an 8 GB
 # host.
@@ -249,4 +243,9 @@ census:
 	grep -v '^rshuffle/bench/' "$$tmp/all.txt" > "$$tmp/cover.txt" && \
 	$(GO) tool cover -func "$$tmp/cover.txt" > "$$tmp/func.txt" && \
 	awk '$$NF == "0.0%" && $$1 ~ /\/internal\//' "$$tmp/func.txt" && \
+	awk 'NR > 1 && $$1 ~ /\/internal\// { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in n) { p = b; sub(/\/[^\/]*$$/, "", p); sub(/.*\/internal\//, "", p); \
+			tot[p] += n[b]; if (!(b in hit)) un[p] += n[b] } \
+			for (p in tot) printf "census: %-10s %5d/%d statements unreached\n", p, un[p], tot[p] }' "$$tmp/cover.txt" \
+		| sort -k3,3nr && \
 	echo "census: $$(awk '$$NF == "0.0%" && $$1 ~ /\/internal\//' "$$tmp/func.txt" | wc -l) functions under internal/ unreached; $$(tail -1 "$$tmp/func.txt")"

@@ -19,19 +19,18 @@ import (
 var apiAllowlist = map[string]string{
 	"sim.Mutex.Waiters":                "feeds the mutex state of ROADMAP item 2a",
 	"dag.Graph.Stages":                 "ROADMAP item 13 keeps it as the plan's stage view",
-	"dag.Result.PublishMetrics":        "the registry half of the DAG PDES equivalence fingerprint (TestPDESDagEquivalence)",
 	"telemetry.Histogram.Observe":      "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Histogram.Sum":          "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Histogram.BucketCounts": "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Histogram.Bounds":       "the registry histograms feed ROADMAP item 2b",
 	"telemetry.Registry.Histogram":     "the registry histograms feed ROADMAP item 2b",
-	"telemetry.WriteReport":            "the registry fingerprint of the cluster and dag PDES equivalence tests",
+	"telemetry.WriteReport":            "the registry's plain-text rendering, which the same-seed determinism tests compare byte for byte (telemetry, dag)",
 	"bufpool.Stats":                    "the pool's hit, miss and retained counts, which the macro benchmarks report; they depend on what else ran in the process, so no reproducible result reads them",
 	"sim.Simulation.Events":            "events fired per run, the events/sec of the kernel benchmarks (ROADMAP item 3)",
 	"sim.Simulation.Switches":          "Proc handoffs per run, the switches/op of ROADMAP item 3",
 	"sim.Simulation.Dispatches":        "events fired per run, the dispatch count beside item 3's switches/op",
-	"sim.Group.Switches":               "Proc handoffs summed over partitions, the switches/op of ROADMAP item 3",
-	"sim.Group.Dispatches":             "events fired summed over partitions, beside item 3's switches/op",
+	"sim.Group.Switches":               "a cluster's Proc handoffs, the switches/op of ROADMAP item 3",
+	"sim.Group.Dispatches":             "a cluster's Proc wake-ups, beside item 3's switches/op",
 }
 
 // stdMethods are the method names a standard-library interface calls from

@@ -89,20 +89,15 @@ func BenchmarkShuffleMESQSR(b *testing.B) {
 	benchShuffle(b, shuffle.Config{Impl: shuffle.SQSR, Endpoints: 2})
 }
 
-// benchShuffleLPs runs a 64-node whole-query benchmark at a fixed
-// logical-partition count. The four LP variants together are the
-// parallel-speedup oracle: virtual-time results are byte-identical across
-// them (the equivalence matrix pins that), so any ns/op difference is pure
-// engine wall-clock — LP1 has no windows, LP2..8 pay for them and scale with
-// cores. Real speedup needs real cores: on a single-core host the wide path
-// degrades to serial window execution.
-func benchShuffleLPs(b *testing.B, lps int) {
+// BenchmarkShuffleWide64LP1 runs a 64-node MEMQ/SR whole query: O(N^2)
+// queue pairs and rings price scale-out. (LP1 names its series, which began
+// beside multi-partition variants.)
+func BenchmarkShuffleWide64LP1(b *testing.B) {
 	b.ReportAllocs()
 	defer reportPool(b)()
 	var tot simTotals
 	for i := 0; i < b.N; i++ {
-		c := cluster.NewWithOptions(fabric.FDR(), 64, 2, 42,
-			cluster.SimOptions{ParallelLPs: lps})
+		c := cluster.New(fabric.FDR(), 64, 2, 42)
 		res, err := c.RunBench(cluster.BenchOpts{
 			Factory:     cluster.RDMAProvider(shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2}),
 			RowsPerNode: 2048,
@@ -117,11 +112,6 @@ func benchShuffleLPs(b *testing.B, lps int) {
 	}
 	tot.report(b)
 }
-
-func BenchmarkShuffleWide64LP1(b *testing.B) { benchShuffleLPs(b, 1) }
-func BenchmarkShuffleWide64LP2(b *testing.B) { benchShuffleLPs(b, 2) }
-func BenchmarkShuffleWide64LP4(b *testing.B) { benchShuffleLPs(b, 4) }
-func BenchmarkShuffleWide64LP8(b *testing.B) { benchShuffleLPs(b, 8) }
 
 // BenchmarkDAGMultiStage runs the three-shuffle multi-stage demo plan
 // (partial agg → hash re-shuffle → join → broadcast) end to end, covering

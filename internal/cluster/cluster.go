@@ -22,8 +22,8 @@ import (
 type Cluster struct {
 	Sim *sim.Simulation
 	Net *fabric.Network
-	// Group is the cluster's logical-partition coordinator, and Sim its
-	// control partition's simulation.
+	// Group routes the cluster's cross-node interactions, and Sim is its
+	// Simulation.
 	Group   *sim.Group
 	Devs    []*verbs.Device
 	N       int
@@ -44,61 +44,56 @@ type Cluster struct {
 func (c *Cluster) AtBenchStart(f func()) { c.onBenchStart = append(c.onBenchStart, f) }
 
 // New boots a cluster of nodes over the given hardware profile. threads <= 0
-// selects the profile's default thread count.
+// selects the profile's default thread count. Every node is an actor of one
+// sim.Group over one Simulation seeded with seed.
 func New(prof fabric.Profile, nodes, threads int, seed int64) *Cluster {
-	return NewWithOptions(prof, nodes, threads, seed, SimOptions{})
-}
-
-// SimOptions tunes how a cluster's simulation executes.
-type SimOptions struct {
-	// ParallelLPs is the number of logical partitions the cluster's nodes
-	// are spread over, in contiguous blocks, and executed with conservative
-	// lookahead-windowed parallelism (see internal/sim/pdes.go). Cross-node
-	// interactions ride routed mailboxes at every count, so a given seed
-	// produces byte-identical results whatever the value; 0 and 1 both mean
-	// one partition, which runs with no windows at all. Values above the
-	// node count are clamped. A lossy profile needs one partition.
-	ParallelLPs int
-}
-
-// NewWithOptions boots a cluster like New, on a sim.Group of ParallelLPs
-// partitions (at least one). No fault rule draws from an RNG stream, so a
-// fault plan works at any count, but on more than one partition
-// FaultPlan.Add rejects a counted rule (Count > 0) whose sender is AnyNode:
-// two partitions would draw its one budget at once.
-// A lossy profile rejects ParallelLPs > 1: its PFC/ECN egress model writes
-// sender state from receiver context, which is only safe on one clock.
-func NewWithOptions(prof fabric.Profile, nodes, threads int, seed int64, opts SimOptions) *Cluster {
 	if threads <= 0 {
 		threads = prof.Threads
 	}
-	if prof.Lossy && opts.ParallelLPs > 1 {
-		panic(fmt.Sprintf("cluster: profile %s is lossy and runs on one partition; ParallelLPs %d is not supported",
-			prof.Name, opts.ParallelLPs))
-	}
 	c := &Cluster{N: nodes, Threads: threads}
-	c.Group = sim.NewGroup(seed, opts.ParallelLPs, nodes, prof.RouteLatency())
-	c.Net = fabric.NewPartitioned(c.Group, prof, nodes, seed)
+	c.Group = sim.GroupOf(sim.New(seed), nodes, prof.RouteLatency())
+	c.Net = fabric.NewOnGroup(c.Group, prof, nodes, seed)
 	c.Sim = c.Net.Sim
 	c.Devs = verbs.OpenAll(c.Net)
 	return c
 }
 
-// Ctx returns an operator context for one node's fragment. The fragment's
-// Procs run on the simulation owning the node's partition.
+// SimOptions tunes how a cluster's simulation executes.
+//
+// Deprecated: it has no setting left; use New. The frozen benchmark
+// harness (bench/) still passes it; it goes with ROADMAP item 8.
+type SimOptions struct {
+	// ParallelLPs is a partition count; only 0 and 1 are accepted, and both
+	// mean the one Simulation New boots.
+	//
+	// Deprecated: multi-partition execution is gone.
+	ParallelLPs int
+}
+
+// NewWithOptions boots a cluster like New. opts.ParallelLPs above 1 panics.
+//
+// Deprecated: use New. The frozen benchmark harness (bench/) still calls
+// NewWithOptions; it goes with ROADMAP item 8.
+func NewWithOptions(prof fabric.Profile, nodes, threads int, seed int64, opts SimOptions) *Cluster {
+	if opts.ParallelLPs > 1 {
+		panic(fmt.Sprintf("cluster: a cluster runs on one partition, not ParallelLPs %d", opts.ParallelLPs))
+	}
+	return New(prof, nodes, threads, seed)
+}
+
+// Ctx returns an operator context for one node's fragment.
 func (c *Cluster) Ctx(node int) *engine.Ctx {
 	return &engine.Ctx{S: c.Net.SimAt(node), Prof: &c.Net.Prof, Threads: c.Threads, Node: node}
 }
 
-// Events returns the total number of simulation events fired, summed across
-// partitions.
+// Events returns the total number of simulation events fired.
 func (c *Cluster) Events() uint64 { return c.Group.Events() }
 
 // EnableTracing gives every node of the cluster's fabric a fresh trace
-// shard holding at most capacity events, plus one for the control actor, so
-// emission never crosses partitions; every layer (fabric, verbs, shuffle,
-// detector) reaches its shard through Network.TracerAt. It returns the
-// control shard alone: read and export the run's trace through Trace.
+// shard holding at most capacity events, plus one for the control actor;
+// every layer (fabric, verbs, shuffle, detector) reaches its shard through
+// Network.TracerAt. It returns the control shard alone: read and export the
+// run's trace through Trace.
 func (c *Cluster) EnableTracing(capacity int) *telemetry.Tracer {
 	shards := make([]*telemetry.Tracer, c.N+1)
 	for i := range shards {

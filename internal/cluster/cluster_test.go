@@ -172,3 +172,22 @@ func TestRestartGivesUp(t *testing.T) {
 		t.Fatalf("restarts = %d, want 2", res.Restarts)
 	}
 }
+
+// TestNewWithOptionsOnePartition: the deprecated NewWithOptions boots what
+// New boots at ParallelLPs 0 and 1 — one Simulation, seeded alike — and
+// refuses more partitions.
+func TestNewWithOptionsOnePartition(t *testing.T) {
+	for _, lps := range []int{0, 1} {
+		c := NewWithOptions(fabric.FDR(), 4, 2, 9, SimOptions{ParallelLPs: lps})
+		if c.Net.SimAt(0) != c.Sim || c.Sim.Seed() != 9 || c.Threads != 2 {
+			t.Fatalf("ParallelLPs %d: node 0 on a second Simulation, seed %d, %d threads", lps, c.Sim.Seed(), c.Threads)
+		}
+		c.Recycle()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWithOptions accepted ParallelLPs 2")
+		}
+	}()
+	NewWithOptions(fabric.FDR(), 4, 2, 9, SimOptions{ParallelLPs: 2})
+}

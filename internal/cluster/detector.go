@@ -88,10 +88,9 @@ func (c *Cluster) InstallDetector() *Detector {
 func (d *Detector) Stop() { d.stopped = true }
 
 // notify delivers a connection-manager verdict (peer-down, epoch bump) to
-// node's device. The detector itself is control-partition state;
-// the verdict rides a routed management message to the node's partition — a
-// device is only ever touched by its own partition — arriving one route
-// latency after the tick, at any LP count.
+// node's device. The detector itself is control-actor state; the verdict
+// rides a routed management message to the node, arriving one route latency
+// after the tick.
 func (d *Detector) notify(node int, fn func()) {
 	c := d.c
 	c.Net.Route(c.N, node, c.Sim.Now().Add(c.Net.Prof.RouteLatency()), fn)

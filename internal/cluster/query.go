@@ -27,19 +27,18 @@ type Query struct {
 	Setup func(p *sim.Proc)
 	// Stream, when set, builds the query's fragments at the stream instant
 	// and starts each with Go. It runs on the driver Proc and may reach any
-	// node's state (a partitioned engine is still in lockstep).
+	// node's state.
 	Stream func(p *sim.Proc)
 	// Collect, when set, reads the fragments' results once the last of them
-	// has finished. It runs on the control partition with every partition
-	// clock synchronized, so worker-side state (sinks, receive counters, NIC
-	// stats) is safe to read.
+	// has finished, two lookahead intervals and a nanosecond after End (see
+	// Run): worker-side state (sinks, receive counters, NIC stats) is read
+	// at that instant.
 	Collect func()
 
 	// Start and End bound the streaming phase: Start is the instant setup
 	// finished, End the instant the last fragment's completion reached the
-	// control partition — before any engine rejoin, so End-Start is the
-	// query response time at every LP count. SetupNIC is the per-node NIC
-	// counter snapshot taken at Start. Run fills all three.
+	// control actor, so End-Start is the query response time. SetupNIC is
+	// the per-node NIC counter snapshot taken at Start. Run fills all three.
 	Start, End sim.Time
 	SetupNIC   []fabric.NICStats
 
@@ -50,11 +49,10 @@ type Query struct {
 // Go starts one fragment of the running query: sink drains its plan with the
 // cluster's worker threads on node, and the query ends when every fragment
 // started this way has finished. Completion is a control message: the
-// WaitGroups live on the control partition, so a fragment's finish routes
-// home like any other cross-node interaction, paying one route latency, and
-// the join instant is identical at every LP count. also lists further
-// control-partition WaitGroups (a plan's per-stage groups) the same
-// completion releases. Call it from Stream only.
+// WaitGroups belong to the control actor, so a fragment's finish routes home
+// like any other cross-node interaction, paying one route latency. also
+// lists further control-actor WaitGroups (a plan's per-stage groups) the
+// same completion releases. Call it from Stream only.
 func (q *Query) Go(node int, name string, sink *engine.Sink, also ...*sim.WaitGroup) {
 	c := q.c
 	q.done.Add(1)
@@ -94,18 +92,16 @@ func (c *Cluster) Run(q *Query) error {
 		if q.Stream != nil {
 			q.Stream(p)
 		}
-		// Setup reached across partitions freely (fused lockstep); from the
-		// next barrier on, the streaming phase runs wide — every partition
-		// executes its lookahead window in parallel.
-		c.Group.GoWide()
 		c.Sim.Spawn(q.Name+"-join", func(p *sim.Proc) {
 			q.done.Wait(p)
-			// The query ends the instant the last completion lands, before
-			// any engine rejoin: Fuse parks this Proc across a barrier and
-			// resumes it two lookahead intervals later, so reading the clock
-			// after it would fold engine bookkeeping into the response time.
+			// The query ends the instant the last completion lands. The join
+			// then waits two lookahead intervals and a nanosecond — off the
+			// route-latency lattice, past message arrivals anchored at End —
+			// before it stops the detector and collects: that instant fixes
+			// the NIC counters Collect reads and the detector's last tick,
+			// and every golden was captured at it.
 			q.End = p.Now()
-			c.Group.Fuse(p)
+			p.Sleep(2*c.Net.Prof.RouteLatency() + 1)
 			if c.FD != nil {
 				c.FD.Stop()
 			}

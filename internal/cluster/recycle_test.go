@@ -152,7 +152,7 @@ func TestWideShuffleAllocationGuard(t *testing.T) {
 	cfg := shuffle.Config{Impl: shuffle.MQSR, Endpoints: 2}
 	var got uint64
 	for i := 0; i < 3; i++ {
-		c := NewWithOptions(fabric.FDR(), 32, 2, 7, SimOptions{ParallelLPs: 1})
+		c := New(fabric.FDR(), 32, 2, 7)
 		got, _ = allocated(t, c, cfg, 1<<15)
 	}
 	if got > 300e6 {

@@ -311,7 +311,7 @@ func TestMultiStageAllAlgorithms(t *testing.T) {
 				}
 			}
 			reg := telemetry.NewRegistry()
-			res.PublishMetrics(reg)
+			publishEdges(reg, res)
 			for _, e := range res.Edges {
 				if got := reg.CounterValue("dag.edge_rows." + e.Edge); got != e.Rows {
 					t.Errorf("registry dag.edge_rows.%s = %d, want %d", e.Edge, got, e.Rows)
@@ -321,6 +321,17 @@ func TestMultiStageAllAlgorithms(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// publishEdges writes r's per-edge traffic counters into reg as
+// dag.edge_rows.<id>, dag.edge_bytes.<id> and dag.edge_wqes.<id>.
+func publishEdges(reg *telemetry.Registry, r *Result) {
+	for i := range r.Edges {
+		e := &r.Edges[i]
+		reg.Counter("dag.edge_rows." + e.Edge).Add(e.Rows)
+		reg.Counter("dag.edge_bytes." + e.Edge).Add(e.Bytes)
+		reg.Counter("dag.edge_wqes." + e.Edge).Add(e.WRs)
 	}
 }
 
@@ -365,7 +376,7 @@ func TestSameSeedDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		res.PublishMetrics(reg)
+		publishEdges(reg, res)
 		if err := telemetry.WriteReport(&rb, reg); err != nil {
 			t.Fatal(err)
 		}

@@ -46,17 +46,6 @@ type Result struct {
 	Err error
 }
 
-// PublishMetrics writes the per-edge traffic counters into a registry as
-// dag.edge_rows.<id>, dag.edge_bytes.<id>, and dag.edge_wqes.<id>.
-func (r *Result) PublishMetrics(reg *telemetry.Registry) {
-	for i := range r.Edges {
-		e := &r.Edges[i]
-		reg.Counter("dag.edge_rows." + e.Edge).Add(e.Rows)
-		reg.Counter("dag.edge_bytes." + e.Edge).Add(e.Bytes)
-		reg.Counter("dag.edge_wqes." + e.Edge).Add(e.WRs)
-	}
-}
-
 // tap is a transparent pass-through that meters a Forward edge, so chained
 // stages report rows/bytes like networked ones (at zero WQE cost).
 type tap struct {

@@ -195,8 +195,8 @@ type Network struct {
 	// installs it to generate congestion notification packets.
 	onECN func(from, to int, fromQP, toQP uint64)
 
-	// part is the PDES partition state (see pdes.go).
-	part partition
+	// act is the per-node state (see node.go).
+	act actors
 }
 
 // flight is what the uplink decided at transmit time that the downlink needs
@@ -302,8 +302,8 @@ func (n *Network) touch(nc *nic, qp uint64) sim.Duration {
 		return 0
 	}
 	nc.stats.QPCacheMisses++
-	// The touched NIC's owner is always the executing partition, so its
-	// shard and clock are the right emission context.
+	// The touched NIC's owner is always the executing node, so its shard
+	// is the right emission context.
 	tr, now := n.TracerAt(nc.id), n.SimAt(nc.id).Now()
 	tr.Instant(now, telemetry.EvQPCacheMiss, int32(nc.id), qp, 0, 0)
 	if evicted {
@@ -356,9 +356,8 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 	// Probabilistic marking is what keeps the DCQCN control loop stable — a
 	// deterministic cliff would CNP every flow on every interval at
 	// equilibrium and crash rates to the floor. The draw comes from the
-	// seeded simulation RNG, so same-seed runs stay byte-identical; a lossy
-	// network has one partition, so that RNG is the egress port's own and
-	// no node pays for a stream of its own.
+	// seeded simulation RNG, so same-seed runs stay byte-identical, and no
+	// node pays for a stream of its own.
 	if fill >= prof.ECNMarkBytes {
 		p := float64(fill-prof.ECNMarkBytes) / float64(prof.PFCXoffBytes-prof.ECNMarkBytes)
 		if p >= 1 || n.Sim.Rand().Float64() < p {
@@ -375,8 +374,7 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 // written down once: uplink and downlink below. Every entry point is a
 // caller: Transmit (one uplink, one downlink) and TransmitMulticast (one
 // uplink, one downlink per member). Both schedule the downlink the same way:
-// the Message itself, routed to its arrival instant on the receiver's
-// partition.
+// the Message itself, routed to its arrival instant at the receiver.
 
 // uplink is the source-port half of the port model. In order: the pause gate
 // (FaultPause on the NIC, then a PFC pause on the data priority), WQE fetch
@@ -387,8 +385,7 @@ func (n *Network) lossyAdmit(src, dst *nic, qp uint64, wire int, bw float64, dro
 // instants the last byte left the port and reaches the destination switch
 // port.
 //
-// It executes on the source node's partition and uses only that partition's
-// clock, tracer shard and RNG stream.
+// It uses the source node's tracer shard and RNG stream.
 func (n *Network) uplink(m *Message, wire int, control bool) (txDone, arrive sim.Time) {
 	prof := &n.Prof
 	src := n.nics[m.From]
@@ -468,8 +465,7 @@ func (n *Network) linkRate(from, to int, now sim.Time) float64 {
 // injected corruption, UD reorder jitter, into m's flight. The
 // decisions are made at transmit time so the whole computation stays a pure
 // function of the RNG stream (deterministic), and the draws come from the
-// sender's stream, which advances only in the sender's own causal order —
-// invariant across LP counts.
+// sender's stream, which advances only in the sender's own causal order.
 func (n *Network) wireFate(m *Message) {
 	prof := &n.Prof
 	f := &m.fl
@@ -495,7 +491,7 @@ func (n *Network) wireFate(m *Message) {
 }
 
 // downlink is the destination-port half of the port model, evaluated at the
-// arrival instant on the receiver's partition. In order: the severed/lost
+// arrival instant. In order: the severed/lost
 // verdict, FaultPause on the receiving NIC, lossy admission at the egress
 // port (tail drop, PFC, ECN), QP-state touch + serialization onto the
 // downlink — the incast bottleneck: simultaneous senders queue here — with
@@ -650,8 +646,6 @@ func (n *Network) TransmitMulticast(m *Message, dests []int, deliver func(dest i
 // the line rate but not the receive downlink.
 func (n *Network) loopback(m *Message) {
 	nc := n.nics[m.From]
-	// Self-addressed traffic never crosses partitions: the whole hairpin
-	// stays on the node's own clock at every LP count.
 	s := n.SimAt(m.From)
 	occ := n.Prof.WQEProcessing + n.touch(nc, m.FromQP) +
 		Serialize(m.Payload, n.Prof.LinkBandwidth)

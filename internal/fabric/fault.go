@@ -85,9 +85,8 @@ func (c FaultClass) String() string {
 //
 // Count selects how often an active loss-like rule fires: Count > 0 fires on
 // the next Count matching messages, Count == 0 on every matching message. A
-// counted rule keeps its budget in the rule and each sender it matches draws
-// it down on its own partition, so on a network of more than one partition
-// it needs a concrete From: Add rejects a counted AnyNode sender there.
+// counted rule keeps its budget in the rule, and every sender it matches
+// draws it down.
 // No rule draws from an RNG stream, so installing one never perturbs the
 // random stream of the rest of the simulation.
 type FaultRule struct {
@@ -157,8 +156,6 @@ func (r *FaultRule) matches(from, to int, now sim.Time) bool {
 // transmission.
 type FaultPlan struct {
 	rules []*FaultRule
-	// lps is the partition count of the network the plan belongs to.
-	lps int
 }
 
 // Add installs a rule and returns it (so tests can keep a handle).
@@ -172,10 +169,6 @@ func (p *FaultPlan) Add(r FaultRule) *FaultRule {
 		// have to either ignore it (the node silently stays up) or loop
 		// forever; a node that never comes back is FaultCrash.
 		panic("fabric: open-ended FaultPause requires End or OnFor (use FaultCrash for a permanent outage)")
-	}
-	if r.Count > 0 && r.From == AnyNode && p.lps > 1 {
-		// Senders on different partitions would draw one budget at once.
-		panic("fabric: a counted rule (Count > 0) from AnyNode needs a one-partition network; name the sending node (From)")
 	}
 	if r.Class == FaultCrash {
 		if r.To == AnyNode {

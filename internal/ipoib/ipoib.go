@@ -95,15 +95,13 @@ type host struct {
 	inCond   *sim.Cond
 	depleted int
 
-	appFree [][]byte
+	// appFree holds the application's send buffers, one Buf record each;
+	// datas recycles the records GetData hands out.
+	appFree []*shuffle.Buf
+	datas   shuffle.DataRecs
 }
 
 func newHost(net *fabric.Network, cfg Config, n, node int) *host {
-	// All three primitives live on the node's own partition sim: waking a
-	// waiter (kernel handoff, window ack, inbox broadcast) pushes a dispatch
-	// event onto the primitive's sim, and the Deliver callbacks below run on
-	// the destination partition — homing them on the control sim would leak
-	// events across partitions on a cluster of ParallelLPs > 1.
 	hsim := net.SimAt(node)
 	h := &host{
 		net: net, cfg: cfg, n: n, node: node,
@@ -113,7 +111,7 @@ func newHost(net *fabric.Network, cfg Config, n, node int) *host {
 		inCond:  hsim.NewCond(fmt.Sprintf("ipoib-in@%d", node)),
 	}
 	for i := 0; i < 2*n; i++ {
-		h.appFree = append(h.appFree, make([]byte, cfg.BufSize))
+		h.appFree = append(h.appFree, &shuffle.Buf{Data: make([]byte, cfg.BufSize)})
 	}
 	return h
 }
@@ -142,15 +140,16 @@ func (h *host) perByte() float64 { return h.prof().TCPPerByte / 2 }
 // GetFree implements shuffle.SendEndpoint.
 func (h *host) GetFree(p *sim.Proc) (*shuffle.Buf, error) {
 	h.kernel.Lock(p)
-	var buf []byte
-	if len(h.appFree) > 0 {
-		buf = h.appFree[len(h.appFree)-1]
-		h.appFree = h.appFree[:len(h.appFree)-1]
+	var b *shuffle.Buf
+	if n := len(h.appFree); n > 0 {
+		b = h.appFree[n-1]
+		h.appFree = h.appFree[:n-1]
+		b.Len = 0
 	} else {
-		buf = make([]byte, h.cfg.BufSize)
+		b = &shuffle.Buf{Data: make([]byte, h.cfg.BufSize)}
 	}
 	h.kernel.Unlock(p)
-	return &shuffle.Buf{Data: buf}, nil
+	return b, nil
 }
 
 // Send implements shuffle.SendEndpoint: one send() per group member.
@@ -162,7 +161,7 @@ func (h *host) Send(p *sim.Proc, b *shuffle.Buf, dest []int) error {
 		return err
 	}
 	h.kernel.Lock(p)
-	h.appFree = append(h.appFree, b.Data[:cap(b.Data)])
+	h.appFree = append(h.appFree, b)
 	h.kernel.Unlock(p)
 	return nil
 }
@@ -257,7 +256,7 @@ func (h *host) GetData(p *sim.Proc) (*shuffle.Data, error) {
 			p.Sleep(h.prof().TCPPerMessage + sim.Duration(float64(len(seg.payload))*h.perByte()))
 			h.ackWindow(seg.src, len(seg.payload)+hdrSize)
 			h.kernel.Unlock(p)
-			return &shuffle.Data{Src: seg.src, Payload: seg.payload}, nil
+			return h.datas.Get(seg.src, seg.payload, 0), nil
 		}
 		done := h.depleted >= h.n
 		h.kernel.Unlock(p)
@@ -274,6 +273,9 @@ func (h *host) GetData(p *sim.Proc) (*shuffle.Data, error) {
 	}
 }
 
-// Release implements shuffle.RecvEndpoint; segment buffers are
-// garbage-collected, so nothing to do.
-func (h *host) Release(p *sim.Proc, d *shuffle.Data) error { return nil }
+// Release implements shuffle.RecvEndpoint: the record goes back to the list;
+// segment payloads are garbage-collected.
+func (h *host) Release(p *sim.Proc, d *shuffle.Data) error {
+	h.datas.Put(d)
+	return nil
+}

@@ -146,8 +146,13 @@ type lib struct {
 	granted   map[uint32]bool
 	pendRTS   []msgHeader // RTS waiting for a free rdv slot
 
-	// Application-side buffers handed out by GetFree.
+	// Application-side buffers, shared by GetFree and the eager receive
+	// path. bufs recycles the Buf records GetFree lends them out in (Send
+	// takes them back), datas the Data records GetData hands out (Release
+	// takes them back).
 	appFree [][]byte
+	bufs    []*shuffle.Buf
+	datas   shuffle.DataRecs
 
 	// Receive side.
 	ready   dataQueue
@@ -183,10 +188,6 @@ func Build(p *sim.Proc, devs []*verbs.Device) *World {
 	for a, dev := range devs {
 		l := &lib{
 			w: w, dev: dev, n: n, node: a, overhead: prof.MPIPerMessage,
-			// The library lock lives on the node's own partition sim: waking
-			// a queued waiter pushes a dispatch event onto the lock's sim, so
-			// homing it anywhere else would leak events across partitions on
-			// a cluster of ParallelLPs > 1.
 			mu:          dev.Sim().NewMutex(fmt.Sprintf("mpi@%d", a)),
 			eagerSlot:   hdrSize + eagerLimit,
 			eagerCredit: make([]uint64, n),
@@ -319,7 +320,7 @@ func (l *lib) handleRecv(p *sim.Proc, c verbs.CQE) {
 			return
 		}
 		l.recvd[src]++
-		l.ready.push(&shuffle.Data{Src: src, Payload: buf[:h.payload]})
+		l.ready.push(l.datas.Get(src, buf[:h.payload], 0))
 	case kindRTS:
 		l.pendRTS = append(l.pendRTS, h)
 		l.repostCtl(p, slot, src)
@@ -349,7 +350,7 @@ func (l *lib) finishIncoming(p *sim.Proc, h msgHeader, payload []byte, rdvOff in
 		return
 	}
 	l.recvd[src]++
-	l.ready.push(&shuffle.Data{Src: src, Payload: payload, Remote: uint64(rdvOff) + 1})
+	l.ready.push(l.datas.Get(src, payload, uint64(rdvOff)+1))
 }
 
 func (l *lib) markTotal(src int, v uint64) {
@@ -452,9 +453,16 @@ func (l *lib) prof() *fabric.Profile { return &l.dev.Network().Prof }
 // memory, so this returns an unregistered buffer.
 func (l *lib) GetFree(p *sim.Proc) (*shuffle.Buf, error) {
 	l.mu.Lock(p)
-	buf := l.takeAppBuf()
+	var b *shuffle.Buf
+	if n := len(l.bufs); n > 0 {
+		b = l.bufs[n-1]
+		l.bufs = l.bufs[:n-1]
+	} else {
+		b = new(shuffle.Buf)
+	}
+	*b = shuffle.Buf{Data: l.takeAppBuf()}
 	l.mu.Unlock(p)
-	return &shuffle.Buf{Data: buf}, nil
+	return b, nil
 }
 
 // Send implements shuffle.SendEndpoint: MPI_Send to every group member.
@@ -473,6 +481,7 @@ func (l *lib) Send(p *sim.Proc, b *shuffle.Buf, dest []int) error {
 	}
 	l.mu.Lock(p)
 	l.putAppBuf(b.Data)
+	l.bufs = append(l.bufs, b)
 	l.mu.Unlock(p)
 	return nil
 }
@@ -625,6 +634,7 @@ func (l *lib) Release(p *sim.Proc, d *shuffle.Data) error {
 	} else if d.Payload != nil {
 		l.putAppBuf(d.Payload)
 	}
+	l.datas.Put(d)
 	l.mu.Unlock(p)
 	return nil
 }

@@ -194,9 +194,8 @@ func Build(p *sim.Proc, devs []*verbs.Device, cfg Config, threads int) *Comm {
 		node := c.Nodes[a]
 		self := a
 		node.Dev.OnPeerDown(func(peer int) {
-			// Runs on the device's own partition (the connection manager
-			// routes the peer-down verdict there), so the node's trace shard
-			// and clock are the right emission context.
+			// The connection manager routes the peer-down verdict to the
+			// node, so the node's trace shard is the right emission context.
 			tr := node.Dev.Network().TracerAt(self)
 			now := node.Dev.Sim().Now()
 			tr.Instant(now, telemetry.EvDrainPeer, int32(self), 0, int64(peer), 0)

@@ -334,15 +334,20 @@ func (sp *sendPool) complete(off int) error {
 	return nil
 }
 
-// dataRecs recycles a RECEIVE endpoint's Data records: GETDATA hands one
-// out with each filled slot, and RELEASE takes it back with the slot, so an
-// endpoint holds as many records as buffers are out at once. (One record
-// per receive slot, made up front, costs more than it saves: a query posts
-// far more slots than it fills.)
-type dataRecs struct{ spare []*Data }
+// DataRecs recycles a RECEIVE endpoint's Data records: GETDATA hands one
+// out with each filled buffer, and RELEASE takes it back, so an endpoint
+// holds as many records as buffers are out at once. (One record per receive
+// slot, made up front, costs more than it saves: a query posts far more
+// slots than it fills.) The zero value is ready to use.
+type DataRecs struct{ spare []*Data }
 
-// get returns a record describing a buffer from src.
-func (r *dataRecs) get(src int, payload []byte, remote uint64, slot int) *Data {
+// Get returns a record describing a buffer from src.
+func (r *DataRecs) Get(src int, payload []byte, remote uint64) *Data {
+	return r.get(src, payload, remote, 0)
+}
+
+// get is Get for a buffer in receive slot slot.
+func (r *DataRecs) get(src int, payload []byte, remote uint64, slot int) *Data {
 	var d *Data
 	if n := len(r.spare); n > 0 {
 		d = r.spare[n-1]
@@ -354,8 +359,8 @@ func (r *dataRecs) get(src int, payload []byte, remote uint64, slot int) *Data {
 	return d
 }
 
-// put takes back a released record; its caller is done with it.
-func (r *dataRecs) put(d *Data) {
+// Put takes back a released record; its caller is done with it.
+func (r *DataRecs) Put(d *Data) {
 	*d = Data{}
 	r.spare = append(r.spare, d)
 }

@@ -102,7 +102,7 @@ type rdRCRecv struct {
 	freeOut  wordRing // my queue in each sender's FreeArr
 
 	localMR  *verbs.MR // local destination buffers for incoming reads
-	datas    dataRecs
+	datas    DataRecs
 	localArr [][]int     // per source: stack of free local buffer offsets
 	dataWin  []remoteWin // per source: that sender's data pool MR
 
@@ -301,7 +301,7 @@ func (e *rdRCRecv) GetData(p *sim.Proc) (*Data, error) {
 // Release implements RecvEndpoint (Alg. 3, RELEASE).
 func (e *rdRCRecv) Release(p *sim.Proc, d *Data) error {
 	e.releaseParts(d.Src, int(d.Remote), d.slot)
-	e.datas.put(d)
+	e.datas.Put(d)
 	return e.flushFrees(p)
 }
 

@@ -117,7 +117,7 @@ type srRCRecv struct {
 	rcq *verbs.CQ // receive completions, shared by all QPs
 
 	bufMR   *verbs.MR // receive slots, perSrc per source
-	datas   dataRecs
+	datas   DataRecs
 	perSrc  int
 	stageMR *verbs.MR // per source 8-byte staging for credit writes
 
@@ -225,7 +225,7 @@ func (e *srRCRecv) GetData(p *sim.Proc) (*Data, error) {
 // Release implements RecvEndpoint.
 func (e *srRCRecv) Release(p *sim.Proc, d *Data) error {
 	slot := d.slot
-	e.datas.put(d)
+	e.datas.Put(d)
 	return e.repost(p, slot)
 }
 

@@ -202,7 +202,7 @@ type srUDRecv struct {
 
 	stageMR *verbs.MR  // per source HeaderSize staging for credit datagrams
 	ahs     []verbs.AH // per source: the paired send endpoint's QP
-	datas   dataRecs
+	datas   DataRecs
 
 	creditIssued []uint64
 	lastWritten  []uint64
@@ -354,7 +354,7 @@ func (e *srUDRecv) lossReport() string {
 // Release implements RecvEndpoint.
 func (e *srUDRecv) Release(p *sim.Proc, d *Data) error {
 	slot, src := d.slot, d.Src
-	e.datas.put(d)
+	e.datas.Put(d)
 	return e.repost(p, slot, src)
 }
 

@@ -129,7 +129,7 @@ type wrRCRecv struct {
 	endpoint // scq: grant-write completions
 
 	slotMR *verbs.MR // data slots, perSrc per source
-	datas  dataRecs
+	datas  DataRecs
 	perSrc int
 
 	validArr wordRing // announcements written by senders
@@ -203,7 +203,7 @@ func (e *wrRCRecv) Release(p *sim.Proc, d *Data) error {
 	// The slot belongs to the source that filled it; slots are partitioned
 	// per source, so recover the source from the slot index.
 	slot := d.slot
-	e.datas.put(d)
+	e.datas.Put(d)
 	return e.grant(p, slot/(e.perSrc*e.cfg.BufSize), slot)
 }
 

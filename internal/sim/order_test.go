@@ -119,29 +119,3 @@ func TestEventPoolReuse(t *testing.T) {
 		t.Fatalf("Events() = %d, want %d", s.Events(), 10_000+2)
 	}
 }
-
-// TestRunForRestoresHorizon verifies a window's bound does not outlive it:
-// each window fires only what lies below its own bound, and a plain Run
-// afterwards runs to completion.
-func TestRunForRestoresHorizon(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.At(50, func() { fired++ })
-	s.At(150, func() { fired++ })
-	s.At(900, func() { fired++ })
-	// Window [0, 100): only the t=50 event fires.
-	s.runWindow(100)
-	if fired != 1 || s.Now() != 50 {
-		t.Fatalf("after window 100: fired=%d now=%v, want 1 at 50", fired, s.Now())
-	}
-	s.runWindow(200)
-	if fired != 2 || s.Now() != 150 {
-		t.Fatalf("after window 200: fired=%d now=%v, want 2 at 150", fired, s.Now())
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 3 || s.Now() != 900 {
-		t.Fatalf("after Run: fired=%d now=%v, want 3 at 900", fired, s.Now())
-	}
-}

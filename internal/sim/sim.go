@@ -32,7 +32,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -86,12 +85,10 @@ type event struct {
 	h    Handler
 	arg  uint64
 	proc *Proc
-	// rsrc/rseq carry a cross-partition delivery's merge key through the
-	// wheel: source actor + 1 and the source's send sequence (zero for
-	// locally scheduled events). Deliveries reach a bucket in barrier
-	// order, which shifts with the partition layout, so same-instant
-	// execution order is re-derived from this key at detach time — see
-	// chainCanon.
+	// rsrc/rseq carry a routed event's merge key through the wheel: source
+	// actor + 1 and the source's send sequence (zero for locally scheduled
+	// events). Same-instant execution order is derived from this key at
+	// detach time — see chainCanon.
 	rsrc int
 	rseq uint64
 }
@@ -123,7 +120,6 @@ type Simulation struct {
 	procs    map[*Proc]struct{}
 	rng      *rand.Rand
 	seed     int64
-	maxT     Time   // horizon: nothing later fires; noHorizon outside runWindow
 	switches uint64 // baton handoffs to another goroutine, see Switches
 	// dispatches counts every Proc wake-up the loop delivered, see Dispatches.
 	dispatches uint64
@@ -140,13 +136,8 @@ func New(seed int64) *Simulation {
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		seed:  seed,
-		maxT:  noHorizon,
 	}
 }
-
-// noHorizon is maxT's "run to completion" value. A window may bound the
-// fused instant 0 with a real horizon of 0.
-const noHorizon Time = math.MaxInt64
 
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
@@ -158,8 +149,8 @@ func (s *Simulation) Events() uint64 { return s.fired }
 // Switches returns how many times the event loop handed control to another
 // goroutine: one per dispatch of a Proc other than the one driving the loop.
 // A Proc's own wake-up and every callback cost none. The count prices a run
-// in goroutine switches; under a Group it depends on where window bounds
-// fall, hence on the partition count, so it belongs in no fingerprint.
+// in goroutine switches; it is not a model output, so it belongs in no
+// fingerprint.
 func (s *Simulation) Switches() uint64 { return s.switches }
 
 // Dispatches returns how many Proc wake-ups the event loop delivered: the
@@ -298,13 +289,8 @@ type Proc struct {
 	// done is set when the body returns; a wake-up still pending for the
 	// Proc then pops as a no-op.
 	done bool
-	// timedOut reports whether the last WaitTimeout expired. (It shares a
-	// word with done, which keeps the record in the 80-byte size class.)
+	// timedOut reports whether the last WaitTimeout expired.
 	timedOut bool
-	// loop is the simulation whose event loop last dispatched this Proc —
-	// the loop it drives when it next blocks. It is sim except in a Group's
-	// fused phase, where another partition's Cond may wake the Proc.
-	loop *Simulation
 	// blockedOn describes what the Proc is waiting for, for deadlock reports.
 	// It is written when the Proc parks, so it is current exactly when a
 	// report can read it; a wake-up that costs no switch never touches it.
@@ -375,18 +361,18 @@ func (p *Proc) runBody(fn func(p *Proc)) (completed bool) {
 	fn(p)
 	p.done = true
 	delete(p.sim.procs, p)
-	p.loop.drive(p, "")
+	p.sim.drive(p, "")
 	return true
 }
 
 // next pops the next event of the current instant, or returns nil when the
 // instant is exhausted and time has to advance: wheelAdvance then detaches
-// the next instant's bucket into the chain, and is the one place the horizon
-// is tested. The chain drains before the ring: everything in it was
-// scheduled before the clock reached this instant, so it carries smaller
-// seqs than any ring entry (which could only have been pushed at this
-// instant) — the same order the heap's (at, seq) merge produced. Kept apart
-// from wheelAdvance, next fits the inliner's budget and costs drive no call.
+// the next instant's bucket into the chain. The chain drains before the
+// ring: everything in it was scheduled before the clock reached this
+// instant, so it carries smaller seqs than any ring entry (which could only
+// have been pushed at this instant) — the same order the heap's (at, seq)
+// merge produced. Kept apart from wheelAdvance, next fits the inliner's
+// budget and costs drive no call.
 func (s *Simulation) next() *event {
 	e := s.chain
 	if e != nil {
@@ -402,20 +388,14 @@ func (s *Simulation) next() *event {
 }
 
 // drive is the event loop, run by whichever goroutine holds the baton: the
-// Run or runWindow caller (self == nil) or a Proc that has just blocked,
-// yielded or finished. Callbacks fire inline on the holder's stack. When the
-// popped event is self's own wake-up, drive returns with no channel
-// operation; when it wakes another Proc, the baton goes straight to it with
-// one resume send and the holder parks — or, if self has finished, returns
-// so its goroutine can exit. Only when nothing is left below the horizon
-// does the baton go home on s.yield, so the caller of Run or runWindow wakes
-// exactly once. why is the blockedOn label self parks under, written only if
-// it does park.
-//
-// s is the loop that dispatched self, not necessarily self.sim: in a Group's
-// fused phase a Cond on LP 0 can wake a Proc owned by LP k, which must carry
-// on LP 0's loop when it blocks (its own wake-ups sit in LP k's queue and
-// are dispatched from there later).
+// Run caller (self == nil) or a Proc that has just blocked, yielded or
+// finished. Callbacks fire inline on the holder's stack. When the popped
+// event is self's own wake-up, drive returns with no channel operation; when
+// it wakes another Proc, the baton goes straight to it with one resume send
+// and the holder parks — or, if self has finished, returns so its goroutine
+// can exit. Only when no event is left does the baton go home on s.yield, so
+// the caller of Run wakes exactly once. why is the blockedOn label self
+// parks under, written only if it does park.
 func (s *Simulation) drive(self *Proc, why string) {
 	for {
 		e := s.next()
@@ -439,7 +419,6 @@ func (s *Simulation) drive(self *Proc, why string) {
 			if p == self {
 				return
 			}
-			p.loop = s
 			s.switches++
 			if self == nil {
 				p.resume <- struct{}{}
@@ -479,7 +458,7 @@ func (s *Simulation) drive(self *Proc, why string) {
 // accounting the wait as blocked time.
 func (p *Proc) block(reason string) {
 	t0 := p.sim.now
-	p.loop.drive(p, reason)
+	p.sim.drive(p, reason)
 	p.blocked += Duration(p.sim.now - t0)
 }
 
@@ -497,7 +476,7 @@ func (p *Proc) Sleep(d Duration) {
 	p.busy += d
 	s := p.sim
 	s.wheelPush(s.newEvent(s.now.Add(d), nil, 0, p))
-	p.loop.drive(p, "sleep")
+	s.drive(p, "sleep")
 }
 
 // Yield lets all other events scheduled for the current instant run before
@@ -507,7 +486,7 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) Yield() {
 	s := p.sim
 	s.ringPush(s.newEvent(s.now, nil, 0, p))
-	p.loop.drive(p, "sleep")
+	s.drive(p, "sleep")
 }
 
 // DeadlockError is returned by Run when live Procs remain but the event
@@ -549,9 +528,9 @@ func (s *Simulation) Run() error {
 
 // Shutdown terminates the goroutines of the Procs that never finished. A
 // finished Proc's goroutine has already exited, but one still blocked when
-// the run stopped — deadlock, stall, a window horizon — stays parked, and a
-// discarded Simulation would retain it and everything its stack references,
-// wheel and rings included, until process exit. Shutdown wakes each such
+// the run stopped — deadlock, stall — stays parked, and a discarded
+// Simulation would retain it and everything its stack references, wheel
+// and rings included, until process exit. Shutdown wakes each such
 // goroutine with the dead flag set: one never dispatched exits at once, and
 // one blocked mid-body unwinds via a panic that runs the body's deferred
 // functions (body defers must not block: Signal/Unlock are fine, Wait/Sleep

@@ -284,25 +284,6 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
-// TestHorizonStopsRun: a window fires what lies below its bound, leaves the
-// clock at the last instant it ran and the later event pending.
-func TestHorizonStopsRun(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.At(10, func() { fired++ })
-	s.At(1000, func() { fired++ })
-	s.runWindow(101)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (second event past horizon)", fired)
-	}
-	if s.Now() != 10 {
-		t.Fatalf("Now = %v, want the last instant run, 10", s.Now())
-	}
-	if at, ok := s.nextAt(); !ok || at <= 100 {
-		t.Fatalf("next event = %v,%t, want the t=1000 event still pending", at, ok)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		s := New(42)

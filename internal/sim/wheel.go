@@ -107,10 +107,9 @@ func (s *Simulation) bucketAppend(lvl int, e *event) {
 }
 
 // wheelAdvance finds the earliest future instant and detaches its (level-0)
-// bucket into s.chain, reporting whether there was one at or below the
-// horizon s.maxT. It may cascade higher-level buckets downward and advance
-// s.now to a stride boundary on the way, but commits no state past the
-// horizon: a false return leaves every later event where nextAt finds it.
+// bucket into s.chain, reporting whether there was one. It may cascade
+// higher-level buckets downward and advance s.now to a stride boundary on
+// the way.
 func (s *Simulation) wheelAdvance() bool {
 	w := &s.wh
 	for {
@@ -124,9 +123,6 @@ func (s *Simulation) wheelAdvance() bool {
 			if lvl == 0 {
 				// One timestamp per level-0 bucket: detach it whole.
 				h := b.head
-				if h.at > s.maxT {
-					return false
-				}
 				b.head, b.tail = nil, nil
 				w.occ[0][slot>>6] &^= 1 << uint(slot&63)
 				s.chain = chainCanon(h)
@@ -136,11 +132,7 @@ func (s *Simulation) wheelAdvance() bool {
 			// Everything in it lands strictly below lvl, so the bottom-up
 			// rescan makes progress.
 			shift := uint(lvl) * wheelBits
-			stride := (now &^ ((uint64(wheelSlots) << shift) - 1)) | uint64(slot)<<shift
-			if Time(stride) > s.maxT {
-				return false // whole stride starts past the horizon
-			}
-			s.now = Time(stride)
+			s.now = Time((now &^ ((uint64(wheelSlots) << shift) - 1)) | uint64(slot)<<shift)
 			h := b.head
 			b.head, b.tail = nil, nil
 			w.occ[lvl][slot>>6] &^= 1 << uint(slot&63)
@@ -166,9 +158,6 @@ func (s *Simulation) wheelAdvance() bool {
 				min = e
 			}
 		}
-		if min.at > s.maxT {
-			return false
-		}
 		s.now = min.at
 		h := w.ovHead
 		w.ovHead, w.ovTail, w.ovLen = nil, nil, 0
@@ -181,17 +170,11 @@ func (s *Simulation) wheelAdvance() bool {
 }
 
 // chainCanon puts a detached same-instant chain into canonical execution
-// order: locally scheduled events first, in schedule order, then
-// cross-partition deliveries by their (source actor, send sequence) key.
-// Local push order is already deterministic per partition — it follows the
-// partition's own execution — but deliveries append in barrier order, and
-// window bounds move with the partition count: two deliveries for one
-// instant can split across different barriers under one layout and share a
-// single merged flush under another, swapping their FIFO positions. Keying
-// ties off (rsrc, rseq) makes the executed order a pure function of the
-// event set, which the cross-layout byte-identity contract requires. The
-// single-wheel engine never stamps rsrc, so it takes the scan-only fast
-// path.
+// order: locally scheduled events first, in schedule order, then routed
+// events (Group.RouteHandler) by their (source actor, send sequence) key
+// rather than in the order they were routed. Every golden output was
+// captured under this order, so it stays. A chain with no routed event —
+// every chain of a bare Simulation — takes the scan-only fast path.
 func chainCanon(h *event) *event {
 	e := h
 	for e != nil && e.rsrc == 0 {

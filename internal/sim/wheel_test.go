@@ -184,31 +184,6 @@ func TestTimerStopZeroDelay(t *testing.T) {
 	}
 }
 
-// TestRunForAcrossCascadeBoundary runs windows whose bounds fall inside
-// higher-level strides holding pending events, ensuring a stop mid-cascade
-// leaves the wheel consistent and a later Run picks the events up in order.
-func TestRunForAcrossCascadeBoundary(t *testing.T) {
-	s := New(1)
-	var order []int
-	s.At(1<<16+5, func() { order = append(order, 0) }) // level-2 resident
-	s.At(1<<16+5, func() { order = append(order, 1) })
-	s.At(1<<17, func() { order = append(order, 2) })
-	s.runWindow(1<<10 + 1) // bound far below the stride
-	if len(order) != 0 || s.Now() > Time(1<<10) {
-		t.Fatalf("window overshoot: order=%v now=%v", order, s.Now())
-	}
-	s.runWindow(1<<16 + 10) // lands between the two instants
-	if len(order) != 2 || s.Now() != 1<<16+5 {
-		t.Fatalf("after second window: order=%v now=%v, want first two at %v", order, s.Now(), 1<<16+5)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[2] != 2 {
-		t.Fatalf("final order %v, want [0 1 2]", order)
-	}
-}
-
 // TestProcYieldZeroAlloc guards the direct-handoff Yield fast path: a
 // self-dispatch must complete with no allocation (and no channel round
 // trip, which is what the ProcYield benchmark times).
@@ -292,14 +267,10 @@ func TestWaitTimeoutZeroAlloc(t *testing.T) {
 }
 
 // TestChainCanonDeliveryOrder pins the canonical same-instant execution
-// order the partitioned engine depends on: locally scheduled events fire in
-// schedule order, and cross-partition deliveries — stamped with their
-// (source, sequence) merge key — fire after them in key order, regardless
-// of the order they were pushed into the bucket. Delivery push order is
-// barrier order, which shifts with the partition layout, so any dependence
-// on it would break cross-layout byte-identity (the fig. 9 regression: two
-// messages serialized at the same instant toward one receiver swapped
-// their ACK order between LP counts).
+// order every golden output was captured under: locally scheduled events
+// fire in schedule order, and routed events — stamped with their (source,
+// sequence) merge key — fire after them in key order, regardless of the
+// order they were pushed into the bucket.
 func TestChainCanonDeliveryOrder(t *testing.T) {
 	const T = Time(100)
 	// Each push records a tag; the canonical firing order must come out

@@ -6,8 +6,8 @@ import (
 	"io"
 )
 
-// WriteChromeEvents serializes an event stream — a tracer's Events, or the
-// merged shards of a partitioned run — as Chrome trace-event JSON (the
+// WriteChromeEvents serializes an event stream — a tracer's Events, or a
+// cluster's merged shards — as Chrome trace-event JSON (the
 // format chrome://tracing and Perfetto load). Spans become async begin/end
 // pairs keyed by (name, qp, a); instants become thread-scoped instant
 // events. pid is the fabric node, tid the low 32 bits of the QP key, and ts

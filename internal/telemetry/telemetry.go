@@ -227,12 +227,11 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// MergeShards interleaves per-partition trace shards into one stream ordered
-// by (virtual time, shard index, emission order) and renumbers Seq over the
-// merged stream. Partitioned runs give every node its own shard — each
-// advances only in its node's deterministic causal order — so the merged
-// stream is identical at every partition count, restoring the single-tracer
-// regression-oracle property. Nil shards are skipped; a nil or empty slice
+// MergeShards interleaves per-node trace shards into one stream ordered by
+// (virtual time, shard index, emission order) and renumbers Seq over the
+// merged stream. Every node has its own shard, which advances only in its
+// node's deterministic causal order; the merged order is what every golden
+// trace was captured in. Nil shards are skipped; a nil or empty slice
 // yields nil.
 func MergeShards(shards []*Tracer) []Event {
 	var total int

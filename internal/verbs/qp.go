@@ -196,18 +196,16 @@ func (qp *QP) fencedAt(responder *Device, wrID uint64, op Opcode) bool {
 	return true
 }
 
-// foreign reports whether node is another node than qp's own: its events
-// may execute on another partition, and so must not touch qp's state.
+// foreign reports whether node is another node than qp's own, whose
+// verdicts reach qp over the fabric (see home).
 func (qp *QP) foreign(node int) bool { return node != qp.dev.node }
 
 // home fires h with verdict as the arrival at qp of a verdict reached on
 // node from: an ACK, a NAK (fence, peer error, RNR exhaustion), a loss
-// report. A queue pair's state may only be touched by its own partition, so
-// a remote responder's verdict rides the fabric home as a routed message,
-// arriving one full route latency (switch + propagation) later — the wire
-// trip it takes on real hardware, and late enough to clear the window bound
-// at any LP count. Same-node verdicts land after local, synchronously when
-// local is zero. The verdicts of a message's life are its record's (rcMsg);
+// report. A remote responder's verdict rides the fabric home as a routed
+// message, arriving one full route latency (switch + propagation) later —
+// the wire trip it takes on real hardware. Same-node verdicts land after
+// local, synchronously when local is zero. The verdicts of a message's life are its record's (rcMsg);
 // the rare ones take a closure through sim.Func.
 func (qp *QP) home(from int, local sim.Duration, h sim.Handler, verdict uint64) {
 	net := qp.dev.net
@@ -529,9 +527,8 @@ func (r *rcMsg) deliverSend() {
 		panic(fmt.Sprintf("verbs: RC send to nonexistent QP %d on node %d", toQPN, toNode))
 	}
 	// A late arrival of a send already flushed at the source is not judged
-	// here: this runs on the receiver's partition, which cannot read the
-	// sender's state. complete()'s own error-state guard drops the late
-	// success when the routed ACK reaches home.
+	// here, at the receiver: complete()'s own error-state guard drops the
+	// late success when the routed ACK reaches home.
 	if rqp.state == QPError {
 		// The peer flushed its receive queue and will never post again; the
 		// sender observes the broken connection as retry exhaustion.
@@ -545,7 +542,7 @@ func (r *rcMsg) deliverSend() {
 	}
 	if len(rqp.stalled) > 0 || rqp.recvQ.n == 0 {
 		// The RNR NAK is generated here, at the responder, and counted on
-		// the responder device, whose partition is executing.
+		// the responder device.
 		rqp.dev.stats.RNRRetries++
 		rqp.dev.tr().Instant(rqp.dev.sim.Now(), telemetry.EvRNRRetry,
 			int32(toNode), rqp.cacheKey(), int64(wr.ID), 0)

@@ -27,9 +27,8 @@ type retxState struct {
 	// not hold up the peer's requests travelling the same way.
 	sent [2]uint64
 	// next is the receiving half: the sequence number this QP accepts next
-	// from its peer's requests and from the responses to its own Reads. It is
-	// only touched by deliveries to this QP's node, so it is safe on a
-	// partitioned network.
+	// from its peer's requests and from the responses to its own Reads. Only
+	// deliveries to this QP's node touch it.
 	next [2]uint64
 	// window is the lost window awaiting replay — messages reported dropped
 	// or discarded out of sequence, plus data sends that reached the head of
@@ -139,9 +138,8 @@ func (r *rcMsg) arm(seq int, psn uint64) {
 
 // dropped and the discard in deliver run for every copy of the message that
 // did not land. The fabric reports a loss, and the receiver discards, at the
-// receiving end of the wire, which on a partitioned network is another
-// partition: the verdict — real hardware's timeout or NAK — routes home
-// before touching the QP's retransmission engine.
+// receiving end of the wire: the verdict — real hardware's timeout or NAK —
+// routes home before touching the QP's retransmission engine.
 func (r *rcMsg) dropped() { r.qp.home(r.msg.To, 0, r, verdictDropped) }
 
 // deliver is the message's arrival: the sequence check, then what its

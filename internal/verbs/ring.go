@@ -19,8 +19,7 @@ import (
 // a chunk from the process-wide pool (package bufpool) the first time
 // anything touches it — GETFREE handing out a send buffer, the NIC's
 // delivery copy landing a message in a posted receive slot, an RDMA Read or
-// Write reaching the region — and always on the owning device's partition,
-// so the pool's own mutex is the only lock involved. A 32-node MEMQ/SR
+// Write reaching the region. A 32-node MEMQ/SR
 // query registers 2.3 GiB of rings and touches about a sixth of them;
 // backing all of it would mean allocating and zeroing, on every query,
 // whatever exceeds the pool's budget — most of such a query's CPU.
@@ -88,9 +87,7 @@ func (m *MR) materialize(i int) []byte {
 // whole. Each device keeps a short free list of records: a post takes from
 // the sending device's list, and delivery — or a drop, the other way a
 // datagram's last event can go — parks the record on the *destination*
-// device's list. Both run on the destination's partition, as that device's
-// own posts do, so a list has one owner and needs no lock, and an all-to-all
-// refills every node as fast as it drains. The Sent completion fires at the
+// device's list, so an all-to-all refills every node as fast as it drains. The Sent completion fires at the
 // sender before the datagram reaches the destination port, so a parked
 // record has no event left to fire. maxUDFree bounds the list so that the
 // receiver of an incast, which sends nothing, cannot hoard; a record that

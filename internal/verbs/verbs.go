@@ -103,10 +103,8 @@ const (
 // Device is a per-node verbs context (the result of ibv_open_device).
 type Device struct {
 	net *fabric.Network
-	// sim owns this device's events: the node's partition on a partitioned
-	// network, the shared simulation otherwise. Every event that touches
-	// device state executes on it; cross-device interactions route through
-	// the fabric (see QP.home).
+	// sim runs this device's events; cross-device interactions route
+	// through the fabric (see QP.home).
 	sim     *sim.Simulation
 	node    int
 	nextQPN uint32
@@ -204,9 +202,7 @@ func Open(net *fabric.Network, node int) *Device {
 // Node returns the fabric node id of this device.
 func (d *Device) Node() int { return d.node }
 
-// Sim returns the simulation owning this device's events — the node's
-// partition when the network is partitioned across logical partitions, the
-// shared simulation otherwise. Procs driving this device must run on it.
+// Sim returns the simulation running this device's events.
 func (d *Device) Sim() *sim.Simulation { return d.sim }
 
 // Network returns the underlying fabric.
@@ -250,9 +246,8 @@ func (d *Device) PublishMetrics(reg *telemetry.Registry) {
 
 func (d *Device) prof() *fabric.Profile { return &d.net.Prof }
 
-// tr returns the tracer for events executing on this device's partition —
-// the node's shard when partitioned, the shared tracer otherwise; nil
-// (tracing disabled) is safe to emit on, so callers never branch.
+// tr returns the node's trace shard; nil (tracing disabled) is safe to emit
+// on, so callers never branch.
 func (d *Device) tr() *telemetry.Tracer { return d.net.TracerAt(d.node) }
 
 // MR is a registered memory region; remote peers address it by (RKey,
@@ -309,8 +304,7 @@ func (m *MR) check(off, n int) error {
 // with host memory if nothing has touched their chunk yet. Like real pinned
 // memory, bytes nobody has written have unspecified contents. It panics,
 // naming the region and the offsets, on an access outside the region or
-// across a chunk boundary. Call it only from the partition that owns the
-// region's device.
+// across a chunk boundary.
 func (m *MR) Bytes(off, n int) []byte {
 	i, lo, err := m.locate(off, n)
 	if err != nil {
